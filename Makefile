@@ -62,7 +62,7 @@ bench:
 
 # Short benchmark smoke pass for CI: a few iterations of every per-layer
 # benchmark, just enough to catch a benchmark that no longer compiles or
-# panics — not a performance measurement. The artifact-cache smoke test
+# panics — not a performance measurement. The artifact cache smoke test
 # then runs one GAP experiment matrix twice in-process and asserts the
 # second pass is served from the cache (workloads.CacheStats), guarding
 # against silent caching regressions. The event-core smoke (DICE_SMOKE=1
@@ -110,9 +110,8 @@ daemon-smoke:
 # Sweep smoke: build the real dicesweep and dicebenchd binaries and
 # run the DSE acceptance bar end to end — a three-axis spec expanding
 # to 320 cells through the local pool at workers 8 and workers 1 AND
-# sharded over a live daemon four ways (streamed partial results and
-# -poll-only, each at workers 8 and 1), frontier exports byte-compared
-# across all of them, with the streamed epoch-metrics NDJSON checked
+# streamed from a live daemon at workers 8 and 1, frontier exports
+# byte-compared across all four, with the streamed epoch-metrics NDJSON checked
 # for well-formedness; plus the SIGINT-mid-sweep / -resume round trip
 # and a daemon SIGKILLed mid-stream and restarted on the same port
 # (the sweep rides through with no duplicate cells in its results
@@ -130,6 +129,7 @@ examples:
 	$(GO) run ./examples/compressibility
 	$(GO) run ./examples/hybridmemory
 	$(GO) run ./examples/graphanalytics
+	$(GO) run ./examples/fullhierarchy
 
 clean:
 	$(GO) clean ./...

@@ -15,9 +15,8 @@
 // -workers bounds the concurrent simulations (default: one per CPU);
 // results are byte-identical for every worker count because each
 // simulation is a deterministic function of (config, workload).
-// Workload build products (graphs, kernel traces) are cached and shared
-// across the matrix; -artifact-cache=false forces every simulation to
-// build its workload cold, which changes nothing but wall-clock time.
+// Workload build products (graphs, kernel traces) are built once and
+// shared across the matrix.
 //
 // -fault-ber/-fault-seed/-fault-policy inject deterministic bit errors
 // into every simulation (the fault-sweep experiment sweeps its own BER
@@ -49,7 +48,6 @@ import (
 	"dice/internal/parallel"
 	"dice/internal/sigctx"
 	"dice/internal/sim"
-	"dice/internal/workloads"
 )
 
 // cliFlags holds every dicebench flag; registerFlags is the one place
@@ -62,8 +60,6 @@ type cliFlags struct {
 	faultBER *float64
 	faultSd  *uint64
 	faultPol *string
-	artCache *bool
-	simCore  *string
 	list     *bool
 	verbose  *bool
 
@@ -84,8 +80,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		faultBER: fs.Float64("fault-ber", 0, "raw bit-error rate injected into every simulation (0 = off)"),
 		faultSd:  fs.Uint64("fault-seed", 0, "seed for the deterministic fault stream"),
 		faultPol: fs.String("fault-policy", "", "ECC/recovery policy: none|ecc|ecc+quarantine (default)"),
-		artCache: fs.Bool("artifact-cache", true, "share built workload artifacts across the matrix (results are identical either way)"),
-		simCore:  fs.String("sim-core", "event", "simulation core: event (discrete-event, default) or cycle (cycle-stepped reference; results are identical either way)"),
 		list:     fs.Bool("list", false, "list experiments and exit"),
 		verbose:  fs.Bool("v", false, "print each simulation as it completes"),
 
@@ -108,8 +102,6 @@ func main() {
 		faultBER = o.faultBER
 		faultSd  = o.faultSd
 		faultPol = o.faultPol
-		artCache = o.artCache
-		simCore  = o.simCore
 		list     = o.list
 		verbose  = o.verbose
 
@@ -120,13 +112,10 @@ func main() {
 		selfStats    = o.selfStats
 	)
 
-	if err := validateFlags(*metricsEpoch, *workers, *simCore); err != nil {
+	if err := validateFlags(*metricsEpoch, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	workloads.SetCacheEnabled(*artCache)
-	coreKind, _ := sim.ParseCoreKind(*simCore) // validated above
-	sim.SetCoreKind(coreKind)
 
 	if *cpuProfile != "" {
 		stopProf, err := obs.StartCPUProfile(*cpuProfile)
@@ -225,17 +214,13 @@ func main() {
 // epoch (the recorder needs a positive sampling period — previously
 // `-metrics-epoch 0` with -metrics-out panicked inside the runner), a
 // negative worker count (0 is documented as "one per CPU"; a negative
-// value was silently treated the same, hiding the typo), and an unknown
-// -sim-core value.
-func validateFlags(metricsEpoch uint64, workers int, simCore string) error {
+// value was silently treated the same, hiding the typo).
+func validateFlags(metricsEpoch uint64, workers int) error {
 	if metricsEpoch == 0 {
 		return fmt.Errorf("-metrics-epoch must be a positive cycle count, got 0")
 	}
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = one per CPU, 1 = serial), got %d", workers)
-	}
-	if _, err := sim.ParseCoreKind(simCore); err != nil {
-		return fmt.Errorf("-sim-core: %v", err)
 	}
 	return nil
 }

@@ -17,9 +17,7 @@
 // -trace-events prints a timeline of component events (comma-separated
 // components from cip, fault, dcache, dram, sim, or "all");
 // -cpuprofile/-memprofile write pprof profiles of the simulator
-// itself. None of these change simulation results; neither does
-// -artifact-cache=false, which only disables sharing of built workload
-// artifacts between the runs of one process (e.g. with -baseline).
+// itself. None of these change simulation results.
 //
 // SIGINT and SIGTERM are handled through the shared internal/sigctx
 // helper (the same shutdown path dicebench and dicebenchd use):
@@ -62,8 +60,6 @@ type cliFlags struct {
 	faultPol  *string
 	baseline  *bool
 	workers   *int
-	artCache  *bool
-	simCore   *string
 	list      *bool
 
 	metricsOut   *string
@@ -91,8 +87,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		faultPol:  fs.String("fault-policy", "ecc+quarantine", "ECC/recovery policy: none|ecc|ecc+quarantine"),
 		baseline:  fs.Bool("baseline", false, "also run the uncompressed baseline and report speedup"),
 		workers:   fs.Int("workers", 0, "concurrent simulations with -baseline (0 = one per CPU, 1 = serial)"),
-		artCache:  fs.Bool("artifact-cache", true, "share built workload artifacts across runs in this process (results are identical either way)"),
-		simCore:   fs.String("sim-core", "event", "simulation core: event (discrete-event, default) or cycle (cycle-stepped reference; results are identical either way)"),
 		list:      fs.Bool("list", false, "list workloads and exit"),
 
 		metricsOut:   fs.String("metrics-out", "", "write epoch metrics to this file (.csv = CSV, else JSON)"),
@@ -122,8 +116,6 @@ func main() {
 		faultPol  = o.faultPol
 		baseline  = o.baseline
 		workers   = o.workers
-		artCache  = o.artCache
-		simCore   = o.simCore
 		list      = o.list
 
 		metricsOut   = o.metricsOut
@@ -133,13 +125,10 @@ func main() {
 		memProfile   = o.memProfile
 	)
 
-	if err := validateFlags(*metricsEpoch, *workers, *simCore); err != nil {
+	if err := validateFlags(*metricsEpoch, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	workloads.SetCacheEnabled(*artCache)
-	coreKind, _ := sim.ParseCoreKind(*simCore) // validated above
-	sim.SetCoreKind(coreKind)
 
 	if *cpuProfile != "" {
 		stopProf, err := obs.StartCPUProfile(*cpuProfile)
@@ -316,17 +305,13 @@ func main() {
 // epoch (the recorder needs a positive sampling period — previously
 // `-metrics-epoch 0` panicked inside obs.NewRecorder), a negative
 // worker count (0 is documented as "one per CPU"; a negative value was
-// silently treated the same, hiding the typo), and an unknown -sim-core
-// value.
-func validateFlags(metricsEpoch uint64, workers int, simCore string) error {
+// silently treated the same, hiding the typo).
+func validateFlags(metricsEpoch uint64, workers int) error {
 	if metricsEpoch == 0 {
 		return fmt.Errorf("-metrics-epoch must be a positive cycle count, got 0")
 	}
 	if workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (0 = one per CPU, 1 = serial), got %d", workers)
-	}
-	if _, err := sim.ParseCoreKind(simCore); err != nil {
-		return fmt.Errorf("-sim-core: %v", err)
 	}
 	return nil
 }

@@ -51,8 +51,6 @@ type cliFlags struct {
 	daemons       *string
 	batch         *int
 	shardDeadline *time.Duration
-	poll          *time.Duration
-	pollOnly      *bool
 	metricsEpoch  *uint64
 	metricsOut    *string
 	out           *string
@@ -73,8 +71,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		daemons:       fs.String("daemons", "", "comma-separated dicebenchd base URLs to shard across ('' = run in-process)"),
 		batch:         fs.Int("batch", 0, "cells per daemon job (0 = 256)"),
 		shardDeadline: fs.Duration("shard-deadline", 0, "per-job deadline daemons enforce (0 = none)"),
-		poll:          fs.Duration("poll", 100*time.Millisecond, "job-status poll interval for daemon sharding"),
-		pollOnly:      fs.Bool("poll-only", false, "disable result streaming for daemon sharding; poll jobs to terminal state (frontier bytes identical either way)"),
 		metricsEpoch:  fs.Uint64("metrics-epoch", 0, "emit per-epoch metric snapshots every N simulated cycles (0 = off; requires -metrics-out)"),
 		metricsOut:    fs.String("metrics-out", "", "append streamed epoch snapshots to this NDJSON file (requires -metrics-epoch)"),
 		out:           fs.String("out", "frontier", "frontier export path prefix (writes <out>.csv and <out>.json)"),
@@ -87,6 +83,10 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 func main() {
 	opts := registerFlags(flag.CommandLine)
 	flag.Parse()
+	if err := validateFlags(opts); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if err := run(opts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -123,12 +123,6 @@ func run(opts *cliFlags) error {
 	if logPath == "" {
 		logPath = *opts.spec + ".results"
 	}
-	if *opts.logLinger < 0 {
-		return fmt.Errorf("dicesweep: -log-linger must be non-negative, got %v", *opts.logLinger)
-	}
-	if *opts.logBatch <= 0 {
-		return fmt.Errorf("dicesweep: -log-batch-bytes must be positive, got %d", *opts.logBatch)
-	}
 	rlog, replay, err := dse.OpenResultLogWith(logPath, commitlog.Options{
 		MaxLinger:     *opts.logLinger,
 		MaxBatchBytes: *opts.logBatch,
@@ -152,11 +146,6 @@ func run(opts *cliFlags) error {
 		Workers:       *opts.workers,
 		Batch:         *opts.batch,
 		ShardDeadline: *opts.shardDeadline,
-		Poll:          *opts.poll,
-		PollOnly:      *opts.pollOnly,
-	}
-	if (*opts.metricsEpoch > 0) != (*opts.metricsOut != "") {
-		return fmt.Errorf("dicesweep: -metrics-epoch and -metrics-out must be set together")
 	}
 	var metrics *metricsSink
 	if *opts.metricsOut != "" {
@@ -220,6 +209,30 @@ func run(opts *cliFlags) error {
 	}
 	fmt.Printf("dicesweep: %d of %d points Pareto-optimal; wrote %s.csv and %s.json\n",
 		onFrontier, len(points), *opts.out, *opts.out)
+	return nil
+}
+
+// validateFlags rejects, at parse time, flag values the flag types
+// allow but the sweep cannot use. A negative -workers would otherwise
+// silently mean "one per CPU" locally, and a negative -batch or
+// -shard-deadline would make every sharded job fail the daemon's
+// validation, after which the sweep advises a -resume that fails the
+// same way.
+func validateFlags(opts *cliFlags) error {
+	switch {
+	case *opts.workers < 0:
+		return fmt.Errorf("dicesweep: -workers must be >= 0 (0 = one per CPU, 1 = serial), got %d", *opts.workers)
+	case *opts.batch < 0:
+		return fmt.Errorf("dicesweep: -batch must be >= 0 (0 = %d), got %d", dse.DefaultBatch, *opts.batch)
+	case *opts.shardDeadline < 0:
+		return fmt.Errorf("dicesweep: -shard-deadline must be >= 0 (0 = none), got %v", *opts.shardDeadline)
+	case *opts.logLinger < 0:
+		return fmt.Errorf("dicesweep: -log-linger must be non-negative, got %v", *opts.logLinger)
+	case *opts.logBatch <= 0:
+		return fmt.Errorf("dicesweep: -log-batch-bytes must be positive, got %d", *opts.logBatch)
+	case (*opts.metricsEpoch > 0) != (*opts.metricsOut != ""):
+		return fmt.Errorf("dicesweep: -metrics-epoch and -metrics-out must be set together")
+	}
 	return nil
 }
 

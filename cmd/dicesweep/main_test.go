@@ -96,9 +96,8 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // TestSweepSmokeLocalDaemonParity is the headline acceptance run:
-// local workers 8 vs workers 1 vs daemon-sharded — the latter both
-// streaming (the default) and -poll-only, at workers 1 and 8 — all
-// frontier exports byte-identical, cells/hour recorded to
+// local workers 8 vs workers 1 vs daemon-sharded (streamed, at workers
+// 8 and 1) — all frontier exports byte-identical, cells/hour recorded to
 // BENCH_pr10.json, and the streamed epoch-metrics NDJSON non-empty and
 // well-formed.
 func TestSweepSmokeLocalDaemonParity(t *testing.T) {
@@ -140,10 +139,9 @@ func TestSweepSmokeLocalDaemonParity(t *testing.T) {
 		}
 	}
 
-	// Shard the same matrix over a live dicebenchd subprocess — four
-	// ways: streaming (the default) and -poll-only, each at workers 8
-	// and workers 1. All four frontiers must match the local bytes;
-	// streaming changes when cells checkpoint, never what they contain.
+	// Shard the same matrix over a live dicebenchd subprocess, streamed
+	// at workers 8 and workers 1. Both frontiers must match the local
+	// bytes: sharding changes where cells run, never what they contain.
 	d := startBenchd(t, "-journal", filepath.Join(dir, "d.journal"), "-q")
 	metricsPath := filepath.Join(dir, "epochs.ndjson")
 	shardRuns := []struct {
@@ -151,15 +149,13 @@ func TestSweepSmokeLocalDaemonParity(t *testing.T) {
 		args []string
 	}{
 		{"fd8", []string{"-workers", "8", "-metrics-epoch", "500", "-metrics-out", metricsPath}},
-		{"fp8", []string{"-workers", "8", "-poll-only"}},
 		{"fd1", []string{"-workers", "1"}},
-		{"fp1", []string{"-workers", "1", "-poll-only"}},
 	}
 	for _, sr := range shardRuns {
 		runSweep(t, true, append([]string{
 			"-spec", specPath, "-log", filepath.Join(dir, sr.name+".results"),
 			"-out", filepath.Join(dir, sr.name),
-			"-daemons", "http://" + d.addr, "-batch", "64", "-poll", "10ms",
+			"-daemons", "http://" + d.addr, "-batch", "64",
 		}, sr.args...)...)
 		for _, ext := range []string{".csv", ".json"} {
 			local := readFile(t, filepath.Join(dir, "f8"+ext))
@@ -217,7 +213,7 @@ func TestSweepSmokeStreamSurvivesDaemonKill(t *testing.T) {
 	sweep, _ := binaries(t)
 	cmd := exec.Command(sweep,
 		"-spec", specPath, "-log", logPath, "-out", filepath.Join(dir, "fs"),
-		"-daemons", "http://"+addr, "-batch", "8", "-workers", "2", "-poll", "10ms")
+		"-daemons", "http://"+addr, "-batch", "8", "-workers", "2")
 	var outBuf strings.Builder
 	cmd.Stdout = &outBuf
 	cmd.Stderr = &outBuf

@@ -151,9 +151,9 @@ type Victim = dcache.Victim
 type Stats = dcache.Stats
 
 // Read looks up a 64B line at CPU cycle now. On a hit, Done is the cycle
-// the data is available and Extra lists spatially adjacent lines the same
-// access delivered for free. On a miss, Done is the cycle the miss was
-// determined; fetch the line and call Install.
+// the data is available; when HasExtra is set, Extra is the spatially
+// adjacent line the same access delivered for free. On a miss, Done is
+// the cycle the miss was determined; fetch the line and call Install.
 func (c *Cache) Read(now uint64, line uint64) ReadResult {
 	return c.inner.Read(now, line)
 }

@@ -50,6 +50,13 @@ func exportBytes(t *testing.T, cells []serve.CellSpec, opt Options) ([]byte, []b
 	if err != nil {
 		t.Fatal(err)
 	}
+	return frontierBytes(t, cells, results)
+}
+
+// frontierBytes computes the frontier of a complete result set and
+// returns its CSV and JSON exports.
+func frontierBytes(t *testing.T, cells []serve.CellSpec, results map[string]serve.CellResult) ([]byte, []byte) {
+	t.Helper()
 	points, err := Frontier(cells, results)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +86,9 @@ func TestFrontierByteEqualWorkers1Vs8(t *testing.T) {
 }
 
 // The determinism bar, sharded half: running the same matrix through
-// a live dicebenchd daemon (in-process, real HTTP) produces the same
-// frontier bytes as the local pool.
+// a live dicebenchd daemon (in-process, real HTTP) and streaming the
+// results back produces the same frontier bytes as the local pool, at
+// the serial schedule and at parallel ones.
 func TestFrontierByteEqualLocalVsDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon round trip skipped in -short mode")
@@ -105,17 +113,18 @@ func TestFrontierByteEqualLocalVsDaemon(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	daemonCSV, daemonJSON := exportBytes(t, cells, Options{
-		Workers: 2,
-		Daemons: []string{"http://" + addr.String()},
-		Batch:   3, // force several jobs, exercising batch chunking
-		Poll:    5 * time.Millisecond,
-	})
-	if !bytes.Equal(localCSV, daemonCSV) {
-		t.Fatalf("CSV diverges between local and daemon paths:\n--- local ---\n%s--- daemon ---\n%s", localCSV, daemonCSV)
-	}
-	if !bytes.Equal(localJSON, daemonJSON) {
-		t.Fatal("JSON diverges between local and daemon paths")
+	for _, workers := range []int{1, 2, 8} {
+		daemonCSV, daemonJSON := exportBytes(t, cells, Options{
+			Workers: workers,
+			Daemons: []string{"http://" + addr.String()},
+			Batch:   3, // force several jobs, exercising batch chunking
+		})
+		if !bytes.Equal(localCSV, daemonCSV) {
+			t.Fatalf("workers=%d: CSV diverges between local and daemon paths:\n--- local ---\n%s--- daemon ---\n%s", workers, localCSV, daemonCSV)
+		}
+		if !bytes.Equal(localJSON, daemonJSON) {
+			t.Fatalf("workers=%d: JSON diverges between local and daemon paths", workers)
+		}
 	}
 }
 

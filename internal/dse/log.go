@@ -12,7 +12,7 @@ import (
 // line, appended the moment the cell finishes, in the same
 // crash-tolerant format as the daemon journal — "crc8hex space json",
 // CRC-32C over the payload. Durability rides internal/commitlog's
-// group commit: concurrent shard pollers enqueue cells and share one
+// group commit: concurrent shard consumers enqueue cells and share one
 // write+fsync per batch, and an acknowledged append has still always
 // been synced. Replay accepts the longest valid prefix and truncates
 // the rest, so a sweep killed mid-append (or a daemon shard that died

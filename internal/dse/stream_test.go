@@ -9,17 +9,22 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dice/internal/obs"
 	"dice/internal/serve"
+	"dice/internal/serve/client"
 )
 
 // The streaming invariant: consuming partial results over the job
-// stream produces frontier exports byte-identical to the pre-streaming
-// poll-to-terminal path, at both the serial and parallel schedules.
+// stream produces frontier exports byte-identical to polling each job
+// to its terminal state and decoding its whole output, at both the
+// serial and parallel schedules. The polled side is driven here
+// through the client directly, as the reference the sweep transport
+// must match.
 func TestFrontierByteEqualStreamVsPollOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("daemon round trip skipped in -short mode")
@@ -41,17 +46,43 @@ func TestFrontierByteEqualStreamVsPollOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := Options{
-		Daemons: []string{"http://" + addr.String()},
-		Batch:   3,
-		Poll:    5 * time.Millisecond,
-	}
+	base := "http://" + addr.String()
+	const batch = 3
 	for _, workers := range []int{1, 8} {
-		stream, poll := base, base
-		stream.Workers, poll.Workers = workers, workers
-		poll.PollOnly = true
-		sCSV, sJSON := exportBytes(t, cells, stream)
-		pCSV, pJSON := exportBytes(t, cells, poll)
+		sCSV, sJSON := exportBytes(t, cells, Options{
+			Workers: workers,
+			Daemons: []string{base},
+			Batch:   batch,
+		})
+
+		c := client.New(base, 1)
+		polled := make(map[string]serve.CellResult, len(cells))
+		for lo := 0; lo < len(cells); lo += batch {
+			chunk := cells[lo:min(lo+batch, len(cells))]
+			st, err := c.Submit(context.Background(), serve.JobSpec{Cells: chunk, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err = c.Wait(context.Background(), st.ID, 5*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != serve.StateDone {
+				t.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
+			}
+			results, err := serve.DecodeCellResults(strings.NewReader(st.Output))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(results) != len(chunk) {
+				t.Fatalf("job %s delivered %d results for %d cells", st.ID, len(results), len(chunk))
+			}
+			for _, res := range results {
+				polled[res.Key] = res
+			}
+		}
+		pCSV, pJSON := frontierBytes(t, cells, polled)
+
 		if !bytes.Equal(sCSV, pCSV) {
 			t.Fatalf("workers=%d: CSV diverges between stream and poll paths:\n--- stream ---\n%s--- poll ---\n%s", workers, sCSV, pCSV)
 		}
@@ -212,7 +243,6 @@ func TestRestartRedeliveryNoDuplicateCells(t *testing.T) {
 	}
 	results, err := Run(context.Background(), cells, rlog, rep.Results, Options{
 		Daemons: []string{ts.URL},
-		Poll:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

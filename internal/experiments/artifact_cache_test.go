@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"dice/internal/sim"
 	"dice/internal/workloads"
 )
 
@@ -17,16 +16,12 @@ import (
 // exercises the full warm-then-fan-out path.
 const cacheTestScale = 12
 
-// resetArtifactCache gives the test a cold, enabled cache and restores
-// the default state afterwards.
+// resetArtifactCache gives the test a cold cache and empties it again
+// afterwards.
 func resetArtifactCache(t *testing.T) {
 	t.Helper()
 	workloads.DropCache()
-	workloads.SetCacheEnabled(true)
-	t.Cleanup(func() {
-		workloads.DropCache()
-		workloads.SetCacheEnabled(true)
-	})
+	t.Cleanup(workloads.DropCache)
 }
 
 // TestCachedGAPConfigsMatchColdBuilds runs the same GAP workload under
@@ -40,15 +35,17 @@ func TestCachedGAPConfigsMatchColdBuilds(t *testing.T) {
 	}
 	cfgs := []string{"base", "tsi", "nsi", "bai", "dice", "scc", "dice-knl", "dice-t32"}
 
-	// Cold reference: cache disabled, serial, each Run builds from
-	// scratch.
-	workloads.SetCacheEnabled(false)
+	// Cold reference: serial, and the cache is dropped before every
+	// Run so each one builds from scratch.
 	cold := detRunner(1)
 	cold.Scale = cacheTestScale
-	cold.Prefetch(cold.namedCells(cfgs, []workloads.Workload{w})...)
+	for _, cfg := range cfgs {
+		workloads.DropCache()
+		cold.Run(cfg, w)
+	}
 
 	// Cached run: 8 workers race through one warmed entry.
-	workloads.SetCacheEnabled(true)
+	workloads.DropCache()
 	cached := detRunner(8)
 	cached.Scale = cacheTestScale
 	cached.Prefetch(cached.namedCells(cfgs, []workloads.Workload{w})...)
@@ -61,34 +58,6 @@ func TestCachedGAPConfigsMatchColdBuilds(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s|%s: cold and cached results differ:\n%+v\nvs\n%+v",
 				cfg, w.Name, a, b)
-		}
-	}
-}
-
-// TestCacheOffMatchesOn pins the escape hatch: -artifact-cache=off must
-// not change a single result.
-func TestCacheOffMatchesOn(t *testing.T) {
-	resetArtifactCache(t)
-	for _, name := range []string{"cc_twi", "gcc"} {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := detRunner(1)
-		r.Scale = cacheTestScale
-		cfg := r.config("dice")
-		workloads.SetCacheEnabled(true)
-		on, err := sim.Run(cfg, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		workloads.SetCacheEnabled(false)
-		off, err := sim.Run(cfg, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(on, off) {
-			t.Fatalf("%s: cache on and off results differ:\n%+v\nvs\n%+v", name, on, off)
 		}
 	}
 }

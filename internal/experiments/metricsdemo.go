@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"dice/internal/obs"
-	"dice/internal/sim"
 	"dice/internal/workloads"
 )
 
@@ -48,7 +47,7 @@ func MetricsDemo(r *Runner) *Report {
 	epoch := ref.Cycles*3/2/metricsDemoEpochs + 1
 
 	rec := obs.NewRecorder(epoch, 0)
-	res, err := sim.RunObserved(r.config("dice"), w, &obs.Observer{Rec: rec})
+	res, err := r.runSim(r.config("dice"), w, &obs.Observer{Rec: rec})
 	if err != nil {
 		panic(err)
 	}

@@ -111,13 +111,8 @@ type warmCell struct {
 // worker to reach a workload would build its graphs while the cache's
 // singleflight blocks every other worker needing the same entry —
 // warming moves that serialization ahead of the fan-out and spreads the
-// distinct builds across the pool instead. No-op when the artifact
-// cache is disabled (each run then builds cold by design, and a warm
-// build would be thrown away).
+// distinct builds across the pool instead.
 func (r *Runner) warmArtifacts(ctx context.Context, cells []Cell) {
-	if !workloads.CacheEnabled() {
-		return
-	}
 	var warm []warmCell
 	seen := map[artifactID]bool{}
 	for _, c := range cells {

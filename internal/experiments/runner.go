@@ -79,6 +79,11 @@ type Runner struct {
 	logOnce sync.Once
 	log     *parallel.Logger
 
+	// simulate runs one simulation; nil means sim.RunObserved. The
+	// cross-core tests set it to sim.RunReferenceObserved to render whole
+	// reports on the cycle-stepped reference core.
+	simulate func(sim.Config, workloads.Workload, *obs.Observer) (sim.Result, error)
+
 	// testHookSimDone, when non-nil, runs after every executed
 	// simulation with its memoization key. Test instrumentation only:
 	// the cancellation-latency tests use it to cancel a context at a
@@ -98,6 +103,14 @@ type flight struct {
 // NewRunner returns a Runner with the given per-core reference budget.
 func NewRunner(refsPerCore int) *Runner {
 	return &Runner{RefsPerCore: refsPerCore, cache: make(map[string]*flight)}
+}
+
+// runSim executes one simulation on the runner's core.
+func (r *Runner) runSim(cfg sim.Config, w workloads.Workload, ob *obs.Observer) (sim.Result, error) {
+	if r.simulate != nil {
+		return r.simulate(cfg, w, ob)
+	}
+	return sim.RunObserved(cfg, w, ob)
 }
 
 // Sims reports how many simulations actually executed (memoized recalls
@@ -274,7 +287,7 @@ func (r *Runner) RunConfig(key string, cfg sim.Config, w workloads.Workload) sim
 		}
 		ob = &obs.Observer{Rec: rec}
 	}
-	res, err := sim.RunObserved(cfg, w, ob)
+	res, err := r.runSim(cfg, w, ob)
 	if err != nil {
 		// Experiment configs are internal code, not user input: a bad one
 		// is a programming error, and panicking keeps the singleflight

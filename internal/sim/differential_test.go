@@ -201,10 +201,9 @@ func TestWarmResetEpochAlignment(t *testing.T) {
 	}
 }
 
-// TestRunReferenceExported pins the exported reference entry points:
-// RunReference must equal Run (the event core) for a representative
-// config, and the -sim-core=cycle process toggle must route RunObserved
-// through it.
+// TestRunReferenceExported pins the exported reference entry point:
+// RunReference must equal RunEvent (the core Run executes on) for a
+// representative config.
 func TestRunReferenceExported(t *testing.T) {
 	w, err := workloads.ByName("gcc")
 	if err != nil {
@@ -221,44 +220,5 @@ func TestRunReferenceExported(t *testing.T) {
 	}
 	if !reflect.DeepEqual(evRes, refRes) {
 		t.Fatal("RunEvent and RunReference disagree")
-	}
-
-	if CurrentCoreKind() != CoreEvent {
-		t.Fatalf("default core = %v, want event", CurrentCoreKind())
-	}
-	SetCoreKind(CoreCycle)
-	defer SetCoreKind(CoreEvent)
-	if CurrentCoreKind() != CoreCycle {
-		t.Fatalf("core after SetCoreKind = %v, want cycle", CurrentCoreKind())
-	}
-	viaToggle, err := Run(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaToggle, refRes) {
-		t.Fatal("Run under -sim-core=cycle does not match RunReference")
-	}
-}
-
-// TestParseCoreKind pins the flag-value parser both CLIs share.
-func TestParseCoreKind(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want CoreKind
-		ok   bool
-	}{
-		{"event", CoreEvent, true},
-		{"cycle", CoreCycle, true},
-		{"", 0, false},
-		{"EVENT", 0, false},
-		{"reference", 0, false},
-	} {
-		got, err := ParseCoreKind(tc.in)
-		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
-			t.Errorf("ParseCoreKind(%q) = (%v, %v), want (%v, ok=%v)", tc.in, got, err, tc.want, tc.ok)
-		}
-	}
-	if CoreEvent.String() != "event" || CoreCycle.String() != "cycle" {
-		t.Error("CoreKind.String does not round-trip the flag spelling")
 	}
 }

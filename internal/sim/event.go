@@ -13,59 +13,9 @@
 package sim
 
 import (
-	"fmt"
-	"sync/atomic"
-
 	"dice/internal/obs"
 	"dice/internal/workloads"
 )
-
-// CoreKind selects the simulation core RunObserved executes on.
-type CoreKind int32
-
-// Simulation cores.
-const (
-	// CoreEvent is the discrete-event scheduler (the default): the clock
-	// jumps between scheduled events, skipping idle cycles.
-	CoreEvent CoreKind = iota
-	// CoreCycle is the cycle-stepped reference core: the clock advances
-	// one cycle at a time and every core is polled each cycle. Slow, but
-	// trivially correct — the differential-testing oracle.
-	CoreCycle
-)
-
-// String names the core kind as the -sim-core flag spells it.
-func (k CoreKind) String() string {
-	switch k {
-	case CoreEvent:
-		return "event"
-	case CoreCycle:
-		return "cycle"
-	}
-	return fmt.Sprintf("CoreKind(%d)", int32(k))
-}
-
-// ParseCoreKind parses a -sim-core flag value ("event" or "cycle").
-func ParseCoreKind(s string) (CoreKind, error) {
-	switch s {
-	case "event":
-		return CoreEvent, nil
-	case "cycle":
-		return CoreCycle, nil
-	}
-	return 0, fmt.Errorf("sim: unknown core %q (want event or cycle)", s)
-}
-
-// coreKind holds the process-wide core selection (mirrors the
-// workloads artifact-cache toggle: set once from flags, read per run).
-var coreKind atomic.Int32
-
-// SetCoreKind selects the simulation core used by Run/RunObserved
-// process-wide. The default is CoreEvent; CLIs expose it as -sim-core.
-func SetCoreKind(k CoreKind) { coreKind.Store(int32(k)) }
-
-// CurrentCoreKind reports the process-wide core selection.
-func CurrentCoreKind() CoreKind { return CoreKind(coreKind.Load()) }
 
 // eventKind orders same-cycle events: epoch boundaries record the
 // machine state as of the boundary cycle, so they must run before any

@@ -3,8 +3,7 @@
 // global clock advances one virtual cycle at a time; every cycle, each
 // core is polled in index order and stepped if its clock has arrived.
 // No clock-skipping, no event heap — just the textbook loop. It stays
-// in the tree build-tag-free as the differential-testing oracle and the
-// -sim-core=cycle escape hatch.
+// in the tree build-tag-free as the differential-testing oracle.
 package sim
 
 import (

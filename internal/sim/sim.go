@@ -292,14 +292,10 @@ func Run(cfg Config, w workloads.Workload) (Result, error) {
 // with or without an observer, which the determinism tests enforce. A
 // nil observer makes RunObserved exactly Run.
 //
-// The simulation executes on the process-selected core (SetCoreKind):
-// the discrete-event scheduler by default, or the cycle-stepped
-// reference. Both produce byte-identical Results and epoch exports for
-// every (cfg, w) — the differential tests enforce it.
+// The simulation executes on the discrete-event core. The cycle-stepped
+// reference (RunReferenceObserved) produces byte-identical Results and
+// epoch exports for every (cfg, w) — the differential tests enforce it.
 func RunObserved(cfg Config, w workloads.Workload, ob *obs.Observer) (Result, error) {
-	if CurrentCoreKind() == CoreCycle {
-		return RunReferenceObserved(cfg, w, ob)
-	}
 	res, _, err := RunEventObserved(cfg, w, ob)
 	return res, err
 }

@@ -9,17 +9,13 @@ import (
 // exercising the real graph/kernel path.
 const testScale = 12
 
-// withColdCache runs the test against an empty, enabled cache and
-// restores the enabled-by-default state afterwards (the cache is
-// process-global, so tests must not leak entries or toggles).
+// withColdCache runs the test against an empty cache and empties it
+// again afterwards (the cache is process-global, so tests must not leak
+// entries).
 func withColdCache(t *testing.T) {
 	t.Helper()
 	DropCache()
-	SetCacheEnabled(true)
-	t.Cleanup(func() {
-		DropCache()
-		SetCacheEnabled(true)
-	})
+	t.Cleanup(DropCache)
 }
 
 // drain pulls n requests from an instance's generator.
@@ -70,7 +66,8 @@ func assertSameStreams(t *testing.T, a, b []Instance) {
 
 // TestCachedBuildMatchesCold: a Build served from the artifact cache is
 // observably identical to a cold build, for both a GAP workload (shared
-// graph artifacts) and a synthetic SPEC workload.
+// graph artifacts) and a synthetic SPEC workload. A cold build is a
+// cache miss; DropCache forces a second, independent one.
 func TestCachedBuildMatchesCold(t *testing.T) {
 	withColdCache(t)
 	for _, name := range []string{"cc_twi", "gcc"} {
@@ -78,21 +75,19 @@ func TestCachedBuildMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		SetCacheEnabled(false)
-		cold := w.Build(testScale)
-		SetCacheEnabled(true)
-		warmA := w.Build(testScale) // miss: builds the entry
-		warmB := w.Build(testScale) // hit: shares it
+		cold := w.Build(testScale)  // miss: builds the entry
+		warmA := w.Build(testScale) // hit: shares it
+		warmB := w.Build(testScale) // hit
+		DropCache()
+		cold2 := w.Build(testScale) // miss: an independent cold build
 		assertSameStreams(t, cold, warmA)
-		SetCacheEnabled(false)
-		cold2 := w.Build(testScale)
-		SetCacheEnabled(true)
 		assertSameStreams(t, cold2, warmB)
 	}
 }
 
 // TestCacheCounters: misses count cold builds, hits count served Builds,
-// distinct scales are distinct entries, and disabling bypasses both.
+// distinct scales are distinct entries, and DropCache zeroes both and
+// makes the next Build cold again.
 func TestCacheCounters(t *testing.T) {
 	withColdCache(t)
 	w, err := ByName("cc_twi")
@@ -105,18 +100,17 @@ func TestCacheCounters(t *testing.T) {
 	if h, m := CacheStats(); h != 1 || m != 2 {
 		t.Fatalf("hits, misses = %d, %d; want 1, 2", h, m)
 	}
-	SetCacheEnabled(false)
-	w.Build(testScale)
-	if h, m := CacheStats(); h != 1 || m != 2 {
-		t.Fatalf("disabled Build touched the cache: hits, misses = %d, %d", h, m)
-	}
-	SetCacheEnabled(true)
-	if !CacheEnabled() {
-		t.Fatal("CacheEnabled did not reflect SetCacheEnabled")
-	}
 	w.Warm(testScale)
 	if h, m := CacheStats(); h != 2 || m != 2 {
 		t.Fatalf("warm of a built entry should hit: hits, misses = %d, %d", h, m)
+	}
+	DropCache()
+	if h, m := CacheStats(); h != 0 || m != 0 {
+		t.Fatalf("DropCache left counters at hits, misses = %d, %d", h, m)
+	}
+	w.Build(testScale)
+	if h, m := CacheStats(); h != 0 || m != 1 {
+		t.Fatalf("Build after DropCache should miss: hits, misses = %d, %d", h, m)
 	}
 }
 
@@ -206,11 +200,9 @@ func BenchmarkBuildCold(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	SetCacheEnabled(false)
-	defer SetCacheEnabled(true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.Build(testScale)
+		w.buildArtifacts(testScale).Instantiate()
 	}
 }
 
@@ -221,7 +213,6 @@ func BenchmarkBuildWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	SetCacheEnabled(true)
 	w.Warm(testScale)
 	b.ReportAllocs()
 	b.ResetTimer()
