@@ -43,22 +43,15 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCompressRoundtrip$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzEventSchedule$$' -fuzztime=30s ./internal/sim
 
-# Full benchmark harness: regenerates every paper table/figure as
-# testing.B benchmarks plus the compression microbenchmarks, then
-# records the per-layer hot-path numbers (ns/ref, allocs/ref, refs/sec)
-# into BENCH_pr10.json under the "pr10" label — including the
-# daemon/submit entries, latency distributions (mean plus p50/p99/p999
-# tail quantiles) over the job-submission path against an in-process
-# daemon, sequential and at 32 concurrent clients riding the journal's
-# group commit, and the commitlog/append-{1,64} pair whose appends/sec
-# ratio is the fsync amortization factor on this machine. The
-# simcore/{event,cycle} pair is the discrete-event scheduler's
-# dispatch comparison, the matrix/gap8-{cold,warm} pair the artifact
-# cache's headline warm-vs-cold wall-clock ratio, and the "pr10-sweep"
-# label in the same file is sweep-smoke's cells/hour record.
+# Per-layer microbenchmarks: every `go test -bench` benchmark in the
+# module — the paper tables/figures in bench_test.go plus the compress,
+# dcache, dram, workloads, sim and commitlog hot paths. Nothing is
+# written to the tree. The end-to-end numbers of record (sim refs/s,
+# sweep-service cells/hour and turnaround, with a per-layer ledger) come
+# from `bash benchmark/run.sh` (see benchmark/README.md).
 bench:
-	$(GO) test -bench=. -benchmem .
-	$(GO) run ./cmd/perfbench -label pr10 -out BENCH_pr10.json
+	$(GO) test -run='^$$' -bench=. -benchmem ./...
+	@echo "end-to-end numbers of record: bash benchmark/run.sh"
 
 # Short benchmark smoke pass for CI: a few iterations of every per-layer
 # benchmark, just enough to catch a benchmark that no longer compiles or
@@ -69,18 +62,18 @@ bench:
 # gates its wall-clock assertion out of plain `go test ./...`) asserts
 # the discrete-event scheduler still beats the cycle-stepped reference
 # on the idle-heaviest catalog config, the golden-report run pins the
-# experiment bytes under the event core, and the group-commit guard
-# (same DICE_SMOKE gate) asserts the batched journal beats the
-# fsync-per-append reference discipline at p99 by the 1.05x smoke
-# floor under concurrent submission load, with the journal's counters
-# proving the batching structurally.
+# experiment bytes under the event core, the submit-latency check
+# measures an ordered p50/p99/p999 distribution through the daemon, and
+# the group-commit guard (same DICE_SMOKE gate) asserts the batched
+# journal beats the fsync-per-append reference discipline at p99 by the
+# 1.05x smoke floor under concurrent submission load, with the
+# journal's counters proving the batching structurally.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/compress ./internal/dcache ./internal/dram ./internal/workloads ./internal/sim
+	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/compress ./internal/dcache ./internal/dram ./internal/workloads ./internal/sim ./internal/commitlog
 	$(GO) test -run='^TestArtifactCacheSmoke$$' -count=1 -v ./internal/experiments
 	DICE_SMOKE=1 $(GO) test -run='^TestEventCoreSmokeSpeedup$$' -count=1 -v ./internal/sim
 	$(GO) test -run='^TestGoldenReports$$' -count=1 ./internal/experiments
-	$(GO) test -run='^TestSubmitLatencyEntry$$|^TestCommitLogAppendEntry$$' -count=1 -v ./cmd/perfbench
-	DICE_SMOKE=1 $(GO) test -run='^TestGroupCommitSubmitGuard$$' -count=1 -v ./cmd/perfbench
+	DICE_SMOKE=1 $(GO) test -run='^TestSubmitLatencyEntry$$|^TestGroupCommitSubmitGuard$$' -count=1 -v ./internal/serve
 
 # Daemon load/soak proof, two passes: concurrent submissions through
 # the retrying client against a queue bounded at 32 (so backpressure
@@ -115,8 +108,8 @@ daemon-smoke:
 # for well-formedness; plus the SIGINT-mid-sweep / -resume round trip
 # and a daemon SIGKILLed mid-stream and restarted on the same port
 # (the sweep rides through with no duplicate cells in its results
-# log). Records the headline cells/hour number to BENCH_pr10.json
-# under the "pr10-sweep" label.
+# log). Writes nothing to the tree; cells/hour is measured by the
+# sweep-service workload of `bash benchmark/run.sh`.
 sweep-smoke:
 	DICE_SMOKE=1 $(GO) test -run='^TestSweepSmoke' -count=1 -v ./cmd/dicesweep
 

@@ -26,11 +26,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -55,7 +53,6 @@ type cliFlags struct {
 	metricsOut    *string
 	out           *string
 	dryRun        *bool
-	benchOut      *string
 	verbose       *bool
 }
 
@@ -75,7 +72,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		metricsOut:    fs.String("metrics-out", "", "append streamed epoch snapshots to this NDJSON file (requires -metrics-epoch)"),
 		out:           fs.String("out", "frontier", "frontier export path prefix (writes <out>.csv and <out>.json)"),
 		dryRun:        fs.Bool("dry-run", false, "expand the spec, print the cell census, and exit without simulating"),
-		benchOut:      fs.String("bench-out", "", "write a cells/hour benchmark record to this JSON file"),
 		verbose:       fs.Bool("v", false, "print progress lines"),
 	}
 }
@@ -179,11 +175,6 @@ func run(opts *cliFlags) error {
 	ran := len(results) - len(replay.Results)
 	fmt.Printf("dicesweep: %d cells done (%d run now, %d replayed) in %.1fs\n",
 		len(results), ran, len(replay.Results), elapsed.Seconds())
-	if *opts.benchOut != "" {
-		if err := writeBench(*opts.benchOut, ran, elapsed, runOpts); err != nil {
-			return err
-		}
-	}
 	if metrics != nil {
 		if err := metrics.Close(); err != nil {
 			return err
@@ -258,49 +249,4 @@ func writeFrontier(prefix string, points []dse.Point) error {
 		err = cerr
 	}
 	return err
-}
-
-// writeBench records the sweep's throughput — the headline cells/hour
-// metric — into the JSON benchmark file under the "pr10-sweep" label,
-// preserving every other label already there (cmd/perfbench records
-// its per-layer entries into the same file under "pr10").
-func writeBench(path string, ran int, elapsed time.Duration, opt dse.Options) error {
-	cph := 0.0
-	if s := elapsed.Seconds(); s > 0 {
-		cph = float64(ran) / s * 3600
-	}
-	all := map[string]json.RawMessage{}
-	if b, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(b, &all); err != nil {
-			return fmt.Errorf("dicesweep: %s exists but is not a label map: %v", path, err)
-		}
-	}
-	all["pr10-sweep"] = json.RawMessage(fmt.Sprintf(
-		`{"cells": %d, "seconds": %.3f, "cells_per_hour": %.1f, "workers": %d, "daemons": %d}`,
-		ran, elapsed.Seconds(), cph, opt.Workers, len(opt.Daemons)))
-	keys := make([]string, 0, len(all))
-	for k := range all {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	// Stable key order and indentation for reviewable diffs.
-	var buf []byte
-	buf = append(buf, '{', '\n')
-	for i, k := range keys {
-		pretty, err := json.MarshalIndent(all[k], "  ", "  ")
-		if err != nil {
-			return err
-		}
-		kb, _ := json.Marshal(k)
-		buf = append(buf, ' ', ' ')
-		buf = append(buf, kb...)
-		buf = append(buf, ':', ' ')
-		buf = append(buf, pretty...)
-		if i < len(keys)-1 {
-			buf = append(buf, ',')
-		}
-		buf = append(buf, '\n')
-	}
-	buf = append(buf, '}', '\n')
-	return os.WriteFile(path, buf, 0o644)
 }

@@ -66,8 +66,8 @@ type Options struct {
 	// NoGroupCommit selects the pre-batching reference behavior: every
 	// append performs its own write+fsync under a mutex, exactly the
 	// fsync-per-append discipline this package replaced. It exists for
-	// A/B measurement (cmd/perfbench, the bench-smoke regression
-	// guard), not production use.
+	// A/B measurement (the bench-smoke group-commit guard), not
+	// production use.
 	NoGroupCommit bool
 }
 

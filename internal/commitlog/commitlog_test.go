@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -388,5 +389,49 @@ func TestCloseDrainsPendingBatch(t *testing.T) {
 	}
 	if err := l.Append([]byte(`{"late":1}`)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close: %v, want ErrClosed", err)
+	}
+}
+
+// appendPayload is BenchmarkAppend's record: the size class of a
+// typical journal record.
+var appendPayload = []byte(`{"t":"submit","id":"j1","seq":1,"spec":{"experiments":["fig10"],"refs":60000}}`)
+
+// BenchmarkAppend measures durable append throughput with 1 and 64
+// concurrent appenders on one log. With one appender every append pays
+// its own uncontended fsync (the floor group commit cannot beat); with
+// 64 the committer batches everything queued behind the in-flight
+// sync, so the ratio of the two appends/s figures is the fsync
+// amortization factor on the machine at hand.
+func BenchmarkAppend(b *testing.B) {
+	for _, appenders := range []int{1, 64} {
+		b.Run(fmt.Sprintf("appenders=%d", appenders), func(b *testing.B) {
+			l, _, err := Open(filepath.Join(b.TempDir(), "log"), Options{}, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var (
+				next atomic.Int64
+				wg   sync.WaitGroup
+			)
+			b.ResetTimer()
+			for w := 0; w < appenders; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if err := l.Append(appendPayload); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "appends/s")
+			if err := l.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

@@ -488,9 +488,10 @@ func (c *Cache) pairSize(evenLine uint64) int {
 	default:
 		sz = c.sizeCache.Pair(even, odd)
 	}
-	// Pair sizes span 0..128; store /2 rounded up to fit a byte
-	// losslessly enough (sizes are even in practice; odd sizes round
-	// up by one byte, which only ever under-packs, never over-packs).
+	// Pair sizes span 0..128; store /2 rounded up to fit a byte. Odd
+	// sizes occur even on the default hybrid path (FPC sizes are
+	// (bits+7)/8) and round up by one byte, which only ever
+	// under-packs, never over-packs; the goldens pin this rounding.
 	cell.pair = uint8((sz+1)/2) + 1
 	return (int(cell.pair) - 1) * 2
 }

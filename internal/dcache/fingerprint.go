@@ -38,7 +38,6 @@ func (c *Cache) Fingerprint() uint64 {
 			mixBool(e.dirty)
 			mixBool(e.bai)
 			mix(uint64(e.size))
-			mix(uint64(e.singleP1))
 			mixBool(e.sharedTag)
 		}
 	}

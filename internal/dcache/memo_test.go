@@ -131,9 +131,9 @@ func (n *nilOddSource) Line(line uint64) []byte {
 }
 
 // TestPairSizeNilOddBoundary pins the end-of-set boundary behavior: a
-// pair whose odd member has no data is incompressible (128B, rounding
-// to 2*LineSize), matching pairCompressedSizeOf's nil contract, and the
-// even member still sizes alone.
+// pair whose odd member has no data is incompressible (128B, i.e.
+// 2*LineSize), the odd member alone sizes as an incompressible 64B
+// line, and the even member still sizes alone from its data.
 func TestPairSizeNilOddBoundary(t *testing.T) {
 	synth := data.NewSynth(0xB00, data.HighlyCompressible())
 	c := memoTestCache(t, &nilOddSource{s: synth}, Config{Policy: PolicyDICE})
@@ -151,9 +151,11 @@ func TestPairSizeNilOddBoundary(t *testing.T) {
 }
 
 // TestPairSizeOddRoundsUp pins the memo's storage quirk: odd pair sizes
-// (possible only through custom sizers) round up to the next even byte
-// count — the memo packs pair sizes /2 into a byte — and the rounded
-// value is what every caller observes, first computation included.
+// round up to the next even byte count — the memo packs pair sizes /2
+// into a byte — and the rounded value is what every caller observes,
+// first computation included. Odd sizes arise from custom sizers and
+// from the default hybrid sizer alike: FPC sizes are (bits+7)/8, so
+// 7 of the first 10,000 pairs of the mixed corpus size odd.
 func TestPairSizeOddRoundsUp(t *testing.T) {
 	synth := data.NewSynth(0x0DD, data.HighlyCompressible())
 	c := memoTestCache(t, &fillSource{s: synth}, Config{
@@ -166,6 +168,19 @@ func TestPairSizeOddRoundsUp(t *testing.T) {
 	}
 	if got := c.pairSize(0); got != 68 {
 		t.Fatalf("memoized pairSize(0)=%d, want 68", got)
+	}
+
+	// A real odd hybrid pair: lines 1196/1197 of the mixed corpus.
+	const even = 1196
+	mixed := mixedSynth()
+	if got := compress.PairSize(mixed.Line(even), mixed.Line(even|1)); got != 39 {
+		t.Fatalf("hybrid PairSize(%d)=%d, want the odd 39 this case exercises", even, got)
+	}
+	hybrid := memoTestCache(t, &fillSource{s: mixed}, Config{Policy: PolicyDICE})
+	for pass := 0; pass < 2; pass++ {
+		if got := hybrid.pairSize(even); got != 40 {
+			t.Fatalf("pass %d: hybrid pairSize(%d)=%d, want 40 (39 rounded up)", pass, even, got)
+		}
 	}
 }
 

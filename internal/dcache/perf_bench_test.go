@@ -15,19 +15,26 @@ type benchSource struct {
 
 func (b *benchSource) Line(line uint64) []byte { return b.s.Line(line) }
 
-// newBenchCache assembles a DICE cache over a mixed-compressibility
-// synthetic data source, mirroring the sim's L4 wiring.
-func newBenchCache() *Cache {
+// mixedSynth is the mixed-compressibility synthetic corpus: every data
+// kind weighted equally, so it spans the whole compressibility
+// spectrum the workload catalog exercises.
+func mixedSynth() *data.Synth {
 	var p data.Profile
 	for k := data.Kind(0); k < data.KindCount; k++ {
 		p.Weights[k] = 1
 	}
 	p.PageCoherence = 0.9
+	return data.NewSynth(0xD1CE, p)
+}
+
+// newBenchCache assembles a DICE cache over a mixed-compressibility
+// synthetic data source, mirroring the sim's L4 wiring.
+func newBenchCache() *Cache {
 	return New(Config{
 		Sets:   1 << 13,
 		Policy: PolicyDICE,
 		Mem:    dram.New(dram.HBMConfig()),
-		Data:   &benchSource{s: data.NewSynth(0xD1CE, p)},
+		Data:   &benchSource{s: mixedSynth()},
 	})
 }
 

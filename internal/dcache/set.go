@@ -43,10 +43,6 @@ type entry struct {
 	// size is the data bytes this entry currently occupies, after any
 	// pair base-sharing discount. Maintained by repack.
 	size int
-	// singleP1 caches the line's single compressed size + 1 (0 = not yet
-	// computed). Sizes are immutable per line, so once set, repack never
-	// consults the sizer for this entry's single encoding again.
-	singleP1 uint16
 	// sharedTag marks the second member of an adjacent pair, which rides
 	// on its buddy's tag entry.
 	sharedTag bool
@@ -118,13 +114,10 @@ type sizer interface {
 // change: buddies present together compress as a shared-tag (and possibly
 // shared-base) pair; lone lines revert to their single encoding.
 func (s *set) repack(sz sizer) {
-	// Reset to single encodings (cached per entry after the first pass).
+	// Reset to single encodings.
 	for i := range s.entries {
 		e := &s.entries[i]
-		if e.singleP1 == 0 {
-			e.singleP1 = uint16(sz.singleSize(e.line)) + 1
-		}
-		e.size = int(e.singleP1) - 1
+		e.size = sz.singleSize(e.line)
 		e.sharedTag = false
 	}
 	// Apply pair sharing for co-resident buddies. The even member keeps
@@ -165,23 +158,4 @@ func (s *set) evictLRU(keep int) (entry, bool) {
 		return s.remove(i), true
 	}
 	return entry{}, false
-}
-
-// compressedSizeOf computes the hybrid compressed size of a data line,
-// treating a nil line (unknown data) as incompressible. Exposed through
-// the cache's sizer so tests can exercise it directly.
-func compressedSizeOf(data []byte) int {
-	if data == nil {
-		return compress.LineSize
-	}
-	return compress.CompressedSize(data)
-}
-
-// pairCompressedSizeOf computes the pair encoding size of two adjacent
-// data lines; nil data is incompressible.
-func pairCompressedSizeOf(even, odd []byte) int {
-	if even == nil || odd == nil {
-		return 2 * compress.LineSize
-	}
-	return compress.PairSize(even, odd)
 }

@@ -183,15 +183,3 @@ func TestQuickSetPackingNeverOverflows(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestCompressedSizeOfNil(t *testing.T) {
-	if compressedSizeOf(nil) != 64 {
-		t.Fatal("nil data must be incompressible")
-	}
-	if pairCompressedSizeOf(nil, nil) != 128 {
-		t.Fatal("nil pair must be incompressible")
-	}
-	if pairCompressedSizeOf(make([]byte, 64), nil) != 128 {
-		t.Fatal("half-nil pair must be incompressible")
-	}
-}

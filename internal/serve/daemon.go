@@ -50,8 +50,8 @@ type Config struct {
 	// in flight — see commitlog.Options.MaxLinger).
 	JournalLinger time.Duration
 	// JournalNoGroupCommit selects the reference fsync-per-append
-	// journal discipline. For A/B measurement (perfbench, bench-smoke),
-	// not production use.
+	// journal discipline. For A/B measurement (the bench-smoke
+	// group-commit guard), not production use.
 	JournalNoGroupCommit bool
 	// QueueCap bounds the number of queued-but-not-started jobs
 	// (default 64). Submissions beyond it fail with ErrQueueFull —
