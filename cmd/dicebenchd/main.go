@@ -43,33 +43,29 @@ import (
 // cliFlags holds every dicebenchd flag; registerFlags is the one
 // place they are declared, shared by main and the flag-docs pin test.
 type cliFlags struct {
-	addr          *string
-	journal       *string
-	journalLinger *time.Duration
-	journalBatch  *int
-	queueCap      *int
-	jobWorkers    *int
-	refs          *int
-	deadline      *time.Duration
-	drain         *time.Duration
-	retain        *int
-	quiet         *bool
+	addr       *string
+	journal    *string
+	queueCap   *int
+	jobWorkers *int
+	refs       *int
+	deadline   *time.Duration
+	drain      *time.Duration
+	retain     *int
+	quiet      *bool
 }
 
 // registerFlags declares the dicebenchd flags on fs.
 func registerFlags(fs *flag.FlagSet) *cliFlags {
 	return &cliFlags{
-		addr:          fs.String("addr", "127.0.0.1:8377", "listen address (host:0 picks an ephemeral port)"),
-		journal:       fs.String("journal", "dicebenchd.journal", "crash-safe job journal path ('' disables persistence)"),
-		journalLinger: fs.Duration("journal-linger", 0, "journal group-commit linger: how long the committer waits for batch-mates (0 = commit immediately; batching still occurs behind in-flight syncs)"),
-		journalBatch:  fs.Int("journal-batch-bytes", 1<<20, "journal group-commit batch bound in bytes"),
-		queueCap:      fs.Int("queue-cap", 64, "queued-job bound; submissions beyond it get 429 + Retry-After"),
-		jobWorkers:    fs.Int("job-workers", 1, "jobs run concurrently (each job fans out its own simulations)"),
-		refs:          fs.Int("refs", 60_000, "default measured references per core for specs that omit refs"),
-		deadline:      fs.Duration("deadline", 0, "default per-job deadline for specs that omit one (0 = none)"),
-		drain:         fs.Duration("drain", 30*time.Second, "graceful-shutdown bound: how long to let in-flight jobs finish"),
-		retain:        fs.Int("retain-outputs", 256, "terminal jobs whose output bytes stay in memory (older ones remain in the journal)"),
-		quiet:         fs.Bool("q", false, "suppress per-job log lines"),
+		addr:       fs.String("addr", "127.0.0.1:8377", "listen address (host:0 picks an ephemeral port)"),
+		journal:    fs.String("journal", "dicebenchd.journal", "crash-safe job journal path ('' disables persistence)"),
+		queueCap:   fs.Int("queue-cap", 64, "queued-job bound; submissions beyond it get 429 + Retry-After"),
+		jobWorkers: fs.Int("job-workers", 1, "jobs run concurrently (each job fans out its own simulations)"),
+		refs:       fs.Int("refs", 60_000, "default measured references per core for specs that omit refs"),
+		deadline:   fs.Duration("deadline", 0, "default per-job deadline for specs that omit one (0 = none)"),
+		drain:      fs.Duration("drain", 30*time.Second, "graceful-shutdown bound: how long to let in-flight jobs finish"),
+		retain:     fs.Int("retain-outputs", 256, "terminal jobs whose output bytes stay in memory (older ones remain in the journal)"),
+		quiet:      fs.Bool("q", false, "suppress per-job log lines"),
 	}
 }
 
@@ -94,12 +90,6 @@ func run(o *cliFlags) error {
 	if *o.refs <= 0 {
 		return fmt.Errorf("-refs must be positive, got %d", *o.refs)
 	}
-	if *o.journalLinger < 0 {
-		return fmt.Errorf("-journal-linger must be non-negative, got %v", *o.journalLinger)
-	}
-	if *o.journalBatch <= 0 {
-		return fmt.Errorf("-journal-batch-bytes must be positive, got %d", *o.journalBatch)
-	}
 	drain, quiet := *o.drain, *o.quiet
 	logf := func(format string, args ...any) {
 		if !quiet {
@@ -108,15 +98,13 @@ func run(o *cliFlags) error {
 	}
 
 	d, replay, err := serve.New(serve.Config{
-		JournalPath:       *o.journal,
-		JournalLinger:     *o.journalLinger,
-		JournalBatchBytes: *o.journalBatch,
-		QueueCap:          *o.queueCap,
-		JobWorkers:        *o.jobWorkers,
-		DefaultRefs:       *o.refs,
-		DefaultDeadline:   *o.deadline,
-		RetainOutputs:     *o.retain,
-		Logf:              logf,
+		JournalPath:     *o.journal,
+		QueueCap:        *o.queueCap,
+		JobWorkers:      *o.jobWorkers,
+		DefaultRefs:     *o.refs,
+		DefaultDeadline: *o.deadline,
+		RetainOutputs:   *o.retain,
+		Logf:            logf,
 	})
 	if err != nil {
 		return err

@@ -45,8 +45,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative workers", args: []string{"-workers", "-3"}, wantErr: "-workers"},
 		{name: "negative batch", args: []string{"-batch", "-1"}, wantErr: "-batch"},
 		{name: "negative shard deadline", args: []string{"-shard-deadline", "-1s"}, wantErr: "-shard-deadline"},
-		{name: "negative log linger", args: []string{"-log-linger", "-1ms"}, wantErr: "-log-linger"},
-		{name: "zero log batch", args: []string{"-log-batch-bytes", "0"}, wantErr: "-log-batch-bytes"},
 		{name: "metrics epoch alone", args: []string{"-metrics-epoch", "500"}, wantErr: "-metrics-epoch"},
 		{name: "metrics out alone", args: []string{"-metrics-out", "e.ndjson"}, wantErr: "-metrics-out"},
 	}

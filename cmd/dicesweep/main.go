@@ -32,7 +32,6 @@ import (
 	"strings"
 	"time"
 
-	"dice/internal/commitlog"
 	"dice/internal/dse"
 	"dice/internal/sigctx"
 )
@@ -42,8 +41,6 @@ import (
 type cliFlags struct {
 	spec          *string
 	log           *string
-	logLinger     *time.Duration
-	logBatch      *int
 	resume        *bool
 	workers       *int
 	daemons       *string
@@ -61,8 +58,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	return &cliFlags{
 		spec:          fs.String("spec", "", "sweep spec file (required; see SWEEPS.md)"),
 		log:           fs.String("log", "", "results-log path ('' = <spec>.results)"),
-		logLinger:     fs.Duration("log-linger", 0, "results-log group-commit linger: how long the committer waits for batch-mates (0 = commit immediately; batching still occurs behind in-flight syncs)"),
-		logBatch:      fs.Int("log-batch-bytes", 1<<20, "results-log group-commit batch bound in bytes"),
 		resume:        fs.Bool("resume", false, "continue from an existing results log instead of erroring on it"),
 		workers:       fs.Int("workers", 0, "concurrent simulations (0 = one per CPU, 1 = serial)"),
 		daemons:       fs.String("daemons", "", "comma-separated dicebenchd base URLs to shard across ('' = run in-process)"),
@@ -119,10 +114,7 @@ func run(opts *cliFlags) error {
 	if logPath == "" {
 		logPath = *opts.spec + ".results"
 	}
-	rlog, replay, err := dse.OpenResultLogWith(logPath, commitlog.Options{
-		MaxLinger:     *opts.logLinger,
-		MaxBatchBytes: *opts.logBatch,
-	})
+	rlog, replay, err := dse.OpenResultLog(logPath)
 	if err != nil {
 		return err
 	}
@@ -217,10 +209,6 @@ func validateFlags(opts *cliFlags) error {
 		return fmt.Errorf("dicesweep: -batch must be >= 0 (0 = %d), got %d", dse.DefaultBatch, *opts.batch)
 	case *opts.shardDeadline < 0:
 		return fmt.Errorf("dicesweep: -shard-deadline must be >= 0 (0 = none), got %v", *opts.shardDeadline)
-	case *opts.logLinger < 0:
-		return fmt.Errorf("dicesweep: -log-linger must be non-negative, got %v", *opts.logLinger)
-	case *opts.logBatch <= 0:
-		return fmt.Errorf("dicesweep: -log-batch-bytes must be positive, got %d", *opts.logBatch)
 	case (*opts.metricsEpoch > 0) != (*opts.metricsOut != ""):
 		return fmt.Errorf("dicesweep: -metrics-epoch and -metrics-out must be set together")
 	}

@@ -35,7 +35,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // crcTable is the Castagnoli table shared by every framed line (the
@@ -44,40 +43,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by appends issued after Close.
 var ErrClosed = errors.New("commitlog: log is closed")
-
-// Options are the group-commit tunables. The zero value is the
-// recommended configuration: commit as soon as the committer is free,
-// so a lone appender pays one uncontended fsync and concurrent
-// appenders batch naturally behind the sync in progress.
-type Options struct {
-	// MaxBatchBytes bounds how many framed bytes one commit batch may
-	// accumulate before the committer is forced to flush regardless of
-	// linger (default 1 MiB). Larger batches amortize further; the
-	// bound keeps a flood's commit units — and the write the kernel
-	// must sync — from growing without limit.
-	MaxBatchBytes int
-	// MaxLinger is how long the committer waits after the first
-	// enqueue of a batch for more appenders to join it (default 0:
-	// never wait — batching comes only from appends arriving while a
-	// sync is in flight, which keeps the uncontended append latency at
-	// exactly one fsync). A small positive linger trades that latency
-	// for bigger batches on bursty workloads.
-	MaxLinger time.Duration
-	// NoGroupCommit selects the pre-batching reference behavior: every
-	// append performs its own write+fsync under a mutex, exactly the
-	// fsync-per-append discipline this package replaced. It exists for
-	// A/B measurement (the bench-smoke group-commit guard), not
-	// production use.
-	NoGroupCommit bool
-}
-
-// withDefaults resolves zero fields to their documented defaults.
-func (o Options) withDefaults() Options {
-	if o.MaxBatchBytes <= 0 {
-		o.MaxBatchBytes = 1 << 20
-	}
-	return o
-}
 
 // syncFile is the slice of *os.File the committer needs; tests inject
 // failing implementations through newWithFile.
@@ -145,7 +110,9 @@ func Resolved(err error) Ticket { return Ticket{err: err} }
 
 // Log is the append handle. Safe for concurrent use.
 type Log struct {
-	opt Options
+	// noGroupCommit selects the fsync-per-append reference discipline
+	// (see OpenNoGroupCommit).
+	noGroupCommit bool
 
 	mu      sync.Mutex
 	f       syncFile
@@ -158,7 +125,6 @@ type Log struct {
 	stats   Stats
 
 	wake chan struct{} // buffered(1): pending work for the committer
-	full chan struct{} // buffered(1): MaxBatchBytes reached, stop lingering
 	quit chan struct{}
 	done chan struct{} // committer exited
 }
@@ -179,7 +145,25 @@ type Replay struct {
 // decode: the line and everything after it are treated as the torn
 // tail, mirroring a CRC mismatch. A nil apply accepts every valid
 // frame.
-func Open(path string, opt Options, apply func(payload []byte) bool) (*Log, Replay, error) {
+//
+// The log group-commits with one fixed discipline: the committer
+// syncs as soon as it is free, so a lone appender pays one
+// uncontended fsync and a batch is whatever arrived while the
+// previous sync was in flight.
+func Open(path string, apply func(payload []byte) bool) (*Log, Replay, error) {
+	return open(path, apply, false)
+}
+
+// OpenNoGroupCommit is Open in the pre-batching reference discipline:
+// every append performs its own write+fsync under a mutex, exactly the
+// fsync-per-append behavior this package replaced. It exists for A/B
+// measurement (the bench-smoke group-commit guard), not production use.
+func OpenNoGroupCommit(path string, apply func(payload []byte) bool) (*Log, Replay, error) {
+	return open(path, apply, true)
+}
+
+// open is Open and OpenNoGroupCommit, selected by noGroupCommit.
+func open(path string, apply func(payload []byte) bool, noGroupCommit bool) (*Log, Replay, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, Replay{}, fmt.Errorf("commitlog: %w", err)
@@ -200,20 +184,19 @@ func Open(path string, opt Options, apply func(payload []byte) bool) (*Log, Repl
 		f.Close()
 		return nil, Replay{}, fmt.Errorf("commitlog: %w", err)
 	}
-	return newWithFile(f, opt), rep, nil
+	return newWithFile(f, noGroupCommit), rep, nil
 }
 
 // newWithFile builds a running Log over an already-positioned file;
 // the exported path in is Open, tests inject failing files here.
-func newWithFile(f syncFile, opt Options) *Log {
+func newWithFile(f syncFile, noGroupCommit bool) *Log {
 	l := &Log{
-		f:    f,
-		opt:  opt.withDefaults(),
-		wake: make(chan struct{}, 1),
-		full: make(chan struct{}, 1),
-		quit: make(chan struct{}),
+		f:             f,
+		noGroupCommit: noGroupCommit,
+		wake:          make(chan struct{}, 1),
+		quit:          make(chan struct{}),
 	}
-	if !l.opt.NoGroupCommit {
+	if !noGroupCommit {
 		l.done = make(chan struct{})
 		go l.commitLoop()
 	}
@@ -291,7 +274,7 @@ func (l *Log) Append(payload []byte) error {
 
 // Enqueue frames payload and stakes its place in file order, returning
 // a Ticket that resolves when the batch containing it has been synced.
-// Enqueue itself never blocks on I/O (NoGroupCommit mode excepted),
+// Enqueue itself never blocks on I/O (OpenNoGroupCommit excepted),
 // so callers may enqueue under locks that must not wait out an fsync
 // and Wait after releasing them.
 func (l *Log) Enqueue(payload []byte) Ticket {
@@ -306,7 +289,7 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 		l.mu.Unlock()
 		return Ticket{err: err}
 	}
-	if l.opt.NoGroupCommit {
+	if l.noGroupCommit {
 		// Reference mode: the old discipline, one write+fsync per
 		// record under the lock.
 		var err error
@@ -325,25 +308,17 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 	l.records++
 	ch := make(chan error, 1)
 	l.waiters = append(l.waiters, ch)
-	notifyFull := len(l.pending) >= l.opt.MaxBatchBytes
 	l.mu.Unlock()
 
 	select {
 	case l.wake <- struct{}{}:
 	default:
 	}
-	if notifyFull {
-		select {
-		case l.full <- struct{}{}:
-		default:
-		}
-	}
 	return Ticket{ch: ch}
 }
 
 // commitLoop is the committer goroutine: it sleeps until records are
-// pending, optionally lingers for batch-mates, then commits the whole
-// queue with one write and one fsync.
+// pending, then commits the whole queue with one write and one fsync.
 func (l *Log) commitLoop() {
 	defer close(l.done)
 	for {
@@ -352,15 +327,6 @@ func (l *Log) commitLoop() {
 		case <-l.quit:
 			l.commit() // drain whatever Close raced in
 			return
-		}
-		if l.opt.MaxLinger > 0 {
-			t := time.NewTimer(l.opt.MaxLinger)
-			select {
-			case <-t.C:
-			case <-l.full:
-			case <-l.quit:
-			}
-			t.Stop()
 		}
 		l.commit()
 	}

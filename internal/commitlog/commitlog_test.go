@@ -14,10 +14,10 @@ import (
 
 // collect opens the log at path and returns the replayed payloads as
 // strings alongside the replay summary.
-func collect(t *testing.T, path string, opt Options) (*Log, []string, Replay) {
+func collect(t *testing.T, path string) (*Log, []string, Replay) {
 	t.Helper()
 	var got []string
-	l, rep, err := Open(path, opt, func(payload []byte) bool {
+	l, rep, err := Open(path, func(payload []byte) bool {
 		got = append(got, string(payload))
 		return true
 	})
@@ -30,7 +30,7 @@ func collect(t *testing.T, path string, opt Options) (*Log, []string, Replay) {
 // Appended payloads replay intact, in file order, across close/reopen.
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{}, nil)
+	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, got, rep := collect(t, path, Options{})
+	l2, got, rep := collect(t, path)
 	defer l2.Close()
 	if rep.TruncatedBytes != 0 || rep.Records != 3 {
 		t.Fatalf("replay = %+v", rep)
@@ -64,7 +64,7 @@ func TestRoundTrip(t *testing.T) {
 // truncated; appends afterwards extend a valid file.
 func TestTornTailTruncation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{}, nil)
+	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTornTailTruncation(t *testing.T) {
 	f.WriteString(`deadbeef {"to`)
 	f.Close()
 
-	l2, got, rep := collect(t, path, Options{})
+	l2, got, rep := collect(t, path)
 	if rep.TruncatedBytes == 0 || rep.Records != 1 || len(got) != 1 {
 		t.Fatalf("torn replay = %+v, %v", rep, got)
 	}
@@ -89,7 +89,7 @@ func TestTornTailTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	l2.Close()
-	l3, got3, rep3 := collect(t, path, Options{})
+	l3, got3, rep3 := collect(t, path)
 	defer l3.Close()
 	if rep3.TruncatedBytes != 0 || len(got3) != 2 {
 		t.Fatalf("post-truncation replay = %+v, %v", rep3, got3)
@@ -100,7 +100,7 @@ func TestTornTailTruncation(t *testing.T) {
 // apply rejects — ends the trusted prefix.
 func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{}, nil)
+	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	if err := os.WriteFile(path, []byte(lines[0]+string(mid)+lines[2]), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l2, got, rep := collect(t, path, Options{})
+	l2, got, rep := collect(t, path)
 	l2.Close()
 	if len(got) != 1 || rep.TruncatedBytes == 0 {
 		t.Fatalf("corrupt-middle replay kept %v (%+v)", got, rep)
@@ -130,7 +130,7 @@ func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	// Rebuild a clean 3-record file, then reject the second payload
 	// from apply: same longest-valid-prefix outcome.
 	os.Remove(path)
-	l3, _, err := Open(path, Options{}, nil)
+	l3, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	}
 	l3.Close()
 	n := 0
-	l4, rep4, err := Open(path, Options{}, func(payload []byte) bool {
+	l4, rep4, err := Open(path, func(payload []byte) bool {
 		n++
 		return n < 2
 	})
@@ -178,7 +178,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newWithFile(&slowFile{f: f, delay: 2 * time.Millisecond}, Options{})
+	l := newWithFile(&slowFile{f: f, delay: 2 * time.Millisecond}, false)
 	const workers, per = 64, 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -217,7 +217,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 
 	// Replay: all records present, each goroutine's order preserved.
 	seen := map[int]int{} // worker -> next expected i
-	_, rep, err := Open(path, Options{}, func(payload []byte) bool {
+	_, rep, err := Open(path, func(payload []byte) bool {
 		var w, i int
 		if _, err := fmt.Sscanf(string(payload), `{"w":%d,"i":%d}`, &w, &i); err != nil {
 			t.Fatalf("bad payload %q", payload)
@@ -270,7 +270,7 @@ func (f *failFile) Close() error {
 // goes sticky-broken so later appends fail fast.
 func TestSyncFailureFailsWholeBatch(t *testing.T) {
 	ff := &failFile{failFrom: 1}
-	l := newWithFile(ff, Options{})
+	l := newWithFile(ff, false)
 	const n = 16
 	// Enqueue the whole batch before any Wait: with the committer
 	// blocked behind the enqueues' wake signal, all n records land in
@@ -296,7 +296,7 @@ func TestSyncFailureFailsWholeBatch(t *testing.T) {
 // Close must report BOTH a failed sync and a failed close, joined —
 // the close error used to be discarded.
 func TestCloseJoinsSyncAndCloseErrors(t *testing.T) {
-	l := newWithFile(&failFile{failFrom: 1, failClose: true}, Options{})
+	l := newWithFile(&failFile{failFrom: 1, failClose: true}, false)
 	err := l.Close()
 	if !errors.Is(err, errSyncBroken) {
 		t.Fatalf("Close() = %v, want the sync error reported", err)
@@ -309,10 +309,10 @@ func TestCloseJoinsSyncAndCloseErrors(t *testing.T) {
 	}
 }
 
-// NoGroupCommit is the reference discipline: one sync per append.
+// OpenNoGroupCommit is the reference discipline: one sync per append.
 func TestNoGroupCommitSyncsEveryAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{NoGroupCommit: true}, nil)
+	l, _, err := OpenNoGroupCommit(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,34 +328,9 @@ func TestNoGroupCommitSyncsEveryAppend(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, got, rep := collect(t, path, Options{})
+	_, got, rep := collect(t, path)
 	if len(got) != 5 || rep.TruncatedBytes != 0 {
 		t.Fatalf("replay = %v, %+v", got, rep)
-	}
-}
-
-// MaxLinger holds the committer for batch-mates: two enqueues inside
-// the window share one sync.
-func TestLingerGathersBatchMates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{MaxLinger: 50 * time.Millisecond}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1 := l.Enqueue([]byte(`{"a":1}`))
-	t2 := l.Enqueue([]byte(`{"b":2}`))
-	if err := t1.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	st := l.Stats()
-	if st.Appends != 2 || st.Syncs > 2 {
-		t.Fatalf("linger stats = %+v", st)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -363,7 +338,7 @@ func TestLingerGathersBatchMates(t *testing.T) {
 // — never hang, never get a false ack.
 func TestCloseDrainsPendingBatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := Open(path, Options{}, nil)
+	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +358,7 @@ func TestCloseDrainsPendingBatch(t *testing.T) {
 			t.Fatalf("ticket %d: %v", i, err)
 		}
 	}
-	_, got, _ := collect(t, path, Options{})
+	_, got, _ := collect(t, path)
 	if len(got) != acked {
 		t.Fatalf("%d records on disk, %d acknowledged", len(got), acked)
 	}
@@ -405,7 +380,7 @@ var appendPayload = []byte(`{"t":"submit","id":"j1","seq":1,"spec":{"experiments
 func BenchmarkAppend(b *testing.B) {
 	for _, appenders := range []int{1, 64} {
 		b.Run(fmt.Sprintf("appenders=%d", appenders), func(b *testing.B) {
-			l, _, err := Open(filepath.Join(b.TempDir(), "log"), Options{}, nil)
+			l, _, err := Open(filepath.Join(b.TempDir(), "log"), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -39,20 +39,12 @@ type LogReplay struct {
 	TruncatedBytes int64
 }
 
-// OpenResultLog opens the results log at path with default
-// group-commit options; see OpenResultLogWith.
+// OpenResultLog opens (creating if absent) the results log at path,
+// replays its valid prefix, truncates any torn tail, and returns the
+// handle positioned for appending plus the replayed results.
 func OpenResultLog(path string) (*ResultLog, *LogReplay, error) {
-	return OpenResultLogWith(path, commitlog.Options{})
-}
-
-// OpenResultLogWith opens (creating if absent) the results log at
-// path, replays its valid prefix, truncates any torn tail, and
-// returns the handle positioned for appending plus the replayed
-// results. opt carries the group-commit tunables (dicesweep's
-// -log-linger / -log-batch-bytes flags).
-func OpenResultLogWith(path string, opt commitlog.Options) (*ResultLog, *LogReplay, error) {
 	rep := &LogReplay{Results: map[string]serve.CellResult{}}
-	l, crep, err := commitlog.Open(path, opt, func(payload []byte) bool {
+	l, crep, err := commitlog.Open(path, func(payload []byte) bool {
 		var res serve.CellResult
 		if err := json.Unmarshal(payload, &res); err != nil || res.Key == "" {
 			return false

@@ -35,24 +35,40 @@ var (
 // the cancellation (granularity: one simulation cell).
 const abandonSlack = 30 * time.Second
 
+// The daemon's fixed HTTP and stream limits.
+const (
+	// httpReadHeaderTimeout bounds how long a connection may take to
+	// send its request headers before being dropped — the slowloris
+	// defense.
+	httpReadHeaderTimeout = 5 * time.Second
+	// httpReadTimeout bounds reading one whole request, body included
+	// (specs are capped at maxSpecBytes anyway).
+	httpReadTimeout = time.Minute
+	// httpIdleTimeout bounds how long an idle keep-alive connection is
+	// kept open.
+	httpIdleTimeout = 2 * time.Minute
+	// httpWriteTimeout bounds writing one non-streaming response. It is
+	// applied per request via ResponseController, NOT as
+	// http.Server.WriteTimeout — a server-wide write timeout would kill
+	// long-lived /stream responses.
+	httpWriteTimeout = time.Minute
+	// streamWriteTimeout bounds each individual write on a job stream:
+	// a streaming client that stops reading is dropped — the job itself
+	// is unaffected and the client can reconnect at its last offset.
+	streamWriteTimeout = 15 * time.Second
+	// streamBufferCap bounds each job's in-memory stream event buffer.
+	// Cell and done events always fit (cells are bounded by
+	// MaxCellsPerJob); epoch events beyond the cap are dropped — they
+	// are best-effort telemetry.
+	streamBufferCap = 1 << 16
+)
+
 // Config parameterizes a Daemon. Zero values take the documented
 // defaults.
 type Config struct {
 	// JournalPath is the crash-safe job journal ("" = no persistence:
 	// jobs live only in memory and a restart forgets them).
 	JournalPath string
-	// JournalBatchBytes bounds one journal group-commit batch (default
-	// 1 MiB; see commitlog.Options.MaxBatchBytes).
-	JournalBatchBytes int
-	// JournalLinger is how long the journal committer waits for
-	// batch-mates after the first enqueue of a batch (default 0: commit
-	// immediately; batching comes from appends arriving while a sync is
-	// in flight — see commitlog.Options.MaxLinger).
-	JournalLinger time.Duration
-	// JournalNoGroupCommit selects the reference fsync-per-append
-	// journal discipline. For A/B measurement (the bench-smoke
-	// group-commit guard), not production use.
-	JournalNoGroupCommit bool
 	// QueueCap bounds the number of queued-but-not-started jobs
 	// (default 64). Submissions beyond it fail with ErrQueueFull —
 	// the explicit backpressure signal — rather than growing memory.
@@ -72,33 +88,16 @@ type Config struct {
 	// the status map — the journal still holds them — so a long-lived
 	// daemon's memory stays bounded by the cap, not by its history.
 	RetainOutputs int
-	// HTTPReadHeaderTimeout bounds how long a connection may take to
-	// send its request headers before being dropped (default 5s) —
-	// the slowloris defense.
-	HTTPReadHeaderTimeout time.Duration
-	// HTTPReadTimeout bounds reading one whole request, body included
-	// (default 1m; specs are capped at maxSpecBytes anyway).
-	HTTPReadTimeout time.Duration
-	// HTTPIdleTimeout bounds how long an idle keep-alive connection is
-	// kept open (default 2m).
-	HTTPIdleTimeout time.Duration
-	// HTTPWriteTimeout bounds writing one non-streaming response
-	// (default 1m). It is applied per request via ResponseController,
-	// NOT as http.Server.WriteTimeout — a server-wide write timeout
-	// would kill long-lived /stream responses.
-	HTTPWriteTimeout time.Duration
-	// StreamWriteTimeout bounds each individual write on a job stream
-	// (default 15s): a streaming client that stops reading is dropped
-	// — the job itself is unaffected and the client can reconnect at
-	// its last offset.
-	StreamWriteTimeout time.Duration
-	// StreamBufferCap bounds each job's in-memory stream event buffer
-	// (default 65536). Cell and done events always fit (cells are
-	// bounded by MaxCellsPerJob); epoch events beyond the cap are
-	// dropped — they are best-effort telemetry.
-	StreamBufferCap int
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
+
+	// readHeaderTimeout overrides httpReadHeaderTimeout when positive
+	// (tests shorten it to exercise the slowloris defense).
+	readHeaderTimeout time.Duration
+	// noGroupCommit selects the fsync-per-append reference journal
+	// discipline, for the group-commit A/B guard (tests only; see
+	// export_test.go).
+	noGroupCommit bool
 }
 
 // Daemon is the experiment job daemon: a bounded queue feeding
@@ -190,23 +189,8 @@ func New(cfg Config) (*Daemon, *Replay, error) {
 	if cfg.RetainOutputs <= 0 {
 		cfg.RetainOutputs = 256
 	}
-	if cfg.HTTPReadHeaderTimeout <= 0 {
-		cfg.HTTPReadHeaderTimeout = 5 * time.Second
-	}
-	if cfg.HTTPReadTimeout <= 0 {
-		cfg.HTTPReadTimeout = time.Minute
-	}
-	if cfg.HTTPIdleTimeout <= 0 {
-		cfg.HTTPIdleTimeout = 2 * time.Minute
-	}
-	if cfg.HTTPWriteTimeout <= 0 {
-		cfg.HTTPWriteTimeout = time.Minute
-	}
-	if cfg.StreamWriteTimeout <= 0 {
-		cfg.StreamWriteTimeout = 15 * time.Second
-	}
-	if cfg.StreamBufferCap <= 0 {
-		cfg.StreamBufferCap = 1 << 16
+	if cfg.readHeaderTimeout <= 0 {
+		cfg.readHeaderTimeout = httpReadHeaderTimeout
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -218,11 +202,7 @@ func New(cfg Config) (*Daemon, *Replay, error) {
 		err     error
 	)
 	if cfg.JournalPath != "" {
-		journal, rep, err = OpenJournalWith(cfg.JournalPath, commitlog.Options{
-			MaxBatchBytes: cfg.JournalBatchBytes,
-			MaxLinger:     cfg.JournalLinger,
-			NoGroupCommit: cfg.JournalNoGroupCommit,
-		})
+		journal, rep, err = openJournal(cfg.JournalPath, cfg.noGroupCommit)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -292,7 +272,7 @@ func (d *Daemon) restore(rep *Replay) {
 			continue
 		}
 		jb.status.State = StateQueued
-		jb.prog = newProgress(d.gen, d.cfg.StreamBufferCap)
+		jb.prog = newProgress(d.gen, streamBufferCap)
 		d.depth++
 		if d.depth > d.maxDepth {
 			d.maxDepth = d.depth
@@ -333,7 +313,7 @@ func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 	jb := &job{status: JobStatus{
 		ID: id, Seq: seq, State: StateQueued, Spec: spec, SubmittedAt: time.Now(),
 	}}
-	jb.prog = newProgress(d.gen, d.cfg.StreamBufferCap)
+	jb.prog = newProgress(d.gen, streamBufferCap)
 	d.jobs[id] = jb
 	d.order = append(d.order, id)
 	d.stats.submitted++
@@ -653,9 +633,9 @@ func (d *Daemon) Start(addr string) (net.Addr, error) {
 	// handleStream.
 	d.srv = &http.Server{
 		Handler:           d.Handler(),
-		ReadHeaderTimeout: d.cfg.HTTPReadHeaderTimeout,
-		ReadTimeout:       d.cfg.HTTPReadTimeout,
-		IdleTimeout:       d.cfg.HTTPIdleTimeout,
+		ReadHeaderTimeout: d.cfg.readHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		IdleTimeout:       httpIdleTimeout,
 	}
 	go d.srv.Serve(ln)
 	return ln.Addr(), nil
@@ -757,7 +737,7 @@ func (d *Daemon) Handler() http.Handler {
 func (d *Daemon) withWriteDeadline(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !strings.HasSuffix(r.URL.Path, "/stream") {
-			_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(d.cfg.HTTPWriteTimeout))
+			_ = http.NewResponseController(w).SetWriteDeadline(time.Now().Add(httpWriteTimeout))
 		}
 		h.ServeHTTP(w, r)
 	})
@@ -819,7 +799,7 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 		evs, closed, wait := prog.snapshot(offset)
 		if len(evs) > 0 {
 			if err := d.writeStreamEvents(w, rc, evs); err != nil {
-				return // client gone or stalled past StreamWriteTimeout
+				return // client gone or stalled past streamWriteTimeout
 			}
 			offset += len(evs)
 		}
@@ -837,7 +817,7 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeStreamEvents writes a batch of framed events, arming the
-// per-write StreamWriteTimeout deadline before each one, and flushes
+// per-write streamWriteTimeout deadline before each one, and flushes
 // once at the end of the batch.
 func (d *Daemon) writeStreamEvents(w http.ResponseWriter, rc *http.ResponseController, evs []StreamEvent) error {
 	for _, ev := range evs {
@@ -847,7 +827,7 @@ func (d *Daemon) writeStreamEvents(w http.ResponseWriter, rc *http.ResponseContr
 		}
 		// Ignore ErrNotSupported (httptest recorders); real
 		// connections enforce the deadline.
-		_ = rc.SetWriteDeadline(time.Now().Add(d.cfg.StreamWriteTimeout))
+		_ = rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		if _, err := w.Write(line); err != nil {
 			return err
 		}

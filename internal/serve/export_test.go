@@ -11,3 +11,11 @@ import "context"
 func SetExecuteForTest(d *Daemon, fn func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)) {
 	d.execute = fn
 }
+
+// NoGroupCommitForTest returns cfg with the journal in the
+// fsync-per-append reference discipline (commitlog.OpenNoGroupCommit),
+// the baseline the bench-smoke group-commit guard measures against.
+func NoGroupCommitForTest(cfg Config) Config {
+	cfg.noGroupCommit = true
+	return cfg
+}

@@ -86,23 +86,26 @@ type ReplayJob struct {
 // Unfinished reports whether the job needs re-running after a restart.
 func (rj ReplayJob) Unfinished() bool { return !rj.Finished }
 
-// OpenJournal opens the journal at path with default group-commit
-// options; see OpenJournalWith.
+// OpenJournal opens (creating if absent) the journal at path,
+// replays its valid prefix, truncates any torn tail, and returns the
+// handle positioned for appending plus the replayed job table.
 func OpenJournal(path string) (*Journal, *Replay, error) {
-	return OpenJournalWith(path, commitlog.Options{})
+	return openJournal(path, false)
 }
 
-// OpenJournalWith opens (creating if absent) the journal at path,
-// replays its valid prefix, truncates any torn tail, and returns the
-// handle positioned for appending plus the replayed job table. opt
-// carries the group-commit tunables (Config.JournalBatchBytes etc.).
-func OpenJournalWith(path string, opt commitlog.Options) (*Journal, *Replay, error) {
+// openJournal is OpenJournal, in the fsync-per-append reference
+// discipline when noGroupCommit is set (see Config.noGroupCommit).
+func openJournal(path string, noGroupCommit bool) (*Journal, *Replay, error) {
+	open := commitlog.Open
+	if noGroupCommit {
+		open = commitlog.OpenNoGroupCommit
+	}
 	var (
 		jobs []*ReplayJob
 		byID = map[string]*ReplayJob{}
 		rep  = &Replay{NextSeq: 1}
 	)
-	l, crep, err := commitlog.Open(path, opt, func(payload []byte) bool {
+	l, crep, err := open(path, func(payload []byte) bool {
 		var rec record
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return false

@@ -34,7 +34,7 @@ import (
 //
 // Cell events and the final done event are replayed on reconnect (the
 // daemon re-derives them from the journal after a crash). Epoch
-// events are live telemetry: best-effort, bounded by StreamBufferCap,
+// events are live telemetry: best-effort, bounded by streamBufferCap,
 // and not replayed for a job that finished in a previous process.
 
 // StreamKind discriminates the event types on a job stream.
@@ -87,7 +87,7 @@ func EncodeStreamEvent(ev StreamEvent) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: encoding stream event: %w", err)
 	}
-	return frameLine(payload), nil
+	return commitlog.Frame(payload), nil
 }
 
 // DecodeStreamLine parses one framed stream line (without its
@@ -95,7 +95,7 @@ func EncodeStreamEvent(ev StreamEvent) ([]byte, error) {
 // CRC-mismatched line — the reader's signal to stop and reconnect,
 // mirroring the journal's longest-valid-prefix replay.
 func DecodeStreamLine(line []byte) (StreamEvent, bool) {
-	payload, ok := parseFrame(line)
+	payload, ok := commitlog.ParseFrame(line)
 	if !ok {
 		return StreamEvent{}, false
 	}
@@ -104,19 +104,6 @@ func DecodeStreamLine(line []byte) (StreamEvent, bool) {
 		return StreamEvent{}, false
 	}
 	return ev, true
-}
-
-// frameLine wraps a JSON payload in the shared "crc8hex space json\n"
-// framing (CRC-32C, same discipline as the journal and results log —
-// the canonical implementation lives in internal/commitlog).
-func frameLine(payload []byte) []byte {
-	return commitlog.Frame(payload)
-}
-
-// parseFrame validates the "crc8hex space json" framing and returns
-// the payload; ok is false on any framing or checksum violation.
-func parseFrame(line []byte) ([]byte, bool) {
-	return commitlog.ParseFrame(line)
 }
 
 // genCounter disambiguates generation tokens minted within one clock
@@ -163,7 +150,7 @@ func (p *progress) add(ev StreamEvent) {
 	if p.closed {
 		return
 	}
-	if ev.Kind == StreamEpoch && p.cap > 0 && len(p.events) >= p.cap {
+	if ev.Kind == StreamEpoch && len(p.events) >= p.cap {
 		p.droppedEpochs++
 		return
 	}

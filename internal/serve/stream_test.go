@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dice/internal/commitlog"
 	"dice/internal/leakcheck"
 )
 
@@ -84,7 +85,7 @@ func TestStreamWireFormat(t *testing.T) {
 		line[:len(line)/2],                       // torn mid-frame
 		append([]byte("00000000 "), line[9:]...), // CRC mismatch
 		[]byte("zzzzzzzz " + `{"kind":"cell"}`),  // non-hex CRC
-		frameLine([]byte(`{"not":"an event"}`)),  // valid frame, no kind
+		commitlog.Frame([]byte(`{"not":"an event"}`)), // valid frame, no kind
 	} {
 		if _, ok := DecodeStreamLine(bad); ok {
 			t.Errorf("DecodeStreamLine accepted invalid line %q", bad)
@@ -380,7 +381,7 @@ func TestStreamUnknownJob(t *testing.T) {
 // and stalls must be dropped once ReadHeaderTimeout expires, not held
 // open forever.
 func TestStalledHeaderConnDropped(t *testing.T) {
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, HTTPReadHeaderTimeout: 200 * time.Millisecond})
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, readHeaderTimeout: 200 * time.Millisecond})
 	addr, err := d.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -403,6 +404,31 @@ func TestStalledHeaderConnDropped(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("stalled-header connection survived %v, want drop near the 200ms ReadHeaderTimeout", elapsed)
+	}
+}
+
+// Start arms the server with the fixed HTTP limits. A limit that
+// drifted to zero would mean no timeout at all and still pass the
+// slowloris test above (it overrides the header timeout), so the
+// values are pinned here; WriteTimeout must stay zero, or the server
+// would cut long-lived /stream responses.
+func TestStartServerTimeouts(t *testing.T) {
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
+	if _, err := d.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"ReadHeaderTimeout", d.srv.ReadHeaderTimeout, 5 * time.Second},
+		{"ReadTimeout", d.srv.ReadTimeout, time.Minute},
+		{"IdleTimeout", d.srv.IdleTimeout, 2 * time.Minute},
+		{"WriteTimeout", d.srv.WriteTimeout, 0},
+	} {
+		if c.got != c.want {
+			t.Errorf("http.Server.%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 }
 

@@ -24,34 +24,28 @@ import (
 // queueing its own fsync.
 const submitConcurrency = 32
 
-// submitLinger is the -journal-linger setting for the concurrent
-// measurement. A short linger consolidates the commit cadence: instead
-// of the committer waking per enqueue and paying a scheduler handoff
-// per tiny batch, it gathers everything that arrives inside the window
-// into one write+fsync, which is the configuration the tunable exists
-// for under concurrent load.
-const submitLinger = 2 * time.Millisecond
-
 // measureSubmitLatency measures the daemon's job-submission path —
 // HTTP POST through the retrying client, spec validation, journal
 // append, queue insert, response — as a latency distribution over n
 // submissions issued by `concurrency` goroutines against an in-process
-// daemon on a real socket. The journal runs in group-commit mode (with
-// the given linger) or in the fsync-per-append reference discipline
+// daemon on a real socket. The journal runs in the shipped group-commit
+// discipline or in the fsync-per-append reference discipline
 // (noGroupCommit), and the journal's group-commit counters are
 // returned so a guard can assert the batching actually happened. The
 // queue is sized to hold every submission so no sample is inflated by
 // 429 backpressure retries; the jobs themselves are tiny single-cell
 // sims that are cancelled before shutdown.
-func measureSubmitLatency(t *testing.T, n, concurrency int, linger time.Duration, noGroupCommit bool) (obs.LatencySummary, *commitlog.Stats) {
+func measureSubmitLatency(t *testing.T, n, concurrency int, noGroupCommit bool) (obs.LatencySummary, *commitlog.Stats) {
 	t.Helper()
-	d, _, err := serve.New(serve.Config{
-		JournalPath:          filepath.Join(t.TempDir(), "bench.journal"),
-		JournalLinger:        linger,
-		JournalNoGroupCommit: noGroupCommit,
-		QueueCap:             n + 16,
-		JobWorkers:           2,
-	})
+	cfg := serve.Config{
+		JournalPath: filepath.Join(t.TempDir(), "bench.journal"),
+		QueueCap:    n + 16,
+		JobWorkers:  2,
+	}
+	if noGroupCommit {
+		cfg = serve.NoGroupCommitForTest(cfg)
+	}
+	d, _, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +125,7 @@ func measureSubmitLatency(t *testing.T, n, concurrency int, linger time.Duration
 // broken daemon path or quantile extraction without being a
 // performance assertion.
 func TestSubmitLatencyEntry(t *testing.T) {
-	s, _ := measureSubmitLatency(t, 32, 1, 0, false)
+	s, _ := measureSubmitLatency(t, 32, 1, false)
 	if s.Count != 32 {
 		t.Fatalf("measured %d samples, want 32", s.Count)
 	}
@@ -157,8 +151,8 @@ func TestGroupCommitSubmitGuard(t *testing.T) {
 		t.Skip("set DICE_SMOKE=1 (make bench-smoke) to run the group-commit regression guard")
 	}
 	const n = 256
-	batched, bstats := measureSubmitLatency(t, n, submitConcurrency, submitLinger, false)
-	reference, rstats := measureSubmitLatency(t, n, submitConcurrency, 0, true)
+	batched, bstats := measureSubmitLatency(t, n, submitConcurrency, false)
+	reference, rstats := measureSubmitLatency(t, n, submitConcurrency, true)
 	if bstats == nil || rstats == nil {
 		t.Fatal("journal stats missing from /healthz")
 	}
