@@ -35,13 +35,15 @@ test:
 test-race:
 	$(GO) test -race -timeout 90m ./...
 
-# Short fuzz pass over the validated-decompress boundary and the
-# event-vs-cycle simulation core equality oracle (go's fuzzer accepts
-# one target per invocation).
+# Short fuzz pass over the validated-decompress boundary, the
+# event-vs-cycle simulation core equality oracle and the DRAM cache's
+# occupancy-counter oracle (go's fuzzer accepts one target per
+# invocation).
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecompressChecked$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzCompressRoundtrip$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzEventSchedule$$' -fuzztime=30s ./internal/sim
+	$(GO) test -run='^$$' -fuzz='^FuzzCacheOccupancy$$' -fuzztime=30s ./internal/dcache
 
 # Per-layer microbenchmarks: every `go test -bench` benchmark in the
 # module — the paper tables/figures in bench_test.go plus the compress,

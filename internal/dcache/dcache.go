@@ -239,6 +239,14 @@ type Cache struct {
 	cip       *CIP
 	stats     Stats
 
+	// occupied is the running count of resident lines across all sets,
+	// adjusted wherever a set gains or loses an entry, so occupancy
+	// sampling costs O(1) instead of a walk over every set.
+	occupied int
+	// chunk is the unused tail of the current entry chunk: sets carve
+	// their first entryArenaCap slots from it on first install.
+	chunk []entry
+
 	// sizeMemo caches single/pair compressed sizes per line address; data
 	// is deterministic per line so the memo never invalidates.
 	sizeMemo sizeMemo
@@ -261,7 +269,10 @@ type Cache struct {
 	quarantined map[uint64]bool
 }
 
-// New builds a DRAM cache. It panics on invalid configuration.
+// New builds a DRAM cache. It panics on invalid configuration. Entry
+// storage is not allocated here: a set takes its slots from a shared
+// chunk on its first install (carveEntries), so a run pays for the sets
+// it installs into, not for every set.
 func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -277,16 +288,6 @@ func New(cfg Config) *Cache {
 		threshold: cfg.Threshold,
 		sets:      make([]set, cfg.Sets),
 		cip:       NewCIP(cfg.CIPEntries),
-	}
-	// Seed every set with capacity for the common compressed occupancy
-	// from one arena: the first installs into each set then append in
-	// place instead of growing a fresh slice per set (visible as
-	// growslice churn in simulation profiles). Sets needing more than
-	// entryArenaCap lines fall back to ordinary append growth.
-	arena := make([]entry, cfg.Sets*entryArenaCap)
-	for i := range c.sets {
-		base := i * entryArenaCap
-		c.sets[i].entries = arena[base : base : base+entryArenaCap]
 	}
 	if cfg.Policy != PolicyUncompressed && cfg.SingleSizer == nil {
 		c.sizeCache = compress.NewSizeCache(0)
@@ -369,7 +370,9 @@ func (c *Cache) probeRead(now uint64, setIdx, line uint64) (uint64, fault.Outcom
 // flushSet discards every resident line of a set after an uncorrectable
 // fault. This is where compression amplifies the blast radius: an
 // uncompressed frame loses at most one line, a DICE frame up to
-// MaxLinesPerSet. Dirty residents are unrecoverable data loss.
+// MaxLinesPerSet. Dirty residents are unrecoverable data loss. The set
+// keeps its slots for later installs; clearing them drops the stale
+// encodings they point to.
 func (c *Cache) flushSet(setIdx uint64) (lines, dirty int) {
 	s := &c.sets[setIdx]
 	for i := range s.entries {
@@ -380,8 +383,27 @@ func (c *Cache) flushSet(setIdx uint64) (lines, dirty int) {
 			c.stats.FaultDirtyLoss++
 		}
 	}
-	s.entries = nil
+	clear(s.entries)
+	s.entries = s.entries[:0]
+	c.occupied -= lines
 	return lines, dirty
+}
+
+// entryChunkSets is how many sets' first entryArenaCap slots one chunk
+// allocation serves: large enough that a warm run allocates few chunks,
+// small enough that a run touching a few sets pays little.
+const entryChunkSets = 128
+
+// carveEntries returns empty storage for a set's first install: the
+// next entryArenaCap slots of the current chunk, capped so that growing
+// past them reallocates instead of spilling into a neighbour's slots.
+func (c *Cache) carveEntries() []entry {
+	if len(c.chunk) < entryArenaCap {
+		c.chunk = make([]entry, entryChunkSets*entryArenaCap)
+	}
+	e := c.chunk[:0:entryArenaCap]
+	c.chunk = c.chunk[entryArenaCap:]
+	return e
 }
 
 // noteFrameFault records a detected-uncorrectable fault against a set
@@ -699,6 +721,7 @@ func (c *Cache) finishRead(done uint64, setIdx uint64, line uint64, usedBAI bool
 			c.cfg.Trace.Emitf(done, obs.CompFault, "checksum-caught",
 				"set %d line %#x: corrupt encoding dropped, refetching", setIdx, line)
 			e := s.remove(i)
+			c.occupied--
 			s.repack(c)
 			if e.dirty {
 				c.stats.FaultDirtyLoss++
@@ -859,6 +882,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 		}
 		if i := c.sets[alt].find(line); i >= 0 {
 			e := c.sets[alt].remove(i)
+			c.occupied--
 			c.sets[alt].repack(c)
 			if e.dirty {
 				victims = append(victims, Victim{Line: e.line, Dirty: true})
@@ -873,6 +897,9 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 		s.entries[i].dirty = s.entries[i].dirty || dirty
 		s.touch(i)
 	} else {
+		if cap(s.entries) == 0 {
+			s.entries = c.carveEntries()
+		}
 		s.entries = append(s.entries, entry{})
 		copy(s.entries[1:], s.entries)
 		e := entry{line: line, dirty: dirty, bai: usedBAI}
@@ -883,20 +910,12 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 			}
 		}
 		s.entries[0] = e
+		c.occupied++
 		c.stats.InstallSizeBuckets[(c.singleSize(line)+7)/8]++
 	}
 	s.repack(c)
 	for s.usage() > SetBytes || s.lineCount() > MaxLinesPerSet {
-		v, ok := s.evictLRU(0)
-		if !ok {
-			panic("dcache: single line exceeds set frame")
-		}
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.DirtyEvictions++
-		}
-		victims = append(victims, Victim{Line: v.line, Dirty: v.dirty})
-		s.repack(c)
+		victims = c.evictLRU(s, victims)
 	}
 
 	// A quarantined frame falls back to uncompressed storage: one line
@@ -904,13 +923,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 	// whole compressed set.
 	if len(c.quarantined) > 0 && c.quarantined[setIdx] {
 		for s.lineCount() > 1 {
-			v, _ := s.evictLRU(0)
-			c.stats.Evictions++
-			if v.dirty {
-				c.stats.DirtyEvictions++
-			}
-			victims = append(victims, Victim{Line: v.line, Dirty: v.dirty})
-			s.repack(c)
+			victims = c.evictLRU(s, victims)
 		}
 	}
 
@@ -919,6 +932,22 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 	}
 	done := c.access(now, setIdx, true)
 	return InstallResult{Done: done, Victims: victims, UsedBAI: usedBAI, Invariant: invariant}
+}
+
+// evictLRU evicts the set's least recently used line, never the MRU
+// demand line, and returns victims with it appended.
+func (c *Cache) evictLRU(s *set, victims []Victim) []Victim {
+	v, ok := s.evictLRU(0)
+	if !ok {
+		panic("dcache: single line exceeds set frame")
+	}
+	c.occupied--
+	c.stats.Evictions++
+	if v.dirty {
+		c.stats.DirtyEvictions++
+	}
+	s.repack(c)
+	return append(victims, Victim{Line: v.line, Dirty: v.dirty})
 }
 
 // Contains reports whether line is resident at either candidate location
@@ -931,16 +960,14 @@ func (c *Cache) Contains(line uint64) bool {
 	return tsiSet != baiSet && c.sets[baiSet].find(line) >= 0
 }
 
-// OccupiedLines counts resident logical lines; the ratio to Sets is the
-// effective capacity multiplier of Table 5 (the uncompressed cache holds
-// exactly one line per set when warm).
-func (c *Cache) OccupiedLines() int {
-	n := 0
-	for i := range c.sets {
-		n += c.sets[i].lineCount()
-	}
-	return n
-}
+// OccupiedLines returns the number of resident logical lines; the ratio
+// to Sets is the effective capacity multiplier of Table 5 (the
+// uncompressed cache holds exactly one line per set when warm). It is
+// O(1): it reads Cache.occupied, the running count adjusted at every MRU
+// insert, eviction, drop and flush. Its oracle is a walk over every set
+// (scanOccupiedLines, test-only), which TestOccupancyCounterMatchesScan
+// and FuzzCacheOccupancy compare it with after every operation.
+func (c *Cache) OccupiedLines() int { return c.occupied }
 
 // EffectiveCapacity returns occupied lines / sets.
 func (c *Cache) EffectiveCapacity() float64 {

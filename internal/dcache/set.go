@@ -50,14 +50,14 @@ type entry struct {
 	enc *compress.Encoding
 }
 
-// set holds the resident lines of one physical set frame in LRU order
-// (index 0 = most recent).
-// entryArenaCap is the per-set entry capacity carved from the cache's
-// shared arena at construction: four lines covers the typical
-// compressed occupancy (two pairs per 72B TAD), so steady-state
-// installs never grow the slice.
+// entryArenaCap is the entry capacity a set carves from the cache's
+// current chunk on its first install (Cache.carveEntries): four lines
+// covers the typical compressed occupancy (two pairs per 72B TAD), so
+// steady-state installs never grow the slice.
 const entryArenaCap = 4
 
+// set holds the resident lines of one physical set frame in LRU order
+// (index 0 = most recent). A set never installed into has no storage.
 type set struct {
 	entries []entry
 }

@@ -142,3 +142,34 @@ func BenchmarkRunGcc(b *testing.B) {
 	b.ReportMetric(nsPerRef, "ns/ref")
 	b.ReportMetric(1e9/nsPerRef, "refs/sec")
 }
+
+// tinyCellRefsPerCore is the middle of the sweep-service workload's
+// 200-599 refs/core range: a cell where per-simulation set-up, not the
+// simulated references, dominates the cost.
+const tinyCellRefsPerCore = 400
+
+// BenchmarkRunTinyCell measures one sweep-cell-sized simulation (a rate
+// workload under DICE at 400 refs/core, default scale), so per-run
+// set-up cost and allocation show up per reference.
+func BenchmarkRunTinyCell(b *testing.B) {
+	w, err := workloads.ByName("gcc")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Policy: dcache.PolicyDICE, RefsPerCore: tinyCellRefsPerCore}
+	// Build the workload artifacts once up front, so iterations measure
+	// the per-cell cost and not the one-time build a process amortizes.
+	w.Warm(cfg.EffectiveScale())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(cfg, w); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	total := float64(cores * tinyCellRefsPerCore * 3 / 2) // plus the 50% warm-up
+	nsPerRef := float64(b.Elapsed().Nanoseconds()) / (float64(b.N) * total)
+	b.ReportMetric(nsPerRef, "ns/ref")
+	b.ReportMetric(1e9/nsPerRef, "refs/sec")
+}
