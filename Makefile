@@ -2,14 +2,15 @@
 
 GO ?= go
 
-.PHONY: all build test test-race fuzz vet lint bench bench-smoke soak daemon-smoke sweep-smoke evaluate examples clean
+.PHONY: all build test test-race fuzz vet lint bench bench-smoke soak daemon-smoke sweep-smoke evaluate clean
 
 # LINTDOC_PKGS are the packages held to the 100%-documented bar; grow
 # the list as packages reach it.
 LINTDOC_PKGS = ./internal/obs ./internal/fault ./internal/parallel \
 	./internal/serve ./internal/serve/client ./internal/sigctx \
 	./internal/leakcheck ./internal/dse ./internal/clidoc \
-	./internal/experiments ./internal/commitlog ./cmd/dicesweep
+	./internal/experiments ./internal/commitlog ./cmd/dicesweep \
+	./internal/compress
 
 all: build vet lint test
 
@@ -118,13 +119,6 @@ sweep-smoke:
 # The evaluation as readable tables (several minutes).
 evaluate:
 	$(GO) run ./cmd/dicebench -run all
-
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/compressibility
-	$(GO) run ./examples/hybridmemory
-	$(GO) run ./examples/graphanalytics
-	$(GO) run ./examples/fullhierarchy
 
 clean:
 	$(GO) clean ./...

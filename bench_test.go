@@ -231,7 +231,8 @@ func benchLines() [][]byte {
 	in := w.Build(10)[0]
 	lines := make([][]byte, 512)
 	for i := range lines {
-		lines[i] = in.Data(uint64(i))
+		lines[i] = make([]byte, compress.LineSize)
+		in.Fill(uint64(i), lines[i])
 	}
 	return lines
 }

@@ -101,22 +101,10 @@ func main() {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 	var (
-		workload  = o.workload
-		policy    = o.policy
-		org       = o.org
-		threshold = o.threshold
-		refs      = o.refs
-		scale     = o.scale
-		capMult   = o.capMult
-		bwMult    = o.bwMult
-		halfLat   = o.halfLat
-		prefetch  = o.prefetch
-		faultBER  = o.faultBER
-		faultSeed = o.faultSeed
-		faultPol  = o.faultPol
-		baseline  = o.baseline
-		workers   = o.workers
-		list      = o.list
+		workload = o.workload
+		baseline = o.baseline
+		workers  = o.workers
+		list     = o.list
 
 		metricsOut   = o.metricsOut
 		metricsEpoch = o.metricsEpoch
@@ -164,57 +152,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := sim.Config{
-		RefsPerCore:  *refs,
-		ScaleShift:   *scale,
-		CapacityMult: *capMult,
-		BWMult:       *bwMult,
-		HalfLatency:  *halfLat,
-		Threshold:    *threshold,
-		FaultBER:     *faultBER,
-		FaultSeed:    *faultSeed,
-		FaultPolicy:  *faultPol,
-	}
-	switch strings.ToLower(*policy) {
-	case "base":
-		cfg.Policy = dcache.PolicyUncompressed
-	case "tsi":
-		cfg.Policy = dcache.PolicyTSI
-	case "nsi":
-		cfg.Policy = dcache.PolicyNSI
-	case "bai":
-		cfg.Policy = dcache.PolicyBAI
-	case "dice":
-		cfg.Policy = dcache.PolicyDICE
-	case "scc":
-		cfg.Policy = dcache.PolicySCC
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		os.Exit(1)
-	}
-	switch strings.ToLower(*org) {
-	case "alloy":
-		cfg.Org = dcache.OrgAlloy
-	case "knl":
-		cfg.Org = dcache.OrgKNL
-	default:
-		fmt.Fprintf(os.Stderr, "unknown org %q\n", *org)
-		os.Exit(1)
-	}
-	switch strings.ToLower(*prefetch) {
-	case "none":
-	case "nextline":
-		cfg.Prefetch = sim.PrefetchNextLine
-	case "wide128":
-		cfg.Prefetch = sim.PrefetchWide128
-	default:
-		fmt.Fprintf(os.Stderr, "unknown prefetch %q\n", *prefetch)
-		os.Exit(1)
-	}
-
-	// Validate up front so flag mistakes fail with one clean line instead
-	// of surfacing mid-run (or from a worker goroutine).
-	if err := cfg.Validate(); err != nil {
+	cfg, err := buildConfig(o)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -314,6 +253,41 @@ func validateFlags(metricsEpoch uint64, workers int) error {
 		return fmt.Errorf("-workers must be >= 0 (0 = one per CPU, 1 = serial), got %d", workers)
 	}
 	return nil
+}
+
+// buildConfig assembles the simulation configuration from the flags,
+// parsing the case-insensitive policy, org and prefetch names with the
+// shared parsers, and validates it up front so flag mistakes fail with
+// one clean line instead of surfacing mid-run (or from a worker
+// goroutine).
+func buildConfig(o *cliFlags) (sim.Config, error) {
+	pol, err := dcache.ParsePolicy(strings.ToLower(*o.policy))
+	if err != nil {
+		return sim.Config{}, err
+	}
+	org, err := dcache.ParseOrg(strings.ToLower(*o.org))
+	if err != nil {
+		return sim.Config{}, err
+	}
+	pf, err := sim.ParsePrefetchMode(strings.ToLower(*o.prefetch))
+	if err != nil {
+		return sim.Config{}, err
+	}
+	cfg := sim.Config{
+		Policy:       pol,
+		Org:          org,
+		Prefetch:     pf,
+		RefsPerCore:  *o.refs,
+		ScaleShift:   *o.scale,
+		CapacityMult: *o.capMult,
+		BWMult:       *o.bwMult,
+		HalfLatency:  *o.halfLat,
+		Threshold:    *o.threshold,
+		FaultBER:     *o.faultBER,
+		FaultSeed:    *o.faultSeed,
+		FaultPolicy:  *o.faultPol,
+	}
+	return cfg, cfg.Validate()
 }
 
 // finishObserved prints the collected event timeline and writes the

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"flag"
+	"io"
 	"strings"
 	"testing"
+
+	"dice/internal/dcache"
+	"dice/internal/sim"
 )
 
 // TestValidateFlags pins the parse-time rejection of flag values the
@@ -38,6 +43,79 @@ func TestValidateFlags(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not name the offending flag %q", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestBuildConfig pins the flag-to-config mapping: every policy, org
+// and prefetch name dicesim accepts, in any case, yields the sim.Config
+// it always has, and unknown names and out-of-range values are
+// rejected before any simulation starts.
+func TestBuildConfig(t *testing.T) {
+	// base is the configuration the flag defaults produce.
+	base := sim.Config{Policy: dcache.PolicyDICE, CapacityMult: 1, BWMult: 1, FaultPolicy: "ecc+quarantine"}
+	with := func(f func(*sim.Config)) sim.Config {
+		c := base
+		f(&c)
+		return c
+	}
+	cases := []struct {
+		args    []string
+		want    sim.Config
+		wantErr string
+	}{
+		{args: nil, want: base},
+		{args: []string{"-policy", "base"}, want: with(func(c *sim.Config) { c.Policy = dcache.PolicyUncompressed })},
+		{args: []string{"-policy", "tsi"}, want: with(func(c *sim.Config) { c.Policy = dcache.PolicyTSI })},
+		{args: []string{"-policy", "nsi"}, want: with(func(c *sim.Config) { c.Policy = dcache.PolicyNSI })},
+		{args: []string{"-policy", "bai"}, want: with(func(c *sim.Config) { c.Policy = dcache.PolicyBAI })},
+		{args: []string{"-policy", "dice"}, want: base},
+		{args: []string{"-policy", "scc"}, want: with(func(c *sim.Config) { c.Policy = dcache.PolicySCC })},
+		{args: []string{"-policy", "BAI"}, want: with(func(c *sim.Config) { c.Policy = dcache.PolicyBAI })},
+		{args: []string{"-org", "alloy"}, want: base},
+		{args: []string{"-org", "knl"}, want: with(func(c *sim.Config) { c.Org = dcache.OrgKNL })},
+		{args: []string{"-org", "KNL"}, want: with(func(c *sim.Config) { c.Org = dcache.OrgKNL })},
+		{args: []string{"-prefetch", "none"}, want: base},
+		{args: []string{"-prefetch", "nextline"}, want: with(func(c *sim.Config) { c.Prefetch = sim.PrefetchNextLine })},
+		{args: []string{"-prefetch", "wide128"}, want: with(func(c *sim.Config) { c.Prefetch = sim.PrefetchWide128 })},
+		{args: []string{"-prefetch", "Wide128"}, want: with(func(c *sim.Config) { c.Prefetch = sim.PrefetchWide128 })},
+		{
+			args: []string{"-refs", "3000", "-scale", "12", "-cap", "2", "-bw", "2", "-halflat",
+				"-threshold", "40", "-fault-ber", "1e-6", "-fault-seed", "9", "-fault-policy", "ecc"},
+			want: with(func(c *sim.Config) {
+				c.RefsPerCore, c.ScaleShift, c.CapacityMult, c.BWMult = 3000, 12, 2, 2
+				c.HalfLatency, c.Threshold = true, 40
+				c.FaultBER, c.FaultSeed, c.FaultPolicy = 1e-6, 9, "ecc"
+			}),
+		},
+		{args: []string{"-policy", "lru"}, wantErr: "unknown policy"},
+		{args: []string{"-policy", ""}, wantErr: "unknown policy"},
+		{args: []string{"-org", "hbm"}, wantErr: "unknown org"},
+		{args: []string{"-prefetch", "stride"}, wantErr: "unknown prefetch"},
+		{args: []string{"-cap", "5"}, wantErr: "CapacityMult"},
+		{args: []string{"-fault-policy", "parity"}, wantErr: "unknown policy"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			fs := flag.NewFlagSet("dicesim", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			o := registerFlags(fs)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			got, err := buildConfig(o)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("buildConfig(%q) err = %v, want %q", tc.args, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("buildConfig(%q): %v", tc.args, err)
+			}
+			if got != tc.want {
+				t.Fatalf("buildConfig(%q) =\n%+v\nwant\n%+v", tc.args, got, tc.want)
 			}
 		})
 	}

@@ -123,8 +123,10 @@ func main() {
 	span := in.FootprintLines
 	step := span/uint64(*samples) + 1
 	var le32, le36, sampled, pairs, pair68 int
+	var a, b [compress.LineSize]byte
 	for line := uint64(0); line < span; line += step {
-		sz := compress.CompressedSize(in.Data(line))
+		in.Fill(line, a[:])
+		sz := compress.CompressedSize(a[:])
 		sampled++
 		if sz <= 32 {
 			le32++
@@ -134,7 +136,8 @@ func main() {
 		}
 		if line%2 == 0 && line+1 < span {
 			pairs++
-			if compress.PairSize(in.Data(line), in.Data(line+1)) <= 68 {
+			in.Fill(line+1, b[:])
+			if compress.PairSize(a[:], b[:]) <= 68 {
 				pair68++
 			}
 		}

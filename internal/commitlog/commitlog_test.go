@@ -236,6 +236,116 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	}
 }
 
+// gateFile is a discarding syncFile whose Sync blocks until the test
+// releases it. Every Sync announces itself on entered as it begins, and
+// each send on release lets exactly one held Sync return, so the test
+// decides which records are enqueued while a sync is in flight and the
+// batches become exact. open lets every later Sync through.
+type gateFile struct {
+	entered chan struct{}
+	release chan struct{}
+	opened  sync.Once
+}
+
+// newGateFile sizes entered past any test's sync count, so a Sync the
+// test does not wait for (Close's final one, or the extra ones a
+// broken batcher issues) never blocks announcing itself.
+func newGateFile() *gateFile {
+	return &gateFile{entered: make(chan struct{}, 64), release: make(chan struct{})}
+}
+
+func (g *gateFile) Write(p []byte) (int, error) { return len(p), nil }
+func (g *gateFile) Sync() error {
+	g.entered <- struct{}{}
+	<-g.release
+	return nil
+}
+func (g *gateFile) Close() error { return nil }
+
+// open stops holding syncs: the current one and every later one return.
+func (g *gateFile) open() { g.opened.Do(func() { close(g.release) }) }
+
+// The exact group-commit property: k records enqueued concurrently
+// while one sync is held all land in the next batch, committed by
+// exactly one more sync, and none of them is acknowledged before that
+// sync returns. The fsync-per-append reference discipline on the same
+// fixture pays one sync per record.
+func TestGroupCommitExactBatchDuringHeldSync(t *testing.T) {
+	const k = 16
+	g := newGateFile()
+	l := newWithFile(g, false)
+	defer func() {
+		g.open()
+		if err := l.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+
+	first := l.Enqueue([]byte(`{"first":true}`))
+	<-g.entered // sync 1 is now held with only the first record
+	tickets := make([]Ticket, k)
+	var wg sync.WaitGroup
+	for i := range tickets {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tickets[i] = l.Enqueue(fmt.Appendf(nil, `{"i":%d}`, i))
+		}(i)
+	}
+	wg.Wait()
+
+	g.release <- struct{}{} // sync 1 returns
+	if err := first.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	<-g.entered // sync 2 is now held
+	// A Ticket's Wait returns exactly when its channel holds the
+	// outcome, so an empty channel means Wait is still blocked.
+	for i, tk := range tickets {
+		if len(tk.ch) != 0 {
+			t.Fatalf("record %d acknowledged before its sync returned", i)
+		}
+	}
+	g.open() // sync 2 returns, as would any later one
+	for i, tk := range tickets {
+		if err := tk.Wait(); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	st := l.Stats()
+	if st.Syncs != 2 || st.MaxBatchRecords != k || st.Appends != k+1 {
+		t.Fatalf("stats = %+v, want 2 syncs, a %d-record batch and %d appends", st, k, k+1)
+	}
+
+	// The reference discipline on the same fixture: one sync per record.
+	ref := newGateFile()
+	rl := newWithFile(ref, true)
+	go func() {
+		for i := 0; i < k+1; i++ {
+			<-ref.entered
+			ref.release <- struct{}{}
+		}
+	}()
+	var rwg sync.WaitGroup
+	for i := 0; i < k+1; i++ {
+		rwg.Add(1)
+		go func(i int) {
+			defer rwg.Done()
+			if err := rl.Append(fmt.Appendf(nil, `{"i":%d}`, i)); err != nil {
+				t.Errorf("reference append %d: %v", i, err)
+			}
+		}(i)
+	}
+	rwg.Wait()
+	if st := rl.Stats(); st.Syncs != k+1 || st.MaxBatchRecords != 1 || st.Appends != k+1 {
+		t.Fatalf("reference stats = %+v, want %d syncs of one record each", st, k+1)
+	}
+	ref.open()
+	if err := rl.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // failFile fails Sync from the Nth call on, and optionally fails
 // Close, to exercise the no-false-acks and joined-error contracts.
 type failFile struct {

@@ -51,8 +51,11 @@ func (a AlgID) String() string {
 // (BDI base/delta geometry), and the encoded payload. Size() is the number
 // of data bytes the line occupies in the cache set.
 type Encoding struct {
-	Alg     AlgID
-	Mode    uint8 // algorithm-specific sub-mode (BDI geometry)
+	// Alg is the algorithm that produced Payload.
+	Alg AlgID
+	// Mode is the algorithm-specific sub-mode (BDI geometry).
+	Mode uint8
+	// Payload is the encoded line; its length is the line's stored size.
 	Payload []byte
 	// Sum is a checksum of the original 64-byte line (see LineSum), set
 	// by CompressBest/CompressPair. DecompressChecked verifies it, so

@@ -11,10 +11,14 @@ import "encoding/binary"
 // deterministic (no map iteration, no randomized hashing) so cached
 // and uncached runs produce byte-identical simulation results.
 //
+// A cache sizes with the one algorithm it was built for (see
+// NewSizeCache), so its keys are pure content hashes.
+//
 // A SizeCache is not safe for concurrent use; give each goroutine
 // (each parallel experiment already has its own cache instance) its
 // own.
 type SizeCache struct {
+	alg     AlgID
 	entries []sizeCacheEntry
 	mask    uint64
 	hand    int
@@ -30,16 +34,20 @@ type sizeCacheEntry struct {
 
 // SizeCacheStats counts cache traffic since construction.
 type SizeCacheStats struct {
-	Hits      uint64
-	Misses    uint64
+	// Hits counts lookups answered from a stored entry.
+	Hits uint64
+	// Misses counts lookups that ran the sizer and stored its result.
+	Misses uint64
+	// Evictions counts entries displaced to make room for a miss.
 	Evictions uint64
 }
 
-// NewSizeCache returns a cache bounded to capacity entries (rounded up
-// to a power of two, minimum 64). A capacity of 0 picks a default that
-// comfortably covers a simulated workload's working set of distinct
-// line contents.
-func NewSizeCache(capacity int) *SizeCache {
+// NewSizeCache returns a cache that sizes lines with alg (see SizeWith:
+// AlgFPC, AlgBDI, or the zero AlgID for the hybrid FPC+BDI selector),
+// bounded to capacity entries (rounded up to a power of two, minimum
+// 64). A capacity of 0 picks a default that comfortably covers a
+// simulated workload's working set of distinct line contents.
+func NewSizeCache(capacity int, alg AlgID) *SizeCache {
 	if capacity <= 0 {
 		capacity = 1 << 15
 	}
@@ -48,6 +56,7 @@ func NewSizeCache(capacity int) *SizeCache {
 		n <<= 1
 	}
 	return &SizeCache{
+		alg:     alg,
 		entries: make([]sizeCacheEntry, n),
 		mask:    uint64(n - 1),
 	}
@@ -149,31 +158,17 @@ func (c *SizeCache) evictFrom(idx uint64, window int) int {
 	}
 }
 
-// Single returns CompressedSize(line), memoized by content.
+// Single returns SizeWith(alg, line) for the cache's algorithm,
+// memoized by content.
 func (c *SizeCache) Single(line []byte) int {
 	mustLine(line)
-	return c.lookup(hashLine(line), func() int { return CompressedSize(line) })
+	return c.lookup(hashLine(line), func() int { return SizeWith(c.alg, line) })
 }
 
-// Pair returns PairSize(a, b), memoized by the ordered content pair.
+// Pair returns PairSizeWith(alg, a, b) for the cache's algorithm,
+// memoized by the ordered content pair.
 func (c *SizeCache) Pair(a, b []byte) int {
 	mustLine(a)
 	mustLine(b)
-	return c.lookup(pairKey(hashLine(a), hashLine(b)), func() int { return PairSize(a, b) })
-}
-
-// SingleWith returns SizeWith(alg, line), memoized. The algorithm is
-// folded into the key so one cache can serve multiple sizers.
-func (c *SizeCache) SingleWith(alg AlgID, line []byte) int {
-	mustLine(line)
-	key := hashLine(line) ^ (uint64(alg)+1)*0xBF58476D1CE4E5B9
-	return c.lookup(key, func() int { return SizeWith(alg, line) })
-}
-
-// PairWith returns PairSizeWith(alg, a, b), memoized.
-func (c *SizeCache) PairWith(alg AlgID, a, b []byte) int {
-	mustLine(a)
-	mustLine(b)
-	key := pairKey(hashLine(a), hashLine(b)) ^ (uint64(alg)+1)*0xBF58476D1CE4E5B9
-	return c.lookup(key, func() int { return PairSizeWith(alg, a, b) })
+	return c.lookup(pairKey(hashLine(a), hashLine(b)), func() int { return PairSizeWith(c.alg, a, b) })
 }

@@ -13,7 +13,9 @@ package compress
 // SharedBase is true, B's payload omits its base and must be decoded with
 // A's base.
 type PairEncoding struct {
-	A, B       Encoding
+	// A and B are the even and odd lines' encodings.
+	A, B Encoding
+	// SharedBase reports that B's payload reuses A's BDI base.
 	SharedBase bool
 }
 

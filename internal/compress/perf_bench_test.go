@@ -18,7 +18,8 @@ func benchCorpus(n int) [][]byte {
 	s := data.NewSynth(0xD1CE, p)
 	lines := make([][]byte, n)
 	for i := range lines {
-		lines[i] = s.Line(uint64(i))
+		lines[i] = make([]byte, LineSize)
+		s.FillLine(uint64(i), lines[i])
 	}
 	return lines
 }

@@ -1,33 +1,51 @@
 package compress
 
+import "fmt"
+
 // Single-algorithm sizing, used by the compression-algorithm ablation:
 // DICE is orthogonal to the compression scheme (Section 7.1), and these
 // helpers let the cache run with FPC alone or BDI alone instead of the
 // hybrid selector. Both take the allocation-free size-only paths; the
 // equivalence tests pin them to the codec-produced sizes.
 
+// ParseAlg maps a compressor name to the algorithm SizeWith,
+// PairSizeWith and NewSizeCache size with: "fpc" is AlgFPC, "bdi" is
+// AlgBDI, and "hybrid" or "" is the zero AlgID, the hybrid FPC+BDI
+// selector the paper evaluates with. It is the one place compressor
+// names are read.
+func ParseAlg(name string) (AlgID, error) {
+	switch name {
+	case "", "hybrid":
+		return AlgNone, nil
+	case "fpc":
+		return AlgFPC, nil
+	case "bdi":
+		return AlgBDI, nil
+	}
+	return AlgNone, fmt.Errorf("unknown compress %q (want hybrid, fpc or bdi)", name)
+}
+
 // SizeWith returns the compressed size of a line under one algorithm
 // family: AlgFPC (FPC + zero lines), AlgBDI (BDI + zero lines), or
-// anything else for the full hybrid.
+// anything else for the full hybrid, which is exactly CompressedSize.
 func SizeWith(alg AlgID, line []byte) int {
+	if alg != AlgFPC && alg != AlgBDI {
+		return CompressedSize(line)
+	}
 	mustLine(line)
 	if isZero(line) {
 		return 0
 	}
-	switch alg {
-	case AlgFPC:
+	if alg == AlgFPC {
 		if s, ok := fpcSizeOnly(line); ok {
 			return s
 		}
 		return LineSize
-	case AlgBDI:
-		if s, _, ok := bdiSizeOnly(line); ok {
-			return s
-		}
-		return LineSize
-	default:
-		return CompressedSize(line)
 	}
+	if s, _, ok := bdiSizeOnly(line); ok {
+		return s
+	}
+	return LineSize
 }
 
 // PairSizeWith returns the adjacent-pair size under one algorithm

@@ -2,6 +2,7 @@ package compress
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dice/internal/data"
@@ -20,7 +21,9 @@ func sizeCorpus(t testing.TB) [][]byte {
 	s := data.NewSynth(0x5EED, p)
 	var lines [][]byte
 	for i := 0; i < 2048; i++ {
-		lines = append(lines, s.Line(uint64(i)))
+		l := make([]byte, LineSize)
+		s.FillLine(uint64(i), l)
+		lines = append(lines, l)
 	}
 	// Hand-built edges: all zero, single trailing byte, repeated word,
 	// near-overflow deltas, incompressible noise.
@@ -141,36 +144,45 @@ func TestSizeChoiceMatchesCompressBest(t *testing.T) {
 	}
 }
 
-// TestSizeCacheMatchesDirect runs every memoized sizer against its
-// direct counterpart across the corpus, repeated so the second pass is
-// all cache hits, and checks the counters add up.
+// TestSizeCacheMatchesDirect runs a memoized cache for each algorithm
+// against the direct sizers across the corpus, repeated so the second
+// pass is all cache hits, and checks the counters add up.
 func TestSizeCacheMatchesDirect(t *testing.T) {
 	lines := sizeCorpus(t)
-	c := NewSizeCache(1 << 14)
-	for pass := 0; pass < 2; pass++ {
-		for i, l := range lines {
-			if got, want := c.Single(l), CompressedSize(l); got != want {
-				t.Fatalf("pass %d line %d: memo Single=%d, direct=%d", pass, i, got, want)
-			}
-			for _, alg := range []AlgID{AlgFPC, AlgBDI} {
-				if got, want := c.SingleWith(alg, l), SizeWith(alg, l); got != want {
-					t.Fatalf("pass %d line %d: memo SingleWith(%v)=%d, direct=%d", pass, i, alg, got, want)
+	for _, alg := range []AlgID{AlgNone, AlgFPC, AlgBDI} {
+		c := NewSizeCache(1<<14, alg)
+		for pass := 0; pass < 2; pass++ {
+			for i, l := range lines {
+				if got, want := c.Single(l), SizeWith(alg, l); got != want {
+					t.Fatalf("%v pass %d line %d: memo Single=%d, direct=%d", alg, pass, i, got, want)
 				}
-			}
-			if i+1 < len(lines) {
-				a, b := l, lines[i+1]
-				if got, want := c.Pair(a, b), PairSize(a, b); got != want {
-					t.Fatalf("pass %d pair %d: memo Pair=%d, direct=%d", pass, i, got, want)
-				}
-				if got, want := c.PairWith(AlgBDI, a, b), PairSizeWith(AlgBDI, a, b); got != want {
-					t.Fatalf("pass %d pair %d: memo PairWith(BDI)=%d, direct=%d", pass, i, got, want)
+				if i+1 < len(lines) {
+					a, b := l, lines[i+1]
+					if got, want := c.Pair(a, b), PairSizeWith(alg, a, b); got != want {
+						t.Fatalf("%v pass %d pair %d: memo Pair=%d, direct=%d", alg, pass, i, got, want)
+					}
 				}
 			}
 		}
+		st := c.Stats()
+		if st.Hits == 0 || st.Misses == 0 {
+			t.Fatalf("%v: expected both hits and misses, got %+v", alg, st)
+		}
 	}
-	st := c.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Fatalf("expected both hits and misses, got %+v", st)
+}
+
+// TestParseAlg pins the compressor vocabulary: the three names and the
+// empty default, and a rejection naming the accepted set.
+func TestParseAlg(t *testing.T) {
+	for name, want := range map[string]AlgID{"": AlgNone, "hybrid": AlgNone, "fpc": AlgFPC, "bdi": AlgBDI} {
+		if got, err := ParseAlg(name); err != nil || got != want {
+			t.Fatalf("ParseAlg(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"lz4", "FPC", "none", "zca"} {
+		if _, err := ParseAlg(bad); err == nil || !strings.Contains(err.Error(), "unknown compress") {
+			t.Fatalf("ParseAlg(%q) err = %v, want unknown compress", bad, err)
+		}
 	}
 }
 
@@ -178,7 +190,7 @@ func TestSizeCacheMatchesDirect(t *testing.T) {
 // occupancy stays bounded, evictions are counted, and results remain
 // correct under churn.
 func TestSizeCacheBounded(t *testing.T) {
-	c := NewSizeCache(64)
+	c := NewSizeCache(64, AlgNone)
 	lines := sizeCorpus(t)
 	for _, l := range lines {
 		if got, want := c.Single(l), CompressedSize(l); got != want {

@@ -78,8 +78,9 @@ func (d Design) policy() dcache.Policy {
 }
 
 // DataSource supplies the 64 bytes of a line for compression, as in
-// dcache. Implementations must be deterministic per line for the
-// lifetime of the cache.
+// dcache: FillLine writes them into a buffer the cache owns, or
+// returns false for an unknown line. Implementations must be
+// deterministic per line for the lifetime of the cache.
 type DataSource = dcache.DataSource
 
 // Config configures a Cache. The zero value is not valid: Sets is
@@ -98,7 +99,7 @@ type Config struct {
 	// CIPEntries overrides the Last-Time Table size (default 2048).
 	CIPEntries int
 	// Data resolves line contents; required for every design but Alloy.
-	// Lines whose data is nil are treated as incompressible.
+	// Lines whose FillLine returns false are treated as incompressible.
 	Data DataSource
 	// DRAM overrides the stacked-DRAM timing model; the default is the
 	// paper's 4-channel HBM configuration.
@@ -114,9 +115,6 @@ type Cache struct {
 // New builds a Cache with the paper's defaults. It panics on invalid
 // configuration, which is a programming error (configurations are static).
 func New(cfg Config) *Cache {
-	if cfg.Design == Alloy && cfg.Data == nil {
-		// The baseline needs no data; others validate inside dcache.
-	}
 	dcfg := dram.HBMConfig()
 	if cfg.DRAM != nil {
 		dcfg = *cfg.DRAM

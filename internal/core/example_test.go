@@ -10,7 +10,10 @@ import (
 // so DICE installs them under Bandwidth-Aware Indexing.
 type zeroData struct{}
 
-func (zeroData) Line(uint64) []byte { return make([]byte, 64) }
+func (zeroData) FillLine(_ uint64, buf []byte) bool {
+	clear(buf)
+	return true
+}
 
 // ExampleCache_Read mirrors the README's library snippet: a read that
 // misses is filled with Install, and a compressed hit can deliver the

@@ -173,15 +173,8 @@ func (s *Synth) KindOf(line uint64) Kind {
 	return s.pickKind(splitmix64(s.seed ^ line*0xD6E8FEB86659FD93))
 }
 
-// Line materializes the 64 bytes of a line.
-func (s *Synth) Line(line uint64) []byte {
-	buf := make([]byte, LineSize)
-	s.FillLine(line, buf)
-	return buf
-}
-
-// FillLine writes the line's bytes into buf (len 64), avoiding allocation
-// in hot loops.
+// FillLine writes the line's 64 bytes into buf (len 64), every byte of
+// it, so callers can reuse one buffer across lines.
 func (s *Synth) FillLine(line uint64, buf []byte) {
 	if len(buf) != LineSize {
 		panic("data: FillLine needs a 64-byte buffer")

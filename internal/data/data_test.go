@@ -31,14 +31,14 @@ func TestDeterminism(t *testing.T) {
 	a := NewSynth(7, HighlyCompressible())
 	b := NewSynth(7, HighlyCompressible())
 	for line := uint64(0); line < 500; line++ {
-		if !bytes.Equal(a.Line(line), b.Line(line)) {
+		if !bytes.Equal(lineOf(a, line), lineOf(b, line)) {
 			t.Fatalf("line %d not deterministic", line)
 		}
 	}
 	c := NewSynth(8, HighlyCompressible())
 	same := 0
 	for line := uint64(0); line < 500; line++ {
-		if bytes.Equal(a.Line(line), c.Line(line)) {
+		if bytes.Equal(lineOf(a, line), lineOf(c, line)) {
 			same++
 		}
 	}
@@ -64,7 +64,7 @@ func TestKindSizes(t *testing.T) {
 		p := Uniform(kind)
 		s := NewSynth(11, p)
 		for line := uint64(0); line < 200; line++ {
-			sz := compress.CompressedSize(s.Line(line))
+			sz := compress.CompressedSize(lineOf(s, line))
 			if sz < band[0] || sz > band[1] {
 				t.Fatalf("kind %v line %d size %d outside [%d,%d]",
 					kind, line, sz, band[0], band[1])
@@ -77,7 +77,7 @@ func TestPtr32PairsShareBase(t *testing.T) {
 	s := NewSynth(13, Uniform(KindPtr32))
 	shared := 0
 	for line := uint64(0); line < 400; line += 2 {
-		ps := compress.PairSize(s.Line(line), s.Line(line+1))
+		ps := compress.PairSize(lineOf(s, line), lineOf(s, line+1))
 		if ps <= 68 {
 			shared++
 		}
@@ -123,7 +123,7 @@ func TestProfileCompressibilityOrdering(t *testing.T) {
 		s := NewSynth(23, p)
 		n := 0
 		for line := uint64(0); line < 2000; line++ {
-			if compress.CompressedSize(s.Line(line)) <= 36 {
+			if compress.CompressedSize(lineOf(s, line)) <= 36 {
 				n++
 			}
 		}
@@ -157,12 +157,18 @@ func TestWeightsDistributionRoughlyHonored(t *testing.T) {
 	}
 }
 
+// TestFillLineMatchesLine checks FillLine writes every byte of a line:
+// filling a dirty, reused buffer gives the same bytes as filling a
+// fresh one.
 func TestFillLineMatchesLine(t *testing.T) {
 	s := NewSynth(31, HighlyCompressible())
 	buf := make([]byte, LineSize)
 	for line := uint64(0); line < 300; line++ {
+		for i := range buf {
+			buf[i] = 0xA5
+		}
 		s.FillLine(line, buf)
-		if !bytes.Equal(buf, s.Line(line)) {
+		if !bytes.Equal(buf, lineOf(s, line)) {
 			t.Fatalf("FillLine mismatch at %d", line)
 		}
 	}
@@ -192,8 +198,8 @@ func TestKindString(t *testing.T) {
 func TestQuickLineInvariants(t *testing.T) {
 	s := NewSynth(37, HighlyCompressible())
 	f := func(line uint64) bool {
-		l := s.Line(line)
-		if len(l) != LineSize || !bytes.Equal(l, s.Line(line)) {
+		l := lineOf(s, line)
+		if len(l) != LineSize || !bytes.Equal(l, lineOf(s, line)) {
 			return false
 		}
 		sz := compress.CompressedSize(l)
@@ -211,4 +217,11 @@ func BenchmarkFillLine(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.FillLine(uint64(i), buf)
 	}
+}
+
+// lineOf returns line's bytes from s in a fresh buffer.
+func lineOf(s *Synth, line uint64) []byte {
+	buf := make([]byte, LineSize)
+	s.FillLine(line, buf)
+	return buf
 }

@@ -1,6 +1,7 @@
 package dcache
 
 import (
+	"bytes"
 	"fmt"
 
 	"dice/internal/compress"
@@ -68,19 +69,12 @@ const (
 )
 
 // DataSource supplies the 64 data bytes of a line so the cache can
-// compress on install. Data is deterministic per line in this simulator;
-// returning nil marks a line incompressible.
+// compress on install. Data is deterministic per line in this simulator.
+// FillLine writes the line's bytes into buf (len 64) and returns true,
+// or returns false for an unknown line, which the cache treats as
+// incompressible. The cache reads through its own reused buffers and
+// holds the bytes only while it sizes or encodes them.
 type DataSource interface {
-	Line(line uint64) []byte
-}
-
-// Filler is an optional DataSource extension: FillLine writes the line's
-// 64 bytes into buf and returns true, or returns false for an unknown
-// (incompressible) line. Sources that implement it let the cache size
-// lines through reusable scratch buffers instead of allocating a fresh
-// slice per Line call — the sizing hot path holds the bytes only for
-// the duration of the size computation.
-type Filler interface {
 	FillLine(line uint64, buf []byte) bool
 }
 
@@ -108,16 +102,16 @@ type Config struct {
 	// Data resolves line contents for compression. Required for
 	// compressed policies.
 	Data DataSource
-	// SingleSizer and PairSizer override the compressed-size functions
-	// (hybrid FPC+BDI by default). Used by the compression-algorithm
-	// ablation; both must be set together or neither.
-	SingleSizer func(line []byte) int
-	PairSizer   func(even, odd []byte) int
+	// Alg is the compressor that sizes lines: compress.AlgFPC or
+	// compress.AlgBDI for the compression-algorithm ablation (Section
+	// 7.1), or the zero value for the paper's hybrid FPC+BDI. See
+	// compress.ParseAlg for the names.
+	Alg compress.AlgID
 	// VerifyData makes the cache store each installed line's actual
 	// encoding and, on every hit, decompress it and compare with the data
 	// source — exercising the real codec path end to end. Costs memory
-	// and time; intended for tests and debugging. Incompatible with
-	// custom sizers.
+	// and time; intended for tests and debugging. Requires the hybrid
+	// compressor, whose encodings are what it stores.
 	VerifyData bool
 	// Faults, when non-nil, injects bit errors into every demand-read
 	// frame transfer and applies the model's ECC policy: detected-
@@ -143,10 +137,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("dcache: compressed policy %v requires a DataSource", c.Policy)
 	case c.Threshold > 64:
 		return fmt.Errorf("dcache: Threshold %d > 64", c.Threshold)
-	case (c.SingleSizer == nil) != (c.PairSizer == nil):
-		return fmt.Errorf("dcache: SingleSizer and PairSizer must be set together")
-	case c.VerifyData && c.SingleSizer != nil:
-		return fmt.Errorf("dcache: VerifyData requires the default hybrid sizers")
+	case c.Alg != compress.AlgNone && c.Alg != compress.AlgFPC && c.Alg != compress.AlgBDI:
+		return fmt.Errorf("dcache: Alg %v is not fpc, bdi or hybrid", c.Alg)
+	case c.VerifyData && c.Alg != compress.AlgNone:
+		return fmt.Errorf("dcache: VerifyData requires the hybrid compressor")
 	}
 	return nil
 }
@@ -250,14 +244,12 @@ type Cache struct {
 	// sizeMemo caches single/pair compressed sizes per line address; data
 	// is deterministic per line so the memo never invalidates.
 	sizeMemo sizeMemo
-	// sizeCache deduplicates hybrid size computations by line *content*
+	// sizeCache deduplicates cfg.Alg size computations by line *content*
 	// (distinct addresses frequently carry identical bytes — every
 	// all-zero line, page-coherent kinds). Consulted only on sizeMemo
-	// misses with the default sizers.
+	// misses.
 	sizeCache *compress.SizeCache
-	// filler is cfg.Data's scratch-buffer interface when implemented;
-	// scratchA/B are the reused line buffers.
-	filler   Filler
+	// scratchA/B are the reused buffers cfg.Data fills.
 	scratchA [compress.LineSize]byte
 	scratchB [compress.LineSize]byte
 
@@ -289,11 +281,8 @@ func New(cfg Config) *Cache {
 		sets:      make([]set, cfg.Sets),
 		cip:       NewCIP(cfg.CIPEntries),
 	}
-	if cfg.Policy != PolicyUncompressed && cfg.SingleSizer == nil {
-		c.sizeCache = compress.NewSizeCache(0)
-	}
-	if f, ok := cfg.Data.(Filler); ok {
-		c.filler = f
+	if cfg.Policy != PolicyUncompressed {
+		c.sizeCache = compress.NewSizeCache(0, cfg.Alg)
 	}
 	if cfg.Faults != nil {
 		c.faultCount = make(map[uint64]uint8)
@@ -455,19 +444,6 @@ func schemeLabel(bai bool) string {
 
 // --- compressed-size resolution (memoized) ---
 
-// lineData resolves a line's bytes for sizing, preferring the source's
-// scratch-buffer path. The returned slice is only valid until the next
-// lineData call with the same buf.
-func (c *Cache) lineData(line uint64, buf []byte) []byte {
-	if c.filler != nil {
-		if c.filler.FillLine(line, buf) {
-			return buf
-		}
-		return nil
-	}
-	return c.cfg.Data.Line(line)
-}
-
 func (c *Cache) singleSize(line uint64) int {
 	if c.cfg.Policy == PolicyUncompressed {
 		return 64
@@ -478,15 +454,9 @@ func (c *Cache) singleSize(line uint64) int {
 		return int(cell.single) - 1
 	}
 	c.stats.SizeMemoMisses++
-	data := c.lineData(line, c.scratchA[:])
-	var sz int
-	switch {
-	case data == nil:
-		sz = 64
-	case c.cfg.SingleSizer != nil:
-		sz = c.cfg.SingleSizer(data)
-	default:
-		sz = c.sizeCache.Single(data)
+	sz := 64
+	if c.cfg.Data.FillLine(line, c.scratchA[:]) {
+		sz = c.sizeCache.Single(c.scratchA[:])
 	}
 	cell.single = uint8(sz) + 1
 	return sz
@@ -499,16 +469,9 @@ func (c *Cache) pairSize(evenLine uint64) int {
 		return (int(cell.pair) - 1) * 2
 	}
 	c.stats.SizeMemoMisses++
-	even := c.lineData(evenLine, c.scratchA[:])
-	odd := c.lineData(evenLine|1, c.scratchB[:])
-	var sz int
-	switch {
-	case even == nil || odd == nil:
-		sz = 128
-	case c.cfg.PairSizer != nil:
-		sz = c.cfg.PairSizer(even, odd)
-	default:
-		sz = c.sizeCache.Pair(even, odd)
+	sz := 128
+	if c.cfg.Data.FillLine(evenLine, c.scratchA[:]) && c.cfg.Data.FillLine(evenLine|1, c.scratchB[:]) {
+		sz = c.sizeCache.Pair(c.scratchA[:], c.scratchB[:])
 	}
 	// Pair sizes span 0..128; store /2 rounded up to fit a byte. Odd
 	// sizes occur even on the default hybrid path (FPC sizes are
@@ -519,7 +482,7 @@ func (c *Cache) pairSize(evenLine uint64) int {
 }
 
 // SizeCacheStats returns the content-keyed size cache's counters (zero
-// when the cache runs uncompressed or with custom sizers).
+// when the cache runs uncompressed).
 func (c *Cache) SizeCacheStats() compress.SizeCacheStats {
 	if c.sizeCache == nil {
 		return compress.SizeCacheStats{}
@@ -754,17 +717,9 @@ func (c *Cache) verifyEntry(e *entry) {
 		return
 	}
 	c.stats.VerifyChecks++
-	want := c.cfg.Data.Line(e.line)
 	got, err := compress.DecompressChecked(*e.enc)
-	if err != nil || want == nil || len(got) != len(want) {
+	if err != nil || !c.cfg.Data.FillLine(e.line, c.scratchA[:]) || !bytes.Equal(got, c.scratchA[:]) {
 		c.stats.VerifyFailures++
-		return
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			c.stats.VerifyFailures++
-			return
-		}
 	}
 }
 
@@ -904,8 +859,8 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 		copy(s.entries[1:], s.entries)
 		e := entry{line: line, dirty: dirty, bai: usedBAI}
 		if c.cfg.VerifyData && c.cfg.Policy != PolicyUncompressed {
-			if data := c.cfg.Data.Line(line); data != nil {
-				enc := compress.CompressBest(data)
+			if c.cfg.Data.FillLine(line, c.scratchA[:]) {
+				enc := compress.CompressBest(c.scratchA[:])
 				e.enc = &enc
 			}
 		}

@@ -29,8 +29,8 @@ func (d *testData) setRange(lo, hi uint64, kind string) {
 	}
 }
 
-func (d *testData) Line(line uint64) []byte {
-	buf := make([]byte, compress.LineSize)
+func (d *testData) FillLine(line uint64, buf []byte) bool {
+	clear(buf)
 	switch d.kind[line] {
 	case "zero", "":
 		// all zeros
@@ -48,7 +48,7 @@ func (d *testData) Line(line uint64) []byte {
 	default:
 		panic("unknown kind")
 	}
-	return buf
+	return true
 }
 
 func newCache(policy Policy, sets int, data DataSource) *Cache {
@@ -68,6 +68,7 @@ func TestConfigValidation(t *testing.T) {
 		{Sets: 16},                               // nil mem
 		{Sets: 16, Mem: mem, Policy: PolicyDICE}, // nil data for compressed
 		{Sets: 16, Mem: mem, Threshold: 100},     // threshold too big
+		{Sets: 16, Mem: mem, Alg: compress.AlgZCA}, // not a sizing compressor
 	}
 	for i, cfg := range bad {
 		func() {
@@ -656,27 +657,12 @@ func TestVerifyDataModeRoundTripsOnHits(t *testing.T) {
 func TestVerifyDataConfigValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("VerifyData with custom sizers accepted")
+			t.Fatal("VerifyData with a single-algorithm compressor accepted")
 		}
 	}()
 	New(Config{
-		Sets: 16, Policy: PolicyDICE, VerifyData: true,
+		Sets: 16, Policy: PolicyDICE, VerifyData: true, Alg: compress.AlgFPC,
 		Mem: dram.New(dram.HBMConfig()), Data: newTestData(),
-		SingleSizer: func([]byte) int { return 64 },
-		PairSizer:   func(a, b []byte) int { return 128 },
-	})
-}
-
-func TestSizerPairValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("lone SingleSizer accepted")
-		}
-	}()
-	New(Config{
-		Sets: 16, Policy: PolicyDICE,
-		Mem: dram.New(dram.HBMConfig()), Data: newTestData(),
-		SingleSizer: func([]byte) int { return 64 },
 	})
 }
 

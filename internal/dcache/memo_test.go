@@ -8,20 +8,12 @@ import (
 	"dice/internal/dram"
 )
 
-// synthSource adapts data.Synth to DataSource (Line only, no Filler),
-// like the simulator's machine before the scratch-buffer path existed.
-type synthSource struct{ s *data.Synth }
-
-func (ss *synthSource) Line(line uint64) []byte { return ss.s.Line(line) }
-
-// fillSource additionally implements Filler, exercising the
-// scratch-buffer path.
-type fillSource struct{ s *data.Synth }
-
-func (fs *fillSource) Line(line uint64) []byte { return fs.s.Line(line) }
-func (fs *fillSource) FillLine(line uint64, buf []byte) bool {
-	fs.s.FillLine(line, buf)
-	return true
+// synthLine returns a fresh copy of line's bytes from s, the direct
+// reference the memoized sizes are checked against.
+func synthLine(s *data.Synth, line uint64) []byte {
+	buf := make([]byte, compress.LineSize)
+	s.FillLine(line, buf)
+	return buf
 }
 
 func memoTestCache(t *testing.T, src DataSource, cfg Config) *Cache {
@@ -33,60 +25,48 @@ func memoTestCache(t *testing.T, src DataSource, cfg Config) *Cache {
 }
 
 // TestSizeMemoMatchesDirect pins the memoized size path to the direct
-// compressor result for every line, on both the Line and FillLine data
-// paths, across repeated lookups (the second pass must be all hits).
+// compressor result for every line, across repeated lookups (the
+// second pass must be all hits).
 func TestSizeMemoMatchesDirect(t *testing.T) {
 	synth := data.NewSynth(0xABCD, data.HighlyCompressible())
-	sources := map[string]DataSource{
-		"line-alloc":   &synthSource{s: synth},
-		"fill-scratch": &fillSource{s: synth},
-	}
-	for name, src := range sources {
-		t.Run(name, func(t *testing.T) {
-			c := memoTestCache(t, src, Config{Policy: PolicyDICE})
-			for pass := 0; pass < 2; pass++ {
-				for line := uint64(0); line < 512; line++ {
-					want := compress.CompressedSize(synth.Line(line))
-					if got := c.singleSize(line); got != want {
-						t.Fatalf("pass %d line %d: singleSize=%d, direct=%d", pass, line, got, want)
-					}
-					if line%2 == 0 {
-						wantPair := compress.PairSize(synth.Line(line), synth.Line(line|1))
-						wantPair = (wantPair + 1) &^ 1 // memo rounds odd pair sizes up to even
-						if got := c.pairSize(line); got != wantPair {
-							t.Fatalf("pass %d line %d: pairSize=%d, direct=%d", pass, line, got, wantPair)
-						}
-					}
+	c := memoTestCache(t, &synthSource{s: synth}, Config{Policy: PolicyDICE})
+	for pass := 0; pass < 2; pass++ {
+		for line := uint64(0); line < 512; line++ {
+			want := compress.CompressedSize(synthLine(synth, line))
+			if got := c.singleSize(line); got != want {
+				t.Fatalf("pass %d line %d: singleSize=%d, direct=%d", pass, line, got, want)
+			}
+			if line%2 == 0 {
+				wantPair := compress.PairSize(synthLine(synth, line), synthLine(synth, line|1))
+				wantPair = (wantPair + 1) &^ 1 // memo rounds odd pair sizes up to even
+				if got := c.pairSize(line); got != wantPair {
+					t.Fatalf("pass %d line %d: pairSize=%d, direct=%d", pass, line, got, wantPair)
 				}
 			}
-			st := c.Stats()
-			if st.SizeMemoMisses != 512+256 {
-				t.Fatalf("SizeMemoMisses=%d, want %d (one per distinct single + pair)", st.SizeMemoMisses, 512+256)
-			}
-			if st.SizeMemoHits != 512+256 {
-				t.Fatalf("SizeMemoHits=%d, want %d (the whole second pass)", st.SizeMemoHits, 512+256)
-			}
-		})
+		}
+	}
+	st := c.Stats()
+	if st.SizeMemoMisses != 512+256 {
+		t.Fatalf("SizeMemoMisses=%d, want %d (one per distinct single + pair)", st.SizeMemoMisses, 512+256)
+	}
+	if st.SizeMemoHits != 512+256 {
+		t.Fatalf("SizeMemoHits=%d, want %d (the whole second pass)", st.SizeMemoHits, 512+256)
 	}
 }
 
-// TestSizeMemoMatchesDirectPerAlgorithm covers the custom-sizer path:
-// the memoized sizes under the FPC-only and BDI-only ablation sizers
-// must match direct SizeWith/PairSizeWith calls.
+// TestSizeMemoMatchesDirectPerAlgorithm covers the ablation compressors:
+// the memoized sizes under Alg FPC and Alg BDI must match direct
+// SizeWith/PairSizeWith calls.
 func TestSizeMemoMatchesDirectPerAlgorithm(t *testing.T) {
 	for _, alg := range []compress.AlgID{compress.AlgFPC, compress.AlgBDI} {
 		synth := data.NewSynth(0x600D, data.HighlyCompressible())
-		c := memoTestCache(t, &fillSource{s: synth}, Config{
-			Policy:      PolicyDICE,
-			SingleSizer: func(l []byte) int { return compress.SizeWith(alg, l) },
-			PairSizer:   func(a, b []byte) int { return compress.PairSizeWith(alg, a, b) },
-		})
+		c := memoTestCache(t, &synthSource{s: synth}, Config{Policy: PolicyDICE, Alg: alg})
 		for line := uint64(0); line < 256; line++ {
-			if got, want := c.singleSize(line), compress.SizeWith(alg, synth.Line(line)); got != want {
+			if got, want := c.singleSize(line), compress.SizeWith(alg, synthLine(synth, line)); got != want {
 				t.Fatalf("alg %v line %d: singleSize=%d, direct=%d", alg, line, got, want)
 			}
 			if line%2 == 0 {
-				want := (compress.PairSizeWith(alg, synth.Line(line), synth.Line(line|1)) + 1) &^ 1
+				want := (compress.PairSizeWith(alg, synthLine(synth, line), synthLine(synth, line|1)) + 1) &^ 1
 				if got := c.pairSize(line); got != want {
 					t.Fatalf("alg %v line %d: pairSize=%d, direct=%d", alg, line, got, want)
 				}
@@ -100,7 +80,7 @@ func TestSizeMemoMatchesDirectPerAlgorithm(t *testing.T) {
 // must memoize correctly too.
 func TestSizeMemoSparseAddresses(t *testing.T) {
 	synth := data.NewSynth(0xFEED, data.HighlyCompressible())
-	c := memoTestCache(t, &fillSource{s: synth}, Config{Policy: PolicyDICE})
+	c := memoTestCache(t, &synthSource{s: synth}, Config{Policy: PolicyDICE})
 	sparse := []uint64{
 		memoMaxDensePages << memoLineShift,
 		(memoMaxDensePages << memoLineShift) * 7,
@@ -108,7 +88,7 @@ func TestSizeMemoSparseAddresses(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for _, line := range sparse {
-			if got, want := c.singleSize(line), compress.CompressedSize(synth.Line(line)); got != want {
+			if got, want := c.singleSize(line), compress.CompressedSize(synthLine(synth, line)); got != want {
 				t.Fatalf("pass %d sparse line %#x: singleSize=%d, direct=%d", pass, line, got, want)
 			}
 		}
@@ -123,11 +103,12 @@ func TestSizeMemoSparseAddresses(t *testing.T) {
 // image at an end-of-set boundary.
 type nilOddSource struct{ s *data.Synth }
 
-func (n *nilOddSource) Line(line uint64) []byte {
+func (n *nilOddSource) FillLine(line uint64, buf []byte) bool {
 	if line&1 == 1 {
-		return nil
+		return false
 	}
-	return n.s.Line(line)
+	n.s.FillLine(line, buf)
+	return true
 }
 
 // TestPairSizeNilOddBoundary pins the end-of-set boundary behavior: a
@@ -141,7 +122,7 @@ func TestPairSizeNilOddBoundary(t *testing.T) {
 		if got := c.pairSize(line); got != 128 {
 			t.Fatalf("line %d: pairSize with nil odd member = %d, want 128", line, got)
 		}
-		if got, want := c.singleSize(line), compress.CompressedSize(synth.Line(line)); got != want {
+		if got, want := c.singleSize(line), compress.CompressedSize(synthLine(synth, line)); got != want {
 			t.Fatalf("line %d: even member singleSize=%d, want %d", line, got, want)
 		}
 		if got := c.singleSize(line | 1); got != 64 {
@@ -153,30 +134,17 @@ func TestPairSizeNilOddBoundary(t *testing.T) {
 // TestPairSizeOddRoundsUp pins the memo's storage quirk: odd pair sizes
 // round up to the next even byte count — the memo packs pair sizes /2
 // into a byte — and the rounded value is what every caller observes,
-// first computation included. Odd sizes arise from custom sizers and
-// from the default hybrid sizer alike: FPC sizes are (bits+7)/8, so
-// 7 of the first 10,000 pairs of the mixed corpus size odd.
+// first computation included. Odd sizes arise on the default hybrid
+// path: FPC sizes are (bits+7)/8, so 7 of the first 10,000 pairs of the
+// mixed corpus size odd.
 func TestPairSizeOddRoundsUp(t *testing.T) {
-	synth := data.NewSynth(0x0DD, data.HighlyCompressible())
-	c := memoTestCache(t, &fillSource{s: synth}, Config{
-		Policy:      PolicyDICE,
-		SingleSizer: func([]byte) int { return 33 },
-		PairSizer:   func(_, _ []byte) int { return 67 },
-	})
-	if got := c.pairSize(0); got != 68 {
-		t.Fatalf("first pairSize(0)=%d, want 68 (67 rounded up)", got)
-	}
-	if got := c.pairSize(0); got != 68 {
-		t.Fatalf("memoized pairSize(0)=%d, want 68", got)
-	}
-
 	// A real odd hybrid pair: lines 1196/1197 of the mixed corpus.
 	const even = 1196
 	mixed := mixedSynth()
-	if got := compress.PairSize(mixed.Line(even), mixed.Line(even|1)); got != 39 {
+	if got := compress.PairSize(synthLine(mixed, even), synthLine(mixed, even|1)); got != 39 {
 		t.Fatalf("hybrid PairSize(%d)=%d, want the odd 39 this case exercises", even, got)
 	}
-	hybrid := memoTestCache(t, &fillSource{s: mixed}, Config{Policy: PolicyDICE})
+	hybrid := memoTestCache(t, &synthSource{s: mixed}, Config{Policy: PolicyDICE})
 	for pass := 0; pass < 2; pass++ {
 		if got := hybrid.pairSize(even); got != 40 {
 			t.Fatalf("pass %d: hybrid pairSize(%d)=%d, want 40 (39 rounded up)", pass, even, got)
@@ -185,28 +153,20 @@ func TestPairSizeOddRoundsUp(t *testing.T) {
 }
 
 // TestSizeCacheStatsExposed checks the content-keyed cache is active on
-// the default hybrid path (hits from duplicate contents across
-// addresses) and inert with custom sizers.
+// every compressed policy's path, the hybrid default and an FPC-only
+// ablation alike (hits from duplicate contents across addresses).
 func TestSizeCacheStatsExposed(t *testing.T) {
 	zeros := data.Uniform(data.KindZero) // every line identical: all zero
-	c := memoTestCache(t, &fillSource{s: data.NewSynth(1, zeros)}, Config{Policy: PolicyDICE})
-	for line := uint64(0); line < 128; line++ {
-		if got := c.singleSize(line); got != 0 {
-			t.Fatalf("zero line sized %d", got)
+	for _, alg := range []compress.AlgID{compress.AlgNone, compress.AlgFPC} {
+		c := memoTestCache(t, &synthSource{s: data.NewSynth(1, zeros)}, Config{Policy: PolicyDICE, Alg: alg})
+		for line := uint64(0); line < 128; line++ {
+			if got := c.singleSize(line); got != 0 {
+				t.Fatalf("alg %v: zero line sized %d", alg, got)
+			}
 		}
-	}
-	st := c.SizeCacheStats()
-	if st.Misses != 1 || st.Hits != 127 {
-		t.Fatalf("content cache stats = %+v, want 1 miss + 127 hits for identical lines", st)
-	}
-
-	custom := memoTestCache(t, &fillSource{s: data.NewSynth(1, zeros)}, Config{
-		Policy:      PolicyDICE,
-		SingleSizer: func(l []byte) int { return compress.SizeWith(compress.AlgFPC, l) },
-		PairSizer:   func(a, b []byte) int { return compress.PairSizeWith(compress.AlgFPC, a, b) },
-	})
-	custom.singleSize(0)
-	if st := custom.SizeCacheStats(); st != (compress.SizeCacheStats{}) {
-		t.Fatalf("custom-sizer cache should not use the content cache, got %+v", st)
+		st := c.SizeCacheStats()
+		if st.Misses != 1 || st.Hits != 127 {
+			t.Fatalf("alg %v: content cache stats = %+v, want 1 miss + 127 hits for identical lines", alg, st)
+		}
 	}
 }

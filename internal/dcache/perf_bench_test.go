@@ -7,13 +7,14 @@ import (
 	"dice/internal/dram"
 )
 
-// benchSource adapts a data.Synth to the cache's DataSource, the same
+// synthSource adapts a data.Synth to the cache's DataSource, the same
 // role the simulator's machine plays.
-type benchSource struct {
-	s *data.Synth
-}
+type synthSource struct{ s *data.Synth }
 
-func (b *benchSource) Line(line uint64) []byte { return b.s.Line(line) }
+func (ss *synthSource) FillLine(line uint64, buf []byte) bool {
+	ss.s.FillLine(line, buf)
+	return true
+}
 
 // mixedSynth is the mixed-compressibility synthetic corpus: every data
 // kind weighted equally, so it spans the whole compressibility
@@ -34,7 +35,7 @@ func newBenchCache() *Cache {
 		Sets:   1 << 13,
 		Policy: PolicyDICE,
 		Mem:    dram.New(dram.HBMConfig()),
-		Data:   &benchSource{s: mixedSynth()},
+		Data:   &synthSource{s: mixedSynth()},
 	})
 }
 

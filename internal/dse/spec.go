@@ -25,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dice/internal/compress"
 	"dice/internal/dcache"
 	"dice/internal/sim"
 	"dice/internal/workloads"
@@ -192,11 +193,8 @@ func (s *Spec) assign(key string, vals []string) error {
 		return assignInts(&s.Thresholds, key, vals, 0)
 	case "compress":
 		return assignEnum(&s.Compress, key, vals, func(v string) error {
-			switch v {
-			case "hybrid", "fpc", "bdi":
-				return nil
-			}
-			return fmt.Errorf("unknown compress %q (want hybrid, fpc or bdi)", v)
+			_, err := compress.ParseAlg(v)
+			return err
 		})
 	case "ber":
 		for _, v := range vals {

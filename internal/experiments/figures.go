@@ -46,6 +46,7 @@ func Fig04Compressibility(r *Runner) *Report {
 	for _, w := range workloads.All26() {
 		insts := w.Build(10)
 		var le32, le36, pair68, n, pairs int
+		var a, b [compress.LineSize]byte
 		for ci := 0; ci < len(insts); ci += 4 { // sample a few cores
 			in := insts[ci]
 			span := in.FootprintLines
@@ -54,7 +55,8 @@ func Fig04Compressibility(r *Runner) *Report {
 			}
 			step := span/samples + 1
 			for line := uint64(0); line < span; line += step {
-				sz := compress.CompressedSize(in.Data(line))
+				in.Fill(line, a[:])
+				sz := compress.CompressedSize(a[:])
 				n++
 				if sz <= 32 {
 					le32++
@@ -64,7 +66,8 @@ func Fig04Compressibility(r *Runner) *Report {
 				}
 				if line%2 == 0 && line+1 < span {
 					pairs++
-					if compress.PairSize(in.Data(line), in.Data(line+1)) <= 68 {
+					in.Fill(line+1, b[:])
+					if compress.PairSize(a[:], b[:]) <= 68 {
 						pair68++
 					}
 				}

@@ -173,7 +173,7 @@ func TestWorkspaceLineServesArrayBytes(t *testing.T) {
 	w.AddU32(vals)
 	// First region starts at regionAlign; line holding vals[0..15].
 	line := uint64(regionAlign) >> 6
-	buf := w.Line(line)
+	buf := lineOf(w, line)
 	for i := 0; i < 16; i++ {
 		got := uint32(buf[i*4]) | uint32(buf[i*4+1])<<8 | uint32(buf[i*4+2])<<16 | uint32(buf[i*4+3])<<24
 		if got != vals[i] {
@@ -181,7 +181,7 @@ func TestWorkspaceLineServesArrayBytes(t *testing.T) {
 		}
 	}
 	// A gap line reads as zero.
-	if b := w.Line(5); len(b) != 64 {
+	if b := lineOf(w, 5); len(b) != 64 {
 		t.Fatal("gap line must still be 64 bytes")
 	}
 }
@@ -194,7 +194,7 @@ func TestGraphDataIsCompressible(t *testing.T) {
 	totalSize, lines := 0, 0
 	end := w.FootprintBytes() >> 6
 	for line := uint64(regionAlign >> 6); line < end; line += 37 {
-		totalSize += compress.CompressedSize(w.Line(line))
+		totalSize += compress.CompressedSize(lineOf(w, line))
 		lines++
 	}
 	ratio := float64(lines*64) / float64(totalSize)
@@ -213,15 +213,15 @@ func TestKernelStrings(t *testing.T) {
 	}
 }
 
-// Property: Workspace.Line is deterministic and always 64 bytes for
+// Property: Workspace.FillLine is deterministic and always 64 bytes for
 // arbitrary addresses.
 func TestQuickWorkspaceLine(t *testing.T) {
 	g := RMAT(8, 4, 19)
 	w := Trace(PageRank, g, 5000)
 	f := func(line uint64) bool {
 		l := line % (w.FootprintBytes() >> 5) // include out-of-range
-		a := w.Line(l)
-		b := w.Line(l)
+		a := lineOf(w, l)
+		b := lineOf(w, l)
 		if len(a) != 64 || len(b) != 64 {
 			return false
 		}
@@ -249,4 +249,11 @@ func BenchmarkTracePageRank(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Trace(PageRank, g, 100000)
 	}
+}
+
+// lineOf returns line's bytes from w in a fresh buffer.
+func lineOf(w *Workspace, line uint64) []byte {
+	buf := make([]byte, 64)
+	w.FillLine(line, buf)
+	return buf
 }

@@ -19,10 +19,10 @@ import (
 //
 // Immutability contract: once Trace has returned, a Workspace is never
 // written again — the kernel has finished mutating its arrays, and the
-// recorded request slice is fixed. Line and FillLine only read the
-// backing arrays into caller-provided (or freshly allocated) buffers.
-// The workload artifact cache relies on this to share one Workspace
-// across any number of concurrent simulations.
+// recorded request slice is fixed. FillLine only reads the backing
+// arrays into caller-provided buffers. The workload artifact cache
+// relies on this to share one Workspace across any number of concurrent
+// simulations.
 type Workspace struct {
 	regions []region
 	reqs    []trace.Request
@@ -132,16 +132,9 @@ func (w *Workspace) AddF64(s []float64) Array {
 	return Array{w: w, base: base, elemS: 8}
 }
 
-// Line serves 64 data bytes at the given line address from the live
-// arrays; gaps between regions read as zero.
-func (w *Workspace) Line(line uint64) []byte {
-	buf := make([]byte, 64)
-	w.FillLine(line, buf)
-	return buf
-}
-
-// FillLine writes the line's 64 bytes into buf (which must be zeroed or
-// reused; it is cleared here), avoiding allocation in hot loops.
+// FillLine writes the 64 data bytes at the given line address from the
+// live arrays into buf; gaps between regions read as zero. buf is
+// cleared first, so callers can reuse one buffer across lines.
 func (w *Workspace) FillLine(line uint64, buf []byte) {
 	clear(buf)
 	addr := line << 6

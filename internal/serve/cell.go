@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"dice/internal/compress"
 	"dice/internal/dcache"
 	"dice/internal/sim"
 	"dice/internal/workloads"
@@ -34,7 +35,8 @@ type CellSpec struct {
 	Org string `json:"org,omitempty"`
 	// Threshold is the DICE BAI-insertion threshold in bytes (0 = 36).
 	Threshold int `json:"threshold,omitempty"`
-	// Compress restricts the compression algorithm: fpc|bdi ("" = hybrid).
+	// Compress restricts the compression algorithm: hybrid|fpc|bdi
+	// ("" = hybrid; see compress.ParseAlg).
 	Compress string `json:"compress,omitempty"`
 	// BER is the injected raw bit-error rate (0 = no fault injection).
 	BER float64 `json:"ber,omitempty"`
@@ -155,14 +157,8 @@ func (c CellSpec) Config(defaultRefs int) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	switch c.Compress {
-	case "", "hybrid", "fpc", "bdi":
-	default:
-		return sim.Config{}, fmt.Errorf("unknown compress %q (want hybrid, fpc or bdi)", c.Compress)
-	}
-	alg := c.Compress
-	if alg == "hybrid" {
-		alg = "" // sim.Config spells the default hybrid as ""
+	if _, err := compress.ParseAlg(c.Compress); err != nil {
+		return sim.Config{}, err
 	}
 	refs := c.Refs
 	if refs == 0 {
@@ -177,7 +173,7 @@ func (c CellSpec) Config(defaultRefs int) (sim.Config, error) {
 		BWMult:       c.BW,
 		HalfLatency:  c.HalfLat,
 		Prefetch:     pf,
-		CompressAlg:  alg,
+		CompressAlg:  c.Compress,
 		FaultBER:     c.BER,
 		FaultSeed:    c.FaultSeed,
 		FaultPolicy:  c.FaultPolicy,

@@ -131,7 +131,6 @@ func TestEventCoreMatchesReferenceInternals(t *testing.T) {
 		{"knobs", "gcc", Config{Policy: dcache.PolicyDICE, BWMult: 2, HalfLatency: true}},
 		{"prefetch", "gcc", Config{Policy: dcache.PolicyDICE, Prefetch: PrefetchNextLine}},
 		{"mlp1", "gcc", Config{Policy: dcache.PolicyDICE, MLPWindow: 1}},
-		{"nowarm", "gcc", Config{Policy: dcache.PolicyDICE, WarmupFrac: -0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,7 +16,7 @@ const benchRefsPerCore = 4000
 // benchTotalRefs is the number of simulated references one benchmark
 // iteration processes (warmup included), for per-ref normalization.
 func benchTotalRefs() int {
-	warm := benchRefsPerCore / 2 // WarmupFrac 0.5
+	warm := benchRefsPerCore / 2 // warmupFrac 0.5
 	return cores * (benchRefsPerCore + warm)
 }
 

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"dice/internal/cache"
+	"dice/internal/compress"
 	"dice/internal/dcache"
 	"dice/internal/dram"
 	"dice/internal/energy"
@@ -59,8 +60,8 @@ type Config struct {
 	Prefetch PrefetchMode
 
 	// CompressAlg restricts the cache's compression algorithm for the
-	// ablation of Section 7.1: "fpc", "bdi", or "" for the default
-	// hybrid FPC+BDI.
+	// ablation of Section 7.1: "fpc", "bdi", or "" (or "hybrid") for the
+	// default hybrid FPC+BDI. See compress.ParseAlg.
 	CompressAlg string
 
 	// FaultBER is the raw bit-error rate injected into L4 demand-read
@@ -76,12 +77,14 @@ type Config struct {
 	// out-of-order memory-level parallelism). Default 6.
 	MLPWindow int
 	// RefsPerCore is the measured reference count per core; 0 sizes it
-	// from the workload footprint.
+	// from the workload footprint. Each core first runs warmupFrac as
+	// many references again to warm the caches.
 	RefsPerCore int
-	// WarmupFrac is the fraction of additional references run before
-	// measurement to warm caches. Default 0.5 (of RefsPerCore).
-	WarmupFrac float64
 }
+
+// warmupFrac is the fraction of additional references each core runs
+// before measurement to warm caches (of RefsPerCore).
+const warmupFrac = 0.5
 
 // system-wide constants at full scale.
 const (
@@ -115,9 +118,6 @@ func (c *Config) setDefaults() {
 	if c.MLPWindow == 0 {
 		c.MLPWindow = 6
 	}
-	if c.WarmupFrac == 0 {
-		c.WarmupFrac = 0.5
-	}
 }
 
 // Validate reports configuration errors.
@@ -129,15 +129,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: CapacityMult %d out of range", c.CapacityMult)
 	case c.BWMult < 0 || c.BWMult > 4:
 		return fmt.Errorf("sim: BWMult %d out of range", c.BWMult)
-	case c.WarmupFrac < 0 || c.WarmupFrac > 4:
-		return fmt.Errorf("sim: WarmupFrac %v out of range", c.WarmupFrac)
 	case c.FaultBER < 0 || c.FaultBER > fault.MaxBER:
 		return fmt.Errorf("sim: FaultBER %v out of range [0, %v]", c.FaultBER, fault.MaxBER)
 	}
-	switch c.CompressAlg {
-	case "", "fpc", "bdi":
-	default:
-		return fmt.Errorf("sim: unknown CompressAlg %q (want fpc, bdi or empty)", c.CompressAlg)
+	if _, err := compress.ParseAlg(c.CompressAlg); err != nil {
+		return fmt.Errorf("sim: CompressAlg: %v", err)
 	}
 	if _, err := fault.ParsePolicy(c.FaultPolicy); err != nil {
 		return fmt.Errorf("sim: %v", err)
@@ -250,31 +246,17 @@ func (m *machine) translate(coreIdx int, vline uint64) uint64 {
 	return (pp-1)<<6 | vline&63
 }
 
-// Line implements dcache.DataSource over physical lines.
-func (m *machine) Line(paLine uint64) []byte {
-	pp := paLine >> 6
-	if pp >= uint64(len(m.revMap)) {
-		return nil // untranslated line: treat as incompressible
-	}
-	ref := m.revMap[pp]
-	return m.insts[ref.inst].Data(ref.vpage<<6 | paLine&63)
-}
-
-// FillLine implements dcache.Filler: the allocation-free variant of Line
-// used on the cache's sizing hot path.
+// FillLine implements dcache.DataSource over physical lines: it writes
+// the bytes of the virtual line mapped at paLine into buf, or reports
+// false for an untranslated line, which the cache treats as
+// incompressible.
 func (m *machine) FillLine(paLine uint64, buf []byte) bool {
 	pp := paLine >> 6
 	if pp >= uint64(len(m.revMap)) {
 		return false
 	}
 	ref := m.revMap[pp]
-	in := &m.insts[ref.inst]
-	vline := ref.vpage<<6 | paLine&63
-	if in.Fill != nil {
-		in.Fill(vline, buf)
-		return true
-	}
-	copy(buf, in.Data(vline))
+	m.insts[ref.inst].Fill(ref.vpage<<6|paLine&63, buf)
 	return true
 }
 

@@ -45,9 +45,6 @@ func TestConfigValidate(t *testing.T) {
 		{"BWMult 0 default", Config{BWMult: 0}, ""},
 		{"BWMult 4 boundary", Config{BWMult: 4}, ""},
 		{"BWMult 5 over", Config{BWMult: 5}, "BWMult"},
-		{"WarmupFrac 4 boundary", Config{WarmupFrac: 4}, ""},
-		{"WarmupFrac 4.1 over", Config{WarmupFrac: 4.1}, "WarmupFrac"},
-		{"WarmupFrac negative", Config{WarmupFrac: -0.5}, "WarmupFrac"},
 		{"FaultBER negative", Config{FaultBER: -1e-6}, "FaultBER"},
 		{"FaultBER over max", Config{FaultBER: 0.5}, "FaultBER"},
 		{"FaultBER boundary", Config{FaultBER: 0.1}, ""},

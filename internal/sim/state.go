@@ -80,30 +80,18 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 	if sets < 64 {
 		sets = 64
 	}
+	// Validate has already accepted the name.
+	alg, _ := compress.ParseAlg(cfg.CompressAlg)
 	l4cfg := dcache.Config{
 		Sets:       sets,
 		Policy:     cfg.Policy,
 		Org:        cfg.Org,
 		Threshold:  cfg.Threshold,
 		CIPEntries: cfg.CIPEntries,
+		Alg:        alg,
 		Mem:        m.hbm,
 		Data:       m,
 		Trace:      tr,
-	}
-	switch cfg.CompressAlg {
-	case "":
-		// hybrid FPC+BDI, the paper's default
-	case "fpc":
-		sc := compress.NewSizeCache(0)
-		l4cfg.SingleSizer = func(l []byte) int { return sc.SingleWith(compress.AlgFPC, l) }
-		l4cfg.PairSizer = func(a, b []byte) int { return sc.PairWith(compress.AlgFPC, a, b) }
-	case "bdi":
-		sc := compress.NewSizeCache(0)
-		l4cfg.SingleSizer = func(l []byte) int { return sc.SingleWith(compress.AlgBDI, l) }
-		l4cfg.PairSizer = func(a, b []byte) int { return sc.PairWith(compress.AlgBDI, a, b) }
-	default:
-		// Unreachable: Validate rejects unknown algorithms up front.
-		return nil, fmt.Errorf("sim: unknown CompressAlg %q", cfg.CompressAlg)
 	}
 	var fm *fault.Model
 	if cfg.FaultBER > 0 {
@@ -145,7 +133,7 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 			refs = 400_000
 		}
 	}
-	warm := int(float64(refs) * cfg.WarmupFrac)
+	warm := int(float64(refs) * warmupFrac)
 
 	cs := make([]*core, cores)
 	for i := range cs {

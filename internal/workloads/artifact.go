@@ -59,7 +59,6 @@ func (a *Artifacts) Instantiate() []Instance {
 				Name: c.name, MPKI: c.mpki,
 				FootprintLines: c.footprintLines,
 				Gen:            trace.NewLooping(trace.NewReplay(c.gap.reqs)),
-				Data:           c.gap.ws.Line,
 				Fill:           c.gap.ws.FillLine,
 			}
 			continue
@@ -69,7 +68,6 @@ func (a *Artifacts) Instantiate() []Instance {
 			Name: c.name, MPKI: c.mpki,
 			FootprintLines: c.footprintLines,
 			Gen:            trace.NewSynthetic(c.synthCfg),
-			Data:           synth.Line,
 			Fill:           synth.FillLine,
 		}
 	}

@@ -56,7 +56,7 @@ func assertSameStreams(t *testing.T, a, b []Instance) {
 			}
 		}
 		for _, line := range []uint64{0, 1, 63, a[i].FootprintLines - 1} {
-			da, db := a[i].Data(line), b[i].Data(line)
+			da, db := lineOf(a[i], line), lineOf(b[i], line)
 			if string(da) != string(db) {
 				t.Fatalf("core %d line %d data differs", i, line)
 			}

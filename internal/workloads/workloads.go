@@ -83,16 +83,12 @@ type Instance struct {
 	MPKI           float64
 	FootprintLines uint64
 	Gen            trace.Generator
-	// Data returns the 64 bytes of a virtual line.
-	Data func(line uint64) []byte
-	// Fill writes the 64 bytes of a virtual line into a caller-provided
-	// buffer, the allocation-free variant of Data. May be nil, in which
-	// case callers fall back to Data.
+	// Fill writes the 64 bytes of a virtual line into buf (len 64).
 	Fill func(line uint64, buf []byte)
 }
 
 // builtGAP is the shared, immutable build product of one GAP (kernel,
-// input) pair: the graph workspace (its Line/FillLine closures are pure
+// input) pair: the graph workspace (its FillLine method is a pure
 // reads over the finished kernel arrays) and the recorded request trace.
 type builtGAP struct {
 	ws             *graph.Workspace

@@ -92,12 +92,12 @@ func TestBuildSyntheticInstances(t *testing.T) {
 				t.Fatalf("core %d line %d beyond footprint %d", i, r.Line, in.FootprintLines)
 			}
 		}
-		if len(in.Data(3)) != 64 {
-			t.Fatal("data line must be 64 bytes")
+		if in.Fill == nil {
+			t.Fatal("instance has no data image")
 		}
 	}
 	// Different cores get different data copies (different seeds).
-	a, b := insts[0].Data(5), insts[1].Data(5)
+	a, b := lineOf(insts[0], 5), lineOf(insts[1], 5)
 	diff := false
 	for i := range a {
 		if a[i] != b[i] {
@@ -149,7 +149,7 @@ func TestCompressibilityOrdering(t *testing.T) {
 		ok := 0
 		const n = 1500
 		for line := uint64(0); line < n; line++ {
-			if compress.CompressedSize(in.Data(line)) <= 36 {
+			if compress.CompressedSize(lineOf(in, line)) <= 36 {
 				ok++
 			}
 		}
@@ -199,4 +199,11 @@ func TestBuildDeterministic(t *testing.T) {
 			t.Fatalf("request %d differs between builds", i)
 		}
 	}
+}
+
+// lineOf returns the instance's line bytes in a fresh buffer.
+func lineOf(in Instance, line uint64) []byte {
+	buf := make([]byte, 64)
+	in.Fill(line, buf)
+	return buf
 }
