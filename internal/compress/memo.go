@@ -1,6 +1,10 @@
 package compress
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+)
 
 // SizeCache memoizes compressed-size results keyed by line content.
 // Synthetic data generation is deterministic per address, and the cache
@@ -12,11 +16,13 @@ import "encoding/binary"
 // and uncached runs produce byte-identical simulation results.
 //
 // A cache sizes with the one algorithm it was built for (see
-// NewSizeCache), so its keys are pure content hashes.
+// NewSizeCache), so its keys are pure content hashes and a stored size
+// stays correct for as long as the cache lives, across simulations.
 //
-// A SizeCache is not safe for concurrent use; give each goroutine
-// (each parallel experiment already has its own cache instance) its
-// own.
+// A SizeCache is not safe for concurrent use. A simulation borrows one
+// with AcquireSizeCache, owns it alone until it calls Release, and does
+// not touch it afterwards; the next simulation sizing with the same
+// algorithm may then start from its warm entries.
 type SizeCache struct {
 	alg     AlgID
 	entries []sizeCacheEntry
@@ -32,7 +38,9 @@ type sizeCacheEntry struct {
 	used bool
 }
 
-// SizeCacheStats counts cache traffic since construction.
+// SizeCacheStats counts cache traffic since the cache was acquired (or
+// built, for a NewSizeCache cache). On an acquired cache the misses
+// depend on what earlier owners left in it.
 type SizeCacheStats struct {
 	// Hits counts lookups answered from a stored entry.
 	Hits uint64
@@ -49,7 +57,7 @@ type SizeCacheStats struct {
 // simulated workload's working set of distinct line contents.
 func NewSizeCache(capacity int, alg AlgID) *SizeCache {
 	if capacity <= 0 {
-		capacity = 1 << 15
+		capacity = defaultSizeCacheCap
 	}
 	n := 64
 	for n < capacity {
@@ -60,6 +68,49 @@ func NewSizeCache(capacity int, alg AlgID) *SizeCache {
 		entries: make([]sizeCacheEntry, n),
 		mask:    uint64(n - 1),
 	}
+}
+
+// defaultSizeCacheCap is NewSizeCache's capacity when given 0, and the
+// capacity of every pooled cache.
+const defaultSizeCacheCap = 1 << 15
+
+// sizeCachePools hold released default-capacity caches, one pool per
+// algorithm: keys are bare content hashes, so a cache may only ever be
+// handed to a run sizing with the algorithm that filled it. Indexed by
+// AlgID; the AlgZCA slot is unused.
+var sizeCachePools [AlgBDI + 1]sync.Pool
+
+// pooledAlg reports whether alg has a pool: hybrid, FPC or BDI.
+func pooledAlg(alg AlgID) bool { return alg == AlgNone || alg == AlgFPC || alg == AlgBDI }
+
+// AcquireSizeCache returns a default-capacity cache that sizes with alg
+// (AlgFPC, AlgBDI, or the zero AlgID for hybrid), with zeroed Stats. It
+// is warm when an earlier owner released one for the same algorithm,
+// cold otherwise. Idle pooled caches are dropped by the garbage
+// collector, so the pools hold at most one cache per simulation that
+// ran at the same time. It panics on any other algorithm.
+func AcquireSizeCache(alg AlgID) *SizeCache {
+	if !pooledAlg(alg) {
+		panic(fmt.Sprintf("compress: AcquireSizeCache(%v): want hybrid, fpc or bdi", alg))
+	}
+	if c, ok := sizeCachePools[alg].Get().(*SizeCache); ok {
+		c.stats = SizeCacheStats{}
+		return c
+	}
+	return NewSizeCache(0, alg)
+}
+
+// Release hands c back to its algorithm's pool for a later
+// AcquireSizeCache. The caller must not use c afterwards, and must
+// release it at most once: a second Release could give two owners the
+// same cache. A cache of any capacity other than the default, or of an
+// algorithm AcquireSizeCache does not serve, is left to the garbage
+// collector.
+func (c *SizeCache) Release() {
+	if len(c.entries) != defaultSizeCacheCap || !pooledAlg(c.alg) {
+		return
+	}
+	sizeCachePools[c.alg].Put(c)
 }
 
 // Stats returns the hit/miss/eviction counters.

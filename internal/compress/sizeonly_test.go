@@ -171,6 +171,42 @@ func TestSizeCacheMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestAcquireSizeCache checks AcquireSizeCache hands out a
+// default-capacity cache of the requested algorithm with zeroed stats,
+// also after a used cache of that algorithm was released, never a
+// custom-capacity cache someone released, and panics on an algorithm
+// with no pool.
+func TestAcquireSizeCache(t *testing.T) {
+	zero := make([]byte, LineSize)
+	for _, alg := range []AlgID{AlgNone, AlgFPC, AlgBDI} {
+		used := AcquireSizeCache(alg)
+		used.Single(zero)
+		used.Single(zero)
+		used.Release()
+		NewSizeCache(64, alg).Release()
+		for i := 0; i < 2; i++ {
+			c := AcquireSizeCache(alg)
+			if c.alg != alg || len(c.entries) != defaultSizeCacheCap {
+				t.Fatalf("AcquireSizeCache(%v) #%d: alg %v, %d entries; want %v, %d", alg, i, c.alg, len(c.entries), alg, defaultSizeCacheCap)
+			}
+			if st := c.Stats(); st != (SizeCacheStats{}) {
+				t.Fatalf("AcquireSizeCache(%v) #%d: stats %+v, want zero", alg, i, st)
+			}
+			if c == used {
+				if c.Single(zero); c.Stats() != (SizeCacheStats{Hits: 1}) {
+					t.Fatalf("AcquireSizeCache(%v) #%d: the released cache came back cold: %+v", alg, i, c.Stats())
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AcquireSizeCache(AlgZCA) did not panic")
+		}
+	}()
+	AcquireSizeCache(AlgZCA)
+}
+
 // TestParseAlg pins the compressor vocabulary: the three names and the
 // empty default, and a rejection naming the accepted set.
 func TestParseAlg(t *testing.T) {

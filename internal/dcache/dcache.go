@@ -247,7 +247,7 @@ type Cache struct {
 	// sizeCache deduplicates cfg.Alg size computations by line *content*
 	// (distinct addresses frequently carry identical bytes — every
 	// all-zero line, page-coherent kinds). Consulted only on sizeMemo
-	// misses.
+	// misses. Borrowed by New, handed back by Release.
 	sizeCache *compress.SizeCache
 	// scratchA/B are the reused buffers cfg.Data fills.
 	scratchA [compress.LineSize]byte
@@ -264,7 +264,10 @@ type Cache struct {
 // New builds a DRAM cache. It panics on invalid configuration. Entry
 // storage is not allocated here: a set takes its slots from a shared
 // chunk on its first install (carveEntries), so a run pays for the sets
-// it installs into, not for every set.
+// it installs into, not for every set. A compressed policy borrows its
+// content-keyed size cache from compress.AcquireSizeCache, warm when an
+// earlier cache of the same Alg was released; call Release when done
+// with the cache so the next one can reuse it.
 func New(cfg Config) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
@@ -282,13 +285,24 @@ func New(cfg Config) *Cache {
 		cip:       NewCIP(cfg.CIPEntries),
 	}
 	if cfg.Policy != PolicyUncompressed {
-		c.sizeCache = compress.NewSizeCache(0, cfg.Alg)
+		c.sizeCache = compress.AcquireSizeCache(cfg.Alg)
 	}
 	if cfg.Faults != nil {
 		c.faultCount = make(map[uint64]uint8)
 		c.quarantined = make(map[uint64]bool)
 	}
 	return c
+}
+
+// Release returns the borrowed size cache to its pool. The cache must
+// take no further accesses afterwards; its statistics stay readable,
+// except SizeCacheStats, which reads zero. A second call does nothing,
+// so one size cache can never reach two later owners.
+func (c *Cache) Release() {
+	if c.sizeCache != nil {
+		c.sizeCache.Release()
+		c.sizeCache = nil
+	}
 }
 
 // Config returns the cache configuration.
@@ -481,8 +495,9 @@ func (c *Cache) pairSize(evenLine uint64) int {
 	return (int(cell.pair) - 1) * 2
 }
 
-// SizeCacheStats returns the content-keyed size cache's counters (zero
-// when the cache runs uncompressed).
+// SizeCacheStats returns the content-keyed size cache's counters since
+// New acquired it (zero when the cache runs uncompressed or has been
+// released).
 func (c *Cache) SizeCacheStats() compress.SizeCacheStats {
 	if c.sizeCache == nil {
 		return compress.SizeCacheStats{}

@@ -1,6 +1,7 @@
 package dcache
 
 import (
+	"runtime"
 	"testing"
 
 	"dice/internal/compress"
@@ -169,4 +170,28 @@ func TestSizeCacheStatsExposed(t *testing.T) {
 			t.Fatalf("alg %v: content cache stats = %+v, want 1 miss + 127 hits for identical lines", alg, st)
 		}
 	}
+}
+
+// TestReleaseIdempotent checks a second Cache.Release puts nothing in
+// the pool: a double put would let the next two acquirers share one
+// size cache. Two collections first empty the hybrid pool.
+func TestReleaseIdempotent(t *testing.T) {
+	runtime.GC()
+	runtime.GC()
+	c := memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyDICE})
+	c.Release()
+	c.Release()
+	if c.sizeCache != nil {
+		t.Fatal("Release left the size cache attached")
+	}
+	if st := c.SizeCacheStats(); st != (compress.SizeCacheStats{}) {
+		t.Fatalf("SizeCacheStats after Release = %+v, want zero", st)
+	}
+	a, b := compress.AcquireSizeCache(compress.AlgNone), compress.AcquireSizeCache(compress.AlgNone)
+	if a == b {
+		t.Fatal("two acquirers got the same size cache after a double Release")
+	}
+	a.Release()
+	b.Release()
+	memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyUncompressed}).Release() // no size cache: a no-op
 }

@@ -199,5 +199,7 @@ func RunEventObserved(cfg Config, w workloads.Workload, ob *obs.Observer) (Resul
 		return Result{}, EventStats{}, err
 	}
 	stats := runEvent(st)
-	return st.result(), stats, nil
+	res := st.result()
+	st.m.l4.Release()
+	return res, stats, nil
 }

@@ -150,7 +150,10 @@ const tinyCellRefsPerCore = 400
 
 // BenchmarkRunTinyCell measures one sweep-cell-sized simulation (a rate
 // workload under DICE at 400 refs/core, default scale), so per-run
-// set-up cost and allocation show up per reference.
+// set-up cost and allocation show up per reference. It repeats one
+// cell, so from the second iteration on the borrowed size cache already
+// holds every size the cell needs: this is the best case for a warm
+// cache. BenchmarkRunTinyCellMix is the sweep-like view.
 func BenchmarkRunTinyCell(b *testing.B) {
 	w, err := workloads.ByName("gcc")
 	if err != nil {
@@ -170,6 +173,46 @@ func BenchmarkRunTinyCell(b *testing.B) {
 	b.StopTimer()
 	total := float64(cores * tinyCellRefsPerCore * 3 / 2) // plus the 50% warm-up
 	nsPerRef := float64(b.Elapsed().Nanoseconds()) / (float64(b.N) * total)
+	b.ReportMetric(nsPerRef, "ns/ref")
+	b.ReportMetric(1e9/nsPerRef, "refs/sec")
+}
+
+// BenchmarkRunTinyCellMix cycles through a fixed list of sweep-like
+// cells: four rate workloads under base/tsi/bai/dice, refs/core spread
+// across the sweep-service 200-599 range, so consecutive runs size
+// different contents and a warm size cache helps only as much as the
+// cells share lines. Reports ns/ref over all simulated references
+// (warm-up included).
+func BenchmarkRunTinyCellMix(b *testing.B) {
+	type cell struct {
+		w   workloads.Workload
+		cfg Config
+	}
+	var cells []cell
+	policies := []dcache.Policy{dcache.PolicyUncompressed, dcache.PolicyTSI, dcache.PolicyBAI, dcache.PolicyDICE}
+	for i, name := range []string{"gcc", "soplex", "mcf", "libq"} {
+		w, err := workloads.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j, pol := range policies {
+			cfg := Config{Policy: pol, RefsPerCore: 200 + 25*(i*len(policies)+j)}
+			w.Warm(cfg.EffectiveScale())
+			cells = append(cells, cell{w, cfg})
+		}
+	}
+	var refs int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := cells[i%len(cells)]
+		if _, err := Run(c.cfg, c.w); err != nil {
+			b.Fatal(err)
+		}
+		refs += cores * c.cfg.RefsPerCore * 3 / 2 // plus the 50% warm-up
+	}
+	b.StopTimer()
+	nsPerRef := float64(b.Elapsed().Nanoseconds()) / float64(refs)
 	b.ReportMetric(nsPerRef, "ns/ref")
 	b.ReportMetric(1e9/nsPerRef, "refs/sec")
 }

@@ -52,5 +52,7 @@ func RunReferenceObserved(cfg Config, w workloads.Workload, ob *obs.Observer) (R
 		return Result{}, err
 	}
 	runReference(st)
-	return st.result(), nil
+	res := st.result()
+	st.m.l4.Release()
+	return res, nil
 }
