@@ -10,7 +10,8 @@ LINTDOC_PKGS = ./internal/obs ./internal/fault ./internal/parallel \
 	./internal/serve ./internal/serve/client ./internal/sigctx \
 	./internal/leakcheck ./internal/dse ./internal/clidoc \
 	./internal/experiments ./internal/commitlog ./cmd/dicesweep \
-	./internal/compress
+	./internal/compress ./internal/stats ./internal/graph \
+	./cmd/dicesim ./cmd/dicebench
 
 all: build vet lint test
 

@@ -27,11 +27,12 @@
 //
 // Observability (see METRICS.md): -metrics-out collects an epoch-metrics
 // time series from every simulation executed (-metrics-epoch sets the
-// sampling period) and writes them all to one file, keyed by
-// "<config>|<workload>"; -cpuprofile/-memprofile write pprof profiles of
-// the benchmark process; -selfstats prints the simulator's own
-// allocation cost normalized per million simulated ticks. None of these
-// change simulation results.
+// sampling period) and writes them all to one file of JSON lines, one
+// {"key", "snap"} object per epoch keyed by "<config>|<workload>";
+// -cpuprofile/-memprofile write pprof profiles of the benchmark
+// process; -selfstats prints the simulator's own allocation cost
+// normalized per million simulated ticks. None of these change
+// simulation results.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -83,7 +83,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		list:     fs.Bool("list", false, "list experiments and exit"),
 		verbose:  fs.Bool("v", false, "print each simulation as it completes"),
 
-		metricsOut:   fs.String("metrics-out", "", "write per-simulation epoch metrics to this file (.csv = CSV, else JSON)"),
+		metricsOut:   fs.String("metrics-out", "", "write per-simulation epoch metrics to this file as JSON lines"),
 		metricsEpoch: fs.Uint64("metrics-epoch", 100_000, "epoch length in simulated cycles for -metrics-out"),
 		cpuProfile:   fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
 		memProfile:   fs.String("memprofile", "", "write a pprof heap profile to this file on exit"),
@@ -133,10 +133,10 @@ func main() {
 		}()
 	}
 
-	// Reject bad fault flags before any simulation starts; the same
-	// validation inside sim.Run would otherwise surface as a worker
-	// panic mid-run.
-	if err := (sim.Config{FaultBER: *faultBER, FaultPolicy: *faultPol}).Validate(); err != nil {
+	// Reject bad -refs and fault flags before any simulation starts;
+	// the same validation inside sim.Run would otherwise surface as a
+	// worker panic mid-run.
+	if err := (sim.Config{RefsPerCore: *refs, FaultBER: *faultBER, FaultPolicy: *faultPol}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -225,20 +225,12 @@ func validateFlags(metricsEpoch uint64, workers int) error {
 	return nil
 }
 
-// writeRunnerMetrics exports every recorded epoch series, as CSV when
-// the file extension is .csv and JSON otherwise.
+// writeRunnerMetrics writes every recorded epoch snapshot to path as
+// epoch lines (obs.WriteEpochs), byte-identical at every -workers.
 func writeRunnerMetrics(r *experiments.Runner, path string) error {
-	format := "json"
-	if filepath.Ext(path) == ".csv" {
-		format = "csv"
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = r.WriteMetrics(f, format)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return obs.WriteEpochs(f, r.Metrics())
 }

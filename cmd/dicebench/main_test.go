@@ -1,8 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"dice/internal/obs"
 )
 
 // TestValidateFlags pins the parse-time rejection of flag values the
@@ -40,5 +47,72 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("error %q does not name the offending flag %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// buildDicebench compiles the command into a temporary directory.
+func buildDicebench(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "dicebench")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestMetricsOutWritesEpochLines runs one short experiment with
+// -metrics-out at workers 1 and 2. Every line must decode as exactly
+// one obs.EpochLine with a key and a stamped snapshot — the shape
+// dicesim, dicesweep and the daemon stream use — with keys in sorted
+// order, and the two files must be byte-identical.
+func TestMetricsOutWritesEpochLines(t *testing.T) {
+	bin := buildDicebench(t)
+	dir := t.TempDir()
+	var files [][]byte
+	for _, workers := range []string{"1", "2"} {
+		path := filepath.Join(dir, "epochs-"+workers+".ndjson")
+		out, err := exec.Command(bin, "-run", "fig11", "-refs", "200", "-scale", "12", "-workers", workers,
+			"-metrics-epoch", "2000", "-metrics-out", path).CombinedOutput()
+		if err != nil {
+			t.Fatalf("dicebench: %v\n%s", err, out)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, b)
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("-metrics-out differs between -workers 1 and 2")
+	}
+	dec := json.NewDecoder(bytes.NewReader(files[0]))
+	dec.DisallowUnknownFields()
+	keys := map[string]bool{}
+	prev := ""
+	for n := 0; dec.More(); n++ {
+		var l obs.EpochLine
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("line %d: %v", n, err)
+		}
+		if l.Key == "" || l.Key < prev || l.Snap.Cycles != 2000 || len(l.Snap.CoreIPC) == 0 {
+			t.Fatalf("line %d (after key %q) is not a stamped epoch line: %+v", n, prev, l)
+		}
+		prev = l.Key
+		keys[l.Key] = true
+	}
+	if len(keys) < 2 {
+		t.Fatalf("epoch lines from %d simulations, want several", len(keys))
+	}
+}
+
+// TestNegativeRefsFailsUpFront pins that -refs -1 is rejected by the
+// up-front config validation, before any simulation runs.
+func TestNegativeRefsFailsUpFront(t *testing.T) {
+	out, err := exec.Command(buildDicebench(t), "-run", "fig10", "-refs", "-1").CombinedOutput()
+	if err == nil {
+		t.Fatalf("dicebench -refs -1 succeeded:\n%s", out)
+	}
+	if !strings.Contains(string(out), "RefsPerCore") || strings.Contains(string(out), "simulations") {
+		t.Fatalf("want an up-front RefsPerCore error and no run, got:\n%s", out)
 	}
 }

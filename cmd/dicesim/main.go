@@ -8,12 +8,12 @@
 //
 //	dicesim -workload gcc -policy dice
 //	dicesim -workload pr_twi -policy bai -refs 100000 -baseline
-//	dicesim -workload gcc -metrics-out run.json -metrics-epoch 100000
+//	dicesim -workload gcc -metrics-out run.ndjson -metrics-epoch 100000
 //	dicesim -workload gcc -trace-events cip,fault
 //	dicesim -list
 //
 // Observability (see METRICS.md): -metrics-out samples epoch metrics
-// into a CSV or JSON time series (format chosen by file extension);
+// into a file of JSON lines, one {"key", "snap"} object per epoch;
 // -trace-events prints a timeline of component events (comma-separated
 // components from cip, fault, dcache, dram, sim, or "all");
 // -cpuprofile/-memprofile write pprof profiles of the simulator
@@ -31,7 +31,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"dice/internal/dcache"
@@ -89,7 +88,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		workers:   fs.Int("workers", 0, "concurrent simulations with -baseline (0 = one per CPU, 1 = serial)"),
 		list:      fs.Bool("list", false, "list workloads and exit"),
 
-		metricsOut:   fs.String("metrics-out", "", "write epoch metrics to this file (.csv = CSV, else JSON)"),
+		metricsOut:   fs.String("metrics-out", "", "write epoch metrics to this file as JSON lines"),
 		metricsEpoch: fs.Uint64("metrics-epoch", 100_000, "epoch length in simulated cycles for -metrics-out"),
 		traceEvents:  fs.String("trace-events", "", "print component events: comma-separated from cip,fault,dcache,dram,sim, or 'all'"),
 		cpuProfile:   fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
@@ -158,13 +157,15 @@ func main() {
 		os.Exit(1)
 	}
 
+	key := cfg.Policy.String() + "|" + w.Name
+
 	// Observer for the main configuration (the baseline fan-out run stays
 	// unobserved — its result is only used for the speedup ratio).
 	var ob *obs.Observer
 	if *metricsOut != "" || *traceEvents != "" {
 		ob = &obs.Observer{}
 		if *metricsOut != "" {
-			ob.Rec = obs.NewRecorder(*metricsEpoch, 0)
+			ob.Rec = obs.NewRecorder(*metricsEpoch)
 		}
 		if *traceEvents != "" {
 			tr, err := obs.NewTracer(*traceEvents, 0)
@@ -195,7 +196,7 @@ func main() {
 			os.Exit(1)
 		}
 		printResult(res)
-		finishObserved(ob, *metricsOut)
+		finishObserved(ob, *metricsOut, key)
 		return
 	}
 
@@ -227,7 +228,7 @@ func main() {
 		if ran[0] {
 			printResult(results[0])
 			fmt.Println("\ninterrupted: baseline run skipped, speedup unavailable")
-			finishObserved(ob, *metricsOut)
+			finishObserved(ob, *metricsOut, key)
 		} else {
 			fmt.Println("interrupted before any simulation completed")
 		}
@@ -236,7 +237,7 @@ func main() {
 	printResult(results[0])
 	fmt.Printf("\nweighted speedup vs uncompressed baseline: %.3f\n",
 		sim.Speedup(results[1], results[0]))
-	finishObserved(ob, *metricsOut)
+	finishObserved(ob, *metricsOut, key)
 }
 
 // validateFlags rejects flag values whose types permit nonsense the
@@ -291,8 +292,9 @@ func buildConfig(o *cliFlags) (sim.Config, error) {
 }
 
 // finishObserved prints the collected event timeline and writes the
-// epoch-metrics file once results are on screen.
-func finishObserved(ob *obs.Observer, metricsOut string) {
+// recorded epochs to metricsOut as epoch lines (obs.EpochLine) keyed
+// "<policy>|<workload>", once results are on screen.
+func finishObserved(ob *obs.Observer, metricsOut, key string) {
 	if ob == nil {
 		return
 	}
@@ -304,7 +306,7 @@ func finishObserved(ob *obs.Observer, metricsOut string) {
 		}
 	}
 	if ob.Rec != nil && metricsOut != "" {
-		if err := writeSeries(metricsOut, ob.Rec.Series()); err != nil {
+		if err := writeEpochs(metricsOut, key, ob.Rec.Snapshots()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -313,22 +315,13 @@ func finishObserved(ob *obs.Observer, metricsOut string) {
 	}
 }
 
-// writeSeries writes an epoch series to path, as CSV when the file
-// extension is .csv and JSON otherwise.
-func writeSeries(path string, s obs.Series) error {
+// writeEpochs writes one simulation's epoch snapshots to path.
+func writeEpochs(path, key string, snaps []obs.Snapshot) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if filepath.Ext(path) == ".csv" {
-		err = s.WriteCSV(f)
-	} else {
-		err = s.WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return obs.WriteEpochs(f, map[string][]obs.Snapshot{key: snaps})
 }
 
 func printResult(r sim.Result) {
@@ -370,8 +363,8 @@ func printResult(r sim.Result) {
 	if r.Config.FaultBER > 0 {
 		f := r.Fault
 		fmt.Printf("faults injected: frames=%d flipped-bits=%d corrected=%d detected=%d silent=%d\n",
-			f.Frames.Value(), f.Flipped.Value(), f.Corrected.Value(),
-			f.Detected.Value(), f.Silent.Value())
+			f.Frames, f.Flipped, f.Corrected,
+			f.Detected, f.Silent)
 		fmt.Printf("fault effects  : refetches=%d flushed-lines=%d dirty-loss=%d checksum-caught=%d silent-hits=%d quarantined-sets=%d\n",
 			r.L4.FaultRefetches, r.L4.FaultFlushedLines, r.L4.FaultDirtyLoss,
 			r.L4.FaultChecksumCaught, r.L4.FaultSilentHits, r.QuarantinedSets)

@@ -1,12 +1,18 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"dice/internal/dcache"
+	"dice/internal/obs"
 	"dice/internal/sim"
 )
 
@@ -118,5 +124,46 @@ func TestBuildConfig(t *testing.T) {
 				t.Fatalf("buildConfig(%q) =\n%+v\nwant\n%+v", tc.args, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestMetricsOutWritesEpochLines builds dicesim, runs a short
+// simulation with -metrics-out, and requires every line of the file to
+// decode as exactly one obs.EpochLine with a key and a stamped
+// snapshot — the shape dicebench, dicesweep and the daemon stream use.
+func TestMetricsOutWritesEpochLines(t *testing.T) {
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "dicesim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	path := filepath.Join(dir, "epochs.ndjson")
+	out, err := exec.Command(bin, "-workload", "gcc", "-refs", "300", "-scale", "12",
+		"-metrics-epoch", "2000", "-metrics-out", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("dicesim: %v\n%s", err, out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	n := 0
+	for ; dec.More(); n++ {
+		var l obs.EpochLine
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("line %d: %v", n, err)
+		}
+		if l.Key != "dice|gcc" || l.Snap.Epoch != uint64(n) || l.Snap.Cycles != 2000 || len(l.Snap.CoreIPC) == 0 {
+			t.Fatalf("line %d is not epoch %d of dice|gcc: %+v", n, n, l)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no epoch lines written")
+	}
+	if want := fmt.Sprintf("wrote %d epochs (0 dropped)", n); !strings.Contains(string(out), want) {
+		t.Fatalf("output does not report %q:\n%s", want, out)
 	}
 }

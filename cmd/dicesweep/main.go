@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"dice/internal/dse"
+	"dice/internal/obs"
 	"dice/internal/sigctx"
 )
 
@@ -135,11 +136,18 @@ func run(opts *cliFlags) error {
 		Batch:         *opts.batch,
 		ShardDeadline: *opts.shardDeadline,
 	}
-	var metrics *metricsSink
+	// Epoch lines arrive from worker goroutines in arrival order. Epoch
+	// delivery is best-effort telemetry (see dse.Options.EpochSink): a
+	// daemon restart mid-batch may duplicate or drop lines, so the file
+	// is a sample stream, not an exact record. A write failure must not
+	// abort the sweep; the writer keeps it for Close.
+	var metrics *obs.EpochWriter
 	if *opts.metricsOut != "" {
-		if metrics, err = openMetricsSink(*opts.metricsOut); err != nil {
+		f, err := os.Create(*opts.metricsOut)
+		if err != nil {
 			return err
 		}
+		metrics = obs.NewEpochWriter(f)
 		defer metrics.Close()
 		runOpts.MetricsEpoch = *opts.metricsEpoch
 		runOpts.EpochSink = metrics.Emit

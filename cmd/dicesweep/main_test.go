@@ -15,6 +15,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dice/internal/obs"
 )
 
 // Sweep acceptance smoke (make sweep-smoke, DICE_SMOKE=1): build the
@@ -158,17 +160,16 @@ func TestSweepSmokeLocalDaemonParity(t *testing.T) {
 		}
 	}
 
-	// The streamed epoch metrics landed as parseable NDJSON.
+	// The streamed epoch metrics landed as epoch lines.
 	lines := strings.Split(strings.TrimRight(string(readFile(t, metricsPath)), "\n"), "\n")
 	if len(lines) == 0 || lines[0] == "" {
 		t.Fatal("no epoch snapshots streamed to -metrics-out")
 	}
 	for i, ln := range lines {
-		var ep struct {
-			Key  string          `json:"key"`
-			Snap json.RawMessage `json:"snap"`
-		}
-		if err := json.Unmarshal([]byte(ln), &ep); err != nil || ep.Key == "" || len(ep.Snap) == 0 {
+		dec := json.NewDecoder(strings.NewReader(ln))
+		dec.DisallowUnknownFields()
+		var ep obs.EpochLine
+		if err := dec.Decode(&ep); err != nil || ep.Key == "" || ep.Snap.Cycles == 0 {
 			t.Fatalf("metrics line %d malformed (%v): %s", i, err, ln)
 		}
 	}

@@ -121,11 +121,11 @@ func TestFaultInjectsOnDemandReadsOnly(t *testing.T) {
 		now = c.Install(now, l, false).Done
 		now = c.Writeback(now, l).Done
 	}
-	if got := m.Stats().Frames.Value(); got != 0 {
+	if got := m.Stats().Frames; got != 0 {
 		t.Fatalf("installs/writebacks drew %d frames from the fault model", got)
 	}
 	c.Read(now, 0)
-	if m.Stats().Frames.Value() == 0 {
+	if m.Stats().Frames == 0 {
 		t.Fatal("demand read drew no frame from the fault model")
 	}
 }

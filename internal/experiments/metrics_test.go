@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"dice/internal/obs"
 )
 
 // metricsRunner is a detRunner with epoch recording switched on.
@@ -41,44 +43,40 @@ func TestMetricsRecordingPreservesDeterminism(t *testing.T) {
 		}
 	}
 
-	// The exported series must be deterministic too, byte for byte, in
-	// both formats.
-	for _, format := range []string{"json", "csv"} {
-		var a, b bytes.Buffer
-		if err := serialOn.WriteMetrics(&a, format); err != nil {
-			t.Fatal(err)
-		}
-		if err := pooledOn.WriteMetrics(&b, format); err != nil {
-			t.Fatal(err)
-		}
-		if a.Len() == 0 {
-			t.Fatalf("%s export is empty with recording on", format)
-		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("%s metrics export differs between workers 1 and 8", format)
-		}
+	// The export dicebench writes (obs.WriteEpochs over Metrics) must be
+	// deterministic too, byte for byte.
+	var a, b bytes.Buffer
+	if err := obs.WriteEpochs(&a, serialOn.Metrics()); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.WriteEpochs(&b, pooledOn.Metrics()); err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 {
+		t.Fatal("metrics export is empty with recording on")
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("metrics export differs between workers 1 and 8")
 	}
 
-	// One series per executed simulation, keyed by memoization key.
+	// One snapshot list per executed simulation, keyed by memoization
+	// key, sampled every MetricsEpoch cycles.
 	ms := pooledOn.Metrics()
 	if want := len(cfgs) * len(wls); len(ms) != want {
 		t.Fatalf("recorded %d series, want %d", len(ms), want)
 	}
-	for key, s := range ms {
-		if len(s.Epochs) == 0 {
+	for key, snaps := range ms {
+		if len(snaps) == 0 {
 			t.Fatalf("series %q has no epochs", key)
 		}
-		if s.EpochCycles != 25_000 {
-			t.Fatalf("series %q sampled every %d cycles, want 25000", key, s.EpochCycles)
+		for _, s := range snaps {
+			if s.Cycles != 25_000 {
+				t.Fatalf("series %q sampled every %d cycles, want 25000", key, s.Cycles)
+			}
 		}
 	}
 	if pooledOff.TotalCycles() == 0 || pooledOn.TotalCycles() != serialOn.TotalCycles() {
 		t.Fatalf("TotalCycles mismatch: serial %d, pooled %d",
 			serialOn.TotalCycles(), pooledOn.TotalCycles())
-	}
-
-	// WriteMetrics rejects unknown formats instead of guessing.
-	if err := serialOn.WriteMetrics(&bytes.Buffer{}, "xml"); err == nil {
-		t.Fatal("unknown format must error")
 	}
 }

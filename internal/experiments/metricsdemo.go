@@ -46,7 +46,7 @@ func MetricsDemo(r *Runner) *Report {
 	// about two-thirds of the run at the default 0.5 warmup fraction.
 	epoch := ref.Cycles*3/2/metricsDemoEpochs + 1
 
-	rec := obs.NewRecorder(epoch, 0)
+	rec := obs.NewRecorder(epoch)
 	res, err := r.runSim(r.config("dice"), w, &obs.Observer{Rec: rec})
 	if err != nil {
 		panic(err)

@@ -6,9 +6,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"strings"
@@ -54,12 +52,10 @@ type Runner struct {
 
 	// MetricsEpoch, when nonzero, attaches an epoch-metrics recorder
 	// (sampling every MetricsEpoch cycles) to every simulation this
-	// runner executes; the collected series are retrievable with Metrics
-	// and exportable with WriteMetrics. Recording never changes results:
-	// sim.RunObserved is read-only with respect to the simulation.
+	// runner executes; the recorded snapshots are retrievable with
+	// Metrics. Recording never changes results: sim.RunObserved is
+	// read-only with respect to the simulation.
 	MetricsEpoch uint64
-	// MetricsCap bounds each recording's epoch ring (0 = obs.DefaultRingCap).
-	MetricsCap int
 	// MetricsEmit, when non-nil (and MetricsEpoch is set), receives
 	// every recorded epoch snapshot the moment it is recorded, tagged
 	// with the simulation's memoization key — the incremental-export
@@ -72,7 +68,7 @@ type Runner struct {
 
 	mu      sync.Mutex
 	cache   map[string]*flight
-	metrics map[string]obs.Series
+	metrics map[string][]obs.Snapshot
 	sims    atomic.Int64
 	cycles  atomic.Uint64
 
@@ -121,49 +117,17 @@ func (r *Runner) Sims() int64 { return r.sims.Load() }
 // simulation — the denominator for allocs-per-simulated-tick self-stats.
 func (r *Runner) TotalCycles() uint64 { return r.cycles.Load() }
 
-// Metrics returns a copy of the epoch series recorded so far, keyed by
-// memoization key ("<config>|<workload>"). Empty unless MetricsEpoch
-// was set before the runs executed.
-func (r *Runner) Metrics() map[string]obs.Series {
+// Metrics returns a copy of the epoch snapshots recorded so far, keyed
+// by memoization key ("<config>|<workload>"). Empty unless
+// MetricsEpoch was set before the runs executed.
+func (r *Runner) Metrics() map[string][]obs.Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make(map[string]obs.Series, len(r.metrics))
+	out := make(map[string][]obs.Snapshot, len(r.metrics))
 	for k, v := range r.metrics {
 		out[k] = v
 	}
 	return out
-}
-
-// WriteMetrics exports every recorded epoch series to w in the given
-// format ("json" or "csv"), in sorted key order so the bytes are
-// deterministic. CSV output separates series with "# <key>" comment
-// lines; JSON output is one object keyed by memoization key.
-func (r *Runner) WriteMetrics(w io.Writer, format string) error {
-	ms := r.Metrics()
-	keys := make([]string, 0, len(ms))
-	for k := range ms {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	switch format {
-	case "json":
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(ms) // map keys marshal in sorted order
-	case "csv":
-		for _, k := range keys {
-			if _, err := fmt.Fprintf(w, "# %s\n", k); err != nil {
-				return err
-			}
-			s := ms[k]
-			if err := s.WriteCSV(w); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("experiments: unknown metrics format %q (want json or csv)", format)
-	}
 }
 
 // logf emits one line-atomic progress message when Verbose is set.
@@ -281,7 +245,7 @@ func (r *Runner) RunConfig(key string, cfg sim.Config, w workloads.Workload) sim
 	}()
 	var ob *obs.Observer
 	if r.MetricsEpoch > 0 {
-		rec := obs.NewRecorder(r.MetricsEpoch, r.MetricsCap)
+		rec := obs.NewRecorder(r.MetricsEpoch)
 		if r.MetricsEmit != nil {
 			rec.OnRecord = func(s obs.Snapshot) { r.MetricsEmit(key, s) }
 		}
@@ -303,9 +267,9 @@ func (r *Runner) RunConfig(key string, cfg sim.Config, w workloads.Workload) sim
 	if ob != nil {
 		r.mu.Lock()
 		if r.metrics == nil {
-			r.metrics = make(map[string]obs.Series)
+			r.metrics = make(map[string][]obs.Snapshot)
 		}
-		r.metrics[key] = ob.Rec.Series()
+		r.metrics[key] = ob.Rec.Snapshots()
 		r.mu.Unlock()
 	}
 	if cut := strings.IndexByte(key, '|'); cut >= 0 {

@@ -28,8 +28,7 @@ func sampleCells(cells []Cell) []Cell {
 // TestEventCoreMatchesReference sweeps every experiment's cell configs
 // (sampled) and asserts the discrete-event core and the cycle-stepped
 // reference produce byte-identical Results — including the embedded
-// dcache.Stats and fault.Stats — and byte-identical obs CSV and JSON
-// epoch exports.
+// dcache.Stats and fault.Stats — and byte-identical obs epoch exports.
 func TestEventCoreMatchesReference(t *testing.T) {
 	r := NewRunner(simcoreRefs)
 	seen := make(map[string]bool)
@@ -51,12 +50,12 @@ func TestEventCoreMatchesReference(t *testing.T) {
 				cfg := cell.Cfg
 				cfg.RefsPerCore = simcoreRefs
 
-				evOb := &obs.Observer{Rec: obs.NewRecorder(20_000, 0)}
+				evOb := &obs.Observer{Rec: obs.NewRecorder(20_000)}
 				evRes, _, err := sim.RunEventObserved(cfg, cell.W, evOb)
 				if err != nil {
 					t.Fatal(err)
 				}
-				refOb := &obs.Observer{Rec: obs.NewRecorder(20_000, 0)}
+				refOb := &obs.Observer{Rec: obs.NewRecorder(20_000)}
 				refRes, err := sim.RunReferenceObserved(cfg, cell.W, refOb)
 				if err != nil {
 					t.Fatal(err)
@@ -72,24 +71,15 @@ func TestEventCoreMatchesReference(t *testing.T) {
 					t.Fatal("fault.Stats diverged")
 				}
 
-				var evCSV, refCSV, evJSON, refJSON bytes.Buffer
-				if err := evOb.Rec.Series().WriteCSV(&evCSV); err != nil {
+				var evOut, refOut bytes.Buffer
+				if err := obs.WriteEpochs(&evOut, map[string][]obs.Snapshot{cell.Key: evOb.Rec.Snapshots()}); err != nil {
 					t.Fatal(err)
 				}
-				if err := refOb.Rec.Series().WriteCSV(&refCSV); err != nil {
+				if err := obs.WriteEpochs(&refOut, map[string][]obs.Snapshot{cell.Key: refOb.Rec.Snapshots()}); err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(evCSV.Bytes(), refCSV.Bytes()) {
-					t.Error("obs CSV exports differ")
-				}
-				if err := evOb.Rec.Series().WriteJSON(&evJSON); err != nil {
-					t.Fatal(err)
-				}
-				if err := refOb.Rec.Series().WriteJSON(&refJSON); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(evJSON.Bytes(), refJSON.Bytes()) {
-					t.Error("obs JSON exports differ")
+				if !bytes.Equal(evOut.Bytes(), refOut.Bytes()) {
+					t.Error("obs epoch exports differ")
 				}
 			})
 		}

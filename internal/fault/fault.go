@@ -17,8 +17,6 @@ package fault
 import (
 	"fmt"
 	"math"
-
-	"dice/internal/stats"
 )
 
 // Policy selects the protection and degradation scheme.
@@ -130,31 +128,19 @@ type Config struct {
 // Stats counts injector activity at word granularity.
 type Stats struct {
 	// Frames is the number of protected frame reads drawn.
-	Frames stats.Counter
+	Frames uint64
 	// Words is the number of protected words drawn across all frames.
-	Words stats.Counter
+	Words uint64
 	// Flipped is the number of raw bit errors injected (multi-bit words
 	// beyond double count as three: the model classifies, it does not
 	// enumerate individual flips past the SECDED decision point).
-	Flipped stats.Counter
+	Flipped uint64
 	// Corrected counts single-bit-faulty words fixed by SECDED.
-	Corrected stats.Counter
+	Corrected uint64
 	// Detected counts words with detected-uncorrectable errors.
-	Detected stats.Counter
+	Detected uint64
 	// Silent counts words whose corruption escaped device detection.
-	Silent stats.Counter
-}
-
-// Dump renders the counters as an ordered stats.Set for reporting.
-func (s Stats) Dump() *stats.Set {
-	set := stats.NewSet()
-	set.Add("frames", s.Frames.Value())
-	set.Add("words", s.Words.Value())
-	set.Add("flipped-bits", s.Flipped.Value())
-	set.Add("corrected", s.Corrected.Value())
-	set.Add("detected", s.Detected.Value())
-	set.Add("silent", s.Silent.Value())
-	return set
+	Silent uint64
 }
 
 // Model is one deterministic fault injector. Not safe for concurrent
@@ -236,11 +222,11 @@ func (m *Model) draw() float64 {
 // frameBytes, classifying each 8-byte word independently and returning
 // the worst word's outcome.
 func (m *Model) ReadFrame(frameBytes int) Outcome {
-	m.stats.Frames.Inc()
+	m.stats.Frames++
 	words := (frameBytes + 7) / 8
 	out := Clean
 	for w := 0; w < words; w++ {
-		m.stats.Words.Inc()
+		m.stats.Words++
 		u := m.draw()
 		var flips int
 		switch {
@@ -253,25 +239,25 @@ func (m *Model) ReadFrame(frameBytes int) Outcome {
 		default:
 			flips = 3
 		}
-		m.stats.Flipped.Add(uint64(flips))
+		m.stats.Flipped += uint64(flips)
 		var wordOut Outcome
 		if m.cfg.Policy == PolicyNone {
 			// No ECC: any corruption passes the device unflagged.
 			wordOut = Silent
-			m.stats.Silent.Inc()
+			m.stats.Silent++
 		} else {
 			switch flips {
 			case 1:
 				wordOut = Corrected
-				m.stats.Corrected.Inc()
+				m.stats.Corrected++
 			case 2:
 				wordOut = Detected
-				m.stats.Detected.Inc()
+				m.stats.Detected++
 			default:
 				// Three or more flips alias into SECDED's correctable or
 				// clean syndromes: miscorrection, silent corruption.
 				wordOut = Silent
-				m.stats.Silent.Inc()
+				m.stats.Silent++
 			}
 		}
 		if wordOut > out {

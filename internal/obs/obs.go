@@ -1,5 +1,6 @@
 // Package obs is the simulator's time-series observability layer: an
-// epoch-sampled metrics recorder (Recorder), a bounded structured event
+// epoch-sampled metrics recorder (Recorder) with its one export format
+// (EpochLine, written by EpochWriter), a bounded structured event
 // tracer (Tracer), and profiling helpers (CPU/heap profiles plus
 // runtime/metrics self-stats).
 //

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -45,84 +44,20 @@ func fakeSnapshot(i int) Snapshot {
 	}
 }
 
-// recordSeries pushes n fake snapshots through a recorder and returns
-// its series.
-func recordSeries(t *testing.T, epoch uint64, cap, n int) Series {
-	t.Helper()
-	r := NewRecorder(epoch, cap)
-	for i := 0; i < n; i++ {
-		r.Record(fakeSnapshot(i))
-	}
-	return r.Series()
-}
-
-// TestExportRoundTrip checks that both export formats reconstruct the
-// recorded snapshots exactly — CSV relies on the lossless float
-// formatting, JSON on the schema tags.
-func TestExportRoundTrip(t *testing.T) {
-	cases := []struct {
-		name   string
-		write  func(Series, *bytes.Buffer) error
-		read   func(*bytes.Buffer) (Series, error)
-		series Series
-		// csvOnly marks fields CSV cannot carry (Dropped); JSON must.
-		lossy bool
-	}{
-		{"json-empty", func(s Series, b *bytes.Buffer) error { return s.WriteJSON(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadJSON(b) },
-			recordSeries(t, 100, 8, 0), false},
-		{"json-small", func(s Series, b *bytes.Buffer) error { return s.WriteJSON(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadJSON(b) },
-			recordSeries(t, 100, 8, 5), false},
-		{"json-overflowed", func(s Series, b *bytes.Buffer) error { return s.WriteJSON(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadJSON(b) },
-			recordSeries(t, 7, 4, 9), false},
-		{"csv-small", func(s Series, b *bytes.Buffer) error { return s.WriteCSV(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadCSV(b) },
-			recordSeries(t, 100, 8, 5), true},
-		{"csv-overflowed", func(s Series, b *bytes.Buffer) error { return s.WriteCSV(b) },
-			func(b *bytes.Buffer) (Series, error) { return ReadCSV(b) },
-			recordSeries(t, 7, 4, 9), true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var b bytes.Buffer
-			if err := tc.write(tc.series, &b); err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			got, err := tc.read(&b)
-			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
-			if !reflect.DeepEqual(got.Epochs, tc.series.Epochs) {
-				t.Fatalf("epochs did not round-trip:\ngot  %+v\nwant %+v", got.Epochs, tc.series.Epochs)
-			}
-			if got.SchemaVersion != tc.series.SchemaVersion {
-				t.Fatalf("schema version %d, want %d", got.SchemaVersion, tc.series.SchemaVersion)
-			}
-			if !tc.lossy {
-				if got.Dropped != tc.series.Dropped || got.EpochCycles != tc.series.EpochCycles {
-					t.Fatalf("metadata did not round-trip: got %+v want %+v", got, tc.series)
-				}
-			}
-		})
-	}
-}
-
-// TestRecorderRingOverflow fills a tiny ring past capacity and checks
+// TestRecorderRingOverflow fills the ring past capacity and checks
 // flight-recorder semantics: the most recent snapshots survive, the
 // drop count is exact, and epoch stamping keeps counting.
 func TestRecorderRingOverflow(t *testing.T) {
-	r := NewRecorder(50, 4)
-	for i := 0; i < 10; i++ {
+	r := NewRecorder(50)
+	for i := 0; i < ringCap+6; i++ {
 		r.Record(fakeSnapshot(i))
 	}
 	if got := r.Dropped(); got != 6 {
 		t.Fatalf("dropped %d, want 6", got)
 	}
 	snaps := r.Snapshots()
-	if len(snaps) != 4 {
-		t.Fatalf("retained %d snapshots, want 4", len(snaps))
+	if len(snaps) != ringCap {
+		t.Fatalf("retained %d snapshots, want %d", len(snaps), ringCap)
 	}
 	for i, s := range snaps {
 		wantEpoch := uint64(6 + i)
@@ -142,7 +77,7 @@ func TestRecorderDue(t *testing.T) {
 	if nilRec.Due(1 << 40) {
 		t.Fatal("nil recorder must never be due")
 	}
-	r := NewRecorder(100, 8)
+	r := NewRecorder(100)
 	if r.Due(99) {
 		t.Fatal("due before first boundary")
 	}
@@ -250,31 +185,15 @@ func TestMetricsDocCoversSchema(t *testing.T) {
 			t.Errorf("METRICS.md does not document schema field `%s`", f)
 		}
 	}
-	for _, top := range []string{"schema_version", "epoch_cycles", "dropped", "epochs"} {
+	for _, top := range []string{"key", "snap"} {
 		if !strings.Contains(text, "`"+top+"`") {
-			t.Errorf("METRICS.md does not document series field `%s`", top)
+			t.Errorf("METRICS.md does not document epoch-line field `%s`", top)
 		}
 	}
 	for c := Component(0); c < numComponents; c++ {
 		if !strings.Contains(text, "`"+c.String()+"`") {
 			t.Errorf("METRICS.md does not document trace component `%s`", c)
 		}
-	}
-}
-
-// TestSchemaFieldsMatchCSVHeader pins the CSV column order to the
-// schema declaration order (with core_ipc flattened).
-func TestSchemaFieldsMatchCSVHeader(t *testing.T) {
-	var want []string
-	for _, f := range SchemaFields() {
-		if f == "core_ipc" {
-			want = append(want, "core_ipc0", "core_ipc1")
-			continue
-		}
-		want = append(want, f)
-	}
-	if got := csvHeader(2); !reflect.DeepEqual(got, want) {
-		t.Fatalf("csvHeader(2) = %v, want %v", got, want)
 	}
 }
 
@@ -304,19 +223,10 @@ func TestSelfSampleMonotone(t *testing.T) {
 func TestRecorderValidation(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewRecorder(0, ...) must panic")
+			t.Fatal("NewRecorder(0) must panic")
 		}
 	}()
-	NewRecorder(0, 4)
-}
-
-// TestCSVHeaderMismatch checks that a CSV with a foreign header is
-// rejected rather than misparsed.
-func TestCSVHeaderMismatch(t *testing.T) {
-	_, err := ReadCSV(strings.NewReader("a,b,c\n1,2,3\n"))
-	if err == nil || !strings.Contains(err.Error(), "header") {
-		t.Fatalf("want header mismatch error, got %v", err)
-	}
+	NewRecorder(0)
 }
 
 // Example of the event rendering format, pinned because operators

@@ -1,13 +1,7 @@
 package obs
 
 import (
-	"encoding/csv"
-	"encoding/json"
-	"fmt"
-	"io"
-	"math"
 	"reflect"
-	"strconv"
 	"strings"
 )
 
@@ -99,11 +93,11 @@ func SchemaFields() []string {
 	return fields
 }
 
-// DefaultRingCap is the default epoch-ring capacity. At ~300B per
+// ringCap is the epoch-ring capacity of every Recorder. At ~300B per
 // snapshot the ring's memory bound is ~1.2MB regardless of run length:
 // once full, the oldest epochs are dropped (and counted) rather than
 // growing without bound.
-const DefaultRingCap = 4096
+const ringCap = 4096
 
 // Recorder samples epoch metrics into a bounded ring. It is attached
 // to exactly one simulation and used from that simulation's goroutine
@@ -129,14 +123,11 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder sampling every epochCycles of
-// simulated time into a ring of ringCap snapshots (ringCap <= 0
-// selects DefaultRingCap). It panics if epochCycles is zero.
-func NewRecorder(epochCycles uint64, ringCap int) *Recorder {
+// simulated time into a ring that keeps the last 4096 snapshots. It
+// panics if epochCycles is zero.
+func NewRecorder(epochCycles uint64) *Recorder {
 	if epochCycles == 0 {
 		panic("obs: epochCycles must be positive")
-	}
-	if ringCap <= 0 {
-		ringCap = DefaultRingCap
 	}
 	return &Recorder{epoch: epochCycles, next: epochCycles, ring: make([]Snapshot, ringCap)}
 }
@@ -185,227 +176,6 @@ func (r *Recorder) Snapshots() []Snapshot {
 	return out
 }
 
-// Series returns the recorder's contents as an exportable value.
-func (r *Recorder) Series() Series {
-	return Series{
-		SchemaVersion: SchemaVersion,
-		EpochCycles:   r.epoch,
-		Dropped:       r.dropped,
-		Epochs:        r.Snapshots(),
-	}
-}
-
-// SchemaVersion identifies the epoch-series export schema; bump it
-// when Snapshot fields change incompatibly.
+// SchemaVersion identifies the Snapshot schema; bump it when Snapshot
+// fields change incompatibly.
 const SchemaVersion = 1
-
-// Series is the exportable form of one run's epoch metrics.
-type Series struct {
-	// SchemaVersion identifies the snapshot schema of Epochs.
-	SchemaVersion int `json:"schema_version"`
-	// EpochCycles is the sampling period in simulated cycles.
-	EpochCycles uint64 `json:"epoch_cycles"`
-	// Dropped counts epochs lost to ring overflow (the oldest ones).
-	Dropped uint64 `json:"dropped"`
-	// Epochs holds the retained snapshots in chronological order.
-	Epochs []Snapshot `json:"epochs"`
-}
-
-// WriteJSON writes the series as indented JSON. JSON has no encoding
-// for NaN or infinities, so a non-finite sample is rejected up front
-// with an error naming the epoch and field — previously it surfaced as
-// encoding/json's opaque "unsupported value: NaN" with no indication of
-// where the value came from. (CSV export round-trips non-finite values
-// losslessly; see WriteCSV.)
-func (s Series) WriteJSON(w io.Writer) error {
-	if err := s.checkFinite(); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// checkFinite returns an error naming the first non-finite float in the
-// series, walking the snapshot schema reflectively so new float fields
-// are covered automatically.
-func (s Series) checkFinite() error {
-	for _, e := range s.Epochs {
-		v := reflect.ValueOf(e)
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
-			f := v.Field(i)
-			switch {
-			case f.Kind() == reflect.Float64:
-				if err := finiteErr(f.Float(), e.Epoch, name); err != nil {
-					return err
-				}
-			case f.Kind() == reflect.Slice && f.Type().Elem().Kind() == reflect.Float64:
-				for j := 0; j < f.Len(); j++ {
-					if err := finiteErr(f.Index(j).Float(), e.Epoch, fmt.Sprintf("%s[%d]", name, j)); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// finiteErr reports a non-finite sample value as a located error.
-func finiteErr(v float64, epoch uint64, field string) error {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return fmt.Errorf("obs: epoch %d field %q is %v: JSON cannot encode non-finite floats (CSV export round-trips them)", epoch, field, v)
-	}
-	return nil
-}
-
-// ReadJSON parses a series previously written by WriteJSON.
-func ReadJSON(r io.Reader) (Series, error) {
-	var s Series
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&s); err != nil {
-		return Series{}, fmt.Errorf("obs: parsing series JSON: %w", err)
-	}
-	return s, nil
-}
-
-// csvHeader returns the flattened CSV column names: the schema fields
-// with core_ipc expanded to one column per core.
-func csvHeader(cores int) []string {
-	var cols []string
-	for _, f := range SchemaFields() {
-		if f == "core_ipc" {
-			for i := 0; i < cores; i++ {
-				cols = append(cols, fmt.Sprintf("core_ipc%d", i))
-			}
-			continue
-		}
-		cols = append(cols, f)
-	}
-	return cols
-}
-
-// fu formats a uint64 losslessly for CSV.
-func fu(v uint64) string { return strconv.FormatUint(v, 10) }
-
-// ff formats a float64 so that parsing it back returns the identical
-// value (shortest round-trip representation).
-func ff(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// WriteCSV writes the series as CSV: one header row, one row per
-// epoch, with the per-core IPC vector flattened into core_ipcN
-// columns. Numbers are formatted losslessly — including NaN and the
-// infinities, which strconv renders as "NaN"/"+Inf"/"-Inf" — so
-// ReadCSV reconstructs the exact snapshots (pinned by
-// TestCSVNonFiniteRoundTrip).
-func (s Series) WriteCSV(w io.Writer) error {
-	cores := 0
-	if len(s.Epochs) > 0 {
-		cores = len(s.Epochs[0].CoreIPC)
-	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(csvHeader(cores)); err != nil {
-		return err
-	}
-	for _, e := range s.Epochs {
-		row := []string{fu(e.Epoch), fu(e.EndCycle), fu(e.Cycles), fu(e.Refs), ff(e.IPC)}
-		for _, ipc := range e.CoreIPC {
-			row = append(row, ff(ipc))
-		}
-		row = append(row,
-			fu(e.L4Reads), ff(e.L4HitRate), fu(e.L4Queue), ff(e.L4BusUtil), ff(e.L4BytesPerAccess),
-			fu(e.DDRReads), fu(e.DDRWrites), fu(e.DDRQueue), ff(e.DDRBusUtil),
-			ff(e.EffCapacity),
-			fu(e.InstallBAI), fu(e.InstallTSI), fu(e.InstallInvariant),
-			ff(e.CIPBAIFrac), fu(e.CIPPolicyBAI), ff(e.CIPAccuracy), fu(e.CIPPredictions), fu(e.CIPFlips),
-			fu(e.FaultCorrected), fu(e.FaultDetected), fu(e.FaultSilent), fu(e.FaultRefetches),
-			fu(e.QuarantinedSets))
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV parses a series previously written by WriteCSV. Only the
-// epoch rows survive a CSV round-trip; SchemaVersion, EpochCycles and
-// Dropped are derived (version current, period from the first two
-// rows, dropped unknown and left zero).
-func ReadCSV(r io.Reader) (Series, error) {
-	cr := csv.NewReader(r)
-	rows, err := cr.ReadAll()
-	if err != nil {
-		return Series{}, fmt.Errorf("obs: parsing series CSV: %w", err)
-	}
-	if len(rows) == 0 {
-		return Series{}, fmt.Errorf("obs: series CSV has no header")
-	}
-	header := rows[0]
-	cores := 0
-	for _, c := range header {
-		if strings.HasPrefix(c, "core_ipc") {
-			cores++
-		}
-	}
-	if want := csvHeader(cores); !reflect.DeepEqual(header, want) {
-		return Series{}, fmt.Errorf("obs: series CSV header %v does not match schema %v", header, want)
-	}
-	s := Series{SchemaVersion: SchemaVersion}
-	for _, row := range rows[1:] {
-		e, err := parseCSVRow(row, cores)
-		if err != nil {
-			return Series{}, err
-		}
-		s.Epochs = append(s.Epochs, e)
-	}
-	if len(s.Epochs) > 0 {
-		s.EpochCycles = s.Epochs[0].Cycles
-	}
-	return s, nil
-}
-
-// parseCSVRow parses one epoch row in WriteCSV's column order.
-func parseCSVRow(row []string, cores int) (Snapshot, error) {
-	var e Snapshot
-	i := 0
-	next := func() string { v := row[i]; i++; return v }
-	var err error
-	u := func() uint64 {
-		if err != nil {
-			return 0
-		}
-		var v uint64
-		v, err = strconv.ParseUint(next(), 10, 64)
-		return v
-	}
-	f := func() float64 {
-		if err != nil {
-			return 0
-		}
-		var v float64
-		v, err = strconv.ParseFloat(next(), 64)
-		return v
-	}
-	e.Epoch, e.EndCycle, e.Cycles, e.Refs, e.IPC = u(), u(), u(), u(), f()
-	for c := 0; c < cores; c++ {
-		e.CoreIPC = append(e.CoreIPC, f())
-	}
-	e.L4Reads, e.L4HitRate, e.L4Queue, e.L4BusUtil, e.L4BytesPerAccess = u(), f(), u(), f(), f()
-	e.DDRReads, e.DDRWrites, e.DDRQueue, e.DDRBusUtil = u(), u(), u(), f()
-	e.EffCapacity = f()
-	e.InstallBAI, e.InstallTSI, e.InstallInvariant = u(), u(), u()
-	e.CIPBAIFrac, e.CIPPolicyBAI, e.CIPAccuracy, e.CIPPredictions, e.CIPFlips = f(), u(), f(), u(), u()
-	e.FaultCorrected, e.FaultDetected, e.FaultSilent, e.FaultRefetches = u(), u(), u(), u()
-	e.QuarantinedSets = u()
-	if err != nil {
-		return Snapshot{}, fmt.Errorf("obs: parsing series CSV row: %w", err)
-	}
-	return e, nil
-}

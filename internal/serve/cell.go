@@ -109,8 +109,9 @@ func (c CellSpec) Key() string {
 
 // Validate rejects cells the simulator could only fail on mid-run:
 // unknown workload, policy, org, compression algorithm or prefetch
-// mode, plus everything sim.Config.Validate covers (BER range, fault
-// policy, scale bound).
+// mode, a negative threshold, plus everything sim.Config.Validate
+// covers (BER range, fault policy, scale bound, negative refs or MLP
+// window).
 func (c CellSpec) Validate() error {
 	if c.Workload == "" {
 		return fmt.Errorf("serve: cell names no workload")
@@ -118,14 +119,8 @@ func (c CellSpec) Validate() error {
 	if _, err := workloads.ByName(c.Workload); err != nil {
 		return fmt.Errorf("serve: cell: %w", err)
 	}
-	if c.Refs < 0 {
-		return fmt.Errorf("serve: cell: refs must be >= 0, got %d", c.Refs)
-	}
 	if c.Threshold < 0 {
 		return fmt.Errorf("serve: cell: threshold must be >= 0, got %d", c.Threshold)
-	}
-	if c.MLP < 0 {
-		return fmt.Errorf("serve: cell: mlp must be >= 0, got %d", c.MLP)
 	}
 	cfg, err := c.Config(0)
 	if err != nil {
@@ -255,7 +250,7 @@ func CellResultFrom(key string, res sim.Result) CellResult {
 		Energy:           res.Energy.Total(),
 		EDP:              res.Energy.EDP(),
 		CIPAccuracy:      res.CIPAccuracy,
-		FaultInjected:    res.Fault.Flipped.Value(),
+		FaultInjected:    res.Fault.Flipped,
 		FaultUnrecovered: res.L4.FaultSilentHits + res.L4.FaultDirtyLoss,
 	}
 }

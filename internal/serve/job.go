@@ -233,7 +233,7 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 		r.MetricsEpoch = spec.MetricsEpoch
 		if emit != nil {
 			r.MetricsEmit = func(key string, s obs.Snapshot) {
-				emit(StreamEvent{Kind: StreamEpoch, Epoch: &EpochEvent{Key: key, Snap: s}})
+				emit(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: key, Snap: s}})
 			}
 		}
 	}

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"dice/internal/leakcheck"
-	"dice/internal/obs"
 	"dice/internal/serve"
 	"dice/internal/serve/client"
 )
@@ -167,7 +166,7 @@ func TestSoakConcurrentSubmissions(t *testing.T) {
 	// Per-submission latency as seen through the retrying client —
 	// backpressure retries included, so the tail is the backpressure
 	// story, not just the handler.
-	var submitLat obs.Latencies
+	var submitLat latencies
 	var wg sync.WaitGroup
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)

@@ -48,17 +48,6 @@ const (
 	StreamDone  StreamKind = "done"
 )
 
-// EpochEvent is one per-epoch metrics snapshot from a running
-// simulation, tagged with the simulation's memoization key
-// ("<config>|<workload>") so a multi-cell job's interleaved epochs
-// remain attributable.
-type EpochEvent struct {
-	// Key is the simulation's memoization key.
-	Key string `json:"key"`
-	// Snap is the epoch snapshot (see METRICS.md for the schema).
-	Snap obs.Snapshot `json:"snap"`
-}
-
 // StreamEvent is one line of a job's NDJSON stream. Exactly one of
 // Cell and Epoch is set for the corresponding kinds; State and Error
 // are set on the done event only.
@@ -72,8 +61,11 @@ type StreamEvent struct {
 	Offset int `json:"offset"`
 	// Cell carries a completed cell's result (kind "cell").
 	Cell *CellResult `json:"cell,omitempty"`
-	// Epoch carries one epoch metrics snapshot (kind "epoch").
-	Epoch *EpochEvent `json:"epoch,omitempty"`
+	// Epoch carries one epoch metrics snapshot, tagged with its
+	// simulation's memoization key so a multi-cell job's interleaved
+	// epochs remain attributable (kind "epoch"). It is the same line a
+	// -metrics-out file holds.
+	Epoch *obs.EpochLine `json:"epoch,omitempty"`
 	// State is the job's terminal state (kind "done").
 	State JobState `json:"state,omitempty"`
 	// Error is the job's error text, if any (kind "done").

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -13,6 +15,7 @@ import (
 
 	"dice/internal/commitlog"
 	"dice/internal/leakcheck"
+	"dice/internal/obs"
 )
 
 // Stream-layer tests: wire framing, the progress buffer, the HTTP
@@ -93,15 +96,45 @@ func TestStreamWireFormat(t *testing.T) {
 	}
 }
 
+// A stream epoch event carries exactly the line an -metrics-out file
+// holds: its "epoch" payload is byte-equal to obs.EpochWriter's line,
+// and the event keeps its wire shape.
+func TestStreamEpochIsEpochLine(t *testing.T) {
+	line := obs.EpochLine{Key: "dice|gcc", Snap: obs.Snapshot{Epoch: 2, EndCycle: 300, Cycles: 100, IPC: 0.5, CoreIPC: []float64{0.25, 0.75}}}
+	ev, err := json.Marshal(StreamEvent{Kind: StreamEpoch, Gen: "g", Offset: 3, Epoch: &line})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const prefix = `{"kind":"epoch","gen":"g","offset":3,"epoch":{"key":"dice|gcc","snap":{"epoch":2,"end_cycle":300,"cycles":100,`
+	if !strings.HasPrefix(string(ev), prefix) {
+		t.Fatalf("stream epoch event changed shape:\n%s\nwant prefix\n%s", ev, prefix)
+	}
+	var payload struct {
+		Epoch json.RawMessage `json:"epoch"`
+	}
+	if err := json.Unmarshal(ev, &payload); err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	w := obs.NewEpochWriter(&file)
+	w.Emit(line.Key, line.Snap)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := string(payload.Epoch)+"\n", file.String(); got != want {
+		t.Fatalf("stream payload and file line differ:\nstream %s\nfile   %s", got, want)
+	}
+}
+
 // The progress buffer drops epoch events beyond its cap — telemetry
 // degrades — while cell and done events always land, and offsets stay
 // contiguous through the drops.
 func TestProgressBufferBoundsEpochs(t *testing.T) {
 	p := newProgress("g", 3)
-	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &EpochEvent{Key: "a"}})
-	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &EpochEvent{Key: "b"}})
-	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &EpochEvent{Key: "c"}})
-	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &EpochEvent{Key: "dropped"}})
+	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: "a"}})
+	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: "b"}})
+	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: "c"}})
+	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: "dropped"}})
 	cr := CellResult{Key: "cell"}
 	p.add(StreamEvent{Kind: StreamCell, Cell: &cr})
 	p.finish(StateDone, "")

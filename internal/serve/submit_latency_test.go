@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"dice/internal/commitlog"
-	"dice/internal/obs"
 	"dice/internal/serve"
 	"dice/internal/serve/client"
 )
@@ -35,7 +34,7 @@ const submitConcurrency = 32
 // queue is sized to hold every submission so no sample is inflated by
 // 429 backpressure retries; the jobs themselves are tiny single-cell
 // sims that are cancelled before shutdown.
-func measureSubmitLatency(t *testing.T, n, concurrency int, noGroupCommit bool) (obs.LatencySummary, *commitlog.Stats) {
+func measureSubmitLatency(t *testing.T, n, concurrency int, noGroupCommit bool) (latencySummary, *commitlog.Stats) {
 	t.Helper()
 	cfg := serve.Config{
 		JournalPath: filepath.Join(t.TempDir(), "bench.journal"),
@@ -72,7 +71,7 @@ func measureSubmitLatency(t *testing.T, n, concurrency int, noGroupCommit bool) 
 		Cells: []serve.CellSpec{{Workload: "gcc", Policy: "dice", Refs: refs, Scale: 10}},
 	}
 	var (
-		lat      obs.Latencies
+		lat      latencies
 		ids      = make([]string, n)
 		next     atomic.Int64
 		wg       sync.WaitGroup

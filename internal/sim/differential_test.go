@@ -25,8 +25,8 @@ func runDiff(t *testing.T, cfg Config, w workloads.Workload, epoch uint64) (ev, 
 	t.Helper()
 	var evOb, refOb *obs.Observer
 	if epoch > 0 {
-		evOb = &obs.Observer{Rec: obs.NewRecorder(epoch, 0)}
-		refOb = &obs.Observer{Rec: obs.NewRecorder(epoch, 0)}
+		evOb = &obs.Observer{Rec: obs.NewRecorder(epoch)}
+		refOb = &obs.Observer{Rec: obs.NewRecorder(epoch)}
 	}
 	ev, err := prepare(cfg, w, evOb)
 	if err != nil {
@@ -82,33 +82,23 @@ func checkMachinesEqual(t *testing.T, ev, ref *runState) {
 	}
 }
 
-// checkSeriesEqual asserts the two recorders exported byte-identical
-// epoch series in both CSV and JSON forms.
-func checkSeriesEqual(t *testing.T, ev, ref *runState) {
+// checkEpochsEqual asserts the two recorders hold the same epochs and
+// export them as byte-identical epoch lines.
+func checkEpochsEqual(t *testing.T, ev, ref *runState) {
 	t.Helper()
-	evS, refS := ev.et.rec.Series(), ref.et.rec.Series()
-	if !reflect.DeepEqual(evS, refS) {
-		t.Fatalf("epoch series diverged:\nevent: %d epochs\nref:   %d epochs",
-			len(evS.Epochs), len(refS.Epochs))
+	evS, refS := ev.et.rec.Snapshots(), ref.et.rec.Snapshots()
+	if !reflect.DeepEqual(evS, refS) || ev.et.rec.Dropped() != ref.et.rec.Dropped() {
+		t.Fatalf("epoch series diverged:\nevent: %d epochs\nref:   %d epochs", len(evS), len(refS))
 	}
-	var evJSON, refJSON, evCSV, refCSV bytes.Buffer
-	if err := evS.WriteJSON(&evJSON); err != nil {
+	var evOut, refOut bytes.Buffer
+	if err := obs.WriteEpochs(&evOut, map[string][]obs.Snapshot{"k": evS}); err != nil {
 		t.Fatal(err)
 	}
-	if err := refS.WriteJSON(&refJSON); err != nil {
+	if err := obs.WriteEpochs(&refOut, map[string][]obs.Snapshot{"k": refS}); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(evJSON.Bytes(), refJSON.Bytes()) {
-		t.Error("JSON exports differ")
-	}
-	if err := evS.WriteCSV(&evCSV); err != nil {
-		t.Fatal(err)
-	}
-	if err := refS.WriteCSV(&refCSV); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(evCSV.Bytes(), refCSV.Bytes()) {
-		t.Error("CSV exports differ")
+	if !bytes.Equal(evOut.Bytes(), refOut.Bytes()) {
+		t.Error("epoch exports differ")
 	}
 }
 
@@ -145,12 +135,12 @@ func TestEventCoreMatchesReferenceInternals(t *testing.T) {
 				t.Fatalf("results diverged:\nevent: %+v\nref:   %+v", evRes, refRes)
 			}
 			checkMachinesEqual(t, ev, ref)
-			checkSeriesEqual(t, ev, ref)
+			checkEpochsEqual(t, ev, ref)
 			wantCore := uint64(cores) * uint64(ev.warm+ev.refs)
 			if es.CoreEvents != wantCore {
 				t.Errorf("CoreEvents = %d, want %d", es.CoreEvents, wantCore)
 			}
-			if want := uint64(len(ev.et.rec.Snapshots())) + ev.et.rec.Series().Dropped; es.EpochEvents != want {
+			if want := uint64(len(ev.et.rec.Snapshots())) + ev.et.rec.Dropped(); es.EpochEvents != want {
 				t.Errorf("EpochEvents = %d, want %d (snapshots recorded)", es.EpochEvents, want)
 			}
 			if es.CyclesSkipped == 0 {

@@ -134,9 +134,9 @@ func (et *epochTracker) record() {
 	s.CIPFlips = du(cip.Flips(), et.prev.cipFlp)
 
 	// Fault injection (all zero when injection is off).
-	s.FaultCorrected = du(fs.Corrected.Value(), et.prev.fault.Corrected.Value())
-	s.FaultDetected = du(fs.Detected.Value(), et.prev.fault.Detected.Value())
-	s.FaultSilent = du(fs.Silent.Value(), et.prev.fault.Silent.Value())
+	s.FaultCorrected = du(fs.Corrected, et.prev.fault.Corrected)
+	s.FaultDetected = du(fs.Detected, et.prev.fault.Detected)
+	s.FaultSilent = du(fs.Silent, et.prev.fault.Silent)
 	s.FaultRefetches = du(l4.FaultRefetches, et.prev.l4.FaultRefetches)
 	s.QuarantinedSets = uint64(m.l4.QuarantineCount())
 

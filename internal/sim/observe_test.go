@@ -33,7 +33,7 @@ func TestRunObservedIsReadOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ob := &obs.Observer{Rec: obs.NewRecorder(10_000, 0), Trace: tr}
+			ob := &obs.Observer{Rec: obs.NewRecorder(10_000), Trace: tr}
 			observed, err := RunObserved(cfg, w, ob)
 			if err != nil {
 				t.Fatal(err)
@@ -61,7 +61,7 @@ func TestEpochSeriesShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob := &obs.Observer{Rec: obs.NewRecorder(20_000, 0), Trace: tr}
+	ob := &obs.Observer{Rec: obs.NewRecorder(20_000), Trace: tr}
 	if _, err := RunObserved(cfg, w, ob); err != nil {
 		t.Fatal(err)
 	}

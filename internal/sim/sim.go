@@ -131,6 +131,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: BWMult %d out of range", c.BWMult)
 	case c.FaultBER < 0 || c.FaultBER > fault.MaxBER:
 		return fmt.Errorf("sim: FaultBER %v out of range [0, %v]", c.FaultBER, fault.MaxBER)
+	case c.RefsPerCore < 0:
+		return fmt.Errorf("sim: RefsPerCore %d is negative (measured refs per core; 0 = auto)", c.RefsPerCore)
+	case c.MLPWindow < 0:
+		return fmt.Errorf("sim: MLPWindow %d is negative (mlp window; 0 = default 6)", c.MLPWindow)
+	case c.CIPEntries < 0 || c.CIPEntries&(c.CIPEntries-1) != 0:
+		return fmt.Errorf("sim: CIPEntries %d is not a power of two (0 = default %d)", c.CIPEntries, dcache.DefaultCIPEntries)
 	}
 	if _, err := compress.ParseAlg(c.CompressAlg); err != nil {
 		return fmt.Errorf("sim: CompressAlg: %v", err)

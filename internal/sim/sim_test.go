@@ -52,6 +52,14 @@ func TestConfigValidate(t *testing.T) {
 		{"FaultPolicy bogus", Config{FaultPolicy: "parity"}, "unknown policy"},
 		{"CompressAlg fpc", Config{CompressAlg: "fpc"}, ""},
 		{"CompressAlg bogus", Config{CompressAlg: "zip"}, "CompressAlg"},
+		{"RefsPerCore 0 auto", Config{RefsPerCore: 0}, ""},
+		{"RefsPerCore -5", Config{RefsPerCore: -5}, "RefsPerCore"},
+		{"MLPWindow 1", Config{MLPWindow: 1}, ""},
+		{"MLPWindow -1", Config{MLPWindow: -1}, "MLPWindow"},
+		{"MLPWindow -5", Config{MLPWindow: -5}, "MLPWindow"},
+		{"CIPEntries 512", Config{CIPEntries: 512}, ""},
+		{"CIPEntries -4", Config{CIPEntries: -4}, "CIPEntries"},
+		{"CIPEntries 3000", Config{CIPEntries: 3000}, "CIPEntries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,6 +77,41 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("error %q does not mention %s", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestRunRejectsInvalidConfig runs configs that used to panic deep in
+// setup (a negative MLP window sizing a slice, a negative LTT size) or
+// to return nonsense (negative refs gave negative IPCs): each must come
+// back from Run, on both cores, as an error naming the field.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	w, err := workloads.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantErr string
+	}{
+		{"refs -5", Config{RefsPerCore: -5}, "RefsPerCore"},
+		{"mlp -5", Config{RefsPerCore: 300, MLPWindow: -5}, "MLPWindow"},
+		{"mlp -1", Config{RefsPerCore: 300, MLPWindow: -1}, "MLPWindow"},
+		{"cip -4", Config{RefsPerCore: 300, Policy: dcache.PolicyDICE, CIPEntries: -4}, "CIPEntries"},
+		{"cip 3", Config{RefsPerCore: 300, Policy: dcache.PolicyDICE, CIPEntries: 3}, "CIPEntries"},
+	}
+	for _, tc := range cases {
+		for core, runFn := range map[string]func(Config, workloads.Workload) (Result, error){
+			"event":     Run,
+			"reference": RunReference,
+		} {
+			t.Run(core+"/"+tc.name, func(t *testing.T) {
+				res, err := runFn(tc.cfg, w)
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("Run = (IPC %v, err %v), want an error naming %s", res.IPC, err, tc.wantErr)
+				}
+			})
+		}
 	}
 }
 
@@ -308,7 +351,7 @@ func TestCompressAlgRestriction(t *testing.T) {
 func TestFaultInjectionDegradesAndReports(t *testing.T) {
 	clean := run(t, "gcc", Config{Policy: dcache.PolicyDICE})
 	faulty := run(t, "gcc", Config{Policy: dcache.PolicyDICE, FaultBER: 3e-3})
-	if faulty.Fault.Frames.Value() == 0 || faulty.Fault.Flipped.Value() == 0 {
+	if faulty.Fault.Frames == 0 || faulty.Fault.Flipped == 0 {
 		t.Fatalf("no faults injected at BER 3e-3: %+v", faulty.Fault)
 	}
 	if faulty.L4.FaultDetectedFrames == 0 {
@@ -318,7 +361,7 @@ func TestFaultInjectionDegradesAndReports(t *testing.T) {
 		t.Fatalf("faults must cost hits: %.4f faulty vs %.4f clean",
 			faulty.L4.HitRate(), clean.L4.HitRate())
 	}
-	if clean.Fault.Frames.Value() != 0 || clean.QuarantinedSets != 0 {
+	if clean.Fault.Frames != 0 || clean.QuarantinedSets != 0 {
 		t.Fatal("fault stats moved with injection off")
 	}
 }

@@ -1,157 +1,10 @@
-// Package stats provides lightweight counters, histograms and ratio helpers
-// used by every component of the simulator. All types are plain values with
-// no locking: the simulator is single-goroutine by design (cycle-driven), so
-// the hot-path counter increments stay free of synchronization cost.
+// Package stats provides the aggregate helpers the experiment reports
+// normalize with: the geometric mean of speedups and the arithmetic
+// mean. Component counters are plain uint64 fields of each component's
+// Stats struct.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
-
-// Counter is a monotonically increasing event count.
-type Counter uint64
-
-// Inc adds one event.
-func (c *Counter) Inc() { *c++ }
-
-// Add adds n events.
-func (c *Counter) Add(n uint64) { *c += Counter(n) }
-
-// Value returns the current count.
-func (c Counter) Value() uint64 { return uint64(c) }
-
-// Ratio returns c / (c + other), or 0 when both are zero. It is the
-// canonical hit-rate helper: hits.Ratio(misses).
-func (c Counter) Ratio(other Counter) float64 {
-	total := uint64(c) + uint64(other)
-	if total == 0 {
-		return 0
-	}
-	return float64(c) / float64(total)
-}
-
-// Frac returns c / total, or 0 when total is zero.
-func (c Counter) Frac(total Counter) float64 {
-	if total == 0 {
-		return 0
-	}
-	return float64(c) / float64(total)
-}
-
-// Histogram is a fixed-bucket histogram over small non-negative integer
-// samples (e.g. compressed sizes 0..72, queue depths). Samples beyond the
-// last bucket are clamped into it.
-type Histogram struct {
-	Buckets []uint64
-	Count   uint64
-	Sum     uint64
-}
-
-// NewHistogram returns a histogram with buckets [0, n).
-func NewHistogram(n int) *Histogram {
-	return &Histogram{Buckets: make([]uint64, n)}
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.Buckets) {
-		v = len(h.Buckets) - 1
-	}
-	h.Buckets[v]++
-	h.Count++
-	h.Sum += uint64(v)
-}
-
-// Mean returns the average observed sample.
-func (h *Histogram) Mean() float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return float64(h.Sum) / float64(h.Count)
-}
-
-// FracAtMost returns the fraction of samples <= v.
-func (h *Histogram) FracAtMost(v int) float64 {
-	if h.Count == 0 {
-		return 0
-	}
-	if v >= len(h.Buckets) {
-		v = len(h.Buckets) - 1
-	}
-	var n uint64
-	for i := 0; i <= v; i++ {
-		n += h.Buckets[i]
-	}
-	return float64(n) / float64(h.Count)
-}
-
-// Percentile returns the smallest bucket index at which the cumulative
-// fraction of samples reaches p (0..1).
-func (h *Histogram) Percentile(p float64) int {
-	if h.Count == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(p * float64(h.Count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, b := range h.Buckets {
-		cum += b
-		if cum >= target {
-			return i
-		}
-	}
-	return len(h.Buckets) - 1
-}
-
-// Set is an ordered collection of named counters, useful for dumping
-// component stats in a stable order.
-type Set struct {
-	names  []string
-	values map[string]uint64
-}
-
-// NewSet returns an empty stats set.
-func NewSet() *Set {
-	return &Set{values: make(map[string]uint64)}
-}
-
-// Add accumulates n into the named counter, creating it on first use.
-func (s *Set) Add(name string, n uint64) {
-	if _, ok := s.values[name]; !ok {
-		s.names = append(s.names, name)
-	}
-	s.values[name] += n
-}
-
-// Get returns the named counter value (0 if absent).
-func (s *Set) Get(name string) uint64 { return s.values[name] }
-
-// Names returns the counter names in insertion order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
-}
-
-// String renders the set as "name=value" lines sorted by name.
-func (s *Set) String() string {
-	names := make([]string, len(s.names))
-	copy(names, s.names)
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s=%d\n", n, s.values[n])
-	}
-	return b.String()
-}
+import "math"
 
 // GeoMean returns the geometric mean of xs. Non-positive entries are
 // skipped; an empty input yields 1.0 (the multiplicative identity), which is

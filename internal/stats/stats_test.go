@@ -2,87 +2,9 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("value = %d", c.Value())
-	}
-	var misses Counter
-	misses.Add(5)
-	if r := c.Ratio(misses); r != 0.5 {
-		t.Fatalf("ratio = %v", r)
-	}
-	if r := Counter(0).Ratio(0); r != 0 {
-		t.Fatalf("empty ratio = %v", r)
-	}
-	if f := c.Frac(10); f != 0.5 {
-		t.Fatalf("frac = %v", f)
-	}
-	if f := c.Frac(0); f != 0 {
-		t.Fatalf("zero-total frac = %v", f)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10)
-	for _, v := range []int{0, 1, 1, 5, 9, 20, -3} {
-		h.Observe(v)
-	}
-	if h.Count != 7 {
-		t.Fatalf("count = %d", h.Count)
-	}
-	// 20 clamps to 9, -3 clamps to 0.
-	if h.Buckets[9] != 2 || h.Buckets[0] != 2 {
-		t.Fatalf("clamping broken: %v", h.Buckets)
-	}
-	if m := h.Mean(); m != float64(0+1+1+5+9+9+0)/7 {
-		t.Fatalf("mean = %v", m)
-	}
-	if f := h.FracAtMost(1); math.Abs(f-4.0/7) > 1e-12 {
-		t.Fatalf("fracAtMost(1) = %v", f)
-	}
-	if f := h.FracAtMost(100); f != 1 {
-		t.Fatalf("fracAtMost(100) = %v", f)
-	}
-	if p := h.Percentile(0.5); p != 1 {
-		t.Fatalf("p50 = %d", p)
-	}
-	if p := h.Percentile(1.0); p != 9 {
-		t.Fatalf("p100 = %d", p)
-	}
-	empty := NewHistogram(4)
-	if empty.Mean() != 0 || empty.FracAtMost(2) != 0 || empty.Percentile(0.5) != 0 {
-		t.Fatal("empty histogram should report zeros")
-	}
-}
-
-func TestSet(t *testing.T) {
-	s := NewSet()
-	s.Add("b", 2)
-	s.Add("a", 1)
-	s.Add("b", 3)
-	if s.Get("b") != 5 || s.Get("a") != 1 || s.Get("zzz") != 0 {
-		t.Fatal("get values wrong")
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "b" || names[1] != "a" {
-		t.Fatalf("names = %v (insertion order)", names)
-	}
-	str := s.String()
-	if !strings.Contains(str, "a=1") || !strings.Contains(str, "b=5") {
-		t.Fatalf("string = %q", str)
-	}
-	if strings.Index(str, "a=1") > strings.Index(str, "b=5") {
-		t.Fatal("String() must sort by name")
-	}
-}
 
 func TestGeoMean(t *testing.T) {
 	if g := GeoMean([]float64{2, 8}); g != 4 {
@@ -125,32 +47,6 @@ func TestQuickGeoMeanBounds(t *testing.T) {
 		return g >= lo-1e-9 && g <= hi+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram count equals the number of observations and
-// FracAtMost is monotone.
-func TestQuickHistogramMonotone(t *testing.T) {
-	f := func(vals []uint8) bool {
-		h := NewHistogram(64)
-		for _, v := range vals {
-			h.Observe(int(v))
-		}
-		if h.Count != uint64(len(vals)) {
-			return false
-		}
-		prev := 0.0
-		for v := 0; v < 64; v++ {
-			f := h.FracAtMost(v)
-			if f < prev {
-				return false
-			}
-			prev = f
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
