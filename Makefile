@@ -38,14 +38,16 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 # Short fuzz pass over the validated-decompress boundary, the
-# event-vs-cycle simulation core equality oracle and the DRAM cache's
-# occupancy-counter oracle (go's fuzzer accepts one target per
-# invocation).
+# event-vs-cycle simulation core equality oracle, the DRAM cache's
+# occupancy-counter oracle and the sweep-spec parser (go's fuzzer
+# accepts one target per invocation). The parser's new inputs are
+# minimized for at most 5s each so minimization cannot eat its budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecompressChecked$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzCompressRoundtrip$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzEventSchedule$$' -fuzztime=30s ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheOccupancy$$' -fuzztime=30s ./internal/dcache
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/dse
 
 # Per-layer microbenchmarks: every `go test -bench` benchmark in the
 # module — the paper tables/figures in bench_test.go plus the compress,

@@ -100,6 +100,7 @@ func TestBuildConfig(t *testing.T) {
 		{args: []string{"-org", "hbm"}, wantErr: "unknown org"},
 		{args: []string{"-prefetch", "stride"}, wantErr: "unknown prefetch"},
 		{args: []string{"-cap", "5"}, wantErr: "CapacityMult"},
+		{args: []string{"-threshold", "100"}, wantErr: "Threshold 100"},
 		{args: []string{"-fault-policy", "parity"}, wantErr: "unknown policy"},
 	}
 	for _, tc := range cases {

@@ -5,7 +5,7 @@ import "encoding/binary"
 // Size-only compression: the DRAM cache consults compressed sizes on
 // every install, repack and index decision, but it only needs the
 // *size* — the payload bytes are simulator-internal and discarded
-// immediately (verify mode aside). These paths compute the exact sizes
+// immediately. These paths compute the exact sizes
 // the codecs would produce without materializing any payload, which
 // removes all allocation from the cache's sizing hot path. Equivalence
 // with the codec paths is enforced by TestSizeOnlyMatchesCodec over

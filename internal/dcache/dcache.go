@@ -1,7 +1,6 @@
 package dcache
 
 import (
-	"bytes"
 	"fmt"
 
 	"dice/internal/compress"
@@ -73,7 +72,7 @@ const (
 // FillLine writes the line's bytes into buf (len 64) and returns true,
 // or returns false for an unknown line, which the cache treats as
 // incompressible. The cache reads through its own reused buffers and
-// holds the bytes only while it sizes or encodes them.
+// holds the bytes only while it sizes them.
 type DataSource interface {
 	FillLine(line uint64, buf []byte) bool
 }
@@ -81,6 +80,10 @@ type DataSource interface {
 // DefaultThreshold is the DICE insertion threshold (Section 5.2): lines
 // compressing to <= 36B install at their BAI location.
 const DefaultThreshold = 36
+
+// MaxThreshold is the largest insertion threshold: a whole 64B line, at
+// which DICE degenerates to always-BAI.
+const MaxThreshold = 64
 
 // Config describes a DRAM cache instance.
 type Config struct {
@@ -107,12 +110,6 @@ type Config struct {
 	// 7.1), or the zero value for the paper's hybrid FPC+BDI. See
 	// compress.ParseAlg for the names.
 	Alg compress.AlgID
-	// VerifyData makes the cache store each installed line's actual
-	// encoding and, on every hit, decompress it and compare with the data
-	// source — exercising the real codec path end to end. Costs memory
-	// and time; intended for tests and debugging. Requires the hybrid
-	// compressor, whose encodings are what it stores.
-	VerifyData bool
 	// Faults, when non-nil, injects bit errors into every demand-read
 	// frame transfer and applies the model's ECC policy: detected-
 	// uncorrectable errors flush the untrusted frame (would-be hits are
@@ -135,12 +132,10 @@ func (c Config) validate() error {
 		return fmt.Errorf("dcache: Mem is required")
 	case c.Policy != PolicyUncompressed && c.Data == nil:
 		return fmt.Errorf("dcache: compressed policy %v requires a DataSource", c.Policy)
-	case c.Threshold > 64:
-		return fmt.Errorf("dcache: Threshold %d > 64", c.Threshold)
+	case c.Threshold > MaxThreshold:
+		return fmt.Errorf("dcache: Threshold %d > %d", c.Threshold, MaxThreshold)
 	case c.Alg != compress.AlgNone && c.Alg != compress.AlgFPC && c.Alg != compress.AlgBDI:
 		return fmt.Errorf("dcache: Alg %v is not fpc, bdi or hybrid", c.Alg)
-	case c.VerifyData && c.Alg != compress.AlgNone:
-		return fmt.Errorf("dcache: VerifyData requires the hybrid compressor")
 	}
 	return nil
 }
@@ -171,12 +166,6 @@ type Stats struct {
 	WritebackAccesses uint64 // DRAM accesses performed for writebacks
 	WritePredictions  uint64 // scored write-index predictions (Sec 5.3)
 	WriteMispredicts  uint64 // writes found at the unpredicted location
-
-	// VerifyChecks/VerifyFailures count data-integrity checks performed
-	// in verify mode (Config.VerifyData): every hit decompresses the
-	// stored encoding and compares it with the data source.
-	VerifyChecks   uint64
-	VerifyFailures uint64
 
 	// SizeMemoHits/SizeMemoMisses count lookups of the per-line
 	// compressed-size memo table (hits return a previously computed size
@@ -374,8 +363,7 @@ func (c *Cache) probeRead(now uint64, setIdx, line uint64) (uint64, fault.Outcom
 // fault. This is where compression amplifies the blast radius: an
 // uncompressed frame loses at most one line, a DICE frame up to
 // MaxLinesPerSet. Dirty residents are unrecoverable data loss. The set
-// keeps its slots for later installs; clearing them drops the stale
-// encodings they point to.
+// keeps its slots for later installs.
 func (c *Cache) flushSet(setIdx uint64) (lines, dirty int) {
 	s := &c.sets[setIdx]
 	for i := range s.entries {
@@ -386,7 +374,6 @@ func (c *Cache) flushSet(setIdx uint64) (lines, dirty int) {
 			c.stats.FaultDirtyLoss++
 		}
 	}
-	clear(s.entries)
 	s.entries = s.entries[:0]
 	c.occupied -= lines
 	return lines, dirty
@@ -710,9 +697,6 @@ func (c *Cache) finishRead(done uint64, setIdx uint64, line uint64, usedBAI bool
 	}
 	s.touch(i)
 	c.stats.ReadHits++
-	if c.cfg.VerifyData {
-		c.verifyEntry(&s.entries[0])
-	}
 	res := ReadResult{Done: done, Hit: true, UsedBAI: usedBAI}
 	if c.spatialPolicy() {
 		if j := s.find(Buddy(line)); j >= 0 {
@@ -723,19 +707,6 @@ func (c *Cache) finishRead(done uint64, setIdx uint64, line uint64, usedBAI bool
 		}
 	}
 	return res
-}
-
-// verifyEntry decompresses a stored encoding and checks it against the
-// data source (verify mode): the full codec path runs on every hit.
-func (c *Cache) verifyEntry(e *entry) {
-	if e.enc == nil {
-		return
-	}
-	c.stats.VerifyChecks++
-	got, err := compress.DecompressChecked(*e.enc)
-	if err != nil || !c.cfg.Data.FillLine(e.line, c.scratchA[:]) || !bytes.Equal(got, c.scratchA[:]) {
-		c.stats.VerifyFailures++
-	}
 }
 
 // Victim is a line displaced from the cache.
@@ -872,14 +843,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 		}
 		s.entries = append(s.entries, entry{})
 		copy(s.entries[1:], s.entries)
-		e := entry{line: line, dirty: dirty, bai: usedBAI}
-		if c.cfg.VerifyData && c.cfg.Policy != PolicyUncompressed {
-			if c.cfg.Data.FillLine(line, c.scratchA[:]) {
-				enc := compress.CompressBest(c.scratchA[:])
-				e.enc = &enc
-			}
-		}
-		s.entries[0] = e
+		s.entries[0] = entry{line: line, dirty: dirty, bai: usedBAI}
 		c.occupied++
 		c.stats.InstallSizeBuckets[(c.singleSize(line)+7)/8]++
 	}

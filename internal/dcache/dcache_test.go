@@ -626,46 +626,6 @@ func TestThresholdDegenerates(t *testing.T) {
 	}
 }
 
-func TestVerifyDataModeRoundTripsOnHits(t *testing.T) {
-	data := newTestData()
-	rng := rand.New(rand.NewPCG(31, 32))
-	kinds := []string{"zero", "small", "random"}
-	for l := uint64(0); l < 1<<12; l++ {
-		data.set(l, kinds[rng.UintN(3)])
-	}
-	c := New(Config{
-		Sets: 256, Policy: PolicyDICE, VerifyData: true,
-		Mem: dram.New(dram.HBMConfig()), Data: data,
-	})
-	for i := 0; i < 8000; i++ {
-		line := uint64(rng.UintN(1 << 10))
-		r := c.Read(0, line)
-		if !r.Hit {
-			c.Install(r.Done, line, false)
-		}
-	}
-	s := c.Stats()
-	if s.VerifyChecks == 0 {
-		t.Fatal("verify mode performed no checks")
-	}
-	if s.VerifyFailures != 0 {
-		t.Fatalf("%d of %d verification checks failed: codec path broken",
-			s.VerifyFailures, s.VerifyChecks)
-	}
-}
-
-func TestVerifyDataConfigValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("VerifyData with a single-algorithm compressor accepted")
-		}
-	}()
-	New(Config{
-		Sets: 16, Policy: PolicyDICE, VerifyData: true, Alg: compress.AlgFPC,
-		Mem: dram.New(dram.HBMConfig()), Data: newTestData(),
-	})
-}
-
 func TestWritePredictionAccuracy(t *testing.T) {
 	data := newTestData()
 	// Page-stable compressibility: the write predictor (compressibility

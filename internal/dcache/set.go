@@ -1,9 +1,5 @@
 package dcache
 
-import (
-	"dice/internal/compress"
-)
-
 // Set-content model for the flexible tag-and-data format of Figure 5.
 //
 // Each physical set is one 72-byte Alloy TAD frame. The memory controller
@@ -46,8 +42,6 @@ type entry struct {
 	// sharedTag marks the second member of an adjacent pair, which rides
 	// on its buddy's tag entry.
 	sharedTag bool
-	// enc holds the line's stored encoding in verify mode (nil otherwise).
-	enc *compress.Encoding
 }
 
 // entryArenaCap is the entry capacity a set carves from the cache's

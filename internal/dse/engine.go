@@ -11,8 +11,6 @@ import (
 	"dice/internal/obs"
 	"dice/internal/serve"
 	"dice/internal/serve/client"
-	"dice/internal/sim"
-	"dice/internal/workloads"
 )
 
 // DefaultBatch is the cells-per-job batch size for daemon-sharded
@@ -113,18 +111,6 @@ func Run(ctx context.Context, cells []serve.CellSpec, rlog *ResultLog, have map[
 // runLocal executes pending cells in-process on a fresh memoizing
 // runner, checkpointing each cell the moment it completes.
 func runLocal(ctx context.Context, pending []serve.CellSpec, record func(serve.CellResult) error, opt Options) error {
-	ecells := make([]experiments.Cell, len(pending))
-	for i, cs := range pending {
-		cfg, err := cs.Config(0) // expansion stamps Refs; 0 default unused
-		if err != nil {
-			return fmt.Errorf("dse: cell %s: %w", cs.Key(), err)
-		}
-		w, err := workloads.ByName(cs.Workload)
-		if err != nil {
-			return fmt.Errorf("dse: cell %s: %w", cs.Key(), err)
-		}
-		ecells[i] = experiments.Cell{Key: cs.Key(), Cfg: cfg, W: w}
-	}
 	r := experiments.NewRunner(0)
 	r.Workers = opt.Workers
 	if opt.MetricsEpoch > 0 && opt.EpochSink != nil {
@@ -133,8 +119,9 @@ func runLocal(ctx context.Context, pending []serve.CellSpec, record func(serve.C
 	}
 	var recErr error
 	var recMu sync.Mutex
-	err := r.ForEachCellCtx(ctx, ecells, func(i int, res sim.Result) {
-		if rerr := record(serve.CellResultFrom(ecells[i].Key, res)); rerr != nil {
+	// Expansion stamps every cell's Refs, so the default 0 is unused.
+	_, err := serve.RunCells(ctx, r, pending, 0, func(res serve.CellResult) {
+		if rerr := record(res); rerr != nil {
 			recMu.Lock()
 			if recErr == nil {
 				recErr = rerr

@@ -11,35 +11,17 @@ import (
 // simulation — erroring at expansion keeps the mistake cheap.
 const MaxCells = 1 << 20
 
-// Expand crosses every axis into the cell matrix: nested loops in a
-// fixed canonical order (workload outermost, then policy, org,
-// threshold, compress, ber, fault-seed, fault-policy, capacity, bw,
-// latency, prefetch, mlp, scale — the order the axes are documented
-// in, independent of spec line order), deduplicated by canonical key,
-// then augmented with every distinct baseline cell the Pareto
-// normalization needs that the spec did not already request. The
-// result's order is deterministic, so two expansions of the same spec
-// are identical element-for-element.
+// Expand crosses every axis into the cell matrix: an odometer over
+// axisTable (workload outermost, then the table's canonical order with
+// scale turning fastest, independent of spec line order), deduplicated
+// by canonical key, then augmented with every distinct baseline cell
+// the Pareto normalization needs that the spec did not already
+// request. The result's order is deterministic, so two expansions of
+// the same spec are identical element-for-element.
 func (s *Spec) Expand() ([]serve.CellSpec, error) {
 	if s.Refs <= 0 {
 		return nil, fmt.Errorf("dse: spec refs must be positive, got %d", s.Refs)
 	}
-	// An absent axis contributes its single zero value, keeping the
-	// cross product total and the loop structure uniform.
-	policies := orDefault(s.Policies, "")
-	orgs := orDefault(s.Orgs, "")
-	thresholds := orDefault(s.Thresholds, 0)
-	compress := orDefault(s.Compress, "")
-	bers := orDefault(s.BERs, 0)
-	seeds := orDefault(s.FaultSeeds, 0)
-	fpols := orDefault(s.FaultPolicies, "")
-	caps := orDefault(s.Capacities, 0)
-	bws := orDefault(s.BWs, 0)
-	lats := orDefault(s.HalfLats, false)
-	pfs := orDefault(s.Prefetches, "")
-	mlps := orDefault(s.MLPs, 0)
-	scales := orDefault(s.Scales, 0)
-
 	var cells []serve.CellSpec
 	seen := map[string]bool{}
 	add := func(c serve.CellSpec) error {
@@ -57,51 +39,31 @@ func (s *Spec) Expand() ([]serve.CellSpec, error) {
 		cells = append(cells, c)
 		return nil
 	}
+	// digit[i] indexes axis i's values; an absent axis has none and
+	// leaves its field at the zero value.
+	digit := make([]int, len(axisTable))
 	for _, w := range s.Workloads {
-		for _, pol := range policies {
-			for _, org := range orgs {
-				for _, th := range thresholds {
-					for _, alg := range compress {
-						for _, ber := range bers {
-							for _, seed := range seeds {
-								for _, fp := range fpols {
-									for _, capm := range caps {
-										for _, bw := range bws {
-											for _, half := range lats {
-												for _, pf := range pfs {
-													for _, mlp := range mlps {
-														for _, sc := range scales {
-															err := add(serve.CellSpec{
-																Workload:    w,
-																Policy:      pol,
-																Org:         org,
-																Threshold:   th,
-																Compress:    alg,
-																BER:         ber,
-																FaultSeed:   seed,
-																FaultPolicy: fp,
-																Capacity:    capm,
-																BW:          bw,
-																HalfLat:     half,
-																Prefetch:    pf,
-																MLP:         mlp,
-																Refs:        s.Refs,
-																Scale:       sc,
-															})
-															if err != nil {
-																return nil, err
-															}
-														}
-													}
-												}
-											}
-										}
-									}
-								}
-							}
-						}
+		for {
+			c := serve.CellSpec{Workload: w, Refs: s.Refs}
+			for i, ax := range axisTable {
+				if vals := s.axes[ax.key]; len(vals) > 0 {
+					if err := ax.set(&c, vals[digit[i]]); err != nil {
+						return nil, fmt.Errorf("dse: %s: %w", ax.key, err)
 					}
 				}
+			}
+			if err := add(c); err != nil {
+				return nil, err
+			}
+			i := len(digit) - 1
+			for ; i >= 0; i-- {
+				if digit[i]++; digit[i] < len(s.axes[axisTable[i].key]) {
+					break
+				}
+				digit[i] = 0
+			}
+			if i < 0 {
+				break // every digit wrapped: this workload is done
 			}
 		}
 	}
@@ -119,13 +81,4 @@ func (s *Spec) Expand() ([]serve.CellSpec, error) {
 		}
 	}
 	return cells, nil
-}
-
-// orDefault returns vals, or a one-element slice of def when the axis
-// was not declared.
-func orDefault[T any](vals []T, def T) []T {
-	if len(vals) == 0 {
-		return []T{def}
-	}
-	return vals
 }

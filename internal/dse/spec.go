@@ -25,9 +25,7 @@ import (
 	"strconv"
 	"strings"
 
-	"dice/internal/compress"
-	"dice/internal/dcache"
-	"dice/internal/sim"
+	"dice/internal/serve"
 	"dice/internal/workloads"
 )
 
@@ -36,10 +34,10 @@ import (
 // explicitly, so cell keys never depend on a daemon's local default.
 const DefaultRefs = 2000
 
-// Spec is a parsed sweep: one or more values per configuration axis,
-// plus the scalars that apply to every cell. Absent axes hold their
-// single zero value, so the expanded matrix is always the full cross
-// product of what the spec declares.
+// Spec is a parsed sweep: the scalars that apply to every cell, the
+// workload axis, and the values of every other declared axis. An
+// absent axis holds the cell's zero value, so the expanded matrix is
+// always the full cross product of what the spec declares.
 type Spec struct {
 	// Name labels the sweep ("" = unnamed); exports echo it.
 	Name string
@@ -48,32 +46,88 @@ type Spec struct {
 	// Workloads is the expanded workload axis (suite keywords already
 	// resolved to names, deduplicated first-wins). Required.
 	Workloads []string
-	// Policies is the L4 design axis (base|tsi|nsi|bai|dice|scc).
-	Policies []string
-	// Orgs is the tag-organization axis (alloy|knl).
-	Orgs []string
-	// Thresholds is the DICE BAI-insertion threshold axis, in bytes.
-	Thresholds []int
-	// Compress is the compression-algorithm axis (hybrid|fpc|bdi).
-	Compress []string
-	// BERs is the injected raw bit-error-rate axis.
-	BERs []float64
-	// FaultSeeds is the deterministic fault-stream seed axis.
-	FaultSeeds []uint64
-	// FaultPolicies is the fault-recovery-policy axis (none|ecc|ecc+quarantine).
-	FaultPolicies []string
-	// Capacities is the L4 capacity-multiplier axis.
-	Capacities []int
-	// BWs is the L4 bandwidth-multiplier axis.
-	BWs []int
-	// HalfLats is the L4 timing axis (false = full latency, true = half).
-	HalfLats []bool
-	// Prefetches is the L3 prefetch-mode axis (none|nextline|wide128).
-	Prefetches []string
-	// MLPs is the per-core outstanding-reference-window axis.
-	MLPs []int
-	// Scales is the system scale-shift axis (0 = default 10).
-	Scales []uint
+	// axes maps each declared axis key to its values, ranges already
+	// enumerated, each one checked by checkValue.
+	axes map[string][]string
+}
+
+// axis is one row of the sweep's axis table: the spec key, whether the
+// key takes "lo..hi [step N]" ranges, and how a value lands in a cell.
+type axis struct {
+	key    string
+	ranges bool
+	set    func(c *serve.CellSpec, v string) error
+}
+
+// axisTable lists every axis but workload in canonical expansion order:
+// the order SWEEPS.md documents, independent of spec line order. A set
+// only parses; vocabularies and bounds live in serve.CellSpec.Config
+// and sim.Config.Validate, which checkValue applies.
+var axisTable = []axis{
+	{"policy", false, func(c *serve.CellSpec, v string) error { c.Policy = v; return nil }},
+	{"org", false, func(c *serve.CellSpec, v string) error { c.Org = v; return nil }},
+	{"threshold", true, func(c *serve.CellSpec, v string) error { return setInt(&c.Threshold, v, 0) }},
+	{"compress", false, func(c *serve.CellSpec, v string) error { c.Compress = v; return nil }},
+	{"ber", false, func(c *serve.CellSpec, v string) (err error) {
+		if c.BER, err = strconv.ParseFloat(v, 64); err != nil {
+			return fmt.Errorf("want a rate, got %q", v)
+		}
+		return nil
+	}},
+	{"fault-seed", false, func(c *serve.CellSpec, v string) (err error) {
+		if c.FaultSeed, err = strconv.ParseUint(v, 10, 64); err != nil {
+			return fmt.Errorf("want an unsigned integer, got %q", v)
+		}
+		return nil
+	}},
+	{"fault-policy", false, func(c *serve.CellSpec, v string) error { c.FaultPolicy = v; return nil }},
+	{"capacity", true, func(c *serve.CellSpec, v string) error { return setInt(&c.Capacity, v, 1) }},
+	{"bw", true, func(c *serve.CellSpec, v string) error { return setInt(&c.BW, v, 1) }},
+	{"latency", false, func(c *serve.CellSpec, v string) error {
+		if v != "full" && v != "half" {
+			return fmt.Errorf("want full or half, got %q", v)
+		}
+		c.HalfLat = v == "half"
+		return nil
+	}},
+	{"prefetch", false, func(c *serve.CellSpec, v string) error { c.Prefetch = v; return nil }},
+	{"mlp", true, func(c *serve.CellSpec, v string) error { return setInt(&c.MLP, v, 1) }},
+	{"scale", true, func(c *serve.CellSpec, v string) error {
+		n, err := strconv.ParseUint(v, 10, 8)
+		if err != nil {
+			return fmt.Errorf("want a small unsigned integer, got %q", v)
+		}
+		c.Scale = uint(n)
+		return nil
+	}},
+}
+
+// setInt parses an integer axis value no smaller than least. Capacity, bw
+// and mlp start at 1: their zero is the simulator default, which a
+// spec spells by leaving the axis out, so "0" would run the default
+// under a second cell key.
+func setInt(dst *int, v string, least int) error {
+	n, err := strconv.Atoi(v)
+	if err != nil || n < least {
+		return fmt.Errorf("want an integer >= %d, got %q", least, v)
+	}
+	*dst = n
+	return nil
+}
+
+// checkValue sets v into an otherwise default cell and runs the same
+// checks a cell meets at run time, so a spec accepts exactly the values
+// a cell can run.
+func (ax axis) checkValue(v string) error {
+	var c serve.CellSpec
+	if err := ax.set(&c, v); err != nil {
+		return err
+	}
+	cfg, err := c.Config(0)
+	if err != nil {
+		return err
+	}
+	return cfg.Validate()
 }
 
 // suites maps the workload-axis suite keywords to their catalogs.
@@ -103,10 +157,11 @@ func ParseFile(path string) (*Spec, error) {
 // values separated by commas and/or spaces, '#' starting a comment.
 // Scalars (name, refs) take exactly one value; every other key is an
 // axis and takes one or more. Assigning a key twice, assigning no
-// values, or naming an unknown key or value is an error citing the
-// line number. See SWEEPS.md for the grammar and axis semantics.
+// values, naming an unknown key, or a value the simulator would reject
+// is an error citing the line number. See SWEEPS.md for the grammar
+// and axis semantics.
 func Parse(r io.Reader) (*Spec, error) {
-	s := &Spec{Refs: DefaultRefs}
+	s := &Spec{Refs: DefaultRefs, axes: map[string][]string{}}
 	seen := map[string]int{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<10), 1<<20)
@@ -149,114 +204,46 @@ func Parse(r io.Reader) (*Spec, error) {
 	return s, nil
 }
 
-// assign folds one parsed assignment into the spec, validating every
-// value against the vocabulary its axis accepts.
+// assign folds one parsed assignment into the spec, checking every
+// axis value against the simulator's own validation.
 func (s *Spec) assign(key string, vals []string) error {
-	one := func() (string, error) {
-		if len(vals) != 1 {
-			return "", fmt.Errorf("%q takes one value, got %d", key, len(vals))
-		}
-		return vals[0], nil
-	}
 	switch key {
-	case "name":
-		v, err := one()
-		if err != nil {
-			return err
+	case "name", "refs":
+		if len(vals) != 1 {
+			return fmt.Errorf("%q takes one value, got %d", key, len(vals))
 		}
-		s.Name = v
-		return nil
-	case "refs":
-		v, err := one()
-		if err != nil {
-			return err
+		if key == "name" {
+			s.Name = vals[0]
+			return nil
 		}
-		n, err := strconv.Atoi(v)
+		n, err := strconv.Atoi(vals[0])
 		if err != nil || n <= 0 {
-			return fmt.Errorf("refs: want a positive integer, got %q", v)
+			return fmt.Errorf("refs: want a positive integer, got %q", vals[0])
 		}
 		s.Refs = n
 		return nil
 	case "workload":
 		return s.assignWorkloads(vals)
-	case "policy":
-		return assignEnum(&s.Policies, key, vals, func(v string) error {
-			_, err := dcache.ParsePolicy(v)
-			return err
-		})
-	case "org":
-		return assignEnum(&s.Orgs, key, vals, func(v string) error {
-			_, err := dcache.ParseOrg(v)
-			return err
-		})
-	case "threshold":
-		return assignInts(&s.Thresholds, key, vals, 0)
-	case "compress":
-		return assignEnum(&s.Compress, key, vals, func(v string) error {
-			_, err := compress.ParseAlg(v)
-			return err
-		})
-	case "ber":
-		for _, v := range vals {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 || f > 1 {
-				return fmt.Errorf("ber: want a rate in [0,1], got %q", v)
-			}
-			s.BERs = append(s.BERs, f)
-		}
-		return nil
-	case "fault-seed":
-		for _, v := range vals {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				return fmt.Errorf("fault-seed: want an unsigned integer, got %q", v)
-			}
-			s.FaultSeeds = append(s.FaultSeeds, n)
-		}
-		return nil
-	case "fault-policy":
-		return assignEnum(&s.FaultPolicies, key, vals, func(v string) error {
-			return (sim.Config{FaultBER: 1e-9, FaultPolicy: v}).Validate()
-		})
-	case "capacity":
-		return assignInts(&s.Capacities, key, vals, 1)
-	case "bw":
-		return assignInts(&s.BWs, key, vals, 1)
-	case "latency":
-		for _, v := range vals {
-			switch v {
-			case "full":
-				s.HalfLats = append(s.HalfLats, false)
-			case "half":
-				s.HalfLats = append(s.HalfLats, true)
-			default:
-				return fmt.Errorf("latency: want full or half, got %q", v)
-			}
-		}
-		return nil
-	case "prefetch":
-		return assignEnum(&s.Prefetches, key, vals, func(v string) error {
-			_, err := sim.ParsePrefetchMode(v)
-			return err
-		})
-	case "mlp":
-		return assignInts(&s.MLPs, key, vals, 1)
-	case "scale":
-		vals, err := expandRanges(key, vals)
-		if err != nil {
-			return err
-		}
-		for _, v := range vals {
-			n, err := strconv.ParseUint(v, 10, 8)
-			if err != nil {
-				return fmt.Errorf("scale: want a small unsigned integer, got %q", v)
-			}
-			s.Scales = append(s.Scales, uint(n))
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown key %q", key)
 	}
+	for _, ax := range axisTable {
+		if ax.key != key {
+			continue
+		}
+		if ax.ranges {
+			var err error
+			if vals, err = expandRanges(key, vals); err != nil {
+				return err
+			}
+		}
+		for _, v := range vals {
+			if err := ax.checkValue(v); err != nil {
+				return fmt.Errorf("%s: %w", key, err)
+			}
+		}
+		s.axes[key] = vals
+		return nil
+	}
+	return fmt.Errorf("unknown key %q", key)
 }
 
 // assignWorkloads resolves the workload axis: each value is a suite
@@ -282,34 +269,6 @@ func (s *Spec) assignWorkloads(vals []string) error {
 			return fmt.Errorf("workload: %w", err)
 		}
 		add(v)
-	}
-	return nil
-}
-
-// assignEnum appends string axis values after validating each.
-func assignEnum(dst *[]string, key string, vals []string, check func(string) error) error {
-	for _, v := range vals {
-		if err := check(v); err != nil {
-			return fmt.Errorf("%s: %w", key, err)
-		}
-		*dst = append(*dst, v)
-	}
-	return nil
-}
-
-// assignInts appends integer axis values — enumerated or lo..hi
-// ranges — each at least min.
-func assignInts(dst *[]int, key string, vals []string, min int) error {
-	vals, err := expandRanges(key, vals)
-	if err != nil {
-		return err
-	}
-	for _, v := range vals {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < min {
-			return fmt.Errorf("%s: want an integer >= %d, got %q", key, min, v)
-		}
-		*dst = append(*dst, n)
 	}
 	return nil
 }
@@ -359,11 +318,14 @@ func expandRanges(key string, vals []string) ([]string, error) {
 			step = n
 			i += 2
 		}
-		if (hi-lo)/step+1 > maxRangeValues {
+		// A negative span means hi-lo overflowed; counting steps rather
+		// than comparing against hi keeps lo+k*step from wrapping too.
+		span := hi - lo
+		if span < 0 || span/step >= maxRangeValues {
 			return nil, fmt.Errorf("%s: range %q expands to more than %d values", key, v, maxRangeValues)
 		}
-		for n := lo; n <= hi; n += step {
-			out = append(out, strconv.Itoa(n))
+		for k := 0; k <= span/step; k++ {
+			out = append(out, strconv.Itoa(lo+k*step))
 		}
 	}
 	return out, nil

@@ -1,8 +1,13 @@
 package dse
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
+
+	"dice/internal/serve"
 )
 
 // Parser rejection paths, table-driven: each bad spec must fail with
@@ -21,14 +26,15 @@ func TestParseErrors(t *testing.T) {
 		{"unknown policy", "workload = gcc\npolicy = lru\n", "unknown policy"},
 		{"unknown org", "workload = gcc\norg = sectored\n", "unknown org"},
 		{"unknown compress", "workload = gcc\ncompress = lz4\n", "unknown compress"},
-		{"ber out of range", "workload = gcc\nber = 2\n", "rate in [0,1]"},
-		{"ber not a number", "workload = gcc\nber = lots\n", "rate in [0,1]"},
+		{"ber out of range", "workload = gcc\nber = 2\n", "line 2: ber: sim: FaultBER 2 out of range"},
+		{"ber not a number", "workload = gcc\nber = lots\n", "want a rate"},
 		{"bad latency", "workload = gcc\nlatency = quarter\n", "full or half"},
 		{"bad prefetch", "workload = gcc\nprefetch = stride\n", "prefetch"},
 		{"bad fault policy", "workload = gcc\nfault-policy = parity\n", "policy"},
 		{"zero refs", "workload = gcc\nrefs = 0\n", "positive integer"},
 		{"multi-value refs", "workload = gcc\nrefs = 100 200\n", "takes one value"},
 		{"negative threshold", "workload = gcc\nthreshold = -1\n", "integer >= 0"},
+		{"threshold over line size", "workload = gcc\npolicy = dice\nthreshold = 24 100\n", "line 3: threshold: sim: Threshold 100"},
 		{"zero capacity", "workload = gcc\ncapacity = 0\n", "integer >= 1"},
 		{"range bad bounds", "workload = gcc\nthreshold = 24..x\n", "integer bounds"},
 		{"range empty", "workload = gcc\nthreshold = 48..24\n", "lo > hi"},
@@ -37,6 +43,9 @@ func TestParseErrors(t *testing.T) {
 		{"stray step", "workload = gcc\nmlp = 4 step 2\n", "must directly follow"},
 		{"range too wide", "workload = gcc\nthreshold = 0..1000000\n", "more than"},
 		{"range below axis min", "workload = gcc\ncapacity = 0..4\n", "integer >= 1"},
+		{"range span overflows", "workload = gcc\nthreshold = -9223372036854775808..9223372036854775807\n", "more than"},
+		{"range step wraps", "workload = gcc\nthreshold = 9223372036854775800..9223372036854775807 step 4096\n", "Threshold 9223372036854775800"},
+		{"mlp past window bound", "workload = gcc\nmlp = 2000\n", "MLPWindow 2000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -72,8 +81,14 @@ latency = full half
 	if got := strings.Join(spec.Workloads, " "); got != "gcc mcf libq" {
 		t.Fatalf("workloads = %q", got)
 	}
-	if len(spec.Policies) != 2 || len(spec.BERs) != 2 || len(spec.HalfLats) != 2 {
-		t.Fatalf("axes: %+v", spec)
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3 workloads x 2 policies x 2 BERs x 2 latencies; the base-policy,
+	// BER-0 cells are their own baselines.
+	if len(cells) != 24 {
+		t.Fatalf("expanded to %d cells, want 24", len(cells))
 	}
 }
 
@@ -101,30 +116,45 @@ func TestParseRangeExpansion(t *testing.T) {
 workload = gcc
 threshold = 24..48 step 4
 capacity = 1..3
-bw = 2 4..6 16
+bw = 1 3..4
 mlp = 1..8 step 3
 scale = 8..12 step 2
 `))
 	if err != nil {
 		t.Fatal(err)
 	}
-	intsEq := func(name string, got []int, want ...int) {
-		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s expanded to %v, want %v", name, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s expanded to %v, want %v", name, got, want)
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// axisValues lists one field's distinct values over the requested
+	// cells, in expansion order.
+	axisValues := func(field func(serve.CellSpec) int) []int {
+		var out []int
+		seen := map[int]bool{}
+		for _, c := range cells {
+			if v := field(c); !c.IsBaseline() && !seen[v] {
+				seen[v] = true
+				out = append(out, v)
 			}
 		}
+		return out
 	}
-	intsEq("threshold", spec.Thresholds, 24, 28, 32, 36, 40, 44, 48)
-	intsEq("capacity", spec.Capacities, 1, 2, 3)
-	intsEq("bw", spec.BWs, 2, 4, 5, 6, 16)
-	intsEq("mlp", spec.MLPs, 1, 4, 7) // last value is the largest lo+k*N <= hi
-	if len(spec.Scales) != 3 || spec.Scales[0] != 8 || spec.Scales[2] != 12 {
-		t.Fatalf("scale expanded to %v, want [8 10 12]", spec.Scales)
+	intsEq := func(name string, got []int, want ...int) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s expanded to %v, want %v", name, got, want)
+		}
+	}
+	intsEq("threshold", axisValues(func(c serve.CellSpec) int { return c.Threshold }), 24, 28, 32, 36, 40, 44, 48)
+	intsEq("capacity", axisValues(func(c serve.CellSpec) int { return c.Capacity }), 1, 2, 3)
+	intsEq("bw", axisValues(func(c serve.CellSpec) int { return c.BW }), 1, 3, 4)
+	intsEq("mlp", axisValues(func(c serve.CellSpec) int { return c.MLP }), 1, 4, 7) // last value is the largest lo+k*N <= hi
+	intsEq("scale", axisValues(func(c serve.CellSpec) int { return int(c.Scale) }), 8, 10, 12)
+	// 7 thresholds x 3^4 other-axis combinations, plus one baseline per
+	// combination of the four non-threshold axes.
+	if len(cells) != 7*81+81 {
+		t.Fatalf("expanded to %d cells, want %d", len(cells), 7*81+81)
 	}
 }
 
@@ -223,5 +253,49 @@ ber = 0 1e-5
 		if cells[i] != again[i] {
 			t.Fatalf("expansion not deterministic at %d", i)
 		}
+	}
+}
+
+// Every axis at two values, spelled out of canonical order where it
+// can be, pins Expand's order: the cell count and a digest of every
+// key in expansion order. A refactor of the axis machinery must leave
+// both unchanged, or resumed sweeps and frontier exports would shift.
+func TestExpandEveryAxisPinned(t *testing.T) {
+	spec, err := Parse(strings.NewReader(`
+refs = 300
+workload = gcc
+policy = dice base
+org = knl alloy
+threshold = 24..32 step 8
+compress = fpc hybrid
+ber = 1e-5, 0
+fault-seed = 3 1
+fault-policy = ecc none
+capacity = 2 1
+bw = 1 2
+latency = half full
+prefetch = wide128 none
+mlp = 4 8
+scale = 11 10
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 2^13 requested cells plus one baseline per combination of the six
+	// axes a baseline keeps (capacity, bw, latency, prefetch, mlp, scale).
+	if len(cells) != 8256 {
+		t.Fatalf("expanded to %d cells, want 8256", len(cells))
+	}
+	h := sha256.New()
+	for _, c := range cells {
+		h.Write([]byte(c.Key() + "\n"))
+	}
+	const want = "7e5f78437cee0f28da134a68762400fa324b830f2491600d325ff9774d751ac6"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("expansion digest %s, want %s", got, want)
 	}
 }

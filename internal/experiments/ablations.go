@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dice/internal/sim"
+	"dice/internal/stats"
 	"dice/internal/workloads"
 )
 
@@ -94,7 +95,7 @@ func AblationCompressor(r *Runner) *Report {
 		fs, bs, hs = append(fs, f), append(bs, bd), append(hs, h)
 	}
 	rep.Rows = append(rep.Rows, Row{Name: "GMEAN", Values: map[string]float64{
-		"FPC-only": geoMean(fs), "BDI-only": geoMean(bs), "Hybrid": geoMean(hs),
+		"FPC-only": stats.GeoMean(fs), "BDI-only": stats.GeoMean(bs), "Hybrid": stats.GeoMean(hs),
 	}})
 	rep.Notes = append(rep.Notes,
 		"paper Sec 7.1: DICE works with any low-latency compressor; hybrid is best")
@@ -155,7 +156,7 @@ func AblationMLP(r *Runner) *Report {
 	}
 	gm := make(map[string]float64, len(windows))
 	for i, win := range windows {
-		gm[fmt.Sprintf("MLP=%d", win)] = geoMean(sums[i])
+		gm[fmt.Sprintf("MLP=%d", win)] = stats.GeoMean(sums[i])
 	}
 	rep.Rows = append(rep.Rows, Row{Name: "GMEAN", Values: gm})
 	rep.Notes = append(rep.Notes,

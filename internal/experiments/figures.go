@@ -5,6 +5,7 @@ import (
 
 	"dice/internal/compress"
 	"dice/internal/sim"
+	"dice/internal/stats"
 	"dice/internal/workloads"
 )
 
@@ -236,7 +237,7 @@ func Fig13NonIntensive(r *Runner) *Report {
 		xs = append(xs, s)
 	}
 	rep.Rows = append(rep.Rows, Row{Name: "gmean",
-		Values: map[string]float64{"DICE": geoMean(xs)}})
+		Values: map[string]float64{"DICE": stats.GeoMean(xs)}})
 	rep.Notes = append(rep.Notes,
 		"paper Fig 13: ~+2% average, no workload degraded")
 	return rep
@@ -266,7 +267,7 @@ func Fig14Energy(r *Runner) *Report {
 			en = append(en, t.Energy.Total()/b.Energy.Total())
 			edp = append(edp, t.Energy.EDP()/b.Energy.EDP())
 		}
-		rep.AddRow(cfg, "", geoMean(pw), geoMean(pf), geoMean(en), geoMean(edp))
+		rep.AddRow(cfg, "", stats.GeoMean(pw), stats.GeoMean(pf), stats.GeoMean(en), stats.GeoMean(edp))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper Fig 14: DICE reduces energy by 24% and EDP by 36%")
@@ -336,7 +337,7 @@ func CIPAccuracy(r *Runner) *Report {
 	}
 	avg := make([]float64, len(sizes))
 	for i := range sizes {
-		avg[i] = mean(perSize[i])
+		avg[i] = stats.Mean(perSize[i])
 	}
 	rep.Rows = append(rep.Rows, Row{Name: "AVG26", Values: map[string]float64{
 		"512": avg[0], "2048": avg[1], "8192": avg[2],

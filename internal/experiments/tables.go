@@ -1,37 +1,10 @@
 package experiments
 
 import (
-	"math"
-
 	"dice/internal/sim"
+	"dice/internal/stats"
 	"dice/internal/workloads"
 )
-
-func geoMean(xs []float64) float64 {
-	var logSum float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			logSum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 1
-	}
-	return math.Exp(logSum / float64(n))
-}
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
 
 // groupSets returns the paper's aggregation groups over the evaluation
 // set: SPEC RATE, SPEC MIX, GAP, and the combined 26.
@@ -70,7 +43,7 @@ func Table04Threshold(r *Runner) *Report {
 			s36 = append(s36, r.Speedup("dice", w))
 			s40 = append(s40, r.Speedup("dice-t40", w))
 		}
-		rep.AddRow(g.Label, "", geoMean(s32), geoMean(s36), geoMean(s40))
+		rep.AddRow(g.Label, "", stats.GeoMean(s32), stats.GeoMean(s36), stats.GeoMean(s40))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper Table 4: 36B maximizes performance (+19.0% GMEAN26)")
@@ -101,7 +74,7 @@ func Table05Capacity(r *Runner) *Report {
 			cb = append(cb, r.Run("bai", w).EffCapacity/base)
 			cd = append(cd, r.Run("dice", w).EffCapacity/base)
 		}
-		rep.AddRow(g.Label, "", geoMean(ct), geoMean(cb), geoMean(cd))
+		rep.AddRow(g.Label, "", stats.GeoMean(ct), stats.GeoMean(cb), stats.GeoMean(cd))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper Table 5: TSI 1.24x, BAI 1.69x, DICE 1.62x (GMEAN26); GAP highest")
@@ -127,7 +100,7 @@ func Table06L3HitRate(r *Runner) *Report {
 			hb = append(hb, r.Run("base", w).L3.HitRate())
 			hd = append(hd, r.Run("dice", w).L3.HitRate())
 		}
-		rep.AddRow(g.Label, "", mean(hb), mean(hd))
+		rep.AddRow(g.Label, "", stats.Mean(hb), stats.Mean(hd))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper Table 6: average L3 hit rate 37.0% baseline vs 43.6% with DICE")
@@ -156,7 +129,7 @@ func Table07Prefetch(r *Runner) *Report {
 			pd = append(pd, r.Speedup("dice", w))
 			pdnl = append(pdnl, r.Speedup("dice-nlpf", w))
 		}
-		rep.AddRow(g.Label, "", geoMean(p128), geoMean(pnl), geoMean(pd), geoMean(pdnl))
+		rep.AddRow(g.Label, "", stats.GeoMean(p128), stats.GeoMean(pnl), stats.GeoMean(pd), stats.GeoMean(pdnl))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper Table 7: prefetch alone ~+2%; DICE +19.0%; DICE+NL +20.9%")
@@ -191,7 +164,7 @@ func Table08Sensitivity(r *Runner) *Report {
 			for _, w := range g.WLs {
 				xs = append(xs, sim.Speedup(r.Run(p[0], w), r.Run(p[1], w)))
 			}
-			vals[i] = geoMean(xs)
+			vals[i] = stats.GeoMean(xs)
 		}
 		rep.AddRow(g.Label, "", vals...)
 	}

@@ -108,19 +108,15 @@ func (c CellSpec) Key() string {
 }
 
 // Validate rejects cells the simulator could only fail on mid-run:
-// unknown workload, policy, org, compression algorithm or prefetch
-// mode, a negative threshold, plus everything sim.Config.Validate
-// covers (BER range, fault policy, scale bound, negative refs or MLP
-// window).
+// an unknown workload, everything Config rejects, and everything
+// sim.Config.Validate covers (threshold, BER, capacity, bandwidth and
+// scale bounds, fault policy, negative refs or MLP window).
 func (c CellSpec) Validate() error {
 	if c.Workload == "" {
 		return fmt.Errorf("serve: cell names no workload")
 	}
 	if _, err := workloads.ByName(c.Workload); err != nil {
 		return fmt.Errorf("serve: cell: %w", err)
-	}
-	if c.Threshold < 0 {
-		return fmt.Errorf("serve: cell: threshold must be >= 0, got %d", c.Threshold)
 	}
 	cfg, err := c.Config(0)
 	if err != nil {
@@ -135,7 +131,12 @@ func (c CellSpec) Validate() error {
 // Config materializes the cell as a sim.Config, resolving a zero Refs
 // to defaultRefs (the daemon's per-job default; the sweep engine
 // always sets Refs explicitly so keys stay portable across daemons).
+// It rejects names outside the CLI vocabulary and a negative threshold
+// (the wire form has no spelling for dcache's always-TSI -1).
 func (c CellSpec) Config(defaultRefs int) (sim.Config, error) {
+	if c.Threshold < 0 {
+		return sim.Config{}, fmt.Errorf("threshold must be >= 0, got %d", c.Threshold)
+	}
 	policy := c.Policy
 	if policy == "" {
 		policy = "base"

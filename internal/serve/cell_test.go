@@ -28,6 +28,7 @@ func TestJobSpecCellValidation(t *testing.T) {
 		{"unknown compress", JobSpec{Cells: []CellSpec{{Workload: "gcc", Compress: "lz4"}}}, "unknown compress"},
 		{"unknown prefetch", JobSpec{Cells: []CellSpec{{Workload: "gcc", Prefetch: "stride"}}}, "prefetch"},
 		{"bad ber", JobSpec{Cells: []CellSpec{{Workload: "gcc", BER: 2}}}, "ber"},
+		{"threshold over 64", JobSpec{Cells: []CellSpec{{Workload: "gcc", Policy: "dice", Threshold: 100}}}, "Threshold 100"},
 		{"negative refs", JobSpec{Cells: []CellSpec{{Workload: "gcc", Refs: -1}}}, "refs"},
 		{"oversized batch", JobSpec{Cells: make([]CellSpec, MaxCellsPerJob+1)}, "exceed the per-job bound"},
 	}

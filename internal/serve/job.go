@@ -239,7 +239,16 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 	}
 
 	if len(spec.Cells) > 0 {
-		return runCells(ctx, r, spec.Cells, refs, emit)
+		var done func(CellResult)
+		if emit != nil {
+			done = func(cr CellResult) { emit(StreamEvent{Kind: StreamCell, Cell: &cr}) }
+		}
+		results, err := RunCells(ctx, r, spec.Cells, refs, done)
+		var b strings.Builder
+		if eerr := EncodeCellResults(&b, results); eerr != nil {
+			return "", eerr
+		}
+		return b.String(), err
 	}
 
 	reports, err := experiments.RunAllCtx(ctx, r, spec.selected())
@@ -251,35 +260,32 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 	return b.String(), err
 }
 
-// runCells executes a batch cell job: fan the cells out across the
-// runner's pool (memoized, so duplicate keys simulate once), then
-// encode each cell's metrics snapshot in spec order. When ctx is
-// cancelled mid-batch the completed prefix still encodes — a
-// re-submitted batch re-runs only because the daemon journals no
-// finish record, and determinism makes the re-run byte-identical.
-// emit, when non-nil, receives one StreamCell event per cell as it
-// completes; duplicate keys in one spec each get their own event.
-func runCells(ctx context.Context, r *experiments.Runner, specs []CellSpec, defaultRefs int, emit func(StreamEvent)) (string, error) {
+// RunCells is the one place a CellSpec becomes a simulation: daemon
+// batch jobs and in-process sweeps both run their cells here. The cells
+// fan out across r's pool (memoized by canonical key, so duplicates
+// simulate once); done, when non-nil, receives each cell's result as it
+// completes, from worker goroutines, and duplicate keys each get their
+// own call. The returned results are in spec order. When ctx is
+// cancelled mid-batch they hold the completed cells, and the error is
+// ctx's; determinism makes a re-run of the rest byte-identical.
+func RunCells(ctx context.Context, r *experiments.Runner, specs []CellSpec, defaultRefs int, done func(CellResult)) ([]CellResult, error) {
 	cells := make([]experiments.Cell, len(specs))
 	for i, cs := range specs {
 		cfg, err := cs.Config(defaultRefs)
 		if err != nil {
-			return "", fmt.Errorf("serve: cell %d: %w", i, err)
+			return nil, fmt.Errorf("serve: cell %d (%s): %w", i, cs.Key(), err)
 		}
 		w, err := workloads.ByName(cs.Workload)
 		if err != nil {
-			return "", fmt.Errorf("serve: cell %d: %w", i, err)
+			return nil, fmt.Errorf("serve: cell %d (%s): %w", i, cs.Key(), err)
 		}
 		cells[i] = experiments.Cell{Key: cs.Key(), Cfg: cfg, W: w}
 	}
-	var done func(i int, res sim.Result)
-	if emit != nil {
-		done = func(i int, res sim.Result) {
-			cr := CellResultFrom(cells[i].Key, res)
-			emit(StreamEvent{Kind: StreamCell, Cell: &cr})
-		}
+	var each func(i int, res sim.Result)
+	if done != nil {
+		each = func(i int, res sim.Result) { done(CellResultFrom(cells[i].Key, res)) }
 	}
-	err := r.ForEachCellCtx(ctx, cells, done)
+	err := r.ForEachCellCtx(ctx, cells, each)
 	results := make([]CellResult, 0, len(cells))
 	for i := range cells {
 		res, ok := r.Peek(cells[i].Key)
@@ -288,11 +294,7 @@ func runCells(ctx context.Context, r *experiments.Runner, specs []CellSpec, defa
 		}
 		results = append(results, CellResultFrom(cells[i].Key, res))
 	}
-	var b strings.Builder
-	if eerr := EncodeCellResults(&b, results); eerr != nil {
-		return "", eerr
-	}
-	return b.String(), err
+	return results, err
 }
 
 // job is the daemon's internal job record: the public status plus the

@@ -82,6 +82,11 @@ type Config struct {
 	RefsPerCore int
 }
 
+// maxMLPWindow bounds the per-core outstanding-reference window. Each
+// core preallocates its window, so an unbounded value is an allocation
+// failure, and real cores track tens of misses, not thousands.
+const maxMLPWindow = 1024
+
 // warmupFrac is the fraction of additional references each core runs
 // before measurement to warm caches (of RefsPerCore).
 const warmupFrac = 0.5
@@ -129,12 +134,17 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: CapacityMult %d out of range", c.CapacityMult)
 	case c.BWMult < 0 || c.BWMult > 4:
 		return fmt.Errorf("sim: BWMult %d out of range", c.BWMult)
-	case c.FaultBER < 0 || c.FaultBER > fault.MaxBER:
+	case c.Threshold > dcache.MaxThreshold:
+		return fmt.Errorf("sim: Threshold %d exceeds the %d-byte line", c.Threshold, dcache.MaxThreshold)
+	case !(c.FaultBER >= 0 && c.FaultBER <= fault.MaxBER): // NaN fails both
+
 		return fmt.Errorf("sim: FaultBER %v out of range [0, %v]", c.FaultBER, fault.MaxBER)
 	case c.RefsPerCore < 0:
 		return fmt.Errorf("sim: RefsPerCore %d is negative (measured refs per core; 0 = auto)", c.RefsPerCore)
 	case c.MLPWindow < 0:
 		return fmt.Errorf("sim: MLPWindow %d is negative (mlp window; 0 = default 6)", c.MLPWindow)
+	case c.MLPWindow > maxMLPWindow:
+		return fmt.Errorf("sim: MLPWindow %d exceeds %d", c.MLPWindow, maxMLPWindow)
 	case c.CIPEntries < 0 || c.CIPEntries&(c.CIPEntries-1) != 0:
 		return fmt.Errorf("sim: CIPEntries %d is not a power of two (0 = default %d)", c.CIPEntries, dcache.DefaultCIPEntries)
 	}

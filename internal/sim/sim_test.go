@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -48,6 +49,9 @@ func TestConfigValidate(t *testing.T) {
 		{"FaultBER negative", Config{FaultBER: -1e-6}, "FaultBER"},
 		{"FaultBER over max", Config{FaultBER: 0.5}, "FaultBER"},
 		{"FaultBER boundary", Config{FaultBER: 0.1}, ""},
+		{"FaultBER NaN", Config{FaultBER: math.NaN()}, "FaultBER"},
+		{"Threshold 64 boundary", Config{Threshold: 64}, ""},
+		{"Threshold 100 over", Config{Threshold: 100}, "Threshold"},
 		{"FaultPolicy ecc", Config{FaultPolicy: "ecc"}, ""},
 		{"FaultPolicy bogus", Config{FaultPolicy: "parity"}, "unknown policy"},
 		{"CompressAlg fpc", Config{CompressAlg: "fpc"}, ""},
@@ -57,6 +61,8 @@ func TestConfigValidate(t *testing.T) {
 		{"MLPWindow 1", Config{MLPWindow: 1}, ""},
 		{"MLPWindow -1", Config{MLPWindow: -1}, "MLPWindow"},
 		{"MLPWindow -5", Config{MLPWindow: -5}, "MLPWindow"},
+		{"MLPWindow 1024 boundary", Config{MLPWindow: 1024}, ""},
+		{"MLPWindow 1025 over", Config{MLPWindow: 1025}, "MLPWindow"},
 		{"CIPEntries 512", Config{CIPEntries: 512}, ""},
 		{"CIPEntries -4", Config{CIPEntries: -4}, "CIPEntries"},
 		{"CIPEntries 3000", Config{CIPEntries: 3000}, "CIPEntries"},
