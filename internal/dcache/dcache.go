@@ -218,21 +218,19 @@ func (s Stats) HitRate() float64 {
 type Cache struct {
 	cfg       Config
 	threshold int
-	sets      []set
 	cip       *CIP
 	stats     Stats
+
+	// storage is the set storage the cache borrowed: its sets, entry
+	// chunks and size memo. Release empties it, hands it back and sets
+	// the pointer to nil, so a released cache reaches no set at all.
+	*storage
 
 	// occupied is the running count of resident lines across all sets,
 	// adjusted wherever a set gains or loses an entry, so occupancy
 	// sampling costs O(1) instead of a walk over every set.
 	occupied int
-	// chunk is the unused tail of the current entry chunk: sets carve
-	// their first entryArenaCap slots from it on first install.
-	chunk []entry
 
-	// sizeMemo caches single/pair compressed sizes per line address; data
-	// is deterministic per line so the memo never invalidates.
-	sizeMemo sizeMemo
 	// sizeCache deduplicates cfg.Alg size computations by line *content*
 	// (distinct addresses frequently carry identical bytes — every
 	// all-zero line, page-coherent kinds). Consulted only on sizeMemo
@@ -250,14 +248,22 @@ type Cache struct {
 	quarantined map[uint64]bool
 }
 
-// New builds a DRAM cache. It panics on invalid configuration. Entry
-// storage is not allocated here: a set takes its slots from a shared
-// chunk on its first install (carveEntries), so a run pays for the sets
-// it installs into, not for every set. A compressed policy borrows its
-// content-keyed size cache from compress.AcquireSizeCache, warm when an
-// earlier cache of the same Alg was released; call Release when done
-// with the cache so the next one can reuse it.
+// New builds a DRAM cache. It panics on invalid configuration. The
+// set storage (set headers, entry slots, size memo pages) is borrowed
+// from a pool keyed by Sets, left empty by the last cache of the same
+// geometry to call Release; on a pool miss it is allocated with no
+// entry slots, and a set carves its slots from a shared chunk on its
+// first install (carveEntries), so a run pays for the sets it installs
+// into, not for every set. A compressed policy likewise borrows its
+// content-keyed size cache from compress.AcquireSizeCache. Call Release
+// when done with the cache so the next one can reuse both.
 func New(cfg Config) *Cache {
+	return build(cfg, acquireStorage)
+}
+
+// build is New with the source of set storage as a parameter, so tests
+// can bypass the pool.
+func build(cfg Config, storageFor func(sets int) *storage) *Cache {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
@@ -270,7 +276,7 @@ func New(cfg Config) *Cache {
 	c := &Cache{
 		cfg:       cfg,
 		threshold: cfg.Threshold,
-		sets:      make([]set, cfg.Sets),
+		storage:   storageFor(cfg.Sets),
 		cip:       NewCIP(cfg.CIPEntries),
 	}
 	if cfg.Policy != PolicyUncompressed {
@@ -283,14 +289,39 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Release returns the borrowed size cache to its pool. The cache must
-// take no further accesses afterwards; its statistics stay readable,
-// except SizeCacheStats, which reads zero. A second call does nothing,
-// so one size cache can never reach two later owners.
+// Release empties the cache's set storage and returns it, and the
+// borrowed size cache, to their pools. Contents — Fingerprint,
+// Contains, the sets themselves — must be read before Release: the
+// cache drops its references to the storage, and Read, Install and
+// Writeback panic afterwards instead of reaching the next owner's sets.
+// Statistics and OccupiedLines stay readable, except SizeCacheStats,
+// which reads zero. A second call does nothing, so one storage or size
+// cache can never reach two later owners.
 func (c *Cache) Release() {
+	if s := c.detachStorage(); s != nil {
+		storagePool(len(s.sets)).Put(s)
+	}
 	if c.sizeCache != nil {
 		c.sizeCache.Release()
 		c.sizeCache = nil
+	}
+}
+
+// detachStorage empties the cache's set storage and takes it from the
+// cache, returning it; it returns nil once the cache has been released.
+func (c *Cache) detachStorage() *storage {
+	s := c.storage
+	if s != nil {
+		s.reset()
+		c.storage = nil
+	}
+	return s
+}
+
+// mustOwnStorage panics if the cache has been released.
+func (c *Cache) mustOwnStorage() {
+	if c.storage == nil {
+		panic("dcache: cache used after Release")
 	}
 }
 
@@ -377,23 +408,6 @@ func (c *Cache) flushSet(setIdx uint64) (lines, dirty int) {
 	s.entries = s.entries[:0]
 	c.occupied -= lines
 	return lines, dirty
-}
-
-// entryChunkSets is how many sets' first entryArenaCap slots one chunk
-// allocation serves: large enough that a warm run allocates few chunks,
-// small enough that a run touching a few sets pays little.
-const entryChunkSets = 128
-
-// carveEntries returns empty storage for a set's first install: the
-// next entryArenaCap slots of the current chunk, capped so that growing
-// past them reallocates instead of spilling into a neighbour's slots.
-func (c *Cache) carveEntries() []entry {
-	if len(c.chunk) < entryArenaCap {
-		c.chunk = make([]entry, entryChunkSets*entryArenaCap)
-	}
-	e := c.chunk[:0:entryArenaCap]
-	c.chunk = c.chunk[entryArenaCap:]
-	return e
 }
 
 // noteFrameFault records a detected-uncorrectable fault against a set
@@ -593,6 +607,7 @@ type ReadResult struct {
 
 // Read performs a demand lookup of line at cycle now.
 func (c *Cache) Read(now uint64, line uint64) ReadResult {
+	c.mustOwnStorage()
 	c.stats.Reads++
 	tsiSet, baiSet, dual := c.setsFor(line)
 
@@ -728,6 +743,7 @@ type InstallResult struct {
 // failed probe, so only the TAD write is charged. dirty marks lines
 // installed by a write-allocate fill.
 func (c *Cache) Install(now uint64, line uint64, dirty bool) InstallResult {
+	c.mustOwnStorage()
 	return c.install(now, line, dirty, false)
 }
 
@@ -736,6 +752,7 @@ func (c *Cache) Install(now uint64, line uint64, dirty bool) InstallResult {
 // current policy. A writeback must first read the target set (the probe
 // was not part of a demand read), then write it: two accesses.
 func (c *Cache) Writeback(now uint64, line uint64) InstallResult {
+	c.mustOwnStorage()
 	tsiSet, baiSet, dual := c.setsFor(line)
 
 	// Write-index prediction (Section 5.3): the data is in hand, so the
@@ -840,6 +857,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 	} else {
 		if cap(s.entries) == 0 {
 			s.entries = c.carveEntries()
+			c.touched = append(c.touched, setIdx)
 		}
 		s.entries = append(s.entries, entry{})
 		copy(s.entries[1:], s.entries)

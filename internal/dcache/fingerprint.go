@@ -8,7 +8,8 @@ package dcache
 // cycle-stepped simulator cores leave byte-identical cache contents,
 // not merely matching counters. Map state is folded in by iterating
 // set indices in order, never by map iteration, so the digest is
-// deterministic.
+// deterministic. Take it before Release: a released cache has given its
+// sets back and panics here.
 func (c *Cache) Fingerprint() uint64 {
 	const (
 		offset64 = 14695981039346656037

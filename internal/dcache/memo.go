@@ -61,3 +61,14 @@ func (m *sizeMemo) cell(line uint64) *sizeCell {
 	}
 	return c
 }
+
+// reset zeroes every cell and drops the overflow map, keeping the dense
+// pages allocated for the memo's next owner.
+func (m *sizeMemo) reset() {
+	for _, p := range m.pages {
+		if p != nil {
+			*p = [memoPageLines]sizeCell{}
+		}
+	}
+	m.overflow = nil
+}

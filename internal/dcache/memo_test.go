@@ -173,16 +173,16 @@ func TestSizeCacheStatsExposed(t *testing.T) {
 }
 
 // TestReleaseIdempotent checks a second Cache.Release puts nothing in
-// the pool: a double put would let the next two acquirers share one
-// size cache. Two collections first empty the hybrid pool.
+// the pools: a double put would let the next two acquirers share one
+// size cache or one set storage. Two collections first empty the pools.
 func TestReleaseIdempotent(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	c := memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyDICE})
 	c.Release()
 	c.Release()
-	if c.sizeCache != nil {
-		t.Fatal("Release left the size cache attached")
+	if c.sizeCache != nil || c.storage != nil {
+		t.Fatal("Release left the size cache or the set storage attached")
 	}
 	if st := c.SizeCacheStats(); st != (compress.SizeCacheStats{}) {
 		t.Fatalf("SizeCacheStats after Release = %+v, want zero", st)
@@ -193,5 +193,10 @@ func TestReleaseIdempotent(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
+	x := memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyDICE})
+	y := memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyDICE})
+	if x.storage == y.storage {
+		t.Fatal("two caches of one geometry got the same set storage after a double Release")
+	}
 	memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyUncompressed}).Release() // no size cache: a no-op
 }

@@ -64,20 +64,30 @@ func (c *Cache) residentSet(line uint64) int {
 	return -1
 }
 
-// driveOccupancy runs ops seeded random operations against a fresh
-// cache of the policy with fault injection at BER 1e-3 under
-// ecc+quarantine, and fails tb as soon as OccupiedLines disagrees with
-// a walk over every set. Opcodes: 0 reads and fills on a miss as the
-// simulator does, 1 installs, 2 writes back, 3 flips the line's content
-// between BAI- and TSI-sized (so a DICE line changes install location,
-// the one way its stale copy can be left at the alternate set) and then
-// installs it. Bit 2 of the opcode marks fills dirty. Three operations
-// in four touch a hot eighth of the footprint, so reads hit often
-// enough for faults to meet resident compressed lines; the rest spread
-// over the whole footprint and keep sets evicting.
-func driveOccupancy(tb testing.TB, policy Policy, faultSeed, streamSeed uint64, ops int) occupancyPaths {
+// occupancyStream is a seeded stream of operations on one cache with
+// fault injection at BER 1e-3 under ecc+quarantine. Opcodes: 0
+// reads and fills on a miss as the simulator does, 1 installs, 2 writes
+// back, 3 flips the line's content between BAI- and TSI-sized (so a
+// DICE line changes install location, the one way its stale copy can be
+// left at the alternate set) and then installs it. Bit 2 of the opcode
+// marks fills dirty. Three operations in four touch a hot eighth of the
+// footprint, so reads hit often enough for faults to meet resident
+// compressed lines; the rest spread over the whole footprint and keep
+// sets evicting. Two streams built from the same seeds apply the same
+// operations.
+type occupancyStream struct {
+	c     *Cache
+	data  *testData
+	rng   *rand.Rand
+	now   uint64
+	paths occupancyPaths
+}
+
+// newOccupancyStream builds the stream's cache with build (New, or
+// newFresh to bypass the storage pool) over its own copy of the
+// occupancy data set.
+func newOccupancyStream(tb testing.TB, build func(Config) *Cache, policy Policy, org Org, faultSeed, streamSeed uint64) *occupancyStream {
 	tb.Helper()
-	rng := rand.New(rand.NewPCG(streamSeed, 0x0CC))
 	fm, err := fault.New(fault.Config{BER: 1e-3, Seed: faultSeed, Policy: fault.PolicyECCQuarantine})
 	if err != nil {
 		tb.Fatal(err)
@@ -86,79 +96,96 @@ func driveOccupancy(tb testing.TB, policy Policy, faultSeed, streamSeed uint64, 
 	for l := uint64(0); l < occupancyLines; l++ {
 		data.set(l, occupancyKind(l))
 	}
-	c := New(Config{
+	c := build(Config{
 		Sets:   occupancySets,
 		Policy: policy,
+		Org:    org,
 		Mem:    dram.New(dram.HBMConfig()),
 		Data:   data,
 		Faults: fm,
 	})
-	var paths occupancyPaths
-	now := uint64(0)
-	for op := 0; op < ops; op++ {
-		code := rng.UintN(8)
-		line := rng.Uint64N(occupancyLines)
-		if rng.UintN(4) != 0 {
-			line %= occupancyLines / 8
-		}
-		dirty := code&4 != 0
+	return &occupancyStream{c: c, data: data, rng: rand.New(rand.NewPCG(streamSeed, 0x0CC))}
+}
 
-		was := c.residentSet(line)
-		if code&3 == 3 {
-			if data.kind[line] == "small" {
-				data.set(line, "random")
-			} else {
-				data.set(line, "small")
-			}
-			c.forgetSize(line)
-		}
-		// A candidate set that is quarantined and holds one other line
-		// fitting beside this one: an eviction there can only come from
-		// the quarantine rule.
-		tsi, bai, _ := c.setsFor(line)
-		var quarantineOnly [2]bool
-		for k, si := range []uint64{tsi, bai} {
-			s := &c.sets[si]
-			quarantineOnly[k] = c.quarantined[si] && s.lineCount() == 1 &&
-				s.entries[0].line != line && c.fitsTogether(line, s.entries[0].line)
-		}
-		before := c.Stats()
-
-		switch code & 3 {
-		case 0:
-			r := c.Read(now, line)
-			now = r.Done
-			if !r.Hit {
-				now = c.Install(now, line, dirty).Done
-			}
-		case 1, 3:
-			now = c.Install(now, line, dirty).Done
-		case 2:
-			now = c.Writeback(now, line).Done
-		}
-
-		after := c.Stats()
-		for i := range after.InstallSizeBuckets {
-			paths.inserts += after.InstallSizeBuckets[i] - before.InstallSizeBuckets[i]
-		}
-		evicted := after.Evictions - before.Evictions
-		paths.evictions += evicted
-		at := c.residentSet(line)
-		if at >= 0 && (quarantineOnly[0] && at == int(tsi) || quarantineOnly[1] && at == int(bai)) {
-			paths.quarantineEvictions += evicted
-		}
-		paths.checksumDrops += after.FaultChecksumCaught - before.FaultChecksumCaught
-		paths.flushedLines += after.FaultFlushedLines - before.FaultFlushedLines
-		if code&3 == 3 && was >= 0 && at >= 0 && c.sets[was].find(line) < 0 {
-			paths.dupDrops++
-		}
-
-		if got, want := c.OccupiedLines(), c.scanOccupiedLines(); got != want {
-			tb.Fatalf("%v op %d (code %d, line %d): OccupiedLines()=%d, scan counts %d",
-				policy, op, code, line, got, want)
-		}
+// step draws and applies the stream's next operation, op, counts the
+// paths it reached, and fails tb as soon as OccupiedLines disagrees
+// with a walk over every set.
+func (d *occupancyStream) step(tb testing.TB, op int) {
+	tb.Helper()
+	c, data, rng := d.c, d.data, d.rng
+	code := rng.UintN(8)
+	line := rng.Uint64N(occupancyLines)
+	if rng.UintN(4) != 0 {
+		line %= occupancyLines / 8
 	}
-	return paths
+	dirty := code&4 != 0
+
+	was := c.residentSet(line)
+	if code&3 == 3 {
+		if data.kind[line] == "small" {
+			data.set(line, "random")
+		} else {
+			data.set(line, "small")
+		}
+		c.forgetSize(line)
+	}
+	// A candidate set that is quarantined and holds one other line
+	// fitting beside this one: an eviction there can only come from
+	// the quarantine rule.
+	tsi, bai, _ := c.setsFor(line)
+	var quarantineOnly [2]bool
+	for k, si := range []uint64{tsi, bai} {
+		s := &c.sets[si]
+		quarantineOnly[k] = c.quarantined[si] && s.lineCount() == 1 &&
+			s.entries[0].line != line && c.fitsTogether(line, s.entries[0].line)
+	}
+	before := c.Stats()
+
+	switch code & 3 {
+	case 0:
+		r := c.Read(d.now, line)
+		d.now = r.Done
+		if !r.Hit {
+			d.now = c.Install(d.now, line, dirty).Done
+		}
+	case 1, 3:
+		d.now = c.Install(d.now, line, dirty).Done
+	case 2:
+		d.now = c.Writeback(d.now, line).Done
+	}
+
+	after := c.Stats()
+	paths := &d.paths
+	for i := range after.InstallSizeBuckets {
+		paths.inserts += after.InstallSizeBuckets[i] - before.InstallSizeBuckets[i]
+	}
+	evicted := after.Evictions - before.Evictions
+	paths.evictions += evicted
+	at := c.residentSet(line)
+	if at >= 0 && (quarantineOnly[0] && at == int(tsi) || quarantineOnly[1] && at == int(bai)) {
+		paths.quarantineEvictions += evicted
+	}
+	paths.checksumDrops += after.FaultChecksumCaught - before.FaultChecksumCaught
+	paths.flushedLines += after.FaultFlushedLines - before.FaultFlushedLines
+	if code&3 == 3 && was >= 0 && at >= 0 && c.sets[was].find(line) < 0 {
+		paths.dupDrops++
+	}
+
+	if got, want := c.OccupiedLines(), c.scanOccupiedLines(); got != want {
+		tb.Fatalf("%v op %d (code %d, line %d): OccupiedLines()=%d, scan counts %d",
+			c.cfg.Policy, op, code, line, got, want)
+	}
+}
+
+// driveOccupancy runs ops operations of a seeded stream against a new
+// Alloy-organized cache of the policy and returns the paths reached.
+func driveOccupancy(tb testing.TB, policy Policy, faultSeed, streamSeed uint64, ops int) occupancyPaths {
+	tb.Helper()
+	d := newOccupancyStream(tb, New, policy, OrgAlloy, faultSeed, streamSeed)
+	for op := 0; op < ops; op++ {
+		d.step(tb, op)
+	}
+	return d.paths
 }
 
 // TestOccupancyCounterMatchesScan drives a seeded stream of reads,

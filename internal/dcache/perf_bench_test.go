@@ -66,3 +66,23 @@ func BenchmarkReadInstall(b *testing.B) {
 		now += 12
 	}
 }
+
+// BenchmarkNewRelease measures a tiny simulation's DRAM-cache set-up:
+// New on a 16384-set DICE cache, 64 installs and Release. Its B/op is
+// the set-up allocation a sweep cell pays.
+func BenchmarkNewRelease(b *testing.B) {
+	cfg := Config{
+		Sets:   1 << 14,
+		Policy: PolicyDICE,
+		Mem:    dram.New(dram.HBMConfig()),
+		Data:   &synthSource{s: mixedSynth()},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := New(cfg)
+		for j := 0; j < 64; j++ {
+			c.Install(0, benchLine(j), false)
+		}
+		c.Release()
+	}
+}

@@ -177,6 +177,13 @@ type Stats struct {
 // the job workers. The returned Replay reports what was restored; nil
 // when cfg.JournalPath is empty.
 func New(cfg Config) (*Daemon, *Replay, error) {
+	return newDaemon(cfg, nil)
+}
+
+// newDaemon is New with the job executor as a parameter; nil runs each
+// job through RunSpecStream. A test's executor is thus in place before
+// the workers start, so a replayed job never reaches the real one.
+func newDaemon(cfg Config, execute func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)) (*Daemon, *Replay, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
@@ -219,8 +226,11 @@ func New(cfg Config) (*Daemon, *Replay, error) {
 		start:       time.Now(),
 	}
 	d.replayGen = d.gen + "-replay"
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
-		return RunSpecStream(ctx, spec, d.cfg.DefaultRefs, emit)
+	d.execute = execute
+	if d.execute == nil {
+		d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			return RunSpecStream(ctx, spec, d.cfg.DefaultRefs, emit)
+		}
 	}
 
 	// The channel needs room for the admission bound plus whatever

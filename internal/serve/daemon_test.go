@@ -275,11 +275,11 @@ func TestShutdownDrainsAndCheckpointsQueue(t *testing.T) {
 	}
 
 	// Restart: the queued job replays, re-enqueues, and runs.
-	d2, rep, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d2, rep, err := newDaemon(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1},
+		func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil }
 	defer func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
@@ -331,11 +331,11 @@ func TestShutdownDrainTimeoutCheckpointsInFlight(t *testing.T) {
 		t.Fatalf("abandoned job state = %s, want interrupted", got.State)
 	}
 
-	d2, rep, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d2, rep, err := newDaemon(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1},
+		func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil }
 	defer func() {
 		sctx, scancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer scancel()

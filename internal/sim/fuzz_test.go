@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dice/internal/dcache"
@@ -55,6 +56,17 @@ func fuzzConfig(knobs uint32, refs16 uint16, faultSel uint64) Config {
 // configuration, the discrete-event core and the cycle-stepped
 // reference must produce deeply equal Results and leave
 // indistinguishable machines (cache fingerprint, fault-stream tick).
+// The event core is meant to run on recycled L4 set storage, dirtied by
+// a second fuzz-derived configuration of the same geometry run to
+// completion and released first, and the reference core on fresh
+// storage, so the oracle also compares a recycled DRAM cache with a
+// fresh one. That hand-over is best-effort: sync.Pool may drop the
+// released storage (it drops puts on purpose under the race detector)
+// or keep it where a goroutine moved to another processor cannot take
+// it, and then the event core runs on fresh storage, with nothing to
+// signal it.
+// The deterministic proof that recycled storage equals fresh is
+// TestRecycledStorageMatchesFresh in internal/dcache.
 func FuzzEventSchedule(f *testing.F) {
 	// Seed corpus: one per policy family, fault injection on and off,
 	// prefetch and knob variants (mirrored in testdata/fuzz).
@@ -63,12 +75,29 @@ func FuzzEventSchedule(f *testing.F) {
 	f.Add(uint32(4), uint16(300), uint32(2), uint64(7))             // DICE + faults
 	f.Add(uint32(1<<17|1<<18|2), uint16(150), uint32(0), uint64(0)) // knobs + NSI
 	f.Add(uint32(5|1<<6|1<<19), uint16(250), uint32(1), uint64(0))  // SCC + prefetch + fpc
+	f.Add(uint32(3|1<<8), uint16(300), uint32(0), uint64(0))        // BAI after DICE + faults
 	f.Fuzz(func(t *testing.T, knobs uint32, refs16 uint16, wl uint32, faultSel uint64) {
 		w, err := workloads.ByName(fuzzWorkloads[wl%uint32(len(fuzzWorkloads))])
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := fuzzConfig(knobs, refs16, faultSel)
+
+		// Two collections empty the storage pools, so the only pooled
+		// storage of cfg's geometry is the one the dirtying run releases.
+		// The event core normally borrows it and keeps it, and the
+		// reference core then gets fresh storage.
+		runtime.GC()
+		runtime.GC()
+		dirty := fuzzConfig(knobs+1, refs16^0x5555, faultSel^1)
+		dirty.ScaleShift = cfg.ScaleShift
+		dw, err := workloads.ByName(fuzzWorkloads[(wl+1)%uint32(len(fuzzWorkloads))])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := RunEvent(dirty, dw); err != nil {
+			t.Fatal(err)
+		}
 
 		evSt, err := prepare(cfg, w, nil)
 		if err != nil {

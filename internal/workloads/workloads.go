@@ -14,6 +14,8 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"dice/internal/data"
 	"dice/internal/graph"
@@ -361,19 +363,27 @@ func LowMPKI13() []Workload {
 	return out
 }
 
-// ByName looks up any cataloged workload.
+// catalog indexes every cataloged workload by name, built on first use.
+// ByName hands out copies, so these values are never shared with a
+// caller.
+var catalog = sync.OnceValue(func() map[string]Workload {
+	idx := make(map[string]Workload)
+	for _, w := range append(All26(), LowMPKI13()...) {
+		idx[w.Name] = w
+	}
+	return idx
+})
+
+// ByName looks up any cataloged workload. The result is the caller's
+// own: its Cores slice is a fresh copy, so changing it changes no later
+// lookup.
 func ByName(name string) (Workload, error) {
-	for _, w := range All26() {
-		if w.Name == name {
-			return w, nil
-		}
+	w, ok := catalog()[name]
+	if !ok {
+		return Workload{}, fmt.Errorf("workloads: unknown workload %q", name)
 	}
-	for _, w := range LowMPKI13() {
-		if w.Name == name {
-			return w, nil
-		}
-	}
-	return Workload{}, fmt.Errorf("workloads: unknown workload %q", name)
+	w.Cores = slices.Clone(w.Cores)
+	return w, nil
 }
 
 // Names lists all workload names (evaluation set then low-MPKI set).

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"dice/internal/compress"
@@ -171,6 +172,26 @@ func TestByNameErrors(t *testing.T) {
 	}
 	if _, err := ByName("povray"); err != nil {
 		t.Fatalf("low-MPKI lookup failed: %v", err)
+	}
+}
+
+// TestByNameReturnsOwnCopy checks ByName serves every catalog entry as
+// All26 and LowMPKI13 build it, and that a caller changing the Cores of
+// a returned workload changes no later lookup.
+func TestByNameReturnsOwnCopy(t *testing.T) {
+	for _, want := range append(All26(), LowMPKI13()...) {
+		got, err := ByName(want.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ByName(%q) = %+v, want %+v", want.Name, got, want)
+		}
+		got.Cores[0].Name, got.Cores[0].MPKI = "clobbered", -1
+		again, _ := ByName(want.Name)
+		if !reflect.DeepEqual(again, want) {
+			t.Fatalf("ByName(%q) after the caller changed its Cores = %+v, want %+v", want.Name, again.Cores[0], want.Cores[0])
+		}
 	}
 }
 
