@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"os"
 	"strconv"
 	"sync"
@@ -58,11 +59,13 @@ func runExperiment(b *testing.B, id string) *experiments.Report {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var rep *experiments.Report
+	var reps []*experiments.Report
 	for i := 0; i < b.N; i++ {
-		rep = e.Run(sharedRunner())
+		if reps, err = experiments.RunAllCtx(context.Background(), sharedRunner(), []experiments.Experiment{e}, experiments.CellSpec{}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return rep
+	return reps[0]
 }
 
 func metricRow(b *testing.B, rep *experiments.Report, row string, cols map[string]string) {

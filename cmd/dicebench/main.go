@@ -77,7 +77,7 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		refs:     fs.Int("refs", 60_000, "measured references per core"),
 		scale:    fs.Uint("scale", 0, "system scale shift (0 = 10)"),
 		workers:  fs.Int("workers", 0, "concurrent simulations (0 = one per CPU, 1 = serial)"),
-		faultBER: fs.Float64("fault-ber", 0, "raw bit-error rate injected into every simulation (0 = off)"),
+		faultBER: fs.Float64("fault-ber", 0, "raw bit-error rate injected into every cell without its own fault settings (0 = off)"),
 		faultSd:  fs.Uint64("fault-seed", 0, "seed for the deterministic fault stream"),
 		faultPol: fs.String("fault-policy", "", "ECC/recovery policy: none|ecc|ecc+quarantine (default)"),
 		list:     fs.Bool("list", false, "list experiments and exit"),
@@ -133,10 +133,10 @@ func main() {
 		}()
 	}
 
-	// Reject bad -refs and fault flags before any simulation starts;
-	// the same validation inside sim.Run would otherwise surface as a
-	// worker panic mid-run.
-	if err := (sim.Config{RefsPerCore: *refs, FaultBER: *faultBER, FaultPolicy: *faultPol}).Validate(); err != nil {
+	// Reject bad -refs, -scale and fault flags before any simulation
+	// starts; RunAllCtx would otherwise fail on the first cell and the
+	// run would read as interrupted.
+	if err := (sim.Config{RefsPerCore: *refs, ScaleShift: *scale, FaultBER: *faultBER, FaultPolicy: *faultPol}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -163,12 +163,9 @@ func main() {
 	}
 
 	r := experiments.NewRunner(*refs)
-	r.Scale = *scale
 	r.Verbose = *verbose
 	r.Workers = *workers
-	r.FaultBER = *faultBER
-	r.FaultSeed = *faultSd
-	r.FaultPolicy = *faultPol
+	job := experiments.CellSpec{Scale: *scale, BER: *faultBER, FaultSeed: *faultSd, FaultPolicy: *faultPol}
 	if *metricsOut != "" {
 		r.MetricsEpoch = *metricsEpoch
 	}
@@ -180,12 +177,12 @@ func main() {
 	ctx, stop := sigctx.WithShutdown(context.Background())
 	defer stop()
 
-	// RunAllCtx submits every experiment's simulation matrix to the
-	// worker pool up front, then assembles the reports in the order
-	// selected.
+	// RunAllCtx rewrites every selected experiment's cells with the
+	// job-wide -scale and -fault-* settings, submits them to the worker
+	// pool up front, then renders the reports in the order selected.
 	start := time.Now()
 	selfBefore := obs.CaptureSelf()
-	reports, err := experiments.RunAllCtx(ctx, r, selected)
+	reports, err := experiments.RunAllCtx(ctx, r, selected, job)
 	for _, rep := range reports {
 		fmt.Print(rep.String())
 		fmt.Println()

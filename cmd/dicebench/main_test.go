@@ -105,14 +105,20 @@ func TestMetricsOutWritesEpochLines(t *testing.T) {
 	}
 }
 
-// TestNegativeRefsFailsUpFront pins that -refs -1 is rejected by the
-// up-front config validation, before any simulation runs.
+// TestNegativeRefsFailsUpFront pins that -refs -1 (and a -scale past
+// the simulator's bound) is rejected by the up-front config
+// validation, before any simulation runs.
 func TestNegativeRefsFailsUpFront(t *testing.T) {
-	out, err := exec.Command(buildDicebench(t), "-run", "fig10", "-refs", "-1").CombinedOutput()
-	if err == nil {
-		t.Fatalf("dicebench -refs -1 succeeded:\n%s", out)
-	}
-	if !strings.Contains(string(out), "RefsPerCore") || strings.Contains(string(out), "simulations") {
-		t.Fatalf("want an up-front RefsPerCore error and no run, got:\n%s", out)
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-refs", "-1", "RefsPerCore"},
+		{"-scale", "19", "ScaleShift"},
+	} {
+		out, err := exec.Command(buildDicebench(t), "-run", "fig10", tc.flag, tc.value).CombinedOutput()
+		if err == nil {
+			t.Fatalf("dicebench %s %s succeeded:\n%s", tc.flag, tc.value, out)
+		}
+		if !strings.Contains(string(out), tc.want) || strings.Contains(string(out), "simulations") {
+			t.Fatalf("want an up-front %s error and no run, got:\n%s", tc.want, out)
+		}
 	}
 }

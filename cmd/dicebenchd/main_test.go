@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"dice/internal/experiments"
 	"dice/internal/serve"
 	"dice/internal/serve/client"
 )
@@ -296,7 +297,7 @@ func TestDaemonRejectsBadFlags(t *testing.T) {
 // metrics enabled so the stream carries all three event kinds.
 func cellSmokeSpec(refs int) serve.JobSpec {
 	return serve.JobSpec{
-		Cells: []serve.CellSpec{
+		Cells: []experiments.CellSpec{
 			{Workload: "gcc", Policy: "dice", Refs: refs, Scale: 12},
 			{Workload: "gcc", Policy: "tsi", Refs: refs, Scale: 12},
 			{Workload: "mcf", Policy: "dice", Refs: refs, Scale: 12},

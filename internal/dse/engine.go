@@ -11,6 +11,7 @@ import (
 	"dice/internal/obs"
 	"dice/internal/serve"
 	"dice/internal/serve/client"
+	"dice/internal/sim"
 )
 
 // DefaultBatch is the cells-per-job batch size for daemon-sharded
@@ -69,12 +70,12 @@ func (o Options) logf(format string, args ...any) {
 // the results it has alongside the error — everything completed is
 // already in the log, so a re-invocation with -resume picks up where
 // this left off.
-func Run(ctx context.Context, cells []serve.CellSpec, rlog *ResultLog, have map[string]serve.CellResult, opt Options) (map[string]serve.CellResult, error) {
+func Run(ctx context.Context, cells []experiments.CellSpec, rlog *ResultLog, have map[string]serve.CellResult, opt Options) (map[string]serve.CellResult, error) {
 	results := make(map[string]serve.CellResult, len(cells))
 	for k, v := range have {
 		results[k] = v
 	}
-	var pending []serve.CellSpec
+	var pending []experiments.CellSpec
 	for _, c := range cells {
 		if _, done := results[c.Key()]; !done {
 			pending = append(pending, c)
@@ -110,7 +111,7 @@ func Run(ctx context.Context, cells []serve.CellSpec, rlog *ResultLog, have map[
 
 // runLocal executes pending cells in-process on a fresh memoizing
 // runner, checkpointing each cell the moment it completes.
-func runLocal(ctx context.Context, pending []serve.CellSpec, record func(serve.CellResult) error, opt Options) error {
+func runLocal(ctx context.Context, pending []experiments.CellSpec, record func(serve.CellResult) error, opt Options) error {
 	r := experiments.NewRunner(0)
 	r.Workers = opt.Workers
 	if opt.MetricsEpoch > 0 && opt.EpochSink != nil {
@@ -120,8 +121,8 @@ func runLocal(ctx context.Context, pending []serve.CellSpec, record func(serve.C
 	var recErr error
 	var recMu sync.Mutex
 	// Expansion stamps every cell's Refs, so the default 0 is unused.
-	_, err := serve.RunCells(ctx, r, pending, 0, func(res serve.CellResult) {
-		if rerr := record(res); rerr != nil {
+	_, err := r.RunCells(ctx, pending, func(i int, res sim.Result) {
+		if rerr := record(serve.CellResultFrom(pending[i].Key(), res)); rerr != nil {
 			recMu.Lock()
 			if recErr == nil {
 				recErr = rerr
@@ -143,7 +144,7 @@ func runLocal(ctx context.Context, pending []serve.CellSpec, record func(serve.C
 // checkpointed cell-by-cell. A failed batch is recorded and the
 // worker moves on, so one sick shard or one deadline-blown batch
 // costs only its own cells; the returned error advises -resume.
-func runSharded(ctx context.Context, pending []serve.CellSpec, record func(serve.CellResult) error, opt Options) error {
+func runSharded(ctx context.Context, pending []experiments.CellSpec, record func(serve.CellResult) error, opt Options) error {
 	batch := opt.Batch
 	if batch <= 0 {
 		batch = DefaultBatch
@@ -151,7 +152,7 @@ func runSharded(ctx context.Context, pending []serve.CellSpec, record func(serve
 	if batch > serve.MaxCellsPerJob {
 		batch = serve.MaxCellsPerJob
 	}
-	var batches [][]serve.CellSpec
+	var batches [][]experiments.CellSpec
 	for lo := 0; lo < len(pending); lo += batch {
 		hi := min(lo+batch, len(pending))
 		batches = append(batches, pending[lo:hi])
@@ -200,7 +201,7 @@ func runSharded(ctx context.Context, pending []serve.CellSpec, record func(serve
 // cells are recorded — and hit the results log — the moment the daemon
 // emits them, long before the job is terminal, and epoch snapshots
 // flow to the sink as they happen.
-func runBatch(ctx context.Context, c *client.Client, cells []serve.CellSpec, record func(serve.CellResult) error, opt Options) error {
+func runBatch(ctx context.Context, c *client.Client, cells []experiments.CellSpec, record func(serve.CellResult) error, opt Options) error {
 	spec := serve.JobSpec{
 		Cells:      cells,
 		Workers:    opt.Workers,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"dice/internal/experiments"
 	"dice/internal/serve"
 )
 
@@ -21,7 +22,7 @@ policy = dice tsi
 ber = 0 1e-5
 `
 
-func smokeCells(t *testing.T) []serve.CellSpec {
+func smokeCells(t *testing.T) []experiments.CellSpec {
 	t.Helper()
 	spec, err := Parse(strings.NewReader(smokeSpec))
 	if err != nil {
@@ -39,7 +40,7 @@ func smokeCells(t *testing.T) []serve.CellSpec {
 
 // exportBytes runs the full pipeline — execute, frontier, export —
 // and returns the CSV and JSON bytes.
-func exportBytes(t *testing.T, cells []serve.CellSpec, opt Options) ([]byte, []byte) {
+func exportBytes(t *testing.T, cells []experiments.CellSpec, opt Options) ([]byte, []byte) {
 	t.Helper()
 	rlog, rep, err := OpenResultLog(filepath.Join(t.TempDir(), "sweep.results"))
 	if err != nil {
@@ -55,7 +56,7 @@ func exportBytes(t *testing.T, cells []serve.CellSpec, opt Options) ([]byte, []b
 
 // frontierBytes computes the frontier of a complete result set and
 // returns its CSV and JSON exports.
-func frontierBytes(t *testing.T, cells []serve.CellSpec, results map[string]serve.CellResult) ([]byte, []byte) {
+func frontierBytes(t *testing.T, cells []experiments.CellSpec, results map[string]serve.CellResult) ([]byte, []byte) {
 	t.Helper()
 	points, err := Frontier(cells, results)
 	if err != nil {

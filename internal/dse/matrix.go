@@ -3,7 +3,7 @@ package dse
 import (
 	"fmt"
 
-	"dice/internal/serve"
+	"dice/internal/experiments"
 )
 
 // MaxCells bounds the expanded matrix. A product past this is almost
@@ -18,13 +18,13 @@ const MaxCells = 1 << 20
 // the Pareto normalization needs that the spec did not already
 // request. The result's order is deterministic, so two expansions of
 // the same spec are identical element-for-element.
-func (s *Spec) Expand() ([]serve.CellSpec, error) {
+func (s *Spec) Expand() ([]experiments.CellSpec, error) {
 	if s.Refs <= 0 {
 		return nil, fmt.Errorf("dse: spec refs must be positive, got %d", s.Refs)
 	}
-	var cells []serve.CellSpec
+	var cells []experiments.CellSpec
 	seen := map[string]bool{}
-	add := func(c serve.CellSpec) error {
+	add := func(c experiments.CellSpec) error {
 		key := c.Key()
 		if seen[key] {
 			return nil
@@ -44,7 +44,7 @@ func (s *Spec) Expand() ([]serve.CellSpec, error) {
 	digit := make([]int, len(axisTable))
 	for _, w := range s.Workloads {
 		for {
-			c := serve.CellSpec{Workload: w, Refs: s.Refs}
+			c := experiments.CellSpec{Workload: w, Refs: s.Refs}
 			for i, ax := range axisTable {
 				if vals := s.axes[ax.key]; len(vals) > 0 {
 					if err := ax.set(&c, vals[digit[i]]); err != nil {

@@ -9,13 +9,14 @@ import (
 	"sort"
 	"strconv"
 
+	"dice/internal/experiments"
 	"dice/internal/serve"
 )
 
 // Point is one sweep cell positioned in the objective space the
 // frontier is computed over: speedup (higher is better) against
 // relative energy, relative EDP and unrecovered faults (each lower is
-// better), all normalized to the cell's baseline (serve.CellSpec.
+// better), all normalized to the cell's baseline (experiments.CellSpec.
 // Baseline — the uncompressed Alloy design on the same workload and
 // machine knobs).
 type Point struct {
@@ -43,7 +44,7 @@ type Point struct {
 // and returns points sorted by (workload, key), so the same results
 // always render the same bytes regardless of execution order, worker
 // count, or which shards ran which cells.
-func Frontier(cells []serve.CellSpec, results map[string]serve.CellResult) ([]Point, error) {
+func Frontier(cells []experiments.CellSpec, results map[string]serve.CellResult) ([]Point, error) {
 	points := make([]Point, 0, len(cells))
 	for _, c := range cells {
 		key := c.Key()

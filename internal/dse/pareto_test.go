@@ -5,21 +5,22 @@ import (
 	"strings"
 	"testing"
 
+	"dice/internal/experiments"
 	"dice/internal/serve"
 )
 
 // paretoFixture builds a two-cell-plus-baseline matrix with hand-set
 // metrics: cellA dominates cellB on every objective.
-func paretoFixture() ([]serve.CellSpec, map[string]serve.CellResult) {
-	base := serve.CellSpec{Workload: "gcc", Policy: "base", Refs: 100}
-	cellA := serve.CellSpec{Workload: "gcc", Policy: "dice", Refs: 100}
-	cellB := serve.CellSpec{Workload: "gcc", Policy: "tsi", Refs: 100}
+func paretoFixture() ([]experiments.CellSpec, map[string]serve.CellResult) {
+	base := experiments.CellSpec{Workload: "gcc", Policy: "base", Refs: 100}
+	cellA := experiments.CellSpec{Workload: "gcc", Policy: "dice", Refs: 100}
+	cellB := experiments.CellSpec{Workload: "gcc", Policy: "tsi", Refs: 100}
 	results := map[string]serve.CellResult{
 		base.Key():  {Key: base.Key(), Workload: "gcc", IPC: []float64{1, 1}, Energy: 100, EDP: 100},
 		cellA.Key(): {Key: cellA.Key(), Workload: "gcc", IPC: []float64{1.5, 1.5}, Energy: 80, EDP: 60},
 		cellB.Key(): {Key: cellB.Key(), Workload: "gcc", IPC: []float64{1.2, 1.2}, Energy: 90, EDP: 80, FaultUnrecovered: 3},
 	}
-	return []serve.CellSpec{cellA, cellB, base}, results
+	return []experiments.CellSpec{cellA, cellB, base}, results
 }
 
 // Speedup/energy/EDP normalize against the baseline cell, and a point
@@ -75,7 +76,7 @@ func TestFrontierDeterministicOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev := append([]serve.CellSpec{}, cells...)
+	rev := append([]experiments.CellSpec{}, cells...)
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}

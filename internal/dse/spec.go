@@ -8,7 +8,7 @@
 // Pareto frontiers over speedup, energy, EDP and fault resilience.
 //
 // The invariant the whole package is built around: a cell's canonical
-// key (serve.CellSpec.Key) is its identity everywhere — matrix dedup,
+// key (experiments.CellSpec.Key) is its identity everywhere — matrix dedup,
 // the results log, runner memoization and daemon batch jobs all agree
 // on what "the same cell" means — and every execution path derives a
 // cell's metrics through the one shared serve.CellResultFrom, so
@@ -25,7 +25,7 @@ import (
 	"strconv"
 	"strings"
 
-	"dice/internal/serve"
+	"dice/internal/experiments"
 	"dice/internal/workloads"
 )
 
@@ -56,43 +56,43 @@ type Spec struct {
 type axis struct {
 	key    string
 	ranges bool
-	set    func(c *serve.CellSpec, v string) error
+	set    func(c *experiments.CellSpec, v string) error
 }
 
 // axisTable lists every axis but workload in canonical expansion order:
 // the order SWEEPS.md documents, independent of spec line order. A set
-// only parses; vocabularies and bounds live in serve.CellSpec.Config
+// only parses; vocabularies and bounds live in experiments.CellSpec.Config
 // and sim.Config.Validate, which checkValue applies.
 var axisTable = []axis{
-	{"policy", false, func(c *serve.CellSpec, v string) error { c.Policy = v; return nil }},
-	{"org", false, func(c *serve.CellSpec, v string) error { c.Org = v; return nil }},
-	{"threshold", true, func(c *serve.CellSpec, v string) error { return setInt(&c.Threshold, v, 0) }},
-	{"compress", false, func(c *serve.CellSpec, v string) error { c.Compress = v; return nil }},
-	{"ber", false, func(c *serve.CellSpec, v string) (err error) {
+	{"policy", false, func(c *experiments.CellSpec, v string) error { c.Policy = v; return nil }},
+	{"org", false, func(c *experiments.CellSpec, v string) error { c.Org = v; return nil }},
+	{"threshold", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.Threshold, v, 0) }},
+	{"compress", false, func(c *experiments.CellSpec, v string) error { c.Compress = v; return nil }},
+	{"ber", false, func(c *experiments.CellSpec, v string) (err error) {
 		if c.BER, err = strconv.ParseFloat(v, 64); err != nil {
 			return fmt.Errorf("want a rate, got %q", v)
 		}
 		return nil
 	}},
-	{"fault-seed", false, func(c *serve.CellSpec, v string) (err error) {
+	{"fault-seed", false, func(c *experiments.CellSpec, v string) (err error) {
 		if c.FaultSeed, err = strconv.ParseUint(v, 10, 64); err != nil {
 			return fmt.Errorf("want an unsigned integer, got %q", v)
 		}
 		return nil
 	}},
-	{"fault-policy", false, func(c *serve.CellSpec, v string) error { c.FaultPolicy = v; return nil }},
-	{"capacity", true, func(c *serve.CellSpec, v string) error { return setInt(&c.Capacity, v, 1) }},
-	{"bw", true, func(c *serve.CellSpec, v string) error { return setInt(&c.BW, v, 1) }},
-	{"latency", false, func(c *serve.CellSpec, v string) error {
+	{"fault-policy", false, func(c *experiments.CellSpec, v string) error { c.FaultPolicy = v; return nil }},
+	{"capacity", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.Capacity, v, 1) }},
+	{"bw", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.BW, v, 1) }},
+	{"latency", false, func(c *experiments.CellSpec, v string) error {
 		if v != "full" && v != "half" {
 			return fmt.Errorf("want full or half, got %q", v)
 		}
 		c.HalfLat = v == "half"
 		return nil
 	}},
-	{"prefetch", false, func(c *serve.CellSpec, v string) error { c.Prefetch = v; return nil }},
-	{"mlp", true, func(c *serve.CellSpec, v string) error { return setInt(&c.MLP, v, 1) }},
-	{"scale", true, func(c *serve.CellSpec, v string) error {
+	{"prefetch", false, func(c *experiments.CellSpec, v string) error { c.Prefetch = v; return nil }},
+	{"mlp", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.MLP, v, 1) }},
+	{"scale", true, func(c *experiments.CellSpec, v string) error {
 		n, err := strconv.ParseUint(v, 10, 8)
 		if err != nil {
 			return fmt.Errorf("want a small unsigned integer, got %q", v)
@@ -119,7 +119,7 @@ func setInt(dst *int, v string, least int) error {
 // checks a cell meets at run time, so a spec accepts exactly the values
 // a cell can run.
 func (ax axis) checkValue(v string) error {
-	var c serve.CellSpec
+	var c experiments.CellSpec
 	if err := ax.set(&c, v); err != nil {
 		return err
 	}

@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"dice/internal/serve"
+	"dice/internal/experiments"
 )
 
 // Parser rejection paths, table-driven: each bad spec must fail with
@@ -129,7 +129,7 @@ scale = 8..12 step 2
 	}
 	// axisValues lists one field's distinct values over the requested
 	// cells, in expansion order.
-	axisValues := func(field func(serve.CellSpec) int) []int {
+	axisValues := func(field func(experiments.CellSpec) int) []int {
 		var out []int
 		seen := map[int]bool{}
 		for _, c := range cells {
@@ -146,11 +146,11 @@ scale = 8..12 step 2
 			t.Fatalf("%s expanded to %v, want %v", name, got, want)
 		}
 	}
-	intsEq("threshold", axisValues(func(c serve.CellSpec) int { return c.Threshold }), 24, 28, 32, 36, 40, 44, 48)
-	intsEq("capacity", axisValues(func(c serve.CellSpec) int { return c.Capacity }), 1, 2, 3)
-	intsEq("bw", axisValues(func(c serve.CellSpec) int { return c.BW }), 1, 3, 4)
-	intsEq("mlp", axisValues(func(c serve.CellSpec) int { return c.MLP }), 1, 4, 7) // last value is the largest lo+k*N <= hi
-	intsEq("scale", axisValues(func(c serve.CellSpec) int { return int(c.Scale) }), 8, 10, 12)
+	intsEq("threshold", axisValues(func(c experiments.CellSpec) int { return c.Threshold }), 24, 28, 32, 36, 40, 44, 48)
+	intsEq("capacity", axisValues(func(c experiments.CellSpec) int { return c.Capacity }), 1, 2, 3)
+	intsEq("bw", axisValues(func(c experiments.CellSpec) int { return c.BW }), 1, 3, 4)
+	intsEq("mlp", axisValues(func(c experiments.CellSpec) int { return c.MLP }), 1, 4, 7) // last value is the largest lo+k*N <= hi
+	intsEq("scale", axisValues(func(c experiments.CellSpec) int { return int(c.Scale) }), 8, 10, 12)
 	// 7 thresholds x 3^4 other-axis combinations, plus one baseline per
 	// combination of the four non-threshold axes.
 	if len(cells) != 7*81+81 {

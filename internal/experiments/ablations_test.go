@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestAblationIndexingOrdering(t *testing.T) {
-	rep := AblationIndexing(tinyRunner())
+	rep := report(t, tinyRunner(), "ablate-index")
 	if len(rep.Rows) < 6 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -21,7 +21,7 @@ func TestAblationIndexingOrdering(t *testing.T) {
 }
 
 func TestAblationCompressorHybridCompetitive(t *testing.T) {
-	rep := AblationCompressor(tinyRunner())
+	rep := report(t, tinyRunner(), "ablate-compress")
 	var f, b, h float64
 	for _, row := range rep.Rows {
 		if row.Name == "GMEAN" {
@@ -37,7 +37,7 @@ func TestAblationCompressorHybridCompetitive(t *testing.T) {
 }
 
 func TestAblationMLPPersistentBenefit(t *testing.T) {
-	rep := AblationMLP(tinyRunner())
+	rep := report(t, tinyRunner(), "ablate-mlp")
 	for _, row := range rep.Rows {
 		if row.Name != "GMEAN" {
 			continue

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -15,6 +16,14 @@ import (
 // cacheTestScale keeps the GAP graph build small; the runner still
 // exercises the full warm-then-fan-out path.
 const cacheTestScale = 12
+
+// scaled sets every cell to cacheTestScale.
+func scaled(cs []CellSpec) []CellSpec {
+	for i := range cs {
+		cs[i].Scale = cacheTestScale
+	}
+	return cs
+}
 
 // resetArtifactCache gives the test a cold cache and empties it again
 // afterwards.
@@ -33,31 +42,29 @@ func TestCachedGAPConfigsMatchColdBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []string{"base", "tsi", "nsi", "bai", "dice", "scc", "dice-knl", "dice-t32"}
+	matrix := scaled(cells([]workloads.Workload{w}, base, tsi, nsi, bai, dice, scc, diceKNL, diceT32))
 
 	// Cold reference: serial, and the cache is dropped before every
-	// Run so each one builds from scratch.
+	// run so each one builds from scratch.
 	cold := detRunner(1)
-	cold.Scale = cacheTestScale
-	for _, cfg := range cfgs {
+	for _, c := range matrix {
 		workloads.DropCache()
-		cold.Run(cfg, w)
+		runOne(cold, c)
 	}
 
 	// Cached run: 8 workers race through one warmed entry.
 	workloads.DropCache()
 	cached := detRunner(8)
-	cached.Scale = cacheTestScale
-	cached.Prefetch(cached.namedCells(cfgs, []workloads.Workload{w})...)
+	cached.RunCells(context.Background(), matrix, nil)
 
 	if _, m := workloads.CacheStats(); m != 1 {
 		t.Fatalf("8 configs x 1 workload performed %d artifact builds, want 1", m)
 	}
-	for _, cfg := range cfgs {
-		a, b := cold.Run(cfg, w), cached.Run(cfg, w)
+	for _, c := range matrix {
+		a, b := runOne(cold, c), runOne(cached, c)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s|%s: cold and cached results differ:\n%+v\nvs\n%+v",
-				cfg, w.Name, a, b)
+			t.Fatalf("%s: cold and cached results differ:\n%+v\nvs\n%+v",
+				c.Label(), a, b)
 		}
 	}
 }
@@ -73,19 +80,17 @@ func TestArtifactCacheSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := []string{"base", "dice"}
+	matrix := scaled(cells([]workloads.Workload{w}, base, dice))
 
 	first := detRunner(2)
-	first.Scale = cacheTestScale
-	first.Prefetch(first.namedCells(cfgs, []workloads.Workload{w})...)
+	first.RunCells(context.Background(), matrix, nil)
 	_, missesAfterFirst := workloads.CacheStats()
 	if missesAfterFirst != 1 {
 		t.Fatalf("first run built %d artifacts for one workload, want 1", missesAfterFirst)
 	}
 
 	second := detRunner(2)
-	second.Scale = cacheTestScale
-	second.Prefetch(second.namedCells(cfgs, []workloads.Workload{w})...)
+	second.RunCells(context.Background(), matrix, nil)
 	hits, misses := workloads.CacheStats()
 	if misses != missesAfterFirst {
 		t.Fatalf("second in-process run rebuilt artifacts: misses %d -> %d",
@@ -94,10 +99,9 @@ func TestArtifactCacheSmoke(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("second run never hit the artifact cache")
 	}
-	for _, cfg := range cfgs {
-		a, b := first.Run(cfg, w), second.Run(cfg, w)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s|%s: first and second runs differ", cfg, w.Name)
+	for _, c := range matrix {
+		if !reflect.DeepEqual(runOne(first, c), runOne(second, c)) {
+			t.Fatalf("%s: first and second runs differ", c.Label())
 		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // cancelCells builds a small multi-cell matrix (4 cells: 2 configs x
 // 2 workloads) at a cheap reference budget.
-func cancelCells(t *testing.T, r *Runner) []Cell {
+func cancelCells(t *testing.T) []CellSpec {
 	t.Helper()
 	var wls []workloads.Workload
 	for _, name := range []string{"gcc", "soplex"} {
@@ -27,29 +27,32 @@ func cancelCells(t *testing.T, r *Runner) []Cell {
 		}
 		wls = append(wls, w)
 	}
-	return r.namedCells([]string{"base", "dice"}, wls)
+	return cells(wls, base, dice)
 }
 
 // A cancel fired right after the first cell must stop the serial
-// prefetch before the second cell starts: exactly one simulation runs.
-func TestPrefetchCtxCancelsBetweenCells(t *testing.T) {
+// fan-out before the second cell starts: exactly one simulation runs.
+func TestRunCellsCancelsBetweenCells(t *testing.T) {
 	r := NewRunner(2_000)
 	r.Workers = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r.testHookSimDone = func(string) { cancel() }
 
-	r.PrefetchCtx(ctx, cancelCells(t, r)...)
+	res, err := r.RunCells(ctx, cancelCells(t), nil)
 
+	if !errors.Is(err, context.Canceled) || len(res) != 1 {
+		t.Fatalf("RunCells = %d results, %v; want the 1 completed cell and context.Canceled", len(res), err)
+	}
 	if got := r.Sims(); got != 1 {
-		t.Fatalf("serial prefetch ran %d simulations after a cancel fired during cell 1; want 1 (cancellation must be observed between cells)", got)
+		t.Fatalf("serial RunCells ran %d simulations after a cancel fired during cell 1; want 1 (cancellation must be observed between cells)", got)
 	}
 }
 
 // With a worker pool, a cancel fired during the first completed cell
 // bounds further starts to the cells already in flight: at most
 // `workers` simulations total, never the full matrix.
-func TestPrefetchCtxCancelBoundsInFlight(t *testing.T) {
+func TestRunCellsCancelBoundsInFlight(t *testing.T) {
 	const workers = 2
 	r := NewRunner(2_000)
 	r.Workers = workers
@@ -62,21 +65,20 @@ func TestPrefetchCtxCancelBoundsInFlight(t *testing.T) {
 		}
 	}
 
-	cells := cancelCells(t, r)
-	r.PrefetchCtx(ctx, cells...)
+	cs := cancelCells(t)
+	r.RunCells(ctx, cs, nil)
 
 	if got := r.Sims(); got > workers {
-		t.Fatalf("pooled prefetch ran %d simulations after an early cancel; want <= %d (only in-flight cells may finish)", got, workers)
+		t.Fatalf("pooled RunCells ran %d simulations after an early cancel; want <= %d (only in-flight cells may finish)", got, workers)
 	}
-	if got := r.Sims(); int(got) == len(cells) {
-		t.Fatalf("cancel was ignored: all %d cells simulated", len(cells))
+	if got := r.Sims(); int(got) == len(cs) {
+		t.Fatalf("cancel was ignored: all %d cells simulated", len(cs))
 	}
 }
 
-// RunAllCtx must observe a cancel that lands mid-prefetch before
-// assembling any report: the partial-run contract is "reports already
-// assembled", and a report whose cells were skipped must never be
-// half-built from synchronous re-simulations.
+// RunAllCtx must observe a cancel that lands mid-simulation before
+// rendering any report: the partial-run contract is "reports already
+// rendered", and a report whose cells were skipped is never rendered.
 func TestRunAllCtxCancelDuringPrefetch(t *testing.T) {
 	r := NewRunner(2_000)
 	r.Workers = 1
@@ -88,7 +90,7 @@ func TestRunAllCtxCancelDuringPrefetch(t *testing.T) {
 		mustExperiment(t, "ablate-index"),
 		mustExperiment(t, "table4"),
 	}
-	reports, err := RunAllCtx(ctx, r, exps)
+	reports, err := RunAllCtx(ctx, r, exps, CellSpec{})
 
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunAllCtx error = %v, want context.Canceled", err)
@@ -108,7 +110,7 @@ func TestRunAllCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	reports, err := RunAllCtx(ctx, r, []Experiment{mustExperiment(t, "ablate-index")})
+	reports, err := RunAllCtx(ctx, r, []Experiment{mustExperiment(t, "ablate-index")}, CellSpec{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunAllCtx error = %v, want context.Canceled", err)
 	}

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
 
+	"dice/internal/obs"
+	"dice/internal/sim"
 	"dice/internal/workloads"
 )
 
@@ -34,30 +37,29 @@ func detRunner(workers int) *Runner {
 
 func TestDeterminismSerialVsPool(t *testing.T) {
 	wls := detWorkloads(t)
-	cfgs := []string{"base", "dice"}
+	designs := []CellSpec{base, dice}
+	matrix := cells(wls, designs...)
 
 	serial := detRunner(1)
-	serial.Prefetch(serial.namedCells(cfgs, wls)...)
+	a, err := serial.RunCells(context.Background(), matrix, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The pooled runner gets every cell twice in one submission: the
 	// duplicates must ride singleflight, not re-simulate.
 	pooled := detRunner(8)
-	cells := pooled.namedCells(cfgs, wls)
-	cells = append(cells, pooled.namedCells(cfgs, wls)...)
-	pooled.Prefetch(cells...)
+	b, err := pooled.RunCells(context.Background(), append(matrix, matrix...), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if got, want := pooled.Sims(), int64(len(cfgs)*len(wls)); got != want {
+	if got, want := pooled.Sims(), int64(len(matrix)); got != want {
 		t.Fatalf("pool executed %d simulations for %d unique cells (singleflight broken)",
 			got, want)
 	}
-	for _, w := range wls {
-		for _, cfg := range cfgs {
-			a, b := serial.Run(cfg, w), pooled.Run(cfg, w)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s|%s: serial and 8-worker results differ:\n%+v\nvs\n%+v",
-					cfg, w.Name, a, b)
-			}
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("serial and 8-worker results differ:\n%+v\nvs\n%+v", a, b)
 	}
 
 	// Report bytes must match too: assemble the same report from both
@@ -65,7 +67,7 @@ func TestDeterminismSerialVsPool(t *testing.T) {
 	mini := func(r *Runner) string {
 		rep := &Report{ID: "mini", Title: "determinism probe", Columns: []string{"DICE"}}
 		for _, w := range wls {
-			rep.AddRow(w.Name, w.Suite, r.Speedup("dice", w))
+			rep.AddRow(w.Name, w.Suite, sim.Speedup(runOne(r, at(base, w)), runOne(r, at(dice, w))))
 		}
 		rep.GroupGeoMeans()
 		return rep.String()
@@ -80,11 +82,11 @@ func TestDeterminismSerialVsPool(t *testing.T) {
 func TestDeterminismRepeatWithinPool(t *testing.T) {
 	w := detWorkloads(t)[0]
 	a := detRunner(8)
-	cells := a.namedCells([]string{"base", "dice"}, []workloads.Workload{w})
-	a.Prefetch(cells...)
-	first := a.Run("dice", w)
-	a.Prefetch(cells...) // second pass: fully memoized
-	second := a.Run("dice", w)
+	pair := cells([]workloads.Workload{w}, base, dice)
+	a.RunCells(context.Background(), pair, nil)
+	first := runOne(a, at(dice, w))
+	a.RunCells(context.Background(), pair, nil) // second pass: fully memoized
+	second := runOne(a, at(dice, w))
 	if !reflect.DeepEqual(first, second) {
 		t.Fatal("repeat prefetch changed a memoized result")
 	}
@@ -93,14 +95,15 @@ func TestDeterminismRepeatWithinPool(t *testing.T) {
 	}
 
 	b := detRunner(8)
-	b.Prefetch(b.namedCells([]string{"base", "dice"}, []workloads.Workload{w})...)
-	if !reflect.DeepEqual(first, b.Run("dice", w)) {
+	b.RunCells(context.Background(), pair, nil)
+	if !reflect.DeepEqual(first, runOne(b, at(dice, w))) {
 		t.Fatal("two pools disagree on the same cell")
 	}
 }
 
-// TestRunConcurrentCallersSingleflight hammers Run directly from many
-// goroutines (no Prefetch): one simulation, identical results for all.
+// TestRunConcurrentCallersSingleflight hammers RunCells from many
+// goroutines with the same cell: one simulation, identical results for
+// all.
 func TestRunConcurrentCallersSingleflight(t *testing.T) {
 	w := detWorkloads(t)[0]
 	r := detRunner(8)
@@ -111,7 +114,7 @@ func TestRunConcurrentCallersSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = r.Run("base", w).Cycles
+			results[i] = runOne(r, at(base, w)).Cycles
 		}(i)
 	}
 	wg.Wait()
@@ -125,16 +128,23 @@ func TestRunConcurrentCallersSingleflight(t *testing.T) {
 	}
 }
 
-// TestPrefetchPanicPropagates: a panicking cell (invalid config) must
-// cancel the pool and re-panic in the caller, and later requests for
-// the same key must re-panic rather than hang or return garbage.
+// TestPrefetchPanicPropagates: a panicking simulation must cancel the
+// pool and re-panic in the caller, and later requests for the same key
+// must re-panic rather than hang or return garbage. An invalid cell
+// never gets that far: RunCells rejects it before anything runs.
 func TestPrefetchPanicPropagates(t *testing.T) {
 	w := detWorkloads(t)[0]
 	r := detRunner(4)
-	bad := r.config("base")
-	bad.CapacityMult = 99 // fails Validate inside sim.Run
-	cell := Cell{Key: "bad|" + w.Name, Cfg: bad, W: w}
+	if _, err := r.RunCells(context.Background(), []CellSpec{at(CellSpec{Capacity: 99}, w)}, nil); err == nil {
+		t.Fatal("RunCells accepted a cell sim.Config.Validate rejects")
+	}
+	if r.Sims() != 0 {
+		t.Fatalf("an invalid cell ran %d simulations", r.Sims())
+	}
 
+	r.simulate = func(sim.Config, workloads.Workload, *obs.Observer) (sim.Result, error) {
+		panic("simulation failed")
+	}
 	mustPanic := func(step string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -144,6 +154,7 @@ func TestPrefetchPanicPropagates(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("Prefetch with invalid cell", func() { r.Prefetch(cell) })
-	mustPanic("waiting on the failed key", func() { r.RunConfig(cell.Key, cell.Cfg, cell.W) })
+	cell := at(base, w)
+	mustPanic("RunCells with a panicking simulation", func() { r.RunCells(context.Background(), cells([]workloads.Workload{w}, base, dice), nil) })
+	mustPanic("waiting on the failed key", func() { runOne(r, cell) })
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"dice/internal/sim"
 	"dice/internal/workloads"
 )
 
@@ -14,6 +16,36 @@ import (
 var sharedTiny = NewRunner(15_000)
 
 func tinyRunner() *Runner { return sharedTiny }
+
+// report renders experiment id on r with no job-wide settings.
+func report(t testing.TB, r *Runner, id string) *Report {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps, err := RunAllCtx(context.Background(), r, []Experiment{e}, CellSpec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reps[0]
+}
+
+// at is design d on workload w.
+func at(d CellSpec, w workloads.Workload) CellSpec {
+	d.Workload = w.Name
+	return d
+}
+
+// runOne simulates (or recalls) one cell on r. It panics on an invalid
+// cell, so goroutines may call it.
+func runOne(r *Runner, c CellSpec) sim.Result {
+	res, err := r.RunCells(context.Background(), []CellSpec{c}, nil)
+	if err != nil {
+		panic(err)
+	}
+	return res[c.Key()]
+}
 
 func findRow(t *testing.T, rep *Report, name string) Row {
 	t.Helper()
@@ -29,7 +61,7 @@ func findRow(t *testing.T, rep *Report, name string) Row {
 func TestAllRegistryComplete(t *testing.T) {
 	ids := map[string]bool{}
 	for _, e := range All() {
-		if e.ID == "" || e.Title == "" || e.Run == nil {
+		if e.ID == "" || e.Title == "" || e.Report == nil {
 			t.Fatalf("experiment %+v incomplete", e)
 		}
 		if ids[e.ID] {
@@ -87,7 +119,7 @@ func TestByIDErrorListsAllIDs(t *testing.T) {
 }
 
 func TestFig04CompressibilityShape(t *testing.T) {
-	rep := Fig04Compressibility(tinyRunner())
+	rep := report(t, tinyRunner(), "fig4")
 	// Monotonicity: <=32 implies <=36 for every workload.
 	for _, row := range rep.Rows {
 		if row.Get("Single<=32") > row.Get("Single<=36")+1e-9 {
@@ -110,7 +142,7 @@ func TestFig04CompressibilityShape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	rep := Fig10DICE(tinyRunner())
+	rep := report(t, tinyRunner(), "fig10")
 	all := findRow(t, rep, "ALL26")
 	tsi, bai, dice := all.Get("TSI"), all.Get("BAI"), all.Get("DICE")
 	if !(dice > tsi) {
@@ -138,7 +170,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestFig11IndexSplit(t *testing.T) {
-	rep := Fig11IndexDistribution(tinyRunner())
+	rep := report(t, tinyRunner(), "fig11")
 	for _, row := range rep.Rows {
 		inv := row.Get("Invariant")
 		sum := inv + row.Get("BAI") + row.Get("TSI")
@@ -154,7 +186,7 @@ func TestFig11IndexSplit(t *testing.T) {
 }
 
 func TestTable04ThresholdColumns(t *testing.T) {
-	rep := Table04Threshold(tinyRunner())
+	rep := report(t, tinyRunner(), "table4")
 	g := findRow(t, rep, "GMEAN26")
 	for _, col := range []string{"<=32B", "<=36B", "<=40B"} {
 		if g.Get(col) <= 0 {
@@ -169,7 +201,7 @@ func TestTable04ThresholdColumns(t *testing.T) {
 }
 
 func TestTable05CapacityOrdering(t *testing.T) {
-	rep := Table05Capacity(tinyRunner())
+	rep := report(t, tinyRunner(), "table5")
 	g := findRow(t, rep, "GMEAN26")
 	tsi, bai, dice := g.Get("TSI"), g.Get("BAI"), g.Get("DICE")
 	if tsi < 1.0 || bai < 1.0 || dice < 1.0 {
@@ -190,7 +222,7 @@ func maxf(a, b float64) float64 {
 }
 
 func TestTable06L3HitRate(t *testing.T) {
-	rep := Table06L3HitRate(tinyRunner())
+	rep := report(t, tinyRunner(), "table6")
 	g := findRow(t, rep, "GMEAN26")
 	if g.Get("DICE") <= g.Get("BASE") {
 		t.Fatalf("DICE must raise L3 hit rate: %.3f vs %.3f",
@@ -199,7 +231,7 @@ func TestTable06L3HitRate(t *testing.T) {
 }
 
 func TestTable07PrefetchOrdering(t *testing.T) {
-	rep := Table07Prefetch(tinyRunner())
+	rep := report(t, tinyRunner(), "table7")
 	g := findRow(t, rep, "GMEAN26")
 	if g.Get("DICE") <= g.Get("128B-PF") || g.Get("DICE") <= g.Get("Nextline-PF") {
 		t.Fatalf("DICE (%.3f) must beat prefetch-only designs (%.3f / %.3f)",
@@ -208,7 +240,7 @@ func TestTable07PrefetchOrdering(t *testing.T) {
 }
 
 func TestFig15SCCLosesToDICE(t *testing.T) {
-	rep := Fig15SCC(tinyRunner())
+	rep := report(t, tinyRunner(), "fig15")
 	all := findRow(t, rep, "ALL26")
 	if all.Get("SCC") >= all.Get("DICE") {
 		t.Fatalf("SCC (%.3f) must underperform DICE (%.3f)",
@@ -220,7 +252,7 @@ func TestFig15SCCLosesToDICE(t *testing.T) {
 }
 
 func TestFig13NoDegradation(t *testing.T) {
-	rep := Fig13NonIntensive(tinyRunner())
+	rep := report(t, tinyRunner(), "fig13")
 	for _, row := range rep.Rows {
 		if s := row.Get("DICE"); s < 0.9 {
 			t.Fatalf("%s degraded to %.3f under DICE", row.Name, s)
@@ -229,7 +261,7 @@ func TestFig13NoDegradation(t *testing.T) {
 }
 
 func TestFig14EnergyShape(t *testing.T) {
-	rep := Fig14Energy(tinyRunner())
+	rep := report(t, tinyRunner(), "fig14")
 	dice := findRow(t, rep, "dice")
 	base := findRow(t, rep, "base")
 	if base.Get("EDP") != 1.0 || base.Get("Energy") != 1.0 {
@@ -246,8 +278,8 @@ func TestFig14EnergyShape(t *testing.T) {
 func TestRunnerMemoizes(t *testing.T) {
 	r := NewRunner(5_000)
 	w := workloads.Rate16()[4] // gcc
-	a := r.Run("base", w)
-	b := r.Run("base", w)
+	a := runOne(r, at(base, w))
+	b := runOne(r, at(base, w))
 	if a.Cycles != b.Cycles {
 		t.Fatal("memoized result differs")
 	}
@@ -257,7 +289,7 @@ func TestRunnerMemoizes(t *testing.T) {
 }
 
 func TestFig07BAISwingsWiderThanTSI(t *testing.T) {
-	rep := Fig07StaticIndexing(tinyRunner())
+	rep := report(t, tinyRunner(), "fig7")
 	// TSI never degrades any workload (capacity-only); BAI must show
 	// both a winner and a loser.
 	var baiMin, baiMax = 10.0, 0.0
@@ -284,7 +316,7 @@ func TestFig07BAISwingsWiderThanTSI(t *testing.T) {
 }
 
 func TestFig12KNLTracksAlloy(t *testing.T) {
-	rep := Fig12KNL(tinyRunner())
+	rep := report(t, tinyRunner(), "fig12")
 	all := findRow(t, rep, "ALL26")
 	knl, alloy := all.Get("DICE-KNL"), all.Get("DICE-Alloy")
 	if knl <= 1.0 {
@@ -298,7 +330,7 @@ func TestFig12KNLTracksAlloy(t *testing.T) {
 }
 
 func TestFig01PotentialOrdering(t *testing.T) {
-	rep := Fig01Potential(tinyRunner())
+	rep := report(t, tinyRunner(), "fig1")
 	all := findRow(t, rep, "ALL26")
 	cap2, bw2, both := all.Get("2xCap"), all.Get("2xBW"), all.Get("2xBoth")
 	if cap2 < 1.0 || bw2 < 1.0 {
@@ -311,7 +343,7 @@ func TestFig01PotentialOrdering(t *testing.T) {
 }
 
 func TestTable08DICEHelpsEveryConfiguration(t *testing.T) {
-	rep := Table08Sensitivity(tinyRunner())
+	rep := report(t, tinyRunner(), "table8")
 	g := findRow(t, rep, "GMEAN26")
 	for _, col := range rep.Columns {
 		if v := g.Get(col); v < 1.0 {
@@ -327,7 +359,7 @@ func TestTable08DICEHelpsEveryConfiguration(t *testing.T) {
 }
 
 func TestCIPAccuracyExperiment(t *testing.T) {
-	rep := CIPAccuracy(tinyRunner())
+	rep := report(t, tinyRunner(), "cip")
 	avg := findRow(t, rep, "AVG26")
 	small, large := avg.Get("512"), avg.Get("8192")
 	if small < 0.7 || small > 1 || large < 0.7 || large > 1 {
@@ -337,15 +369,6 @@ func TestCIPAccuracyExperiment(t *testing.T) {
 		t.Fatalf("larger LTT (%.3f) should not be clearly worse than smaller (%.3f)",
 			large, small)
 	}
-}
-
-func TestRunnerUnknownConfigPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown config accepted")
-		}
-	}()
-	tinyRunner().Run("bogus", workloads.Rate16()[0])
 }
 
 func TestReportString(t *testing.T) {

@@ -19,9 +19,9 @@ import (
 // detected-uncorrectable frames become routine.
 var faultSweepBERs = []float64{0, 3e-4, 3e-3}
 
-// faultSweepConfigs are the designs compared: the uncompressed Alloy
+// faultSweepDesigns are the designs compared: the uncompressed Alloy
 // baseline versus the two compressed designs.
-var faultSweepConfigs = []string{"base", "tsi", "dice"}
+var faultSweepDesigns = []CellSpec{base, tsi, dice}
 
 // faultSweepSeed fixes the fault stream so the sweep is reproducible.
 const faultSweepSeed = 0xD1CE
@@ -29,39 +29,25 @@ const faultSweepSeed = 0xD1CE
 // faultSweepWorkloads keeps the sweep affordable: one compressible
 // winner, one broad mix, one incompressible workload.
 func faultSweepWorkloads() []workloads.Workload {
-	names := []string{"gcc", "soplex", "libq"}
-	wls := make([]workloads.Workload, len(names))
-	for i, n := range names {
-		w, err := workloads.ByName(n)
-		if err != nil {
-			panic(err)
-		}
-		wls[i] = w
-	}
-	return wls
+	return named("gcc", "soplex", "libq")
 }
 
-// faultCell builds the memoized cell for one (config, BER, workload)
-// point. BER zero still carries the fault policy so the key space is
-// uniform; sim.Run short-circuits injection entirely at BER 0.
-func (r *Runner) faultCell(cfgName string, ber float64, w workloads.Workload) Cell {
-	cfg := r.config(cfgName)
-	cfg.FaultBER = ber
-	cfg.FaultSeed = faultSweepSeed
-	cfg.FaultPolicy = "ecc+quarantine"
-	return Cell{Key: fmt.Sprintf("%s-ber%g|%s", cfgName, ber, w.Name), Cfg: cfg, W: w}
+// faultDesign is design d at one swept BER. BER zero still carries the
+// fault policy, so the job-wide fault settings never reach a sweep
+// point; sim.Run short-circuits injection entirely at BER 0.
+func faultDesign(d CellSpec, ber float64) CellSpec {
+	d.BER, d.FaultSeed, d.FaultPolicy = ber, faultSweepSeed, "ecc+quarantine"
+	return d
 }
 
-func faultSweepCells(r *Runner) []Cell {
-	var cells []Cell
-	for _, w := range faultSweepWorkloads() {
-		for _, name := range faultSweepConfigs {
-			for _, ber := range faultSweepBERs {
-				cells = append(cells, r.faultCell(name, ber, w))
-			}
+func faultSweepCells() []CellSpec {
+	var designs []CellSpec
+	for _, d := range faultSweepDesigns {
+		for _, ber := range faultSweepBERs {
+			designs = append(designs, faultDesign(d, ber))
 		}
 	}
-	return cells
+	return cells(faultSweepWorkloads(), designs...)
 }
 
 // FaultSweep tabulates weighted speedup (vs the clean uncompressed
@@ -69,24 +55,22 @@ func faultSweepCells(r *Runner) []Cell {
 // ber=0 row is its fault-free reference, so reading down a column shows
 // that design's degradation; comparing columns shows compression's
 // fault amplification.
-func FaultSweep(r *Runner) *Report {
-	r.Prefetch(faultSweepCells(r)...)
+func FaultSweep(v Results) *Report {
 	rep := &Report{ID: "fault-sweep", Title: "Degradation under injected bit errors (ecc+quarantine)",
 		Columns: []string{"base", "baseHR", "tsi", "tsiHR", "dice", "diceHR"}}
 
 	wls := faultSweepWorkloads()
-	run := func(name string, ber float64, w workloads.Workload) sim.Result {
-		c := r.faultCell(name, ber, w)
-		return r.RunConfig(c.Key, c.Cfg, c.W)
+	run := func(d CellSpec, ber float64, w workloads.Workload) sim.Result {
+		return v.Get(faultDesign(d, ber), w)
 	}
 
 	for _, ber := range faultSweepBERs {
 		var vals []float64
-		for _, name := range faultSweepConfigs {
+		for _, d := range faultSweepDesigns {
 			var sp, hr []float64
 			for _, w := range wls {
-				clean := run("base", 0, w)
-				faulty := run(name, ber, w)
+				clean := run(base, 0, w)
+				faulty := run(d, ber, w)
 				sp = append(sp, sim.Speedup(clean, faulty))
 				hr = append(hr, faulty.L4.HitRate())
 			}
@@ -100,12 +84,12 @@ func FaultSweep(r *Runner) *Report {
 	var det, ref, flushed, quar uint64
 	var silentBase uint64
 	for _, w := range wls {
-		d := run("dice", hi, w)
+		d := run(dice, hi, w)
 		det += d.L4.FaultDetectedFrames
 		ref += d.L4.FaultRefetches
 		flushed += d.L4.FaultFlushedLines
 		quar += uint64(d.QuarantinedSets)
-		silentBase += run("base", hi, w).L4.FaultSilentHits
+		silentBase += run(base, hi, w).L4.FaultSilentHits
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("dice at ber=%g: detected=%d refetches=%d flushed-lines=%d quarantined-sets=%d",

@@ -10,8 +10,8 @@ import (
 // The fault sweep must be reproducible at any worker count: the fault
 // stream is tick-hashed per simulation, never shared across goroutines.
 func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
-	a := FaultSweep(detRunner(1)).String()
-	b := FaultSweep(detRunner(8)).String()
+	a := report(t, detRunner(1), "fault-sweep").String()
+	b := report(t, detRunner(8), "fault-sweep").String()
 	if a != b {
 		t.Fatalf("fault-sweep differs between 1 and 8 workers:\n%s\nvs\n%s", a, b)
 	}
@@ -22,9 +22,8 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 func TestFaultSweepZeroBERMatchesCleanRun(t *testing.T) {
 	r := detRunner(4)
 	w := detWorkloads(t)[0]
-	clean := r.Run("dice", w)
-	cell := r.faultCell("dice", 0, w)
-	zero := r.RunConfig(cell.Key, cell.Cfg, cell.W)
+	clean := runOne(r, at(dice, w))
+	zero := runOne(r, at(faultDesign(dice, 0), w))
 	// The configs differ only in inert fault fields; scrub those before
 	// comparing so any behavioral difference stands out alone.
 	zero.Config.FaultPolicy = clean.Config.FaultPolicy
@@ -38,7 +37,7 @@ func TestFaultSweepZeroBERMatchesCleanRun(t *testing.T) {
 // compressed designs must lose more of their clean-run speedup than the
 // uncompressed baseline at the harsh end of the sweep.
 func TestFaultSweepDegradationOrdering(t *testing.T) {
-	rep := FaultSweep(sharedTiny)
+	rep := report(t, sharedTiny, "fault-sweep")
 	get := func(rowName, col string) float64 {
 		for _, row := range rep.Rows {
 			if row.Name == rowName {
@@ -69,7 +68,7 @@ func TestRunAllCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := detRunner(4)
-	reports, err := RunAllCtx(ctx, r, []Experiment{mustByID(t, "fig10")})
+	reports, err := RunAllCtx(ctx, r, []Experiment{mustByID(t, "fig10")}, CellSpec{})
 	if err == nil {
 		t.Fatal("cancelled RunAllCtx reported no error")
 	}

@@ -9,26 +9,73 @@ import (
 	"dice/internal/workloads"
 )
 
-// Each figure driver declares its simulation matrix as a cells function
-// (registered in All so RunAll can batch across experiments) and
-// prefetches it through the worker pool before assembling rows.
+// The designs the catalog compares, as cells without a workload. Every
+// experiment declares its cells as designs × workloads (see cells) and
+// its report reads them back by design and workload (see Results).
+var (
+	base      = CellSpec{Policy: "base"}
+	tsi       = CellSpec{Policy: "tsi"}
+	nsi       = CellSpec{Policy: "nsi"}
+	bai       = CellSpec{Policy: "bai"}
+	dice      = CellSpec{Policy: "dice"}
+	scc       = CellSpec{Policy: "scc"}
+	diceKNL   = CellSpec{Policy: "dice", Org: "knl"}
+	diceT32   = CellSpec{Policy: "dice", Threshold: 32}
+	diceT40   = CellSpec{Policy: "dice", Threshold: 40}
+	base2Cap  = CellSpec{Policy: "base", Capacity: 2}
+	base2BW   = CellSpec{Policy: "base", BW: 2}
+	base2Both = CellSpec{Policy: "base", Capacity: 2, BW: 2}
+	baseHalf  = CellSpec{Policy: "base", HalfLat: true}
+	dice2Cap  = CellSpec{Policy: "dice", Capacity: 2}
+	dice2BW   = CellSpec{Policy: "dice", BW: 2}
+	diceHalf  = CellSpec{Policy: "dice", HalfLat: true}
+	base128PF = CellSpec{Policy: "base", Prefetch: "wide128"}
+	baseNLPF  = CellSpec{Policy: "base", Prefetch: "nextline"}
+	diceNLPF  = CellSpec{Policy: "dice", Prefetch: "nextline"}
+)
 
-func fig01Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "base-2cap", "base-2bw", "base-2both"}, workloads.All26())
+// cells declares designs × workloads, workload-major: every design on
+// the first workload, then on the next — the serial schedule's order.
+func cells(wls []workloads.Workload, designs ...CellSpec) []CellSpec {
+	out := make([]CellSpec, 0, len(wls)*len(designs))
+	for _, w := range wls {
+		for _, d := range designs {
+			d.Workload = w.Name
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// named looks up cataloged workloads by name; the names are constants,
+// so a miss is a programming error.
+func named(names ...string) []workloads.Workload {
+	out := make([]workloads.Workload, len(names))
+	for i, n := range names {
+		w, err := workloads.ByName(n)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = w
+	}
+	return out
+}
+
+func fig01Cells() []CellSpec {
+	return cells(workloads.All26(), base, base2Cap, base2BW, base2Both)
 }
 
 // Fig01Potential regenerates Figure 1(f): the speedup available from an
 // idealized DRAM cache with double capacity, double bandwidth, or both —
 // the headroom DICE aims at. Paper: ~1.10 / (BW benefit) / ~1.22.
-func Fig01Potential(r *Runner) *Report {
-	r.Prefetch(fig01Cells(r)...)
+func Fig01Potential(v Results) *Report {
 	rep := &Report{ID: "fig1", Title: "Potential speedup of 2x capacity / 2x BW / 2x both",
 		Columns: []string{"2xCap", "2xBW", "2xBoth"}}
 	for _, w := range workloads.All26() {
 		rep.AddRow(w.Name, w.Suite,
-			r.Speedup("base-2cap", w),
-			r.Speedup("base-2bw", w),
-			r.Speedup("base-2both", w))
+			v.Speedup(base2Cap, w),
+			v.Speedup(base2BW, w),
+			v.Speedup(base2Both, w))
 	}
 	rep.GroupGeoMeans()
 	rep.Notes = append(rep.Notes,
@@ -40,7 +87,7 @@ func Fig01Potential(r *Runner) *Report {
 // of installed lines compressing to <=32B and <=36B, and of adjacent
 // pairs to <=68B. No simulation needed — this is a property of the data
 // images. Paper: 52% of pairs fit 68B on average.
-func Fig04Compressibility(r *Runner) *Report {
+func Fig04Compressibility(Results) *Report {
 	rep := &Report{ID: "fig4", Title: "Fraction of compressible lines",
 		Columns: []string{"Single<=32", "Single<=36", "Double<=68"}}
 	const samples = 4000
@@ -101,23 +148,22 @@ func Fig04Compressibility(r *Runner) *Report {
 // Fig07StaticIndexing regenerates Figure 7: compression under TSI and
 // BAI against the idealized caches. Paper: TSI +7%, BAI ~0% (wins on
 // compressible workloads, big losses on lbm/libq), 2xBoth +22%.
-func fig07Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "tsi", "bai", "base-2cap", "base-2both"}, workloads.All26())
+func fig07Cells() []CellSpec {
+	return cells(workloads.All26(), base, tsi, bai, base2Cap, base2Both)
 }
 
 // Fig07StaticIndexing regenerates Figure 7: speedup of the TSI and
 // BAI static-indexing schemes over the uncompressed Alloy baseline,
 // bracketed by the doubled-capacity/doubled-both idealizations.
-func Fig07StaticIndexing(r *Runner) *Report {
-	r.Prefetch(fig07Cells(r)...)
+func Fig07StaticIndexing(v Results) *Report {
 	rep := &Report{ID: "fig7", Title: "Speedup of TSI and BAI static indexing",
 		Columns: []string{"TSI", "BAI", "2xCap", "2xCap2xBW"}}
 	for _, w := range workloads.All26() {
 		rep.AddRow(w.Name, w.Suite,
-			r.Speedup("tsi", w),
-			r.Speedup("bai", w),
-			r.Speedup("base-2cap", w),
-			r.Speedup("base-2both", w))
+			v.Speedup(tsi, w),
+			v.Speedup(bai, w),
+			v.Speedup(base2Cap, w),
+			v.Speedup(base2Both, w))
 	}
 	rep.GroupGeoMeans()
 	rep.Notes = append(rep.Notes,
@@ -127,23 +173,22 @@ func Fig07StaticIndexing(r *Runner) *Report {
 
 // Fig10DICE regenerates Figure 10, the headline result. Paper: TSI +7%,
 // BAI +0.1%, DICE +19.0%, double-capacity double-bandwidth +21.9%.
-func fig10Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "tsi", "bai", "dice", "base-2both"}, workloads.All26())
+func fig10Cells() []CellSpec {
+	return cells(workloads.All26(), base, tsi, bai, dice, base2Both)
 }
 
 // Fig10DICE regenerates Figure 10, the paper's headline result:
 // DICE's dynamic index selection against TSI and BAI, with the
 // doubled-capacity-and-bandwidth ideal as the upper bracket.
-func Fig10DICE(r *Runner) *Report {
-	r.Prefetch(fig10Cells(r)...)
+func Fig10DICE(v Results) *Report {
 	rep := &Report{ID: "fig10", Title: "DICE speedup vs static indexing",
 		Columns: []string{"TSI", "BAI", "DICE", "2xCap2xBW"}}
 	for _, w := range workloads.All26() {
 		rep.AddRow(w.Name, w.Suite,
-			r.Speedup("tsi", w),
-			r.Speedup("bai", w),
-			r.Speedup("dice", w),
-			r.Speedup("base-2both", w))
+			v.Speedup(tsi, w),
+			v.Speedup(bai, w),
+			v.Speedup(dice, w),
+			v.Speedup(base2Both, w))
 	}
 	rep.GroupGeoMeans()
 	rep.Notes = append(rep.Notes,
@@ -155,18 +200,17 @@ func Fig10DICE(r *Runner) *Report {
 // invariant fraction (TSI == BAI, exactly half by construction) and the
 // BAI/TSI split of the rest. Paper: remaining lines skew 52% TSI / 48%
 // BAI.
-func fig11Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"dice"}, workloads.All26())
+func fig11Cells() []CellSpec {
+	return cells(workloads.All26(), dice)
 }
 
 // Fig11IndexDistribution regenerates Figure 11: the fraction of L4
 // installs DICE steers to BAI versus TSI indexing per workload.
-func Fig11IndexDistribution(r *Runner) *Report {
-	r.Prefetch(fig11Cells(r)...)
+func Fig11IndexDistribution(v Results) *Report {
 	rep := &Report{ID: "fig11", Title: "Distribution of BAI and TSI indices under DICE",
 		Columns: []string{"Invariant", "BAI", "TSI"}}
 	for _, w := range workloads.All26() {
-		res := r.Run("dice", w)
+		res := v.Get(dice, w)
 		total := float64(res.L4.InstallInvariant + res.L4.InstallBAI + res.L4.InstallTSI)
 		if total == 0 {
 			continue
@@ -197,20 +241,19 @@ func Fig11IndexDistribution(r *Runner) *Report {
 // Fig12KNL regenerates Figure 12: DICE on the Knights-Landing-style
 // organization (tags in ECC, no neighbor-tag visibility). Paper: +17.5%,
 // within 2% of DICE on Alloy.
-func fig12Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "dice-knl", "dice"}, workloads.All26())
+func fig12Cells() []CellSpec {
+	return cells(workloads.All26(), base, diceKNL, dice)
 }
 
 // Fig12KNL regenerates Figure 12: DICE applied to the KNL-style
 // direct-mapped tag organization versus the Alloy organization.
-func Fig12KNL(r *Runner) *Report {
-	r.Prefetch(fig12Cells(r)...)
+func Fig12KNL(v Results) *Report {
 	rep := &Report{ID: "fig12", Title: "DICE on the KNL DRAM-cache organization",
 		Columns: []string{"DICE-KNL", "DICE-Alloy"}}
 	for _, w := range workloads.All26() {
 		rep.AddRow(w.Name, w.Suite,
-			r.Speedup("dice-knl", w),
-			r.Speedup("dice", w))
+			v.Speedup(diceKNL, w),
+			v.Speedup(dice, w))
 	}
 	rep.GroupGeoMeans()
 	rep.Notes = append(rep.Notes,
@@ -220,19 +263,18 @@ func Fig12KNL(r *Runner) *Report {
 
 // Fig13NonIntensive regenerates Figure 13: DICE on the 13 low-MPKI SPEC
 // benchmarks. Paper: no degradation anywhere, ~+2% average.
-func fig13Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "dice"}, workloads.LowMPKI13())
+func fig13Cells() []CellSpec {
+	return cells(workloads.LowMPKI13(), base, dice)
 }
 
 // Fig13NonIntensive regenerates Figure 13: DICE on the 13 low-MPKI
 // (non-memory-intensive) workloads, where it must do no harm.
-func Fig13NonIntensive(r *Runner) *Report {
-	r.Prefetch(fig13Cells(r)...)
+func Fig13NonIntensive(v Results) *Report {
 	rep := &Report{ID: "fig13", Title: "DICE on non-memory-intensive workloads",
 		Columns: []string{"DICE"}}
 	var xs []float64
 	for _, w := range workloads.LowMPKI13() {
-		s := r.Speedup("dice", w)
+		s := v.Speedup(dice, w)
 		rep.AddRow(w.Name, "", s)
 		xs = append(xs, s)
 	}
@@ -246,28 +288,27 @@ func Fig13NonIntensive(r *Runner) *Report {
 // Fig14Energy regenerates Figure 14: L4+memory power, performance,
 // energy and EDP of TSI/BAI/DICE normalized to baseline, averaged over
 // ALL26. Paper: DICE energy -24%, EDP -36%.
-func fig14Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "tsi", "bai", "dice"}, workloads.All26())
+func fig14Cells() []CellSpec {
+	return cells(workloads.All26(), base, tsi, bai, dice)
 }
 
 // Fig14Energy regenerates Figure 14: memory-system power,
 // performance, energy and EDP of TSI/BAI/DICE, normalized to the
 // uncompressed baseline.
-func Fig14Energy(r *Runner) *Report {
-	r.Prefetch(fig14Cells(r)...)
+func Fig14Energy(v Results) *Report {
 	rep := &Report{ID: "fig14", Title: "Power, performance, energy, EDP (normalized)",
 		Columns: []string{"Power", "Performance", "Energy", "EDP"}}
-	for _, cfg := range []string{"base", "tsi", "bai", "dice"} {
+	for _, d := range []CellSpec{base, tsi, bai, dice} {
 		var pw, pf, en, edp []float64
 		for _, w := range workloads.All26() {
-			b := r.Run("base", w)
-			t := r.Run(cfg, w)
+			b := v.Get(base, w)
+			t := v.Get(d, w)
 			pw = append(pw, t.Energy.Power()/b.Energy.Power())
 			pf = append(pf, sim.Speedup(b, t))
 			en = append(en, t.Energy.Total()/b.Energy.Total())
 			edp = append(edp, t.Energy.EDP()/b.Energy.EDP())
 		}
-		rep.AddRow(cfg, "", stats.GeoMean(pw), stats.GeoMean(pf), stats.GeoMean(en), stats.GeoMean(edp))
+		rep.AddRow(d.Policy, "", stats.GeoMean(pw), stats.GeoMean(pf), stats.GeoMean(en), stats.GeoMean(edp))
 	}
 	rep.Notes = append(rep.Notes,
 		"paper Fig 14: DICE reduces energy by 24% and EDP by 36%")
@@ -277,20 +318,19 @@ func Fig14Energy(r *Runner) *Report {
 // Fig15SCC regenerates Figure 15: a Skewed Compressed Cache design on the
 // DRAM substrate vs DICE. Paper: SCC's serialized tag accesses cost 22%
 // slowdown while DICE gains 19%.
-func fig15Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "scc", "dice"}, workloads.All26())
+func fig15Cells() []CellSpec {
+	return cells(workloads.All26(), base, scc, dice)
 }
 
 // Fig15SCC regenerates Figure 15: the SCC compressed-cache design
 // retargeted to a DRAM cache, versus DICE.
-func Fig15SCC(r *Runner) *Report {
-	r.Prefetch(fig15Cells(r)...)
+func Fig15SCC(v Results) *Report {
 	rep := &Report{ID: "fig15", Title: "SCC on DRAM cache vs DICE",
 		Columns: []string{"SCC", "DICE"}}
 	for _, w := range workloads.All26() {
 		rep.AddRow(w.Name, w.Suite,
-			r.Speedup("scc", w),
-			r.Speedup("dice", w))
+			v.Speedup(scc, w),
+			v.Speedup(dice, w))
 	}
 	rep.GroupGeoMeans()
 	rep.Notes = append(rep.Notes,
@@ -298,50 +338,35 @@ func Fig15SCC(r *Runner) *Report {
 	return rep
 }
 
-// cipLTTSizes is the Last-Time-Table sweep of Section 5.3.
-var cipLTTSizes = []int{512, 2048, 8192}
+// cipDesigns is the Last-Time-Table sweep of Section 5.3: DICE with
+// 512, 2048 and 8192 entries. 2048 is the simulator default, so that
+// point is the plain dice cell other experiments run too.
+var cipDesigns = []CellSpec{{Policy: "dice", CIP: 512}, dice, {Policy: "dice", CIP: 8192}}
 
-func cipCells(r *Runner) []Cell {
-	var cells []Cell
-	for _, w := range workloads.All26() {
-		for _, n := range cipLTTSizes {
-			cfg := r.config("dice")
-			cfg.CIPEntries = n
-			cells = append(cells, Cell{
-				Key: fmt.Sprintf("dice-cip%d|%s", n, w.Name), Cfg: cfg, W: w,
-			})
-		}
-	}
-	return cells
+func cipCells() []CellSpec {
+	return cells(workloads.All26(), cipDesigns...)
 }
 
 // CIPAccuracy regenerates the Section 5.3 study: read-index prediction
 // accuracy as the Last-Time Table grows from 512 to 8192 entries.
 // Paper: 93.2% at 512 entries rising to 94.1% at 8192; writes 95%.
-func CIPAccuracy(r *Runner) *Report {
-	r.Prefetch(cipCells(r)...)
+func CIPAccuracy(v Results) *Report {
 	rep := &Report{ID: "cip", Title: "CIP accuracy vs LTT size",
 		Columns: []string{"512", "2048", "8192"}}
-	sizes := cipLTTSizes
-	perSize := make([][]float64, len(sizes))
+	perSize := make([][]float64, len(cipDesigns))
 	for _, w := range workloads.All26() {
-		vals := make([]float64, len(sizes))
-		for i, n := range sizes {
-			cfg := r.config("dice")
-			cfg.CIPEntries = n
-			res := r.RunConfig(fmt.Sprintf("dice-cip%d|%s", n, w.Name), cfg, w)
-			vals[i] = res.CIPAccuracy
-			perSize[i] = append(perSize[i], res.CIPAccuracy)
+		vals := make([]float64, len(cipDesigns))
+		for i, d := range cipDesigns {
+			vals[i] = v.Get(d, w).CIPAccuracy
+			perSize[i] = append(perSize[i], vals[i])
 		}
 		rep.AddRow(w.Name, w.Suite, vals...)
 	}
-	avg := make([]float64, len(sizes))
-	for i := range sizes {
-		avg[i] = stats.Mean(perSize[i])
+	avg := map[string]float64{}
+	for i, col := range rep.Columns {
+		avg[col] = stats.Mean(perSize[i])
 	}
-	rep.Rows = append(rep.Rows, Row{Name: "AVG26", Values: map[string]float64{
-		"512": avg[0], "2048": avg[1], "8192": avg[2],
-	}})
+	rep.Rows = append(rep.Rows, Row{Name: "AVG26", Values: avg})
 	rep.Notes = append(rep.Notes,
 		"paper Sec 5.3: 93.2% (512 entries) to 94.1% (8192); default 2048 = 93.8%")
 	return rep

@@ -28,11 +28,7 @@ var goldenIDs = []string{"fig10", "table4", "cip", "ablate-index", "fault-sweep"
 func TestGoldenReports(t *testing.T) {
 	for _, id := range goldenIDs {
 		t.Run(id, func(t *testing.T) {
-			e, err := ByID(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := e.Run(tinyRunner()).String()
+			got := report(t, tinyRunner(), id).String()
 			path := filepath.Join("testdata", id+".golden")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -21,25 +22,22 @@ func metricsRunner(workers int) *Runner {
 // identical to a runner with recording OFF — and the exported metrics
 // bytes themselves must be schedule-independent.
 func TestMetricsRecordingPreservesDeterminism(t *testing.T) {
-	wls := detWorkloads(t)
-	cfgs := []string{"base", "dice"}
+	matrix := cells(detWorkloads(t), base, dice)
 
 	serialOn := metricsRunner(1)
 	pooledOn := metricsRunner(8)
 	pooledOff := detRunner(8)
 	for _, r := range []*Runner{serialOn, pooledOn, pooledOff} {
-		r.Prefetch(r.namedCells(cfgs, wls)...)
+		r.RunCells(context.Background(), matrix, nil)
 	}
 
-	for _, w := range wls {
-		for _, cfg := range cfgs {
-			on1, on8, off8 := serialOn.Run(cfg, w), pooledOn.Run(cfg, w), pooledOff.Run(cfg, w)
-			if !reflect.DeepEqual(on1, on8) {
-				t.Fatalf("%s|%s: recording on, workers 1 vs 8 differ", cfg, w.Name)
-			}
-			if !reflect.DeepEqual(on1, off8) {
-				t.Fatalf("%s|%s: recording on vs off differ", cfg, w.Name)
-			}
+	for _, c := range matrix {
+		on1, on8, off8 := runOne(serialOn, c), runOne(pooledOn, c), runOne(pooledOff, c)
+		if !reflect.DeepEqual(on1, on8) {
+			t.Fatalf("%s: recording on, workers 1 vs 8 differ", c.Label())
+		}
+		if !reflect.DeepEqual(on1, off8) {
+			t.Fatalf("%s: recording on vs off differ", c.Label())
 		}
 	}
 
@@ -59,11 +57,16 @@ func TestMetricsRecordingPreservesDeterminism(t *testing.T) {
 		t.Fatal("metrics export differs between workers 1 and 8")
 	}
 
-	// One snapshot list per executed simulation, keyed by memoization
-	// key, sampled every MetricsEpoch cycles.
+	// One snapshot list per executed simulation, keyed by the cell's
+	// Key, sampled every MetricsEpoch cycles.
 	ms := pooledOn.Metrics()
-	if want := len(cfgs) * len(wls); len(ms) != want {
+	if want := len(matrix); len(ms) != want {
 		t.Fatalf("recorded %d series, want %d", len(ms), want)
+	}
+	for _, c := range matrix {
+		if _, ok := ms[c.Key()]; !ok {
+			t.Fatalf("no series under the cell key %s", c.Key())
+		}
 	}
 	for key, snaps := range ms {
 		if len(snaps) == 0 {

@@ -23,23 +23,20 @@ const metricsDemoEpochs = 8
 // metricsDemoWorkload picks gcc — compressible and CIP-active, so the
 // indexing-policy columns move.
 func metricsDemoWorkload() workloads.Workload {
-	w, err := workloads.ByName("gcc")
-	if err != nil {
-		panic(err)
-	}
-	return w
+	return named("gcc")[0]
 }
 
-func metricsDemoCells(r *Runner) []Cell {
-	w := metricsDemoWorkload()
-	return []Cell{{Key: "dice|" + w.Name, Cfg: r.config("dice"), W: w}}
+func metricsDemoCells() []CellSpec {
+	return cells([]workloads.Workload{metricsDemoWorkload()}, dice)
 }
 
 // MetricsDemo runs gcc under DICE with an epoch-metrics recorder and
-// tabulates the run's time series, one row per epoch.
-func MetricsDemo(r *Runner) *Report {
+// tabulates the run's time series, one row per epoch. Its recorded
+// re-run is the one simulation in the catalog that is not a declared
+// cell: the epoch length depends on the reference run's cycles.
+func MetricsDemo(v Results) *Report {
 	w := metricsDemoWorkload()
-	ref := r.Run("dice", w) // memoized reference result, recorder state per runner
+	ref := v.Get(dice, w) // the declared cell, memoized like any other
 
 	// Size the epoch so the whole run (warmup included) lands near
 	// metricsDemoEpochs samples. ref.Cycles is the measured window —
@@ -47,10 +44,7 @@ func MetricsDemo(r *Runner) *Report {
 	epoch := ref.Cycles*3/2/metricsDemoEpochs + 1
 
 	rec := obs.NewRecorder(epoch)
-	res, err := r.runSim(r.config("dice"), w, &obs.Observer{Rec: rec})
-	if err != nil {
-		panic(err)
-	}
+	res := v.rerun(dice, w, &obs.Observer{Rec: rec})
 
 	rep := &Report{ID: "metrics-demo", Title: "Observability demo: epoch metrics for gcc under DICE",
 		Columns: []string{"ipc", "l4hit", "effcap", "baifrac", "cipacc", "ddrutil"}}

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Figures 1f, 4, 7, 10-15; Tables 4-8; the CIP accuracy sweep
-// of Section 5.3). Each experiment is a named driver producing a Report;
-// a shared Runner memoizes simulation results so the baseline runs that
-// many experiments normalize against are executed once.
+// of Section 5.3). Each experiment declares its simulations as a list of
+// CellSpecs and renders a Report from their results; a shared Runner
+// memoizes simulations by CellSpec.Key, so the baseline runs that many
+// experiments normalize against are executed once.
 package experiments
 
 import (
@@ -13,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dice/internal/dcache"
 	"dice/internal/obs"
 	"dice/internal/parallel"
 	"dice/internal/sim"
@@ -22,33 +22,21 @@ import (
 )
 
 // Runner executes and memoizes simulations. All methods are safe for
-// concurrent use: memoization is singleflight, so a (config, workload)
-// pair is simulated exactly once no matter how many experiments request
-// it concurrently, and every later caller blocks until that one result
-// is ready.
+// concurrent use: memoization is singleflight, so a cell is simulated
+// exactly once no matter how many experiments request it concurrently,
+// and every later caller blocks until that one result is ready.
 type Runner struct {
-	// RefsPerCore overrides the measured reference count (0 = auto).
-	// Tests use small values; the CLI uses larger ones.
+	// RefsPerCore is the measured reference count for cells that leave
+	// Refs at 0 (0 = auto). Tests use small values; the CLI larger ones.
 	RefsPerCore int
-	// Scale is the system scale shift (0 = default 10, i.e. 1/1024).
-	Scale uint
 	// Verbose prints progress lines as runs complete.
 	Verbose bool
-	// Workers bounds the simulations Prefetch and RunAll execute
-	// concurrently (0 = one per CPU). Workers == 1 is the bit-exact
-	// serial reference schedule; because sim.Run is deterministic per
-	// (config, workload), every worker count produces byte-identical
-	// results — the determinism tests enforce this.
+	// Workers bounds the simulations RunCells executes concurrently
+	// (0 = one per CPU). Workers == 1 is the bit-exact serial reference
+	// schedule; because sim.Run is deterministic per cell, every worker
+	// count produces byte-identical results — the determinism tests
+	// enforce this.
 	Workers int
-	// FaultBER, FaultSeed and FaultPolicy apply fault injection to every
-	// named configuration this runner launches (sim.Config fields of the
-	// same names). Zero BER leaves injection off; the fault-sweep
-	// experiment instead mints per-BER configs itself.
-	FaultBER float64
-	// FaultSeed pins the deterministic fault stream (see FaultBER).
-	FaultSeed uint64
-	// FaultPolicy selects the recovery policy (see FaultBER).
-	FaultPolicy string
 
 	// MetricsEpoch, when nonzero, attaches an epoch-metrics recorder
 	// (sampling every MetricsEpoch cycles) to every simulation this
@@ -58,8 +46,8 @@ type Runner struct {
 	MetricsEpoch uint64
 	// MetricsEmit, when non-nil (and MetricsEpoch is set), receives
 	// every recorded epoch snapshot the moment it is recorded, tagged
-	// with the simulation's memoization key — the incremental-export
-	// hook behind the daemon's stream. Because memoization runs each
+	// with the cell's Key — the incremental-export hook behind the
+	// daemon's stream. Because memoization runs each
 	// key once, duplicate requests of a key emit its epochs once. The
 	// hook runs on simulation worker goroutines, possibly several
 	// concurrently for different keys: it must be safe for concurrent
@@ -81,7 +69,7 @@ type Runner struct {
 	simulate func(sim.Config, workloads.Workload, *obs.Observer) (sim.Result, error)
 
 	// testHookSimDone, when non-nil, runs after every executed
-	// simulation with its memoization key. Test instrumentation only:
+	// simulation with its cell's Key. Test instrumentation only:
 	// the cancellation-latency tests use it to cancel a context at a
 	// precise point between cells.
 	testHookSimDone func(key string)
@@ -118,8 +106,8 @@ func (r *Runner) Sims() int64 { return r.sims.Load() }
 func (r *Runner) TotalCycles() uint64 { return r.cycles.Load() }
 
 // Metrics returns a copy of the epoch snapshots recorded so far, keyed
-// by memoization key ("<config>|<workload>"). Empty unless
-// MetricsEpoch was set before the runs executed.
+// by CellSpec.Key. Empty unless MetricsEpoch was set before the runs
+// executed.
 func (r *Runner) Metrics() map[string][]obs.Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -139,86 +127,21 @@ func (r *Runner) logf(format string, args ...any) {
 	r.log.Printf(format, args...)
 }
 
-// named configurations used across experiments.
-func (r *Runner) config(name string) sim.Config {
-	cfg := sim.Config{RefsPerCore: r.RefsPerCore, ScaleShift: r.Scale}
-	switch name {
-	case "base":
-		cfg.Policy = dcache.PolicyUncompressed
-	case "tsi":
-		cfg.Policy = dcache.PolicyTSI
-	case "nsi":
-		cfg.Policy = dcache.PolicyNSI
-	case "bai":
-		cfg.Policy = dcache.PolicyBAI
-	case "dice":
-		cfg.Policy = dcache.PolicyDICE
-	case "scc":
-		cfg.Policy = dcache.PolicySCC
-	case "dice-knl":
-		cfg.Policy = dcache.PolicyDICE
-		cfg.Org = dcache.OrgKNL
-	case "dice-t32":
-		cfg.Policy = dcache.PolicyDICE
-		cfg.Threshold = 32
-	case "dice-t40":
-		cfg.Policy = dcache.PolicyDICE
-		cfg.Threshold = 40
-	case "base-2cap":
-		cfg.Policy = dcache.PolicyUncompressed
-		cfg.CapacityMult = 2
-	case "base-2bw":
-		cfg.Policy = dcache.PolicyUncompressed
-		cfg.BWMult = 2
-	case "base-2both":
-		cfg.Policy = dcache.PolicyUncompressed
-		cfg.CapacityMult = 2
-		cfg.BWMult = 2
-	case "base-half":
-		cfg.Policy = dcache.PolicyUncompressed
-		cfg.HalfLatency = true
-	case "dice-2cap":
-		cfg.Policy = dcache.PolicyDICE
-		cfg.CapacityMult = 2
-	case "dice-2bw":
-		cfg.Policy = dcache.PolicyDICE
-		cfg.BWMult = 2
-	case "dice-half":
-		cfg.Policy = dcache.PolicyDICE
-		cfg.HalfLatency = true
-	case "base-128pf":
-		cfg.Policy = dcache.PolicyUncompressed
-		cfg.Prefetch = sim.PrefetchWide128
-	case "base-nlpf":
-		cfg.Policy = dcache.PolicyUncompressed
-		cfg.Prefetch = sim.PrefetchNextLine
-	case "dice-nlpf":
-		cfg.Policy = dcache.PolicyDICE
-		cfg.Prefetch = sim.PrefetchNextLine
-	default:
-		panic("experiments: unknown config " + name)
-	}
-	cfg.FaultBER = r.FaultBER
-	cfg.FaultSeed = r.FaultSeed
-	cfg.FaultPolicy = r.FaultPolicy
-	return cfg
+// cellJob is one cell resolved for simulation.
+type cellJob struct {
+	spec CellSpec
+	key  string
+	cfg  sim.Config
+	w    workloads.Workload
 }
 
-// Run executes (or recalls) one workload under a named configuration.
-func (r *Runner) Run(cfgName string, w workloads.Workload) sim.Result {
-	return r.RunConfig(cfgName+"|"+w.Name, r.config(cfgName), w)
-}
-
-// RunConfig executes (or recalls) workload w under an arbitrary
-// configuration, memoized under key. Keys follow the "<config>|<workload>"
-// convention; experiments that sweep parameters outside the named set
-// (the CIP size sweep, the ablations) mint their own config labels.
-//
+// run executes (or recalls) one resolved cell, memoized under its key.
 // Concurrent calls with the same key simulate exactly once: the first
-// caller runs sim.Run while the rest block until the result is ready. A
-// panicking simulation is re-panicked in every waiter, so a pool worker
-// failure propagates instead of deadlocking the queue.
-func (r *Runner) RunConfig(key string, cfg sim.Config, w workloads.Workload) sim.Result {
+// caller runs the simulation while the rest block until the result is
+// ready. A panicking simulation is re-panicked in every waiter, so a
+// pool worker failure propagates instead of deadlocking the queue.
+func (r *Runner) run(j cellJob) sim.Result {
+	key := j.key
 	r.mu.Lock()
 	if r.cache == nil {
 		r.cache = make(map[string]*flight)
@@ -251,11 +174,11 @@ func (r *Runner) RunConfig(key string, cfg sim.Config, w workloads.Workload) sim
 		}
 		ob = &obs.Observer{Rec: rec}
 	}
-	res, err := r.runSim(cfg, w, ob)
+	res, err := r.runSim(j.cfg, j.w, ob)
 	if err != nil {
-		// Experiment configs are internal code, not user input: a bad one
-		// is a programming error, and panicking keeps the singleflight
-		// propagation semantics (every waiter re-panics).
+		// RunCells validated the cell, so a failure here is a programming
+		// error; panicking keeps the singleflight propagation semantics
+		// (every waiter re-panics).
 		panic(err)
 	}
 	f.res = res
@@ -272,20 +195,9 @@ func (r *Runner) RunConfig(key string, cfg sim.Config, w workloads.Workload) sim
 		r.metrics[key] = ob.Rec.Snapshots()
 		r.mu.Unlock()
 	}
-	if cut := strings.IndexByte(key, '|'); cut >= 0 {
-		r.logf("  ran %-12s %-10s L4hit=%.2f L3hit=%.2f\n",
-			key[:cut], w.Name, f.res.L4.HitRate(), f.res.L3.HitRate())
-	} else {
-		r.logf("  ran %-23s L4hit=%.2f L3hit=%.2f\n",
-			key, f.res.L4.HitRate(), f.res.L3.HitRate())
-	}
+	r.logf("  ran %-23s L4hit=%.2f L3hit=%.2f\n",
+		j.spec.Label(), f.res.L4.HitRate(), f.res.L3.HitRate())
 	return f.res
-}
-
-// Speedup returns the weighted speedup of cfgName over the uncompressed
-// baseline for workload w.
-func (r *Runner) Speedup(cfgName string, w workloads.Workload) float64 {
-	return sim.Speedup(r.Run("base", w), r.Run(cfgName, w))
 }
 
 // Report is one regenerated table or figure.
@@ -392,44 +304,43 @@ func (rep *Report) String() string {
 	return b.String()
 }
 
-// Experiment is one regenerable table/figure. Cells (optional) lists
-// the experiment's full config×workload simulation matrix so RunAll can
-// submit every cell to the worker pool before any report is assembled;
-// experiments that run no simulations (fig4) leave it nil.
+// Experiment is one regenerable table/figure: the cells it simulates
+// and the report it renders from their results.
 type Experiment struct {
 	// ID is the catalog identifier (-run selector in cmd/dicebench).
 	ID string
 	// Title is the one-line description shown in listings.
 	Title string
-	// Run assembles the experiment's report (simulations memoized).
-	Run func(*Runner) *Report
-	// Cells enumerates the simulation matrix for up-front prefetch.
-	Cells func(*Runner) []Cell
+	// Cells declares every simulation the report reads, in schedule
+	// order (workload-major); fig4 runs none.
+	Cells []CellSpec
+	// Report renders the report from the declared cells' results.
+	Report func(Results) *Report
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"fig1", "Potential from doubling capacity/bandwidth (Fig 1f)", Fig01Potential, fig01Cells},
-		{"fig4", "Fraction of compressible lines (Fig 4)", Fig04Compressibility, nil},
-		{"fig7", "Static indexing: TSI vs BAI (Fig 7)", Fig07StaticIndexing, fig07Cells},
-		{"fig10", "DICE speedup (Fig 10)", Fig10DICE, fig10Cells},
-		{"fig11", "Distribution of BAI/TSI indices (Fig 11)", Fig11IndexDistribution, fig11Cells},
-		{"fig12", "DICE on Knights Landing organization (Fig 12)", Fig12KNL, fig12Cells},
-		{"fig13", "Non-memory-intensive workloads (Fig 13)", Fig13NonIntensive, fig13Cells},
-		{"fig14", "Power/Energy/EDP (Fig 14)", Fig14Energy, fig14Cells},
-		{"fig15", "Skewed Compressed Cache on DRAM (Fig 15)", Fig15SCC, fig15Cells},
-		{"table4", "Sensitivity to DICE threshold (Table 4)", Table04Threshold, table04Cells},
-		{"table5", "Effective capacity (Table 5)", Table05Capacity, table05Cells},
-		{"table6", "Effect of DICE on L3 hit rate (Table 6)", Table06L3HitRate, table06Cells},
-		{"table7", "Comparison to prefetch (Table 7)", Table07Prefetch, table07Cells},
-		{"table8", "Sensitivity to capacity/BW/latency (Table 8)", Table08Sensitivity, table08Cells},
-		{"cip", "CIP accuracy vs LTT size (Sec 5.3)", CIPAccuracy, cipCells},
-		{"fault-sweep", "Degradation under injected bit errors", FaultSweep, faultSweepCells},
-		{"ablate-index", "Ablation: NSI vs BAI vs DICE indexing", AblationIndexing, ablateIndexCells},
-		{"ablate-compress", "Ablation: FPC-only vs BDI-only vs hybrid", AblationCompressor, ablateCompressCells},
-		{"ablate-mlp", "Ablation: core MLP-window sensitivity", AblationMLP, ablateMLPCells},
-		{"metrics-demo", "Observability demo: epoch metrics schema", MetricsDemo, metricsDemoCells},
+		{"fig1", "Potential from doubling capacity/bandwidth (Fig 1f)", fig01Cells(), Fig01Potential},
+		{"fig4", "Fraction of compressible lines (Fig 4)", nil, Fig04Compressibility},
+		{"fig7", "Static indexing: TSI vs BAI (Fig 7)", fig07Cells(), Fig07StaticIndexing},
+		{"fig10", "DICE speedup (Fig 10)", fig10Cells(), Fig10DICE},
+		{"fig11", "Distribution of BAI/TSI indices (Fig 11)", fig11Cells(), Fig11IndexDistribution},
+		{"fig12", "DICE on Knights Landing organization (Fig 12)", fig12Cells(), Fig12KNL},
+		{"fig13", "Non-memory-intensive workloads (Fig 13)", fig13Cells(), Fig13NonIntensive},
+		{"fig14", "Power/Energy/EDP (Fig 14)", fig14Cells(), Fig14Energy},
+		{"fig15", "Skewed Compressed Cache on DRAM (Fig 15)", fig15Cells(), Fig15SCC},
+		{"table4", "Sensitivity to DICE threshold (Table 4)", table04Cells(), Table04Threshold},
+		{"table5", "Effective capacity (Table 5)", table05Cells(), Table05Capacity},
+		{"table6", "Effect of DICE on L3 hit rate (Table 6)", table06Cells(), Table06L3HitRate},
+		{"table7", "Comparison to prefetch (Table 7)", table07Cells(), Table07Prefetch},
+		{"table8", "Sensitivity to capacity/BW/latency (Table 8)", table08Cells(), Table08Sensitivity},
+		{"cip", "CIP accuracy vs LTT size (Sec 5.3)", cipCells(), CIPAccuracy},
+		{"fault-sweep", "Degradation under injected bit errors", faultSweepCells(), FaultSweep},
+		{"ablate-index", "Ablation: NSI vs BAI vs DICE indexing", ablateIndexCells(), AblationIndexing},
+		{"ablate-compress", "Ablation: FPC-only vs BDI-only vs hybrid", ablateCompressCells(), AblationCompressor},
+		{"ablate-mlp", "Ablation: core MLP-window sensitivity", ablateMLPCells(), AblationMLP},
+		{"metrics-demo", "Observability demo: epoch metrics schema", metricsDemoCells(), MetricsDemo},
 	}
 }
 

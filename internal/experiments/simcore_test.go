@@ -18,11 +18,11 @@ const simcoreRefs = 1_200
 // sampleCells picks a bounded, deterministic sample of an experiment's
 // cell matrix: the first and last cell (distinct configs usually sit at
 // the corners of the config x workload product).
-func sampleCells(cells []Cell) []Cell {
+func sampleCells(cells []CellSpec) []CellSpec {
 	if len(cells) <= 2 {
 		return cells
 	}
-	return []Cell{cells[0], cells[len(cells)-1]}
+	return []CellSpec{cells[0], cells[len(cells)-1]}
 }
 
 // TestEventCoreMatchesReference sweeps every experiment's cell configs
@@ -30,33 +30,33 @@ func sampleCells(cells []Cell) []Cell {
 // reference produce byte-identical Results — including the embedded
 // dcache.Stats and fault.Stats — and byte-identical obs epoch exports.
 func TestEventCoreMatchesReference(t *testing.T) {
-	r := NewRunner(simcoreRefs)
 	seen := make(map[string]bool)
 	for _, e := range All() {
-		if e.Cells == nil {
+		if e.ID == "fig4" {
 			continue // fig4 runs no simulations
 		}
-		cells := e.Cells(r)
-		if len(cells) == 0 {
+		if len(e.Cells) == 0 {
 			t.Fatalf("%s: no cells", e.ID)
 		}
-		for _, cell := range sampleCells(cells) {
-			if seen[cell.Key] {
+		for _, cell := range sampleCells(e.Cells) {
+			key := cell.Key()
+			if seen[key] {
 				continue
 			}
-			seen[cell.Key] = true
-			cell := cell
-			t.Run(e.ID+"/"+cell.Key, func(t *testing.T) {
-				cfg := cell.Cfg
-				cfg.RefsPerCore = simcoreRefs
+			seen[key] = true
+			t.Run(e.ID+"/"+cell.Label(), func(t *testing.T) {
+				cfg, w, err := cell.resolve(simcoreRefs)
+				if err != nil {
+					t.Fatal(err)
+				}
 
 				evOb := &obs.Observer{Rec: obs.NewRecorder(20_000)}
-				evRes, _, err := sim.RunEventObserved(cfg, cell.W, evOb)
+				evRes, _, err := sim.RunEventObserved(cfg, w, evOb)
 				if err != nil {
 					t.Fatal(err)
 				}
 				refOb := &obs.Observer{Rec: obs.NewRecorder(20_000)}
-				refRes, err := sim.RunReferenceObserved(cfg, cell.W, refOb)
+				refRes, err := sim.RunReferenceObserved(cfg, w, refOb)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,10 +72,10 @@ func TestEventCoreMatchesReference(t *testing.T) {
 				}
 
 				var evOut, refOut bytes.Buffer
-				if err := obs.WriteEpochs(&evOut, map[string][]obs.Snapshot{cell.Key: evOb.Rec.Snapshots()}); err != nil {
+				if err := obs.WriteEpochs(&evOut, map[string][]obs.Snapshot{key: evOb.Rec.Snapshots()}); err != nil {
 					t.Fatal(err)
 				}
-				if err := obs.WriteEpochs(&refOut, map[string][]obs.Snapshot{cell.Key: refOb.Rec.Snapshots()}); err != nil {
+				if err := obs.WriteEpochs(&refOut, map[string][]obs.Snapshot{key: refOb.Rec.Snapshots()}); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(evOut.Bytes(), refOut.Bytes()) {
@@ -99,10 +99,6 @@ func TestEventCoreMatchesReference(t *testing.T) {
 // report formatting all sit between the core and the bytes.
 func TestReportsBytesIdenticalAcrossCores(t *testing.T) {
 	for _, id := range []string{"metrics-demo", "ablate-index"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 8} {
 			render := func(reference bool) string {
 				r := NewRunner(simcoreRefs)
@@ -110,7 +106,7 @@ func TestReportsBytesIdenticalAcrossCores(t *testing.T) {
 				if reference {
 					r.simulate = sim.RunReferenceObserved
 				}
-				return e.Run(r).String()
+				return report(t, r, id).String()
 			}
 			ev := render(false)
 			cy := render(true)

@@ -26,22 +26,21 @@ func groupSets() []struct {
 // Table04Threshold regenerates Table 4: DICE speedup with the BAI
 // insertion threshold at 32B, 36B and 40B, by suite group. Paper: 36B is
 // best (+19.0% overall); 32B and 40B lose 1-2%.
-func table04Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "dice-t32", "dice", "dice-t40"}, workloads.All26())
+func table04Cells() []CellSpec {
+	return cells(workloads.All26(), base, diceT32, dice, diceT40)
 }
 
 // Table04Threshold regenerates Table 4: DICE's sensitivity to the
 // BAI-insertion threshold (32/36/40 bytes).
-func Table04Threshold(r *Runner) *Report {
-	r.Prefetch(table04Cells(r)...)
+func Table04Threshold(v Results) *Report {
 	rep := &Report{ID: "table4", Title: "Sensitivity to DICE insertion threshold",
 		Columns: []string{"<=32B", "<=36B", "<=40B"}}
 	for _, g := range groupSets() {
 		var s32, s36, s40 []float64
 		for _, w := range g.WLs {
-			s32 = append(s32, r.Speedup("dice-t32", w))
-			s36 = append(s36, r.Speedup("dice", w))
-			s40 = append(s40, r.Speedup("dice-t40", w))
+			s32 = append(s32, v.Speedup(diceT32, w))
+			s36 = append(s36, v.Speedup(dice, w))
+			s40 = append(s40, v.Speedup(diceT40, w))
 		}
 		rep.AddRow(g.Label, "", stats.GeoMean(s32), stats.GeoMean(s36), stats.GeoMean(s40))
 	}
@@ -53,26 +52,25 @@ func Table04Threshold(r *Runner) *Report {
 // Table05Capacity regenerates Table 5: effective DRAM-cache capacity of
 // TSI, BAI and DICE relative to the baseline's occupancy. Paper: TSI
 // 1.24x, BAI 1.69x, DICE 1.62x overall; GAP up to 5.57x under BAI.
-func table05Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "tsi", "bai", "dice"}, workloads.All26())
+func table05Cells() []CellSpec {
+	return cells(workloads.All26(), base, tsi, bai, dice)
 }
 
 // Table05Capacity regenerates Table 5: average effective L4 capacity
 // under TSI, BAI and DICE.
-func Table05Capacity(r *Runner) *Report {
-	r.Prefetch(table05Cells(r)...)
+func Table05Capacity(v Results) *Report {
 	rep := &Report{ID: "table5", Title: "Effective capacity of TSI/BAI/DICE",
 		Columns: []string{"TSI", "BAI", "DICE"}}
 	for _, g := range groupSets() {
 		var ct, cb, cd []float64
 		for _, w := range g.WLs {
-			base := r.Run("base", w).EffCapacity
-			if base == 0 {
+			b := v.Get(base, w).EffCapacity
+			if b == 0 {
 				continue
 			}
-			ct = append(ct, r.Run("tsi", w).EffCapacity/base)
-			cb = append(cb, r.Run("bai", w).EffCapacity/base)
-			cd = append(cd, r.Run("dice", w).EffCapacity/base)
+			ct = append(ct, v.Get(tsi, w).EffCapacity/b)
+			cb = append(cb, v.Get(bai, w).EffCapacity/b)
+			cd = append(cd, v.Get(dice, w).EffCapacity/b)
 		}
 		rep.AddRow(g.Label, "", stats.GeoMean(ct), stats.GeoMean(cb), stats.GeoMean(cd))
 	}
@@ -84,21 +82,20 @@ func Table05Capacity(r *Runner) *Report {
 // Table06L3HitRate regenerates Table 6: shared-L3 hit rate without and
 // with DICE (whose free adjacent lines are installed in L3). Paper:
 // 37.0% -> 43.6% average.
-func table06Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "dice"}, workloads.All26())
+func table06Cells() []CellSpec {
+	return cells(workloads.All26(), base, dice)
 }
 
 // Table06L3HitRate regenerates Table 6: DICE's effect on the L3 hit
 // rate (compression perturbs hot-line residency).
-func Table06L3HitRate(r *Runner) *Report {
-	r.Prefetch(table06Cells(r)...)
+func Table06L3HitRate(v Results) *Report {
 	rep := &Report{ID: "table6", Title: "Effect of DICE on L3 hit rate",
 		Columns: []string{"BASE", "DICE"}}
 	for _, g := range groupSets() {
 		var hb, hd []float64
 		for _, w := range g.WLs {
-			hb = append(hb, r.Run("base", w).L3.HitRate())
-			hd = append(hd, r.Run("dice", w).L3.HitRate())
+			hb = append(hb, v.Get(base, w).L3.HitRate())
+			hd = append(hd, v.Get(dice, w).L3.HitRate())
 		}
 		rep.AddRow(g.Label, "", stats.Mean(hb), stats.Mean(hd))
 	}
@@ -110,24 +107,22 @@ func Table06L3HitRate(r *Runner) *Report {
 // Table07Prefetch regenerates Table 7: wider L3 fetch and next-line
 // prefetching vs DICE, and DICE combined with next-line prefetch.
 // Paper: 128B-PF +1.9%, NL-PF +1.6%, DICE +19.0%, DICE+NL +20.9%.
-func table07Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "base-128pf", "base-nlpf", "dice", "dice-nlpf"},
-		workloads.All26())
+func table07Cells() []CellSpec {
+	return cells(workloads.All26(), base, base128PF, baseNLPF, dice, diceNLPF)
 }
 
 // Table07Prefetch regenerates Table 7: DICE against next-line and
 // wide-128B prefetching, separately and combined.
-func Table07Prefetch(r *Runner) *Report {
-	r.Prefetch(table07Cells(r)...)
+func Table07Prefetch(v Results) *Report {
 	rep := &Report{ID: "table7", Title: "Comparison of DICE to prefetch",
 		Columns: []string{"128B-PF", "Nextline-PF", "DICE", "DICE+NL"}}
 	for _, g := range groupSets() {
 		var p128, pnl, pd, pdnl []float64
 		for _, w := range g.WLs {
-			p128 = append(p128, r.Speedup("base-128pf", w))
-			pnl = append(pnl, r.Speedup("base-nlpf", w))
-			pd = append(pd, r.Speedup("dice", w))
-			pdnl = append(pdnl, r.Speedup("dice-nlpf", w))
+			p128 = append(p128, v.Speedup(base128PF, w))
+			pnl = append(pnl, v.Speedup(baseNLPF, w))
+			pd = append(pd, v.Speedup(dice, w))
+			pdnl = append(pdnl, v.Speedup(diceNLPF, w))
 		}
 		rep.AddRow(g.Label, "", stats.GeoMean(p128), stats.GeoMean(pnl), stats.GeoMean(pd), stats.GeoMean(pdnl))
 	}
@@ -140,29 +135,23 @@ func Table07Prefetch(r *Runner) *Report {
 // matching uncompressed design as the cache's capacity, bandwidth and
 // latency change. Paper: base +19.0%, 2x capacity +13.2%, 2x BW +24.5%,
 // half latency +24.4%.
-func table08Cells(r *Runner) []Cell {
-	return r.namedCells([]string{"base", "dice", "base-2cap", "dice-2cap",
-		"base-2bw", "dice-2bw", "base-half", "dice-half"}, workloads.All26())
+func table08Cells() []CellSpec {
+	return cells(workloads.All26(), base, dice, base2Cap, dice2Cap, base2BW, dice2BW, baseHalf, diceHalf)
 }
 
 // Table08Sensitivity regenerates Table 8: DICE's speedup holding
 // under doubled capacity, doubled bandwidth and halved latency.
-func Table08Sensitivity(r *Runner) *Report {
-	r.Prefetch(table08Cells(r)...)
+func Table08Sensitivity(v Results) *Report {
 	rep := &Report{ID: "table8", Title: "DICE sensitivity to cache capacity/BW/latency",
 		Columns: []string{"Base(1GB)", "2xCap", "2xBW", "50%Lat"}}
-	pairs := [][2]string{
-		{"base", "dice"},
-		{"base-2cap", "dice-2cap"},
-		{"base-2bw", "dice-2bw"},
-		{"base-half", "dice-half"},
-	}
+	// Each DICE design is normalized to its own uncompressed design.
+	designs := []CellSpec{dice, dice2Cap, dice2BW, diceHalf}
 	for _, g := range groupSets() {
-		vals := make([]float64, len(pairs))
-		for i, p := range pairs {
+		vals := make([]float64, len(designs))
+		for i, d := range designs {
 			var xs []float64
 			for _, w := range g.WLs {
-				xs = append(xs, sim.Speedup(r.Run(p[0], w), r.Run(p[1], w)))
+				xs = append(xs, sim.Speedup(v.Get(d.Baseline(), w), v.Get(d, w)))
 			}
 			vals[i] = stats.GeoMean(xs)
 		}

@@ -2,9 +2,11 @@ package serve
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
+	"dice/internal/experiments"
 	"dice/internal/sim"
 	"dice/internal/workloads"
 )
@@ -12,25 +14,29 @@ import (
 // Admission-time validation of batch cell jobs: exactly one of
 // Experiments/Cells, bounded batch size, per-cell vocabulary checks.
 func TestJobSpecCellValidation(t *testing.T) {
-	ok := CellSpec{Workload: "gcc", Policy: "dice", Refs: 100}
+	ok := experiments.CellSpec{Workload: "gcc", Policy: "dice", Refs: 100}
 	cases := []struct {
 		name    string
 		spec    JobSpec
 		wantErr string
 	}{
-		{"cells ok", JobSpec{Cells: []CellSpec{ok}}, ""},
+		{"cells ok", JobSpec{Cells: []experiments.CellSpec{ok}}, ""},
 		{"neither", JobSpec{}, "no experiments and no cells"},
-		{"both", JobSpec{Experiments: []string{"fig10"}, Cells: []CellSpec{ok}}, "both experiments and cells"},
-		{"no workload", JobSpec{Cells: []CellSpec{{Policy: "dice"}}}, "no workload"},
-		{"unknown workload", JobSpec{Cells: []CellSpec{{Workload: "nosuch"}}}, "nosuch"},
-		{"unknown policy", JobSpec{Cells: []CellSpec{{Workload: "gcc", Policy: "lru"}}}, "unknown policy"},
-		{"unknown org", JobSpec{Cells: []CellSpec{{Workload: "gcc", Org: "weird"}}}, "unknown org"},
-		{"unknown compress", JobSpec{Cells: []CellSpec{{Workload: "gcc", Compress: "lz4"}}}, "unknown compress"},
-		{"unknown prefetch", JobSpec{Cells: []CellSpec{{Workload: "gcc", Prefetch: "stride"}}}, "prefetch"},
-		{"bad ber", JobSpec{Cells: []CellSpec{{Workload: "gcc", BER: 2}}}, "ber"},
-		{"threshold over 64", JobSpec{Cells: []CellSpec{{Workload: "gcc", Policy: "dice", Threshold: 100}}}, "Threshold 100"},
-		{"negative refs", JobSpec{Cells: []CellSpec{{Workload: "gcc", Refs: -1}}}, "refs"},
-		{"oversized batch", JobSpec{Cells: make([]CellSpec, MaxCellsPerJob+1)}, "exceed the per-job bound"},
+		{"both", JobSpec{Experiments: []string{"fig10"}, Cells: []experiments.CellSpec{ok}}, "both experiments and cells"},
+		{"no workload", JobSpec{Cells: []experiments.CellSpec{{Policy: "dice"}}}, "no workload"},
+		{"unknown workload", JobSpec{Cells: []experiments.CellSpec{{Workload: "nosuch"}}}, "nosuch"},
+		{"unknown policy", JobSpec{Cells: []experiments.CellSpec{{Workload: "gcc", Policy: "lru"}}}, "unknown policy"},
+		{"unknown org", JobSpec{Cells: []experiments.CellSpec{{Workload: "gcc", Org: "weird"}}}, "unknown org"},
+		{"unknown compress", JobSpec{Cells: []experiments.CellSpec{{Workload: "gcc", Compress: "lz4"}}}, "unknown compress"},
+		{"unknown prefetch", JobSpec{Cells: []experiments.CellSpec{{Workload: "gcc", Prefetch: "stride"}}}, "prefetch"},
+		{"bad ber", JobSpec{Cells: []experiments.CellSpec{{Workload: "gcc", BER: 2}}}, "ber"},
+		{"threshold over 64", JobSpec{Cells: []experiments.CellSpec{{Workload: "gcc", Policy: "dice", Threshold: 100}}}, "Threshold 100"},
+		{"negative refs", JobSpec{Cells: []experiments.CellSpec{{Workload: "gcc", Refs: -1}}}, "refs"},
+		{"refs over the ceiling", JobSpec{Cells: []experiments.CellSpec{{Workload: "gcc", Refs: math.MaxInt}}}, "RefsPerCore"},
+		{"job refs over the ceiling", JobSpec{Experiments: []string{"fig10"}, Refs: math.MaxInt}, "RefsPerCore"},
+		{"cells with a job-wide fault rate", JobSpec{Cells: []experiments.CellSpec{ok}, FaultBER: 1e-4}, "set them per cell"},
+		{"cells with a job-wide scale", JobSpec{Cells: []experiments.CellSpec{ok}, Scale: 12}, "set them per cell"},
+		{"oversized batch", JobSpec{Cells: make([]experiments.CellSpec, MaxCellsPerJob+1)}, "exceed the per-job bound"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,7 +91,7 @@ func TestCellResultsEncodeDecodeRoundTrip(t *testing.T) {
 // metrics snapshot, cell for cell in spec order — the equivalence
 // that makes daemon-sharded sweeps byte-identical to local ones.
 func TestRunSpecCellsMatchesDirectSim(t *testing.T) {
-	cells := []CellSpec{
+	cells := []experiments.CellSpec{
 		{Workload: "gcc", Policy: "dice", Refs: 150},
 		{Workload: "gcc", Policy: "base", Refs: 150},
 		{Workload: "gcc", Policy: "dice", Refs: 150}, // duplicate key: memoized, still answered

@@ -21,7 +21,7 @@ import (
 // different generation (it restarted, or re-derived a finished job's
 // stream), the sequence restarts from 0 and fn sees earlier events
 // again — callers must deduplicate cell events on their canonical
-// cell key (serve.CellSpec.Key), which determinism makes safe: a
+// cell key (experiments.CellSpec.Key), which determinism makes safe: a
 // re-delivered cell is byte-identical to the first delivery. A non-nil
 // error from fn aborts the stream permanently and is returned
 // wrapped. Torn tail lines (connection cut mid-frame) are not errors;

@@ -26,7 +26,6 @@ import (
 	"dice/internal/experiments"
 	"dice/internal/obs"
 	"dice/internal/sim"
-	"dice/internal/workloads"
 )
 
 // JobState is the lifecycle state of a job. Terminal states are
@@ -71,10 +70,13 @@ type JobSpec struct {
 	// experiment's matrix) and the job's Output is one JSON line per
 	// cell, in spec order (EncodeCellResults). Bounded by
 	// MaxCellsPerJob; sweeps submit multiple jobs.
-	Cells []CellSpec `json:"cells,omitempty"`
+	Cells []experiments.CellSpec `json:"cells,omitempty"`
 	// Refs is the measured references per core (0 = daemon default).
 	Refs int `json:"refs,omitempty"`
-	// Scale is the system scale shift (0 = default 10).
+	// Scale is the system scale shift (0 = default 10). It and the
+	// Fault* fields apply to experiment jobs, rewriting every cell
+	// that leaves them unset; a cell job sets them per cell, and
+	// Validate rejects them there.
 	Scale uint `json:"scale,omitempty"`
 	// Workers bounds the job's concurrent simulations (0 = one per
 	// CPU, 1 = the bit-exact serial reference schedule; results are
@@ -99,11 +101,12 @@ type JobSpec struct {
 	MetricsEpoch uint64 `json:"metrics_epoch,omitempty"`
 }
 
-// Validate rejects specs the daemon could only fail on mid-run: an
-// empty or unknown experiment list, a negative worker count or
-// deadline, or fault parameters sim.Config.Validate rejects. Admission
-// is the one place a bad spec can be turned into a 400 instead of a
-// failed job.
+// Validate rejects specs the daemon could only fail on mid-run or
+// would silently ignore: an empty or unknown experiment list, an
+// invalid cell, job-wide scale or fault settings on a cell job, a
+// negative worker count or deadline, or refs, scale or fault
+// parameters sim.Config.Validate rejects. Admission is the one place a bad spec
+// can be turned into a 400 instead of a failed job.
 func (s JobSpec) Validate() error {
 	if len(s.Experiments) == 0 && len(s.Cells) == 0 {
 		return fmt.Errorf("serve: job spec lists no experiments and no cells")
@@ -114,6 +117,9 @@ func (s JobSpec) Validate() error {
 	if len(s.Cells) > MaxCellsPerJob {
 		return fmt.Errorf("serve: job spec: %d cells exceed the per-job bound %d",
 			len(s.Cells), MaxCellsPerJob)
+	}
+	if len(s.Cells) > 0 && (s.Scale != 0 || s.FaultBER != 0 || s.FaultSeed != 0 || s.FaultPolicy != "") {
+		return fmt.Errorf("serve: job spec: scale and fault_* apply to experiment jobs; set them per cell")
 	}
 	for i, c := range s.Cells {
 		if err := c.Validate(); err != nil {
@@ -136,7 +142,8 @@ func (s JobSpec) Validate() error {
 	if s.DeadlineMS < 0 {
 		return fmt.Errorf("serve: job spec: deadline_ms must be >= 0, got %d", s.DeadlineMS)
 	}
-	if err := (sim.Config{FaultBER: s.FaultBER, FaultPolicy: s.FaultPolicy}).Validate(); err != nil {
+	job := sim.Config{RefsPerCore: s.Refs, ScaleShift: s.Scale, FaultBER: s.FaultBER, FaultPolicy: s.FaultPolicy}
+	if err := job.Validate(); err != nil {
 		return fmt.Errorf("serve: job spec: %w", err)
 	}
 	return nil
@@ -224,11 +231,7 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 		refs = defaultRefs
 	}
 	r := experiments.NewRunner(refs)
-	r.Scale = spec.Scale
 	r.Workers = spec.Workers
-	r.FaultBER = spec.FaultBER
-	r.FaultSeed = spec.FaultSeed
-	r.FaultPolicy = spec.FaultPolicy
 	if spec.MetricsEpoch > 0 {
 		r.MetricsEpoch = spec.MetricsEpoch
 		if emit != nil {
@@ -239,11 +242,21 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 	}
 
 	if len(spec.Cells) > 0 {
-		var done func(CellResult)
+		var done func(int, sim.Result)
 		if emit != nil {
-			done = func(cr CellResult) { emit(StreamEvent{Kind: StreamCell, Cell: &cr}) }
+			done = func(i int, res sim.Result) {
+				cr := CellResultFrom(spec.Cells[i].Key(), res)
+				emit(StreamEvent{Kind: StreamCell, Cell: &cr})
+			}
 		}
-		results, err := RunCells(ctx, r, spec.Cells, refs, done)
+		res, err := r.RunCells(ctx, spec.Cells, done)
+		// Spec order; a cell a cancel skipped is absent.
+		results := make([]CellResult, 0, len(spec.Cells))
+		for _, c := range spec.Cells {
+			if v, ok := res[c.Key()]; ok {
+				results = append(results, CellResultFrom(c.Key(), v))
+			}
+		}
 		var b strings.Builder
 		if eerr := EncodeCellResults(&b, results); eerr != nil {
 			return "", eerr
@@ -251,50 +264,14 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 		return b.String(), err
 	}
 
-	reports, err := experiments.RunAllCtx(ctx, r, spec.selected())
+	job := experiments.CellSpec{Scale: spec.Scale, BER: spec.FaultBER, FaultSeed: spec.FaultSeed, FaultPolicy: spec.FaultPolicy}
+	reports, err := experiments.RunAllCtx(ctx, r, spec.selected(), job)
 	var b strings.Builder
 	for _, rep := range reports {
 		b.WriteString(rep.String())
 		b.WriteByte('\n')
 	}
 	return b.String(), err
-}
-
-// RunCells is the one place a CellSpec becomes a simulation: daemon
-// batch jobs and in-process sweeps both run their cells here. The cells
-// fan out across r's pool (memoized by canonical key, so duplicates
-// simulate once); done, when non-nil, receives each cell's result as it
-// completes, from worker goroutines, and duplicate keys each get their
-// own call. The returned results are in spec order. When ctx is
-// cancelled mid-batch they hold the completed cells, and the error is
-// ctx's; determinism makes a re-run of the rest byte-identical.
-func RunCells(ctx context.Context, r *experiments.Runner, specs []CellSpec, defaultRefs int, done func(CellResult)) ([]CellResult, error) {
-	cells := make([]experiments.Cell, len(specs))
-	for i, cs := range specs {
-		cfg, err := cs.Config(defaultRefs)
-		if err != nil {
-			return nil, fmt.Errorf("serve: cell %d (%s): %w", i, cs.Key(), err)
-		}
-		w, err := workloads.ByName(cs.Workload)
-		if err != nil {
-			return nil, fmt.Errorf("serve: cell %d (%s): %w", i, cs.Key(), err)
-		}
-		cells[i] = experiments.Cell{Key: cs.Key(), Cfg: cfg, W: w}
-	}
-	var each func(i int, res sim.Result)
-	if done != nil {
-		each = func(i int, res sim.Result) { done(CellResultFrom(cells[i].Key, res)) }
-	}
-	err := r.ForEachCellCtx(ctx, cells, each)
-	results := make([]CellResult, 0, len(cells))
-	for i := range cells {
-		res, ok := r.Peek(cells[i].Key)
-		if !ok {
-			continue // skipped by cancellation; later cells may still have run
-		}
-		results = append(results, CellResultFrom(cells[i].Key, res))
-	}
-	return results, err
 }
 
 // job is the daemon's internal job record: the public status plus the

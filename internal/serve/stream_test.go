@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dice/internal/commitlog"
+	"dice/internal/experiments"
 	"dice/internal/leakcheck"
 	"dice/internal/obs"
 )
@@ -25,8 +26,8 @@ import (
 // cmd/dicesweep.
 
 // streamCells is a small valid cell batch for streaming tests.
-func streamCells() []CellSpec {
-	return []CellSpec{
+func streamCells() []experiments.CellSpec {
+	return []experiments.CellSpec{
 		{Workload: "gcc", Refs: 300, Scale: 12},
 		{Workload: "mcf", Policy: "dice", Refs: 300, Scale: 12},
 		{Workload: "bzip2", Policy: "tsi", Refs: 300, Scale: 12},

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"dice/internal/commitlog"
+	"dice/internal/experiments"
 	"dice/internal/serve"
 	"dice/internal/serve/client"
 )
@@ -68,7 +69,7 @@ func measureSubmitLatency(t *testing.T, n, concurrency int, noGroupCommit bool) 
 		refs = 1
 	}
 	spec := serve.JobSpec{
-		Cells: []serve.CellSpec{{Workload: "gcc", Policy: "dice", Refs: refs, Scale: 10}},
+		Cells: []experiments.CellSpec{{Workload: "gcc", Policy: "dice", Refs: refs, Scale: 10}},
 	}
 	var (
 		lat      latencies

@@ -78,9 +78,16 @@ type Config struct {
 	MLPWindow int
 	// RefsPerCore is the measured reference count per core; 0 sizes it
 	// from the workload footprint. Each core first runs warmupFrac as
-	// many references again to warm the caches.
+	// many references again to warm the caches. Validate caps it at
+	// maxRefsPerCore (1<<30), far above every catalog budget, so the
+	// warm-up plus measured count cannot overflow.
 	RefsPerCore int
 }
+
+// maxRefsPerCore bounds RefsPerCore. Auto sizing stops at 400,000 and
+// dicebench defaults to 60,000; past the bound, warm-up plus measured
+// references overflow and a run returns nonsense cycles and IPCs.
+const maxRefsPerCore = 1 << 30
 
 // maxMLPWindow bounds the per-core outstanding-reference window. Each
 // core preallocates its window, so an unbounded value is an allocation
@@ -141,6 +148,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: FaultBER %v out of range [0, %v]", c.FaultBER, fault.MaxBER)
 	case c.RefsPerCore < 0:
 		return fmt.Errorf("sim: RefsPerCore %d is negative (measured refs per core; 0 = auto)", c.RefsPerCore)
+	case c.RefsPerCore > maxRefsPerCore:
+		return fmt.Errorf("sim: RefsPerCore %d exceeds %d", c.RefsPerCore, maxRefsPerCore)
 	case c.MLPWindow < 0:
 		return fmt.Errorf("sim: MLPWindow %d is negative (mlp window; 0 = default 6)", c.MLPWindow)
 	case c.MLPWindow > maxMLPWindow:

@@ -58,6 +58,8 @@ func TestConfigValidate(t *testing.T) {
 		{"CompressAlg bogus", Config{CompressAlg: "zip"}, "CompressAlg"},
 		{"RefsPerCore 0 auto", Config{RefsPerCore: 0}, ""},
 		{"RefsPerCore -5", Config{RefsPerCore: -5}, "RefsPerCore"},
+		{"RefsPerCore 1<<30 boundary", Config{RefsPerCore: 1 << 30}, ""},
+		{"RefsPerCore MaxInt", Config{RefsPerCore: math.MaxInt}, "RefsPerCore"},
 		{"MLPWindow 1", Config{MLPWindow: 1}, ""},
 		{"MLPWindow -1", Config{MLPWindow: -1}, "MLPWindow"},
 		{"MLPWindow -5", Config{MLPWindow: -5}, "MLPWindow"},
