@@ -11,7 +11,9 @@ LINTDOC_PKGS = ./internal/obs ./internal/fault ./internal/parallel \
 	./internal/leakcheck ./internal/dse ./internal/clidoc \
 	./internal/experiments ./internal/commitlog ./cmd/dicesweep \
 	./internal/compress ./internal/stats ./internal/graph \
-	./cmd/dicesim ./cmd/dicebench
+	./internal/data ./internal/trace ./internal/energy \
+	./cmd/dicesim ./cmd/dicebench ./cmd/dicebenchd ./cmd/dicetrace \
+	./cmd/lintdoc
 
 all: build vet lint test
 

@@ -28,7 +28,7 @@
 // Observability (see METRICS.md): -metrics-out collects an epoch-metrics
 // time series from every simulation executed (-metrics-epoch sets the
 // sampling period) and writes them all to one file of JSON lines, one
-// {"key", "snap"} object per epoch keyed by "<config>|<workload>";
+// {"key", "snap"} object per epoch keyed by the cell's CellSpec.Key();
 // -cpuprofile/-memprofile write pprof profiles of the benchmark
 // process; -selfstats prints the simulator's own allocation cost
 // normalized per million simulated ticks. None of these change

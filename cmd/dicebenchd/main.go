@@ -13,11 +13,12 @@
 //	dicebenchd -journal /var/lib/dice/jobs.journal -job-workers 2
 //	dicebenchd -deadline 10m -drain 30s
 //
-// API (see DESIGN.md §13):
+// API (see DESIGN.md §13 and §15):
 //
 //	POST   /jobs        {"experiments":["fig10"],"refs":60000}  → 202 {id,...}
 //	GET    /jobs        all job statuses
 //	GET    /jobs/{id}   one status; "output" holds the report text when done
+//	GET    /jobs/{id}/stream  NDJSON cell, epoch and done events as the job runs
 //	DELETE /jobs/{id}   cancel
 //	GET    /healthz     self-stats (queue depth, jobs active/failed, allocs)
 //	GET    /readyz      200 while admitting, 503 once draining

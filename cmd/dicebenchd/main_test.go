@@ -91,8 +91,10 @@ func startDaemon(t *testing.T, args ...string) *daemonProc {
 			}
 		}
 		io.Copy(io.Discard, stdout)
+		// Wait closes the pipe, so it runs only after the last line is
+		// read: a shutdown line written just before exit is never lost.
+		p.done <- cmd.Wait()
 	}()
-	go func() { p.done <- cmd.Wait() }()
 
 	select {
 	case p.addr = <-addrCh:

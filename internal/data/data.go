@@ -59,8 +59,8 @@ func (k Kind) String() string {
 // Profile is a distribution over kinds plus the probability that a line
 // follows its page's kind rather than drawing independently.
 type Profile struct {
-	Weights       [KindCount]float64
-	PageCoherence float64 // 0..1; 0.95 typical
+	Weights       [KindCount]float64 // relative weight of each Kind; non-negative, not all zero
+	PageCoherence float64            // 0..1; 0.95 typical
 }
 
 // Validate reports profile errors.

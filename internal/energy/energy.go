@@ -54,9 +54,9 @@ func DeviceEnergy(c Coefficients, s dram.Stats, cycles uint64) float64 {
 
 // Breakdown is a run's aggregate energy report.
 type Breakdown struct {
-	HBMEnergy float64
-	DDREnergy float64
-	Cycles    uint64
+	HBMEnergy float64 // stacked-DRAM (L4) energy, in the model's energy units
+	DDREnergy float64 // main-memory energy, in the same units
+	Cycles    uint64  // run length in CPU cycles, the delay of Power and EDP
 }
 
 // Total returns total energy.

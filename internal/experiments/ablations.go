@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"dice/internal/sim"
-	"dice/internal/stats"
 	"dice/internal/workloads"
 )
 
@@ -19,103 +17,42 @@ func ablationWorkloads() []workloads.Workload {
 	return named("mcf", "lbm", "soplex", "gcc", "libq", "cc_twi")
 }
 
-// AblationIndexing compares the three spatial-indexing choices the paper
-// walks through in Section 4.5: naive spatial indexing (NSI, nearly every
-// line moves), bandwidth-aware indexing (BAI, half the lines invariant),
-// and DICE's dynamic selection. NSI's cost shows up both in thrashing
-// (like BAI) and in having no cheap fallback.
-func ablateIndexCells() []CellSpec {
-	return cells(ablationWorkloads(), base, nsi, bai, dice)
-}
+// ablateIndex compares the three spatial-indexing choices the paper
+// walks through in Section 4.5: naive spatial indexing (NSI, nearly
+// every line moves), bandwidth-aware indexing (BAI, half the lines
+// invariant), and DICE's dynamic selection — how much of the win is
+// index choice rather than compression. NSI's cost shows up both in
+// thrashing (like BAI) and in having no cheap fallback.
+var ablateIndex = speedup{id: "ablate-index", listing: "Ablation: NSI vs BAI vs DICE indexing",
+	title: "Indexing ablation: NSI vs BAI vs DICE", wls: ablationWorkloads(),
+	cols: []column{col("NSI", nsi), col("BAI", bai), col("DICE", dice)},
+	note: "paper Sec 4.5: NSI degrades incompressible workloads by as much as 63%"}
 
-// AblationIndexing is the indexing ablation (beyond the paper):
-// naive set-indexing (NSI) versus BAI versus full DICE, isolating
-// how much of the win is index choice rather than compression.
-func AblationIndexing(v Results) *Report {
-	rep := &Report{ID: "ablate-index", Title: "Indexing ablation: NSI vs BAI vs DICE",
-		Columns: []string{"NSI", "BAI", "DICE"}}
-	for _, w := range ablationWorkloads() {
-		rep.AddRow(w.Name, w.Suite,
-			v.Speedup(nsi, w),
-			v.Speedup(bai, w),
-			v.Speedup(dice, w))
-	}
-	rep.GroupGeoMeans()
-	rep.Notes = append(rep.Notes,
-		"paper Sec 4.5: NSI degrades incompressible workloads by as much as 63%")
-	return rep
-}
-
-// diceFPC and diceBDI are DICE restricted to one compression
-// algorithm (the Section 7.1 ablation).
-var (
-	diceFPC = CellSpec{Policy: "dice", Compress: "fpc"}
-	diceBDI = CellSpec{Policy: "dice", Compress: "bdi"}
-)
-
-func ablateCompressCells() []CellSpec {
-	return append(cells(ablationWorkloads(), base, dice), cells(ablationWorkloads(), diceFPC, diceBDI)...)
-}
-
-// AblationCompressor re-runs DICE with FPC alone and BDI alone instead of
+// ablateCompress re-runs DICE with FPC alone and BDI alone instead of
 // the hybrid selector (Section 7.1 argues DICE is orthogonal to the
 // compression algorithm; the hybrid should win but not by much on
 // integer-heavy data where both algorithms overlap).
-func AblationCompressor(v Results) *Report {
-	rep := &Report{ID: "ablate-compress", Title: "Compression-algorithm ablation under DICE",
-		Columns: []string{"FPC-only", "BDI-only", "Hybrid"}}
-	var fs, bs, hs []float64
-	for _, w := range ablationWorkloads() {
-		f := v.Speedup(diceFPC, w)
-		bd := v.Speedup(diceBDI, w)
-		h := v.Speedup(dice, w)
-		rep.AddRow(w.Name, w.Suite, f, bd, h)
-		fs, bs, hs = append(fs, f), append(bs, bd), append(hs, h)
-	}
-	rep.Rows = append(rep.Rows, Row{Name: "GMEAN", Values: map[string]float64{
-		"FPC-only": stats.GeoMean(fs), "BDI-only": stats.GeoMean(bs), "Hybrid": stats.GeoMean(hs),
-	}})
-	rep.Notes = append(rep.Notes,
-		"paper Sec 7.1: DICE works with any low-latency compressor; hybrid is best")
-	return rep
-}
+var ablateCompress = speedup{id: "ablate-compress", listing: "Ablation: FPC-only vs BDI-only vs hybrid",
+	title: "Compression-algorithm ablation under DICE", wls: ablationWorkloads(),
+	cols: []column{
+		col("FPC-only", CellSpec{Policy: "dice", Compress: "fpc"}),
+		col("BDI-only", CellSpec{Policy: "dice", Compress: "bdi"}),
+		col("Hybrid", dice),
+	},
+	total: "GMEAN", note: "paper Sec 7.1: DICE works with any low-latency compressor; hybrid is best"}
 
-// mlpDesigns is the AblationMLP sweep of the per-core MLP window:
-// DICE with 2, 6 and 16 outstanding references, each against the
-// baseline with the same window. 6 is the simulator default, so that
-// point is the plain dice and base cells other experiments run too.
-var mlpDesigns = []CellSpec{{Policy: "dice", MLP: 2}, dice, {Policy: "dice", MLP: 16}}
-
-func ablateMLPCells() []CellSpec {
-	var designs []CellSpec
-	for _, d := range mlpDesigns {
-		designs = append(designs, d.Baseline(), d)
-	}
-	return cells(ablationWorkloads(), designs...)
-}
-
-// AblationMLP sweeps the per-core memory-level-parallelism window, the
-// main free parameter of the core model (DESIGN.md decision 4). DICE's
-// advantage should persist across the sweep — it relieves bandwidth, not
-// latency, so more outstanding misses do not substitute for it.
-func AblationMLP(v Results) *Report {
-	rep := &Report{ID: "ablate-mlp", Title: "Core MLP-window sensitivity of DICE's speedup",
-		Columns: []string{"MLP=2", "MLP=6", "MLP=16"}}
-	sums := make([][]float64, len(mlpDesigns))
-	for _, w := range ablationWorkloads() {
-		vals := make([]float64, len(mlpDesigns))
-		for i, d := range mlpDesigns {
-			vals[i] = sim.Speedup(v.Get(d.Baseline(), w), v.Get(d, w))
-			sums[i] = append(sums[i], vals[i])
-		}
-		rep.AddRow(w.Name, w.Suite, vals...)
-	}
-	gm := map[string]float64{}
-	for i, col := range rep.Columns {
-		gm[col] = stats.GeoMean(sums[i])
-	}
-	rep.Rows = append(rep.Rows, Row{Name: "GMEAN", Values: gm})
-	rep.Notes = append(rep.Notes,
-		"DICE's benefit is bandwidth-side, so it should survive deeper MLP windows")
-	return rep
-}
+// ablateMLP sweeps the per-core memory-level-parallelism window, the
+// main free parameter of the core model (DESIGN.md decision 4): DICE
+// with 2, 6 and 16 outstanding references, each against the baseline
+// with the same window. 6 is the simulator default, so that point is
+// the plain dice and base cells other experiments run too. DICE's
+// advantage should persist across the sweep — it relieves bandwidth,
+// not latency, so more outstanding misses do not substitute for it.
+var ablateMLP = speedup{id: "ablate-mlp", listing: "Ablation: core MLP-window sensitivity",
+	title: "Core MLP-window sensitivity of DICE's speedup", wls: ablationWorkloads(),
+	cols: []column{
+		own("MLP=2", CellSpec{Policy: "dice", MLP: 2}),
+		own("MLP=6", dice),
+		own("MLP=16", CellSpec{Policy: "dice", MLP: 16}),
+	},
+	total: "GMEAN", note: "DICE's benefit is bandwidth-side, so it should survive deeper MLP windows"}

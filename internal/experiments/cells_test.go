@@ -86,6 +86,39 @@ func TestDeclaredCellsCoverReports(t *testing.T) {
 	}
 }
 
+// TestDeclaredCellsAreRead renders every experiment once per declared
+// cell, over its declared results with that one cell removed: each
+// render must panic on the missing cell, so an experiment cannot
+// declare — and simulate — a cell its report never reads.
+func TestDeclaredCellsAreRead(t *testing.T) {
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			all, err := declared.RunCells(context.Background(), e.Cells, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range e.Cells {
+				key := c.Key()
+				res := make(map[string]sim.Result, len(all))
+				for k, r := range all {
+					if k != key {
+						res[k] = r
+					}
+				}
+				want := fmt.Sprintf("%s reads undeclared cell %s", e.ID, key)
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, want) {
+							t.Errorf("without %s the report rendered (panic %q): the cell is declared but never read", c.Label(), msg)
+						}
+					}()
+					e.Report(Results{exp: e.ID, res: res, r: declared})
+				}()
+			}
+		})
+	}
+}
+
 // TestUndeclaredCellPanics: reading a cell the experiment did not
 // declare names the experiment and the cell's key.
 func TestUndeclaredCellPanics(t *testing.T) {

@@ -283,8 +283,8 @@ func TestRunnerMemoizes(t *testing.T) {
 	if a.Cycles != b.Cycles {
 		t.Fatal("memoized result differs")
 	}
-	if len(r.cache) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(r.cache))
+	if n := r.Sims(); n != 1 {
+		t.Fatalf("two runs of one cell executed %d simulations, want 1", n)
 	}
 }
 

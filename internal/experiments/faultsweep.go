@@ -40,14 +40,15 @@ func faultDesign(d CellSpec, ber float64) CellSpec {
 	return d
 }
 
-func faultSweepCells() []CellSpec {
+// faultSweepPoints are every compared design at every swept BER.
+func faultSweepPoints() []CellSpec {
 	var designs []CellSpec
 	for _, d := range faultSweepDesigns {
 		for _, ber := range faultSweepBERs {
 			designs = append(designs, faultDesign(d, ber))
 		}
 	}
-	return cells(faultSweepWorkloads(), designs...)
+	return designs
 }
 
 // FaultSweep tabulates weighted speedup (vs the clean uncompressed
@@ -56,7 +57,7 @@ func faultSweepCells() []CellSpec {
 // that design's degradation; comparing columns shows compression's
 // fault amplification.
 func FaultSweep(v Results) *Report {
-	rep := &Report{ID: "fault-sweep", Title: "Degradation under injected bit errors (ecc+quarantine)",
+	rep := &Report{Title: "Degradation under injected bit errors (ecc+quarantine)",
 		Columns: []string{"base", "baseHR", "tsi", "tsiHR", "dice", "diceHR"}}
 
 	wls := faultSweepWorkloads()

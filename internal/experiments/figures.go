@@ -10,8 +10,9 @@ import (
 )
 
 // The designs the catalog compares, as cells without a workload. Every
-// experiment declares its cells as designs × workloads (see cells) and
-// its report reads them back by design and workload (see Results).
+// experiment declares its cells as designs × workloads (see cells and
+// speedup) and its report reads them back by design and workload (see
+// Results).
 var (
 	base      = CellSpec{Policy: "base"}
 	tsi       = CellSpec{Policy: "tsi"}
@@ -25,7 +26,6 @@ var (
 	base2Cap  = CellSpec{Policy: "base", Capacity: 2}
 	base2BW   = CellSpec{Policy: "base", BW: 2}
 	base2Both = CellSpec{Policy: "base", Capacity: 2, BW: 2}
-	baseHalf  = CellSpec{Policy: "base", HalfLat: true}
 	dice2Cap  = CellSpec{Policy: "dice", Capacity: 2}
 	dice2BW   = CellSpec{Policy: "dice", BW: 2}
 	diceHalf  = CellSpec{Policy: "dice", HalfLat: true}
@@ -61,34 +61,61 @@ func named(names ...string) []workloads.Workload {
 	return out
 }
 
-func fig01Cells() []CellSpec {
-	return cells(workloads.All26(), base, base2Cap, base2BW, base2Both)
-}
+// Figure 1(f): the speedup available from an idealized DRAM cache with
+// double capacity, double bandwidth, or both — the headroom DICE aims
+// at. Paper: ~1.10 / (BW benefit) / ~1.22.
+var fig01 = speedup{id: "fig1", listing: "Potential from doubling capacity/bandwidth (Fig 1f)",
+	title: "Potential speedup of 2x capacity / 2x BW / 2x both", wls: workloads.All26(),
+	cols: []column{col("2xCap", base2Cap), col("2xBW", base2BW), col("2xBoth", base2Both)},
+	note: "paper Fig 1(f): 2xCap ~1.10, 2xBoth ~1.22 average over ALL26"}
 
-// Fig01Potential regenerates Figure 1(f): the speedup available from an
-// idealized DRAM cache with double capacity, double bandwidth, or both —
-// the headroom DICE aims at. Paper: ~1.10 / (BW benefit) / ~1.22.
-func Fig01Potential(v Results) *Report {
-	rep := &Report{ID: "fig1", Title: "Potential speedup of 2x capacity / 2x BW / 2x both",
-		Columns: []string{"2xCap", "2xBW", "2xBoth"}}
-	for _, w := range workloads.All26() {
-		rep.AddRow(w.Name, w.Suite,
-			v.Speedup(base2Cap, w),
-			v.Speedup(base2BW, w),
-			v.Speedup(base2Both, w))
-	}
-	rep.GroupGeoMeans()
-	rep.Notes = append(rep.Notes,
-		"paper Fig 1(f): 2xCap ~1.10, 2xBoth ~1.22 average over ALL26")
-	return rep
-}
+// Figure 7: the TSI and BAI static-indexing schemes, bracketed by the
+// doubled-capacity and doubled-both idealizations. Paper: TSI +7%, BAI
+// ~0% (wins on compressible workloads, big losses on lbm/libq), 2xBoth
+// +22%.
+var fig07 = speedup{id: "fig7", listing: "Static indexing: TSI vs BAI (Fig 7)",
+	title: "Speedup of TSI and BAI static indexing", wls: workloads.All26(),
+	cols: []column{col("TSI", tsi), col("BAI", bai), col("2xCap", base2Cap), col("2xCap2xBW", base2Both)},
+	note: "paper Fig 7: TSI +7% avg; BAI ~baseline avg with per-workload swings"}
+
+// Figure 10, the headline result: DICE's dynamic index selection
+// against TSI and BAI, with the doubled-capacity-and-bandwidth ideal as
+// the upper bracket. Paper: TSI +7%, BAI +0.1%, DICE +19.0%, 2x/2x
+// +21.9%.
+var fig10 = speedup{id: "fig10", listing: "DICE speedup (Fig 10)",
+	title: "DICE speedup vs static indexing", wls: workloads.All26(),
+	cols: []column{col("TSI", tsi), col("BAI", bai), col("DICE", dice), col("2xCap2xBW", base2Both)},
+	note: "paper Fig 10: DICE +19.0% avg, within 3% of the 2x/2x design (+21.9%)"}
+
+// Figure 12: DICE on the Knights-Landing-style organization (tags in
+// ECC, no neighbor-tag visibility) versus Alloy. Paper: +17.5%, within
+// 2% of DICE on Alloy.
+var fig12 = speedup{id: "fig12", listing: "DICE on Knights Landing organization (Fig 12)",
+	title: "DICE on the KNL DRAM-cache organization", wls: workloads.All26(),
+	cols: []column{col("DICE-KNL", diceKNL), col("DICE-Alloy", dice)},
+	note: "paper Fig 12: KNL-organization DICE +17.5% vs +19.0% on Alloy"}
+
+// Figure 13: DICE on the 13 low-MPKI SPEC benchmarks, where it must do
+// no harm. Paper: no degradation anywhere, ~+2% average.
+var fig13 = speedup{id: "fig13", listing: "Non-memory-intensive workloads (Fig 13)",
+	title: "DICE on non-memory-intensive workloads", wls: workloads.LowMPKI13(),
+	cols: []column{col("DICE", dice)}, total: "gmean",
+	note: "paper Fig 13: ~+2% average, no workload degraded"}
+
+// Figure 15: a Skewed Compressed Cache retargeted to the DRAM cache,
+// versus DICE. Paper: SCC's serialized tag accesses cost 22% while DICE
+// gains 19%.
+var fig15 = speedup{id: "fig15", listing: "Skewed Compressed Cache on DRAM (Fig 15)",
+	title: "SCC on DRAM cache vs DICE", wls: workloads.All26(),
+	cols: []column{col("SCC", scc), col("DICE", dice)},
+	note: "paper Fig 15: SCC -22% (4 DRAM accesses per request), DICE +19%"}
 
 // Fig04Compressibility regenerates Figure 4: per workload, the fraction
 // of installed lines compressing to <=32B and <=36B, and of adjacent
 // pairs to <=68B. No simulation needed — this is a property of the data
 // images. Paper: 52% of pairs fit 68B on average.
 func Fig04Compressibility(Results) *Report {
-	rep := &Report{ID: "fig4", Title: "Fraction of compressible lines",
+	rep := &Report{Title: "Fraction of compressible lines",
 		Columns: []string{"Single<=32", "Single<=36", "Double<=68"}}
 	const samples = 4000
 	for _, w := range workloads.All26() {
@@ -145,69 +172,10 @@ func Fig04Compressibility(Results) *Report {
 	return rep
 }
 
-// Fig07StaticIndexing regenerates Figure 7: compression under TSI and
-// BAI against the idealized caches. Paper: TSI +7%, BAI ~0% (wins on
-// compressible workloads, big losses on lbm/libq), 2xBoth +22%.
-func fig07Cells() []CellSpec {
-	return cells(workloads.All26(), base, tsi, bai, base2Cap, base2Both)
-}
-
-// Fig07StaticIndexing regenerates Figure 7: speedup of the TSI and
-// BAI static-indexing schemes over the uncompressed Alloy baseline,
-// bracketed by the doubled-capacity/doubled-both idealizations.
-func Fig07StaticIndexing(v Results) *Report {
-	rep := &Report{ID: "fig7", Title: "Speedup of TSI and BAI static indexing",
-		Columns: []string{"TSI", "BAI", "2xCap", "2xCap2xBW"}}
-	for _, w := range workloads.All26() {
-		rep.AddRow(w.Name, w.Suite,
-			v.Speedup(tsi, w),
-			v.Speedup(bai, w),
-			v.Speedup(base2Cap, w),
-			v.Speedup(base2Both, w))
-	}
-	rep.GroupGeoMeans()
-	rep.Notes = append(rep.Notes,
-		"paper Fig 7: TSI +7% avg; BAI ~baseline avg with per-workload swings")
-	return rep
-}
-
-// Fig10DICE regenerates Figure 10, the headline result. Paper: TSI +7%,
-// BAI +0.1%, DICE +19.0%, double-capacity double-bandwidth +21.9%.
-func fig10Cells() []CellSpec {
-	return cells(workloads.All26(), base, tsi, bai, dice, base2Both)
-}
-
-// Fig10DICE regenerates Figure 10, the paper's headline result:
-// DICE's dynamic index selection against TSI and BAI, with the
-// doubled-capacity-and-bandwidth ideal as the upper bracket.
-func Fig10DICE(v Results) *Report {
-	rep := &Report{ID: "fig10", Title: "DICE speedup vs static indexing",
-		Columns: []string{"TSI", "BAI", "DICE", "2xCap2xBW"}}
-	for _, w := range workloads.All26() {
-		rep.AddRow(w.Name, w.Suite,
-			v.Speedup(tsi, w),
-			v.Speedup(bai, w),
-			v.Speedup(dice, w),
-			v.Speedup(base2Both, w))
-	}
-	rep.GroupGeoMeans()
-	rep.Notes = append(rep.Notes,
-		"paper Fig 10: DICE +19.0% avg, within 3% of the 2x/2x design (+21.9%)")
-	return rep
-}
-
-// Fig11IndexDistribution regenerates Figure 11: of all DICE installs, the
-// invariant fraction (TSI == BAI, exactly half by construction) and the
-// BAI/TSI split of the rest. Paper: remaining lines skew 52% TSI / 48%
-// BAI.
-func fig11Cells() []CellSpec {
-	return cells(workloads.All26(), dice)
-}
-
 // Fig11IndexDistribution regenerates Figure 11: the fraction of L4
 // installs DICE steers to BAI versus TSI indexing per workload.
 func Fig11IndexDistribution(v Results) *Report {
-	rep := &Report{ID: "fig11", Title: "Distribution of BAI and TSI indices under DICE",
+	rep := &Report{Title: "Distribution of BAI and TSI indices under DICE",
 		Columns: []string{"Invariant", "BAI", "TSI"}}
 	for _, w := range workloads.All26() {
 		res := v.Get(dice, w)
@@ -238,65 +206,11 @@ func Fig11IndexDistribution(v Results) *Report {
 	return rep
 }
 
-// Fig12KNL regenerates Figure 12: DICE on the Knights-Landing-style
-// organization (tags in ECC, no neighbor-tag visibility). Paper: +17.5%,
-// within 2% of DICE on Alloy.
-func fig12Cells() []CellSpec {
-	return cells(workloads.All26(), base, diceKNL, dice)
-}
-
-// Fig12KNL regenerates Figure 12: DICE applied to the KNL-style
-// direct-mapped tag organization versus the Alloy organization.
-func Fig12KNL(v Results) *Report {
-	rep := &Report{ID: "fig12", Title: "DICE on the KNL DRAM-cache organization",
-		Columns: []string{"DICE-KNL", "DICE-Alloy"}}
-	for _, w := range workloads.All26() {
-		rep.AddRow(w.Name, w.Suite,
-			v.Speedup(diceKNL, w),
-			v.Speedup(dice, w))
-	}
-	rep.GroupGeoMeans()
-	rep.Notes = append(rep.Notes,
-		"paper Fig 12: KNL-organization DICE +17.5% vs +19.0% on Alloy")
-	return rep
-}
-
-// Fig13NonIntensive regenerates Figure 13: DICE on the 13 low-MPKI SPEC
-// benchmarks. Paper: no degradation anywhere, ~+2% average.
-func fig13Cells() []CellSpec {
-	return cells(workloads.LowMPKI13(), base, dice)
-}
-
-// Fig13NonIntensive regenerates Figure 13: DICE on the 13 low-MPKI
-// (non-memory-intensive) workloads, where it must do no harm.
-func Fig13NonIntensive(v Results) *Report {
-	rep := &Report{ID: "fig13", Title: "DICE on non-memory-intensive workloads",
-		Columns: []string{"DICE"}}
-	var xs []float64
-	for _, w := range workloads.LowMPKI13() {
-		s := v.Speedup(dice, w)
-		rep.AddRow(w.Name, "", s)
-		xs = append(xs, s)
-	}
-	rep.Rows = append(rep.Rows, Row{Name: "gmean",
-		Values: map[string]float64{"DICE": stats.GeoMean(xs)}})
-	rep.Notes = append(rep.Notes,
-		"paper Fig 13: ~+2% average, no workload degraded")
-	return rep
-}
-
-// Fig14Energy regenerates Figure 14: L4+memory power, performance,
-// energy and EDP of TSI/BAI/DICE normalized to baseline, averaged over
-// ALL26. Paper: DICE energy -24%, EDP -36%.
-func fig14Cells() []CellSpec {
-	return cells(workloads.All26(), base, tsi, bai, dice)
-}
-
 // Fig14Energy regenerates Figure 14: memory-system power,
 // performance, energy and EDP of TSI/BAI/DICE, normalized to the
 // uncompressed baseline.
 func Fig14Energy(v Results) *Report {
-	rep := &Report{ID: "fig14", Title: "Power, performance, energy, EDP (normalized)",
+	rep := &Report{Title: "Power, performance, energy, EDP (normalized)",
 		Columns: []string{"Power", "Performance", "Energy", "EDP"}}
 	for _, d := range []CellSpec{base, tsi, bai, dice} {
 		var pw, pf, en, edp []float64
@@ -315,43 +229,16 @@ func Fig14Energy(v Results) *Report {
 	return rep
 }
 
-// Fig15SCC regenerates Figure 15: a Skewed Compressed Cache design on the
-// DRAM substrate vs DICE. Paper: SCC's serialized tag accesses cost 22%
-// slowdown while DICE gains 19%.
-func fig15Cells() []CellSpec {
-	return cells(workloads.All26(), base, scc, dice)
-}
-
-// Fig15SCC regenerates Figure 15: the SCC compressed-cache design
-// retargeted to a DRAM cache, versus DICE.
-func Fig15SCC(v Results) *Report {
-	rep := &Report{ID: "fig15", Title: "SCC on DRAM cache vs DICE",
-		Columns: []string{"SCC", "DICE"}}
-	for _, w := range workloads.All26() {
-		rep.AddRow(w.Name, w.Suite,
-			v.Speedup(scc, w),
-			v.Speedup(dice, w))
-	}
-	rep.GroupGeoMeans()
-	rep.Notes = append(rep.Notes,
-		"paper Fig 15: SCC -22% (4 DRAM accesses per request), DICE +19%")
-	return rep
-}
-
 // cipDesigns is the Last-Time-Table sweep of Section 5.3: DICE with
 // 512, 2048 and 8192 entries. 2048 is the simulator default, so that
 // point is the plain dice cell other experiments run too.
 var cipDesigns = []CellSpec{{Policy: "dice", CIP: 512}, dice, {Policy: "dice", CIP: 8192}}
 
-func cipCells() []CellSpec {
-	return cells(workloads.All26(), cipDesigns...)
-}
-
 // CIPAccuracy regenerates the Section 5.3 study: read-index prediction
 // accuracy as the Last-Time Table grows from 512 to 8192 entries.
 // Paper: 93.2% at 512 entries rising to 94.1% at 8192; writes 95%.
 func CIPAccuracy(v Results) *Report {
-	rep := &Report{ID: "cip", Title: "CIP accuracy vs LTT size",
+	rep := &Report{Title: "CIP accuracy vs LTT size",
 		Columns: []string{"512", "2048", "8192"}}
 	perSize := make([][]float64, len(cipDesigns))
 	for _, w := range workloads.All26() {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"dice/internal/obs"
@@ -81,5 +82,29 @@ func TestMetricsRecordingPreservesDeterminism(t *testing.T) {
 	if pooledOff.TotalCycles() == 0 || pooledOn.TotalCycles() != serialOn.TotalCycles() {
 		t.Fatalf("TotalCycles mismatch: serial %d, pooled %d",
 			serialOn.TotalCycles(), pooledOn.TotalCycles())
+	}
+}
+
+// TestMetricsSinkRetainsNothing: a runner whose epochs go to a sink
+// hands every snapshot to it and keeps none of them itself, so a long
+// streamed job does not hold each cell's snapshot ring until it ends.
+func TestMetricsSinkRetainsNothing(t *testing.T) {
+	r := metricsRunner(2)
+	var mu sync.Mutex
+	emitted := map[string]int{}
+	r.MetricsEmit = func(key string, s obs.Snapshot) {
+		mu.Lock()
+		emitted[key]++
+		mu.Unlock()
+	}
+	matrix := cells(detWorkloads(t), base, dice)
+	if _, err := r.RunCells(context.Background(), matrix, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(emitted) != len(matrix) {
+		t.Fatalf("the sink saw epochs of %d cells, want %d", len(emitted), len(matrix))
+	}
+	if m := r.Metrics(); len(m) != 0 {
+		t.Fatalf("a runner with a sink retained the snapshots of %d cells", len(m))
 	}
 }

@@ -26,10 +26,6 @@ func metricsDemoWorkload() workloads.Workload {
 	return named("gcc")[0]
 }
 
-func metricsDemoCells() []CellSpec {
-	return cells([]workloads.Workload{metricsDemoWorkload()}, dice)
-}
-
 // MetricsDemo runs gcc under DICE with an epoch-metrics recorder and
 // tabulates the run's time series, one row per epoch. Its recorded
 // re-run is the one simulation in the catalog that is not a declared
@@ -46,7 +42,7 @@ func MetricsDemo(v Results) *Report {
 	rec := obs.NewRecorder(epoch)
 	res := v.rerun(dice, w, &obs.Observer{Rec: rec})
 
-	rep := &Report{ID: "metrics-demo", Title: "Observability demo: epoch metrics for gcc under DICE",
+	rep := &Report{Title: "Observability demo: epoch metrics for gcc under DICE",
 		Columns: []string{"ipc", "l4hit", "effcap", "baifrac", "cipacc", "ddrutil"}}
 	for _, e := range rec.Snapshots() {
 		rep.AddRow(fmt.Sprintf("epoch%d", e.Epoch), "",

@@ -85,11 +85,11 @@ func (r *Runner) RunCells(ctx context.Context, specs []CellSpec, done func(i int
 // settings (job's Scale, BER, FaultSeed and FaultPolicy; see
 // CellSpec.withJob). It rewrites every declared cell with job, submits
 // the union to RunCells (deduplicated by key, preserving first-seen
-// order), then renders each report serially in the order given — so
-// the output is byte-identical to a fully serial run while the
-// simulations use every worker. When ctx is cancelled it returns the
-// reports already rendered alongside ctx's error; a cancel during the
-// simulations renders none.
+// order), then renders each report serially in the order given,
+// stamping it with its experiment's ID — so the output is
+// byte-identical to a fully serial run while the simulations use every
+// worker. When ctx is cancelled it returns the reports already rendered
+// alongside ctx's error; a cancel during the simulations renders none.
 func RunAllCtx(ctx context.Context, r *Runner, exps []Experiment, job CellSpec) ([]*Report, error) {
 	var cells []CellSpec
 	seen := map[string]bool{}
@@ -116,7 +116,9 @@ func RunAllCtx(ctx context.Context, r *Runner, exps []Experiment, job CellSpec) 
 			k := c.withJob(job).Key()
 			v.res[k] = all[k]
 		}
-		reports = append(reports, e.Report(v))
+		rep := e.Report(v)
+		rep.ID = e.ID
+		reports = append(reports, rep)
 	}
 	return reports, nil
 }
@@ -162,10 +164,4 @@ func (v Results) rerun(d CellSpec, w workloads.Workload, ob *obs.Observer) sim.R
 func (v Results) Get(d CellSpec, w workloads.Workload) sim.Result {
 	_, res := v.cell(d, w)
 	return res
-}
-
-// Speedup is the weighted speedup of design d on w over the
-// uncompressed Alloy baseline on w.
-func (v Results) Speedup(d CellSpec, w workloads.Workload) float64 {
-	return sim.Speedup(v.Get(base, w), v.Get(d, w))
 }

@@ -47,15 +47,16 @@ type Runner struct {
 	// MetricsEmit, when non-nil (and MetricsEpoch is set), receives
 	// every recorded epoch snapshot the moment it is recorded, tagged
 	// with the cell's Key — the incremental-export hook behind the
-	// daemon's stream. Because memoization runs each
-	// key once, duplicate requests of a key emit its epochs once. The
-	// hook runs on simulation worker goroutines, possibly several
-	// concurrently for different keys: it must be safe for concurrent
-	// use and should not block.
+	// daemon's stream and in-process sweeps. The sink then owns the
+	// snapshots: the runner retains none, and Metrics stays empty.
+	// Because memoization runs each key once, duplicate requests of a
+	// key emit its epochs once. The hook runs on simulation worker
+	// goroutines, possibly several concurrently for different keys: it
+	// must be safe for concurrent use and should not block.
 	MetricsEmit func(key string, s obs.Snapshot)
 
+	cache   parallel.Memo[string, sim.Result]
 	mu      sync.Mutex
-	cache   map[string]*flight
 	metrics map[string][]obs.Snapshot
 	sims    atomic.Int64
 	cycles  atomic.Uint64
@@ -75,18 +76,9 @@ type Runner struct {
 	testHookSimDone func(key string)
 }
 
-// flight is one memoization slot. The first requester simulates and
-// closes done; concurrent requesters of the same key block on done and
-// then read res (or re-panic a recorded panic).
-type flight struct {
-	done     chan struct{}
-	res      sim.Result
-	panicked any
-}
-
 // NewRunner returns a Runner with the given per-core reference budget.
 func NewRunner(refsPerCore int) *Runner {
-	return &Runner{RefsPerCore: refsPerCore, cache: make(map[string]*flight)}
+	return &Runner{RefsPerCore: refsPerCore}
 }
 
 // runSim executes one simulation on the runner's core.
@@ -106,8 +98,8 @@ func (r *Runner) Sims() int64 { return r.sims.Load() }
 func (r *Runner) TotalCycles() uint64 { return r.cycles.Load() }
 
 // Metrics returns a copy of the epoch snapshots recorded so far, keyed
-// by CellSpec.Key. Empty unless MetricsEpoch was set before the runs
-// executed.
+// by CellSpec.Key. Empty unless MetricsEpoch was set, and MetricsEmit
+// was not, before the runs executed.
 func (r *Runner) Metrics() map[string][]obs.Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -141,31 +133,14 @@ type cellJob struct {
 // ready. A panicking simulation is re-panicked in every waiter, so a
 // pool worker failure propagates instead of deadlocking the queue.
 func (r *Runner) run(j cellJob) sim.Result {
-	key := j.key
-	r.mu.Lock()
-	if r.cache == nil {
-		r.cache = make(map[string]*flight)
-	}
-	if f, ok := r.cache[key]; ok {
-		r.mu.Unlock()
-		<-f.done
-		if f.panicked != nil {
-			panic(f.panicked)
-		}
-		return f.res
-	}
-	f := &flight{done: make(chan struct{})}
-	r.cache[key] = f
-	r.mu.Unlock()
+	res, _ := r.cache.Do(j.key, func() sim.Result { return r.simulateCell(j) })
+	return res
+}
 
-	defer func() {
-		if p := recover(); p != nil {
-			f.panicked = p
-			close(f.done)
-			panic(p)
-		}
-		close(f.done)
-	}()
+// simulateCell runs one cell's simulation, recording its epoch metrics
+// when MetricsEpoch is set.
+func (r *Runner) simulateCell(j cellJob) sim.Result {
+	key := j.key
 	var ob *obs.Observer
 	if r.MetricsEpoch > 0 {
 		rec := obs.NewRecorder(r.MetricsEpoch)
@@ -181,13 +156,12 @@ func (r *Runner) run(j cellJob) sim.Result {
 		// (every waiter re-panics).
 		panic(err)
 	}
-	f.res = res
 	r.sims.Add(1)
 	r.cycles.Add(res.Cycles)
 	if r.testHookSimDone != nil {
 		r.testHookSimDone(key)
 	}
-	if ob != nil {
+	if ob != nil && r.MetricsEmit == nil {
 		r.mu.Lock()
 		if r.metrics == nil {
 			r.metrics = make(map[string][]obs.Snapshot)
@@ -196,13 +170,14 @@ func (r *Runner) run(j cellJob) sim.Result {
 		r.mu.Unlock()
 	}
 	r.logf("  ran %-23s L4hit=%.2f L3hit=%.2f\n",
-		j.spec.Label(), f.res.L4.HitRate(), f.res.L3.HitRate())
-	return f.res
+		j.spec.Label(), res.L4.HitRate(), res.L3.HitRate())
+	return res
 }
 
 // Report is one regenerated table or figure.
 type Report struct {
-	// ID is the experiment's catalog identifier (fig10, table4, ...).
+	// ID is the experiment's catalog identifier (fig10, table4, ...),
+	// stamped by RunAllCtx.
 	ID string
 	// Title is the human-readable heading the renderers print.
 	Title string
@@ -320,27 +295,28 @@ type Experiment struct {
 
 // All returns every experiment in paper order.
 func All() []Experiment {
+	all26 := workloads.All26()
 	return []Experiment{
-		{"fig1", "Potential from doubling capacity/bandwidth (Fig 1f)", fig01Cells(), Fig01Potential},
+		fig01.experiment(),
 		{"fig4", "Fraction of compressible lines (Fig 4)", nil, Fig04Compressibility},
-		{"fig7", "Static indexing: TSI vs BAI (Fig 7)", fig07Cells(), Fig07StaticIndexing},
-		{"fig10", "DICE speedup (Fig 10)", fig10Cells(), Fig10DICE},
-		{"fig11", "Distribution of BAI/TSI indices (Fig 11)", fig11Cells(), Fig11IndexDistribution},
-		{"fig12", "DICE on Knights Landing organization (Fig 12)", fig12Cells(), Fig12KNL},
-		{"fig13", "Non-memory-intensive workloads (Fig 13)", fig13Cells(), Fig13NonIntensive},
-		{"fig14", "Power/Energy/EDP (Fig 14)", fig14Cells(), Fig14Energy},
-		{"fig15", "Skewed Compressed Cache on DRAM (Fig 15)", fig15Cells(), Fig15SCC},
-		{"table4", "Sensitivity to DICE threshold (Table 4)", table04Cells(), Table04Threshold},
-		{"table5", "Effective capacity (Table 5)", table05Cells(), Table05Capacity},
-		{"table6", "Effect of DICE on L3 hit rate (Table 6)", table06Cells(), Table06L3HitRate},
-		{"table7", "Comparison to prefetch (Table 7)", table07Cells(), Table07Prefetch},
-		{"table8", "Sensitivity to capacity/BW/latency (Table 8)", table08Cells(), Table08Sensitivity},
-		{"cip", "CIP accuracy vs LTT size (Sec 5.3)", cipCells(), CIPAccuracy},
-		{"fault-sweep", "Degradation under injected bit errors", faultSweepCells(), FaultSweep},
-		{"ablate-index", "Ablation: NSI vs BAI vs DICE indexing", ablateIndexCells(), AblationIndexing},
-		{"ablate-compress", "Ablation: FPC-only vs BDI-only vs hybrid", ablateCompressCells(), AblationCompressor},
-		{"ablate-mlp", "Ablation: core MLP-window sensitivity", ablateMLPCells(), AblationMLP},
-		{"metrics-demo", "Observability demo: epoch metrics schema", metricsDemoCells(), MetricsDemo},
+		fig07.experiment(),
+		fig10.experiment(),
+		{"fig11", "Distribution of BAI/TSI indices (Fig 11)", cells(all26, dice), Fig11IndexDistribution},
+		fig12.experiment(),
+		fig13.experiment(),
+		{"fig14", "Power/Energy/EDP (Fig 14)", cells(all26, base, tsi, bai, dice), Fig14Energy},
+		fig15.experiment(),
+		table04.experiment(),
+		{"table5", "Effective capacity (Table 5)", cells(all26, base, tsi, bai, dice), Table05Capacity},
+		{"table6", "Effect of DICE on L3 hit rate (Table 6)", cells(all26, base, dice), Table06L3HitRate},
+		table07.experiment(),
+		table08.experiment(),
+		{"cip", "CIP accuracy vs LTT size (Sec 5.3)", cells(all26, cipDesigns...), CIPAccuracy},
+		{"fault-sweep", "Degradation under injected bit errors", cells(faultSweepWorkloads(), faultSweepPoints()...), FaultSweep},
+		ablateIndex.experiment(),
+		ablateCompress.experiment(),
+		ablateMLP.experiment(),
+		{"metrics-demo", "Observability demo: epoch metrics schema", cells([]workloads.Workload{metricsDemoWorkload()}, dice), MetricsDemo},
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // EpochLine is the one exported shape of an epoch snapshot: the
-// snapshot tagged with the memoization key ("<config>|<workload>") of
-// the simulation that recorded it, so the interleaved epochs of many
+// snapshot tagged with the memoization key (experiments.CellSpec.Key)
+// of the simulation that recorded it, so the interleaved epochs of many
 // simulations stay attributable. Every -metrics-out file is NDJSON of
 // EpochLine values, and the daemon stream's epoch event carries the
 // same value.

@@ -224,7 +224,8 @@ func RunSpec(ctx context.Context, spec JobSpec, defaultRefs int) (string, error)
 // the daemon passes the job's stream buffer, which serializes
 // internally. The emitted events carry no Gen/Offset — the buffer
 // stamps them on append. Final output bytes are identical with and
-// without emit (delivery is observation, not computation).
+// without emit (delivery is observation, not computation); without
+// emit no epochs are recorded, since nothing would read them.
 func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func(StreamEvent)) (string, error) {
 	refs := spec.Refs
 	if refs == 0 {
@@ -232,12 +233,10 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 	}
 	r := experiments.NewRunner(refs)
 	r.Workers = spec.Workers
-	if spec.MetricsEpoch > 0 {
+	if spec.MetricsEpoch > 0 && emit != nil {
 		r.MetricsEpoch = spec.MetricsEpoch
-		if emit != nil {
-			r.MetricsEmit = func(key string, s obs.Snapshot) {
-				emit(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: key, Snap: s}})
-			}
+		r.MetricsEmit = func(key string, s obs.Snapshot) {
+			emit(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: key, Snap: s}})
 		}
 	}
 

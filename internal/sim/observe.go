@@ -42,7 +42,7 @@ func newEpochTracker(rec *obs.Recorder, m *machine, fm *fault.Model, cs []*core)
 	et := &epochTracker{rec: rec, m: m, fm: fm, cs: cs}
 	et.instrPerRef = make([]float64, len(cs))
 	for i, c := range cs {
-		et.instrPerRef[i] = 1200 / c.inst.MPKI
+		et.instrPerRef[i] = instrPerRefMPKI / c.inst.MPKI
 	}
 	et.prev.refs = make([]int, len(cs))
 	et.prev.clocks = make([]uint64, len(cs))

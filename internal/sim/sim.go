@@ -98,6 +98,15 @@ const maxMLPWindow = 1024
 // before measurement to warm caches (of RefsPerCore).
 const warmupFrac = 0.5
 
+// instrPerRefMPKI sets the core's memory intensity: a core running a
+// workload of published L3 MPKI m charges instrPerRefMPKI/m
+// instructions per memory reference, for both its issue gaps and its
+// IPC. A factor of 1000 would match the per-kilo-instruction
+// definition; this one has been 1200 since the first version, which
+// leaves the measured L3 MPKI below Table 3's. Every result moves with
+// it: see the ROADMAP item "Table 3 intensity" before changing it.
+const instrPerRefMPKI = 1200
+
 // system-wide constants at full scale.
 const (
 	fullL4Sets  = 1 << 24 // 1GB / 64B lines, direct-mapped

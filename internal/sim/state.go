@@ -138,7 +138,7 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 	cs := make([]*core, cores)
 	for i := range cs {
 		in := m.insts[i%len(m.insts)]
-		instrPerRef := 1200 / in.MPKI
+		instrPerRef := instrPerRefMPKI / in.MPKI
 		gap := uint64(instrPerRef / issueWidth)
 		if gap == 0 {
 			gap = 1
@@ -232,7 +232,7 @@ func (st *runState) result() Result {
 		if span == 0 {
 			span = 1
 		}
-		instr := float64(st.refs) * (1200 / c.inst.MPKI)
+		instr := float64(st.refs) * (instrPerRefMPKI / c.inst.MPKI)
 		res.IPC[i] = instr / float64(span)
 		if finish > maxFinish {
 			maxFinish = finish

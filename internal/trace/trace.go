@@ -13,8 +13,8 @@ import "fmt"
 // Request is one memory reference: a 64-byte-line address within the
 // issuing core's virtual address space, and whether it stores.
 type Request struct {
-	Line  uint64
-	Write bool
+	Line  uint64 // 64-byte-line address in the core's virtual address space
+	Write bool   // true for a store, false for a load
 }
 
 // Generator produces a request stream.

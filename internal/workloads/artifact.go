@@ -1,11 +1,11 @@
 package workloads
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"dice/internal/data"
 	"dice/internal/graph"
+	"dice/internal/parallel"
 	"dice/internal/trace"
 )
 
@@ -139,19 +139,11 @@ type artifactKey struct {
 	scaleShift uint
 }
 
-// artifactEntry is one singleflight slot: the first goroutine to claim a
-// key builds while holding the entry (not the cache lock); everyone else
-// waits on done. A panic during the build is recorded and re-raised in
-// every waiter, mirroring the experiment runner's flight semantics.
-type artifactEntry struct {
-	done     chan struct{}
-	art      *Artifacts
-	panicked any
-}
-
 var (
-	cacheMu      sync.Mutex
-	cacheEntries = map[artifactKey]*artifactEntry{}
+	// cache holds one build per key, built once per process
+	// (singleflight): concurrent callers for a key block until its one
+	// builder finishes, and a panicking build re-panics in every waiter.
+	cache parallel.Memo[artifactKey, *Artifacts]
 
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
@@ -177,42 +169,21 @@ func ResetCacheStats() {
 // to measure or compare cold builds; production code never needs it
 // (artifacts are bounded by catalog size x distinct scales).
 func DropCache() {
-	cacheMu.Lock()
-	cacheEntries = map[artifactKey]*artifactEntry{}
-	cacheMu.Unlock()
+	cache.Reset()
 	ResetCacheStats()
 }
 
 // cachedArtifacts returns the shared build for (w.Name, scaleShift),
-// constructing it exactly once per process (singleflight): concurrent
-// callers for the same key block until the one builder finishes.
+// constructing it exactly once per process.
 func cachedArtifacts(w Workload, scaleShift uint) *Artifacts {
-	key := artifactKey{w.Name, scaleShift}
-	cacheMu.Lock()
-	e, ok := cacheEntries[key]
-	if !ok {
-		e = &artifactEntry{done: make(chan struct{})}
-		cacheEntries[key] = e
-		cacheMu.Unlock()
+	a, built := cache.Do(artifactKey{w.Name, scaleShift}, func() *Artifacts {
 		cacheMisses.Add(1)
-		defer func() {
-			if r := recover(); r != nil {
-				e.panicked = r
-				close(e.done)
-				panic(r)
-			}
-		}()
-		e.art = w.buildArtifacts(scaleShift)
-		close(e.done)
-		return e.art
+		return w.buildArtifacts(scaleShift)
+	})
+	if !built {
+		cacheHits.Add(1)
 	}
-	cacheMu.Unlock()
-	<-e.done
-	cacheHits.Add(1)
-	if e.panicked != nil {
-		panic(e.panicked)
-	}
-	return e.art
+	return a
 }
 
 // Warm ensures the artifacts for (w, scaleShift) are built and cached,
