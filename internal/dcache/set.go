@@ -32,13 +32,15 @@ const (
 )
 
 // entry is one logical line resident in a set, most recently used first.
+// It packs into 16 bytes, so the entryArenaCap slots a set carves share
+// one 64-byte host cache line and set.find touches a single line.
 type entry struct {
-	line  uint64
+	line uint64
+	// size is the data bytes this entry currently occupies, after any
+	// pair base-sharing discount (0..128). Maintained by repack.
+	size  int32
 	dirty bool
 	bai   bool // stored at its BAI location (meaningful when not invariant)
-	// size is the data bytes this entry currently occupies, after any
-	// pair base-sharing discount. Maintained by repack.
-	size int
 	// sharedTag marks the second member of an adjacent pair, which rides
 	// on its buddy's tag entry.
 	sharedTag bool
@@ -92,7 +94,7 @@ func (s *set) usage() int {
 		if !e.sharedTag {
 			u += TagBytes
 		}
-		u += e.size
+		u += int(e.size)
 	}
 	return u
 }
@@ -111,7 +113,7 @@ func (s *set) repack(sz sizer) {
 	// Reset to single encodings.
 	for i := range s.entries {
 		e := &s.entries[i]
-		e.size = sz.singleSize(e.line)
+		e.size = int32(sz.singleSize(e.line))
 		e.sharedTag = false
 	}
 	// Apply pair sharing for co-resident buddies. The even member keeps
@@ -130,7 +132,7 @@ func (s *set) repack(sz sizer) {
 		odd.sharedTag = true
 		// Split the pair size: even keeps its single size; the odd entry
 		// absorbs the remainder (which includes any shared-base saving).
-		oddSize := pair - e.size
+		oddSize := int32(pair) - e.size
 		if oddSize < 0 {
 			oddSize = 0
 		}

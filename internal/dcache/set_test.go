@@ -3,7 +3,21 @@ package dcache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEntryIs16Bytes pins the entry layout: at 16 bytes the
+// entryArenaCap slots a set carves fill one 64-byte host cache line.
+// Reordering or widening a field silently doubles what set.find touches
+// and what the storage pool holds.
+func TestEntryIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 16 {
+		t.Fatalf("entry is %d bytes, want 16", got)
+	}
+	if got := unsafe.Sizeof(entry{}) * entryArenaCap; got != 64 {
+		t.Fatalf("a carved set is %d bytes, want one 64-byte line", got)
+	}
+}
 
 // fixedSizer assigns fixed single/pair sizes for codec-level tests.
 type fixedSizer struct {

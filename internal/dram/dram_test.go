@@ -220,7 +220,7 @@ func TestQuickBusReservationsDisjoint(t *testing.T) {
 				return false
 			}
 		}
-		for i := 1; i < ch.busyLen; i++ {
+		for i := 1; i < ch.busyLen(); i++ {
 			if ch.busAt(i).start < ch.busAt(i-1).end {
 				return false
 			}

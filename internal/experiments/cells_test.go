@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dice/internal/dcache"
+	"dice/internal/dram"
 	"dice/internal/sim"
 	"dice/internal/workloads"
 )
@@ -14,6 +15,10 @@ import (
 // declaredRefs is the budget the whole-catalog tests run every
 // declared cell at: small enough for ~600 cells in a few seconds.
 const declaredRefs = 1_000
+
+// sccTagProbes is the tag probes SCC adds to each L4 read and each
+// install (dcache's sccExtraProbes, three per Section 7.3).
+const sccTagProbes = 3
 
 // declared is one runner for the whole-catalog tests, shared so each
 // declared cell simulates once across them.
@@ -24,7 +29,12 @@ var declared = NewRunner(declaredRefs)
 //   - every L3 miss is one L4 read;
 //   - every L4 read is a hit or a miss;
 //   - DICE splits each install into invariant, BAI or TSI, and no other
-//     policy uses the split counters.
+//     policy uses the split counters;
+//   - every L4 probe is a read's first or second probe, plus SCC's tag
+//     probes;
+//   - on both DRAM devices every access is one row hit, miss or
+//     conflict, and only conflicts are batched;
+//   - main memory moves 64-byte lines only.
 func TestDeclaredCellsConserve(t *testing.T) {
 	var all []CellSpec
 	seen := map[string]bool{}
@@ -57,6 +67,33 @@ func TestDeclaredCellsConserve(t *testing.T) {
 			}
 		} else if split != 0 {
 			t.Errorf("%s: %v records %d DICE index decisions", c.Label(), r.Config.Policy, split)
+		}
+		probes := l4.Reads + l4.SecondProbes
+		if r.Config.Policy == dcache.PolicySCC {
+			// SCC pays its skewed tag probes in Read, once per read, and
+			// in Install (not Writeback), which the simulator calls once
+			// per L4 read miss.
+			probes += sccTagProbes * (l4.Reads + l4.ReadMisses)
+		}
+		if l4.Probes != probes {
+			t.Errorf("%s: L4 probes %d != reads %d + second probes %d + SCC tag probes %d",
+				c.Label(), l4.Probes, l4.Reads, l4.SecondProbes, probes-l4.Reads-l4.SecondProbes)
+		}
+		for _, d := range []struct {
+			name string
+			s    dram.Stats
+		}{{"HBM", r.HBM}, {"DDR", r.DDR}} {
+			if rows := d.s.RowHits + d.s.RowMisses + d.s.RowConflicts; rows != d.s.Accesses() {
+				t.Errorf("%s: %s row hits %d + misses %d + conflicts %d != accesses %d", c.Label(), d.name,
+					d.s.RowHits, d.s.RowMisses, d.s.RowConflicts, d.s.Accesses())
+			}
+			if d.s.RowBatched > d.s.RowConflicts {
+				t.Errorf("%s: %s batched %d row conflicts of %d", c.Label(), d.name, d.s.RowBatched, d.s.RowConflicts)
+			}
+		}
+		if r.DDR.BytesRead != 64*r.DDR.Reads || r.DDR.BytesWritten != 64*r.DDR.Writes {
+			t.Errorf("%s: DDR moved %d bytes in %d reads and %d bytes in %d writes, not 64-byte lines", c.Label(),
+				r.DDR.BytesRead, r.DDR.Reads, r.DDR.BytesWritten, r.DDR.Writes)
 		}
 	}
 	if len(all) < 600 {

@@ -4,9 +4,11 @@
 // boundaries — and jumps the clock straight to the next one, skipping
 // every idle cycle in between. Core wakeup times already fold in all
 // the machine's timing sources: the issue gap, MLP-window retire
-// stalls, and DRAM bus/queue delays (the channel ready-times that
-// dram.NextBusFree/NextCompletion surface are what a core's next clock
-// is made of). Determinism: events are dispatched in strict
+// stalls, and DRAM bus/queue delays, which reach a core through the
+// completion cycles dram.Memory.Access returns. The scheduler never
+// queries the channels' ready-times; dram.NextBusFree/NextCompletion
+// expose them for the differential tests' machine-equality check.
+// Determinism: events are dispatched in strict
 // (when, kind, core-index) order, which is exactly the (clock, idx)
 // order the cycle-stepped reference visits cores in, so both cores
 // produce byte-identical Results — the differential tests enforce it.
