@@ -352,6 +352,20 @@ func (c *Cache) frameLoc(setIdx uint64) dram.Loc {
 	return c.cfg.Mem.Decode(setIdx * SetBytes)
 }
 
+// FirstProbeLoc returns the DRAM location of the set a Read of line
+// would probe first if issued now: the CIP-predicted location under
+// DICE, the policy's one location otherwise (SCC's skewed tag probes
+// aside). It is read-only — no CIP training, no statistics, no DRAM
+// access — so callers can judge the target channel's load before
+// deciding to issue the read at all.
+func (c *Cache) FirstProbeLoc(line uint64) dram.Loc {
+	tsiSet, baiSet, dual := c.setsFor(line)
+	if dual && c.cip.Predict(line) {
+		return c.frameLoc(baiSet)
+	}
+	return c.frameLoc(tsiSet)
+}
+
 // access charges one DRAM-cache access and returns its completion cycle.
 func (c *Cache) access(now uint64, setIdx uint64, write bool) uint64 {
 	return c.cfg.Mem.Access(now, c.frameLoc(setIdx), write, c.transferBytes())

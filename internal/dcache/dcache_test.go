@@ -304,6 +304,54 @@ func TestDICEMissSingleProbeOnAlloy(t *testing.T) {
 	}
 }
 
+// TestFirstProbeLocMatchesRead: FirstProbeLoc names the channel the
+// next Read's first probe occupies, under every policy and either CIP
+// prediction, and asking it changes neither statistics nor predictor.
+// Cold misses on Alloy probe one set only, so the one channel whose
+// bus-free time moves is the first probe's.
+func TestFirstProbeLocMatchesRead(t *testing.T) {
+	const sets = 4096
+	rng := rand.New(rand.NewPCG(5, 9))
+	for _, policy := range []Policy{PolicyUncompressed, PolicyTSI, PolicyBAI, PolicyDICE} {
+		c := newCache(policy, sets, newTestData())
+		mem := c.cfg.Mem
+		now := uint64(0)
+		differ := 0
+		for i := 0; i < 2000; i++ {
+			line := rng.Uint64N(1 << 24)
+			if policy == PolicyDICE {
+				c.cip.Train(line, rng.UintN(2) == 0)
+			}
+			stats, pred := c.Stats(), c.cip.Predictions()
+			loc := c.FirstProbeLoc(line)
+			if c.Stats() != stats || c.cip.Predictions() != pred {
+				t.Fatalf("%v: FirstProbeLoc changed statistics or the predictor", policy)
+			}
+			if loc.Channel != mem.Decode(line<<6).Channel {
+				differ++
+			}
+			var free [4]uint64
+			for ch := range free {
+				free[ch] = mem.NextBusFree(dram.Loc{Channel: ch})
+			}
+			now += 10_000
+			if r := c.Read(now, line); r.Hit {
+				t.Fatalf("%v: cold read of %#x hit", policy, line)
+			}
+			for ch := range free {
+				moved := mem.NextBusFree(dram.Loc{Channel: ch}) != free[ch]
+				if moved != (ch == loc.Channel) {
+					t.Fatalf("%v: line %#x read moved channel %d, FirstProbeLoc says channel %d",
+						policy, line, ch, loc.Channel)
+				}
+			}
+		}
+		if differ == 0 {
+			t.Errorf("%v: the first probe always shares the line's main-memory channel; the test shows nothing", policy)
+		}
+	}
+}
+
 func TestKNLMissProbesBothSets(t *testing.T) {
 	data := newTestData()
 	c := New(Config{
