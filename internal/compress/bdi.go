@@ -59,11 +59,9 @@ func bdiEncodedSize(mode uint8) int {
 	return k + (LineSize/k)*d
 }
 
-// Name implements Compressor.
-func (BDI) Name() string { return "bdi" }
-
-// Compress implements Compressor: modes are ordered by encoded size, so
-// the first success is the smallest encoding.
+// Compress encodes a 64-byte line, or reports ok false when no mode
+// fits. Modes are ordered by encoded size, so the first success is the
+// smallest encoding.
 func (BDI) Compress(line []byte) (Encoding, bool) {
 	mustLine(line)
 	if payload, ok := bdiTryRep(line); ok {
@@ -75,23 +73,6 @@ func (BDI) Compress(line []byte) (Encoding, bool) {
 		}
 	}
 	return Encoding{}, false
-}
-
-// Decompress implements Compressor.
-func (BDI) Decompress(enc Encoding) []byte {
-	if enc.Alg != AlgBDI {
-		panic("compress: BDI.Decompress on " + enc.Alg.String())
-	}
-	if enc.Mode == BDIRep {
-		out := make([]byte, LineSize)
-		for i := 0; i < LineSize; i += 8 {
-			copy(out[i:i+8], enc.Payload[:8])
-		}
-		return out
-	}
-	k, _ := bdiGeometry(enc.Mode)
-	base := int64(readUint(enc.Payload[:k], k))
-	return bdiDecodeWithBase(enc.Payload[k:], enc.Mode, base)
 }
 
 // bdiTryRep checks for a line consisting of one repeated 8-byte value.

@@ -6,12 +6,11 @@ import (
 	"hash/crc32"
 )
 
-// Validated decompression. The panicking Decompress path documents its
-// inputs as trusted simulator state; this file is the boundary for
-// encodings that may have been corrupted (the fault model flips bits in
-// stored frames, and fuzzing feeds arbitrary bytes). DecompressChecked
-// never panics and never over-reads: malformed algorithms, modes,
-// payload lengths and checksum mismatches all come back as errors.
+// Validated decompression, the package's one decoder. Encodings may
+// have been corrupted (the fault model flips bits in stored frames, and
+// fuzzing feeds arbitrary bytes), so DecompressChecked never panics and
+// never over-reads: malformed algorithms, modes, payload lengths and
+// checksum mismatches all come back as errors.
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -29,9 +28,9 @@ func LineSum(line []byte) uint32 {
 
 // DecompressChecked decodes any single-line encoding produced by
 // CompressBest, validating structure before touching the payload and
-// verifying the line checksum (when present) after decoding. Unlike
-// Decompress it returns an error instead of panicking, so corrupted
-// cache frames are detected rather than crashing the simulator.
+// verifying the line checksum (when present) after decoding. It
+// returns an error instead of panicking, so corrupted cache frames are
+// detected rather than crashing the simulator.
 func DecompressChecked(enc Encoding) ([]byte, error) {
 	var out []byte
 	switch enc.Alg {

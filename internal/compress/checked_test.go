@@ -132,3 +132,32 @@ func TestDecompressCheckedSkipsAbsentChecksum(t *testing.T) {
 		t.Fatal("round trip mismatch")
 	}
 }
+
+// TestDecompressPairRejectsCorruption: a shared-base pair whose member
+// payload, metadata or checksum is damaged decodes to an error.
+func TestDecompressPairRejectsCorruption(t *testing.T) {
+	a := lineFromQwords(1<<50, 1<<50+4, 1<<50+9)
+	b := lineFromQwords(1<<50+100, 1<<50+104, 1<<50+90)
+	good := CompressPair(a, b)
+	if !good.SharedBase {
+		t.Fatal("setup: expected a shared-base pair")
+	}
+	cases := map[string]func(p *PairEncoding){
+		"member payload flip": func(p *PairEncoding) {
+			p.B.Payload = cloneBytes(p.B.Payload)
+			p.B.Payload[0] ^= 0x10
+		},
+		"member truncated": func(p *PairEncoding) { p.B.Payload = p.B.Payload[:1] },
+		"member mode":      func(p *PairEncoding) { p.B.Mode = BDIB8D4 },
+		"buddy not bdi":    func(p *PairEncoding) { p.A = CompressBest(make([]byte, LineSize)) },
+	}
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			p := good
+			damage(&p)
+			if _, _, err := DecompressPair(p); err == nil {
+				t.Fatal("corrupt pair accepted")
+			}
+		})
+	}
+}

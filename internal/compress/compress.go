@@ -2,9 +2,9 @@
 // algorithms DICE builds on: Frequent Pattern Compression (FPC),
 // Base-Delta-Immediate (BDI), zero-content (ZCA), and the hybrid FPC+BDI
 // selector the paper evaluates with. All algorithms are real round-trip
-// codecs operating on 64-byte lines; compressed sizes are what the DRAM
-// cache's flexible TAD format stores and what the DICE insertion threshold
-// tests against.
+// codecs operating on 64-byte lines, with DecompressChecked the one
+// decoder; compressed sizes are what the DRAM cache's flexible TAD
+// format stores and what the DICE insertion threshold tests against.
 package compress
 
 import (
@@ -68,20 +68,6 @@ type Encoding struct {
 // Size returns the number of payload bytes the encoding occupies in a set.
 func (e Encoding) Size() int { return len(e.Payload) }
 
-// Compressor compresses and decompresses single cache lines.
-type Compressor interface {
-	// Name identifies the compressor.
-	Name() string
-	// Compress encodes a 64-byte line. ok is false when the algorithm
-	// cannot beat the uncompressed size, in which case the caller should
-	// store the line raw.
-	Compress(line []byte) (enc Encoding, ok bool)
-	// Decompress reverses Compress. It panics on malformed input produced
-	// outside this package: encodings live only inside the simulated cache,
-	// so corruption is a simulator bug, not an input error.
-	Decompress(enc Encoding) []byte
-}
-
 // CompressBest encodes line with the hybrid FPC+BDI policy used by DICE:
 // try ZCA, FPC and BDI, keep whichever yields the smallest payload, and
 // fall back to an uncompressed encoding when nothing beats 64 bytes.
@@ -99,26 +85,6 @@ func CompressBest(line []byte) Encoding {
 	}
 	best.Sum = LineSum(line)
 	return best
-}
-
-// Decompress decodes any encoding produced by CompressBest or the
-// individual compressors.
-func Decompress(enc Encoding) []byte {
-	switch enc.Alg {
-	case AlgNone:
-		if len(enc.Payload) != LineSize {
-			panic("compress: AlgNone payload must be 64 bytes")
-		}
-		return cloneBytes(enc.Payload)
-	case AlgZCA:
-		return make([]byte, LineSize)
-	case AlgFPC:
-		return FPC{}.Decompress(enc)
-	case AlgBDI:
-		return BDI{}.Decompress(enc)
-	default:
-		panic("compress: cannot decompress " + enc.Alg.String())
-	}
 }
 
 // CompressedSize returns the hybrid compressed size of a line in bytes

@@ -40,19 +40,27 @@ func randomLine(rng *rand.Rand) []byte {
 	return line
 }
 
+// decoded is DecompressChecked's line, or nil when it rejects enc.
+func decoded(enc Encoding) []byte {
+	out, err := DecompressChecked(enc)
+	if err != nil {
+		return nil
+	}
+	return out
+}
+
+// TestZCACompressesOnlyZeroLines: the hybrid encodes an all-zero line as
+// a payload-free ZCA encoding that round-trips, and no other line as ZCA.
 func TestZCACompressesOnlyZeroLines(t *testing.T) {
-	enc, ok := (ZCA{}).Compress(make([]byte, LineSize))
-	if !ok {
-		t.Fatal("ZCA should compress a zero line")
+	enc := CompressBest(make([]byte, LineSize))
+	if enc.Alg != AlgZCA || enc.Size() != 0 {
+		t.Fatalf("zero line: alg %v, payload size %d; want zca, 0", enc.Alg, enc.Size())
 	}
-	if enc.Size() != 0 {
-		t.Fatalf("ZCA payload size = %d, want 0", enc.Size())
-	}
-	if got := (ZCA{}).Decompress(enc); !bytes.Equal(got, make([]byte, LineSize)) {
+	if got := decoded(enc); !bytes.Equal(got, make([]byte, LineSize)) {
 		t.Fatal("ZCA round trip failed")
 	}
-	if _, ok := (ZCA{}).Compress(lineOf(1)); ok {
-		t.Fatal("ZCA must reject a non-zero line")
+	if enc := CompressBest(lineOf(1)); enc.Alg == AlgZCA {
+		t.Fatal("a non-zero line was encoded as ZCA")
 	}
 }
 
@@ -79,7 +87,7 @@ func TestFPCKnownPatterns(t *testing.T) {
 			if enc.Size() > tc.maxSize {
 				t.Fatalf("size = %d, want <= %d", enc.Size(), tc.maxSize)
 			}
-			if got := (FPC{}).Decompress(enc); !bytes.Equal(got, tc.line) {
+			if got := decoded(enc); !bytes.Equal(got, tc.line) {
 				t.Fatalf("round trip failed: got %x want %x", got, tc.line)
 			}
 		})
@@ -96,7 +104,7 @@ func TestFPCRejectsRandomLine(t *testing.T) {
 			if enc.Size() >= LineSize {
 				t.Fatal("accepted encoding not smaller than line")
 			}
-			if got := (FPC{}).Decompress(enc); !bytes.Equal(got, line) {
+			if got := decoded(enc); !bytes.Equal(got, line) {
 				t.Fatal("round trip failed")
 			}
 		} else {
@@ -134,7 +142,7 @@ func TestBDIModesAndSizes(t *testing.T) {
 			if enc.Size() != tc.size {
 				t.Fatalf("size = %d, want %d", enc.Size(), tc.size)
 			}
-			if got := (BDI{}).Decompress(enc); !bytes.Equal(got, tc.line) {
+			if got := decoded(enc); !bytes.Equal(got, tc.line) {
 				t.Fatalf("round trip failed")
 			}
 		})
@@ -151,7 +159,7 @@ func TestBDIMixedZeroPointerLineRejected(t *testing.T) {
 		t.Fatal("single-base BDI should reject mixed zero/pointer line")
 	}
 	enc := CompressBest(line)
-	if got := Decompress(enc); !bytes.Equal(got, line) {
+	if got := decoded(enc); !bytes.Equal(got, line) {
 		t.Fatal("hybrid round trip failed")
 	}
 }
@@ -212,7 +220,7 @@ func TestDecompressAllAlgs(t *testing.T) {
 	}
 	for _, line := range lines {
 		enc := CompressBest(line)
-		if got := Decompress(enc); !bytes.Equal(got, line) {
+		if got := decoded(enc); !bytes.Equal(got, line) {
 			t.Fatalf("round trip failed for alg %v", enc.Alg)
 		}
 	}
@@ -240,7 +248,7 @@ func TestQuickHybridRoundTrip(t *testing.T) {
 		if enc.Size() > LineSize {
 			return false
 		}
-		return bytes.Equal(Decompress(enc), line)
+		return bytes.Equal(decoded(enc), line)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -258,7 +266,7 @@ func TestQuickFPCRoundTrip(t *testing.T) {
 		if !ok {
 			return true
 		}
-		return bytes.Equal((FPC{}).Decompress(enc), line)
+		return bytes.Equal(decoded(enc), line)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -277,7 +285,7 @@ func TestQuickBDIRoundTrip(t *testing.T) {
 		if !ok {
 			return true
 		}
-		return bytes.Equal((BDI{}).Decompress(enc), line)
+		return bytes.Equal(decoded(enc), line)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -299,9 +307,9 @@ func TestPairSharedBaseSavesBaseBytes(t *testing.T) {
 		t.Fatalf("pair size %d not smaller than separate %d",
 			p.Size(), encA.Size()+encB.Size())
 	}
-	gotA, gotB := DecompressPair(p)
-	if !bytes.Equal(gotA, a) || !bytes.Equal(gotB, b) {
-		t.Fatal("pair round trip failed")
+	gotA, gotB, err := DecompressPair(p)
+	if err != nil || !bytes.Equal(gotA, a) || !bytes.Equal(gotB, b) {
+		t.Fatalf("pair round trip failed (err %v)", err)
 	}
 }
 
@@ -313,9 +321,9 @@ func TestPairFallsBackToSeparate(t *testing.T) {
 	if p.SharedBase {
 		t.Fatal("random + fpc lines should not share a base")
 	}
-	gotA, gotB := DecompressPair(p)
-	if !bytes.Equal(gotA, a) || !bytes.Equal(gotB, b) {
-		t.Fatal("pair round trip failed")
+	gotA, gotB, err := DecompressPair(p)
+	if err != nil || !bytes.Equal(gotA, a) || !bytes.Equal(gotB, b) {
+		t.Fatalf("pair round trip failed (err %v)", err)
 	}
 }
 
@@ -339,8 +347,8 @@ func TestQuickPairRoundTrip(t *testing.T) {
 		if p.Size() > 2*LineSize {
 			return false
 		}
-		gotA, gotB := DecompressPair(p)
-		return bytes.Equal(gotA, a) && bytes.Equal(gotB, b)
+		gotA, gotB, err := DecompressPair(p)
+		return err == nil && bytes.Equal(gotA, a) && bytes.Equal(gotB, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

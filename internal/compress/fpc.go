@@ -25,11 +25,8 @@ const (
 // fpcPayloadBits gives the payload width for each pattern.
 var fpcPayloadBits = [8]uint{0, 4, 8, 16, 16, 16, 8, 32}
 
-// Name implements Compressor.
-func (FPC) Name() string { return "fpc" }
-
-// Compress implements Compressor. ok is false when the encoded size would
-// be >= the raw line size.
+// Compress encodes a 64-byte line. ok is false when the encoded size
+// would be >= the raw line size, in which case the line is stored raw.
 func (FPC) Compress(line []byte) (Encoding, bool) {
 	mustLine(line)
 	var w bitWriter
@@ -44,21 +41,6 @@ func (FPC) Compress(line []byte) (Encoding, bool) {
 		return Encoding{}, false
 	}
 	return Encoding{Alg: AlgFPC, Payload: w.Bytes()}, true
-}
-
-// Decompress implements Compressor.
-func (FPC) Decompress(enc Encoding) []byte {
-	if enc.Alg != AlgFPC {
-		panic("compress: FPC.Decompress on " + enc.Alg.String())
-	}
-	r := bitReader{buf: enc.Payload}
-	out := make([]byte, LineSize)
-	for i := 0; i < LineSize; i += 4 {
-		pat := uint8(r.ReadBits(3))
-		payload := r.ReadBits(fpcPayloadBits[pat])
-		binary.LittleEndian.PutUint32(out[i:i+4], fpcExpand(pat, payload))
-	}
-	return out
 }
 
 // fpcClassify picks the cheapest pattern that represents word exactly.

@@ -32,8 +32,8 @@ func FuzzDecompressChecked(f *testing.F) {
 }
 
 // FuzzCompressRoundtrip: any 64-byte line must survive CompressBest ->
-// DecompressChecked bit-exactly, and the adjacent-pair encoder's sizes
-// must stay within physical bounds.
+// DecompressChecked bit-exactly, and any adjacent pair CompressPair ->
+// DecompressPair, with sizes within physical bounds.
 func FuzzCompressRoundtrip(f *testing.F) {
 	for _, line := range sampleLines() {
 		f.Add(line, line)
@@ -62,7 +62,10 @@ func FuzzCompressRoundtrip(f *testing.F) {
 		if p.Size() > 2*LineSize {
 			t.Fatalf("pair size %d exceeds two lines", p.Size())
 		}
-		da, db := DecompressPair(p)
+		da, db, err := DecompressPair(p)
+		if err != nil {
+			t.Fatalf("own pair encoding rejected: %v", err)
+		}
 		if !bytes.Equal(da, la) || !bytes.Equal(db, lb) {
 			t.Fatal("pair round trip mismatch")
 		}

@@ -1,5 +1,7 @@
 package compress
 
+import "fmt"
+
 // Pair compression: when BAI places two spatially adjacent lines in the
 // same set, DICE compresses them together. Adjacent lines usually have
 // similar value structure, so when both compress with the same BDI
@@ -50,18 +52,34 @@ func CompressPair(a, b []byte) PairEncoding {
 	return best
 }
 
-// DecompressPair reverses CompressPair, returning the two original lines.
-func DecompressPair(p PairEncoding) (a, b []byte) {
-	a = Decompress(p.A)
+// DecompressPair reverses CompressPair, returning the two original
+// lines. Each line decodes through DecompressChecked's validation — a
+// shared-base member against its buddy's base — so a malformed or
+// corrupted pair is an error, never a panic.
+func DecompressPair(p PairEncoding) (a, b []byte, err error) {
+	if a, err = DecompressChecked(p.A); err != nil {
+		return nil, nil, err
+	}
 	if !p.SharedBase {
-		return a, Decompress(p.B)
+		if b, err = DecompressChecked(p.B); err != nil {
+			return nil, nil, err
+		}
+		return a, b, nil
 	}
-	if p.A.Alg != AlgBDI || p.B.Alg != AlgBDIPair {
-		panic("compress: malformed shared-base pair")
+	if p.A.Alg != AlgBDI || p.A.Mode == BDIRep || p.B.Alg != AlgBDIPair || p.B.Mode != p.A.Mode {
+		return nil, nil, fmt.Errorf("compress: malformed shared-base pair (%v mode %d, %v mode %d)",
+			p.A.Alg, p.A.Mode, p.B.Alg, p.B.Mode)
 	}
-	k, _ := bdiGeometry(p.A.Mode)
+	k, d := bdiGeometry(p.A.Mode)
+	if want := LineSize / k * d; len(p.B.Payload) != want {
+		return nil, nil, fmt.Errorf("compress: shared-base payload is %d bytes, want %d", len(p.B.Payload), want)
+	}
 	base := int64(readUint(p.A.Payload[:k], k))
-	return a, bdiDecodeWithBase(p.B.Payload, p.B.Mode, base)
+	b = bdiDecodeWithBase(p.B.Payload, p.B.Mode, base)
+	if p.B.Sum != 0 && LineSum(b) != p.B.Sum {
+		return nil, nil, fmt.Errorf("compress: shared-base payload fails line checksum")
+	}
+	return a, b, nil
 }
 
 // PairSize returns just the combined compressed size of two adjacent lines

@@ -115,8 +115,11 @@ func runLocal(ctx context.Context, pending []experiments.CellSpec, record func(s
 	r := experiments.NewRunner(0)
 	r.Workers = opt.Workers
 	if opt.MetricsEpoch > 0 && opt.EpochSink != nil {
-		r.MetricsEpoch = opt.MetricsEpoch
-		r.MetricsEmit = opt.EpochSink
+		r.Observe = func(key string) *obs.Observer {
+			rec := obs.NewRecorder(opt.MetricsEpoch)
+			rec.OnRecord = func(s obs.Snapshot) { opt.EpochSink(key, s) }
+			return &obs.Observer{Rec: rec}
+		}
 	}
 	var recErr error
 	var recMu sync.Mutex

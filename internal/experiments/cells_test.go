@@ -20,6 +20,10 @@ const declaredRefs = 1_000
 // install (dcache's sccExtraProbes, three per Section 7.3).
 const sccTagProbes = 3
 
+// sccTagBytes is the HBM transfer size of one SCC tag probe (dcache's
+// sccTagBytes).
+const sccTagBytes = 16
+
 // declared is one runner for the whole-catalog tests, shared so each
 // declared cell simulates once across them.
 var declared = NewRunner(declaredRefs)
@@ -34,6 +38,8 @@ var declared = NewRunner(declaredRefs)
 //     probes;
 //   - on both DRAM devices every access is one row hit, miss or
 //     conflict, and only conflicts are batched;
+//   - HBM moves one TAD transfer (80B Alloy, 72B KNL) per access,
+//     except SCC's 16-byte tag probes;
 //   - main memory moves 64-byte lines only.
 func TestDeclaredCellsConserve(t *testing.T) {
 	var all []CellSpec
@@ -68,13 +74,14 @@ func TestDeclaredCellsConserve(t *testing.T) {
 		} else if split != 0 {
 			t.Errorf("%s: %v records %d DICE index decisions", c.Label(), r.Config.Policy, split)
 		}
-		probes := l4.Reads + l4.SecondProbes
+		// SCC pays its skewed tag probes in Read, once per read, and in
+		// Install (not Writeback), which the simulator calls once per L4
+		// read miss.
+		var tags uint64
 		if r.Config.Policy == dcache.PolicySCC {
-			// SCC pays its skewed tag probes in Read, once per read, and
-			// in Install (not Writeback), which the simulator calls once
-			// per L4 read miss.
-			probes += sccTagProbes * (l4.Reads + l4.ReadMisses)
+			tags = sccTagProbes * (l4.Reads + l4.ReadMisses)
 		}
+		probes := l4.Reads + l4.SecondProbes + tags
 		if l4.Probes != probes {
 			t.Errorf("%s: L4 probes %d != reads %d + second probes %d + SCC tag probes %d",
 				c.Label(), l4.Probes, l4.Reads, l4.SecondProbes, probes-l4.Reads-l4.SecondProbes)
@@ -90,6 +97,14 @@ func TestDeclaredCellsConserve(t *testing.T) {
 			if d.s.RowBatched > d.s.RowConflicts {
 				t.Errorf("%s: %s batched %d row conflicts of %d", c.Label(), d.name, d.s.RowBatched, d.s.RowConflicts)
 			}
+		}
+		xfer := uint64(dcache.TransferBytes)
+		if r.Config.Org == dcache.OrgKNL {
+			xfer = dcache.KNLTransferBytes
+		}
+		if got, want := r.HBM.BytesRead+r.HBM.BytesWritten, xfer*(r.HBM.Accesses()-tags)+sccTagBytes*tags; got != want {
+			t.Errorf("%s: HBM moved %d bytes in %d accesses (%d SCC tag probes), want %d", c.Label(),
+				got, r.HBM.Accesses(), tags, want)
 		}
 		if r.DDR.BytesRead != 64*r.DDR.Reads || r.DDR.BytesWritten != 64*r.DDR.Writes {
 			t.Errorf("%s: DDR moved %d bytes in %d reads and %d bytes in %d writes, not 64-byte lines", c.Label(),

@@ -10,26 +10,59 @@ import (
 	"dice/internal/obs"
 )
 
-// metricsRunner is a detRunner with epoch recording switched on.
-func metricsRunner(workers int) *Runner {
-	r := detRunner(workers)
-	r.MetricsEpoch = 25_000
-	return r
+// metricsRunner is a detRunner whose Observe hook attaches an epoch
+// recorder (every 25000 cycles) to each executed simulation. snaps
+// returns the recorded series keyed by CellSpec.Key, and calls counts
+// the Observe calls.
+func metricsRunner(workers int) (r *Runner, snaps func() map[string][]obs.Snapshot, calls func() int) {
+	r = detRunner(workers)
+	var (
+		mu   sync.Mutex
+		recs = map[string]*obs.Recorder{}
+		n    int
+	)
+	r.Observe = func(key string) *obs.Observer {
+		rec := obs.NewRecorder(25_000)
+		mu.Lock()
+		recs[key] = rec
+		n++
+		mu.Unlock()
+		return &obs.Observer{Rec: rec}
+	}
+	snaps = func() map[string][]obs.Snapshot {
+		mu.Lock()
+		defer mu.Unlock()
+		out := make(map[string][]obs.Snapshot, len(recs))
+		for k, rec := range recs {
+			out[k] = rec.Snapshots()
+		}
+		return out
+	}
+	calls = func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return n
+	}
+	return r, snaps, calls
 }
 
 // TestMetricsRecordingPreservesDeterminism is the acceptance check for
 // the observability layer: with recording ON, results must be
 // byte-identical between the serial schedule and an 8-worker pool, and
 // identical to a runner with recording OFF — and the exported metrics
-// bytes themselves must be schedule-independent.
+// bytes themselves must be schedule-independent. Observe is called once
+// per executed key, however often the key is requested.
 func TestMetricsRecordingPreservesDeterminism(t *testing.T) {
 	matrix := cells(detWorkloads(t), base, dice)
 
-	serialOn := metricsRunner(1)
-	pooledOn := metricsRunner(8)
+	serialOn, serialSnaps, _ := metricsRunner(1)
+	pooledOn, pooledSnaps, pooledCalls := metricsRunner(8)
 	pooledOff := detRunner(8)
-	for _, r := range []*Runner{serialOn, pooledOn, pooledOff} {
-		r.RunCells(context.Background(), matrix, nil)
+	serialOn.RunCells(context.Background(), matrix, nil)
+	pooledOn.RunCells(context.Background(), append(matrix, matrix...), nil)
+	pooledOff.RunCells(context.Background(), matrix, nil)
+	if n := pooledCalls(); n != len(matrix) {
+		t.Fatalf("Observe called %d times for %d distinct cells requested twice each", n, len(matrix))
 	}
 
 	for _, c := range matrix {
@@ -42,13 +75,13 @@ func TestMetricsRecordingPreservesDeterminism(t *testing.T) {
 		}
 	}
 
-	// The export dicebench writes (obs.WriteEpochs over Metrics) must be
-	// deterministic too, byte for byte.
+	// The export dicebench writes (obs.WriteEpochs over its recorders)
+	// must be deterministic too, byte for byte.
 	var a, b bytes.Buffer
-	if err := obs.WriteEpochs(&a, serialOn.Metrics()); err != nil {
+	if err := obs.WriteEpochs(&a, serialSnaps()); err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.WriteEpochs(&b, pooledOn.Metrics()); err != nil {
+	if err := obs.WriteEpochs(&b, pooledSnaps()); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() == 0 {
@@ -59,8 +92,8 @@ func TestMetricsRecordingPreservesDeterminism(t *testing.T) {
 	}
 
 	// One snapshot list per executed simulation, keyed by the cell's
-	// Key, sampled every MetricsEpoch cycles.
-	ms := pooledOn.Metrics()
+	// Key, sampled every 25000 cycles.
+	ms := pooledSnaps()
 	if want := len(matrix); len(ms) != want {
 		t.Fatalf("recorded %d series, want %d", len(ms), want)
 	}
@@ -82,29 +115,5 @@ func TestMetricsRecordingPreservesDeterminism(t *testing.T) {
 	if pooledOff.TotalCycles() == 0 || pooledOn.TotalCycles() != serialOn.TotalCycles() {
 		t.Fatalf("TotalCycles mismatch: serial %d, pooled %d",
 			serialOn.TotalCycles(), pooledOn.TotalCycles())
-	}
-}
-
-// TestMetricsSinkRetainsNothing: a runner whose epochs go to a sink
-// hands every snapshot to it and keeps none of them itself, so a long
-// streamed job does not hold each cell's snapshot ring until it ends.
-func TestMetricsSinkRetainsNothing(t *testing.T) {
-	r := metricsRunner(2)
-	var mu sync.Mutex
-	emitted := map[string]int{}
-	r.MetricsEmit = func(key string, s obs.Snapshot) {
-		mu.Lock()
-		emitted[key]++
-		mu.Unlock()
-	}
-	matrix := cells(detWorkloads(t), base, dice)
-	if _, err := r.RunCells(context.Background(), matrix, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(emitted) != len(matrix) {
-		t.Fatalf("the sink saw epochs of %d cells, want %d", len(emitted), len(matrix))
-	}
-	if m := r.Metrics(); len(m) != 0 {
-		t.Fatalf("a runner with a sink retained the snapshots of %d cells", len(m))
 	}
 }

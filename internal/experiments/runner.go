@@ -38,28 +38,20 @@ type Runner struct {
 	// enforce this.
 	Workers int
 
-	// MetricsEpoch, when nonzero, attaches an epoch-metrics recorder
-	// (sampling every MetricsEpoch cycles) to every simulation this
-	// runner executes; the recorded snapshots are retrievable with
-	// Metrics. Recording never changes results: sim.RunObserved is
-	// read-only with respect to the simulation.
-	MetricsEpoch uint64
-	// MetricsEmit, when non-nil (and MetricsEpoch is set), receives
-	// every recorded epoch snapshot the moment it is recorded, tagged
-	// with the cell's Key — the incremental-export hook behind the
-	// daemon's stream and in-process sweeps. The sink then owns the
-	// snapshots: the runner retains none, and Metrics stays empty.
-	// Because memoization runs each key once, duplicate requests of a
-	// key emit its epochs once. The hook runs on simulation worker
-	// goroutines, possibly several concurrently for different keys: it
-	// must be safe for concurrent use and should not block.
-	MetricsEmit func(key string, s obs.Snapshot)
+	// Observe, when non-nil, is called once per executed simulation
+	// with its cell's Key; the observer it returns (nil = none) watches
+	// that simulation. Memoized recalls and singleflight waits do not
+	// call it, so each key is observed at most once. Callers build the
+	// recorder or tracer they need: dicebench keeps per-key recorders,
+	// the daemon's emit stream events, dicesim traces one cell. It runs
+	// on simulation worker goroutines, possibly several concurrently,
+	// so it — and any callback its observer makes — must be safe for
+	// concurrent use. Observation never changes results.
+	Observe func(key string) *obs.Observer
 
-	cache   parallel.Memo[string, sim.Result]
-	mu      sync.Mutex
-	metrics map[string][]obs.Snapshot
-	sims    atomic.Int64
-	cycles  atomic.Uint64
+	cache  parallel.Memo[string, sim.Result]
+	sims   atomic.Int64
+	cycles atomic.Uint64
 
 	logOnce sync.Once
 	log     *parallel.Logger
@@ -97,19 +89,6 @@ func (r *Runner) Sims() int64 { return r.sims.Load() }
 // simulation — the denominator for allocs-per-simulated-tick self-stats.
 func (r *Runner) TotalCycles() uint64 { return r.cycles.Load() }
 
-// Metrics returns a copy of the epoch snapshots recorded so far, keyed
-// by CellSpec.Key. Empty unless MetricsEpoch was set, and MetricsEmit
-// was not, before the runs executed.
-func (r *Runner) Metrics() map[string][]obs.Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string][]obs.Snapshot, len(r.metrics))
-	for k, v := range r.metrics {
-		out[k] = v
-	}
-	return out
-}
-
 // logf emits one line-atomic progress message when Verbose is set.
 func (r *Runner) logf(format string, args ...any) {
 	if !r.Verbose {
@@ -137,17 +116,12 @@ func (r *Runner) run(j cellJob) sim.Result {
 	return res
 }
 
-// simulateCell runs one cell's simulation, recording its epoch metrics
-// when MetricsEpoch is set.
+// simulateCell runs one cell's simulation under the observer Observe
+// returns for its key.
 func (r *Runner) simulateCell(j cellJob) sim.Result {
-	key := j.key
 	var ob *obs.Observer
-	if r.MetricsEpoch > 0 {
-		rec := obs.NewRecorder(r.MetricsEpoch)
-		if r.MetricsEmit != nil {
-			rec.OnRecord = func(s obs.Snapshot) { r.MetricsEmit(key, s) }
-		}
-		ob = &obs.Observer{Rec: rec}
+	if r.Observe != nil {
+		ob = r.Observe(j.key)
 	}
 	res, err := r.runSim(j.cfg, j.w, ob)
 	if err != nil {
@@ -159,15 +133,7 @@ func (r *Runner) simulateCell(j cellJob) sim.Result {
 	r.sims.Add(1)
 	r.cycles.Add(res.Cycles)
 	if r.testHookSimDone != nil {
-		r.testHookSimDone(key)
-	}
-	if ob != nil && r.MetricsEmit == nil {
-		r.mu.Lock()
-		if r.metrics == nil {
-			r.metrics = make(map[string][]obs.Snapshot)
-		}
-		r.metrics[key] = ob.Rec.Snapshots()
-		r.mu.Unlock()
+		r.testHookSimDone(j.key)
 	}
 	r.logf("  ran %-23s L4hit=%.2f L3hit=%.2f\n",
 		j.spec.Label(), res.L4.HitRate(), res.L3.HitRate())

@@ -94,10 +94,11 @@ type Config struct {
 	// readHeaderTimeout overrides httpReadHeaderTimeout when positive
 	// (tests shorten it to exercise the slowloris defense).
 	readHeaderTimeout time.Duration
-	// noGroupCommit selects the fsync-per-append reference journal
-	// discipline, for the group-commit A/B guard (tests only; see
+	// openLog opens the journal's commit log (nil = commitlog.Open).
+	// The group-commit A/B guards swap in the fsync-per-append
+	// reference discipline and a fixed-cost sync (tests only; see
 	// export_test.go).
-	noGroupCommit bool
+	openLog func(path string, apply func(payload []byte) bool) (*commitlog.Log, commitlog.Replay, error)
 }
 
 // Daemon is the experiment job daemon: a bounded queue feeding
@@ -209,7 +210,7 @@ func newDaemon(cfg Config, execute func(ctx context.Context, spec JobSpec, emit 
 		err     error
 	)
 	if cfg.JournalPath != "" {
-		journal, rep, err = openJournal(cfg.JournalPath, cfg.noGroupCommit)
+		journal, rep, err = openJournal(cfg.JournalPath, cfg.openLog)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -234,9 +234,12 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 	r := experiments.NewRunner(refs)
 	r.Workers = spec.Workers
 	if spec.MetricsEpoch > 0 && emit != nil {
-		r.MetricsEpoch = spec.MetricsEpoch
-		r.MetricsEmit = func(key string, s obs.Snapshot) {
-			emit(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: key, Snap: s}})
+		r.Observe = func(key string) *obs.Observer {
+			rec := obs.NewRecorder(spec.MetricsEpoch)
+			rec.OnRecord = func(s obs.Snapshot) {
+				emit(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: key, Snap: s}})
+			}
+			return &obs.Observer{Rec: rec}
 		}
 	}
 

@@ -90,15 +90,14 @@ func (rj ReplayJob) Unfinished() bool { return !rj.Finished }
 // replays its valid prefix, truncates any torn tail, and returns the
 // handle positioned for appending plus the replayed job table.
 func OpenJournal(path string) (*Journal, *Replay, error) {
-	return openJournal(path, false)
+	return openJournal(path, nil)
 }
 
-// openJournal is OpenJournal, in the fsync-per-append reference
-// discipline when noGroupCommit is set (see Config.noGroupCommit).
-func openJournal(path string, noGroupCommit bool) (*Journal, *Replay, error) {
-	open := commitlog.Open
-	if noGroupCommit {
-		open = commitlog.OpenNoGroupCommit
+// openJournal is OpenJournal over the commit log open opens (nil =
+// commitlog.Open; see Config.openLog).
+func openJournal(path string, open func(path string, apply func(payload []byte) bool) (*commitlog.Log, commitlog.Replay, error)) (*Journal, *Replay, error) {
+	if open == nil {
+		open = commitlog.Open
 	}
 	var (
 		jobs []*ReplayJob

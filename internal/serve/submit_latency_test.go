@@ -37,14 +37,22 @@ const submitConcurrency = 32
 // sims that are cancelled before shutdown.
 func measureSubmitLatency(t *testing.T, n, concurrency int, noGroupCommit bool) (latencySummary, *commitlog.Stats) {
 	t.Helper()
-	cfg := serve.Config{
+	journal := func(cfg serve.Config) serve.Config { return cfg }
+	if noGroupCommit {
+		journal = serve.NoGroupCommitForTest
+	}
+	return measureSubmitLatencyWith(t, n, concurrency, journal)
+}
+
+// measureSubmitLatencyWith is measureSubmitLatency with the daemon's
+// journal configured by journal.
+func measureSubmitLatencyWith(t *testing.T, n, concurrency int, journal func(serve.Config) serve.Config) (latencySummary, *commitlog.Stats) {
+	t.Helper()
+	cfg := journal(serve.Config{
 		JournalPath: filepath.Join(t.TempDir(), "bench.journal"),
 		QueueCap:    n + 16,
 		JobWorkers:  2,
-	}
-	if noGroupCommit {
-		cfg = serve.NoGroupCommitForTest(cfg)
-	}
+	})
 	d, _, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +161,51 @@ func TestGroupCommitSubmitGuard(t *testing.T) {
 	const n = 256
 	batched, bstats := measureSubmitLatency(t, n, submitConcurrency, false)
 	reference, rstats := measureSubmitLatency(t, n, submitConcurrency, true)
+	if bstats == nil || rstats == nil {
+		t.Fatal("journal stats missing from /healthz")
+	}
+	t.Logf("batched:   p50 %v p99 %v (%d appends, %d syncs, max batch %d)",
+		batched.P50, batched.P99, bstats.Appends, bstats.Syncs, bstats.MaxBatchRecords)
+	t.Logf("reference: p50 %v p99 %v (%d appends, %d syncs)",
+		reference.P50, reference.P99, rstats.Appends, rstats.Syncs)
+
+	if rstats.Syncs != rstats.Appends {
+		t.Fatalf("reference mode must sync per append: %d syncs for %d appends", rstats.Syncs, rstats.Appends)
+	}
+	if bstats.Syncs*2 > bstats.Appends || bstats.MaxBatchRecords < 2 {
+		t.Fatalf("group commit did not batch: %d syncs for %d appends, max batch %d",
+			bstats.Syncs, bstats.Appends, bstats.MaxBatchRecords)
+	}
+	const floor = 1.05
+	if float64(reference.P99) < float64(batched.P99)*floor {
+		t.Fatalf("batched submit p99 %v does not beat fsync-per-append p99 %v by the %.2fx smoke floor",
+			batched.P99, reference.P99, floor)
+	}
+}
+
+// guardSyncCost is the fixed journal fsync cost the fixed-sync guard
+// runs both disciplines at.
+const guardSyncCost = 2 * time.Millisecond
+
+// TestGroupCommitFixedSyncGuard is TestGroupCommitSubmitGuard with every
+// journal fsync taking a fixed 2ms in both disciplines (DICE_SMOKE=1
+// gates it like its sibling). Where fsync is nearly free the batched
+// and per-append journals differ by scheduler noise, so the unpadded
+// guard flakes; at a known sync cost, 32 clients queueing behind
+// per-append fsyncs wait for their predecessors' syncs, while batched
+// submits share one. Same n, concurrency, p99 floor and counter checks.
+func TestGroupCommitFixedSyncGuard(t *testing.T) {
+	if os.Getenv("DICE_SMOKE") == "" {
+		t.Skip("set DICE_SMOKE=1 (make bench-smoke) to run the group-commit regression guard")
+	}
+	const n = 256
+	fixed := func(noGroupCommit bool) func(serve.Config) serve.Config {
+		return func(cfg serve.Config) serve.Config {
+			return serve.FixedSyncForTest(cfg, noGroupCommit, guardSyncCost)
+		}
+	}
+	batched, bstats := measureSubmitLatencyWith(t, n, submitConcurrency, fixed(false))
+	reference, rstats := measureSubmitLatencyWith(t, n, submitConcurrency, fixed(true))
 	if bstats == nil || rstats == nil {
 		t.Fatal("journal stats missing from /healthz")
 	}
