@@ -59,6 +59,9 @@ func TestRecorderRingOverflow(t *testing.T) {
 	if len(snaps) != ringCap {
 		t.Fatalf("retained %d snapshots, want %d", len(snaps), ringCap)
 	}
+	if cap(r.ring) != ringCap {
+		t.Fatalf("full ring holds room for %d snapshots, want %d", cap(r.ring), ringCap)
+	}
 	for i, s := range snaps {
 		wantEpoch := uint64(6 + i)
 		if s.Epoch != wantEpoch {
@@ -66,6 +69,32 @@ func TestRecorderRingOverflow(t *testing.T) {
 		}
 		if want := (wantEpoch + 1) * 50; s.EndCycle != want {
 			t.Fatalf("snapshot %d ends at %d, want %d", i, s.EndCycle, want)
+		}
+	}
+}
+
+// TestRecorderRingGrowsOnDemand checks that a short run holds only
+// the few epochs it recorded, not a full 4096-snapshot ring — a
+// caller that keeps recorders of many finished runs (dicebench
+// -metrics-out) then holds kilobytes, not a megabyte per run.
+func TestRecorderRingGrowsOnDemand(t *testing.T) {
+	r := NewRecorder(50)
+	if cap(r.ring) != 0 {
+		t.Fatalf("new recorder allocated %d snapshots before any epoch", cap(r.ring))
+	}
+	for i := 0; i < 3; i++ {
+		r.Record(fakeSnapshot(i))
+	}
+	if cap(r.ring) > 16 {
+		t.Fatalf("3 epochs allocated room for %d snapshots, want at most 16", cap(r.ring))
+	}
+	snaps := r.Snapshots()
+	if len(snaps) != 3 || r.Dropped() != 0 {
+		t.Fatalf("retained %d snapshots (%d dropped), want 3 (0)", len(snaps), r.Dropped())
+	}
+	for i, s := range snaps {
+		if s.Epoch != uint64(i) {
+			t.Fatalf("snapshot %d has epoch %d", i, s.Epoch)
 		}
 	}
 }

@@ -93,10 +93,11 @@ func SchemaFields() []string {
 	return fields
 }
 
-// ringCap is the epoch-ring capacity of every Recorder. At ~300B per
-// snapshot the ring's memory bound is ~1.2MB regardless of run length:
-// once full, the oldest epochs are dropped (and counted) rather than
-// growing without bound.
+// ringCap is the epoch-ring capacity of every Recorder. The ring grows
+// as epochs arrive, so a short run holds only the epochs it recorded;
+// at ~300B per snapshot a full ring is ~1.2MB regardless of run
+// length: once full, the oldest epochs are dropped (and counted)
+// rather than growing without bound.
 const ringCap = 4096
 
 // Recorder samples epoch metrics into a bounded ring. It is attached
@@ -123,13 +124,13 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder sampling every epochCycles of
-// simulated time into a ring that keeps the last 4096 snapshots. It
-// panics if epochCycles is zero.
+// simulated time into a ring that keeps the last 4096 snapshots,
+// allocated as epochs arrive. It panics if epochCycles is zero.
 func NewRecorder(epochCycles uint64) *Recorder {
 	if epochCycles == 0 {
 		panic("obs: epochCycles must be positive")
 	}
-	return &Recorder{epoch: epochCycles, next: epochCycles, ring: make([]Snapshot, ringCap)}
+	return &Recorder{epoch: epochCycles, next: epochCycles}
 }
 
 // EpochCycles returns the sampling period in simulated cycles.
@@ -154,14 +155,19 @@ func (r *Recorder) Record(s Snapshot) {
 	if r.OnRecord != nil {
 		r.OnRecord(s)
 	}
-	if r.n == len(r.ring) {
-		r.ring[r.head] = s
-		r.head = (r.head + 1) % len(r.ring)
-		r.dropped++
+	if r.n < ringCap {
+		if r.n == cap(r.ring) {
+			grown := make([]Snapshot, r.n, min(max(2*r.n, 16), ringCap))
+			copy(grown, r.ring)
+			r.ring = grown
+		}
+		r.ring = append(r.ring, s)
+		r.n++
 		return
 	}
-	r.ring[(r.head+r.n)%len(r.ring)] = s
-	r.n++
+	r.ring[r.head] = s
+	r.head = (r.head + 1) % ringCap
+	r.dropped++
 }
 
 // Dropped returns how many snapshots the full ring has discarded.
