@@ -84,7 +84,7 @@ bench-smoke:
 	$(GO) test -run='^TestArtifactCacheSmoke$$' -count=1 -v ./internal/experiments
 	DICE_SMOKE=1 $(GO) test -run='^TestEventCoreSmokeSpeedup$$' -count=1 -v ./internal/sim
 	$(GO) test -run='^TestGoldenReports$$' -count=1 ./internal/experiments
-	DICE_SMOKE=1 $(GO) test -run='^TestSubmitLatencyEntry$$|^TestGroupCommitSubmitGuard$$|^TestGroupCommitFixedSyncGuard$$' -count=1 -v ./internal/serve
+	DICE_SMOKE=1 $(GO) test -run='^TestSubmitLatencyEntry$$|^TestGroupCommitFixedSyncGuard$$' -count=1 -v ./internal/serve
 
 # Daemon load/soak proof, two passes: concurrent submissions through
 # the retrying client against a queue bounded at 32 (so backpressure

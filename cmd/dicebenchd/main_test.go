@@ -139,7 +139,7 @@ func (p *daemonProc) client(seed int64) *client.Client {
 
 var smokeSpec = serve.JobSpec{Experiments: []string{"metrics-demo"}, Refs: 400, Scale: 12}
 
-// The operator path end to end: start, submit over HTTP, poll to
+// The operator path end to end: start, submit over HTTP, stream to
 // done, check /healthz, SIGTERM → clean exit 0 within the drain
 // bound; then restart on the same journal and read the finished job
 // back (replayed, same bytes).
@@ -162,7 +162,7 @@ func TestDaemonSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatalf("submit: %v\n%s", err, p.output())
 	}
-	st, err = c.Wait(ctx, st.ID, 20*time.Millisecond)
+	st, err = streamDone(ctx, c, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestDaemonSIGKILLRestartReplay(t *testing.T) {
 	if out := p2.output(); !strings.Contains(out, "journal replayed 1 jobs (1 re-enqueued)") {
 		t.Fatalf("interrupted job not re-enqueued:\n%s", out)
 	}
-	st2, err := p2.client(4).Wait(ctx, st.ID, 20*time.Millisecond)
+	st2, err := streamDone(ctx, p2.client(4), st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,4 +499,13 @@ func freeDaemonAddr(t *testing.T) string {
 	addr := l.Addr().String()
 	l.Close()
 	return addr
+}
+
+// streamDone follows job id's stream to its done event, then returns
+// the job's final status, output included.
+func streamDone(ctx context.Context, c *client.Client, id string) (serve.JobStatus, error) {
+	if _, err := c.Stream(ctx, id, func(serve.StreamEvent) error { return nil }); err != nil {
+		return serve.JobStatus{}, err
+	}
+	return c.Status(ctx, id)
 }

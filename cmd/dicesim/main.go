@@ -248,36 +248,25 @@ func validateFlags(metricsEpoch uint64, workers int) error {
 // lowercasing the policy, org and prefetch names, and validates it up
 // front so flag mistakes fail with one clean line instead of surfacing
 // mid-run. A default spelled out (-policy "", -org alloy, -prefetch
-// none, -fault-policy ecc+quarantine) is written as the catalog writes
-// it, so the cell keeps the catalog's key.
+// none, -fault-policy ecc+quarantine) keeps the catalog's key, because
+// CellSpec.Key spells the cell's normal form.
 func cellFromFlags(o *cliFlags) (experiments.CellSpec, error) {
 	c := experiments.CellSpec{
 		Workload:    *o.workload,
 		Policy:      strings.ToLower(*o.policy),
-		Org:         canonical(strings.ToLower(*o.org), "alloy"),
+		Org:         strings.ToLower(*o.org),
 		Threshold:   *o.threshold,
 		BER:         *o.faultBER,
 		FaultSeed:   *o.faultSeed,
-		FaultPolicy: canonical(*o.faultPol, "ecc+quarantine"),
+		FaultPolicy: *o.faultPol,
 		Capacity:    *o.capMult,
 		BW:          *o.bwMult,
 		HalfLat:     *o.halfLat,
-		Prefetch:    canonical(strings.ToLower(*o.prefetch), "none"),
+		Prefetch:    strings.ToLower(*o.prefetch),
 		Refs:        *o.refs,
 		Scale:       *o.scale,
 	}
-	if c.Policy == "" {
-		c.Policy = "base"
-	}
 	return c, c.Validate()
-}
-
-// canonical returns "" for the spelled-out default def, else name.
-func canonical(name, def string) string {
-	if name == def {
-		return ""
-	}
-	return name
 }
 
 // finishObserved prints the collected event timeline and writes the

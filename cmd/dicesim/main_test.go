@@ -55,11 +55,11 @@ func TestValidateFlags(t *testing.T) {
 	}
 }
 
-// TestBuildConfig pins the flag-to-cell mapping: every policy, org and
-// prefetch name dicesim accepts, in any case, yields the lowercased
-// CellSpec field, the flag defaults are the CellSpec zero values (so a
-// default run carries the catalog's canonical key), and unknown names
-// and out-of-range values are rejected before any simulation starts.
+// TestBuildConfig pins the flag-to-cell mapping by key: every policy,
+// org and prefetch name dicesim accepts, in any case, yields the
+// lowercased CellSpec field, the flag defaults and any spelled-out
+// default give the catalog's key, and unknown names and out-of-range
+// values are rejected before any simulation starts.
 func TestBuildConfig(t *testing.T) {
 	// base is the cell the flag defaults produce.
 	base := experiments.CellSpec{Workload: "gcc", Policy: "dice"}
@@ -88,6 +88,8 @@ func TestBuildConfig(t *testing.T) {
 		{args: []string{"-org", "KNL"}, want: with(func(c *experiments.CellSpec) { c.Org = "knl" })},
 		{args: []string{"-prefetch", "none"}, want: base},
 		{args: []string{"-fault-policy", "ecc+quarantine"}, want: base},
+		{args: []string{"-threshold", "36", "-cap", "1", "-bw", "1"}, want: base},
+		{args: []string{"-fault-seed", "5", "-fault-policy", "none"}, want: base},
 		{args: []string{"-policy", "base", "-org", "alloy", "-prefetch", "none"},
 			want: experiments.CellSpec{Workload: "gcc"}.Baseline()},
 		{args: []string{"-prefetch", "nextline"}, want: with(func(c *experiments.CellSpec) { c.Prefetch = "nextline" })},
@@ -128,8 +130,8 @@ func TestBuildConfig(t *testing.T) {
 			if err != nil {
 				t.Fatalf("cellFromFlags(%q): %v", tc.args, err)
 			}
-			if got != tc.want {
-				t.Fatalf("cellFromFlags(%q) =\n%+v\nwant\n%+v", tc.args, got, tc.want)
+			if got.Key() != tc.want.Key() {
+				t.Fatalf("cellFromFlags(%q) =\n%s\nwant\n%s", tc.args, got.Key(), tc.want.Key())
 			}
 		})
 	}

@@ -16,7 +16,6 @@ import (
 	"os"
 
 	"dice/internal/compress"
-	"dice/internal/trace"
 	"dice/internal/workloads"
 )
 
@@ -27,8 +26,6 @@ type cliFlags struct {
 	samples  *int
 	dump     *int
 	scale    *uint
-	save     *string
-	n        *int
 }
 
 // registerFlags declares the dicetrace flags on fs.
@@ -38,8 +35,6 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		samples:  fs.Int("samples", 4000, "lines sampled for compressibility"),
 		dump:     fs.Int("dump", 0, "dump the first N trace requests"),
 		scale:    fs.Uint("scale", 10, "system scale shift"),
-		save:     fs.String("save", "", "save the first -n requests to a binary trace file"),
-		n:        fs.Int("n", 200000, "requests captured with -save"),
 	}
 }
 
@@ -51,8 +46,6 @@ func main() {
 		samples  = o.samples
 		dump     = o.dump
 		scale    = o.scale
-		save     = o.save
-		n        = o.n
 	)
 
 	w, err := workloads.ByName(*workload)
@@ -67,22 +60,6 @@ func main() {
 		w.Name, w.Suite, in.FootprintLines,
 		float64(in.FootprintLines*64)/(1<<20), 1<<*scale)
 	fmt.Printf("L3 MPKI (Table 3): %.1f\n", in.MPKI)
-
-	if *save != "" {
-		reqs := trace.Generate(in.Gen, *n)
-		f, err := os.Create(*save)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := trace.Write(f, reqs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("saved %d requests to %s\n", len(reqs), *save)
-		return
-	}
 
 	if *dump > 0 {
 		for i := 0; i < *dump; i++ {

@@ -66,7 +66,7 @@ type axis struct {
 var axisTable = []axis{
 	{"policy", false, func(c *experiments.CellSpec, v string) error { c.Policy = v; return nil }},
 	{"org", false, func(c *experiments.CellSpec, v string) error { c.Org = v; return nil }},
-	{"threshold", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.Threshold, v, 0) }},
+	{"threshold", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.Threshold, v) }},
 	{"compress", false, func(c *experiments.CellSpec, v string) error { c.Compress = v; return nil }},
 	{"ber", false, func(c *experiments.CellSpec, v string) (err error) {
 		if c.BER, err = strconv.ParseFloat(v, 64); err != nil {
@@ -81,8 +81,8 @@ var axisTable = []axis{
 		return nil
 	}},
 	{"fault-policy", false, func(c *experiments.CellSpec, v string) error { c.FaultPolicy = v; return nil }},
-	{"capacity", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.Capacity, v, 1) }},
-	{"bw", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.BW, v, 1) }},
+	{"capacity", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.Capacity, v) }},
+	{"bw", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.BW, v) }},
 	{"latency", false, func(c *experiments.CellSpec, v string) error {
 		if v != "full" && v != "half" {
 			return fmt.Errorf("want full or half, got %q", v)
@@ -91,7 +91,7 @@ var axisTable = []axis{
 		return nil
 	}},
 	{"prefetch", false, func(c *experiments.CellSpec, v string) error { c.Prefetch = v; return nil }},
-	{"mlp", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.MLP, v, 1) }},
+	{"mlp", true, func(c *experiments.CellSpec, v string) error { return setInt(&c.MLP, v) }},
 	{"scale", true, func(c *experiments.CellSpec, v string) error {
 		n, err := strconv.ParseUint(v, 10, 8)
 		if err != nil {
@@ -102,14 +102,13 @@ var axisTable = []axis{
 	}},
 }
 
-// setInt parses an integer axis value no smaller than least. Capacity, bw
-// and mlp start at 1: their zero is the simulator default, which a
-// spec spells by leaving the axis out, so "0" would run the default
-// under a second cell key.
-func setInt(dst *int, v string, least int) error {
+// setInt parses an integer axis value. Bounds are checkValue's: a
+// negative capacity, bw, mlp or threshold fails sim.Config.Validate or
+// CellSpec.Config, and 0 or 1 for capacity names the same cell.
+func setInt(dst *int, v string) error {
 	n, err := strconv.Atoi(v)
-	if err != nil || n < least {
-		return fmt.Errorf("want an integer >= %d, got %q", least, v)
+	if err != nil {
+		return fmt.Errorf("want an integer, got %q", v)
 	}
 	*dst = n
 	return nil

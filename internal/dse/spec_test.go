@@ -33,16 +33,16 @@ func TestParseErrors(t *testing.T) {
 		{"bad fault policy", "workload = gcc\nfault-policy = parity\n", "policy"},
 		{"zero refs", "workload = gcc\nrefs = 0\n", "positive integer"},
 		{"multi-value refs", "workload = gcc\nrefs = 100 200\n", "takes one value"},
-		{"negative threshold", "workload = gcc\nthreshold = -1\n", "integer >= 0"},
+		{"negative threshold", "workload = gcc\nthreshold = -1\n", "threshold must be >= 0"},
 		{"threshold over line size", "workload = gcc\npolicy = dice\nthreshold = 24 100\n", "line 3: threshold: sim: Threshold 100"},
-		{"zero capacity", "workload = gcc\ncapacity = 0\n", "integer >= 1"},
+		{"negative capacity", "workload = gcc\ncapacity = -1\n", "CapacityMult -1 out of range"},
 		{"range bad bounds", "workload = gcc\nthreshold = 24..x\n", "integer bounds"},
 		{"range empty", "workload = gcc\nthreshold = 48..24\n", "lo > hi"},
 		{"range zero step", "workload = gcc\nthreshold = 24..48 step 0\n", "positive integer"},
 		{"range missing step value", "workload = gcc\nthreshold = 24..48 step\n", "needs a value"},
 		{"stray step", "workload = gcc\nmlp = 4 step 2\n", "must directly follow"},
 		{"range too wide", "workload = gcc\nthreshold = 0..1000000\n", "more than"},
-		{"range below axis min", "workload = gcc\ncapacity = 0..4\n", "integer >= 1"},
+		{"range below axis min", "workload = gcc\ncapacity = -1..4\n", "CapacityMult -1 out of range"},
 		{"range span overflows", "workload = gcc\nthreshold = -9223372036854775808..9223372036854775807\n", "more than"},
 		{"range step wraps", "workload = gcc\nthreshold = 9223372036854775800..9223372036854775807 step 4096\n", "Threshold 9223372036854775800"},
 		{"mlp past window bound", "workload = gcc\nmlp = 2000\n", "MLPWindow 2000"},
@@ -128,12 +128,14 @@ scale = 8..12 step 2
 		t.Fatal(err)
 	}
 	// axisValues lists one field's distinct values over the requested
-	// cells, in expansion order.
+	// cells, in expansion order. The spec sets no policy, so only the
+	// baselines Expand appends spell "base"; the threshold-36 cells are
+	// their own baselines but still requested.
 	axisValues := func(field func(experiments.CellSpec) int) []int {
 		var out []int
 		seen := map[int]bool{}
 		for _, c := range cells {
-			if v := field(c); !c.IsBaseline() && !seen[v] {
+			if v := field(c); c.Policy != "base" && !seen[v] {
 				seen[v] = true
 				out = append(out, v)
 			}
@@ -151,10 +153,42 @@ scale = 8..12 step 2
 	intsEq("bw", axisValues(func(c experiments.CellSpec) int { return c.BW }), 1, 3, 4)
 	intsEq("mlp", axisValues(func(c experiments.CellSpec) int { return c.MLP }), 1, 4, 7) // last value is the largest lo+k*N <= hi
 	intsEq("scale", axisValues(func(c experiments.CellSpec) int { return int(c.Scale) }), 8, 10, 12)
-	// 7 thresholds x 3^4 other-axis combinations, plus one baseline per
-	// combination of the four non-threshold axes.
-	if len(cells) != 7*81+81 {
-		t.Fatalf("expanded to %d cells, want %d", len(cells), 7*81+81)
+	// 7 thresholds x 3^4 other-axis combinations. The baseline of each
+	// combination of the four non-threshold axes is its threshold-36
+	// cell (policy "" is base, and 36 the default), so none is appended.
+	if len(cells) != 7*81 {
+		t.Fatalf("expanded to %d cells, want %d", len(cells), 7*81)
+	}
+	// dicesweep's "N baseline cells": those threshold-36 cells.
+	baselines := 0
+	for _, c := range cells {
+		if c.IsBaseline() {
+			baselines++
+			if c.Threshold != 36 {
+				t.Fatalf("baseline cell %s is not a threshold-36 cell", c.Key())
+			}
+		}
+	}
+	if baselines != 81 {
+		t.Fatalf("%d baseline cells, want 81", baselines)
+	}
+}
+
+// Axis values that spell a default name the same cell as leaving the
+// axis out: capacity 0 and 1, threshold 0 and 36 and mlp 6 expand to
+// one DICE cell, plus its baseline.
+func TestExpandCollapsesSpelledDefaults(t *testing.T) {
+	spec, err := Parse(strings.NewReader("workload = gcc\npolicy = dice\ncapacity = 0 1\nthreshold = 0 36\nmlp = 6\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := experiments.CellSpec{Workload: "gcc", Policy: "dice", Refs: spec.Refs}
+	if len(cells) != 2 || cells[0].Key() != want.Key() || cells[1].Key() != want.Baseline().Key() {
+		t.Fatalf("expanded to %d cells %v, want %s and its baseline", len(cells), cells, want.Key())
 	}
 }
 
@@ -285,16 +319,18 @@ scale = 11 10
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2^13 requested cells plus one baseline per combination of the six
-	// axes a baseline keeps (capacity, bw, latency, prefetch, mlp, scale).
-	if len(cells) != 8256 {
-		t.Fatalf("expanded to %d cells, want 8256", len(cells))
+	// 2^13 requested cells, of which the 4,096 at ber 0 are 1,024 cells:
+	// at ber 0 the four fault-seed x fault-policy spellings name one
+	// simulation. Plus one baseline per combination of the six axes a
+	// baseline keeps (capacity, bw, latency, prefetch, mlp, scale).
+	if len(cells) != 5184 {
+		t.Fatalf("expanded to %d cells, want 5184", len(cells))
 	}
 	h := sha256.New()
 	for _, c := range cells {
 		h.Write([]byte(c.Key() + "\n"))
 	}
-	const want = "7e5f78437cee0f28da134a68762400fa324b830f2491600d325ff9774d751ac6"
+	const want = "fabd0af9c2ea08bb82b872aef26d004d4458fc97fb0606934a83e90f5be5a585"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("expansion digest %s, want %s", got, want)
 	}

@@ -63,7 +63,7 @@ func TestFrontierByteEqualStreamVsPollOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st, err = c.Wait(context.Background(), st.ID, 5*time.Millisecond)
+			st, err = pollDone(context.Background(), c, st.ID, 5*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,6 +271,22 @@ func TestRestartRedeliveryNoDuplicateCells(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("cell %s replayed as %+v, want %+v", want.Key, got, want)
+		}
+	}
+}
+
+// pollDone polls job id's status every poll until the job is
+// terminal (or ctx ends) and returns that status.
+func pollDone(ctx context.Context, c *client.Client, id string, poll time.Duration) (serve.JobStatus, error) {
+	for {
+		st, err := c.Status(ctx, id)
+		if err != nil || st.State.Terminal() {
+			return st, err
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(poll):
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dice/internal/compress"
 	"dice/internal/dcache"
+	"dice/internal/fault"
 	"dice/internal/sim"
 	"dice/internal/workloads"
 )
@@ -17,7 +18,9 @@ import (
 // their cells as CellSpecs, the sweep engine (internal/dse) expands
 // specs into them, and the daemon's batch jobs carry them — so a cell
 // produces identical bytes no matter where it runs. Zero values mean
-// the simulator defaults, exactly as the dicesim flags do.
+// the simulator defaults, exactly as the dicesim flags do; a default
+// spelled out (Org "alloy", Threshold 36) names the same cell, because
+// Key and Config read the cell's normal form.
 type CellSpec struct {
 	// Workload names a cataloged workload (workloads.ByName).
 	Workload string `json:"workload"`
@@ -56,13 +59,16 @@ type CellSpec struct {
 	CIP int `json:"cip,omitempty"`
 }
 
-// Key is the cell's canonical identity: every field spelled in a
-// fixed order with canonical number formatting. It keys the runner's
-// memoization, the sweep engine's dedup and results log, and the
-// epoch-metrics exports, so "the same cell" means the same string
-// everywhere. CIP is appended only when set, so cells that leave it at
-// the default keep the keys they had before the field existed.
+// Key is the cell's identity: every field of its normal form (see
+// canonical) spelled in a fixed order with canonical number
+// formatting, so two spellings of one simulation share one key. It
+// keys the runner's memoization, the sweep engine's dedup and results
+// log, and the epoch-metrics exports, so "the same cell" means the
+// same string everywhere. CIP is appended only when set, so cells that
+// leave it at the default keep the keys they had before the field
+// existed.
 func (c CellSpec) Key() string {
+	c = c.canonical()
 	var b strings.Builder
 	b.Grow(96)
 	b.WriteString("w=")
@@ -111,12 +117,10 @@ func (c CellSpec) Key() string {
 // dice-ber0.003|libq). It omits Refs and Scale, so unlike Key it is
 // not an identity.
 func (c CellSpec) Label() string {
+	c = c.canonical()
 	var b strings.Builder
 	b.WriteString(c.Policy)
-	if c.Policy == "" {
-		b.WriteString("base")
-	}
-	if c.Org != "" && c.Org != "alloy" {
+	if c.Org != "" {
 		b.WriteString("-" + c.Org)
 	}
 	if c.Threshold != 0 {
@@ -150,10 +154,57 @@ func (c CellSpec) Label() string {
 	if c.MLP != 0 {
 		fmt.Fprintf(&b, "-mlp%d", c.MLP)
 	}
-	if c.BER != 0 || c.FaultPolicy != "" {
+	if c.BER != 0 {
 		fmt.Fprintf(&b, "-ber%g", c.BER)
 	}
 	return b.String() + "|" + c.Workload
+}
+
+// canonical returns the cell's normal form, the spelling Key writes:
+// Policy "" is "base"; an Org, Compress, Prefetch or FaultPolicy name
+// its package parser resolves to the default is ""; Threshold 36,
+// Capacity 1, BW 1, MLP 6 and CIP 2048 are 0; and at BER 0, where the
+// simulator builds no fault model, FaultSeed and FaultPolicy are
+// cleared. A name the parser rejects stays as written, so Validate
+// still reports it. Refs and Scale stay as written: their zero means
+// the runner's or the job's value (RunCells, withJob), not a fixed
+// default.
+func (c CellSpec) canonical() CellSpec {
+	if c.Policy == "" {
+		c.Policy = "base"
+	}
+	zeroIfDefault(&c.Org, dcache.ParseOrg)
+	zeroIfDefault(&c.Compress, compress.ParseAlg)
+	zeroIfDefault(&c.Prefetch, sim.ParsePrefetchMode)
+	zeroIfDefault(&c.FaultPolicy, fault.ParsePolicy)
+	if c.BER == 0 {
+		c.BER, c.FaultSeed = 0, 0 // a BER of -0 keys as 0
+		if _, err := fault.ParsePolicy(c.FaultPolicy); err == nil {
+			c.FaultPolicy = ""
+		}
+	}
+	zeroIf(&c.Threshold, dcache.DefaultThreshold)
+	zeroIf(&c.Capacity, 1)
+	zeroIf(&c.BW, 1)
+	zeroIf(&c.MLP, sim.DefaultMLPWindow)
+	zeroIf(&c.CIP, dcache.DefaultCIPEntries)
+	return c
+}
+
+// zeroIfDefault clears *name when parse resolves it to the value it
+// gives "", the package default.
+func zeroIfDefault[T comparable](name *string, parse func(string) (T, error)) {
+	def, _ := parse("")
+	if v, err := parse(*name); err == nil && v == def {
+		*name = ""
+	}
+}
+
+// zeroIf clears *n when it spells the default def.
+func zeroIf(n *int, def int) {
+	if *n == def {
+		*n = 0
+	}
 }
 
 // Validate rejects cells the simulator could only fail on mid-run:
@@ -184,20 +235,18 @@ func (c CellSpec) resolve(defaultRefs int) (sim.Config, workloads.Workload, erro
 	return cfg, w, err
 }
 
-// Config materializes the cell as a sim.Config, resolving a zero Refs
+// Config materializes the cell's normal form (see canonical) as a
+// sim.Config, so synonymous cells give one config, resolving a zero Refs
 // to defaultRefs (the runner's budget; the sweep engine always sets
 // Refs explicitly so keys stay portable across daemons). It rejects
 // names outside the CLI vocabulary and a negative threshold (the wire
 // form has no spelling for dcache's always-TSI -1).
 func (c CellSpec) Config(defaultRefs int) (sim.Config, error) {
+	c = c.canonical()
 	if c.Threshold < 0 {
 		return sim.Config{}, fmt.Errorf("threshold must be >= 0, got %d", c.Threshold)
 	}
-	policy := c.Policy
-	if policy == "" {
-		policy = "base"
-	}
-	pol, err := dcache.ParsePolicy(policy)
+	pol, err := dcache.ParsePolicy(c.Policy)
 	if err != nil {
 		return sim.Config{}, err
 	}
@@ -255,8 +304,9 @@ func (c CellSpec) Baseline() CellSpec {
 	}
 }
 
-// IsBaseline reports whether the cell is its own normalization point.
-func (c CellSpec) IsBaseline() bool { return c == c.Baseline() }
+// IsBaseline reports whether the cell is its own normalization point:
+// it and its baseline are one simulation, however either is spelled.
+func (c CellSpec) IsBaseline() bool { return c.Key() == c.Baseline().Key() }
 
 // withJob rewrites a declared cell with a job's run-wide settings —
 // the one place dicebench's -scale/-fault-* flags and a daemon

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dice/internal/sim"
 )
 
 // The fault sweep must be reproducible at any worker count: the fault
@@ -18,18 +20,37 @@ func TestFaultSweepDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // BER=0 must be bit-identical to a run with fault injection absent —
-// the guarantee that keeps the existing goldens stable.
+// the guarantee that keeps the existing goldens stable, and the reason
+// CellSpec's normal form clears FaultSeed and FaultPolicy at BER 0. The
+// fault fields go onto the sim.Config directly, past the normal form,
+// so what ignores them is the simulator: the fault sweep's own
+// spelling and seed 1 with policy none alike.
 func TestFaultSweepZeroBERMatchesCleanRun(t *testing.T) {
-	r := detRunner(4)
-	w := detWorkloads(t)[0]
-	clean := runOne(r, at(dice, w))
-	zero := runOne(r, at(faultDesign(dice, 0), w))
-	// The configs differ only in inert fault fields; scrub those before
-	// comparing so any behavioral difference stands out alone.
-	zero.Config.FaultPolicy = clean.Config.FaultPolicy
-	zero.Config.FaultSeed = clean.Config.FaultSeed
-	if !reflect.DeepEqual(clean, zero) {
-		t.Fatalf("BER=0 result differs from fault-free run:\n%+v\nvs\n%+v", clean, zero)
+	cfg, w, err := at(dice, detWorkloads(t)[0]).resolve(4_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := sim.Run(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct {
+		seed   uint64
+		policy string
+	}{{faultSweepSeed, "ecc+quarantine"}, {1, "none"}} {
+		zcfg := cfg
+		zcfg.FaultSeed, zcfg.FaultPolicy = f.seed, f.policy
+		zero, err := sim.Run(zcfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The configs differ only in the inert fault fields; scrub those
+		// before comparing so any behavioral difference stands out alone.
+		zero.Config = clean.Config
+		if !reflect.DeepEqual(clean, zero) {
+			t.Fatalf("BER=0 seed %d policy %s differs from the fault-free run:\n%+v\nvs\n%+v",
+				f.seed, f.policy, clean, zero)
+		}
 	}
 }
 

@@ -117,30 +117,6 @@ func (c *Client) Health(ctx context.Context) (serve.Health, error) {
 	return h, err
 }
 
-// Wait polls a job until it reaches a terminal state (or ctx ends),
-// returning the final status. poll <= 0 defaults to 50ms.
-func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve.JobStatus, error) {
-	if poll <= 0 {
-		poll = 50 * time.Millisecond
-	}
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return st, err
-		}
-		if st.State.Terminal() {
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-ticker.C:
-		}
-	}
-}
-
 // retry runs one call with jittered exponential backoff. Permanent
 // errors (4xx other than 429) and context cancellation end the loop
 // immediately; everything else retries up to MaxAttempts.

@@ -162,25 +162,3 @@ func TestBackoffBoundsAndDeterminism(t *testing.T) {
 		}
 	}
 }
-
-// Wait polls through non-terminal states and returns the terminal one.
-func TestWaitPollsToTerminal(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		st := serve.JobStatus{ID: "j1", State: serve.StateRunning}
-		if calls.Add(1) >= 3 {
-			st.State = serve.StateDone
-			st.Output = "final"
-		}
-		writeStatus(w, http.StatusOK, st)
-	}))
-	defer ts.Close()
-
-	st, err := newTestClient(ts).Wait(context.Background(), "j1", time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != serve.StateDone || st.Output != "final" || calls.Load() < 3 {
-		t.Fatalf("wait returned %+v after %d polls", st, calls.Load())
-	}
-}

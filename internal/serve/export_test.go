@@ -17,13 +17,6 @@ func SetExecuteForTest(d *Daemon, fn func(ctx context.Context, spec JobSpec, emi
 	d.execute = fn
 }
 
-// NoGroupCommitForTest returns cfg with the journal in the
-// fsync-per-append reference discipline (commitlog.OpenForTest),
-// the baseline the bench-smoke group-commit guard measures against.
-func NoGroupCommitForTest(cfg Config) Config {
-	return FixedSyncForTest(cfg, true, 0)
-}
-
 // FixedSyncForTest returns cfg with every journal fsync padded to take
 // d (commitlog.OpenForTest), in the group-commit discipline or, with
 // noGroupCommit, the fsync-per-append reference one — so the

@@ -181,7 +181,7 @@ func TestSoakConcurrentSubmissions(t *testing.T) {
 			st, err := c.Submit(ctx, specFor(i))
 			submitLat.Observe(time.Since(t0))
 			if err == nil {
-				st, err = c.Wait(ctx, st.ID, poll)
+				st, err = pollDone(ctx, c, st.ID, poll)
 			}
 			results <- result{i, st, err}
 		}(i)
@@ -201,7 +201,7 @@ func TestSoakConcurrentSubmissions(t *testing.T) {
 	close(results)
 
 	for i, id := range prefillIDs {
-		st, err := prefill.Wait(ctx, id, 10*time.Millisecond)
+		st, err := pollDone(ctx, prefill, id, 10*time.Millisecond)
 		if err != nil {
 			t.Fatalf("prefill job %d: %v", i, err)
 		}
@@ -378,5 +378,21 @@ func TestInMemoryDaemonNoJournal(t *testing.T) {
 			t.Fatal(fmt.Sprintf("in-memory job stuck in %s", got.State))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// pollDone polls job id's status every poll until the job is
+// terminal (or ctx ends) and returns that status.
+func pollDone(ctx context.Context, c *client.Client, id string, poll time.Duration) (serve.JobStatus, error) {
+	for {
+		st, err := c.Status(ctx, id)
+		if err != nil || st.State.Terminal() {
+			return st, err
+		}
+		select {
+		case <-ctx.Done():
+			return st, ctx.Err()
+		case <-time.After(poll):
+		}
 	}
 }

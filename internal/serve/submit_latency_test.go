@@ -28,31 +28,23 @@ const submitConcurrency = 32
 // HTTP POST through the retrying client, spec validation, journal
 // append, queue insert, response — as a latency distribution over n
 // submissions issued by `concurrency` goroutines against an in-process
-// daemon on a real socket. The journal runs in the shipped group-commit
-// discipline or in the fsync-per-append reference discipline
-// (noGroupCommit), and the journal's group-commit counters are
-// returned so a guard can assert the batching actually happened. The
-// queue is sized to hold every submission so no sample is inflated by
-// 429 backpressure retries; the jobs themselves are tiny single-cell
-// sims that are cancelled before shutdown.
-func measureSubmitLatency(t *testing.T, n, concurrency int, noGroupCommit bool) (latencySummary, *commitlog.Stats) {
+// daemon on a real socket. journal, when non-nil, reconfigures the
+// daemon's journal (a fixed sync cost, the fsync-per-append reference
+// discipline); the journal's group-commit counters are returned so a
+// guard can assert the batching actually happened. The queue is sized
+// to hold every submission so no sample is inflated by 429
+// backpressure retries; the jobs themselves are tiny single-cell sims
+// that are cancelled before shutdown.
+func measureSubmitLatency(t *testing.T, n, concurrency int, journal func(serve.Config) serve.Config) (latencySummary, *commitlog.Stats) {
 	t.Helper()
-	journal := func(cfg serve.Config) serve.Config { return cfg }
-	if noGroupCommit {
-		journal = serve.NoGroupCommitForTest
-	}
-	return measureSubmitLatencyWith(t, n, concurrency, journal)
-}
-
-// measureSubmitLatencyWith is measureSubmitLatency with the daemon's
-// journal configured by journal.
-func measureSubmitLatencyWith(t *testing.T, n, concurrency int, journal func(serve.Config) serve.Config) (latencySummary, *commitlog.Stats) {
-	t.Helper()
-	cfg := journal(serve.Config{
+	cfg := serve.Config{
 		JournalPath: filepath.Join(t.TempDir(), "bench.journal"),
 		QueueCap:    n + 16,
 		JobWorkers:  2,
-	})
+	}
+	if journal != nil {
+		cfg = journal(cfg)
+	}
 	d, _, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +125,7 @@ func measureSubmitLatencyWith(t *testing.T, n, concurrency int, journal func(ser
 // broken daemon path or quantile extraction without being a
 // performance assertion.
 func TestSubmitLatencyEntry(t *testing.T) {
-	s, _ := measureSubmitLatency(t, 32, 1, false)
+	s, _ := measureSubmitLatency(t, 32, 1, nil)
 	if s.Count != 32 {
 		t.Fatalf("measured %d samples, want 32", s.Count)
 	}
@@ -145,55 +137,22 @@ func TestSubmitLatencyEntry(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSubmitGuard is the bench-smoke regression guard for
-// the group-commit journal (DICE_SMOKE=1 gates the wall-clock
-// assertion out of plain `go test ./...`): under concurrent submission
-// load on the same machine, the batched journal must beat the
-// fsync-per-append reference discipline at p99 by at least the 1.05x
-// smoke floor, and the journal counters must prove the batching
-// structurally — materially fewer syncs than appends, with at least
-// one multi-record batch — while the reference mode pays exactly one
-// sync per append.
-func TestGroupCommitSubmitGuard(t *testing.T) {
-	if os.Getenv("DICE_SMOKE") == "" {
-		t.Skip("set DICE_SMOKE=1 (make bench-smoke) to run the group-commit regression guard")
-	}
-	const n = 256
-	batched, bstats := measureSubmitLatency(t, n, submitConcurrency, false)
-	reference, rstats := measureSubmitLatency(t, n, submitConcurrency, true)
-	if bstats == nil || rstats == nil {
-		t.Fatal("journal stats missing from /healthz")
-	}
-	t.Logf("batched:   p50 %v p99 %v (%d appends, %d syncs, max batch %d)",
-		batched.P50, batched.P99, bstats.Appends, bstats.Syncs, bstats.MaxBatchRecords)
-	t.Logf("reference: p50 %v p99 %v (%d appends, %d syncs)",
-		reference.P50, reference.P99, rstats.Appends, rstats.Syncs)
-
-	if rstats.Syncs != rstats.Appends {
-		t.Fatalf("reference mode must sync per append: %d syncs for %d appends", rstats.Syncs, rstats.Appends)
-	}
-	if bstats.Syncs*2 > bstats.Appends || bstats.MaxBatchRecords < 2 {
-		t.Fatalf("group commit did not batch: %d syncs for %d appends, max batch %d",
-			bstats.Syncs, bstats.Appends, bstats.MaxBatchRecords)
-	}
-	const floor = 1.05
-	if float64(reference.P99) < float64(batched.P99)*floor {
-		t.Fatalf("batched submit p99 %v does not beat fsync-per-append p99 %v by the %.2fx smoke floor",
-			batched.P99, reference.P99, floor)
-	}
-}
-
 // guardSyncCost is the fixed journal fsync cost the fixed-sync guard
 // runs both disciplines at.
 const guardSyncCost = 2 * time.Millisecond
 
-// TestGroupCommitFixedSyncGuard is TestGroupCommitSubmitGuard with every
-// journal fsync taking a fixed 2ms in both disciplines (DICE_SMOKE=1
-// gates it like its sibling). Where fsync is nearly free the batched
-// and per-append journals differ by scheduler noise, so the unpadded
-// guard flakes; at a known sync cost, 32 clients queueing behind
-// per-append fsyncs wait for their predecessors' syncs, while batched
-// submits share one. Same n, concurrency, p99 floor and counter checks.
+// TestGroupCommitFixedSyncGuard is the bench-smoke regression guard for
+// the group-commit journal (DICE_SMOKE=1 gates the wall-clock
+// assertion out of plain `go test ./...`). Every journal fsync takes a
+// fixed 2ms in both disciplines: where fsync is nearly free the batched
+// and per-append journals differ by scheduler noise, but at a known
+// sync cost, 32 clients queueing behind per-append fsyncs wait for
+// their predecessors' syncs, while batched submits share one. The
+// batched journal must beat the fsync-per-append reference at p99 by
+// at least the 1.05x smoke floor, and the journal counters must prove
+// the batching structurally — materially fewer syncs than appends,
+// with at least one multi-record batch — while the reference mode pays
+// exactly one sync per append.
 func TestGroupCommitFixedSyncGuard(t *testing.T) {
 	if os.Getenv("DICE_SMOKE") == "" {
 		t.Skip("set DICE_SMOKE=1 (make bench-smoke) to run the group-commit regression guard")
@@ -204,8 +163,8 @@ func TestGroupCommitFixedSyncGuard(t *testing.T) {
 			return serve.FixedSyncForTest(cfg, noGroupCommit, guardSyncCost)
 		}
 	}
-	batched, bstats := measureSubmitLatencyWith(t, n, submitConcurrency, fixed(false))
-	reference, rstats := measureSubmitLatencyWith(t, n, submitConcurrency, fixed(true))
+	batched, bstats := measureSubmitLatency(t, n, submitConcurrency, fixed(false))
+	reference, rstats := measureSubmitLatency(t, n, submitConcurrency, fixed(true))
 	if bstats == nil || rstats == nil {
 		t.Fatal("journal stats missing from /healthz")
 	}

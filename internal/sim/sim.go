@@ -74,7 +74,7 @@ type Config struct {
 	FaultPolicy string
 
 	// MLPWindow is the per-core outstanding-reference window (models
-	// out-of-order memory-level parallelism). Default 6.
+	// out-of-order memory-level parallelism); 0 selects DefaultMLPWindow.
 	MLPWindow int
 	// RefsPerCore is the measured reference count per core; 0 sizes it
 	// from the workload footprint. Each core first runs warmupFrac as
@@ -88,6 +88,10 @@ type Config struct {
 // dicebench defaults to 60,000; past the bound, warm-up plus measured
 // references overflow and a run returns nonsense cycles and IPCs.
 const maxRefsPerCore = 1 << 30
+
+// DefaultMLPWindow is the per-core outstanding-reference window a zero
+// Config.MLPWindow selects.
+const DefaultMLPWindow = 6
 
 // maxMLPWindow bounds the per-core outstanding-reference window. Each
 // core preallocates its window, so an unbounded value is an allocation
@@ -137,7 +141,7 @@ func (c *Config) setDefaults() {
 		c.BWMult = 1
 	}
 	if c.MLPWindow == 0 {
-		c.MLPWindow = 6
+		c.MLPWindow = DefaultMLPWindow
 	}
 }
 
@@ -160,7 +164,7 @@ func (c Config) Validate() error {
 	case c.RefsPerCore > maxRefsPerCore:
 		return fmt.Errorf("sim: RefsPerCore %d exceeds %d", c.RefsPerCore, maxRefsPerCore)
 	case c.MLPWindow < 0:
-		return fmt.Errorf("sim: MLPWindow %d is negative (mlp window; 0 = default 6)", c.MLPWindow)
+		return fmt.Errorf("sim: MLPWindow %d is negative (mlp window; 0 = default %d)", c.MLPWindow, DefaultMLPWindow)
 	case c.MLPWindow > maxMLPWindow:
 		return fmt.Errorf("sim: MLPWindow %d exceeds %d", c.MLPWindow, maxMLPWindow)
 	case c.CIPEntries < 0 || c.CIPEntries&(c.CIPEntries-1) != 0:
