@@ -41,8 +41,9 @@ test-race:
 
 # Short fuzz pass over the validated-decompress boundary, the
 # event-vs-cycle simulation core equality oracle, the DRAM cache's
-# occupancy-counter oracle and the sweep-spec parser (go's fuzzer
-# accepts one target per invocation). The parser's new inputs are
+# occupancy-counter oracle, the sweep-spec parser and the commit log's
+# replay of arbitrary file bytes (go's fuzzer accepts one target per
+# invocation). The parser's new inputs are
 # minimized for at most 5s each so minimization cannot eat its budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecompressChecked$$' -fuzztime=30s ./internal/compress
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzEventSchedule$$' -fuzztime=30s ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheOccupancy$$' -fuzztime=30s ./internal/dcache
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/dse
+	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=30s ./internal/commitlog
 
 # Per-layer microbenchmarks: every `go test -bench` benchmark in the
 # module — the paper tables/figures in bench_test.go plus the compress,

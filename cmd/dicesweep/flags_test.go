@@ -30,8 +30,10 @@ func TestFlagDocsCurrent(t *testing.T) {
 
 // TestValidateFlags pins the parse-time rejection of flag values the
 // flag types allow but the sweep cannot use: a negative -workers used
-// to mean "one per CPU" silently, and a negative -batch or
-// -shard-deadline failed every sharded job at the daemon.
+// to mean "one per CPU" silently, a negative -batch or -shard-deadline
+// failed every sharded job at the daemon, and a zero -metrics-epoch
+// names no epoch length. -metrics-out alone records at the default
+// epoch, as in dicebench and dicesim.
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -45,8 +47,9 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative workers", args: []string{"-workers", "-3"}, wantErr: "-workers"},
 		{name: "negative batch", args: []string{"-batch", "-1"}, wantErr: "-batch"},
 		{name: "negative shard deadline", args: []string{"-shard-deadline", "-1s"}, wantErr: "-shard-deadline"},
-		{name: "metrics epoch alone", args: []string{"-metrics-epoch", "500"}, wantErr: "-metrics-epoch"},
-		{name: "metrics out alone", args: []string{"-metrics-out", "e.ndjson"}, wantErr: "-metrics-out"},
+		{name: "metrics epoch alone", args: []string{"-metrics-epoch", "500"}},
+		{name: "metrics out alone", args: []string{"-metrics-out", "e.ndjson"}},
+		{name: "zero metrics epoch", args: []string{"-metrics-epoch", "0"}, wantErr: "-metrics-epoch"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -64,8 +64,8 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		daemons:       fs.String("daemons", "", "comma-separated dicebenchd base URLs to shard across ('' = run in-process)"),
 		batch:         fs.Int("batch", 0, "cells per daemon job (0 = 256)"),
 		shardDeadline: fs.Duration("shard-deadline", 0, "per-job deadline daemons enforce (0 = none)"),
-		metricsEpoch:  fs.Uint64("metrics-epoch", 0, "emit per-epoch metric snapshots every N simulated cycles (0 = off; requires -metrics-out)"),
-		metricsOut:    fs.String("metrics-out", "", "append streamed epoch snapshots to this NDJSON file (requires -metrics-epoch)"),
+		metricsEpoch:  fs.Uint64("metrics-epoch", 100_000, "epoch length in simulated cycles for -metrics-out"),
+		metricsOut:    fs.String("metrics-out", "", "append streamed epoch snapshots to this NDJSON file"),
 		out:           fs.String("out", "frontier", "frontier export path prefix (writes <out>.csv and <out>.json)"),
 		dryRun:        fs.Bool("dry-run", false, "expand the spec, print the cell census, and exit without simulating"),
 		verbose:       fs.Bool("v", false, "print progress lines"),
@@ -205,10 +205,11 @@ func run(opts *cliFlags) error {
 
 // validateFlags rejects, at parse time, flag values the flag types
 // allow but the sweep cannot use. A negative -workers would otherwise
-// silently mean "one per CPU" locally, and a negative -batch or
+// silently mean "one per CPU" locally, a negative -batch or
 // -shard-deadline would make every sharded job fail the daemon's
 // validation, after which the sweep advises a -resume that fails the
-// same way.
+// same way, and a zero -metrics-epoch names no epoch length. As in
+// dicebench and dicesim, -metrics-out alone turns recording on.
 func validateFlags(opts *cliFlags) error {
 	switch {
 	case *opts.workers < 0:
@@ -217,8 +218,8 @@ func validateFlags(opts *cliFlags) error {
 		return fmt.Errorf("dicesweep: -batch must be >= 0 (0 = %d), got %d", dse.DefaultBatch, *opts.batch)
 	case *opts.shardDeadline < 0:
 		return fmt.Errorf("dicesweep: -shard-deadline must be >= 0 (0 = none), got %v", *opts.shardDeadline)
-	case (*opts.metricsEpoch > 0) != (*opts.metricsOut != ""):
-		return fmt.Errorf("dicesweep: -metrics-epoch and -metrics-out must be set together")
+	case *opts.metricsEpoch == 0:
+		return fmt.Errorf("dicesweep: -metrics-epoch must be a positive cycle count, got 0")
 	}
 	return nil
 }

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"dice/internal/compress"
 	"dice/internal/workloads"
 )
 
@@ -63,10 +62,7 @@ func main() {
 
 	if *dump > 0 {
 		for i := 0; i < *dump; i++ {
-			r, ok := in.Gen.Next()
-			if !ok {
-				break
-			}
+			r := in.Gen.Next()
 			op := "R"
 			if r.Write {
 				op = "W"
@@ -81,10 +77,7 @@ func main() {
 	var writes, adjacent int
 	var prev uint64
 	for i := 0; i < window; i++ {
-		r, ok := in.Gen.Next()
-		if !ok {
-			break
-		}
+		r := in.Gen.Next()
 		if r.Write {
 			writes++
 		}
@@ -97,30 +90,9 @@ func main() {
 		float64(writes)/window, float64(adjacent)/window)
 
 	// Compressibility (Figure 4 bars).
-	span := in.FootprintLines
-	step := span/uint64(*samples) + 1
-	var le32, le36, sampled, pairs, pair68 int
-	var a, b [compress.LineSize]byte
-	for line := uint64(0); line < span; line += step {
-		in.Fill(line, a[:])
-		sz := compress.CompressedSize(a[:])
-		sampled++
-		if sz <= 32 {
-			le32++
-		}
-		if sz <= 36 {
-			le36++
-		}
-		if line%2 == 0 && line+1 < span {
-			pairs++
-			in.Fill(line+1, b[:])
-			if compress.PairSize(a[:], b[:]) <= 68 {
-				pair68++
-			}
-		}
-	}
-	fmt.Printf("compressibility over %d sampled lines (Fig 4):\n", sampled)
-	fmt.Printf("  single <= 32B: %5.1f%%\n", 100*float64(le32)/float64(sampled))
-	fmt.Printf("  single <= 36B: %5.1f%%\n", 100*float64(le36)/float64(sampled))
-	fmt.Printf("  double <= 68B: %5.1f%%\n", 100*float64(pair68)/float64(pairs))
+	c := in.Compressibility(*samples)
+	fmt.Printf("compressibility over %d sampled lines (Fig 4):\n", c.Lines)
+	fmt.Printf("  single <= 32B: %5.1f%%\n", 100*float64(c.Le32)/float64(c.Lines))
+	fmt.Printf("  single <= 36B: %5.1f%%\n", 100*float64(c.Le36)/float64(c.Lines))
+	fmt.Printf("  double <= 68B: %5.1f%%\n", 100*float64(c.Pair68)/float64(c.Pairs))
 }

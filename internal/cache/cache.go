@@ -192,18 +192,6 @@ func (c *Cache) Install(line uint64, dirty bool) (Victim, bool) {
 	return v, evicted
 }
 
-// Invalidate removes a line if present, returning whether it was dirty.
-func (c *Cache) Invalidate(line uint64) (dirty, present bool) {
-	if i := c.probe(line); i >= 0 {
-		dirty = c.dirty[i]
-		c.tags[i] = 0
-		c.used[i] = 0
-		c.dirty[i] = false
-		return dirty, true
-	}
-	return false, false
-}
-
 // OccupiedLines returns the number of valid lines (for capacity reports).
 func (c *Cache) OccupiedLines() int {
 	n := 0

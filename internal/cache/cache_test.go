@@ -90,26 +90,17 @@ func TestWriteHitMarksDirty(t *testing.T) {
 
 func TestReinstallRefreshesAndMergesDirty(t *testing.T) {
 	c := smallCache()
+	sets := uint64(c.Sets())
 	c.Install(7, false)
 	if v, evicted := c.Install(7, true); evicted {
 		t.Fatalf("reinstall must not evict, got %+v", v)
 	}
-	if d, ok := c.Invalidate(7); !ok || !d {
+	// Evict it and check the writeback.
+	for i := uint64(1); i <= 4; i++ {
+		c.Install(7+i*sets, false)
+	}
+	if c.Stats().Writebacks != 1 {
 		t.Fatal("reinstall should have merged dirty=true")
-	}
-}
-
-func TestInvalidate(t *testing.T) {
-	c := smallCache()
-	c.Install(42, true)
-	if d, ok := c.Invalidate(42); !ok || !d {
-		t.Fatal("invalidate should find dirty line")
-	}
-	if _, ok := c.Invalidate(42); ok {
-		t.Fatal("double invalidate should miss")
-	}
-	if c.Lookup(42, false) {
-		t.Fatal("invalidated line must miss")
 	}
 }
 

@@ -271,15 +271,24 @@ func Frame(payload []byte) []byte {
 }
 
 // ParseFrame validates one framed line (without its trailing newline)
-// and returns the payload; ok is false on any framing or checksum
-// violation — the reader's signal that the trusted prefix ends here.
+// and returns the payload; ok is false unless the line is exactly what
+// Frame writes for that payload (eight lowercase hex digits of its
+// CRC-32C, a space, the payload) — the reader's signal that the
+// trusted prefix ends here.
 func ParseFrame(line []byte) ([]byte, bool) {
-	if len(line) < 10 || line[8] != ' ' {
+	if len(line) < 9 || line[8] != ' ' {
 		return nil, false
 	}
 	var want uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-		return nil, false
+	for _, c := range line[:8] {
+		switch {
+		case '0' <= c && c <= '9':
+			want = want<<4 | uint32(c-'0')
+		case 'a' <= c && c <= 'f':
+			want = want<<4 | uint32(c-'a'+10)
+		default:
+			return nil, false
+		}
 	}
 	payload := line[9:]
 	if crc32.Checksum(payload, crcTable) != want {

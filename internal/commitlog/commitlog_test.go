@@ -1,10 +1,12 @@
 package commitlog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,31 +30,33 @@ func collect(t *testing.T, path string) (*Log, []string, Replay) {
 }
 
 // Appended payloads replay intact, in file order, across close/reopen.
+// That includes an empty payload, whose frame ParseFrame once rejected
+// as too short, dropping it and every acknowledged record after it.
 func TestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, _, err := Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{`{"a":1}`, `{"b":2}`, `{"c":3}`}
+	want := []string{`{"a":1}`, `{"b":2}`, ``, `{"c":3}`}
 	for _, p := range want {
 		if err := l.Append([]byte(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	st := l.Stats()
-	if st.Appends != 3 {
-		t.Fatalf("Appends = %d, want 3", st.Appends)
+	if st.Appends != 4 {
+		t.Fatalf("Appends = %d, want 4", st.Appends)
 	}
-	if st.Syncs == 0 || st.Syncs > 3 {
-		t.Fatalf("Syncs = %d, want 1..3", st.Syncs)
+	if st.Syncs == 0 || st.Syncs > 4 {
+		t.Fatalf("Syncs = %d, want 1..4", st.Syncs)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 	l2, got, rep := collect(t, path)
 	defer l2.Close()
-	if rep.TruncatedBytes != 0 || rep.Records != 3 {
+	if rep.TruncatedBytes != 0 || rep.Records != 4 {
 		t.Fatalf("replay = %+v", rep)
 	}
 	if strings.Join(got, "|") != strings.Join(want, "|") {
@@ -96,8 +100,10 @@ func TestTornTailTruncation(t *testing.T) {
 	}
 }
 
-// A CRC-corrupt line mid-file — or a CRC-valid payload the caller's
-// apply rejects — ends the trusted prefix.
+// A middle line that is not exactly what Frame writes — a CRC
+// mismatch, or a matching CRC spelled in a way Frame never spells it —
+// or a CRC-valid payload the caller's apply rejects ends the trusted
+// prefix.
 func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
 	l, _, err := Open(path, nil)
@@ -110,21 +116,47 @@ func TestCorruptAndRejectedLinesEndPrefix(t *testing.T) {
 		}
 	}
 	l.Close()
-
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.SplitAfter(string(data), "\n")
-	mid := []byte(lines[1])
-	mid[len(mid)/2] ^= 0x01
-	if err := os.WriteFile(path, []byte(lines[0]+string(mid)+lines[2]), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2, got, rep := collect(t, path)
-	l2.Close()
-	if len(got) != 1 || rep.TruncatedBytes == 0 {
-		t.Fatalf("corrupt-middle replay kept %v (%+v)", got, rep)
+
+	for _, tc := range []struct {
+		name   string
+		mangle func(t *testing.T, mid []byte) []byte
+	}{
+		{"crc mismatch", func(_ *testing.T, mid []byte) []byte {
+			mid[len(mid)/2] ^= 0x01
+			return mid
+		}},
+		// ParseFrame once read the CRC with Sscanf("%08x"), which also
+		// took upper-case digits (found by FuzzReplay) and leading
+		// spaces in place of zeros.
+		{"upper-case crc", func(_ *testing.T, mid []byte) []byte {
+			return append([]byte(strings.ToUpper(string(mid[:8]))), mid[8:]...)
+		}},
+		{"space-padded crc", func(t *testing.T, _ []byte) []byte {
+			// {"n":14}'s CRC-32C has a leading zero digit.
+			f := Frame([]byte(`{"n":14}`))
+			if f[0] != '0' {
+				t.Fatalf("frame %q has no leading zero", f)
+			}
+			f[0] = ' '
+			return f
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mid := tc.mangle(t, []byte(lines[1]))
+			if err := os.WriteFile(path, []byte(lines[0]+string(mid)+lines[2]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l2, got, rep := collect(t, path)
+			l2.Close()
+			if len(got) != 1 || rep.TruncatedBytes != int64(len(mid)+len(lines[2])) {
+				t.Fatalf("replay kept %v (%+v)", got, rep)
+			}
+		})
 	}
 
 	// Rebuild a clean 3-record file, then reject the second payload
@@ -507,4 +539,59 @@ func BenchmarkAppend(b *testing.B) {
 			}
 		})
 	}
+}
+
+// FuzzReplay feeds Open arbitrary file bytes. Open must not panic; it
+// must replay exactly the longest prefix of lines that are each a
+// complete frame as Frame writes it, truncate the file to that prefix
+// (TruncatedBytes counting the rest), and leave a log that an Append
+// extends: after close and reopen the file replays prefix + record.
+func FuzzReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// The oracle: split into newline-terminated lines and keep them
+		// while each re-frames to itself.
+		var want []string
+		var prefix int
+		for rest := data; ; {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 9 || !bytes.Equal(Frame(rest[9:i]), rest[:i+1]) {
+				break
+			}
+			want = append(want, string(rest[9:i]))
+			prefix += i + 1
+			rest = rest[i+1:]
+		}
+
+		path := filepath.Join(t.TempDir(), "log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, got, rep := collect(t, path)
+		if !slices.Equal(got, want) || rep.Records != len(want) {
+			l.Close()
+			t.Fatalf("replayed %q (%+v), want %q", got, rep, want)
+		}
+		if rep.TruncatedBytes != int64(len(data)-prefix) {
+			l.Close()
+			t.Fatalf("TruncatedBytes = %d, want %d", rep.TruncatedBytes, len(data)-prefix)
+		}
+		if fi, err := os.Stat(path); err != nil || fi.Size() != int64(prefix) {
+			l.Close()
+			t.Fatalf("file not truncated to the %d-byte prefix: %v, %v", prefix, fi, err)
+		}
+
+		const record = `{"fuzz":1}`
+		if err := l.Append([]byte(record)); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, got2, rep2 := collect(t, path)
+		defer l2.Close()
+		want = append(want, record)
+		if !slices.Equal(got2, want) || rep2.TruncatedBytes != 0 {
+			t.Fatalf("after Append replayed %q (%+v), want %q", got2, rep2, want)
+		}
+	})
 }

@@ -7,10 +7,7 @@
 // format stores and what the DICE insertion threshold tests against.
 package compress
 
-import (
-	"bytes"
-	"fmt"
-)
+import "fmt"
 
 // LineSize is the cache-line size in bytes used throughout the system.
 const LineSize = 64
@@ -116,6 +113,3 @@ func mustLine(line []byte) {
 		panic(fmt.Sprintf("compress: line must be %d bytes, got %d", LineSize, len(line)))
 	}
 }
-
-// equalLines reports whether two lines hold identical bytes.
-func equalLines(a, b []byte) bool { return bytes.Equal(a, b) }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"dice/internal/compress"
 	"dice/internal/sim"
 	"dice/internal/stats"
 	"dice/internal/workloads"
@@ -120,41 +119,16 @@ func Fig04Compressibility(Results) *Report {
 	const samples = 4000
 	for _, w := range workloads.All26() {
 		insts := w.Build(10)
-		var le32, le36, pair68, n, pairs int
-		var a, b [compress.LineSize]byte
+		var c workloads.Compressibility
 		for ci := 0; ci < len(insts); ci += 4 { // sample a few cores
-			in := insts[ci]
-			span := in.FootprintLines
-			if span == 0 {
-				continue
-			}
-			step := span/samples + 1
-			for line := uint64(0); line < span; line += step {
-				in.Fill(line, a[:])
-				sz := compress.CompressedSize(a[:])
-				n++
-				if sz <= 32 {
-					le32++
-				}
-				if sz <= 36 {
-					le36++
-				}
-				if line%2 == 0 && line+1 < span {
-					pairs++
-					in.Fill(line+1, b[:])
-					if compress.PairSize(a[:], b[:]) <= 68 {
-						pair68++
-					}
-				}
-			}
-		}
-		if n == 0 {
-			continue
+			s := insts[ci].Compressibility(samples)
+			c.Lines, c.Le32, c.Le36 = c.Lines+s.Lines, c.Le32+s.Le32, c.Le36+s.Le36
+			c.Pairs, c.Pair68 = c.Pairs+s.Pairs, c.Pair68+s.Pair68
 		}
 		rep.AddRow(w.Name, w.Suite,
-			float64(le32)/float64(n),
-			float64(le36)/float64(n),
-			float64(pair68)/float64(pairs))
+			float64(c.Le32)/float64(c.Lines),
+			float64(c.Le36)/float64(c.Lines),
+			float64(c.Pair68)/float64(c.Pairs))
 	}
 	// Figure 4 averages arithmetically across workloads.
 	var s32, s36, s68 float64

@@ -25,9 +25,6 @@ type CSR struct {
 	Col    []uint32 // length = 2*edges (symmetrized)
 }
 
-// Edges returns the number of stored directed edges.
-func (g *CSR) Edges() int { return len(g.Col) }
-
 // Degree returns the degree of v.
 func (g *CSR) Degree(v int) int { return int(g.RowPtr[v+1] - g.RowPtr[v]) }
 

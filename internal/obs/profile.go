@@ -45,77 +45,54 @@ func WriteHeapProfile(path string) error {
 	return nil
 }
 
-// SelfSample is a point-in-time capture of the Go runtime's own
-// allocation and GC counters (via runtime/metrics). Two samples
-// bracket a run; SelfReport turns their difference into the
-// simulator's self-cost summary.
-type SelfSample struct {
+// SelfStatus is a point-in-time capture of the running process: the
+// goroutine count plus the Go runtime's cumulative allocation and GC
+// counters (via runtime/metrics). Two captures bracket a run, and
+// SelfReport turns their difference into the simulator's self-cost
+// summary; the experiment daemon serves one from /healthz, where
+// long-lived processes watch AllocBytes/GCCycles deltas and Goroutines
+// for leaks.
+type SelfStatus struct {
+	// Goroutines is the current goroutine count (runtime.NumGoroutine).
+	Goroutines int `json:"goroutines"`
 	// AllocBytes is cumulative heap bytes allocated (/gc/heap/allocs:bytes).
-	AllocBytes uint64
+	AllocBytes uint64 `json:"alloc_bytes"`
 	// AllocObjects is cumulative heap objects allocated (/gc/heap/allocs:objects).
-	AllocObjects uint64
+	AllocObjects uint64 `json:"alloc_objects"`
 	// GCCycles is cumulative completed GC cycles (/gc/cycles/total:gc-cycles).
-	GCCycles uint64
+	GCCycles uint64 `json:"gc_cycles"`
 }
 
 // selfMetricNames are the runtime/metrics keys CaptureSelf reads, in
-// SelfSample field order.
+// SelfStatus field order.
 var selfMetricNames = []string{
 	"/gc/heap/allocs:bytes",
 	"/gc/heap/allocs:objects",
 	"/gc/cycles/total:gc-cycles",
 }
 
-// CaptureSelf reads the runtime's current allocation and GC counters.
-func CaptureSelf() SelfSample {
+// CaptureSelf reads the process's current goroutine count and the
+// runtime's allocation and GC counters.
+func CaptureSelf() SelfStatus {
 	samples := make([]metrics.Sample, len(selfMetricNames))
 	for i, n := range selfMetricNames {
 		samples[i].Name = n
 	}
 	metrics.Read(samples)
-	var s SelfSample
 	vals := make([]uint64, len(samples))
 	for i, m := range samples {
 		if m.Value.Kind() == metrics.KindUint64 {
 			vals[i] = m.Value.Uint64()
 		}
 	}
-	s.AllocBytes, s.AllocObjects, s.GCCycles = vals[0], vals[1], vals[2]
-	return s
-}
-
-// SelfStatus is a point-in-time health snapshot of the running
-// process: the goroutine count plus the cumulative allocation and GC
-// counters of SelfSample. The experiment daemon serves it from
-// /healthz; long-lived processes watch AllocBytes/GCCycles deltas and
-// Goroutines for leaks.
-type SelfStatus struct {
-	// Goroutines is the current goroutine count (runtime.NumGoroutine).
-	Goroutines int `json:"goroutines"`
-	// AllocBytes is cumulative heap bytes allocated.
-	AllocBytes uint64 `json:"alloc_bytes"`
-	// AllocObjects is cumulative heap objects allocated.
-	AllocObjects uint64 `json:"alloc_objects"`
-	// GCCycles is cumulative completed GC cycles.
-	GCCycles uint64 `json:"gc_cycles"`
-}
-
-// CaptureSelfStatus reads the process's current self-stats: goroutine
-// count plus the allocation/GC counters of CaptureSelf.
-func CaptureSelfStatus() SelfStatus {
-	s := CaptureSelf()
-	return SelfStatus{
-		Goroutines:   runtime.NumGoroutine(),
-		AllocBytes:   s.AllocBytes,
-		AllocObjects: s.AllocObjects,
-		GCCycles:     s.GCCycles,
-	}
+	return SelfStatus{Goroutines: runtime.NumGoroutine(),
+		AllocBytes: vals[0], AllocObjects: vals[1], GCCycles: vals[2]}
 }
 
 // SelfReport renders the runtime cost between two samples, normalized
 // per million simulated ticks (simTicks is the summed simulated-cycle
 // count of the work in between; 0 suppresses the normalized figures).
-func SelfReport(before, after SelfSample, simTicks uint64) string {
+func SelfReport(before, after SelfStatus, simTicks uint64) string {
 	db := after.AllocBytes - before.AllocBytes
 	do := after.AllocObjects - before.AllocObjects
 	dg := after.GCCycles - before.GCCycles

@@ -919,7 +919,7 @@ func (d *Daemon) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Status:   "ok",
 		UptimeMS: time.Since(d.start).Milliseconds(),
 		Draining: d.Draining(),
-		Self:     obs.CaptureSelfStatus(),
+		Self:     obs.CaptureSelf(),
 		Stats:    d.Stats(),
 		Journal:  d.journal.Stats(),
 	})

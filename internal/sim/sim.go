@@ -322,12 +322,7 @@ func RunObserved(cfg Config, w workloads.Workload, ob *obs.Observer) (Result, er
 
 // step processes one reference of core c, advancing its clock.
 func (m *machine) step(c *core) {
-	req, ok := c.inst.Gen.Next()
-	if !ok {
-		// Streams are endless by construction (Looping/Synthetic); treat
-		// exhaustion as a repeat of the last line.
-		req.Line = 0
-	}
+	req := c.inst.Gen.Next()
 	now := c.clock
 	// MLP window: block on the oldest outstanding reference if full.
 	// Retire by shifting down in place rather than re-slicing, so the

@@ -17,24 +17,18 @@ type Request struct {
 	Write bool   // true for a store, false for a load
 }
 
-// Generator produces a request stream.
+// Generator produces an endless request stream: synthetic generators
+// run forever, and recorded traces wrap back to their first request.
 type Generator interface {
-	// Next returns the next request. ok is false when the stream is
-	// exhausted (synthetic streams never exhaust; kernel traces do).
-	Next() (Request, bool)
-	// Reset rewinds the stream to its beginning.
-	Reset()
+	// Next returns the next request.
+	Next() Request
 }
 
-// Generate materializes up to n requests from g.
+// Generate materializes n requests from g.
 func Generate(g Generator, n int) []Request {
-	out := make([]Request, 0, n)
-	for len(out) < n {
-		r, ok := g.Next()
-		if !ok {
-			break
-		}
-		out = append(out, r)
+	out := make([]Request, n)
+	for i := range out {
+		out[i] = g.Next()
 	}
 	return out
 }
@@ -122,15 +116,8 @@ func NewSynthetic(cfg SynthConfig) *Synthetic {
 	g.cum[1] = g.cum[0] + cfg.StrideWeight/total
 	g.cum[2] = g.cum[1] + cfg.RandWeight/total
 	g.cum[3] = 1
-	g.Reset()
+	g.rng = cfg.Seed | 1
 	return g
-}
-
-// Reset implements Generator.
-func (g *Synthetic) Reset() {
-	g.rng = g.cfg.Seed | 1
-	g.left = 0
-	g.pos = 0
 }
 
 func (g *Synthetic) next64() uint64 {
@@ -161,8 +148,8 @@ func (g *Synthetic) skewed(k int) uint64 {
 	return line
 }
 
-// Next implements Generator. Synthetic streams never exhaust.
-func (g *Synthetic) Next() (Request, bool) {
+// Next implements Generator.
+func (g *Synthetic) Next() Request {
 	if g.left == 0 {
 		g.redraw()
 	}
@@ -185,7 +172,7 @@ func (g *Synthetic) Next() (Request, bool) {
 			line = g.next64() % hot
 		}
 	}
-	return Request{Line: line, Write: g.unit() < g.cfg.WriteFrac}, true
+	return Request{Line: line, Write: g.unit() < g.cfg.WriteFrac}
 }
 
 // redraw selects the next burst's pattern and length.
@@ -214,54 +201,33 @@ func (g *Synthetic) redraw() {
 }
 
 // Replay replays a fixed request slice (used for kernel-generated
-// traces). The slice is borrowed, not copied, and never written: many
-// Replay values may share one backing trace — the workload artifact
-// cache hands the same recorded kernel trace to every concurrent
-// simulation — while each carries its own position.
+// traces), wrapping back to its first request at the end — kernel
+// traces shorter than the simulation window loop, matching how the
+// paper re-executes fixed-work regions. The slice is borrowed, not
+// copied, and never written: many Replay values may share one backing
+// trace — the workload artifact cache hands the same recorded kernel
+// trace to every concurrent simulation — while each carries its own
+// position.
 type Replay struct {
 	reqs []Request
 	pos  int
 }
 
-// NewReplay wraps a materialized trace. The caller must not mutate reqs
+// NewReplay wraps a materialized trace; it panics on an empty one,
+// which has no stream to loop. The caller must not mutate reqs
 // afterwards (see the sharing contract on Replay).
-func NewReplay(reqs []Request) *Replay { return &Replay{reqs: reqs} }
+func NewReplay(reqs []Request) *Replay {
+	if len(reqs) == 0 {
+		panic("trace: NewReplay of an empty trace")
+	}
+	return &Replay{reqs: reqs}
+}
 
 // Next implements Generator.
-func (r *Replay) Next() (Request, bool) {
-	if r.pos >= len(r.reqs) {
-		return Request{}, false
-	}
+func (r *Replay) Next() Request {
 	req := r.reqs[r.pos]
-	r.pos++
-	return req, true
-}
-
-// Reset implements Generator.
-func (r *Replay) Reset() { r.pos = 0 }
-
-// Len returns the trace length.
-func (r *Replay) Len() int { return len(r.reqs) }
-
-// Looping wraps a finite generator so it restarts when exhausted,
-// producing an endless stream (kernel traces shorter than the simulation
-// window loop, matching how the paper re-executes fixed-work regions).
-type Looping struct {
-	g Generator
-}
-
-// NewLooping wraps g.
-func NewLooping(g Generator) *Looping { return &Looping{g: g} }
-
-// Next implements Generator.
-func (l *Looping) Next() (Request, bool) {
-	r, ok := l.g.Next()
-	if ok {
-		return r, true
+	if r.pos++; r.pos == len(r.reqs) {
+		r.pos = 0
 	}
-	l.g.Reset()
-	return l.g.Next()
+	return req
 }
-
-// Reset implements Generator.
-func (l *Looping) Reset() { l.g.Reset() }

@@ -40,20 +40,11 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestDeterminismAndReset(t *testing.T) {
-	g := NewSynthetic(baseCfg())
-	first := Generate(g, 1000)
-	g.Reset()
-	second := Generate(g, 1000)
+func TestSyntheticDeterminism(t *testing.T) {
+	first := Generate(NewSynthetic(baseCfg()), 1000)
+	second := Generate(NewSynthetic(baseCfg()), 1000)
 	for i := range first {
 		if first[i] != second[i] {
-			t.Fatalf("request %d differs after Reset", i)
-		}
-	}
-	h := NewSynthetic(baseCfg())
-	third := Generate(h, 1000)
-	for i := range first {
-		if first[i] != third[i] {
 			t.Fatalf("request %d differs across instances", i)
 		}
 	}
@@ -158,41 +149,26 @@ func TestStrideMode(t *testing.T) {
 	}
 }
 
-func TestReplay(t *testing.T) {
-	reqs := []Request{{1, false}, {2, true}, {3, false}}
-	r := NewReplay(reqs)
-	if r.Len() != 3 {
-		t.Fatal("len")
-	}
-	got := Generate(r, 10)
-	if len(got) != 3 {
-		t.Fatalf("replay returned %d requests", len(got))
-	}
-	if _, ok := r.Next(); ok {
-		t.Fatal("exhausted replay must return false")
-	}
-	r.Reset()
-	if again := Generate(r, 10); len(again) != 3 || again[1] != reqs[1] {
-		t.Fatal("reset replay broken")
-	}
-}
-
-func TestLoopingNeverExhausts(t *testing.T) {
-	r := NewReplay([]Request{{1, false}, {2, false}})
-	l := NewLooping(r)
-	got := Generate(l, 7)
-	if len(got) != 7 {
-		t.Fatalf("looping stream returned %d of 7", len(got))
-	}
-	want := []uint64{1, 2, 1, 2, 1, 2, 1}
+func TestReplayLoops(t *testing.T) {
+	reqs := []Request{{1, false}, {2, true}}
+	got := Generate(NewReplay(reqs), 7)
 	for i, r := range got {
-		if r.Line != want[i] {
-			t.Fatalf("looping order wrong at %d: %d", i, r.Line)
+		if r != reqs[i%2] {
+			t.Fatalf("request %d = %+v, want %+v", i, r, reqs[i%2])
 		}
 	}
 }
 
-// Property: generators always respect the footprint and never exhaust.
+func TestNewReplayPanicsOnEmpty(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewReplay(nil) did not panic")
+		}
+	}()
+	NewReplay(nil)
+}
+
+// Property: synthetic streams always respect the footprint.
 func TestQuickSyntheticBounds(t *testing.T) {
 	f := func(seed uint64, fpRaw uint16) bool {
 		cfg := baseCfg()
@@ -203,8 +179,7 @@ func TestQuickSyntheticBounds(t *testing.T) {
 		}
 		g := NewSynthetic(cfg)
 		for i := 0; i < 200; i++ {
-			r, ok := g.Next()
-			if !ok || r.Line >= cfg.FootprintLines {
+			if g.Next().Line >= cfg.FootprintLines {
 				return false
 			}
 		}

@@ -58,7 +58,7 @@ func (a *Artifacts) Instantiate() []Instance {
 			out[i] = Instance{
 				Name: c.name, MPKI: c.mpki,
 				FootprintLines: c.footprintLines,
-				Gen:            trace.NewLooping(trace.NewReplay(c.gap.reqs)),
+				Gen:            trace.NewReplay(c.gap.reqs),
 				Fill:           c.gap.ws.FillLine,
 			}
 			continue

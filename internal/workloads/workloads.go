@@ -17,6 +17,7 @@ import (
 	"slices"
 	"sync"
 
+	"dice/internal/compress"
 	"dice/internal/data"
 	"dice/internal/graph"
 	"dice/internal/trace"
@@ -87,6 +88,44 @@ type Instance struct {
 	Gen            trace.Generator
 	// Fill writes the 64 bytes of a virtual line into buf (len 64).
 	Fill func(line uint64, buf []byte)
+}
+
+// Compressibility counts the Figure 4 sample of an instance's data
+// image under FPC+BDI: how many sampled lines compress to at most 32 or
+// 36 bytes alone, and how many even-aligned adjacent pairs to at most
+// 68 bytes together.
+type Compressibility struct {
+	Lines, Le32, Le36 int
+	Pairs, Pair68     int
+}
+
+// Compressibility samples about samples lines evenly across the
+// instance's footprint, pairing each even sampled line with its
+// neighbour.
+func (in Instance) Compressibility(samples int) Compressibility {
+	var c Compressibility
+	var a, b [compress.LineSize]byte
+	span := in.FootprintLines
+	step := span/uint64(samples) + 1
+	for line := uint64(0); line < span; line += step {
+		in.Fill(line, a[:])
+		sz := compress.CompressedSize(a[:])
+		c.Lines++
+		if sz <= 32 {
+			c.Le32++
+		}
+		if sz <= 36 {
+			c.Le36++
+		}
+		if line%2 == 0 && line+1 < span {
+			c.Pairs++
+			in.Fill(line+1, b[:])
+			if compress.PairSize(a[:], b[:]) <= 68 {
+				c.Pair68++
+			}
+		}
+	}
+	return c
 }
 
 // builtGAP is the shared, immutable build product of one GAP (kernel,

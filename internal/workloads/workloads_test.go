@@ -85,10 +85,7 @@ func TestBuildSyntheticInstances(t *testing.T) {
 			t.Fatalf("core %d footprint zero", i)
 		}
 		for j := 0; j < 100; j++ {
-			r, ok := in.Gen.Next()
-			if !ok {
-				t.Fatalf("core %d stream exhausted", i)
-			}
+			r := in.Gen.Next()
 			if r.Line >= in.FootprintLines {
 				t.Fatalf("core %d line %d beyond footprint %d", i, r.Line, in.FootprintLines)
 			}
@@ -125,16 +122,25 @@ func TestBuildGAPInstance(t *testing.T) {
 	}
 	seen := 0
 	for j := 0; j < 1000; j++ {
-		r, ok := in.Gen.Next()
-		if !ok {
-			t.Fatal("looping GAP stream exhausted")
-		}
+		r := in.Gen.Next()
 		if r.Line <= in.FootprintLines {
 			seen++
 		}
 	}
 	if seen != 1000 {
 		t.Fatalf("only %d/1000 requests within footprint", seen)
+	}
+}
+
+// TestGAPTracesNonEmptyAtSmallestScale pins what lets trace.NewReplay
+// panic on an empty trace: buildGAP's footprint floor gives every GAP
+// kernel requests to record even at the smallest scale the simulator
+// accepts (sim.Config.Validate's ScaleShift bound of 18).
+func TestGAPTracesNonEmptyAtSmallestScale(t *testing.T) {
+	for _, w := range GAP6() {
+		if n := len(buildGAP(w.Cores[0], 18).reqs); n == 0 {
+			t.Fatalf("%s records an empty trace at scale 18", w.Name)
+		}
 	}
 }
 
@@ -214,9 +220,7 @@ func TestBuildDeterministic(t *testing.T) {
 	a := w.Build(10)[0]
 	b := w.Build(10)[0]
 	for i := 0; i < 500; i++ {
-		ra, _ := a.Gen.Next()
-		rb, _ := b.Gen.Next()
-		if ra != rb {
+		if a.Gen.Next() != b.Gen.Next() {
 			t.Fatalf("request %d differs between builds", i)
 		}
 	}
