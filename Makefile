@@ -13,7 +13,7 @@ LINTDOC_PKGS = ./internal/obs ./internal/fault ./internal/parallel \
 	./internal/compress ./internal/stats ./internal/graph \
 	./internal/data ./internal/trace ./internal/energy \
 	./cmd/dicesim ./cmd/dicebench ./cmd/dicebenchd ./cmd/dicetrace \
-	./cmd/lintdoc
+	./cmd/lintdoc ./internal/dram ./internal/cache
 
 all: build vet lint test
 
@@ -74,13 +74,13 @@ bench:
 # on the idle-heaviest catalog config, the golden-report run pins the
 # experiment bytes under the event core, the submit-latency check
 # measures an ordered p50/p99/p999 distribution through the daemon, and
-# the group-commit guard (same DICE_SMOKE gate) asserts the batched
-# journal beats the fsync-per-append reference discipline at p99 by the
-# 1.05x smoke floor under concurrent submission load, with the
-# journal's counters proving the batching structurally; its
-# fixed-sync variant runs the same comparison with every journal fsync
-# taking 2ms, so the floor measures group commit rather than how cheap
-# this host's fsync is.
+# the group-commit guard (same DICE_SMOKE gate) pads every journal
+# fsync to a fixed 2ms in both disciplines and asserts the batched
+# journal beats the fsync-per-append reference at p99 by the 1.05x
+# smoke floor under concurrent submission load, with the journal's
+# counters proving the batching structurally. The fixed sync cost makes
+# the floor measure group commit rather than how cheap this host's
+# fsync is.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/compress ./internal/dcache ./internal/dram ./internal/workloads ./internal/sim ./internal/commitlog
 	$(GO) test -run='^TestArtifactCacheSmoke$$' -count=1 -v ./internal/experiments
@@ -103,13 +103,14 @@ soak:
 	DICE_SMOKE=1 $(GO) test -timeout 30m -run='^TestSoakConcurrentSubmissions$$' -count=1 -v ./internal/serve
 
 # Daemon smoke: build the real dicebenchd binary and drive it as an
-# operator would — HTTP submit/poll/healthz, SIGTERM clean drain,
-# restart-with-journal replay, the SIGKILL crash/restart byte-equality
-# check, and the streaming bar: cells and epoch metrics over
-# GET /jobs/{id}/stream byte-equal to the terminal output, plus a
-# SIGKILL landing mid-stream that the same Stream call rides through
-# (reconnect at offset, new-generation re-delivery, exactly-once after
-# dedup).
+# operator would — HTTP submit, stream to done, status and healthz,
+# SIGTERM clean drain, restart-with-journal replay, the SIGKILL
+# crash/restart byte-equality check, and the streaming bar: cells and
+# epoch metrics over GET /jobs/{id}/stream byte-equal to the terminal
+# output, plus a SIGKILL landing mid-stream that the same Stream call
+# rides through (the restarted daemon streams the re-run from its
+# first event, and the client hands each cell to its caller exactly
+# once).
 daemon-smoke:
 	$(GO) test -run='^TestDaemon' -count=1 -v ./cmd/dicebenchd
 

@@ -206,7 +206,7 @@ func TestDaemonSmoke(t *testing.T) {
 	p2.waitExit(t, 45*time.Second)
 }
 
-// The crash bar from the issue: SIGKILL the daemon mid-job, restart
+// The crash bar: SIGKILL the daemon mid-job, restart
 // it on the same journal, and the interrupted job re-runs to bytes
 // identical to a run that was never interrupted.
 func TestDaemonSIGKILLRestartReplay(t *testing.T) {
@@ -375,8 +375,8 @@ func TestDaemonStreamLiveParity(t *testing.T) {
 // The crash bar for streams: SIGKILL the daemon while a client is
 // mid-stream with cells already delivered, restart it on the same
 // port and journal, and the same Stream call — never re-issued — must
-// ride through the outage, absorb the new generation's re-delivery,
-// and finish with every cell delivered exactly once after dedup.
+// ride through the outage, skip the re-run's replay of cells it
+// already delivered, and hand fn every cell exactly once.
 func TestDaemonStreamSIGKILLRestartResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess smoke skipped in -short mode")
@@ -399,7 +399,6 @@ func TestDaemonStreamSIGKILLRestartResume(t *testing.T) {
 	var once sync.Once
 	var mu sync.Mutex
 	delivered := map[string][]string{} // key -> rendered payloads, dups included
-	gens := map[string]bool{}
 	type streamEnd struct {
 		final serve.StreamEvent
 		err   error
@@ -409,7 +408,6 @@ func TestDaemonStreamSIGKILLRestartResume(t *testing.T) {
 		final, err := c.Stream(ctx, st.ID, func(ev serve.StreamEvent) error {
 			mu.Lock()
 			defer mu.Unlock()
-			gens[ev.Gen] = true
 			if ev.Kind == serve.StreamCell {
 				delivered[ev.Cell.Key] = append(delivered[ev.Cell.Key], fmt.Sprintf("%+v", *ev.Cell))
 				once.Do(func() { close(firstCell) })
@@ -434,7 +432,7 @@ func TestDaemonStreamSIGKILLRestartResume(t *testing.T) {
 	<-p.done
 
 	// Restart at the same address on the same journal; the unfinished
-	// job replays under a fresh generation.
+	// job re-runs and its stream starts over from the first event.
 	p2 := startDaemon(t, "-addr", addr, "-journal", journal, "-q")
 	e := <-ended
 	if e.err != nil {
@@ -444,29 +442,27 @@ func TestDaemonStreamSIGKILLRestartResume(t *testing.T) {
 		t.Fatalf("stream ended %s (%s)", e.final.State, e.final.Error)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(gens) < 2 {
-		t.Fatalf("stream saw %d generations, want >= 2 (restart not exercised)", len(gens))
-	}
-	// Every cell delivered; re-deliveries are byte-identical, so a
-	// consumer deduplicating on the canonical key loses nothing.
-	if len(delivered) != len(spec.Cells) {
-		t.Fatalf("stream delivered %d distinct cells, want %d", len(delivered), len(spec.Cells))
-	}
-	for key, payloads := range delivered {
-		for _, pay := range payloads[1:] {
-			if pay != payloads[0] {
-				t.Fatalf("cell %s re-delivered with different bytes", key)
-			}
-		}
-	}
-
-	// The terminal output agrees with the stream, each cell exactly once.
+	// The job the stream finished on is the journal-replayed re-run.
 	fin, err := p2.client(7).Status(ctx, st.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !fin.Replayed {
+		t.Fatal("job not marked replayed (restart not exercised)")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(delivered) != len(spec.Cells) {
+		t.Fatalf("stream delivered %d distinct cells, want %d", len(delivered), len(spec.Cells))
+	}
+	for key, payloads := range delivered {
+		if len(payloads) != 1 {
+			t.Fatalf("cell %s reached fn %d times, want exactly once", key, len(payloads))
+		}
+	}
+
+	// The terminal output agrees with the stream.
 	want, err := serve.DecodeCellResults(strings.NewReader(fin.Output))
 	if err != nil {
 		t.Fatal(err)

@@ -180,8 +180,8 @@ func TestSweepSmokeLocalDaemonParity(t *testing.T) {
 // streaming sweep is mid-flight — cells already checkpointed, the job
 // stream open — then restarts it on the same port with the same
 // journal. The sweep's reconnect loop must ride through the outage,
-// absorb the new generation's re-delivery without duplicating cells in
-// the results log, and finish with frontier bytes identical to a local
+// absorb the restarted job's replay of delivered cells without
+// duplicating them in the results log, and finish with frontier bytes identical to a local
 // run.
 func TestSweepSmokeStreamSurvivesDaemonKill(t *testing.T) {
 	if os.Getenv("DICE_SMOKE") == "" {
@@ -238,7 +238,7 @@ func TestSweepSmokeStreamSurvivesDaemonKill(t *testing.T) {
 	<-d1.done
 
 	// Restart on the same port with the same journal; unfinished jobs
-	// replay under a fresh generation and re-deliver.
+	// re-run and their streams start over from the first event.
 	startBenchd(t, "-addr", addr, "-journal", journal, "-q")
 
 	if err := <-sweepDone; err != nil {
@@ -246,7 +246,7 @@ func TestSweepSmokeStreamSurvivesDaemonKill(t *testing.T) {
 	}
 
 	// Exactly-once checkpointing: 32 distinct cells, no duplicates,
-	// despite the new generation re-streaming delivered cells.
+	// despite the restarted job re-streaming delivered cells.
 	keys := map[string]int{}
 	for _, ln := range strings.Split(strings.TrimRight(string(readFile(t, logPath)), "\n"), "\n") {
 		var cell struct {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
 	"dice/internal/clidoc"
@@ -24,5 +25,40 @@ func TestFlagDocsCurrent(t *testing.T) {
 	}
 	if err := clidoc.Verify("../../README.md", "dicetrace", fs); err != nil {
 		t.Fatalf("%v\n(regenerate with: go test ./cmd/dicetrace -run FlagDocsCurrent -update)", err)
+	}
+}
+
+// TestValidateFlags pins the parse-time rejection of -samples below 1:
+// 0 used to panic with an integer divide by zero in the sampler, and
+// a negative count wrapped to a huge unsigned one.
+func TestValidateFlags(t *testing.T) {
+	cases := []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{name: "defaults"},
+		{name: "one sample", args: []string{"-samples", "1"}},
+		{name: "zero samples", args: []string{"-samples", "0"}, wantErr: "-samples"},
+		{name: "negative samples", args: []string{"-samples", "-5"}, wantErr: "-samples"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := flag.NewFlagSet("dicetrace", flag.ContinueOnError)
+			opts := registerFlags(fs)
+			if err := fs.Parse(tc.args); err != nil {
+				t.Fatal(err)
+			}
+			err := validateFlags(opts)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("validateFlags(%v) = %v, want nil", tc.args, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("validateFlags(%v) = %v, want error naming %q", tc.args, err, tc.wantErr)
+			}
+		})
 	}
 }

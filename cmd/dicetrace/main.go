@@ -37,9 +37,24 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	}
 }
 
+// validateFlags rejects flag values the flag types allow but the
+// sampler cannot use: -samples below 1 (0 divided by zero computing
+// the sampling stride; a negative count wrapped to a huge unsigned
+// one and sampled every line).
+func validateFlags(o *cliFlags) error {
+	if *o.samples < 1 {
+		return fmt.Errorf("-samples must be >= 1, got %d", *o.samples)
+	}
+	return nil
+}
+
 func main() {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
+	if err := validateFlags(o); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	var (
 		workload = o.workload
 		samples  = o.samples

@@ -34,9 +34,14 @@ func (c Config) Validate() error {
 
 // Stats counts cache activity.
 type Stats struct {
-	Hits       uint64
-	Misses     uint64
-	Installs   uint64
+	// Hits counts Lookups that found their line.
+	Hits uint64
+	// Misses counts Lookups that did not.
+	Misses uint64
+	// Installs counts Install calls, re-installs of a resident line
+	// included.
+	Installs uint64
+	// Evictions counts valid lines displaced by an Install.
 	Evictions  uint64
 	Writebacks uint64 // dirty evictions
 }
@@ -150,7 +155,9 @@ func (c *Cache) Contains(line uint64) bool {
 
 // Victim describes a line displaced by Install.
 type Victim struct {
-	Line  uint64
+	// Line is the displaced line's address.
+	Line uint64
+	// Dirty reports whether the line must be written back.
 	Dirty bool
 }
 

@@ -615,8 +615,6 @@ type ReadResult struct {
 	HasExtra bool
 	// UsedBAI reports where a hit was found (for CIP studies).
 	UsedBAI bool
-	// SecondProbe is true when the alternate location had to be accessed.
-	SecondProbe bool
 }
 
 // Read performs a demand lookup of line at cycle now.

@@ -258,7 +258,7 @@ func TestDICEMispredictCostsSecondProbe(t *testing.T) {
 	// BAI, so the first (TSI) probe misses and the second finds it.
 	c.cip.Train(line, false)
 	r := c.Read(100000, line)
-	if !r.Hit || !r.SecondProbe && c.Stats().SecondProbes == 0 {
+	if !r.Hit || c.Stats().SecondProbes == 0 {
 		t.Fatalf("expected hit via second probe, got %+v stats %+v", r, c.Stats())
 	}
 	if c.Stats().HitInAlternate != 1 {

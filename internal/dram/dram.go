@@ -101,23 +101,42 @@ func (c Config) Validate() error {
 
 // Loc addresses one row of one bank on one channel.
 type Loc struct {
+	// Channel indexes the device's channels.
 	Channel int
-	Bank    int
-	Row     uint64
+	// Bank indexes the channel's banks.
+	Bank int
+	// Row is the row within the bank.
+	Row uint64
 }
 
 // Stats aggregates device activity. Byte and cycle counters feed the
-// energy model; row-buffer counters diagnose locality.
+// energy model; row-buffer counters diagnose locality. Every counter
+// is charged when Access is called, for the whole access, and covers
+// the accesses issued since the last ResetStats (the simulator resets
+// at its warm-up boundary).
 type Stats struct {
-	Reads            uint64
-	Writes           uint64
-	RowHits          uint64
-	RowMisses        uint64 // closed-row activates
-	RowConflicts     uint64 // row switches (see RowBatched)
-	RowBatched       uint64 // conflicts absorbed by FR-FCFS batching
-	BytesRead        uint64
-	BytesWritten     uint64
-	BusBusyCycles    uint64
+	// Reads counts read accesses.
+	Reads uint64
+	// Writes counts write accesses.
+	Writes uint64
+	// RowHits counts accesses to the bank's open row.
+	RowHits      uint64
+	RowMisses    uint64 // closed-row activates
+	RowConflicts uint64 // row switches (see RowBatched)
+	RowBatched   uint64 // conflicts absorbed by FR-FCFS batching
+	// BytesRead is the burst bytes of the read accesses.
+	BytesRead uint64
+	// BytesWritten is the burst bytes of the write accesses.
+	BytesWritten uint64
+	// BusBusyCycles is the data-bus occupancy of the counted
+	// accesses' bursts, summed over channels. A burst is counted whole
+	// when its access is issued, so the window these cycles occupy runs
+	// from the reset to the latest completion Access returned — which
+	// can fall after a simulation's measured end while transfers drain.
+	BusBusyCycles uint64
+	// QueueStallCycles sums, over the counted accesses, the cycles each
+	// waited for a free slot in its channel's full request queue
+	// before issuing.
 	QueueStallCycles uint64
 }
 

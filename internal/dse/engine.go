@@ -46,9 +46,10 @@ type Options struct {
 	// EpochSink receives per-epoch metric snapshots as simulations
 	// run, tagged with the simulation's memoization key. Called from
 	// worker goroutines, possibly concurrently: must be safe for
-	// concurrent use. Delivery is best-effort telemetry: a daemon
-	// restart mid-batch may re-deliver or drop epochs (cells are the
-	// exactly-once layer, epochs are not).
+	// concurrent use. Delivery is best-effort telemetry: each
+	// (key, epoch) arrives at most once, and an epoch the daemon's
+	// stream buffer dropped stays missing (cells are the exactly-once
+	// layer, epochs are not).
 	EpochSink func(key string, s obs.Snapshot)
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -218,22 +219,16 @@ func runBatch(ctx context.Context, c *client.Client, cells []experiments.CellSpe
 		return fmt.Errorf("submit: %w", err)
 	}
 
-	// delivered dedups within this batch: a daemon restart mid-stream
-	// mints a new generation and re-delivers the cells the old one
-	// already sent (see serve's stream delivery contract). The sweep-
-	// wide record closure dedups again across batches; both layers key
-	// on the canonical cell key.
+	// The client hands each distinct cell over once, however often the
+	// stream is replayed; delivered only backs the omission check.
 	delivered := make(map[string]bool, len(cells))
 	final, err := c.Stream(ctx, st.ID, func(ev serve.StreamEvent) error {
 		switch ev.Kind {
 		case serve.StreamCell:
-			if ev.Cell == nil || delivered[ev.Cell.Key] {
-				return nil
-			}
 			delivered[ev.Cell.Key] = true
 			return record(*ev.Cell)
 		case serve.StreamEpoch:
-			if opt.EpochSink != nil && ev.Epoch != nil {
+			if opt.EpochSink != nil {
 				opt.EpochSink(ev.Epoch.Key, ev.Epoch.Snap)
 			}
 		}

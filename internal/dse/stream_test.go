@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -163,9 +162,8 @@ func TestEpochSinkReceivesSnapshots(t *testing.T) {
 
 // restartingDaemon fakes the wire protocol of a daemon that is
 // SIGKILLed mid-stream and restarted: the first stream connection
-// delivers every cell under one generation and cuts before the done
-// event; the reconnect finds a new generation that re-delivers
-// everything and finishes. The sweep must checkpoint each cell exactly
+// delivers every cell and cuts before the done event; the reconnect
+// is served the whole sequence again and finishes. The sweep must checkpoint each cell exactly
 // once despite seeing it twice.
 type restartingDaemon struct {
 	t       *testing.T
@@ -191,13 +189,10 @@ func (f *restartingDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		f.streams++
 		n := f.streams
 		f.mu.Unlock()
-		gen := fmt.Sprintf("g%d", n)
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		for i, res := range f.results {
+		for _, res := range f.results {
 			cr := res
-			line, err := serve.EncodeStreamEvent(serve.StreamEvent{
-				Kind: serve.StreamCell, Gen: gen, Offset: i, Cell: &cr,
-			})
+			line, err := serve.EncodeStreamEvent(serve.StreamEvent{Kind: serve.StreamCell, Cell: &cr})
 			if err != nil {
 				f.t.Error(err)
 				return
@@ -207,9 +202,7 @@ func (f *restartingDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if n == 1 {
 			return // SIGKILL: the connection dies before the done event
 		}
-		line, err := serve.EncodeStreamEvent(serve.StreamEvent{
-			Kind: serve.StreamDone, Gen: gen, Offset: len(f.results), State: serve.StateDone,
-		})
+		line, err := serve.EncodeStreamEvent(serve.StreamEvent{Kind: serve.StreamDone, State: serve.StateDone})
 		if err != nil {
 			f.t.Error(err)
 			return
@@ -220,9 +213,9 @@ func (f *restartingDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Satellite regression: a daemon killed mid-stream and restarted
-// re-delivers already-streamed cells under a new generation; the sweep
-// must not replay them into the results log as duplicates.
+// A daemon killed mid-stream and restarted re-delivers
+// already-streamed cells; the sweep must not replay them into the
+// results log as duplicates.
 func TestRestartRedeliveryNoDuplicateCells(t *testing.T) {
 	cells := smokeCells(t)
 	fake := &restartingDaemon{t: t}

@@ -6,40 +6,34 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"time"
 
 	"dice/internal/serve"
 )
 
 // Stream follows one job's event stream (GET /jobs/{id}/stream) to
-// completion, invoking fn for every event — cells, epochs, and the
-// final done event — and returning the done event. Disconnects are
-// absorbed by the client's jittered-backoff retry loop: the stream
-// reconnects at the last consumed offset of the last seen generation,
-// so a transient cut costs nothing. When the daemon answers with a
-// different generation (it restarted, or re-derived a finished job's
-// stream), the sequence restarts from 0 and fn sees earlier events
-// again — callers must deduplicate cell events on their canonical
-// cell key (experiments.CellSpec.Key), which determinism makes safe: a
-// re-delivered cell is byte-identical to the first delivery. A non-nil
-// error from fn aborts the stream permanently and is returned
-// wrapped. Torn tail lines (connection cut mid-frame) are not errors;
-// they mark the reconnect point, mirroring the journal's
-// longest-valid-prefix discipline.
+// completion and returns its done event. The daemon serves every
+// connection from the job's first event, so a reconnect — after a cut,
+// a daemon restart, or against a finished job's synthesized replay —
+// reads the sequence again; Stream hands fn each distinct event once
+// (cells by CellResult.Key, epochs by (EpochLine.Key, Snap.Epoch)) and
+// the done event last. Determinism makes skipping a replayed cell
+// safe. Epochs are at most once: one the daemon's buffer cap dropped
+// stays missing. Cuts and torn tail lines (the journal's
+// longest-valid-prefix discipline) retry with jittered backoff; the
+// budget resets only when a connection hands fn a new event, so a
+// daemon that keeps cutting after the same replayed prefix exhausts
+// MaxAttempts. A non-nil error from fn aborts the stream permanently
+// and is returned wrapped.
 func (c *Client) Stream(ctx context.Context, id string, fn func(serve.StreamEvent) error) (serve.StreamEvent, error) {
 	attempts := c.MaxAttempts
 	if attempts <= 0 {
 		attempts = 10
 	}
-	var (
-		gen      string
-		offset   int
-		failures int
-		lastErr  error
-	)
+	seen := map[eventID]bool{}
+	failures := 0
 	for {
-		n, final, err := c.streamOnce(ctx, id, &gen, &offset, fn)
+		fresh, final, err := c.streamOnce(ctx, id, seen, fn)
 		if err == nil && final != nil {
 			return *final, nil
 		}
@@ -53,16 +47,12 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(serve.StreamEven
 		if err == nil {
 			err = fmt.Errorf("client: stream %s: connection ended before the done event", id)
 		}
-		lastErr = err
-		// A connection that delivered events made progress: reset the
-		// failure budget so a long stream with occasional cuts is not
-		// charged as consecutive failures.
-		if n > 0 {
+		if fresh > 0 {
 			failures = 0
 		}
 		failures++
 		if failures >= attempts {
-			return serve.StreamEvent{}, fmt.Errorf("client: stream %s: giving up after %d attempts: %w", id, attempts, lastErr)
+			return serve.StreamEvent{}, fmt.Errorf("client: stream %s: giving up after %d attempts: %w", id, attempts, err)
 		}
 		select {
 		case <-ctx.Done():
@@ -72,14 +62,29 @@ func (c *Client) Stream(ctx context.Context, id string, fn func(serve.StreamEven
 	}
 }
 
-// streamOnce runs one stream connection: request the suffix at
-// *offset/*gen, consume framed events until the done event, a torn
-// line, or a cut. It advances *offset and *gen as events arrive so
-// the caller's next connection resumes precisely. Returns the number
-// of events consumed and, when the done event arrived, that event.
-func (c *Client) streamOnce(ctx context.Context, id string, gen *string, offset *int, fn func(serve.StreamEvent) error) (int, *serve.StreamEvent, error) {
-	u := fmt.Sprintf("%s/jobs/%s/stream?offset=%d&gen=%s", c.Base, id, *offset, url.QueryEscape(*gen))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+// eventID names one distinct stream event: a cell by its key, an
+// epoch snapshot by its simulation's key and epoch number.
+type eventID struct {
+	kind  serve.StreamKind
+	key   string
+	epoch uint64
+}
+
+// idOf names a cell or epoch event (DecodeStreamLine guarantees its
+// payload is set).
+func idOf(ev serve.StreamEvent) eventID {
+	if ev.Kind == serve.StreamEpoch {
+		return eventID{kind: ev.Kind, key: ev.Epoch.Key, epoch: ev.Epoch.Snap.Epoch}
+	}
+	return eventID{kind: ev.Kind, key: ev.Cell.Key}
+}
+
+// streamOnce runs one stream connection: read the job's sequence from
+// its first event until the done event, a torn line, or a cut, handing
+// fn each event not yet in seen and adding it there. Returns how many
+// events fn received and, when the done event arrived, that event.
+func (c *Client) streamOnce(ctx context.Context, id string, seen map[eventID]bool, fn func(serve.StreamEvent) error) (int, *serve.StreamEvent, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/jobs/"+id+"/stream", nil)
 	if err != nil {
 		return 0, nil, errPermanent{fmt.Errorf("client: %w", err)}
 	}
@@ -101,36 +106,30 @@ func (c *Client) streamOnce(ctx context.Context, id string, gen *string, offset 
 
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 64<<10), 4<<20)
-	events := 0
+	fresh := 0
 	for sc.Scan() {
 		ev, ok := serve.DecodeStreamLine(sc.Bytes())
 		if !ok {
-			// Torn or corrupt line — the valid prefix ends here;
-			// reconnect at the offset we have.
-			return events, nil, fmt.Errorf("client: stream %s: torn frame at offset %d", id, *offset)
+			// Torn or corrupt line — the valid prefix ends here.
+			return fresh, nil, fmt.Errorf("client: stream %s: torn frame", id)
 		}
-		if ev.Gen != *gen {
-			// New generation: the sequence restarted (daemon restart or
-			// synthesized replay). Adopt it; earlier events re-deliver.
-			*gen = ev.Gen
-			*offset = 0
+		if ev.Kind != serve.StreamDone {
+			eid := idOf(ev)
+			if seen[eid] {
+				continue
+			}
+			seen[eid] = true
 		}
-		if ev.Offset != *offset {
-			// A gap would mean lost events; resync by reconnecting.
-			return events, nil, fmt.Errorf("client: stream %s: offset %d, want %d", id, ev.Offset, *offset)
-		}
-		*offset = ev.Offset + 1
-		events++
+		fresh++
 		if err := fn(ev); err != nil {
-			return events, nil, errPermanent{fmt.Errorf("client: stream %s: %w", id, err)}
+			return fresh, nil, errPermanent{fmt.Errorf("client: stream %s: %w", id, err)}
 		}
 		if ev.Kind == serve.StreamDone {
-			done := ev
-			return events, &done, nil
+			return fresh, &ev, nil
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return events, nil, fmt.Errorf("client: stream %s: %w", id, err)
+		return fresh, nil, fmt.Errorf("client: stream %s: %w", id, err)
 	}
-	return events, nil, nil // clean EOF without done: daemon shut down mid-stream
+	return fresh, nil, nil // clean EOF without done: daemon shut down mid-stream
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dice/internal/obs"
 	"dice/internal/serve"
 )
 
@@ -55,28 +56,33 @@ func frame(t *testing.T, ev serve.StreamEvent) []byte {
 }
 
 // cellEv builds a framed cell event.
-func cellEv(t *testing.T, gen string, off int, key string) []byte {
+func cellEv(t *testing.T, key string) []byte {
 	cr := serve.CellResult{Key: key}
-	return frame(t, serve.StreamEvent{Kind: serve.StreamCell, Gen: gen, Offset: off, Cell: &cr})
+	return frame(t, serve.StreamEvent{Kind: serve.StreamCell, Cell: &cr})
+}
+
+// epochEv builds a framed epoch event for epoch n of simulation key.
+func epochEv(t *testing.T, key string, n uint64) []byte {
+	return frame(t, serve.StreamEvent{Kind: serve.StreamEpoch, Epoch: &obs.EpochLine{Key: key, Snap: obs.Snapshot{Epoch: n}}})
 }
 
 // doneEv builds a framed done event.
-func doneEv(t *testing.T, gen string, off int) []byte {
-	return frame(t, serve.StreamEvent{Kind: serve.StreamDone, Gen: gen, Offset: off, State: serve.StateDone})
+func doneEv(t *testing.T) []byte {
+	return frame(t, serve.StreamEvent{Kind: serve.StreamDone, State: serve.StateDone})
 }
 
 // scriptedStream serves a scripted sequence of responses, one per
-// connection, and records each connection's offset/gen query.
+// connection, and records each connection's request URI.
 type scriptedStream struct {
 	mu    sync.Mutex
-	conns []string // "offset=N gen=G" per connection, in order
+	conns []string // request URI per connection, in order
 	body  [][]byte // bytes to write per connection
 }
 
 func (s *scriptedStream) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	n := len(s.conns)
-	s.conns = append(s.conns, fmt.Sprintf("offset=%s gen=%s", r.URL.Query().Get("offset"), r.URL.Query().Get("gen")))
+	s.conns = append(s.conns, r.URL.RequestURI())
 	var body []byte
 	if n < len(s.body) {
 		body = s.body[n]
@@ -92,84 +98,88 @@ func (s *scriptedStream) queries() []string {
 	return append([]string(nil), s.conns...)
 }
 
-// A stream cut mid-flight — including a torn final frame — must
-// reconnect at the last consumed offset and deliver the remainder
-// exactly once.
-func TestStreamReconnectsAtOffsetAfterTornFrame(t *testing.T) {
-	var first []byte
-	first = append(first, cellEv(t, "gA", 0, "c0")...)
-	first = append(first, cellEv(t, "gA", 1, "c1")...)
-	first = append(first, cellEv(t, "gA", 2, "c2")...)
-	first = append(first, []byte("deadbeef {torn-mid-frame\n")...) // cut lands mid-append
-	var second []byte
-	second = append(second, cellEv(t, "gA", 3, "c3")...)
-	second = append(second, doneEv(t, "gA", 4)...)
+// concat joins framed lines into one connection body.
+func concat(lines ...[]byte) []byte {
+	var b []byte
+	for _, l := range lines {
+		b = append(b, l...)
+	}
+	return b
+}
 
-	s := &scriptedStream{body: [][]byte{first, second}}
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	c := newTestClient(ts)
-
-	var keys []string
-	final, err := c.Stream(t.Context(), "j1", func(ev serve.StreamEvent) error {
-		if ev.Kind == serve.StreamCell {
-			keys = append(keys, ev.Cell.Key)
+// names renders the events fn received, one token per event: a cell
+// by its key, an epoch as key@epoch, the done event as "done".
+func names(evs []serve.StreamEvent) string {
+	var out []string
+	for _, ev := range evs {
+		switch ev.Kind {
+		case serve.StreamCell:
+			out = append(out, ev.Cell.Key)
+		case serve.StreamEpoch:
+			out = append(out, fmt.Sprintf("%s@%d", ev.Epoch.Key, ev.Epoch.Snap.Epoch))
+		default:
+			out = append(out, string(ev.Kind))
 		}
+	}
+	return strings.Join(out, ",")
+}
+
+// runStream drives c.Stream against job j1 and returns the done event
+// and every event fn received, in order.
+func runStream(t *testing.T, c *Client) (serve.StreamEvent, []serve.StreamEvent) {
+	t.Helper()
+	var got []serve.StreamEvent
+	final, err := c.Stream(t.Context(), "j1", func(ev serve.StreamEvent) error {
+		got = append(got, ev)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.Kind != serve.StreamDone || final.State != serve.StateDone || final.Offset != 4 {
+	return final, got
+}
+
+// A stream cut mid-flight — a torn final frame — reconnects, is
+// served the whole sequence again, and hands fn c0..c3 exactly once
+// each, then done. Every connection asks for the plain stream.
+func TestStreamTornCutThenReplayDeliversOnce(t *testing.T) {
+	first := concat(cellEv(t, "c0"), cellEv(t, "c1"), cellEv(t, "c2"),
+		[]byte("deadbeef {torn-mid-frame\n")) // cut lands mid-append
+	second := concat(cellEv(t, "c0"), cellEv(t, "c1"), cellEv(t, "c2"), cellEv(t, "c3"), doneEv(t))
+
+	s := &scriptedStream{body: [][]byte{first, second}}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	final, got := runStream(t, newTestClient(ts))
+	if final.Kind != serve.StreamDone || final.State != serve.StateDone {
 		t.Fatalf("final = %+v", final)
 	}
-	if got, want := strings.Join(keys, ","), "c0,c1,c2,c3"; got != want {
-		t.Fatalf("cells = %s, want %s (no dups, no gaps)", got, want)
+	if got, want := names(got), "c0,c1,c2,c3,done"; got != want {
+		t.Fatalf("fn saw %s, want %s (no dups, no gaps)", got, want)
 	}
 	q := s.queries()
-	if len(q) != 2 || q[0] != "offset=0 gen=" || q[1] != "offset=3 gen=gA" {
-		t.Fatalf("connection queries = %v", q)
+	if len(q) != 2 || q[0] != "/jobs/j1/stream" || q[1] != "/jobs/j1/stream" {
+		t.Fatalf("connection requests = %v", q)
 	}
 }
 
-// A generation change (daemon restart) restarts the sequence: the
-// client adopts the new generation, re-consumes from 0, and the
-// caller sees re-delivered cells — dedup is the consumer's job.
-func TestStreamGenerationChangeRedelivers(t *testing.T) {
-	var first []byte
-	first = append(first, cellEv(t, "g1", 0, "c0")...)
-	first = append(first, cellEv(t, "g1", 1, "c1")...)
-	var second []byte
-	second = append(second, cellEv(t, "g2", 0, "c0")...)
-	second = append(second, cellEv(t, "g2", 1, "c1")...)
-	second = append(second, doneEv(t, "g2", 2)...)
+// A restarted daemon serves a second sequence — its cells in another
+// completion order, its epochs re-recorded — and fn receives no cell
+// and no (key, epoch) pair twice, while new epochs of either key still
+// come through.
+func TestStreamRestartRedeliversNothing(t *testing.T) {
+	first := concat(cellEv(t, "c0"), epochEv(t, "k0", 0), cellEv(t, "c1"), epochEv(t, "k0", 1))
+	second := concat(cellEv(t, "c1"), epochEv(t, "k0", 0), cellEv(t, "c0"), epochEv(t, "k0", 1),
+		epochEv(t, "k1", 0), epochEv(t, "k0", 2), cellEv(t, "c2"), doneEv(t))
 
 	s := &scriptedStream{body: [][]byte{first, second}}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
-	c := newTestClient(ts)
 
-	var keys []string
-	final, err := c.Stream(t.Context(), "j1", func(ev serve.StreamEvent) error {
-		if ev.Kind == serve.StreamCell {
-			keys = append(keys, ev.Cell.Key)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.Gen != "g2" {
-		t.Fatalf("final gen = %q, want g2", final.Gen)
-	}
-	if got, want := strings.Join(keys, ","), "c0,c1,c0,c1"; got != want {
-		t.Fatalf("cells = %s, want %s (redelivery on gen change)", got, want)
-	}
-	q := s.queries()
-	// The second connection asks to resume the old generation; the
-	// server answers with the new one and the client adapts.
-	if len(q) != 2 || q[1] != "offset=2 gen=g1" {
-		t.Fatalf("connection queries = %v", q)
+	_, got := runStream(t, newTestClient(ts))
+	if got, want := names(got), "c0,k0@0,c1,k0@1,k1@0,k0@2,c2,done"; got != want {
+		t.Fatalf("fn saw %s, want %s", got, want)
 	}
 }
 
@@ -209,12 +219,37 @@ func TestStreamGivesUpWithoutProgress(t *testing.T) {
 	}
 }
 
+// Connections that only resend events fn already received make no
+// progress: the retry budget is not reset, so a daemon that keeps
+// cutting after the same replayed prefix exhausts MaxAttempts.
+func TestStreamReplayWithoutNewEventsGivesUp(t *testing.T) {
+	prefix := concat(cellEv(t, "c0"), epochEv(t, "k0", 0), cellEv(t, "c1"))
+	s := &scriptedStream{body: [][]byte{prefix, prefix, prefix, prefix, prefix}}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := newTestClient(ts)
+	c.MaxAttempts = 3
+
+	var got []serve.StreamEvent
+	_, err := c.Stream(t.Context(), "j1", func(ev serve.StreamEvent) error {
+		got = append(got, ev)
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "giving up after 3 attempts") {
+		t.Fatalf("err = %v, want giving-up error", err)
+	}
+	if n := len(s.queries()); n != 3 {
+		t.Fatalf("connections = %d, want 3", n)
+	}
+	if got, want := names(got), "c0,k0@0,c1"; got != want {
+		t.Fatalf("fn saw %s, want %s", got, want)
+	}
+}
+
 // An fn error aborts the stream permanently — no reconnect loop
 // around a consumer that cannot accept events.
 func TestStreamFnErrorAborts(t *testing.T) {
-	var body []byte
-	body = append(body, cellEv(t, "g", 0, "c0")...)
-	body = append(body, doneEv(t, "g", 1)...)
+	body := concat(cellEv(t, "c0"), doneEv(t))
 	s := &scriptedStream{body: [][]byte{body, body, body}}
 	ts := httptest.NewServer(s)
 	defer ts.Close()

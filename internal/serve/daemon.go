@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -54,7 +53,8 @@ const (
 	httpWriteTimeout = time.Minute
 	// streamWriteTimeout bounds each individual write on a job stream:
 	// a streaming client that stops reading is dropped — the job itself
-	// is unaffected and the client can reconnect at its last offset.
+	// is unaffected and the client can reconnect (and is served the
+	// sequence again from the first event).
 	streamWriteTimeout = 15 * time.Second
 	// streamBufferCap bounds each job's in-memory stream event buffer.
 	// Cell and done events always fit (cells are bounded by
@@ -109,12 +109,6 @@ type Daemon struct {
 	cfg     Config
 	journal *Journal
 	execute func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)
-
-	// gen is this process's stream generation token; replayGen is the
-	// stable token for synthesized streams of jobs that finished in an
-	// earlier process (see stream.go's delivery contract).
-	gen       string
-	replayGen string
 
 	queue       chan *job
 	stopPick    chan struct{}
@@ -222,11 +216,9 @@ func newDaemon(cfg Config, execute func(ctx context.Context, spec JobSpec, emit 
 		jobs:        make(map[string]*job),
 		stopPick:    make(chan struct{}),
 		stopStreams: make(chan struct{}),
-		gen:         newGen(),
 		seq:         1,
 		start:       time.Now(),
 	}
-	d.replayGen = d.gen + "-replay"
 	d.execute = execute
 	if d.execute == nil {
 		d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
@@ -278,12 +270,12 @@ func (d *Daemon) restore(rep *Replay) {
 			jb.status.Output = rj.Output
 			jb.status.Error = rj.Error
 			// No live stream buffer: streams of journal-finished jobs
-			// are synthesized from the status under d.replayGen.
+			// are synthesized from the status.
 			d.retainLocked(jb)
 			continue
 		}
 		jb.status.State = StateQueued
-		jb.prog = newProgress(d.gen, streamBufferCap)
+		jb.prog = newProgress(streamBufferCap)
 		d.depth++
 		if d.depth > d.maxDepth {
 			d.maxDepth = d.depth
@@ -324,7 +316,7 @@ func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 	jb := &job{status: JobStatus{
 		ID: id, Seq: seq, State: StateQueued, Spec: spec, SubmittedAt: time.Now(),
 	}}
-	jb.prog = newProgress(d.gen, streamBufferCap)
+	jb.prog = newProgress(streamBufferCap)
 	d.jobs[id] = jb
 	d.order = append(d.order, id)
 	d.stats.submitted++
@@ -450,7 +442,7 @@ func (d *Daemon) runJob(jb *job) {
 		// finish record so a restart re-runs the job (checkpoint). The
 		// stream buffer stays open too — no done event is emitted, and
 		// blocked streamers wake on stopStreams; the restarted daemon
-		// serves the re-run under a fresh generation.
+		// streams the re-run from its first event.
 		d.mu.Lock()
 		jb.status.State = StateInterrupted
 		jb.status.Error = "interrupted by daemon shutdown; will re-run on restart"
@@ -725,7 +717,7 @@ func (d *Daemon) Shutdown(ctx context.Context) error {
 //	POST   /jobs               submit (202; 429 + Retry-After on queue-full; 503 draining)
 //	GET    /jobs               list statuses, outputs elided
 //	GET    /jobs/{id}          one status, output included
-//	GET    /jobs/{id}/stream   NDJSON event stream (see stream.go; ?offset=N&gen=G resumes)
+//	GET    /jobs/{id}/stream   NDJSON event stream, always from the first event (see stream.go)
 //	DELETE /jobs/{id}          cancel
 //	GET    /healthz            process self-stats + daemon counters (always 200 while serving)
 //	GET    /readyz             200 while admitting, 503 once draining
@@ -756,9 +748,9 @@ func (d *Daemon) withWriteDeadline(h http.Handler) http.Handler {
 
 // handleStream serves GET /jobs/{id}/stream: the job's event sequence
 // as framed NDJSON, flushed as events arrive, blocking while the job
-// runs. ?offset=N resumes at event N of generation ?gen=G; a stale or
-// absent generation restarts from 0 (the client re-delivers and the
-// consumer dedups on cell key).
+// runs. Every connection starts at the first event; a reconnecting
+// client skips what it already delivered (see stream.go's delivery
+// contract).
 func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	d.mu.Lock()
@@ -775,14 +767,6 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	offset := 0
-	if v := r.URL.Query().Get("offset"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			offset = n
-		}
-	}
-	gen := r.URL.Query().Get("gen")
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
@@ -790,29 +774,18 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	if prog == nil {
 		// The live buffer is gone (job finished in a previous process,
-		// or retention evicted it): serve the synthesized deterministic
-		// replay sequence under the stable replay generation.
-		evs := synthesizeStream(d.replayGen, st)
-		if gen != d.replayGen {
-			offset = 0
-		}
-		if offset > len(evs) {
-			offset = len(evs)
-		}
-		d.writeStreamEvents(w, rc, evs[offset:])
+		// or retention evicted it): serve the synthesized replay.
+		d.writeStreamEvents(w, rc, synthesizeStream(st))
 		return
 	}
 
-	if gen != d.gen {
-		offset = 0 // another process's sequence (or first connect): restart
-	}
-	for {
-		evs, closed, wait := prog.snapshot(offset)
+	for next := 0; ; {
+		evs, closed, wait := prog.snapshot(next)
 		if len(evs) > 0 {
 			if err := d.writeStreamEvents(w, rc, evs); err != nil {
 				return // client gone or stalled past streamWriteTimeout
 			}
-			offset += len(evs)
+			next += len(evs)
 		}
 		if closed {
 			return

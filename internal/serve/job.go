@@ -222,8 +222,7 @@ func RunSpec(ctx context.Context, spec JobSpec, defaultRefs int) (string, error)
 // epoch when the spec sets MetricsEpoch. emit may be called from
 // concurrent worker goroutines and must be safe for concurrent use;
 // the daemon passes the job's stream buffer, which serializes
-// internally. The emitted events carry no Gen/Offset — the buffer
-// stamps them on append. Final output bytes are identical with and
+// internally. Final output bytes are identical with and
 // without emit (delivery is observation, not computation); without
 // emit no epochs are recorded, since nothing would read them.
 func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func(StreamEvent)) (string, error) {

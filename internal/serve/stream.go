@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"dice/internal/commitlog"
 	"dice/internal/obs"
@@ -19,17 +17,14 @@ import (
 // torn tail (connection cut mid-line) parses as "stop here and
 // reconnect", never as corrupt data.
 //
-// Delivery contract. Events are ordered and numbered: the Offset of
-// each event is its index in the job's event sequence, and a client
-// reconnecting with ?offset=N&gen=G receives the suffix starting at N
-// — provided G still names the sequence the daemon is serving. Every
-// daemon process (and every post-restart synthesis of a finished
-// job's stream) mints a fresh generation token, because a re-run
-// job's cells may complete in a different order: offsets are only
-// meaningful within one generation. On a generation mismatch the
-// daemon streams from 0 and the client re-delivers; consumers
-// deduplicate on the canonical cell key (see internal/dse), which the
-// determinism contract makes safe — a re-delivered cell is
+// Delivery contract: every connection is served the job's whole
+// event sequence from the first event. A client that reconnects —
+// after a cut, a daemon restart, or against a finished job's
+// synthesized replay — reads the sequence again, and client.Stream
+// hands each distinct event to its caller once: cells keyed by
+// CellResult.Key, epochs by (EpochLine.Key, Snap.Epoch). The
+// determinism contract makes that safe: a re-run job may complete its
+// cells in a different order, but each re-delivered cell is
 // byte-identical to the first delivery.
 //
 // Cell events and the final done event are replayed on reconnect (the
@@ -54,11 +49,6 @@ const (
 type StreamEvent struct {
 	// Kind is the event type (cell, epoch, or done).
 	Kind StreamKind `json:"kind"`
-	// Gen is the generation token of the sequence this event belongs
-	// to; offsets are only comparable within one generation.
-	Gen string `json:"gen"`
-	// Offset is the event's index in its generation's sequence.
-	Offset int `json:"offset"`
 	// Cell carries a completed cell's result (kind "cell").
 	Cell *CellResult `json:"cell,omitempty"`
 	// Epoch carries one epoch metrics snapshot, tagged with its
@@ -84,7 +74,8 @@ func EncodeStreamEvent(ev StreamEvent) ([]byte, error) {
 
 // DecodeStreamLine parses one framed stream line (without its
 // trailing newline). ok is false for a torn, malformed, or
-// CRC-mismatched line — the reader's signal to stop and reconnect,
+// CRC-mismatched line, and for an event of unknown kind or without
+// its kind's payload — the reader's signal to stop and reconnect,
 // mirroring the journal's longest-valid-prefix replay.
 func DecodeStreamLine(line []byte) (StreamEvent, bool) {
 	payload, ok := commitlog.ParseFrame(line)
@@ -92,30 +83,30 @@ func DecodeStreamLine(line []byte) (StreamEvent, bool) {
 		return StreamEvent{}, false
 	}
 	var ev StreamEvent
-	if err := json.Unmarshal(payload, &ev); err != nil || ev.Kind == "" {
+	if err := json.Unmarshal(payload, &ev); err != nil {
+		return StreamEvent{}, false
+	}
+	switch ev.Kind {
+	case StreamCell:
+		ok = ev.Cell != nil
+	case StreamEpoch:
+		ok = ev.Epoch != nil
+	default:
+		ok = ev.Kind == StreamDone
+	}
+	if !ok {
 		return StreamEvent{}, false
 	}
 	return ev, true
-}
-
-// genCounter disambiguates generation tokens minted within one clock
-// tick (e.g. two daemons constructed in the same test).
-var genCounter atomic.Uint64
-
-// newGen mints a process-unique generation token.
-func newGen() string {
-	return fmt.Sprintf("g%x-%x", time.Now().UnixNano(), genCounter.Add(1))
 }
 
 // progress is one live job's stream buffer: the ordered event
 // sequence, a closed flag once the done event has been appended, and
 // a broadcast channel for blocked streamers. Cell and done events are
 // always retained (bounded by MaxCellsPerJob+1); epoch events beyond
-// the buffer cap are dropped at append time — they are telemetry, and
-// dropping them before assignment keeps offsets contiguous.
+// the buffer cap are dropped at append time — they are telemetry.
 type progress struct {
 	mu     sync.Mutex
-	gen    string
 	cap    int
 	events []StreamEvent
 	closed bool
@@ -127,12 +118,11 @@ type progress struct {
 }
 
 // newProgress returns an empty stream buffer for one job.
-func newProgress(gen string, bufCap int) *progress {
-	return &progress{gen: gen, cap: bufCap, notify: make(chan struct{})}
+func newProgress(bufCap int) *progress {
+	return &progress{cap: bufCap, notify: make(chan struct{})}
 }
 
-// add appends one event, stamping its generation and offset, and
-// wakes blocked streamers. Epoch events are dropped once the buffer
+// add appends one event and wakes blocked streamers. Epoch events are dropped once the buffer
 // cap is reached; cell and done events always append. Appending after
 // close is ignored (defensive: the executor has no events to emit
 // after the outcome is recorded).
@@ -146,8 +136,6 @@ func (p *progress) add(ev StreamEvent) {
 		p.droppedEpochs++
 		return
 	}
-	ev.Gen = p.gen
-	ev.Offset = len(p.events)
 	p.events = append(p.events, ev)
 	close(p.notify)
 	p.notify = make(chan struct{})
@@ -160,28 +148,20 @@ func (p *progress) finish(state JobState, errMsg string) {
 	if p.closed {
 		return
 	}
-	p.events = append(p.events, StreamEvent{
-		Kind: StreamDone, Gen: p.gen, Offset: len(p.events),
-		State: state, Error: errMsg,
-	})
+	p.events = append(p.events, StreamEvent{Kind: StreamDone, State: state, Error: errMsg})
 	p.closed = true
 	close(p.notify)
 	p.notify = make(chan struct{})
 }
 
-// snapshot returns the events at and after offset from (clamped into
-// range), whether the stream is complete, and a channel that is
-// closed on the next append — the streamer blocks on it when it has
-// written everything and the job is still running.
+// snapshot returns the events at and after index from (at most the
+// number already written to the streamer), whether the stream is
+// complete, and a channel that is closed on the next append — the
+// streamer blocks on it when it has written everything and the job is
+// still running.
 func (p *progress) snapshot(from int) (evs []StreamEvent, closed bool, wait <-chan struct{}) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if from < 0 {
-		from = 0
-	}
-	if from > len(p.events) {
-		from = len(p.events)
-	}
 	// The tail slice is safe to return: events are append-only and
 	// individual entries are never mutated after publication.
 	return p.events[from:], p.closed, p.notify
@@ -191,10 +171,8 @@ func (p *progress) snapshot(from int) (evs []StreamEvent, closed bool, wait <-ch
 // status — used for jobs whose live buffer is gone (journal-replayed
 // finished jobs, or outputs evicted by retention). Cell results decode
 // from Output in spec order; epoch events are not reconstructable and
-// are omitted. The sequence is deterministic per process, so it gets
-// a stable per-daemon replay generation and reconnect offsets remain
-// valid against it.
-func synthesizeStream(gen string, st JobStatus) []StreamEvent {
+// are omitted.
+func synthesizeStream(st JobStatus) []StreamEvent {
 	var evs []StreamEvent
 	if len(st.Spec.Cells) > 0 && st.Output != "" {
 		if cells, err := DecodeCellResults(strings.NewReader(st.Output)); err == nil {
@@ -203,10 +181,5 @@ func synthesizeStream(gen string, st JobStatus) []StreamEvent {
 			}
 		}
 	}
-	evs = append(evs, StreamEvent{Kind: StreamDone, State: st.State, Error: st.Error})
-	for i := range evs {
-		evs[i].Gen = gen
-		evs[i].Offset = i
-	}
-	return evs
+	return append(evs, StreamEvent{Kind: StreamDone, State: st.State, Error: st.Error})
 }

@@ -20,7 +20,7 @@ import (
 )
 
 // Stream-layer tests: wire framing, the progress buffer, the HTTP
-// handler's resume/generation semantics, the slowloris drop, and
+// handler's replay-from-the-start contract, the slowloris drop, and
 // goroutine hygiene for dropped stream connections. End-to-end
 // streaming through the real binaries lives in cmd/dicebenchd and
 // cmd/dicesweep.
@@ -36,9 +36,9 @@ func streamCells() []experiments.CellSpec {
 
 // openStream connects to a daemon's stream endpoint and returns the
 // response body with a line reader.
-func openStream(t *testing.T, base, id string, offset int, gen string) (io.ReadCloser, *bufio.Reader) {
+func openStream(t *testing.T, base, id string) (io.ReadCloser, *bufio.Reader) {
 	t.Helper()
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s/stream?offset=%d&gen=%s", base, id, offset, gen))
+	resp, err := http.Get(base + "/jobs/" + id + "/stream")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func readEvent(t *testing.T, r *bufio.Reader) StreamEvent {
 // rejected rather than misparsed — the reconnect discipline.
 func TestStreamWireFormat(t *testing.T) {
 	cr := CellResult{Key: "k1", Workload: "gcc", IPC: []float64{0.5}, Cycles: 123}
-	line, err := EncodeStreamEvent(StreamEvent{Kind: StreamCell, Gen: "g1", Offset: 7, Cell: &cr})
+	line, err := EncodeStreamEvent(StreamEvent{Kind: StreamCell, Cell: &cr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestStreamWireFormat(t *testing.T) {
 	if !ok {
 		t.Fatalf("round trip failed for %q", line)
 	}
-	if ev.Kind != StreamCell || ev.Gen != "g1" || ev.Offset != 7 || ev.Cell == nil || ev.Cell.Key != "k1" {
+	if ev.Kind != StreamCell || ev.Cell == nil || ev.Cell.Key != "k1" {
 		t.Fatalf("round trip mangled event: %+v", ev)
 	}
 	for _, bad := range [][]byte{
@@ -90,6 +90,9 @@ func TestStreamWireFormat(t *testing.T) {
 		append([]byte("00000000 "), line[9:]...), // CRC mismatch
 		[]byte("zzzzzzzz " + `{"kind":"cell"}`),  // non-hex CRC
 		commitlog.Frame([]byte(`{"not":"an event"}`)), // valid frame, no kind
+		commitlog.Frame([]byte(`{"kind":"cell"}`)),    // cell without its payload
+		commitlog.Frame([]byte(`{"kind":"epoch"}`)),   // epoch without its payload
+		commitlog.Frame([]byte(`{"kind":"other"}`)),   // unknown kind
 	} {
 		if _, ok := DecodeStreamLine(bad); ok {
 			t.Errorf("DecodeStreamLine accepted invalid line %q", bad)
@@ -102,11 +105,11 @@ func TestStreamWireFormat(t *testing.T) {
 // and the event keeps its wire shape.
 func TestStreamEpochIsEpochLine(t *testing.T) {
 	line := obs.EpochLine{Key: "dice|gcc", Snap: obs.Snapshot{Epoch: 2, EndCycle: 300, Cycles: 100, IPC: 0.5, CoreIPC: []float64{0.25, 0.75}}}
-	ev, err := json.Marshal(StreamEvent{Kind: StreamEpoch, Gen: "g", Offset: 3, Epoch: &line})
+	ev, err := json.Marshal(StreamEvent{Kind: StreamEpoch, Epoch: &line})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const prefix = `{"kind":"epoch","gen":"g","offset":3,"epoch":{"key":"dice|gcc","snap":{"epoch":2,"end_cycle":300,"cycles":100,`
+	const prefix = `{"kind":"epoch","epoch":{"key":"dice|gcc","snap":{"epoch":2,"end_cycle":300,"cycles":100,`
 	if !strings.HasPrefix(string(ev), prefix) {
 		t.Fatalf("stream epoch event changed shape:\n%s\nwant prefix\n%s", ev, prefix)
 	}
@@ -128,10 +131,9 @@ func TestStreamEpochIsEpochLine(t *testing.T) {
 }
 
 // The progress buffer drops epoch events beyond its cap — telemetry
-// degrades — while cell and done events always land, and offsets stay
-// contiguous through the drops.
+// degrades — while cell and done events always land, in append order.
 func TestProgressBufferBoundsEpochs(t *testing.T) {
-	p := newProgress("g", 3)
+	p := newProgress(3)
 	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: "a"}})
 	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: "b"}})
 	p.add(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: "c"}})
@@ -146,9 +148,9 @@ func TestProgressBufferBoundsEpochs(t *testing.T) {
 	if len(evs) != 5 {
 		t.Fatalf("got %d events, want 5 (3 epochs + cell + done)", len(evs))
 	}
-	for i, ev := range evs {
-		if ev.Offset != i {
-			t.Fatalf("event %d has offset %d", i, ev.Offset)
+	for i, want := range []string{"a", "b", "c"} {
+		if evs[i].Kind != StreamEpoch || evs[i].Epoch.Key != want {
+			t.Fatalf("event %d = %+v, want epoch %s", i, evs[i], want)
 		}
 	}
 	if evs[3].Kind != StreamCell || evs[4].Kind != StreamDone {
@@ -160,9 +162,8 @@ func TestProgressBufferBoundsEpochs(t *testing.T) {
 }
 
 // A real cell job's stream delivers every cell result, interleaved
-// epoch snapshots, and a final done event — with one generation and
-// contiguous offsets — and the cell payloads are byte-equal to what
-// the polling path decodes from the job output.
+// epoch snapshots, and a final done event, and the cell payloads are
+// byte-equal to what the polling path decodes from the job output.
 func TestStreamDeliversCellsEpochsAndDone(t *testing.T) {
 	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
 	addr, err := d.Start("127.0.0.1:0")
@@ -174,27 +175,16 @@ func TestStreamDeliversCellsEpochsAndDone(t *testing.T) {
 	spec := JobSpec{Cells: streamCells(), Workers: 1, MetricsEpoch: 5000}
 	st := mustSubmit(t, d, spec)
 
-	body, r := openStream(t, base, st.ID, 0, "")
+	body, r := openStream(t, base, st.ID)
 	defer body.Close()
 
 	var (
-		gen    string
 		cells  = map[string]CellResult{}
 		epochs int
-		events int
 		done   StreamEvent
 	)
 	for {
 		ev := readEvent(t, r)
-		if events == 0 {
-			gen = ev.Gen
-		} else if ev.Gen != gen {
-			t.Fatalf("generation changed mid-stream: %q -> %q", gen, ev.Gen)
-		}
-		if ev.Offset != events {
-			t.Fatalf("event %d has offset %d", events, ev.Offset)
-		}
-		events++
 		switch ev.Kind {
 		case StreamCell:
 			cells[ev.Cell.Key] = *ev.Cell
@@ -263,9 +253,10 @@ func fakeStreamExec(first, rest []string, started chan<- struct{}, release <-cha
 	}
 }
 
-// A client that drops mid-stream and reconnects with ?offset=N&gen=G
-// resumes exactly at event N: no duplicates, no gaps.
-func TestStreamResumeAtOffset(t *testing.T) {
+// A client that drops in the middle of a job and reconnects is served
+// the whole sequence again from the first event — the cells it already
+// read, then the rest as they complete, then done.
+func TestStreamReconnectReplaysFromStart(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
@@ -280,63 +271,37 @@ func TestStreamResumeAtOffset(t *testing.T) {
 	<-started
 
 	// First connection: consume the three emitted events, then drop.
-	body, r := openStream(t, base, st.ID, 0, "")
-	var gen string
+	body, r := openStream(t, base, st.ID)
 	for i := 0; i < 3; i++ {
-		ev := readEvent(t, r)
-		gen = ev.Gen
-		if ev.Offset != i || ev.Cell.Key != fmt.Sprintf("c%d", i) {
+		if ev := readEvent(t, r); ev.Kind != StreamCell || ev.Cell.Key != fmt.Sprintf("c%d", i) {
 			t.Fatalf("event %d = %+v", i, ev)
 		}
 	}
 	body.Close()
 
-	// Reconnect at offset 3 with the generation we saw; release the
-	// executor; the stream must continue with c3, c4, done — never
-	// re-delivering c0..c2.
-	body2, r2 := openStream(t, base, st.ID, 3, gen)
+	// Reconnect while the job still runs, then release the executor:
+	// the stream starts over at c0 and runs through c4 and done.
+	body2, r2 := openStream(t, base, st.ID)
 	defer body2.Close()
-	close(release)
-	for i, want := range []string{"c3", "c4"} {
-		ev := readEvent(t, r2)
-		if ev.Gen != gen || ev.Offset != 3+i || ev.Kind != StreamCell || ev.Cell.Key != want {
-			t.Fatalf("resumed event %d = %+v, want cell %s at offset %d", i, ev, want, 3+i)
+	for i := 0; i < 3; i++ {
+		if ev := readEvent(t, r2); ev.Kind != StreamCell || ev.Cell.Key != fmt.Sprintf("c%d", i) {
+			t.Fatalf("replayed event %d = %+v, want cell c%d", i, ev, i)
 		}
 	}
-	fin := readEvent(t, r2)
-	if fin.Kind != StreamDone || fin.State != StateDone || fin.Offset != 5 {
+	close(release)
+	for i := 3; i < 5; i++ {
+		if ev := readEvent(t, r2); ev.Kind != StreamCell || ev.Cell.Key != fmt.Sprintf("c%d", i) {
+			t.Fatalf("event %d = %+v, want cell c%d", i, ev, i)
+		}
+	}
+	if fin := readEvent(t, r2); fin.Kind != StreamDone || fin.State != StateDone {
 		t.Fatalf("final event = %+v", fin)
 	}
 }
 
-// A reconnect bearing a stale generation token must restart from 0 —
-// offsets from another daemon process's sequence are meaningless.
-func TestStreamStaleGenerationRestartsFromZero(t *testing.T) {
-	started := make(chan struct{}, 1)
-	release := make(chan struct{})
-	close(release) // emit everything immediately
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = fakeStreamExec([]string{"c0", "c1"}, nil, started, release)
-	addr, err := d.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + addr.String()
-
-	st := mustSubmit(t, d, JobSpec{Experiments: []string{"fig4"}})
-	waitState(t, d, st.ID, StateDone)
-
-	body, r := openStream(t, base, st.ID, 2, "not-this-daemons-gen")
-	defer body.Close()
-	ev := readEvent(t, r)
-	if ev.Offset != 0 || ev.Kind != StreamCell || ev.Cell.Key != "c0" {
-		t.Fatalf("first event after stale-gen reconnect = %+v, want c0 at offset 0", ev)
-	}
-}
-
 // After a restart, a journal-finished job's stream is synthesized
-// from its output: every cell re-delivered in spec order under the
-// replay generation, then the done event.
+// from its output: every cell re-delivered in spec order, then the
+// done event.
 func TestStreamSynthesizedAfterRestart(t *testing.T) {
 	journal := tmpJournal(t)
 	cells := streamCells()[:2]
@@ -377,15 +342,12 @@ func TestStreamSynthesizedAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, r := openStream(t, "http://"+addr.String(), st.ID, 0, "")
+	body, r := openStream(t, "http://"+addr.String(), st.ID)
 	defer body.Close()
 	for i, want := range results {
 		ev := readEvent(t, r)
-		if ev.Kind != StreamCell || ev.Offset != i || ev.Cell.Key != want.Key {
+		if ev.Kind != StreamCell || ev.Cell.Key != want.Key {
 			t.Fatalf("synthesized event %d = %+v, want cell %s", i, ev, want.Key)
-		}
-		if !strings.HasSuffix(ev.Gen, "-replay") {
-			t.Fatalf("synthesized event carries gen %q, want a replay generation", ev.Gen)
 		}
 	}
 	fin := readEvent(t, r)
@@ -492,7 +454,7 @@ func TestStreamDroppedConnNoLeak(t *testing.T) {
 	// Open several streams mid-job and drop them all: each handler
 	// goroutine must unblock on the closed request context.
 	for i := 0; i < 4; i++ {
-		body, r := openStream(t, base, st.ID, 0, "")
+		body, r := openStream(t, base, st.ID)
 		readEvent(t, r) // ensure the handler is past its first write
 		body.Close()
 	}
@@ -504,7 +466,7 @@ func TestStreamDroppedConnNoLeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocked, _ := openStream(t, base, queued.ID, 0, "")
+	blocked, _ := openStream(t, base, queued.ID)
 
 	shutdownDone := make(chan error, 1)
 	go func() {

@@ -28,22 +28,16 @@ type epochCums struct {
 
 // epochTracker samples one machine into one recorder.
 type epochTracker struct {
-	rec         *obs.Recorder
-	m           *machine
-	fm          *fault.Model
-	cs          []*core
-	instrPerRef []float64
-	refsSeen    uint64
-	prev        epochCums
+	rec  *obs.Recorder
+	m    *machine
+	fm   *fault.Model
+	cs   []*core
+	prev epochCums
 }
 
 // newEpochTracker builds a tracker over the assembled machine.
 func newEpochTracker(rec *obs.Recorder, m *machine, fm *fault.Model, cs []*core) *epochTracker {
 	et := &epochTracker{rec: rec, m: m, fm: fm, cs: cs}
-	et.instrPerRef = make([]float64, len(cs))
-	for i, c := range cs {
-		et.instrPerRef[i] = instrPerRefMPKI / c.inst.MPKI
-	}
 	et.prev.refs = make([]int, len(cs))
 	et.prev.clocks = make([]uint64, len(cs))
 	return et
@@ -90,7 +84,7 @@ func (et *epochTracker) record() {
 	for i, c := range et.cs {
 		dRefs := c.refsDone - et.prev.refs[i]
 		dCyc := c.clock - et.prev.clocks[i]
-		dInstr := float64(dRefs) * et.instrPerRef[i]
+		dInstr := float64(dRefs) * c.instrPerRef
 		s.CoreIPC[i] = ratio(dInstr, float64(dCyc))
 		refs += uint64(dRefs)
 		instr += dInstr

@@ -234,6 +234,10 @@ type core struct {
 	outstanding []uint64 // completion times, ascending
 	refsDone    int
 	refsTarget  int
+	// instrPerRef is the instructions the core charges per memory
+	// reference, instrPerRefMPKI/MPKI: its issue gaps, IPC and epoch
+	// IPC all read it.
+	instrPerRef float64
 }
 
 // machine is the assembled system.

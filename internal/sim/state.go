@@ -144,7 +144,7 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 			gap = 1
 		}
 		cs[i] = &core{
-			idx: i, inst: in, gapCycles: gap, refsTarget: warm + refs,
+			idx: i, inst: in, instrPerRef: instrPerRef, gapCycles: gap, refsTarget: warm + refs,
 			outstanding: make([]uint64, 0, cfg.MLPWindow+1),
 		}
 	}
@@ -232,7 +232,7 @@ func (st *runState) result() Result {
 		if span == 0 {
 			span = 1
 		}
-		instr := float64(st.refs) * (instrPerRefMPKI / c.inst.MPKI)
+		instr := float64(st.refs) * c.instrPerRef
 		res.IPC[i] = instr / float64(span)
 		if finish > maxFinish {
 			maxFinish = finish
