@@ -13,7 +13,7 @@ LINTDOC_PKGS = ./internal/obs ./internal/fault ./internal/parallel \
 	./internal/compress ./internal/stats ./internal/graph \
 	./internal/data ./internal/trace ./internal/energy \
 	./cmd/dicesim ./cmd/dicebench ./cmd/dicebenchd ./cmd/dicetrace \
-	./cmd/lintdoc ./internal/dram ./internal/cache
+	./cmd/lintdoc ./internal/dram ./internal/cache ./internal/sim
 
 all: build vet lint test
 
@@ -41,10 +41,11 @@ test-race:
 
 # Short fuzz pass over the validated-decompress boundary, the
 # event-vs-cycle simulation core equality oracle, the DRAM cache's
-# occupancy-counter oracle, the sweep-spec parser and the commit log's
-# replay of arbitrary file bytes (go's fuzzer accepts one target per
-# invocation). The parser's new inputs are
-# minimized for at most 5s each so minimization cannot eat its budget.
+# occupancy-counter oracle, the sweep-spec parser, the commit log's
+# replay of arbitrary file bytes and the daemon's job-spec decoding
+# (go's fuzzer accepts one target per invocation). The parser's new
+# inputs are minimized for at most 5s each so minimization cannot eat
+# its budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecompressChecked$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzCompressRoundtrip$$' -fuzztime=30s ./internal/compress
@@ -52,6 +53,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheOccupancy$$' -fuzztime=30s ./internal/dcache
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/dse
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=30s ./internal/commitlog
+	$(GO) test -run='^$$' -fuzz='^FuzzSubmit$$' -fuzztime=30s ./internal/serve
 
 # Per-layer microbenchmarks: every `go test -bench` benchmark in the
 # module — the paper tables/figures in bench_test.go plus the compress,

@@ -167,9 +167,16 @@ func main() {
 	r.Verbose = *verbose
 	r.Workers = *workers
 	job := experiments.CellSpec{Scale: *scale, BER: *faultBER, FaultSeed: *faultSd, FaultPolicy: *faultPol}
-	var epochs *recorders
+	// -metrics-out is created before any simulation runs, so an
+	// unwritable path fails at once instead of after the whole run.
+	var epochs *epochSeries
 	if *metricsOut != "" {
-		epochs = &recorders{epoch: *metricsEpoch, byKey: map[string]*obs.Recorder{}}
+		f, err := os.Create(*metricsOut)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		epochs = &epochSeries{epoch: *metricsEpoch, out: f, byKey: map[string][]obs.Snapshot{}}
 		r.Observe = epochs.observe
 	}
 
@@ -195,8 +202,9 @@ func main() {
 	if *selfStats {
 		fmt.Println(obs.SelfReport(selfBefore, obs.CaptureSelf(), r.TotalCycles()))
 	}
-	if *metricsOut != "" {
-		if werr := epochs.write(*metricsOut); werr != nil {
+	if epochs != nil {
+		// Every simulation that started has finished by now.
+		if werr := obs.WriteEpochs(epochs.out, epochs.byKey); werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
 			os.Exit(1)
 		}
@@ -225,35 +233,27 @@ func validateFlags(metricsEpoch uint64, workers int) error {
 	return nil
 }
 
-// recorders keeps one epoch recorder per executed simulation, keyed by
-// CellSpec.Key, for -metrics-out. Each recorder holds the snapshots its
-// simulation recorded, at most the last 4096.
-type recorders struct {
+// epochSeries keeps every executed simulation's epoch snapshots, keyed
+// by CellSpec.Key, for -metrics-out. The series stay in memory until the
+// run ends, when obs.WriteEpochs writes them to out in sorted key order,
+// so the file is byte-identical at every -workers.
+type epochSeries struct {
 	epoch uint64
+	out   *os.File
 	mu    sync.Mutex
-	byKey map[string]*obs.Recorder
+	byKey map[string][]obs.Snapshot
 }
 
-// observe is the runner's Observe hook: a fresh recorder for key.
-func (rs *recorders) observe(key string) *obs.Observer {
-	rec := obs.NewRecorder(rs.epoch)
-	rs.mu.Lock()
-	rs.byKey[key] = rec
-	rs.mu.Unlock()
-	return &obs.Observer{Rec: rec}
-}
-
-// write writes every recorded epoch snapshot to path as epoch lines
-// (obs.WriteEpochs), byte-identical at every -workers. Call it after
-// the run: every simulation that started has finished by then.
-func (rs *recorders) write(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	snaps := make(map[string][]obs.Snapshot, len(rs.byKey))
-	for k, rec := range rs.byKey {
-		snaps[k] = rec.Snapshots()
-	}
-	return obs.WriteEpochs(f, snaps)
+// observe is the runner's Observe hook: a recorder appending to key's
+// series. The key is entered at once, so a simulation too short to
+// record an epoch still counts as observed.
+func (es *epochSeries) observe(key string) *obs.Observer {
+	es.mu.Lock()
+	es.byKey[key] = nil
+	es.mu.Unlock()
+	return &obs.Observer{Rec: obs.NewRecorder(es.epoch, func(s obs.Snapshot) {
+		es.mu.Lock()
+		es.byKey[key] = append(es.byKey[key], s)
+		es.mu.Unlock()
+	})}
 }

@@ -122,3 +122,17 @@ func TestNegativeRefsFailsUpFront(t *testing.T) {
 		}
 	}
 }
+
+// TestUnwritableMetricsOutFailsUpFront pins that a -metrics-out path
+// that cannot be created fails before any simulation runs, not after
+// the whole run.
+func TestUnwritableMetricsOutFailsUpFront(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "epochs.ndjson")
+	out, err := exec.Command(buildDicebench(t), "-run", "fig10", "-refs", "2000", "-metrics-out", path).CombinedOutput()
+	if err == nil {
+		t.Fatalf("dicebench -metrics-out %s succeeded:\n%s", path, out)
+	}
+	if !strings.Contains(string(out), "no such file or directory") || strings.Contains(string(out), "simulations") {
+		t.Fatalf("want an up-front open error and no run, got:\n%s", out)
+	}
+}

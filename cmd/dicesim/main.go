@@ -154,13 +154,13 @@ func main() {
 	}
 
 	// Observer for the flagged cell (a -baseline run stays unobserved —
-	// its result is only used for the speedup ratio).
+	// its result is only used for the speedup ratio). -metrics-out is
+	// created before the simulation starts, so an unwritable path fails
+	// at once, and every epoch goes to the file as it is recorded.
 	var ob *obs.Observer
+	var epochs *obs.EpochWriter
 	if *metricsOut != "" || *traceEvents != "" {
 		ob = &obs.Observer{}
-		if *metricsOut != "" {
-			ob.Rec = obs.NewRecorder(*metricsEpoch)
-		}
 		if *traceEvents != "" {
 			tr, err := obs.NewTracer(*traceEvents, 0)
 			if err != nil {
@@ -168,6 +168,16 @@ func main() {
 				os.Exit(1)
 			}
 			ob.Trace = tr
+		}
+		if *metricsOut != "" {
+			f, err := os.Create(*metricsOut)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
+			epochs = obs.NewEpochWriter(f)
+			key := cell.Key()
+			ob.Rec = obs.NewRecorder(*metricsEpoch, func(s obs.Snapshot) { epochs.Emit(key, s) })
 		}
 	}
 
@@ -182,29 +192,43 @@ func main() {
 	r := experiments.NewRunner(0)
 	r.Workers = *workers
 	res, err := simulate(ctx, r, cell, *baseline, ob)
-	if err != nil && ctx.Err() == nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	code := 0
 	got, ok := res[cell.Key()]
-	if !ok {
+	switch {
+	case err != nil && ctx.Err() == nil:
+		fmt.Fprintln(os.Stderr, err)
+		code = 1
+	case !ok:
 		fmt.Println("interrupted before the simulation completed")
-		os.Exit(1)
-	}
-	printResult(got)
-	if *baseline {
-		base, ok := res[cell.Baseline().Key()]
-		if !ok {
-			// Partial run: print what completed, then exit nonzero so
-			// scripts notice the interruption.
-			fmt.Println("\ninterrupted: baseline run skipped, speedup unavailable")
-			finishObserved(ob, *metricsOut, cell.Key())
-			os.Exit(1)
+		code = 1
+	default:
+		printResult(got)
+		if *baseline {
+			if base, ok := res[cell.Baseline().Key()]; ok {
+				fmt.Printf("\nweighted speedup vs uncompressed baseline: %.3f\n",
+					sim.Speedup(base, got))
+			} else {
+				// Partial run: print what completed, then exit nonzero
+				// so scripts notice the interruption.
+				fmt.Println("\ninterrupted: baseline run skipped, speedup unavailable")
+				code = 1
+			}
 		}
-		fmt.Printf("\nweighted speedup vs uncompressed baseline: %.3f\n",
-			sim.Speedup(base, got))
+		printTimeline(ob.Tracer())
 	}
-	finishObserved(ob, *metricsOut, cell.Key())
+	// Close on every path, an interrupted run included, so the file
+	// holds every epoch recorded.
+	if epochs != nil {
+		if err := epochs.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		} else {
+			fmt.Printf("\nwrote %d epochs to %s\n", epochs.Count(), *metricsOut)
+		}
+	}
+	if code != 0 {
+		os.Exit(code)
+	}
 }
 
 // simulate runs cell — and, with baseline, cell.Baseline() — through
@@ -269,37 +293,15 @@ func cellFromFlags(o *cliFlags) (experiments.CellSpec, error) {
 	return c, c.Validate()
 }
 
-// finishObserved prints the collected event timeline and writes the
-// recorded epochs to metricsOut as epoch lines (obs.EpochLine) keyed
-// by the cell's CellSpec.Key(), once results are on screen.
-func finishObserved(ob *obs.Observer, metricsOut, key string) {
-	if ob == nil {
+// printTimeline prints the collected event timeline, if any.
+func printTimeline(tr *obs.Tracer) {
+	if tr == nil {
 		return
 	}
-	if ob.Trace != nil {
-		fmt.Printf("\nevent timeline (%d events, %d dropped):\n",
-			len(ob.Trace.Events()), ob.Trace.Dropped())
-		if err := ob.Trace.WriteTimeline(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
+	fmt.Printf("\nevent timeline (%d events, %d dropped):\n", len(tr.Events()), tr.Dropped())
+	if err := tr.WriteTimeline(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 	}
-	if ob.Rec != nil && metricsOut != "" {
-		if err := writeEpochs(metricsOut, key, ob.Rec.Snapshots()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %d epochs (%d dropped) to %s\n",
-			len(ob.Rec.Snapshots()), ob.Rec.Dropped(), metricsOut)
-	}
-}
-
-// writeEpochs writes one simulation's epoch snapshots to path.
-func writeEpochs(path, key string, snaps []obs.Snapshot) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	return obs.WriteEpochs(f, map[string][]obs.Snapshot{key: snaps})
 }
 
 func printResult(r sim.Result) {

@@ -181,8 +181,57 @@ func TestMetricsOutWritesEpochLines(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no epoch lines written")
 	}
-	if want := fmt.Sprintf("wrote %d epochs (0 dropped)", n); !strings.Contains(string(out), want) {
+	if want := fmt.Sprintf("wrote %d epochs to %s", n, path); !strings.Contains(string(out), want) {
 		t.Fatalf("output does not report %q:\n%s", want, out)
+	}
+}
+
+// TestMetricsOutKeepsEveryEpoch runs a simulation long enough to record
+// more than 4096 epochs and requires the file to hold every one of
+// them, numbered 0..n-1 with no gap.
+func TestMetricsOutKeepsEveryEpoch(t *testing.T) {
+	bin := buildDicesim(t)
+	path := filepath.Join(t.TempDir(), "epochs.ndjson")
+	out, err := exec.Command(bin, "-workload", "gcc", "-refs", "300", "-scale", "12",
+		"-metrics-epoch", "5", "-metrics-out", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("dicesim: %v\n%s", err, out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	n := 0
+	for ; dec.More(); n++ {
+		var l obs.EpochLine
+		if err := dec.Decode(&l); err != nil {
+			t.Fatalf("line %d: %v", n, err)
+		}
+		if l.Snap.Epoch != uint64(n) {
+			t.Fatalf("line %d holds epoch %d", n, l.Snap.Epoch)
+		}
+	}
+	if n <= 4096 {
+		t.Fatalf("run wrote %d epochs; the check needs more than 4096", n)
+	}
+	if want := fmt.Sprintf("wrote %d epochs to %s", n, path); !strings.Contains(string(out), want) {
+		t.Fatalf("output does not report %q:\n%s", want, out)
+	}
+}
+
+// TestUnwritableMetricsOutFailsUpFront pins that a -metrics-out path
+// that cannot be created fails before the simulation runs.
+func TestUnwritableMetricsOutFailsUpFront(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "epochs.ndjson")
+	out, err := exec.Command(buildDicesim(t), "-workload", "gcc", "-refs", "300", "-scale", "12",
+		"-metrics-out", path).CombinedOutput()
+	if err == nil {
+		t.Fatalf("dicesim -metrics-out %s succeeded:\n%s", path, out)
+	}
+	if !strings.Contains(string(out), "no such file or directory") || strings.Contains(string(out), "cycles (measured window)") {
+		t.Fatalf("want an up-front open error and no run, got:\n%s", out)
 	}
 }
 

@@ -117,9 +117,7 @@ func runLocal(ctx context.Context, pending []experiments.CellSpec, record func(s
 	r.Workers = opt.Workers
 	if opt.MetricsEpoch > 0 && opt.EpochSink != nil {
 		r.Observe = func(key string) *obs.Observer {
-			rec := obs.NewRecorder(opt.MetricsEpoch)
-			rec.OnRecord = func(s obs.Snapshot) { opt.EpochSink(key, s) }
-			return &obs.Observer{Rec: rec}
+			return &obs.Observer{Rec: obs.NewRecorder(opt.MetricsEpoch, func(s obs.Snapshot) { opt.EpochSink(key, s) })}
 		}
 	}
 	var recErr error

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -17,26 +18,25 @@ import (
 func metricsRunner(workers int) (r *Runner, snaps func() map[string][]obs.Snapshot, calls func() int) {
 	r = detRunner(workers)
 	var (
-		mu   sync.Mutex
-		recs = map[string]*obs.Recorder{}
-		n    int
+		mu     sync.Mutex
+		series = map[string][]obs.Snapshot{}
+		n      int
 	)
 	r.Observe = func(key string) *obs.Observer {
-		rec := obs.NewRecorder(25_000)
 		mu.Lock()
-		recs[key] = rec
+		series[key] = nil
 		n++
 		mu.Unlock()
-		return &obs.Observer{Rec: rec}
+		return &obs.Observer{Rec: obs.NewRecorder(25_000, func(s obs.Snapshot) {
+			mu.Lock()
+			series[key] = append(series[key], s)
+			mu.Unlock()
+		})}
 	}
 	snaps = func() map[string][]obs.Snapshot {
 		mu.Lock()
 		defer mu.Unlock()
-		out := make(map[string][]obs.Snapshot, len(recs))
-		for k, rec := range recs {
-			out[k] = rec.Snapshots()
-		}
-		return out
+		return maps.Clone(series)
 	}
 	calls = func() int {
 		mu.Lock()

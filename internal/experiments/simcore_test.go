@@ -61,12 +61,13 @@ func TestEventCoreMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					evOb := &obs.Observer{Rec: obs.NewRecorder(20_000)}
+					var evSnaps, refSnaps []obs.Snapshot
+					evOb := &obs.Observer{Rec: obs.NewRecorder(20_000, func(s obs.Snapshot) { evSnaps = append(evSnaps, s) })}
 					evRes, _, err := sim.RunEventObserved(cfg, w, evOb)
 					if err != nil {
 						t.Fatal(err)
 					}
-					refOb := &obs.Observer{Rec: obs.NewRecorder(20_000)}
+					refOb := &obs.Observer{Rec: obs.NewRecorder(20_000, func(s obs.Snapshot) { refSnaps = append(refSnaps, s) })}
 					refRes, err := sim.RunReferenceObserved(cfg, w, refOb)
 					if err != nil {
 						t.Fatal(err)
@@ -83,10 +84,10 @@ func TestEventCoreMatchesReference(t *testing.T) {
 					}
 
 					var evOut, refOut bytes.Buffer
-					if err := obs.WriteEpochs(&evOut, map[string][]obs.Snapshot{key: evOb.Rec.Snapshots()}); err != nil {
+					if err := obs.WriteEpochs(&evOut, map[string][]obs.Snapshot{key: evSnaps}); err != nil {
 						t.Fatal(err)
 					}
-					if err := obs.WriteEpochs(&refOut, map[string][]obs.Snapshot{key: refOb.Rec.Snapshots()}); err != nil {
+					if err := obs.WriteEpochs(&refOut, map[string][]obs.Snapshot{key: refSnaps}); err != nil {
 						t.Fatal(err)
 					}
 					if !bytes.Equal(evOut.Bytes(), refOut.Bytes()) {

@@ -36,32 +36,27 @@ func decodeLines(t *testing.T, b []byte) []EpochLine {
 
 // TestExportRoundTrip checks that recorded snapshots survive the
 // epoch-line export exactly — awkward floats included — with their keys
-// and in order, for an empty, a small and an overflowed recorder.
+// and in order, for an empty and a small recorder.
 func TestExportRoundTrip(t *testing.T) {
 	cases := []struct {
-		name           string
-		epoch          uint64
-		n              int
-		dropped, lines int
+		name string
+		n    int
 	}{
-		{"json-empty", 100, 0, 0, 0},
-		{"json-small", 100, 5, 0, 5},
-		{"json-overflowed", 7, ringCap + 5, 5, ringCap},
+		{"json-empty", 0},
+		{"json-small", 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewRecorder(tc.epoch)
+			var snaps []Snapshot
+			r := NewRecorder(100, func(s Snapshot) { snaps = append(snaps, s) })
 			for i := 0; i < tc.n; i++ {
 				r.Record(fakeSnapshot(i))
-			}
-			if r.Dropped() != uint64(tc.dropped) {
-				t.Fatalf("dropped %d, want %d", r.Dropped(), tc.dropped)
 			}
 			var b bytes.Buffer
 			w := NewEpochWriter(&b)
 			var want []EpochLine
 			for _, key := range []string{"dice|gcc", "base|mcf"} {
-				for _, s := range r.Snapshots() {
+				for _, s := range snaps {
 					w.Emit(key, s)
 					want = append(want, EpochLine{Key: key, Snap: s})
 				}
@@ -69,8 +64,8 @@ func TestExportRoundTrip(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if w.Count() != 2*tc.lines || len(want) != 2*tc.lines {
-				t.Fatalf("Count = %d, want %d", w.Count(), 2*tc.lines)
+			if w.Count() != 2*tc.n || len(want) != 2*tc.n {
+				t.Fatalf("Count = %d, want %d", w.Count(), 2*tc.n)
 			}
 			if got := decodeLines(t, b.Bytes()); !reflect.DeepEqual(got, want) {
 				t.Fatalf("lines did not round-trip:\ngot  %+v\nwant %+v", got, want)

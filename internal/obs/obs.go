@@ -11,8 +11,8 @@
 // observer physically unable to reach into simulated state.
 //
 // Determinism contract: observation is read-only. A Recorder or Tracer
-// attached to a run may copy statistics and append to its own buffers,
-// but it never feeds anything back into the simulation, so results are
+// attached to a run may copy statistics, hand snapshots to its sink and
+// append events to its own buffer, but it never feeds anything back into the simulation, so results are
 // byte-identical with observation on or off, at any worker count. The
 // determinism tests in internal/sim and internal/experiments enforce
 // this.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,57 +45,24 @@ func fakeSnapshot(i int) Snapshot {
 	}
 }
 
-// TestRecorderRingOverflow fills the ring past capacity and checks
-// flight-recorder semantics: the most recent snapshots survive, the
-// drop count is exact, and epoch stamping keeps counting.
-func TestRecorderRingOverflow(t *testing.T) {
-	r := NewRecorder(50)
-	for i := 0; i < ringCap+6; i++ {
+// TestRecorderSinkGetsEverySnapshot records more epochs than the old
+// 4096-snapshot ring held and requires the sink to receive every one,
+// in order, stamped with its epoch index, boundary and length.
+func TestRecorderSinkGetsEverySnapshot(t *testing.T) {
+	const n = 5000
+	var got []Snapshot
+	r := NewRecorder(50, func(s Snapshot) { got = append(got, s) })
+	for i := 0; i < n; i++ {
 		r.Record(fakeSnapshot(i))
 	}
-	if got := r.Dropped(); got != 6 {
-		t.Fatalf("dropped %d, want 6", got)
+	if len(got) != n {
+		t.Fatalf("sink received %d of %d snapshots", len(got), n)
 	}
-	snaps := r.Snapshots()
-	if len(snaps) != ringCap {
-		t.Fatalf("retained %d snapshots, want %d", len(snaps), ringCap)
-	}
-	if cap(r.ring) != ringCap {
-		t.Fatalf("full ring holds room for %d snapshots, want %d", cap(r.ring), ringCap)
-	}
-	for i, s := range snaps {
-		wantEpoch := uint64(6 + i)
-		if s.Epoch != wantEpoch {
-			t.Fatalf("snapshot %d has epoch %d, want %d", i, s.Epoch, wantEpoch)
-		}
-		if want := (wantEpoch + 1) * 50; s.EndCycle != want {
-			t.Fatalf("snapshot %d ends at %d, want %d", i, s.EndCycle, want)
-		}
-	}
-}
-
-// TestRecorderRingGrowsOnDemand checks that a short run holds only
-// the few epochs it recorded, not a full 4096-snapshot ring — a
-// caller that keeps recorders of many finished runs (dicebench
-// -metrics-out) then holds kilobytes, not a megabyte per run.
-func TestRecorderRingGrowsOnDemand(t *testing.T) {
-	r := NewRecorder(50)
-	if cap(r.ring) != 0 {
-		t.Fatalf("new recorder allocated %d snapshots before any epoch", cap(r.ring))
-	}
-	for i := 0; i < 3; i++ {
-		r.Record(fakeSnapshot(i))
-	}
-	if cap(r.ring) > 16 {
-		t.Fatalf("3 epochs allocated room for %d snapshots, want at most 16", cap(r.ring))
-	}
-	snaps := r.Snapshots()
-	if len(snaps) != 3 || r.Dropped() != 0 {
-		t.Fatalf("retained %d snapshots (%d dropped), want 3 (0)", len(snaps), r.Dropped())
-	}
-	for i, s := range snaps {
-		if s.Epoch != uint64(i) {
-			t.Fatalf("snapshot %d has epoch %d", i, s.Epoch)
+	for i, s := range got {
+		want := fakeSnapshot(i)
+		want.Epoch, want.EndCycle, want.Cycles = uint64(i), uint64(i+1)*50, 50
+		if !reflect.DeepEqual(s, want) {
+			t.Fatalf("snapshot %d:\ngot  %+v\nwant %+v", i, s, want)
 		}
 	}
 }
@@ -106,7 +74,7 @@ func TestRecorderDue(t *testing.T) {
 	if nilRec.Due(1 << 40) {
 		t.Fatal("nil recorder must never be due")
 	}
-	r := NewRecorder(100)
+	r := NewRecorder(100, func(Snapshot) {})
 	if r.Due(99) {
 		t.Fatal("due before first boundary")
 	}
@@ -248,14 +216,22 @@ func TestSelfSampleMonotone(t *testing.T) {
 	}
 }
 
-// TestRecorderValidation pins constructor error behavior.
+// TestRecorderValidation pins constructor error behavior: a zero
+// epoch and a nil sink both panic.
 func TestRecorderValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewRecorder(0) must panic")
-		}
-	}()
-	NewRecorder(0)
+	for name, mk := range map[string]func(){
+		"zero epoch": func() { NewRecorder(0, func(Snapshot) {}) },
+		"nil sink":   func() { NewRecorder(100, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewRecorder with a %s must panic", name)
+				}
+			}()
+			mk()
+		}()
+	}
 }
 
 // Example of the event rendering format, pinned because operators

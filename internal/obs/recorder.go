@@ -93,44 +93,32 @@ func SchemaFields() []string {
 	return fields
 }
 
-// ringCap is the epoch-ring capacity of every Recorder. The ring grows
-// as epochs arrive, so a short run holds only the epochs it recorded;
-// at ~300B per snapshot a full ring is ~1.2MB regardless of run
-// length: once full, the oldest epochs are dropped (and counted)
-// rather than growing without bound.
-const ringCap = 4096
-
-// Recorder samples epoch metrics into a bounded ring. It is attached
-// to exactly one simulation and used from that simulation's goroutine
-// only (like fault.Model, it is not safe for concurrent use). The
-// recorder never mutates simulated state: the sim layer copies its
-// component statistics into a Snapshot and hands it over.
+// Recorder samples epoch metrics and hands every snapshot to its sink.
+// It is attached to exactly one simulation and used from that
+// simulation's goroutine only (like fault.Model, it is not safe for
+// concurrent use). The recorder never mutates simulated state: the sim
+// layer copies its component statistics into a Snapshot and hands it
+// over. It keeps no snapshots itself, so its memory does not grow with
+// run length; what the sink keeps is the sink's to bound.
 type Recorder struct {
-	epoch   uint64
-	next    uint64
-	count   uint64
-	dropped uint64
-
-	ring []Snapshot
-	head int
-	n    int
-
-	// OnRecord, when non-nil, observes every recorded snapshot (with
-	// Epoch/EndCycle/Cycles stamped) the moment Record runs — the hook
-	// behind incremental metric export. It fires for every epoch, even
-	// ones a full ring later drops, and runs on the simulation
-	// goroutine: keep it fast and non-blocking.
-	OnRecord func(Snapshot)
+	epoch uint64
+	next  uint64
+	count uint64
+	sink  func(Snapshot)
 }
 
 // NewRecorder returns a recorder sampling every epochCycles of
-// simulated time into a ring that keeps the last 4096 snapshots,
-// allocated as epochs arrive. It panics if epochCycles is zero.
-func NewRecorder(epochCycles uint64) *Recorder {
+// simulated time and passing each snapshot to sink. The sink runs on
+// the simulation goroutine: keep it fast and non-blocking. It panics
+// if epochCycles is zero or sink is nil.
+func NewRecorder(epochCycles uint64, sink func(Snapshot)) *Recorder {
 	if epochCycles == 0 {
 		panic("obs: epochCycles must be positive")
 	}
-	return &Recorder{epoch: epochCycles, next: epochCycles}
+	if sink == nil {
+		panic("obs: recorder needs a sink")
+	}
+	return &Recorder{epoch: epochCycles, next: epochCycles, sink: sink}
 }
 
 // EpochCycles returns the sampling period in simulated cycles.
@@ -143,43 +131,15 @@ func (r *Recorder) Due(now uint64) bool { return r != nil && now >= r.next }
 // Boundary returns the cycle of the next epoch boundary.
 func (r *Recorder) Boundary() uint64 { return r.next }
 
-// Record appends one snapshot, stamping its epoch index and boundary
-// cycle, and advances the boundary. When the ring is full the oldest
-// snapshot is dropped and counted in Dropped.
+// Record stamps one snapshot with its epoch index, boundary cycle and
+// length, passes it to the sink, and advances the boundary.
 func (r *Recorder) Record(s Snapshot) {
 	s.Epoch = r.count
 	s.EndCycle = r.next
 	s.Cycles = r.epoch
 	r.count++
 	r.next += r.epoch
-	if r.OnRecord != nil {
-		r.OnRecord(s)
-	}
-	if r.n < ringCap {
-		if r.n == cap(r.ring) {
-			grown := make([]Snapshot, r.n, min(max(2*r.n, 16), ringCap))
-			copy(grown, r.ring)
-			r.ring = grown
-		}
-		r.ring = append(r.ring, s)
-		r.n++
-		return
-	}
-	r.ring[r.head] = s
-	r.head = (r.head + 1) % ringCap
-	r.dropped++
-}
-
-// Dropped returns how many snapshots the full ring has discarded.
-func (r *Recorder) Dropped() uint64 { return r.dropped }
-
-// Snapshots returns the retained snapshots in chronological order.
-func (r *Recorder) Snapshots() []Snapshot {
-	out := make([]Snapshot, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.ring[(r.head+i)%len(r.ring)]
-	}
-	return out
+	r.sink(s)
 }
 
 // SchemaVersion identifies the Snapshot schema; bump it when Snapshot

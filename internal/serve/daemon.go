@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -824,12 +825,27 @@ func (d *Daemon) writeStreamEvents(w http.ResponseWriter, rc *http.ResponseContr
 // client error, not a reason to grow daemon memory.
 const maxSpecBytes = 1 << 20
 
-func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSpec reads one job spec from a submitted body: at most
+// maxSpecBytes, no unknown fields, and nothing but whitespace after
+// the spec, so a body holding a second value or trailing bytes is
+// refused rather than half read. It does not validate the spec.
+func decodeSpec(w http.ResponseWriter, body io.ReadCloser) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("serve: bad job spec: %w", err))
+		return JobSpec{}, fmt.Errorf("serve: bad job spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobSpec{}, fmt.Errorf("serve: bad job spec: data after the spec")
+	}
+	return spec, nil
+}
+
+func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	spec, err := decodeSpec(w, r.Body)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	st, err := d.Submit(spec)

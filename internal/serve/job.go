@@ -234,11 +234,9 @@ func RunSpecStream(ctx context.Context, spec JobSpec, defaultRefs int, emit func
 	r.Workers = spec.Workers
 	if spec.MetricsEpoch > 0 && emit != nil {
 		r.Observe = func(key string) *obs.Observer {
-			rec := obs.NewRecorder(spec.MetricsEpoch)
-			rec.OnRecord = func(s obs.Snapshot) {
+			return &obs.Observer{Rec: obs.NewRecorder(spec.MetricsEpoch, func(s obs.Snapshot) {
 				emit(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: key, Snap: s}})
-			}
-			return &obs.Observer{Rec: rec}
+			})}
 		}
 	}
 

@@ -19,29 +19,38 @@ import (
 // (dram.NextBusFree/NextCompletion on both devices), and byte-identical
 // epoch exports.
 
+// diffRun is one config run on both cores: the finished states, their
+// results, the event core's stats, and each core's epoch series.
+type diffRun struct {
+	ev, ref           *runState
+	evRes, refRes     Result
+	es                EventStats
+	evSnaps, refSnaps []obs.Snapshot
+}
+
 // runDiff executes cfg/w on both cores, with recorders attached when
-// epoch > 0, and returns both finished states plus results.
-func runDiff(t *testing.T, cfg Config, w workloads.Workload, epoch uint64) (ev, ref *runState, evRes, refRes Result, es EventStats) {
+// epoch > 0.
+func runDiff(t *testing.T, cfg Config, w workloads.Workload, epoch uint64) *diffRun {
 	t.Helper()
+	d := &diffRun{}
 	var evOb, refOb *obs.Observer
 	if epoch > 0 {
-		evOb = &obs.Observer{Rec: obs.NewRecorder(epoch)}
-		refOb = &obs.Observer{Rec: obs.NewRecorder(epoch)}
+		evOb = &obs.Observer{Rec: obs.NewRecorder(epoch, func(s obs.Snapshot) { d.evSnaps = append(d.evSnaps, s) })}
+		refOb = &obs.Observer{Rec: obs.NewRecorder(epoch, func(s obs.Snapshot) { d.refSnaps = append(d.refSnaps, s) })}
 	}
-	ev, err := prepare(cfg, w, evOb)
-	if err != nil {
+	var err error
+	if d.ev, err = prepare(cfg, w, evOb); err != nil {
 		t.Fatal(err)
 	}
-	es = runEvent(ev)
-	evRes = ev.result()
+	d.es = runEvent(d.ev)
+	d.evRes = d.ev.result()
 
-	ref, err = prepare(cfg, w, refOb)
-	if err != nil {
+	if d.ref, err = prepare(cfg, w, refOb); err != nil {
 		t.Fatal(err)
 	}
-	runReference(ref)
-	refRes = ref.result()
-	return ev, ref, evRes, refRes, es
+	runReference(d.ref)
+	d.refRes = d.ref.result()
+	return d
 }
 
 // checkMachinesEqual asserts every observable timing and content
@@ -82,12 +91,11 @@ func checkMachinesEqual(t *testing.T, ev, ref *runState) {
 	}
 }
 
-// checkEpochsEqual asserts the two recorders hold the same epochs and
+// checkEpochsEqual asserts the two cores recorded the same epochs and
 // export them as byte-identical epoch lines.
-func checkEpochsEqual(t *testing.T, ev, ref *runState) {
+func checkEpochsEqual(t *testing.T, evS, refS []obs.Snapshot) {
 	t.Helper()
-	evS, refS := ev.et.rec.Snapshots(), ref.et.rec.Snapshots()
-	if !reflect.DeepEqual(evS, refS) || ev.et.rec.Dropped() != ref.et.rec.Dropped() {
+	if !reflect.DeepEqual(evS, refS) {
 		t.Fatalf("epoch series diverged:\nevent: %d epochs\nref:   %d epochs", len(evS), len(refS))
 	}
 	var evOut, refOut bytes.Buffer
@@ -130,17 +138,18 @@ func TestEventCoreMatchesReferenceInternals(t *testing.T) {
 			}
 			cfg := tc.cfg
 			cfg.RefsPerCore = refs
-			ev, ref, evRes, refRes, es := runDiff(t, cfg, w, 10_000)
-			if !reflect.DeepEqual(evRes, refRes) {
-				t.Fatalf("results diverged:\nevent: %+v\nref:   %+v", evRes, refRes)
+			d := runDiff(t, cfg, w, 10_000)
+			if !reflect.DeepEqual(d.evRes, d.refRes) {
+				t.Fatalf("results diverged:\nevent: %+v\nref:   %+v", d.evRes, d.refRes)
 			}
-			checkMachinesEqual(t, ev, ref)
-			checkEpochsEqual(t, ev, ref)
-			wantCore := uint64(cores) * uint64(ev.warm+ev.refs)
+			checkMachinesEqual(t, d.ev, d.ref)
+			checkEpochsEqual(t, d.evSnaps, d.refSnaps)
+			es := d.es
+			wantCore := uint64(cores) * uint64(d.ev.warm+d.ev.refs)
 			if es.CoreEvents != wantCore {
 				t.Errorf("CoreEvents = %d, want %d", es.CoreEvents, wantCore)
 			}
-			if want := uint64(len(ev.et.rec.Snapshots())) + ev.et.rec.Dropped(); es.EpochEvents != want {
+			if want := uint64(len(d.evSnaps)); es.EpochEvents != want {
 				t.Errorf("EpochEvents = %d, want %d (snapshots recorded)", es.EpochEvents, want)
 			}
 			if es.CyclesSkipped == 0 {
@@ -164,9 +173,8 @@ func TestWarmResetEpochAlignment(t *testing.T) {
 	}
 	// Small epoch: many boundaries, several of them straddling warmup.
 	cfg := Config{Policy: dcache.PolicyDICE, RefsPerCore: 2_000}
-	ev, ref, _, _, _ := runDiff(t, cfg, w, 5_000)
-
-	evSnaps, refSnaps := ev.et.rec.Snapshots(), ref.et.rec.Snapshots()
+	d := runDiff(t, cfg, w, 5_000)
+	evSnaps, refSnaps := d.evSnaps, d.refSnaps
 	if len(evSnaps) == 0 || len(evSnaps) != len(refSnaps) {
 		t.Fatalf("snapshot counts diverged: %d vs %d", len(evSnaps), len(refSnaps))
 	}

@@ -38,10 +38,18 @@ const (
 
 // Config selects one system configuration.
 type Config struct {
-	// Policy, Org, Threshold and CIPEntries configure the L4 (see dcache).
-	Policy     dcache.Policy
-	Org        dcache.Org
-	Threshold  int
+	// Policy is the L4 compression and indexing policy (see dcache).
+	Policy dcache.Policy
+	// Org is the L4 tag organization: Alloy (the zero value) or KNL.
+	Org dcache.Org
+	// Threshold is the DICE BAI-insertion threshold in bytes, at most
+	// dcache.MaxThreshold; 0 selects dcache.DefaultThreshold.
+	Threshold int
+	// CIPEntries sizes the CIP Last-Time Table: a power of two up to
+	// maxCIPEntries (1<<20), or 0 for dcache.DefaultCIPEntries. The
+	// table allocates one entry each, so the bound keeps a config from
+	// asking for gigabytes, and the predictor hashes pages to 32 bits,
+	// so it could reach no more than 1<<32 entries anyway.
 	CIPEntries int
 
 	// ScaleShift scales the whole system to 1/2^shift of the paper's
@@ -50,13 +58,17 @@ type Config struct {
 	// Default 10 (1GB -> 1MB).
 	ScaleShift uint
 
-	// CapacityMult (1 or 2) doubles L4 sets; BWMult (1 or 2) doubles L4
-	// channels; HalfLatency halves L4 DRAM timing — the idealized knobs
-	// of Figure 1(f) and Table 8.
+	// CapacityMult multiplies the L4 set count (0 = 1, at most 4): one
+	// of the idealized knobs of Figure 1(f) and Table 8.
 	CapacityMult int
-	BWMult       int
-	HalfLatency  bool
+	// BWMult multiplies the L4 channel count (0 = 1, at most 4): the
+	// bandwidth knob of Figure 1(f) and Table 8.
+	BWMult int
+	// HalfLatency halves the L4 DRAM timing: the latency knob of
+	// Figure 1(f) and Table 8.
+	HalfLatency bool
 
+	// Prefetch selects the L3 fetch width on a demand miss (Table 7).
 	Prefetch PrefetchMode
 
 	// CompressAlg restricts the cache's compression algorithm for the
@@ -97,6 +109,11 @@ const DefaultMLPWindow = 6
 // core preallocates its window, so an unbounded value is an allocation
 // failure, and real cores track tens of misses, not thousands.
 const maxMLPWindow = 1024
+
+// maxCIPEntries bounds the CIP Last-Time Table. The table is allocated
+// up front, so an unbounded size is a fatal allocation failure that no
+// recover catches, and the catalog uses 512 to 8192 entries.
+const maxCIPEntries = 1 << 20
 
 // warmupFrac is the fraction of additional references each core runs
 // before measurement to warm caches (of RefsPerCore).
@@ -169,6 +186,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sim: MLPWindow %d exceeds %d", c.MLPWindow, maxMLPWindow)
 	case c.CIPEntries < 0 || c.CIPEntries&(c.CIPEntries-1) != 0:
 		return fmt.Errorf("sim: CIPEntries %d is not a power of two (0 = default %d)", c.CIPEntries, dcache.DefaultCIPEntries)
+	case c.CIPEntries > maxCIPEntries:
+		return fmt.Errorf("sim: CIPEntries %d exceeds %d", c.CIPEntries, maxCIPEntries)
 	}
 	if _, err := compress.ParseAlg(c.CompressAlg); err != nil {
 		return fmt.Errorf("sim: CompressAlg: %v", err)
@@ -181,28 +200,45 @@ func (c Config) Validate() error {
 
 // Result reports one run.
 type Result struct {
+	// Workload is the name of the workload that ran.
 	Workload string
-	Config   Config
+	// Config is the configuration that ran, with the ScaleShift,
+	// CapacityMult, BWMult and MLPWindow defaults filled in.
+	Config Config
 
 	// IPC per core over the measured window; the weighted-speedup inputs.
 	IPC []float64
 	// Cycles is the measured-window length (max core finish - warm start).
 	Cycles uint64
 
-	L3  cache.Stats
-	L4  dcache.Stats
+	// L3 holds the shared L3's counters over the measured window.
+	L3 cache.Stats
+	// L4 holds the DRAM cache's counters over the measured window.
+	L4 dcache.Stats
+	// HBM holds the stacked-DRAM device's counters over the measured
+	// window.
 	HBM dram.Stats
+	// DDR holds the main-memory device's counters over the measured
+	// window.
 	DDR dram.Stats
 
-	Energy         energy.Breakdown
-	CIPAccuracy    float64
+	// Energy is the DRAM energy of the measured window, from the HBM
+	// and DDR counters and Cycles.
+	Energy energy.Breakdown
+	// CIPAccuracy is the fraction of scored CIP index predictions that
+	// were right, over the whole run, warm-up included.
+	CIPAccuracy float64
+	// CIPPredictions counts the scored CIP predictions behind
+	// CIPAccuracy.
 	CIPPredictions uint64
-	MAPIAccuracy   float64
+	// MAPIAccuracy is the MAP-I hit/miss predictor's accuracy over the
+	// whole run, warm-up included.
+	MAPIAccuracy float64
 	// Fault reports injected/corrected/detected/silent fault activity over
-	// the measured window (all zero when fault injection is off);
-	// QuarantinedSets is the number of L4 sets quarantined to uncompressed
-	// storage by the end of the run.
-	Fault           fault.Stats
+	// the measured window (all zero when fault injection is off).
+	Fault fault.Stats
+	// QuarantinedSets is the number of L4 sets quarantined to
+	// uncompressed storage by the end of the run.
 	QuarantinedSets int
 	// EffCapacity is the average L4 effective-capacity multiplier sampled
 	// over the measured window (Table 5).

@@ -68,6 +68,9 @@ func TestConfigValidate(t *testing.T) {
 		{"CIPEntries 512", Config{CIPEntries: 512}, ""},
 		{"CIPEntries -4", Config{CIPEntries: -4}, "CIPEntries"},
 		{"CIPEntries 3000", Config{CIPEntries: 3000}, "CIPEntries"},
+		{"CIPEntries 1<<20 boundary", Config{CIPEntries: 1 << 20}, ""},
+		{"CIPEntries 1<<21 over", Config{CIPEntries: 1 << 21}, "CIPEntries"},
+		{"CIPEntries 1<<40 over", Config{CIPEntries: 1 << 40}, "CIPEntries"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
