@@ -13,7 +13,8 @@ LINTDOC_PKGS = ./internal/obs ./internal/fault ./internal/parallel \
 	./internal/compress ./internal/stats ./internal/graph \
 	./internal/data ./internal/trace ./internal/energy \
 	./cmd/dicesim ./cmd/dicebench ./cmd/dicebenchd ./cmd/dicetrace \
-	./cmd/lintdoc ./internal/dram ./internal/cache ./internal/sim
+	./cmd/lintdoc ./internal/dram ./internal/cache ./internal/sim \
+	./internal/workloads
 
 all: build vet lint test
 
@@ -84,7 +85,7 @@ bench:
 # the floor measure group commit rather than how cheap this host's
 # fsync is.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/compress ./internal/dcache ./internal/dram ./internal/workloads ./internal/sim ./internal/commitlog
+	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/compress ./internal/dcache ./internal/dram ./internal/graph ./internal/workloads ./internal/sim ./internal/commitlog
 	$(GO) test -run='^TestArtifactCacheSmoke$$' -count=1 -v ./internal/experiments
 	DICE_SMOKE=1 $(GO) test -run='^TestEventCoreSmokeSpeedup$$' -count=1 -v ./internal/sim
 	$(GO) test -run='^TestGoldenReports$$' -count=1 ./internal/experiments

@@ -92,11 +92,15 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	}
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is dicebench's body. It returns the exit code instead of calling
+// os.Exit, so its deferred calls (stopping the CPU profile, writing the
+// heap profile) run on every exit path, the failing ones included.
+func run() int {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 	var (
-		run      = o.run
 		refs     = o.refs
 		scale    = o.scale
 		workers  = o.workers
@@ -115,14 +119,14 @@ func main() {
 
 	if err := validateFlags(*metricsEpoch, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *cpuProfile != "" {
 		stopProf, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer stopProf()
 	}
@@ -139,25 +143,25 @@ func main() {
 	// run would read as interrupted.
 	if err := (sim.Config{RefsPerCore: *refs, ScaleShift: *scale, FaultBER: *faultBER, FaultPolicy: *faultPol}).Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *list {
 		for _, e := range experiments.All() {
 			fmt.Printf("  %-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	var selected []experiments.Experiment
-	if *run == "all" {
+	if *o.run == "all" {
 		selected = experiments.All()
 	} else {
-		for _, id := range strings.Split(*run, ",") {
+		for _, id := range strings.Split(*o.run, ",") {
 			e, err := experiments.ByID(strings.TrimSpace(id))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			selected = append(selected, e)
 		}
@@ -174,7 +178,7 @@ func main() {
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		epochs = &epochSeries{epoch: *metricsEpoch, out: f, byKey: map[string][]obs.Snapshot{}}
 		r.Observe = epochs.observe
@@ -206,15 +210,16 @@ func main() {
 		// Every simulation that started has finished by now.
 		if werr := obs.WriteEpochs(epochs.out, epochs.byKey); werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("wrote epoch metrics for %d simulations to %s\n", len(epochs.byKey), *metricsOut)
 	}
 	if err != nil {
 		fmt.Printf("partial run: interrupted with %d of %d experiments assembled\n",
 			len(reports), len(selected))
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // validateFlags rejects flag values whose types permit nonsense the

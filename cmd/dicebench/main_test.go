@@ -136,3 +136,22 @@ func TestUnwritableMetricsOutFailsUpFront(t *testing.T) {
 		t.Fatalf("want an up-front open error and no run, got:\n%s", out)
 	}
 }
+
+// TestErrorExitWritesProfiles pins that a nonzero exit after profiling
+// has started still stops the CPU profile and writes the heap profile:
+// both files must parse. An os.Exit past the deferred calls used to
+// leave an empty CPU profile and no heap profile.
+func TestErrorExitWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	out, err := exec.Command(buildDicebench(t), "-run", "bogus",
+		"-cpuprofile", cpu, "-memprofile", mem).CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "bogus") {
+		t.Fatalf("want an unknown-experiment error exit, got %v:\n%s", err, out)
+	}
+	for _, p := range []string{cpu, mem} {
+		if out, err := exec.Command("go", "tool", "pprof", "-raw", p).CombinedOutput(); err != nil {
+			t.Fatalf("%s does not parse: %v\n%s", filepath.Base(p), err, out)
+		}
+	}
+}

@@ -99,7 +99,12 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 	}
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is dicesim's body. It returns the exit code instead of calling
+// os.Exit, so its deferred calls (stopping the CPU profile, writing the
+// heap profile) run on every exit path, the failing ones included.
+func run() int {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
 	var (
@@ -116,14 +121,14 @@ func main() {
 
 	if err := validateFlags(*metricsEpoch, *workers); err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	if *cpuProfile != "" {
 		stopProf, err := obs.StartCPUProfile(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 		defer stopProf()
 	}
@@ -144,13 +149,13 @@ func main() {
 		for _, w := range workloads.LowMPKI13() {
 			fmt.Printf("  %-10s\n", w.Name)
 		}
-		return
+		return 0
 	}
 
 	cell, err := cellFromFlags(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 
 	// Observer for the flagged cell (a -baseline run stays unobserved —
@@ -165,7 +170,7 @@ func main() {
 			tr, err := obs.NewTracer(*traceEvents, 0)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			ob.Trace = tr
 		}
@@ -173,7 +178,7 @@ func main() {
 			f, err := os.Create(*metricsOut)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return 1
 			}
 			epochs = obs.NewEpochWriter(f)
 			key := cell.Key()
@@ -226,9 +231,7 @@ func main() {
 			fmt.Printf("\nwrote %d epochs to %s\n", epochs.Count(), *metricsOut)
 		}
 	}
-	if code != 0 {
-		os.Exit(code)
-	}
+	return code
 }
 
 // simulate runs cell — and, with baseline, cell.Baseline() — through

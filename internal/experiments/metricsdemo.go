@@ -51,7 +51,7 @@ func MetricsDemo(v Results) *Report {
 	}
 
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("epoch = %d cycles; %d epochs recorded, 0 dropped", epoch, len(snaps)),
+		fmt.Sprintf("epoch = %d cycles; %d epochs recorded", epoch, len(snaps)),
 		fmt.Sprintf("schema v%d: %s", obs.SchemaVersion, strings.Join(obs.SchemaFields(), ",")),
 		fmt.Sprintf("recording on vs off produced identical results: %v", reflect.DeepEqual(ref, res)),
 	)

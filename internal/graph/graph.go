@@ -10,10 +10,7 @@
 // data (indices, labels, counts) that FPC/BDI compress well.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CSR is a graph in compressed-sparse-row form. Edges are stored once,
 // symmetrized (undirected), with sorted adjacency lists — sorted
@@ -46,42 +43,81 @@ func (r *rng) next() uint64 {
 	return splitmix64(r.s)
 }
 
-func (r *rng) unit() float64 { return float64(r.next()>>11) / (1 << 53) }
-
 func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
-// buildCSR symmetrizes, deduplicates and sorts an edge list into CSR form.
+// Probabilities are compared in exact integers. A draw k = next()>>11 is
+// uniform on [0, 2^53) and converts to float64 exactly, so the float
+// test float64(k)/2^53 < p holds exactly when k < p·2^53. Every p used
+// here lies in [0.5, 1), where float64 spacing is 2^-53, so p·2^53 is an
+// integer: the uint64 conversions below would not compile otherwise.
+const (
+	// RMAT's quadrant probabilities (0.57, 0.19, 0.19, 0.05) as
+	// cumulative thresholds a, a+b and a+b+c.
+	rmatA   = uint64(float64(0.57) * (1 << 53))
+	rmatAB  = uint64(float64(0.57+0.19) * (1 << 53))
+	rmatABC = uint64(float64(0.57+0.19+0.19) * (1 << 53))
+	// webLocal is Web's chance that a link stays within its cluster.
+	webLocal = uint64(float64(0.85) * (1 << 53))
+)
+
+// geq is 1 if k >= t and 0 otherwise, without a branch; k and t must be
+// below 2^63 and t at least 1.
+func geq(k, t uint64) int { return int((t - 1 - k) >> 63) }
+
+// buildCSR symmetrizes, deduplicates and sorts an edge list into CSR form
+// in O(n+E) time. It is an LSD radix sort on (u, v) of the directed
+// edges u→v and v→u of every non-loop input edge: a counting sort by v,
+// then a stable counting sort by u. Walking the v buckets in order fills
+// each row with its neighbors ascending, so duplicates end up adjacent
+// and one pass drops them.
 func buildCSR(n int, src, dst []uint32) *CSR {
-	type edge struct{ u, v uint32 }
-	edges := make([]edge, 0, 2*len(src))
-	for i := range src {
-		u, v := src[i], dst[i]
-		if u == v {
-			continue
-		}
-		edges = append(edges, edge{u, v}, edge{v, u})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	// Deduplicate.
-	out := edges[:0]
-	for i, e := range edges {
-		if i == 0 || e != edges[i-1] {
-			out = append(out, e)
+	// start[x] is where x's bucket begins, by v and by u alike: the
+	// edge list is symmetric, so x has as many edges out as in.
+	start := make([]uint32, n+1)
+	for i, u := range src {
+		if v := dst[i]; u != v {
+			start[u+1]++
+			start[v+1]++
 		}
 	}
-	g := &CSR{N: n, RowPtr: make([]uint32, n+1), Col: make([]uint32, len(out))}
-	for i, e := range out {
-		g.Col[i] = e.v
-		g.RowPtr[e.u+1]++
+	for x := 0; x < n; x++ {
+		start[x+1] += start[x]
 	}
+	// By v: byV holds the sources of the edges into each vertex.
+	byV := make([]uint32, start[n])
+	next := make([]uint32, n)
+	copy(next, start)
+	for i, u := range src {
+		if v := dst[i]; u != v {
+			byV[next[v]] = u
+			next[v]++
+			byV[next[u]] = v
+			next[u]++
+		}
+	}
+	// Stably by u: row u receives its neighbors v in ascending order.
+	col := make([]uint32, start[n])
+	copy(next, start)
 	for v := 0; v < n; v++ {
-		g.RowPtr[v+1] += g.RowPtr[v]
+		for _, u := range byV[start[v]:start[v+1]] {
+			col[next[u]] = uint32(v)
+			next[u]++
+		}
 	}
+	// Deduplicate each row in place; k never passes the read position.
+	g := &CSR{N: n, RowPtr: make([]uint32, n+1)}
+	k := uint32(0)
+	for u := 0; u < n; u++ {
+		for p := start[u]; p < start[u+1]; p++ {
+			if v := col[p]; p == start[u] || v != col[k-1] {
+				col[k] = v
+				k++
+			}
+		}
+		g.RowPtr[u+1] = k
+	}
+	g.Col = make([]uint32, k)
+	copy(g.Col, col)
 	return g
 }
 
@@ -95,30 +131,27 @@ func RMAT(scale, edgeFactor int, seed uint64) *CSR {
 	}
 	n := 1 << scale
 	m := n * edgeFactor
+	// Permute vertex labels so high-degree vertices are not all at id 0
+	// (standard Graph500 practice keeps locality realistic).
+	label := make([]uint32, n)
+	for x := range label {
+		label[x] = uint32(splitmix64(seed^uint64(x)) & uint64(n-1))
+	}
 	src := make([]uint32, m)
 	dst := make([]uint32, m)
 	r := &rng{s: seed}
-	const a, b, c = 0.57, 0.19, 0.19
 	for i := 0; i < m; i++ {
+		// Each bit picks a quadrant: upper-left (neither bit) below a,
+		// v's bit below a+b, u's bit below a+b+c, both bits above.
 		var u, v int
 		for bit := scale - 1; bit >= 0; bit-- {
-			p := r.unit()
-			switch {
-			case p < a:
-				// upper-left: neither bit set
-			case p < a+b:
-				v |= 1 << bit
-			case p < a+b+c:
-				u |= 1 << bit
-			default:
-				u |= 1 << bit
-				v |= 1 << bit
-			}
+			k := r.next() >> 11
+			ab := geq(k, rmatAB)
+			u |= ab << bit
+			v |= (geq(k, rmatA) ^ ab ^ geq(k, rmatABC)) << bit
 		}
-		// Permute vertex labels so high-degree vertices are not all at
-		// id 0 (standard Graph500 practice keeps locality realistic).
-		src[i] = uint32(splitmix64(seed^uint64(u)) % uint64(n))
-		dst[i] = uint32(splitmix64(seed^uint64(v)) % uint64(n))
+		src[i] = label[u]
+		dst[i] = label[v]
 	}
 	return buildCSR(n, src, dst)
 }
@@ -139,7 +172,7 @@ func Web(n, avgDeg int, seed uint64) *CSR {
 	for i := 0; i < m; i++ {
 		u := r.intn(n)
 		var v int
-		if r.unit() < 0.85 {
+		if r.next()>>11 < webLocal {
 			// Local link within the cluster.
 			base := u - u%cluster
 			v = base + r.intn(cluster)

@@ -133,6 +133,9 @@ func TestTraceProducesRequests(t *testing.T) {
 			if len(reqs) > 50000 {
 				t.Fatalf("trace exceeded budget: %d", len(reqs))
 			}
+			if cap(reqs) != len(reqs) {
+				t.Fatalf("trace of %d requests keeps %d slots", len(reqs), cap(reqs))
+			}
 			writes := 0
 			maxLine := w.FootprintBytes() >> 6
 			for _, r := range reqs {
@@ -238,6 +241,7 @@ func TestQuickWorkspaceLine(t *testing.T) {
 }
 
 func BenchmarkRMAT(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		RMAT(10, 8, uint64(i))
 	}
@@ -245,6 +249,7 @@ func BenchmarkRMAT(b *testing.B) {
 
 func BenchmarkTracePageRank(b *testing.B) {
 	g := RMAT(10, 8, 1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Trace(PageRank, g, 100000)

@@ -44,8 +44,14 @@ const regionAlign = 1 << 20
 
 // NewWorkspace creates a tracer that stops recording after maxReqs
 // references (the kernel keeps running so final data is consistent).
+// The whole budget is allocated up front, so recording never grows the
+// trace.
 func NewWorkspace(maxReqs int) *Workspace {
-	return &Workspace{maxReqs: maxReqs, filter: make([]uint64, 256)}
+	return &Workspace{
+		reqs:    make([]trace.Request, 0, maxReqs),
+		maxReqs: maxReqs,
+		filter:  make([]uint64, 256),
+	}
 }
 
 // Requests returns the recorded reference stream.
@@ -202,6 +208,11 @@ func Trace(k Kernel, g *CSR, maxReqs int) *Workspace {
 		traceBC(w, g)
 	default:
 		panic("graph: unknown kernel")
+	}
+	// A kernel that converged short of the budget keeps only what it
+	// recorded.
+	if len(w.reqs) < cap(w.reqs) {
+		w.reqs = append(make([]trace.Request, 0, len(w.reqs)), w.reqs...)
 	}
 	return w
 }

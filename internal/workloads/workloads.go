@@ -74,18 +74,29 @@ type gapKernel struct {
 
 // Workload is one 8-core experiment unit.
 type Workload struct {
-	Name  string
+	// Name is the workload's catalog name (e.g. "mcf", "mix1",
+	// "pr_twi"), unique across the catalog.
+	Name string
+	// Suite is the aggregation group the paper's tables report it in.
 	Suite Suite
+	// Cores holds what each of the 8 cores runs, in core order.
 	Cores []CoreLoad
 }
 
 // Instance is a built, runnable per-core load: a request generator over a
 // private virtual line space plus the data image behind it.
 type Instance struct {
-	Name           string
-	MPKI           float64
+	// Name is the benchmark this core runs.
+	Name string
+	// MPKI is the benchmark's published L3 misses per
+	// kilo-instruction, copied from its CoreLoad.
+	MPKI float64
+	// FootprintLines is the size of the core's virtual line space at
+	// the built scale: the lines Gen addresses and Fill serves.
 	FootprintLines uint64
-	Gen            trace.Generator
+	// Gen is this instance's own request stream; no other instance
+	// shares its state.
+	Gen trace.Generator
 	// Fill writes the 64 bytes of a virtual line into buf (len 64).
 	Fill func(line uint64, buf []byte)
 }
@@ -95,8 +106,12 @@ type Instance struct {
 // 36 bytes alone, and how many even-aligned adjacent pairs to at most
 // 68 bytes together.
 type Compressibility struct {
+	// Lines is how many lines were sampled; Le32 and Le36 count those
+	// compressing to at most 32 and 36 bytes.
 	Lines, Le32, Le36 int
-	Pairs, Pair68     int
+	// Pairs is how many even-aligned pairs were sampled; Pair68 counts
+	// those compressing to at most 68 bytes together.
+	Pairs, Pair68 int
 }
 
 // Compressibility samples about samples lines evenly across the
