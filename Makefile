@@ -42,24 +42,25 @@ test-race:
 
 # Short fuzz pass over the validated-decompress boundary, the
 # event-vs-cycle simulation core equality oracle, the DRAM cache's
-# occupancy-counter oracle, the sweep-spec parser, the commit log's
-# replay of arbitrary file bytes and the daemon's job-spec decoding
-# (go's fuzzer accepts one target per invocation). The parser's new
-# inputs are minimized for at most 5s each so minimization cannot eat
-# its budget.
+# occupancy-counter oracle, the L3 against its tick-LRU reference, the
+# sweep-spec parser, the commit log's replay of arbitrary file bytes
+# and the daemon's job-spec decoding (go's fuzzer accepts one target
+# per invocation). The parser's new inputs are minimized for at most 5s
+# each so minimization cannot eat its budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecompressChecked$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzCompressRoundtrip$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzEventSchedule$$' -fuzztime=30s ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheOccupancy$$' -fuzztime=30s ./internal/dcache
+	$(GO) test -run='^$$' -fuzz='^FuzzCacheAgainstReference$$' -fuzztime=30s ./internal/cache
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/dse
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=30s ./internal/commitlog
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmit$$' -fuzztime=30s ./internal/serve
 
 # Per-layer microbenchmarks: every `go test -bench` benchmark in the
-# module — the paper tables/figures in bench_test.go plus the compress,
-# dcache, dram, workloads, sim and commitlog hot paths. Nothing is
-# written to the tree. The end-to-end numbers of record (sim refs/s,
+# module — the paper tables/figures in bench_test.go plus the L3 cache,
+# compress, dcache, dram, workloads, sim and commitlog hot paths.
+# Nothing is written to the tree. The end-to-end numbers of record (sim refs/s,
 # sweep-service cells/hour and turnaround, with a per-layer ledger) come
 # from `bash benchmark/run.sh` (see benchmark/README.md).
 bench:
@@ -85,7 +86,7 @@ bench:
 # the floor measure group commit rather than how cheap this host's
 # fsync is.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/compress ./internal/dcache ./internal/dram ./internal/graph ./internal/workloads ./internal/sim ./internal/commitlog
+	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/cache ./internal/compress ./internal/dcache ./internal/dram ./internal/graph ./internal/workloads ./internal/sim ./internal/commitlog
 	$(GO) test -run='^TestArtifactCacheSmoke$$' -count=1 -v ./internal/experiments
 	DICE_SMOKE=1 $(GO) test -run='^TestEventCoreSmokeSpeedup$$' -count=1 -v ./internal/sim
 	$(GO) test -run='^TestGoldenReports$$' -count=1 ./internal/experiments

@@ -7,7 +7,10 @@
 // compact even at large geometries.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config describes a cache geometry.
 type Config struct {
@@ -26,6 +29,8 @@ func (c Config) Validate() error {
 	case c.SizeBytes%(c.Ways*c.LineBytes) != 0:
 		return fmt.Errorf("cache: size %d not divisible by ways*line %d",
 			c.SizeBytes, c.Ways*c.LineBytes)
+	case c.Ways > math.MaxUint8:
+		return fmt.Errorf("cache: %d ways exceed the per-set count's %d", c.Ways, math.MaxUint8)
 	case c.HitLatency < 0:
 		return fmt.Errorf("cache: negative hit latency")
 	}
@@ -57,21 +62,20 @@ func (s Stats) HitRate() float64 {
 
 // Cache is a set-associative cache indexed by 64-byte line address.
 // State is stored as parallel flat arrays (set i occupies slots
-// [i*Ways, (i+1)*Ways)): the probe loop scans only the contiguous tag
-// words, touching two cache lines for a 16-way set instead of the
-// eight a struct-per-way layout costs, and power-of-two set counts
-// index with a mask instead of a hardware divide. Both effects are
-// measurable because the L3 sits on the simulator's per-reference
-// path. A slot is valid iff its used tick is nonzero (ticks start
-// at 1).
+// [i*Ways, (i+1)*Ways)) that keep each set's valid lines first and in
+// recency order, most recent in front, with a per-set valid count. A
+// probe scans only the valid tag words; a hit or a fill moves its line
+// to the front with one short copy, and the LRU victim is simply the
+// last valid slot. Power-of-two set counts index with a mask instead of
+// a hardware divide. These effects are measurable because the L3 sits
+// on the simulator's per-reference path.
 type Cache struct {
 	cfg     Config
 	tags    []uint64
-	used    []uint64 // LRU tick; 0 = invalid slot
 	dirty   []bool
+	valid   []uint8 // valid lines per set, in the set's first slots
 	nsets   uint64
 	setMask uint64 // nsets-1 when nsets is a power of two, else 0
-	tick    uint64
 	stats   Stats
 }
 
@@ -87,8 +91,8 @@ func New(cfg Config) *Cache {
 		cfg:   cfg,
 		nsets: uint64(nsets),
 		tags:  make([]uint64, slots),
-		used:  make([]uint64, slots),
 		dirty: make([]bool, slots),
+		valid: make([]uint8, nsets),
 	}
 	if c.nsets&(c.nsets-1) == 0 {
 		c.setMask = c.nsets - 1
@@ -108,49 +112,51 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics; contents are preserved.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// setBase returns the first slot index of the set holding line.
-func (c *Cache) setBase(line uint64) int {
-	var idx uint64
+// probe returns line's set, the set's first slot, and line's recency
+// position in the set (0 = most recent), or -1 when it is not resident.
+func (c *Cache) probe(line uint64) (set, base, pos int) {
 	if c.setMask != 0 {
-		idx = line & c.setMask
+		set = int(line & c.setMask)
 	} else {
-		idx = line % c.nsets
+		set = int(line % c.nsets)
 	}
-	return int(idx) * c.cfg.Ways
-}
-
-// probe returns the slot index of line, or -1. The scan reads only the
-// tag words; validity is checked on the (rare) match.
-func (c *Cache) probe(line uint64) int {
-	base := c.setBase(line)
-	tags := c.tags[base : base+c.cfg.Ways]
-	for i := range tags {
-		if tags[i] == line && c.used[base+i] != 0 {
-			return base + i
+	base = set * c.cfg.Ways
+	for i, t := range c.tags[base : base+int(c.valid[set])] {
+		if t == line {
+			return set, base, i
 		}
 	}
-	return -1
+	return set, base, -1
+}
+
+// pushFront shifts the set's first n slots back by one and puts
+// (line, dirty) in front, the most recent position; a hit already in
+// front (n == 0) copies nothing.
+func (c *Cache) pushFront(base, n int, line uint64, dirty bool) {
+	if n > 0 {
+		copy(c.tags[base+1:base+n+1], c.tags[base:base+n])
+		copy(c.dirty[base+1:base+n+1], c.dirty[base:base+n])
+	}
+	c.tags[base], c.dirty[base] = line, dirty
 }
 
 // Lookup probes for a line, updating LRU on a hit. When write is true a
 // hit marks the line dirty (write-back policy).
 func (c *Cache) Lookup(line uint64, write bool) bool {
-	c.tick++
-	if i := c.probe(line); i >= 0 {
-		c.used[i] = c.tick
-		if write {
-			c.dirty[i] = true
-		}
-		c.stats.Hits++
-		return true
+	_, base, pos := c.probe(line)
+	if pos < 0 {
+		c.stats.Misses++
+		return false
 	}
-	c.stats.Misses++
-	return false
+	c.pushFront(base, pos, line, c.dirty[base+pos] || write)
+	c.stats.Hits++
+	return true
 }
 
 // Contains reports residency without touching LRU or statistics.
 func (c *Cache) Contains(line uint64) bool {
-	return c.probe(line) >= 0
+	_, _, pos := c.probe(line)
+	return pos >= 0
 }
 
 // Victim describes a line displaced by Install.
@@ -165,47 +171,35 @@ type Victim struct {
 // is full. It returns the victim, if any. Installing a line that is
 // already resident refreshes its LRU state and ORs in dirty.
 func (c *Cache) Install(line uint64, dirty bool) (Victim, bool) {
-	c.tick++
 	c.stats.Installs++
+	set, base, pos := c.probe(line)
 	// Already resident (can happen when a prefetch races a demand fill).
-	if i := c.probe(line); i >= 0 {
-		c.used[i] = c.tick
-		c.dirty[i] = c.dirty[i] || dirty
+	if pos >= 0 {
+		c.pushFront(base, pos, line, c.dirty[base+pos] || dirty)
 		return Victim{}, false
 	}
-	base := c.setBase(line)
-	used := c.used[base : base+c.cfg.Ways]
-	// Free way, else the LRU way: invalid slots carry tick 0, so the
-	// minimum over used covers both cases in one scan.
-	lru := 0
-	for i := 1; i < len(used); i++ {
-		if used[i] < used[lru] {
-			lru = i
-		}
-	}
-	slot := base + lru
+	n := int(c.valid[set])
 	var v Victim
-	evicted := used[lru] != 0
+	evicted := n == c.cfg.Ways
 	if evicted {
-		v = Victim{Line: c.tags[slot], Dirty: c.dirty[slot]}
+		n--
+		v = Victim{Line: c.tags[base+n], Dirty: c.dirty[base+n]}
 		c.stats.Evictions++
 		if v.Dirty {
 			c.stats.Writebacks++
 		}
+	} else {
+		c.valid[set]++
 	}
-	c.tags[slot] = line
-	c.used[slot] = c.tick
-	c.dirty[slot] = dirty
+	c.pushFront(base, n, line, dirty)
 	return v, evicted
 }
 
 // OccupiedLines returns the number of valid lines (for capacity reports).
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for i := range c.used {
-		if c.used[i] != 0 {
-			n++
-		}
+	for _, v := range c.valid {
+		n += int(v)
 	}
 	return n
 }

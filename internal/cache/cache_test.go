@@ -19,11 +19,25 @@ func TestValidate(t *testing.T) {
 		{SizeBytes: 1000, Ways: 4, LineBytes: 64}, // not divisible
 		{SizeBytes: 1024, Ways: 0, LineBytes: 64}, // no ways
 		{SizeBytes: 1024, Ways: 4, LineBytes: 64, HitLatency: -1},
+		{SizeBytes: 256 * 64, Ways: 256, LineBytes: 64}, // count is a uint8
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Fatalf("bad config %d accepted", i)
 		}
+	}
+	// The widest set the per-set count holds is accepted, and New
+	// builds it.
+	widest := Config{SizeBytes: 255 * 64, Ways: 255, LineBytes: 64}
+	if err := widest.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	c := New(widest)
+	for i := uint64(0); i < 300; i++ {
+		c.Install(i, false)
+	}
+	if got := c.OccupiedLines(); got != 255 {
+		t.Fatalf("255-way set holds %d lines, want 255", got)
 	}
 }
 
@@ -197,4 +211,34 @@ func BenchmarkInstallEvict(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Install(uint64(i), false)
 	}
+}
+
+// BenchmarkL3Traffic replays the simulator's L3 access shape on its
+// smallest geometry, 64 sets of 16 ways: a Lookup per reference and,
+// on a miss, an Install of the demand line plus a second Install of
+// its neighbour, the extra line a DICE L4 read delivers. Three in four
+// references go to a hot region three quarters the cache's size and
+// the rest to a cold one, which puts the Lookup hit rate near the 55%
+// sim-dice's L3 shows.
+func BenchmarkL3Traffic(b *testing.B) {
+	c := New(Config{SizeBytes: 64 * 16 * 64, Ways: 16, LineBytes: 64, HitLatency: 30})
+	rng := rand.New(rand.NewPCG(3, 5))
+	stream := make([]uint64, 1<<16)
+	for i := range stream {
+		if rng.IntN(4) > 0 {
+			stream[i] = uint64(rng.IntN(768))
+		} else {
+			stream[i] = 1<<20 + uint64(rng.IntN(1<<20))
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		line := stream[i&(len(stream)-1)]
+		write := i&7 == 0
+		if !c.Lookup(line, write) {
+			c.Install(line, write)
+			c.Install(line^1, false)
+		}
+	}
+	b.ReportMetric(c.Stats().HitRate(), "hit_rate")
 }

@@ -241,8 +241,14 @@ func (ch *channel) busInsert(i int, b span) {
 // after every recorded reservation appends in O(1), and one that lands
 // amid the reserved history binary-searches the first window still
 // relevant to it (windows are sorted by end time) instead of rescanning
-// the elapsed prefix. Only the walk across still-overlapping windows —
-// bounded by busWindow, typically one or two iterations — remains.
+// the elapsed prefix. Only the walk across still-overlapping windows,
+// bounded by busWindow, remains. It is not short: at 60000 refs/core a
+// call that does not append walks 2.7–3.3 windows on average on lbm,
+// Gems and milc (baseline) and mix1 (DICE), 8.1 on pr_twi (DICE) and
+// 10.8 on libq (baseline), and its insert lands anywhere in the
+// history — a median 6–18 spans back from the newest end, the 90th
+// percentile 27–55, and 0.4–6.7% of inserts at the oldest retained
+// span.
 func (ch *channel) reserveBus(earliest, dur uint64) uint64 {
 	w := ch.busy[ch.lo:ch.hi]
 	n := len(w)

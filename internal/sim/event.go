@@ -80,6 +80,13 @@ func (h *eventHeap) pop() schedEvent {
 	return top
 }
 
+// replaceTop swaps e in for the top event with one sift-down, in place
+// of a pop and a push; the order is total, so dispatch is unchanged.
+func (h eventHeap) replaceTop(e schedEvent) {
+	h[0] = e
+	h.down(0)
+}
+
 func (h eventHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -146,7 +153,7 @@ func runEvent(st *runState) EventStats {
 
 	now := uint64(0)
 	for len(h) > 0 {
-		ev := h.pop()
+		ev := h[0] // stays queued until it re-enters or leaves for good
 		if ev.when > now+1 {
 			stats.CyclesSkipped += ev.when - now - 1
 		}
@@ -154,34 +161,30 @@ func runEvent(st *runState) EventStats {
 			now = ev.when
 		}
 		if ev.kind == evEpoch {
-			// A boundary is only due once a core reaches it; the popped
+			// A boundary is only due once a core reaches it; the top
 			// epoch event has when == Boundary(), and every remaining core
 			// event has when >= it, so the next core to run would see it
 			// due. Dispatching it now, before that core, reproduces the
-			// reference's check-boundaries-then-step order exactly.
+			// reference's check-boundaries-then-step order exactly. It is
+			// queued only while cores run, so it always re-arms.
 			st.et.record()
 			stats.EpochEvents++
-			if live > 0 {
-				h.push(schedEvent{when: st.et.rec.Boundary(), kind: evEpoch})
-			}
+			h.replaceTop(schedEvent{when: st.et.rec.Boundary(), kind: evEpoch})
 			continue
 		}
 		c := ev.c
 		stats.CoreEvents++
 		if st.processRef(c) {
-			h.push(schedEvent{when: c.clock, kind: evCore, c: c})
-		} else {
-			live--
-			if live == 0 {
-				// Only the pending epoch event (if any) can remain, and its
-				// when is strictly past the final core event's — a boundary
-				// no core will ever reach, which the reference never records
-				// either. Drop it.
-				for i := range h {
-					h[i] = schedEvent{}
-				}
-				h = h[:0]
-			}
+			h.replaceTop(schedEvent{when: c.clock, kind: evCore, c: c})
+			continue
+		}
+		h.pop()
+		if live--; live == 0 {
+			// Only the pending epoch event (if any) can remain, and its
+			// when is strictly past the final core event's — a boundary
+			// no core will ever reach, which the reference never records
+			// either. Drop it with the heap.
+			break
 		}
 	}
 	return stats

@@ -34,33 +34,47 @@ func sameEvent(a, b schedEvent) bool {
 }
 
 // TestQuickSchedulerMatchesNaive drives random event streams — pushes
-// interleaved with pops, same-cycle collisions forced by a tiny time
-// range — through both schedulers and requires identical dispatch
-// sequences.
+// interleaved with pops and with the event loop's replace-top step,
+// same-cycle collisions forced by a tiny time range — through both
+// schedulers and requires identical dispatch sequences.
 func TestQuickSchedulerMatchesNaive(t *testing.T) {
 	coresPool := make([]*core, 8)
 	for i := range coresPool {
 		coresPool[i] = &core{idx: i}
 	}
+	event := func(v uint16) schedEvent {
+		ev := schedEvent{when: uint64(v % 7)} // tiny range: force ties
+		if v%5 == 0 {
+			ev.kind = evEpoch
+		} else {
+			ev.kind = evCore
+			ev.c = coresPool[int(v)%len(coresPool)]
+		}
+		return ev
+	}
 	f := func(ops []uint16) bool {
 		var h eventHeap
 		var n naiveSched
 		for _, op := range ops {
-			if op%3 != 0 && len(h) > 0 {
+			switch {
+			case op%3 == 0 || len(h) == 0:
+				ev := event(op)
+				h.push(ev)
+				n.push(ev)
+			case op%3 == 1:
 				if !sameEvent(h.pop(), n.pop()) {
 					return false
 				}
-				continue
+			default:
+				// The event loop's re-entry: dispatch the top in place
+				// and queue its successor where it stood.
+				ev := event(op / 3)
+				if !sameEvent(h[0], n.pop()) {
+					return false
+				}
+				h.replaceTop(ev)
+				n.push(ev)
 			}
-			ev := schedEvent{when: uint64(op % 7)} // tiny range: force ties
-			if op%5 == 0 {
-				ev.kind = evEpoch
-			} else {
-				ev.kind = evCore
-				ev.c = coresPool[int(op)%len(coresPool)]
-			}
-			h.push(ev)
-			n.push(ev)
 		}
 		for len(h) > 0 {
 			if !sameEvent(h.pop(), n.pop()) {
