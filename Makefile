@@ -14,7 +14,7 @@ LINTDOC_PKGS = ./internal/obs ./internal/fault ./internal/parallel \
 	./internal/data ./internal/trace ./internal/energy \
 	./cmd/dicesim ./cmd/dicebench ./cmd/dicebenchd ./cmd/dicetrace \
 	./cmd/lintdoc ./internal/dram ./internal/cache ./internal/sim \
-	./internal/workloads
+	./internal/workloads ./internal/dcache
 
 all: build vet lint test
 

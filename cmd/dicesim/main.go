@@ -18,8 +18,9 @@
 // Observability (see METRICS.md): -metrics-out samples epoch metrics
 // into a file of JSON lines, one {"key", "snap"} object per epoch keyed
 // by the cell's CellSpec.Key();
-// -trace-events prints a timeline of component events (comma-separated
-// components from cip, fault, dcache, dram, sim, or "all");
+// -trace-events prints each component event (comma-separated components
+// from cip, fault, dcache, dram, sim, or "all") as one line the moment
+// the simulation emits it, ahead of the results, and then their count;
 // -cpuprofile/-memprofile write pprof profiles of the simulator
 // itself. None of these change simulation results.
 //
@@ -31,6 +32,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -161,13 +163,22 @@ func run() int {
 	// Observer for the flagged cell (a -baseline run stays unobserved —
 	// its result is only used for the speedup ratio). -metrics-out is
 	// created before the simulation starts, so an unwritable path fails
-	// at once, and every epoch goes to the file as it is recorded.
+	// at once, and every epoch goes to the file as it is recorded. Every
+	// traced event goes to stdout as it is emitted; only the observed
+	// cell's goroutine writes, and the runner has joined it before the
+	// flush below.
 	var ob *obs.Observer
 	var epochs *obs.EpochWriter
+	var events *bufio.Writer
+	traced := 0
 	if *metricsOut != "" || *traceEvents != "" {
 		ob = &obs.Observer{}
 		if *traceEvents != "" {
-			tr, err := obs.NewTracer(*traceEvents, 0)
+			events = bufio.NewWriter(os.Stdout)
+			tr, err := obs.NewTracer(*traceEvents, func(e obs.Event) {
+				fmt.Fprintln(events, e)
+				traced++
+			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
@@ -198,6 +209,15 @@ func run() int {
 	r.Workers = *workers
 	res, err := simulate(ctx, r, cell, *baseline, ob)
 	code := 0
+	// Flush on every path, an interrupted run included, so stdout holds
+	// every event emitted, ahead of the results.
+	if events != nil {
+		if err := events.Flush(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			code = 1
+		}
+		fmt.Printf("traced %d events\n\n", traced)
+	}
 	got, ok := res[cell.Key()]
 	switch {
 	case err != nil && ctx.Err() == nil:
@@ -219,7 +239,6 @@ func run() int {
 				code = 1
 			}
 		}
-		printTimeline(ob.Tracer())
 	}
 	// Close on every path, an interrupted run included, so the file
 	// holds every epoch recorded.
@@ -294,17 +313,6 @@ func cellFromFlags(o *cliFlags) (experiments.CellSpec, error) {
 		Scale:       *o.scale,
 	}
 	return c, c.Validate()
-}
-
-// printTimeline prints the collected event timeline, if any.
-func printTimeline(tr *obs.Tracer) {
-	if tr == nil {
-		return
-	}
-	fmt.Printf("\nevent timeline (%d events, %d dropped):\n", len(tr.Events()), tr.Dropped())
-	if err := tr.WriteTimeline(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
 }
 
 func printResult(r sim.Result) {

@@ -221,6 +221,42 @@ func TestMetricsOutKeepsEveryEpoch(t *testing.T) {
 	}
 }
 
+// TestTraceEventsStream builds dicesim and pins -trace-events end to
+// end: a tiny cell traced for "sim" prints its one measurement-start
+// event ahead of the results and then the event count, and an unknown
+// component fails with one line before anything simulates.
+func TestTraceEventsStream(t *testing.T) {
+	bin := buildDicesim(t)
+	t.Run("sim", func(t *testing.T) {
+		out, err := exec.Command(bin, "-workload", "gcc", "-refs", "300", "-scale", "12",
+			"-trace-events", "sim").Output()
+		if err != nil {
+			t.Fatalf("dicesim: %v\n%s", err, out)
+		}
+		text := string(out)
+		if n := strings.Count(text, " measurement-start "); n != 1 {
+			t.Fatalf("printed %d measurement-start lines, want 1:\n%s", n, text)
+		}
+		ev, count, res := strings.Index(text, "] sim    measurement-start "),
+			strings.Index(text, "traced 1 events\n"), strings.Index(text, "cycles (measured window)")
+		if ev < 0 || count < ev || res < count {
+			t.Fatalf("want the event line, then \"traced 1 events\", then the results:\n%s", text)
+		}
+	})
+	t.Run("bogus", func(t *testing.T) {
+		cmd := exec.Command(bin, "-workload", "gcc", "-refs", "300", "-scale", "12",
+			"-trace-events", "bogus")
+		out, err := cmd.CombinedOutput()
+		if cmd.ProcessState == nil || cmd.ProcessState.ExitCode() != 1 {
+			t.Fatalf("want exit 1, got %v:\n%s", err, out)
+		}
+		if lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n"); len(lines) != 1 ||
+			!strings.Contains(lines[0], `unknown trace component "bogus"`) {
+			t.Fatalf("want one line naming the bad component, got:\n%s", out)
+		}
+	})
+}
+
 // TestUnwritableMetricsOutFailsUpFront pins that a -metrics-out path
 // that cannot be created fails before the simulation runs.
 func TestUnwritableMetricsOutFailsUpFront(t *testing.T) {

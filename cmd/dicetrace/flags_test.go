@@ -28,9 +28,11 @@ func TestFlagDocsCurrent(t *testing.T) {
 	}
 }
 
-// TestValidateFlags pins the parse-time rejection of -samples below 1:
-// 0 used to panic with an integer divide by zero in the sampler, and
-// a negative count wrapped to a huge unsigned one.
+// TestValidateFlags pins the parse-time rejection of -samples below 1
+// (0 used to panic with an integer divide by zero in the sampler, and
+// a negative count wrapped to a huge unsigned one) and of a -scale the
+// simulator rejects (above 18 was accepted, and from 64 the header's
+// 1<<scale wrapped to "scale 1/0").
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -41,6 +43,10 @@ func TestValidateFlags(t *testing.T) {
 		{name: "one sample", args: []string{"-samples", "1"}},
 		{name: "zero samples", args: []string{"-samples", "0"}, wantErr: "-samples"},
 		{name: "negative samples", args: []string{"-samples", "-5"}, wantErr: "-samples"},
+		{name: "zero scale is the default", args: []string{"-scale", "0"}},
+		{name: "largest scale", args: []string{"-scale", "18"}},
+		{name: "scale too large", args: []string{"-scale", "19"}, wantErr: "-scale"},
+		{name: "scale wraps the shift", args: []string{"-scale", "64"}, wantErr: "-scale"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 
+	"dice/internal/sim"
 	"dice/internal/workloads"
 )
 
@@ -33,17 +34,22 @@ func registerFlags(fs *flag.FlagSet) *cliFlags {
 		workload: fs.String("workload", "gcc", "workload name"),
 		samples:  fs.Int("samples", 4000, "lines sampled for compressibility"),
 		dump:     fs.Int("dump", 0, "dump the first N trace requests"),
-		scale:    fs.Uint("scale", 10, "system scale shift"),
+		scale:    fs.Uint("scale", 10, "system scale shift, at most 18 (0 = 10, i.e. 1/1024 of 1GB)"),
 	}
 }
 
 // validateFlags rejects flag values the flag types allow but the
-// sampler cannot use: -samples below 1 (0 divided by zero computing
-// the sampling stride; a negative count wrapped to a huge unsigned
-// one and sampled every line).
+// sampler or the simulator cannot use: -samples below 1 (0 divided by
+// zero computing the sampling stride; a negative count wrapped to a
+// huge unsigned one and sampled every line) and a -scale the simulator
+// rejects (above 18 the system vanishes; at 64 and above the shift
+// wraps).
 func validateFlags(o *cliFlags) error {
 	if *o.samples < 1 {
 		return fmt.Errorf("-samples must be >= 1, got %d", *o.samples)
+	}
+	if err := (sim.Config{ScaleShift: *o.scale}).Validate(); err != nil {
+		return fmt.Errorf("-scale: %v", err)
 	}
 	return nil
 }
@@ -59,7 +65,7 @@ func main() {
 		workload = o.workload
 		samples  = o.samples
 		dump     = o.dump
-		scale    = o.scale
+		scale    = sim.Config{ScaleShift: *o.scale}.EffectiveScale()
 	)
 
 	w, err := workloads.ByName(*workload)
@@ -67,12 +73,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	insts := w.Build(*scale)
+	insts := w.Build(scale)
 	in := insts[0]
 
 	fmt.Printf("workload %s (%s), per-core footprint %d lines (%.1f MB at scale 1/%d)\n",
 		w.Name, w.Suite, in.FootprintLines,
-		float64(in.FootprintLines*64)/(1<<20), 1<<*scale)
+		float64(in.FootprintLines*64)/(1<<20), 1<<scale)
 	fmt.Printf("L3 MPKI (Table 3): %.1f\n", in.MPKI)
 
 	if *dump > 0 {

@@ -89,8 +89,7 @@ func CompressBest(line []byte) Encoding {
 // allocation-free size-only path — always equal to
 // CompressBest(line).Size(), which the equivalence tests enforce.
 func CompressedSize(line []byte) int {
-	s, _, _ := sizeChoice(line)
-	return s
+	return SizeWith(AlgNone, line)
 }
 
 func isZero(line []byte) bool {

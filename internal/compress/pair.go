@@ -87,15 +87,7 @@ func DecompressPair(p PairEncoding) (a, b []byte, err error) {
 // BAI pair fits a set. It takes the allocation-free size-only path —
 // always equal to CompressPair(a, b).Size(), which the equivalence
 // tests enforce.
-func PairSize(a, b []byte) int {
-	sa, algA, modeA := sizeChoice(a)
-	sb, _, _ := sizeChoice(b)
-	best := sa + sb
-	if shared, ok := pairSharedSize(a, b, sa, algA, modeA); ok && shared < best {
-		best = shared
-	}
-	return best
-}
+func PairSize(a, b []byte) int { return PairSizeWith(AlgNone, a, b) }
 
 // bdiTryModeWithBase encodes line's deltas against a caller-supplied base
 // (base bytes omitted from the payload). Used both by single-line BDI

@@ -29,43 +29,18 @@ func ParseAlg(name string) (AlgID, error) {
 // family: AlgFPC (FPC + zero lines), AlgBDI (BDI + zero lines), or
 // anything else for the full hybrid, which is exactly CompressedSize.
 func SizeWith(alg AlgID, line []byte) int {
-	if alg != AlgFPC && alg != AlgBDI {
-		return CompressedSize(line)
-	}
-	mustLine(line)
-	if isZero(line) {
-		return 0
-	}
-	if alg == AlgFPC {
-		if s, ok := fpcSizeOnly(line); ok {
-			return s
-		}
-		return LineSize
-	}
-	if s, _, ok := bdiSizeOnly(line); ok {
-		return s
-	}
-	return LineSize
+	s, _, _ := sizeChoice(alg, line)
+	return s
 }
 
 // PairSizeWith returns the adjacent-pair size under one algorithm
 // family. Base sharing applies only to BDI-encoded pairs; FPC pairs
 // still share the tag (a set-format property) but not data bytes.
 func PairSizeWith(alg AlgID, a, b []byte) int {
-	switch alg {
-	case AlgFPC:
-		return SizeWith(AlgFPC, a) + SizeWith(AlgFPC, b)
-	case AlgBDI:
-		mustLine(a)
-		mustLine(b)
-		sa, sb := SizeWith(AlgBDI, a), SizeWith(AlgBDI, b)
-		if szA, modeA, okA := bdiSizeOnly(a); okA {
-			if shared, ok := pairSharedSize(a, b, szA, AlgBDI, modeA); ok && shared < sa+sb {
-				return shared
-			}
-		}
-		return sa + sb
-	default:
-		return PairSize(a, b)
+	sa, algA, modeA := sizeChoice(alg, a)
+	sb, _, _ := sizeChoice(alg, b)
+	if shared, ok := pairSharedSize(a, b, sa, algA, modeA); ok && shared < sa+sb {
+		return shared
 	}
+	return sa + sb
 }

@@ -78,29 +78,35 @@ func bdiSizeOnly(line []byte) (size int, mode uint8, ok bool) {
 	return 0, 0, false
 }
 
-// sizeChoice returns the hybrid selector's outcome for a line without
-// allocating: the compressed size, the algorithm CompressBest would
-// pick, and the BDI mode (meaningful only when alg is AlgBDI). The
-// tie-breaking matches CompressBest: BDI replaces the raw encoding
-// when smaller, FPC replaces the current best only when strictly
-// smaller, so BDI wins size ties.
-func sizeChoice(line []byte) (size int, alg AlgID, bdiMode uint8) {
+// sizeChoice returns one compressor's outcome for a line without
+// allocating: the compressed size, the algorithm its encoder would
+// pick, and the BDI mode (meaningful only when chosen is AlgBDI). AlgBDI
+// tries only BDI and AlgFPC only FPC; any other alg is the hybrid
+// selector, which tries both with CompressBest's tie-breaking: BDI
+// replaces the raw encoding when smaller, FPC replaces the current
+// best only when strictly smaller, so BDI wins size ties. Every
+// compressor sizes a zero line as AlgZCA, 0 bytes.
+func sizeChoice(alg AlgID, line []byte) (size int, chosen AlgID, bdiMode uint8) {
 	mustLine(line)
 	if isZero(line) {
 		return 0, AlgZCA, 0
 	}
-	size, alg = LineSize, AlgNone
-	if s, m, ok := bdiSizeOnly(line); ok && s < size {
-		size, alg, bdiMode = s, AlgBDI, m
+	size, chosen = LineSize, AlgNone
+	if alg != AlgFPC {
+		if s, m, ok := bdiSizeOnly(line); ok && s < size {
+			size, chosen, bdiMode = s, AlgBDI, m
+		}
 	}
-	if s, ok := fpcSizeOnly(line); ok && s < size {
-		size, alg = s, AlgFPC
+	if alg != AlgBDI {
+		if s, ok := fpcSizeOnly(line); ok && s < size {
+			size, chosen = s, AlgFPC
+		}
 	}
-	return size, alg, bdiMode
+	return size, chosen, bdiMode
 }
 
 // pairSharedSize returns the shared-base pair size for b riding on a's
-// BDI encoding (alg/mode/size from sizeChoice(a)), or ok=false when
+// BDI encoding (alg/mode/size from sizeChoice of a), or ok=false when
 // base sharing does not apply — the size-only mirror of CompressPair's
 // sharing attempt.
 func pairSharedSize(a, b []byte, sizeA int, algA AlgID, modeA uint8) (int, bool) {

@@ -128,18 +128,37 @@ func TestPairSizeWithMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSizeChoiceMatchesCompressBest pins the selector outcome — the
-// algorithm and BDI mode, which pair base-sharing depends on — to the
-// codec's choice, not just the size.
+// TestSizeChoiceMatchesCompressBest pins each compressor's selector
+// outcome — the algorithm and BDI mode, which pair base-sharing depends
+// on — to its codec's choice, not just the size: the hybrid to
+// CompressBest, AlgBDI to BDI alone and AlgFPC to FPC alone.
 func TestSizeChoiceMatchesCompressBest(t *testing.T) {
-	for i, l := range sizeCorpus(t) {
-		size, alg, mode := sizeChoice(l)
-		enc := CompressBest(l)
-		if size != enc.Size() || alg != enc.Alg {
-			t.Fatalf("line %d: sizeChoice=(%d,%v), CompressBest=(%d,%v)", i, size, alg, enc.Size(), enc.Alg)
+	only := func(compress func([]byte) (Encoding, bool)) func([]byte) Encoding {
+		return func(l []byte) Encoding {
+			if isZero(l) {
+				return Encoding{Alg: AlgZCA}
+			}
+			if enc, ok := compress(l); ok {
+				return enc
+			}
+			return Encoding{Alg: AlgNone, Payload: l}
 		}
-		if alg == AlgBDI && mode != enc.Mode {
-			t.Fatalf("line %d: sizeChoice mode=%d, CompressBest mode=%d", i, mode, enc.Mode)
+	}
+	codecs := map[AlgID]func([]byte) Encoding{
+		AlgNone: CompressBest,
+		AlgBDI:  only(BDI{}.Compress),
+		AlgFPC:  only(FPC{}.Compress),
+	}
+	for want, codec := range codecs {
+		for i, l := range sizeCorpus(t) {
+			size, alg, mode := sizeChoice(want, l)
+			enc := codec(l)
+			if size != enc.Size() || alg != enc.Alg {
+				t.Fatalf("%v line %d: sizeChoice=(%d,%v), codec=(%d,%v)", want, i, size, alg, enc.Size(), enc.Alg)
+			}
+			if alg == AlgBDI && mode != enc.Mode {
+				t.Fatalf("%v line %d: sizeChoice mode=%d, codec mode=%d", want, i, mode, enc.Mode)
+			}
 		}
 	}
 }

@@ -143,12 +143,18 @@ func (c Config) validate() error {
 // Stats aggregates cache activity. Hit/miss counters refer to demand
 // reads; install counters classify the index decisions (Figure 11).
 type Stats struct {
-	Reads      uint64
-	ReadHits   uint64
+	// Reads counts demand reads.
+	Reads uint64
+	// ReadHits counts demand reads that found their line.
+	ReadHits uint64
+	// ReadMisses counts demand reads that did not, sending the caller
+	// to main memory.
 	ReadMisses uint64
 	// Probes counts DRAM-cache accesses for reads (second probes make
 	// Probes > Reads).
-	Probes       uint64
+	Probes uint64
+	// SecondProbes counts reads that accessed the unpredicted set too:
+	// to fetch a line resident there, or on KNL to rule it out.
 	SecondProbes uint64
 	// HitInAlternate counts hits found at the unpredicted location.
 	HitInAlternate uint64
@@ -156,11 +162,20 @@ type Stats struct {
 	// hits (candidates for L3 installation).
 	Extras uint64
 
-	Installs          uint64
-	InstallInvariant  uint64 // TSI == BAI, no decision needed
-	InstallBAI        uint64
-	InstallTSI        uint64
-	Evictions         uint64
+	// Installs counts lines placed in the cache, by demand fills and by
+	// writebacks of non-resident lines.
+	Installs uint64
+	// InstallInvariant counts DICE installs whose TSI and BAI sets
+	// coincide, so no index decision was needed.
+	InstallInvariant uint64
+	// InstallBAI counts DICE installs placed at their BAI index.
+	InstallBAI uint64
+	// InstallTSI counts DICE installs placed at their TSI index.
+	InstallTSI uint64
+	// Evictions counts resident lines displaced to make room.
+	Evictions uint64
+	// DirtyEvictions counts the dirty lines among Evictions, each a
+	// main-memory writeback.
 	DirtyEvictions    uint64
 	WritebackHits     uint64 // L3 writebacks that found the line resident
 	WritebackAccesses uint64 // DRAM accesses performed for writebacks
@@ -172,26 +187,30 @@ type Stats struct {
 	// without touching the data source or the compressors). They are
 	// performance observability only: the memo never changes a simulated
 	// outcome, since sizes are deterministic per line.
-	SizeMemoHits   uint64
+	SizeMemoHits uint64
+	// SizeMemoMisses counts size-memo lookups that had to compute the
+	// size (see SizeMemoHits).
 	SizeMemoMisses uint64
 
-	// Fault-injection effects (Config.Faults). FaultDetectedFrames counts
-	// demand-read transfers whose ECC flagged an uncorrectable error;
-	// FaultRefetches counts would-be hits converted to main-memory
-	// refetches (by a frame flush or a checksum catch); FaultFlushedLines
-	// and FaultDirtyLoss count resident lines invalidated by flushes and
-	// the dirty ones among them (unrecoverable data loss); FaultChecksumCaught
-	// counts silent corruptions caught by the per-line compression
-	// checksum; FaultSilentHits counts corrupt hits served to the core
-	// (uncompressed lines carry no checksum); FaultQuarantined counts
-	// sets demoted to uncompressed storage.
+	// FaultDetectedFrames counts demand-read transfers whose ECC
+	// flagged an uncorrectable error (fault injection, Config.Faults).
 	FaultDetectedFrames uint64
-	FaultRefetches      uint64
-	FaultFlushedLines   uint64
-	FaultDirtyLoss      uint64
+	// FaultRefetches counts would-be hits converted to main-memory
+	// refetches, by a frame flush or a checksum catch.
+	FaultRefetches uint64
+	// FaultFlushedLines counts resident lines invalidated by flushes.
+	FaultFlushedLines uint64
+	// FaultDirtyLoss counts the dirty lines among FaultFlushedLines:
+	// unrecoverable data loss.
+	FaultDirtyLoss uint64
+	// FaultChecksumCaught counts silent corruptions caught by the
+	// per-line compression checksum.
 	FaultChecksumCaught uint64
-	FaultSilentHits     uint64
-	FaultQuarantined    uint64
+	// FaultSilentHits counts corrupt hits served to the core
+	// (uncompressed lines carry no checksum).
+	FaultSilentHits uint64
+	// FaultQuarantined counts sets demoted to uncompressed storage.
+	FaultQuarantined uint64
 
 	// InstallSizeBuckets histograms the compressed sizes of installed
 	// lines in 8-byte buckets: [0]=0B, [1]=1-8B, ..., [8]=57-64B.
@@ -606,12 +625,14 @@ type ReadResult struct {
 	// the miss determination completed (miss) — the caller then fetches
 	// from main memory.
 	Done uint64
-	Hit  bool
+	// Hit reports whether the line was found.
+	Hit bool
 	// Extra is the adjacent line delivered by the same access (an
 	// install candidate for L3), valid when HasExtra is set. A spatial
 	// hit delivers at most the buddy, so a scalar avoids allocating a
 	// slice on the simulator's per-read path.
-	Extra    uint64
+	Extra uint64
+	// HasExtra reports whether Extra holds a delivered line.
 	HasExtra bool
 	// UsedBAI reports where a hit was found (for CIP studies).
 	UsedBAI bool
@@ -738,16 +759,24 @@ func (c *Cache) finishRead(done uint64, setIdx uint64, line uint64, usedBAI bool
 
 // Victim is a line displaced from the cache.
 type Victim struct {
-	Line  uint64
+	// Line is the displaced line's address.
+	Line uint64
+	// Dirty reports whether the line must be written back to main
+	// memory.
 	Dirty bool
 }
 
 // InstallResult reports one fill or writeback-install.
 type InstallResult struct {
-	Done    uint64
+	// Done is the cycle the install (or the in-place writeback update)
+	// completed.
+	Done uint64
+	// Victims lists the lines displaced to make room, in eviction order.
 	Victims []Victim
 	// UsedBAI reports the index decision for non-invariant lines.
-	UsedBAI   bool
+	UsedBAI bool
+	// Invariant reports that the line's TSI and BAI sets coincide, so no
+	// index decision was made.
 	Invariant bool
 }
 

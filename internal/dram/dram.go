@@ -545,7 +545,7 @@ func (m *Memory) InFlight(now uint64, loc Loc) int {
 // TraceConflictRun is the per-bank row-switch count threshold at which
 // an obs.CompDRAM "row-conflict-run" trace event fires (and again at
 // every multiple, so a pathological bank stays visible without
-// flooding the bounded log).
+// flooding the trace with one line per row switch).
 const TraceConflictRun = 16
 
 // InFlightTotal returns how many requests are queued across every

@@ -1,8 +1,10 @@
 // Package obs is the simulator's time-series observability layer: an
 // epoch-sampled metrics recorder (Recorder) with its one export format
-// (EpochLine, written by EpochWriter), a bounded structured event
-// tracer (Tracer), and profiling helpers (CPU/heap profiles plus
-// runtime/metrics self-stats).
+// (EpochLine, written by EpochWriter), a structured event tracer
+// (Tracer), and profiling helpers (CPU/heap profiles plus
+// runtime/metrics self-stats). Recorder and Tracer share one contract:
+// each hands what it observes to a sink as it happens and keeps no
+// buffer, so nothing is silently lost.
 //
 // The package is deliberately dependency-free within the simulator: it
 // defines only plain snapshot/event values, and the sim layer adapts
@@ -11,11 +13,11 @@
 // observer physically unable to reach into simulated state.
 //
 // Determinism contract: observation is read-only. A Recorder or Tracer
-// attached to a run may copy statistics, hand snapshots to its sink and
-// append events to its own buffer, but it never feeds anything back into the simulation, so results are
-// byte-identical with observation on or off, at any worker count. The
-// determinism tests in internal/sim and internal/experiments enforce
-// this.
+// attached to a run may copy statistics and hand snapshots and events
+// to its sink, but it never feeds anything back into the simulation, so
+// results are byte-identical with observation on or off, at any worker
+// count. The determinism tests in internal/sim and internal/experiments
+// enforce this.
 package obs
 
 // Observer bundles the optional observation hooks one simulation
@@ -27,7 +29,8 @@ type Observer struct {
 	// Rec, when non-nil, samples an epoch metrics snapshot every
 	// Rec.EpochCycles() of simulated time.
 	Rec *Recorder
-	// Trace, when non-nil, collects structured component events.
+	// Trace, when non-nil, hands structured component events to its
+	// sink.
 	Trace *Tracer
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -92,40 +91,16 @@ func TestRecorderDue(t *testing.T) {
 	}
 }
 
-// TestTracerFilter checks that enabling "cip,fault" collects exactly
-// those components' events and Enabled gates the rest.
-func TestTracerFilter(t *testing.T) {
-	tr, err := NewTracer("cip,fault", 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := []Component{CompCIP, CompFault, CompDCache, CompDRAM, CompSim}
-	for i, c := range all {
-		if want := c == CompCIP || c == CompFault; tr.Enabled(c) != want {
-			t.Fatalf("Enabled(%v) = %v, want %v", c, tr.Enabled(c), want)
-		}
-		tr.Emit(uint64(i), c, "kind", "detail")
-		tr.Emitf(uint64(i), c, "kindf", "i=%d", i)
-	}
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("collected %d events, want 4 (2 components x 2 emits)", len(evs))
-	}
-	for _, e := range evs {
-		if e.Comp != CompCIP && e.Comp != CompFault {
-			t.Fatalf("event from disabled component %v leaked through", e.Comp)
-		}
-	}
+// countingArg counts how often the tracer formats it, so a test can
+// see that a disabled emission never formats.
+type countingArg struct{ n *int }
 
-	var nilTr *Tracer
-	if nilTr.Enabled(CompCIP) {
-		t.Fatal("nil tracer must report disabled")
-	}
-	nilTr.Emit(0, CompCIP, "k", "d") // must not panic
-}
+func (a countingArg) String() string { *a.n++; return "d" }
 
 // TestTracerParseAndOverflow covers component-list parsing (including
-// errors) and the bounded log's drop accounting.
+// errors) and that the tracer never overflows: it keeps no log of its
+// own, so every enabled event reaches the sink, in order, with none
+// dropped however many are emitted.
 func TestTracerParseAndOverflow(t *testing.T) {
 	if _, err := ParseComponents("cip,bogus"); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("want error naming the bad component, got %v", err)
@@ -139,27 +114,118 @@ func TestTracerParseAndOverflow(t *testing.T) {
 			t.Fatalf("'all' must enable %v", c)
 		}
 	}
+	if mask, err := ParseComponents(" , "); err != nil || mask != 0 {
+		t.Fatalf("blank list = %#x, %v; want 0, nil", mask, err)
+	}
 
-	tr, err := NewTracer("all", 3)
+	var got []Event
+	tr, err := NewTracer("sim", func(e Event) { got = append(got, e) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
+	const n = 1000
+	for i := 0; i < n; i++ {
 		tr.Emitf(uint64(i), CompSim, "tick", "%d", i)
+		tr.Emitf(uint64(i), CompDRAM, "tick", "%d", i) // disabled
 	}
-	if tr.Dropped() != 5 {
-		t.Fatalf("dropped %d, want 5", tr.Dropped())
+	if len(got) != n {
+		t.Fatalf("sink got %d events, want all %d", len(got), n)
 	}
-	evs := tr.Events()
-	if len(evs) != 3 || evs[0].Detail != "5" || evs[2].Detail != "7" {
-		t.Fatalf("ring should retain the newest 3 events, got %v", evs)
+	for i, e := range got {
+		if e.Cycle != uint64(i) || e.Comp != CompSim || e.Detail != fmt.Sprint(i) {
+			t.Fatalf("event %d = %v, want cycle %d from sim", i, e, i)
+		}
 	}
-	var b bytes.Buffer
-	if err := tr.WriteTimeline(&b); err != nil {
-		t.Fatal(err)
+}
+
+// TestTracerFilter pins the tracer's contract: the sink gets exactly
+// the enabled components' events, in emission order; a disabled
+// component or a nil tracer neither reaches the sink nor formats; a
+// nil sink panics; an unknown component is an error listing every
+// name the component table spells.
+func TestTracerFilter(t *testing.T) {
+	all := []Component{CompCIP, CompFault, CompDCache, CompDRAM, CompSim}
+	var names []string
+	for _, c := range all {
+		names = append(names, c.String())
 	}
-	if !strings.Contains(b.String(), "5 dropped") {
-		t.Fatalf("timeline should note drops:\n%s", b.String())
+	cases := []struct {
+		name       string
+		components string
+		nilTracer  bool
+		nilSink    bool
+		want       []Component // components that reach the sink
+		wantErr    string
+	}{
+		{name: "subset", components: "cip, fault", want: []Component{CompCIP, CompFault}},
+		{name: "all", components: "all", want: all},
+		{name: "all plus a name", components: "sim,all", want: all},
+		{name: "none", components: ""},
+		{name: "nil tracer", nilTracer: true},
+		{name: "nil sink", components: "cip", nilSink: true},
+		{name: "unknown", components: "cip,bogus",
+			wantErr: `unknown trace component "bogus" (have ` + strings.Join(names, ", ") + ", all)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []Event
+			sink := func(e Event) { got = append(got, e) }
+			if tc.nilSink {
+				sink = nil
+			}
+			var tr *Tracer
+			if !tc.nilTracer {
+				var err error
+				var panicked any
+				func() {
+					defer func() { panicked = recover() }()
+					tr, err = NewTracer(tc.components, sink)
+				}()
+				if tc.nilSink {
+					if !strings.Contains(fmt.Sprint(panicked), "needs a sink") {
+						t.Fatalf("NewTracer with a nil sink: panic %v, want one naming the sink", panicked)
+					}
+					return
+				}
+				if panicked != nil {
+					t.Fatalf("NewTracer(%q) panicked: %v", tc.components, panicked)
+				}
+				if tc.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("NewTracer(%q) = %v, want error containing %q", tc.components, err, tc.wantErr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			enabled := map[Component]bool{}
+			for _, c := range tc.want {
+				enabled[c] = true
+			}
+			formats := 0
+			var want []Event
+			for round := 0; round < 2; round++ {
+				for i, c := range all {
+					if tr.Enabled(c) != enabled[c] {
+						t.Fatalf("Enabled(%v) = %v, want %v", c, tr.Enabled(c), enabled[c])
+					}
+					cycle := uint64(10*round + i)
+					tr.Emitf(cycle, c, "kind", "%v%d", countingArg{&formats}, round)
+					if enabled[c] {
+						want = append(want, Event{Cycle: cycle, Comp: c, Kind: "kind", Detail: fmt.Sprintf("d%d", round)})
+					}
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("sink got %v, want %v", got, want)
+			}
+			if formats != len(want) {
+				t.Fatalf("formatted %d times for %d delivered events", formats, len(want))
+			}
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"io"
+	"slices"
 	"strings"
 )
 
@@ -32,22 +32,22 @@ const (
 	numComponents
 )
 
+// componentNames spells each component once, for both String and
+// ParseComponents.
+var componentNames = [numComponents]string{
+	CompCIP:    "cip",
+	CompFault:  "fault",
+	CompDCache: "dcache",
+	CompDRAM:   "dram",
+	CompSim:    "sim",
+}
+
 // String names the component with the spelling ParseComponents accepts.
 func (c Component) String() string {
-	switch c {
-	case CompCIP:
-		return "cip"
-	case CompFault:
-		return "fault"
-	case CompDCache:
-		return "dcache"
-	case CompDRAM:
-		return "dram"
-	case CompSim:
-		return "sim"
-	default:
-		return fmt.Sprintf("component(%d)", uint8(c))
+	if c < numComponents {
+		return componentNames[c]
 	}
+	return fmt.Sprintf("component(%d)", uint8(c))
 }
 
 // ParseComponents resolves a comma-separated component list ("cip,fault")
@@ -57,22 +57,14 @@ func ParseComponents(s string) (uint32, error) {
 	var mask uint32
 	for _, name := range strings.Split(s, ",") {
 		name = strings.TrimSpace(name)
-		switch name {
-		case "":
-		case "all":
+		switch c := slices.Index(componentNames[:], name); {
+		case c >= 0:
+			mask |= 1 << c
+		case name == "all":
 			mask |= 1<<numComponents - 1
-		case "cip":
-			mask |= 1 << CompCIP
-		case "fault":
-			mask |= 1 << CompFault
-		case "dcache":
-			mask |= 1 << CompDCache
-		case "dram":
-			mask |= 1 << CompDRAM
-		case "sim":
-			mask |= 1 << CompSim
-		default:
-			return 0, fmt.Errorf("obs: unknown trace component %q (have cip, fault, dcache, dram, sim, all)", name)
+		case name != "":
+			return 0, fmt.Errorf("obs: unknown trace component %q (have %s, all)",
+				name, strings.Join(componentNames[:], ", "))
 		}
 	}
 	return mask, nil
@@ -95,94 +87,44 @@ func (e Event) String() string {
 	return fmt.Sprintf("[%12d] %-6s %-16s %s", e.Cycle, e.Comp, e.Kind, e.Detail)
 }
 
-// DefaultTraceCap is the default bounded event-log capacity. Like the
-// epoch ring, a full log drops its oldest events (flight-recorder
-// semantics) and counts them, bounding trace memory regardless of run
-// length.
-const DefaultTraceCap = 8192
-
-// Tracer is a bounded, component-filtered event log. Like Recorder it
-// belongs to exactly one simulation and is used from that simulation's
-// goroutine only. Emission sites guard with Enabled before formatting,
-// so a disabled component costs one inlined mask test.
+// Tracer is a component-filtered event stream: it hands each event of
+// an enabled component to its sink and keeps nothing, so what a trace
+// costs in memory is the sink's to bound. Like Recorder it belongs to
+// exactly one simulation and is used from that simulation's goroutine
+// only. Emission sites guard with Enabled before formatting, so a
+// disabled component costs one inlined mask test.
 type Tracer struct {
-	mask    uint32
-	ring    []Event
-	head    int
-	n       int
-	dropped uint64
+	mask uint32
+	sink func(Event)
 }
 
 // NewTracer returns a tracer enabling the given components
-// (ParseComponents syntax) with a ring of cap events (cap <= 0 selects
-// DefaultTraceCap).
-func NewTracer(components string, cap int) (*Tracer, error) {
+// (ParseComponents syntax) and passing each of their events to sink.
+// The sink runs on the simulation goroutine: keep it fast and
+// non-blocking. It panics if sink is nil.
+func NewTracer(components string, sink func(Event)) (*Tracer, error) {
+	if sink == nil {
+		panic("obs: tracer needs a sink")
+	}
 	mask, err := ParseComponents(components)
 	if err != nil {
 		return nil, err
 	}
-	if cap <= 0 {
-		cap = DefaultTraceCap
-	}
-	return &Tracer{mask: mask, ring: make([]Event, cap)}, nil
+	return &Tracer{mask: mask, sink: sink}, nil
 }
 
-// Enabled reports whether component c's events are being collected.
-// Safe on a nil receiver (always false), so call sites need no
-// additional nil guard.
+// Enabled reports whether component c's events reach the sink. Safe
+// on a nil receiver (always false), so call sites need no additional
+// nil guard.
 func (t *Tracer) Enabled(c Component) bool {
 	return t != nil && t.mask&(1<<c) != 0
 }
 
-// Emit records one event if its component is enabled. Callers on hot
-// paths should guard with Enabled before building Detail, so the
-// disabled path never formats.
-func (t *Tracer) Emit(cycle uint64, c Component, kind, detail string) {
-	if !t.Enabled(c) {
-		return
-	}
-	e := Event{Cycle: cycle, Comp: c, Kind: kind, Detail: detail}
-	if t.n == len(t.ring) {
-		t.ring[t.head] = e
-		t.head = (t.head + 1) % len(t.ring)
-		t.dropped++
-		return
-	}
-	t.ring[(t.head+t.n)%len(t.ring)] = e
-	t.n++
-}
-
-// Emitf is Emit with deferred formatting: the format executes only
-// when the component is enabled.
+// Emitf hands one event to the sink if its component is enabled. The
+// format executes only then, so a disabled component never formats.
 func (t *Tracer) Emitf(cycle uint64, c Component, kind, format string, args ...any) {
 	if !t.Enabled(c) {
 		return
 	}
-	t.Emit(cycle, c, kind, fmt.Sprintf(format, args...))
-}
-
-// Dropped returns how many events the full ring has discarded.
-func (t *Tracer) Dropped() uint64 { return t.dropped }
-
-// Events returns the retained events in emission order.
-func (t *Tracer) Events() []Event {
-	out := make([]Event, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.ring[(t.head+i)%len(t.ring)]
-	}
-	return out
-}
-
-// WriteTimeline renders the retained events as a human-readable
-// timeline, noting how many earlier events the bounded log dropped.
-func (t *Tracer) WriteTimeline(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "trace: %d events (%d dropped by the bounded log)\n", t.n, t.dropped); err != nil {
-		return err
-	}
-	for i := 0; i < t.n; i++ {
-		if _, err := fmt.Fprintln(w, t.ring[(t.head+i)%len(t.ring)]); err != nil {
-			return err
-		}
-	}
-	return nil
+	t.sink(Event{Cycle: cycle, Comp: c, Kind: kind, Detail: fmt.Sprintf(format, args...)})
 }

@@ -1,9 +1,10 @@
 // Epoch-metrics adaptation: turns the machine's cumulative component
 // statistics into per-epoch obs.Snapshot deltas. Everything here is
 // read-only with respect to the simulation — the tracker copies stats,
-// computes differences against its own previous copies, and appends to
-// the recorder's ring. It never feeds anything back, which is what
-// keeps results byte-identical with recording on or off.
+// computes differences against its own previous copies, and hands each
+// snapshot to the recorder, whose sink takes it. It never feeds
+// anything back, which is what keeps results byte-identical with
+// recording on or off.
 package sim
 
 import (

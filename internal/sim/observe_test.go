@@ -29,7 +29,8 @@ func TestRunObservedIsReadOnly(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := obs.NewTracer("all", 0)
+			events := 0
+			tr, err := obs.NewTracer("all", func(obs.Event) { events++ })
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,6 +46,9 @@ func TestRunObservedIsReadOnly(t *testing.T) {
 			if epochs == 0 {
 				t.Fatal("recorder attached but no epochs sampled")
 			}
+			if events == 0 {
+				t.Fatal("tracer attached to every component but no events reached its sink")
+			}
 		})
 	}
 }
@@ -58,7 +62,8 @@ func TestEpochSeriesShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Policy: dcache.PolicyDICE, RefsPerCore: 4_000}
-	tr, err := obs.NewTracer("sim", 0)
+	var evs []obs.Event
+	tr, err := obs.NewTracer("sim", func(e obs.Event) { evs = append(evs, e) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +96,6 @@ func TestEpochSeriesShape(t *testing.T) {
 		t.Fatalf("epochs account for %d refs of %d run", refs, total)
 	}
 
-	evs := ob.Trace.Events()
 	if len(evs) != 1 || evs[0].Kind != "measurement-start" {
 		t.Fatalf("sim tracing should yield exactly the measurement-start event, got %v", evs)
 	}
