@@ -43,10 +43,11 @@ test-race:
 # Short fuzz pass over the validated-decompress boundary, the
 # event-vs-cycle simulation core equality oracle, the DRAM cache's
 # occupancy-counter oracle, the L3 against its tick-LRU reference, the
-# sweep-spec parser, the commit log's replay of arbitrary file bytes
-# and the daemon's job-spec decoding (go's fuzzer accepts one target
-# per invocation). The parser's new inputs are minimized for at most 5s
-# each so minimization cannot eat its budget.
+# sweep-spec parser, the commit log's replay of arbitrary file bytes,
+# the daemon's job-spec decoding and its journal's replay of arbitrary
+# record sequences (go's fuzzer accepts one target per invocation).
+# The parser's new inputs are minimized for at most 5s each so
+# minimization cannot eat its budget.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecompressChecked$$' -fuzztime=30s ./internal/compress
 	$(GO) test -run='^$$' -fuzz='^FuzzCompressRoundtrip$$' -fuzztime=30s ./internal/compress
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/dse
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=30s ./internal/commitlog
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmit$$' -fuzztime=30s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalReplay$$' -fuzztime=30s ./internal/serve
 
 # Per-layer microbenchmarks: every `go test -bench` benchmark in the
 # module — the paper tables/figures in bench_test.go plus the L3 cache,

@@ -230,7 +230,7 @@ func TestDaemonSIGKILLRestartReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the daemon journals the start (state running), then
+	// Wait until a worker has picked the job up (state running), then
 	// kill it without ceremony.
 	deadline := time.Now().Add(time.Minute)
 	for {
@@ -252,7 +252,7 @@ func TestDaemonSIGKILLRestartReplay(t *testing.T) {
 	if err := p.cmd.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	<-p.done // SIGKILL: no clean shutdown, journal has submit+start only
+	<-p.done // SIGKILL: no clean shutdown, journal has the submit only
 
 	p2 := startDaemon(t, "-journal", journal, "-q")
 	if out := p2.output(); !strings.Contains(out, "journal replayed 1 jobs (1 re-enqueued)") {

@@ -11,7 +11,6 @@ import (
 	"dice/internal/obs"
 	"dice/internal/serve"
 	"dice/internal/serve/client"
-	"dice/internal/sim"
 )
 
 // DefaultBatch is the cells-per-job batch size for daemon-sharded
@@ -28,7 +27,7 @@ type Options struct {
 	// setting).
 	Workers int
 	// Daemons lists dicebenchd base URLs to shard the sweep across.
-	// Empty means in-process execution through the experiment runner.
+	// Empty means in-process execution through the daemon's executor.
 	Daemons []string
 	// Batch is the cells-per-job bound for daemon sharding (0 =
 	// DefaultBatch; capped at serve.MaxCellsPerJob).
@@ -39,9 +38,9 @@ type Options struct {
 	ShardDeadline time.Duration
 	// MetricsEpoch, when nonzero, attaches an epoch-metrics recorder
 	// (every MetricsEpoch simulated cycles) to each cell's simulation
-	// and delivers every snapshot to EpochSink — over the job stream
-	// for daemon sharding, straight from the runner for in-process
-	// runs. Ignored when EpochSink is nil.
+	// and delivers every snapshot to EpochSink as a job stream event —
+	// over HTTP for daemon sharding, in-process otherwise. Ignored when
+	// EpochSink is nil.
 	MetricsEpoch uint64
 	// EpochSink receives per-epoch metric snapshots as simulations
 	// run, tagged with the simulation's memoization key. Called from
@@ -110,26 +109,42 @@ func Run(ctx context.Context, cells []experiments.CellSpec, rlog *ResultLog, hav
 	return results, err
 }
 
-// runLocal executes pending cells in-process on a fresh memoizing
-// runner, checkpointing each cell the moment it completes.
-func runLocal(ctx context.Context, pending []experiments.CellSpec, record func(serve.CellResult) error, opt Options) error {
-	r := experiments.NewRunner(0)
-	r.Workers = opt.Workers
-	if opt.MetricsEpoch > 0 && opt.EpochSink != nil {
-		r.Observe = func(key string) *obs.Observer {
-			return &obs.Observer{Rec: obs.NewRecorder(opt.MetricsEpoch, func(s obs.Snapshot) { opt.EpochSink(key, s) })}
+// cellJob is the job spec for a batch of cells, local or daemon: the
+// sweep's worker bound, and its epoch period when a sink will read the
+// epochs.
+func cellJob(cells []experiments.CellSpec, opt Options) serve.JobSpec {
+	spec := serve.JobSpec{Cells: cells, Workers: opt.Workers}
+	if opt.EpochSink != nil {
+		spec.MetricsEpoch = opt.MetricsEpoch
+	}
+	return spec
+}
+
+// deliver hands one job stream event to the sweep, local or daemon: a
+// cell to record, an epoch to the sink.
+func deliver(ev serve.StreamEvent, record func(serve.CellResult) error, opt Options) error {
+	switch ev.Kind {
+	case serve.StreamCell:
+		return record(*ev.Cell)
+	case serve.StreamEpoch:
+		if opt.EpochSink != nil {
+			opt.EpochSink(ev.Epoch.Key, ev.Epoch.Snap)
 		}
 	}
+	return nil
+}
+
+// runLocal executes pending cells in-process as one job through the
+// daemon's executor (serve.RunSpecStream), checkpointing each cell the
+// moment it completes. The job's Output, one JSON line per cell, is
+// not needed here and is dropped.
+func runLocal(ctx context.Context, pending []experiments.CellSpec, record func(serve.CellResult) error, opt Options) error {
+	var once sync.Once
 	var recErr error
-	var recMu sync.Mutex
 	// Expansion stamps every cell's Refs, so the default 0 is unused.
-	_, err := r.RunCells(ctx, pending, func(i int, res sim.Result) {
-		if rerr := record(serve.CellResultFrom(pending[i].Key(), res)); rerr != nil {
-			recMu.Lock()
-			if recErr == nil {
-				recErr = rerr
-			}
-			recMu.Unlock()
+	_, err := serve.RunSpecStream(ctx, cellJob(pending, opt), 0, func(ev serve.StreamEvent) {
+		if rerr := deliver(ev, record, opt); rerr != nil {
+			once.Do(func() { recErr = rerr })
 		}
 	})
 	if recErr != nil {
@@ -204,14 +219,8 @@ func runSharded(ctx context.Context, pending []experiments.CellSpec, record func
 // emits them, long before the job is terminal, and epoch snapshots
 // flow to the sink as they happen.
 func runBatch(ctx context.Context, c *client.Client, cells []experiments.CellSpec, record func(serve.CellResult) error, opt Options) error {
-	spec := serve.JobSpec{
-		Cells:      cells,
-		Workers:    opt.Workers,
-		DeadlineMS: opt.ShardDeadline.Milliseconds(),
-	}
-	if opt.EpochSink != nil {
-		spec.MetricsEpoch = opt.MetricsEpoch
-	}
+	spec := cellJob(cells, opt)
+	spec.DeadlineMS = opt.ShardDeadline.Milliseconds()
 	st, err := c.Submit(ctx, spec)
 	if err != nil {
 		return fmt.Errorf("submit: %w", err)
@@ -221,16 +230,10 @@ func runBatch(ctx context.Context, c *client.Client, cells []experiments.CellSpe
 	// stream is replayed; delivered only backs the omission check.
 	delivered := make(map[string]bool, len(cells))
 	final, err := c.Stream(ctx, st.ID, func(ev serve.StreamEvent) error {
-		switch ev.Kind {
-		case serve.StreamCell:
+		if ev.Kind == serve.StreamCell {
 			delivered[ev.Cell.Key] = true
-			return record(*ev.Cell)
-		case serve.StreamEpoch:
-			if opt.EpochSink != nil {
-				opt.EpochSink(ev.Epoch.Key, ev.Epoch.Snap)
-			}
 		}
-		return nil
+		return deliver(ev, record, opt)
 	})
 	if err != nil {
 		return fmt.Errorf("stream %s: %w", st.ID, err)

@@ -137,7 +137,7 @@ type Daemon struct {
 type statsCounters struct {
 	submitted, rejected, started uint64
 	done, failed, cancelled      uint64
-	replayed                     uint64
+	replayed, epochsDropped      uint64
 }
 
 // Stats is a point-in-time snapshot of the daemon's self-stats, as
@@ -158,6 +158,9 @@ type Stats struct {
 	Cancelled uint64 `json:"jobs_cancelled"`
 	// Replayed counts jobs restored from the journal on startup.
 	Replayed uint64 `json:"jobs_replayed"`
+	// StreamEpochsDropped counts epoch events that finished jobs'
+	// stream buffers dropped at the streamBufferCap bound.
+	StreamEpochsDropped uint64 `json:"stream_epochs_dropped"`
 	// QueueDepth is the current number of queued jobs.
 	QueueDepth int `json:"queue_depth"`
 	// MaxQueueDepth is the queue-depth high-water mark.
@@ -263,8 +266,6 @@ func (d *Daemon) restore(rep *Replay) {
 		jb := &job{status: JobStatus{
 			ID: rj.ID, Seq: rj.Seq, Spec: rj.Spec, Replayed: true,
 		}}
-		d.jobs[rj.ID] = jb
-		d.order = append(d.order, rj.ID)
 		d.stats.replayed++
 		if rj.Finished {
 			jb.status.State = rj.State
@@ -272,15 +273,13 @@ func (d *Daemon) restore(rep *Replay) {
 			jb.status.Error = rj.Error
 			// No live stream buffer: streams of journal-finished jobs
 			// are synthesized from the status.
+			d.jobs[rj.ID] = jb
+			d.order = append(d.order, rj.ID)
 			d.retainLocked(jb)
 			continue
 		}
 		jb.status.State = StateQueued
-		jb.prog = newProgress(streamBufferCap)
-		d.depth++
-		if d.depth > d.maxDepth {
-			d.maxDepth = d.depth
-		}
+		d.admitLocked(jb)
 		d.queue <- jb // capacity reserved for the backlog in New
 		d.cfg.Logf("serve: replay re-enqueued %s (%v)", rj.ID, rj.Spec.Experiments)
 	}
@@ -307,26 +306,21 @@ func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 		d.mu.Unlock()
 		return JobStatus{}, ErrQueueFull
 	}
-	d.depth++
-	if d.depth > d.maxDepth {
-		d.maxDepth = d.depth
-	}
 	seq := d.seq
 	d.seq++
 	id := fmt.Sprintf("j%d", seq)
 	jb := &job{status: JobStatus{
 		ID: id, Seq: seq, State: StateQueued, Spec: spec, SubmittedAt: time.Now(),
 	}}
-	jb.prog = newProgress(streamBufferCap)
-	d.jobs[id] = jb
-	d.order = append(d.order, id)
+	d.admitLocked(jb)
 	d.stats.submitted++
 	// Enqueue the journal record while holding the lock — that stakes
 	// the record's place in journal file order, so a job's submit
-	// record always precedes its start record (the worker can only see
-	// the job after the queue send below). The fsync itself is awaited
-	// AFTER unlocking: holding d.mu across the sync would serialize
-	// concurrent submits and defeat group commit.
+	// record always precedes its finish record (neither a Cancel nor a
+	// worker can reach the job before this unlock and the queue send
+	// below). The fsync itself is awaited AFTER unlocking: holding d.mu
+	// across the sync would serialize concurrent submits and defeat
+	// group commit.
 	ticket := d.journal.enqueue(record{T: "submit", ID: id, Seq: seq, Spec: &spec})
 	st := jb.status
 	d.mu.Unlock()
@@ -354,6 +348,19 @@ func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 	return st, nil
 }
 
+// admitLocked takes a queue slot for jb (raising the depth high-water
+// mark), gives it a fresh stream buffer, and enters it in the job table
+// and the listing order. The caller sends jb to d.queue once its submit
+// record is durable: restore at once, Submit after its fsync. Caller
+// holds d.mu.
+func (d *Daemon) admitLocked(jb *job) {
+	d.depth++
+	d.maxDepth = max(d.maxDepth, d.depth)
+	jb.prog = newProgress(streamBufferCap)
+	d.jobs[jb.status.ID] = jb
+	d.order = append(d.order, jb.status.ID)
+}
+
 // worker pulls jobs until shutdown. The stopPick channel — not queue
 // closure — ends the loop, so queued jobs survive in the channel (and
 // in the journal) as the shutdown checkpoint.
@@ -371,7 +378,7 @@ func (d *Daemon) worker() {
 		case jb := <-d.queue:
 			d.mu.Lock()
 			d.depth--
-			skip := jb.cancelRequested // cancelled while queued; finish already journaled
+			skip := jb.cancelRequested // cancelled while queued: Cancel finishes it
 			if !skip {
 				jb.status.State = StateRunning
 				jb.status.StartedAt = time.Now()
@@ -411,11 +418,6 @@ func (d *Daemon) runJob(jb *job) {
 		cancel()
 	}
 
-	if err := d.journal.append(record{T: "start", ID: jb.status.ID}); err != nil {
-		d.finish(jb, StateFailed, "", err.Error(), true)
-		return
-	}
-
 	emit := func(StreamEvent) {}
 	if jb.prog != nil {
 		emit = jb.prog.add
@@ -451,29 +453,28 @@ func (d *Daemon) runJob(jb *job) {
 		d.mu.Unlock()
 		d.cfg.Logf("serve: %s interrupted by shutdown", jb.status.ID)
 	case err == nil:
-		d.finish(jb, StateDone, output, "", true)
+		d.finish(jb, StateDone, output, "")
 	case userCancelled && errors.Is(err, context.Canceled):
-		d.finish(jb, StateCancelled, output, "cancelled by client", true)
+		d.finish(jb, StateCancelled, output, "cancelled by client")
 	case errors.Is(err, context.DeadlineExceeded):
-		d.finish(jb, StateFailed, output, fmt.Sprintf("deadline exceeded after %v", deadline), true)
+		d.finish(jb, StateFailed, output, fmt.Sprintf("deadline exceeded after %v", deadline))
 	default:
-		d.finish(jb, StateFailed, output, err.Error(), true)
+		d.finish(jb, StateFailed, output, err.Error())
 	}
 }
 
-// finish moves a job to a terminal state, journals it (unless
-// journalIt is false — used when the journal itself failed), applies
-// output retention, and updates the counters.
-func (d *Daemon) finish(jb *job, state JobState, output, errMsg string, journalIt bool) {
-	if journalIt {
-		if jerr := d.journal.append(record{
-			T: "finish", ID: jb.status.ID, State: state, Output: output, Error: errMsg,
-		}); jerr != nil {
-			// The in-memory state is still authoritative for this
-			// process; a restart will re-run the job, which is safe
-			// (deterministic) if wasteful.
-			d.cfg.Logf("serve: %s: journal finish failed: %v", jb.status.ID, jerr)
-		}
+// finish is the one way a job reaches a terminal state, run or
+// cancelled while queued: it journals the finish record, sets the
+// status, updates the counters, applies output retention, and closes
+// the job's stream with the done event. It returns the final status.
+func (d *Daemon) finish(jb *job, state JobState, output, errMsg string) JobStatus {
+	if jerr := d.journal.append(record{
+		T: "finish", ID: jb.status.ID, State: state, Output: output, Error: errMsg,
+	}); jerr != nil {
+		// The in-memory state is still authoritative for this process;
+		// a restart will re-run the job, which is safe (deterministic)
+		// if wasteful.
+		d.cfg.Logf("serve: %s: journal finish failed: %v", jb.status.ID, jerr)
 	}
 	d.mu.Lock()
 	wasRunning := jb.status.State == StateRunning
@@ -493,12 +494,13 @@ func (d *Daemon) finish(jb *job, state JobState, output, errMsg string, journalI
 		d.stats.cancelled++
 	}
 	d.retainLocked(jb)
-	prog := jb.prog
-	d.mu.Unlock()
-	if prog != nil {
-		prog.finish(state, errMsg)
+	if jb.prog != nil {
+		d.stats.epochsDropped += jb.prog.finish(state, errMsg)
 	}
-	d.cfg.Logf("serve: %s %s", jb.status.ID, state)
+	st := jb.status
+	d.mu.Unlock()
+	d.cfg.Logf("serve: %s %s", st.ID, state)
+	return st
 }
 
 // retainLocked enforces the bounded-output retention: the newest
@@ -525,9 +527,11 @@ func (d *Daemon) retainLocked(jb *job) {
 }
 
 // Cancel cancels a job: a queued job is finished as cancelled on the
-// spot (the worker discards it on dequeue); a running job has its
-// context cancelled and the worker records the outcome. Cancelling a
-// terminal job is a no-op returning its status.
+// spot (the worker discards it on dequeue, so no later record for it
+// can exist); a running job has its context cancelled and the worker
+// records the outcome. Cancelling a terminal job, or a queued one a
+// concurrent Cancel is already finishing, is a no-op returning its
+// status.
 func (d *Daemon) Cancel(id string) (JobStatus, error) {
 	d.mu.Lock()
 	jb, ok := d.jobs[id]
@@ -535,31 +539,12 @@ func (d *Daemon) Cancel(id string) (JobStatus, error) {
 		d.mu.Unlock()
 		return JobStatus{}, ErrNotFound
 	}
-	switch jb.status.State {
-	case StateQueued:
+	switch {
+	case jb.status.State == StateQueued && !jb.cancelRequested:
 		jb.cancelRequested = true
-		jb.status.State = StateCancelled
-		jb.status.Error = "cancelled by client while queued"
-		jb.status.FinishedAt = time.Now()
-		d.stats.cancelled++
-		rec := record{T: "finish", ID: id, State: StateCancelled, Error: jb.status.Error}
-		st := jb.status
-		// Enqueue under the lock: the finish must precede any later
-		// record for this id in journal file order. The sync is awaited
-		// after unlocking.
-		ticket := d.journal.enqueue(rec)
-		d.retainLocked(jb)
-		prog := jb.prog
 		d.mu.Unlock()
-		if err := ticket.Wait(); err != nil {
-			d.cfg.Logf("serve: %s: journal cancel failed: %v", id, err)
-		}
-		if prog != nil {
-			prog.finish(StateCancelled, st.Error)
-		}
-		d.cfg.Logf("serve: %s cancelled while queued", id)
-		return st, nil
-	case StateRunning:
+		return d.finish(jb, StateCancelled, "", "cancelled by client while queued"), nil
+	case jb.status.State == StateRunning:
 		jb.cancelRequested = true
 		cancel := jb.cancel
 		st := jb.status
@@ -608,7 +593,7 @@ func (d *Daemon) Stats() Stats {
 		Submitted: d.stats.submitted, Rejected: d.stats.rejected,
 		Started: d.stats.started, Done: d.stats.done,
 		Failed: d.stats.failed, Cancelled: d.stats.cancelled,
-		Replayed:   d.stats.replayed,
+		Replayed: d.stats.replayed, StreamEpochsDropped: d.stats.epochsDropped,
 		QueueDepth: d.depth, MaxQueueDepth: d.maxDepth,
 		QueueCap: d.cfg.QueueCap, Active: d.active,
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -227,6 +228,54 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 }
 
+// A job's durable lifecycle is two journal records, submit and finish,
+// whether it runs or is cancelled while queued: N sequential jobs plus
+// one cancelled while queued — by four concurrent Cancels, which finish
+// it once — leave exactly 2(N+2) acknowledged appends on /healthz,
+// counting the job that held the worker.
+func TestJobWritesTwoRecords(t *testing.T) {
+	const n = 5
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
+	d.execute = blockingExec(started, release)
+
+	spec := JobSpec{Experiments: []string{"fig4"}}
+	held := mustSubmit(t, d, spec)
+	<-started
+	queued := mustSubmit(t, d, spec)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := d.Cancel(queued.ID); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	waitState(t, d, queued.ID, StateCancelled)
+	close(release)
+	waitState(t, d, held.ID, StateDone)
+	for i := 0; i < n; i++ {
+		waitState(t, d, mustSubmit(t, d, spec).ID, StateDone)
+	}
+
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	var h Health
+	if err := json.Unmarshal(rec.Body.Bytes(), &h); err != nil {
+		t.Fatal(err)
+	}
+	if h.Journal == nil || h.Journal.Appends != 2*(n+2) {
+		t.Fatalf("journal appends = %+v, want %d", h.Journal, 2*(n+2))
+	}
+	if h.Stats.Started != n+1 || h.Stats.Cancelled != 1 || h.Stats.Done != n+1 {
+		t.Fatalf("stats: %+v", h.Stats)
+	}
+}
+
 // Graceful shutdown: admission closes (503 on submit, /readyz 503),
 // the in-flight job drains, queued jobs stay checkpointed in the
 // journal, and a restarted daemon re-enqueues and runs them.
@@ -341,7 +390,7 @@ func TestShutdownDrainTimeoutCheckpointsInFlight(t *testing.T) {
 		defer scancel()
 		d2.Shutdown(sctx)
 	}()
-	if len(rep.Jobs) != 1 || !rep.Jobs[0].Unfinished() || !rep.Jobs[0].Started {
+	if len(rep.Jobs) != 1 || !rep.Jobs[0].Unfinished() {
 		t.Fatalf("replay of interrupted job: %+v", rep.Jobs)
 	}
 	waitState(t, d2, st.ID, StateDone)

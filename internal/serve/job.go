@@ -11,10 +11,11 @@
 // status, and never takes the daemon down; SIGTERM stops admission,
 // drains in-flight jobs within a configured bound, and leaves queued
 // jobs checkpointed in the journal; and because every job's lifecycle
-// is journaled with per-record CRCs, a restarted daemon — even after
-// SIGKILL — replays the journal and deterministically re-enqueues the
-// jobs that were interrupted. Simulations are pure functions of their
-// configuration, so a re-run job produces byte-identical output.
+// is journaled as two CRC-framed records, its submit and its finish, a
+// restarted daemon — even after SIGKILL — replays the journal and
+// deterministically re-enqueues the jobs that have no finish.
+// Simulations are pure functions of their configuration, so a re-run
+// job produces byte-identical output.
 package serve
 
 import (
@@ -280,9 +281,9 @@ type job struct {
 	status JobStatus
 	// cancel cancels the job's run context (nil until running).
 	cancel context.CancelFunc
-	// cancelRequested marks a client cancel of a queued job: the
-	// worker discards it on dequeue (its finish record was already
-	// journaled at cancel time).
+	// cancelRequested marks a client cancel: a queued job is finished
+	// by Cancel and the worker discards it on dequeue; a running job's
+	// context is cancelled and runJob records the outcome.
 	cancelRequested bool
 	// shutdownAbandon marks that the run context was cancelled by
 	// daemon shutdown, not by a client or deadline: the worker must

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"dice/internal/commitlog"
@@ -11,11 +12,11 @@ import (
 // The journal is the daemon's crash-safety backbone: an append-only
 // file of one JSON record per line, each prefixed with its CRC-32C
 // (the same Castagnoli polynomial the compressed-line checksums use).
-// Every job writes at most three records — submit (with the full
-// spec), start, finish (with the final state and output) — so the
-// file replays into the exact job table at the moment of the crash: a
-// submit without a finish is a job the crash interrupted, and the
-// daemon re-enqueues it in sequence order.
+// Every job writes at most two records — submit (with the full spec)
+// and finish (with the final state and output) — so the file replays
+// into the exact job table at the moment of the crash: a submit
+// without a finish is a job the crash interrupted, queued or running,
+// and the daemon re-enqueues it in sequence order.
 //
 // Durability and framing live in internal/commitlog, which group-
 // commits appends: concurrent submits enqueue records and share one
@@ -26,9 +27,11 @@ import (
 // appends again. A mismatched CRC therefore never poisons the file;
 // it just marks where the crash cut it.
 
-// record is one journal line. T is "submit", "start", or "finish";
-// the other fields are populated per type (Spec on submit; State,
-// Output and Error on finish).
+// record is one journal line. T is "submit" or "finish"; the other
+// fields are populated per type (Seq and Spec on submit; State,
+// Output and Error on finish). Replay ignores any other type, so the
+// "start" lines of journals written before the two-record format are
+// valid records that change nothing.
 type record struct {
 	T      string   `json:"t"`
 	ID     string   `json:"id"`
@@ -40,9 +43,9 @@ type record struct {
 }
 
 // Journal is the append handle over the shared commit log. Safe for
-// concurrent use; file order equals enqueue order, so a caller that
-// enqueues a submit record before a start record gets them in that
-// order on disk.
+// concurrent use; file order equals enqueue order, so a job's submit
+// record, enqueued before the job can reach a worker or a Cancel,
+// precedes its finish record on disk.
 type Journal struct {
 	log *commitlog.Log
 }
@@ -68,9 +71,6 @@ type ReplayJob struct {
 	Seq uint64
 	// Spec is the job's submitted spec.
 	Spec JobSpec
-	// Started reports whether a start record was journaled (the crash
-	// caught the job mid-run rather than still queued).
-	Started bool
 	// Finished reports whether a finish record was journaled; when
 	// true State/Output/Error carry the final status and the job is
 	// NOT re-run on restart.
@@ -126,27 +126,25 @@ func openJournal(path string, open func(path string, apply func(payload []byte) 
 	return &Journal{log: l}, rep, nil
 }
 
-// applyRecord folds one valid record into the replay state. Records
-// referencing unknown jobs (possible only if a submit was lost to a
-// truncated prefix, which cannot happen in an append-only file) are
-// ignored rather than fatal.
+// applyRecord folds one valid record into the replay state. A finish
+// for an unknown job (possible only if a submit was lost to a
+// truncated prefix, which cannot happen in an append-only file), a
+// submit whose seq leaves no next seq, and a record of any other type
+// are ignored rather than fatal; a second submit of a replayed ID only
+// advances NextSeq.
 func applyRecord(rep *Replay, jobs []*ReplayJob, byID map[string]*ReplayJob, rec record) []*ReplayJob {
 	switch rec.T {
 	case "submit":
-		if rec.Spec == nil || rec.ID == "" {
+		if rec.Spec == nil || rec.ID == "" || rec.Seq == math.MaxUint64 {
+			return jobs
+		}
+		rep.NextSeq = max(rep.NextSeq, rec.Seq+1)
+		if byID[rec.ID] != nil {
 			return jobs
 		}
 		j := &ReplayJob{ID: rec.ID, Seq: rec.Seq, Spec: *rec.Spec, State: StateQueued}
 		jobs = append(jobs, j)
 		byID[rec.ID] = j
-		if rec.Seq >= rep.NextSeq {
-			rep.NextSeq = rec.Seq + 1
-		}
-	case "start":
-		if j := byID[rec.ID]; j != nil {
-			j.Started = true
-			j.State = StateRunning
-		}
 	case "finish":
 		if j := byID[rec.ID]; j != nil {
 			j.Finished = true

@@ -1,13 +1,18 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"dice/internal/commitlog"
 )
 
 func tmpJournal(t *testing.T) string {
@@ -33,10 +38,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	spec2 := JobSpec{Experiments: []string{"table4"}, Workers: 1}
 	records := []record{
 		{T: "submit", ID: "j1", Seq: 1, Spec: &spec1},
-		{T: "start", ID: "j1"},
 		{T: "finish", ID: "j1", State: StateDone, Output: "line one\nline two\n"},
 		{T: "submit", ID: "j2", Seq: 2, Spec: &spec2},
-		{T: "start", ID: "j2"},
 	}
 	for _, rec := range records {
 		if err := j.append(rec); err != nil {
@@ -69,8 +72,103 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("j1 spec replayed wrong: %+v", j1.Spec)
 	}
 	jb2 := rep2.Jobs[1]
-	if jb2.Finished || !jb2.Started || !jb2.Unfinished() {
-		t.Fatalf("j2 must replay as started-but-unfinished: %+v", jb2)
+	if jb2.Finished || !jb2.Unfinished() || jb2.State != StateQueued {
+		t.Fatalf("j2 must replay as queued and unfinished: %+v", jb2)
+	}
+}
+
+// A journal in the older three-record format, whose jobs also wrote a
+// "start" record when a worker picked them up, replays to the same job
+// table as the same history without the start lines, and a daemon
+// opened on it re-enqueues exactly the unfinished jobs — the one
+// caught mid-run and the one still queued — in seq order.
+func TestJournalReplaysParentFormat(t *testing.T) {
+	spec := func(refs int) *JobSpec { return &JobSpec{Experiments: []string{"fig4"}, Refs: refs} }
+	history := []record{
+		{T: "submit", ID: "j1", Seq: 1, Spec: spec(1)},
+		{T: "start", ID: "j1"},
+		{T: "finish", ID: "j1", State: StateDone, Output: "done-1"},
+		{T: "submit", ID: "j2", Seq: 2, Spec: spec(2)},
+		{T: "start", ID: "j2"},
+		{T: "submit", ID: "j3", Seq: 3, Spec: spec(3)},
+	}
+	write := func(recs []record) string {
+		t.Helper()
+		path := tmpJournal(t)
+		j, _, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			if err := j.append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	replay := func(path string) *Replay {
+		t.Helper()
+		j, rep, err := OpenJournal(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	var twoRecord []record
+	for _, rec := range history {
+		if rec.T != "start" {
+			twoRecord = append(twoRecord, rec)
+		}
+	}
+	parent := write(history)
+	got, want := replay(parent), replay(write(twoRecord))
+	gb, _ := json.Marshal(got)
+	wb, _ := json.Marshal(want)
+	if string(gb) != string(wb) {
+		t.Fatalf("start lines change the replay:\n%s\n%s", gb, wb)
+	}
+	if got.NextSeq != 4 || got.TruncatedBytes != 0 || len(got.Jobs) != 3 ||
+		!got.Jobs[0].Finished || !got.Jobs[1].Unfinished() || !got.Jobs[2].Unfinished() {
+		t.Fatalf("parent-format replay: %s", gb)
+	}
+
+	var (
+		mu  sync.Mutex
+		ran []int
+	)
+	d, _, err := newDaemon(Config{JournalPath: parent, JobWorkers: 1},
+		func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			mu.Lock()
+			defer mu.Unlock()
+			ran = append(ran, spec.Refs)
+			return fmt.Sprintf("rerun-%d", spec.Refs), nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		d.Shutdown(ctx)
+	}()
+	waitState(t, d, "j2", StateDone)
+	waitState(t, d, "j3", StateDone)
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(ran) != "[2 3]" {
+		t.Fatalf("re-enqueued jobs ran as refs %v, want [2 3]", ran)
+	}
+	if st, _ := d.Status("j1"); st.State != StateDone || st.Output != "done-1" {
+		t.Fatalf("finished job: %+v", st)
+	}
+	if s := d.Stats(); s.Replayed != 3 || s.Started != 2 {
+		t.Fatalf("stats: %+v", s)
 	}
 }
 
@@ -196,9 +294,9 @@ func TestJournalConcurrencyReplayParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Deal complete job lifecycles (submit, start, finish) out to
-		// the workers; each job's three records stay ordered because
-		// one worker owns the whole lifecycle and file order follows
+		// Deal complete job lifecycles (submit, finish) out to the
+		// workers; each job's two records stay ordered because one
+		// worker owns the whole lifecycle and file order follows
 		// enqueue order.
 		ids := make(chan int)
 		var wg sync.WaitGroup
@@ -211,7 +309,6 @@ func TestJournalConcurrencyReplayParity(t *testing.T) {
 					spec := JobSpec{Experiments: []string{"fig4"}, Refs: n}
 					for _, rec := range []record{
 						{T: "submit", ID: id, Seq: uint64(n), Spec: &spec},
-						{T: "start", ID: id},
 						{T: "finish", ID: id, State: StateDone, Output: fmt.Sprintf("out-%d", n)},
 					} {
 						if err := j.append(rec); err != nil {
@@ -227,8 +324,8 @@ func TestJournalConcurrencyReplayParity(t *testing.T) {
 		}
 		close(ids)
 		wg.Wait()
-		if st := j.Stats(); st.Appends != 3*jobs {
-			t.Fatalf("workers=%d: %d appends acknowledged, want %d", workers, st.Appends, 3*jobs)
+		if st := j.Stats(); st.Appends != 2*jobs {
+			t.Fatalf("workers=%d: %d appends acknowledged, want %d", workers, st.Appends, 2*jobs)
 		}
 		if err := j.Close(); err != nil {
 			t.Fatal(err)
@@ -265,10 +362,101 @@ func TestJournalConcurrencyReplayParity(t *testing.T) {
 // A nil journal (persistence disabled) must be a safe no-op.
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
-	if err := j.append(record{T: "start", ID: "x"}); err != nil {
+	if err := j.append(record{T: "finish", ID: "x", State: StateDone}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzJournalReplay feeds arbitrary record sequences through
+// openJournal. Each three-byte group of ops is one record: its type
+// (submit, finish, the older format's start, an unknown type, or a
+// submit without a spec), its job ID out of four — so IDs repeat and a
+// finish can precede its submit — and, for a submit, its seq as an
+// offset from base. Replay must not panic, NextSeq must exceed the seq
+// of every submit it accepts, and a job must replay unfinished exactly
+// when its first submit has no later finish. The seed corpus is in
+// testdata/fuzz/FuzzJournalReplay.
+func FuzzJournalReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, ops []byte, base uint64) {
+		if len(ops) > 3*64 {
+			ops = ops[:3*64]
+		}
+		type want struct {
+			seq      uint64
+			finished bool
+		}
+		var (
+			file     []byte
+			model    = map[string]*want{}
+			accepted []uint64
+		)
+		for i := 0; i+2 < len(ops); i += 3 {
+			rec := record{ID: fmt.Sprintf("j%d", ops[i+1]%4)}
+			switch ops[i] % 5 {
+			case 0, 4:
+				rec.T, rec.Seq = "submit", base+uint64(ops[i+2])
+				if ops[i]%5 == 0 {
+					rec.Spec = &JobSpec{Experiments: []string{"fig4"}}
+				}
+			case 1:
+				rec.T, rec.State, rec.Output = "finish", StateDone, "out"
+			case 2:
+				rec.T = "start"
+			case 3:
+				rec.T = "bogus"
+			}
+			switch {
+			case rec.T == "submit" && rec.Spec != nil && rec.Seq != math.MaxUint64:
+				accepted = append(accepted, rec.Seq)
+				if model[rec.ID] == nil {
+					model[rec.ID] = &want{seq: rec.Seq}
+				}
+			case rec.T == "finish" && model[rec.ID] != nil:
+				model[rec.ID].finished = true
+			}
+			payload, err := json.Marshal(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			file = append(file, commitlog.Frame(payload)...)
+		}
+		path := filepath.Join(t.TempDir(), "jobs.journal")
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, rep, err := openJournal(path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		if rep.TruncatedBytes != 0 {
+			t.Fatalf("well-framed journal lost %d bytes", rep.TruncatedBytes)
+		}
+		if rep.NextSeq == 0 {
+			t.Fatal("NextSeq wrapped to 0")
+		}
+		for _, seq := range accepted {
+			if rep.NextSeq <= seq {
+				t.Fatalf("NextSeq %d does not exceed accepted seq %d", rep.NextSeq, seq)
+			}
+		}
+		if len(rep.Jobs) != len(model) {
+			t.Fatalf("replayed %d jobs, model has %d", len(rep.Jobs), len(model))
+		}
+		for i, rj := range rep.Jobs {
+			w := model[rj.ID]
+			if w == nil || rj.Seq != w.seq {
+				t.Fatalf("replayed job %+v not in the model", rj)
+			}
+			if rj.Unfinished() != !w.finished {
+				t.Fatalf("job %s unfinished = %v, model says finished = %v", rj.ID, rj.Unfinished(), w.finished)
+			}
+			if i > 0 && rep.Jobs[i-1].Seq > rj.Seq {
+				t.Fatalf("replay out of seq order: %d before %d", rep.Jobs[i-1].Seq, rj.Seq)
+			}
+		}
+	})
 }

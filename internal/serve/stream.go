@@ -113,7 +113,8 @@ type progress struct {
 	// notify is closed and replaced on every append, waking every
 	// streamer blocked in snapshot.
 	notify chan struct{}
-	// droppedEpochs counts epoch events the buffer cap discarded.
+	// droppedEpochs counts epoch events the buffer cap discarded;
+	// finish hands it to the daemon's stream_epochs_dropped counter.
 	droppedEpochs uint64
 }
 
@@ -122,10 +123,10 @@ func newProgress(bufCap int) *progress {
 	return &progress{cap: bufCap, notify: make(chan struct{})}
 }
 
-// add appends one event and wakes blocked streamers. Epoch events are dropped once the buffer
-// cap is reached; cell and done events always append. Appending after
-// close is ignored (defensive: the executor has no events to emit
-// after the outcome is recorded).
+// add appends one event and wakes blocked streamers. Epoch events are
+// dropped once the buffer cap is reached; cell and done events always
+// append. Appending after close is ignored (defensive: the executor
+// has no events to emit after the outcome is recorded).
 func (p *progress) add(ev StreamEvent) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -141,17 +142,20 @@ func (p *progress) add(ev StreamEvent) {
 	p.notify = make(chan struct{})
 }
 
-// finish appends the terminal done event and closes the buffer.
-func (p *progress) finish(state JobState, errMsg string) {
+// finish appends the terminal done event, closes the buffer, and
+// returns how many epoch events the cap dropped (0 if already closed,
+// so a count is reported once).
+func (p *progress) finish(state JobState, errMsg string) (droppedEpochs uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return
+		return 0
 	}
 	p.events = append(p.events, StreamEvent{Kind: StreamDone, State: state, Error: errMsg})
 	p.closed = true
 	close(p.notify)
 	p.notify = make(chan struct{})
+	return p.droppedEpochs
 }
 
 // snapshot returns the events at and after index from (at most the

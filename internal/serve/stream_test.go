@@ -161,6 +161,33 @@ func TestProgressBufferBoundsEpochs(t *testing.T) {
 	}
 }
 
+// The epoch events a job's stream buffer drops reach the daemon's
+// stream_epochs_dropped counter when the job finishes, once per job and
+// summed across jobs.
+func TestStreamEpochsDroppedStat(t *testing.T) {
+	d := testDaemon(t, Config{})
+	for i, epochs := range []int{3, 4} {
+		jb := &job{status: JobStatus{ID: fmt.Sprintf("small-%d", i)}, prog: newProgress(2)}
+		for e := 0; e < epochs; e++ {
+			jb.prog.add(StreamEvent{Kind: StreamEpoch, Epoch: &obs.EpochLine{Key: "k"}})
+		}
+		d.finish(jb, StateDone, "", "")
+		if again := jb.prog.finish(StateDone, ""); again != 0 {
+			t.Fatalf("a closed buffer reported %d dropped epochs again", again)
+		}
+	}
+	if got := d.Stats().StreamEpochsDropped; got != 3 {
+		t.Fatalf("StreamEpochsDropped = %d, want 3 (1 + 2)", got)
+	}
+	b, err := json.Marshal(d.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"stream_epochs_dropped":3`) {
+		t.Fatalf("stats JSON lacks stream_epochs_dropped: %s", b)
+	}
+}
+
 // A real cell job's stream delivers every cell result, interleaved
 // epoch snapshots, and a final done event, and the cell payloads are
 // byte-equal to what the polling path decodes from the job output.
