@@ -74,7 +74,10 @@ bench:
 # panics — not a performance measurement. The artifact cache smoke test
 # then runs one GAP experiment matrix twice in-process and asserts the
 # second pass is served from the cache (workloads.CacheStats), guarding
-# against silent caching regressions. The event-core smoke (DICE_SMOKE=1
+# against silent caching regressions. The size-table check then runs one
+# mix1 DICE cell twice and asserts the repeat sizes no new line
+# (workloads.SizeTableStats): sizes belong to the artifact, not the run.
+# The event-core smoke (DICE_SMOKE=1
 # gates its wall-clock assertion out of plain `go test ./...`) asserts
 # the discrete-event scheduler still beats the cycle-stepped reference
 # on the idle-heaviest catalog config, the golden-report run pins the
@@ -90,6 +93,7 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=5x ./internal/cache ./internal/compress ./internal/dcache ./internal/dram ./internal/graph ./internal/workloads ./internal/sim ./internal/commitlog
 	$(GO) test -run='^TestArtifactCacheSmoke$$' -count=1 -v ./internal/experiments
+	$(GO) test -run='^TestRepeatRunSizesNothingNew$$' -count=1 -v ./internal/sim
 	DICE_SMOKE=1 $(GO) test -run='^TestEventCoreSmokeSpeedup$$' -count=1 -v ./internal/sim
 	$(GO) test -run='^TestGoldenReports$$' -count=1 ./internal/experiments
 	DICE_SMOKE=1 $(GO) test -run='^TestSubmitLatencyEntry$$|^TestGroupCommitFixedSyncGuard$$' -count=1 -v ./internal/serve

@@ -8,8 +8,8 @@ import "fmt"
 // hybrid selector. Both take the allocation-free size-only paths; the
 // equivalence tests pin them to the codec-produced sizes.
 
-// ParseAlg maps a compressor name to the algorithm SizeWith,
-// PairSizeWith and NewSizeCache size with: "fpc" is AlgFPC, "bdi" is
+// ParseAlg maps a compressor name to the algorithm SizeWith and
+// PairSizeWith size with: "fpc" is AlgFPC, "bdi" is
 // AlgBDI, and "hybrid" or "" is the zero AlgID, the hybrid FPC+BDI
 // selector the paper evaluates with. It is the one place compressor
 // names are read.

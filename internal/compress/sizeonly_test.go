@@ -163,69 +163,6 @@ func TestSizeChoiceMatchesCompressBest(t *testing.T) {
 	}
 }
 
-// TestSizeCacheMatchesDirect runs a memoized cache for each algorithm
-// against the direct sizers across the corpus, repeated so the second
-// pass is all cache hits, and checks the counters add up.
-func TestSizeCacheMatchesDirect(t *testing.T) {
-	lines := sizeCorpus(t)
-	for _, alg := range []AlgID{AlgNone, AlgFPC, AlgBDI} {
-		c := NewSizeCache(1<<14, alg)
-		for pass := 0; pass < 2; pass++ {
-			for i, l := range lines {
-				if got, want := c.Single(l), SizeWith(alg, l); got != want {
-					t.Fatalf("%v pass %d line %d: memo Single=%d, direct=%d", alg, pass, i, got, want)
-				}
-				if i+1 < len(lines) {
-					a, b := l, lines[i+1]
-					if got, want := c.Pair(a, b), PairSizeWith(alg, a, b); got != want {
-						t.Fatalf("%v pass %d pair %d: memo Pair=%d, direct=%d", alg, pass, i, got, want)
-					}
-				}
-			}
-		}
-		st := c.Stats()
-		if st.Hits == 0 || st.Misses == 0 {
-			t.Fatalf("%v: expected both hits and misses, got %+v", alg, st)
-		}
-	}
-}
-
-// TestAcquireSizeCache checks AcquireSizeCache hands out a
-// default-capacity cache of the requested algorithm with zeroed stats,
-// also after a used cache of that algorithm was released, never a
-// custom-capacity cache someone released, and panics on an algorithm
-// with no pool.
-func TestAcquireSizeCache(t *testing.T) {
-	zero := make([]byte, LineSize)
-	for _, alg := range []AlgID{AlgNone, AlgFPC, AlgBDI} {
-		used := AcquireSizeCache(alg)
-		used.Single(zero)
-		used.Single(zero)
-		used.Release()
-		NewSizeCache(64, alg).Release()
-		for i := 0; i < 2; i++ {
-			c := AcquireSizeCache(alg)
-			if c.alg != alg || len(c.entries) != defaultSizeCacheCap {
-				t.Fatalf("AcquireSizeCache(%v) #%d: alg %v, %d entries; want %v, %d", alg, i, c.alg, len(c.entries), alg, defaultSizeCacheCap)
-			}
-			if st := c.Stats(); st != (SizeCacheStats{}) {
-				t.Fatalf("AcquireSizeCache(%v) #%d: stats %+v, want zero", alg, i, st)
-			}
-			if c == used {
-				if c.Single(zero); c.Stats() != (SizeCacheStats{Hits: 1}) {
-					t.Fatalf("AcquireSizeCache(%v) #%d: the released cache came back cold: %+v", alg, i, c.Stats())
-				}
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AcquireSizeCache(AlgZCA) did not panic")
-		}
-	}()
-	AcquireSizeCache(AlgZCA)
-}
-
 // TestParseAlg pins the compressor vocabulary: the three names and the
 // empty default, and a rejection naming the accepted set.
 func TestParseAlg(t *testing.T) {
@@ -238,41 +175,5 @@ func TestParseAlg(t *testing.T) {
 		if _, err := ParseAlg(bad); err == nil || !strings.Contains(err.Error(), "unknown compress") {
 			t.Fatalf("ParseAlg(%q) err = %v, want unknown compress", bad, err)
 		}
-	}
-}
-
-// TestSizeCacheBounded fills a tiny cache far past capacity and checks
-// occupancy stays bounded, evictions are counted, and results remain
-// correct under churn.
-func TestSizeCacheBounded(t *testing.T) {
-	c := NewSizeCache(64, AlgNone)
-	lines := sizeCorpus(t)
-	for _, l := range lines {
-		if got, want := c.Single(l), CompressedSize(l); got != want {
-			t.Fatalf("churn: memo=%d, direct=%d", got, want)
-		}
-	}
-	if n := c.Len(); n > 64 {
-		t.Fatalf("cache holds %d entries, capacity 64", n)
-	}
-	if c.Stats().Evictions == 0 {
-		t.Fatalf("expected evictions under churn, got %+v", c.Stats())
-	}
-}
-
-// TestHashLineDeterministic pins the content hash: it must be a pure
-// function of the bytes (no per-process seed) so cached runs reproduce.
-func TestHashLineDeterministic(t *testing.T) {
-	l := make([]byte, LineSize)
-	for i := range l {
-		l[i] = byte(i * 7)
-	}
-	h1, h2 := hashLine(l), hashLine(l)
-	if h1 != h2 {
-		t.Fatalf("hashLine not deterministic: %x vs %x", h1, h2)
-	}
-	l[63] ^= 1
-	if hashLine(l) == h1 {
-		t.Fatalf("hashLine ignored a byte flip")
 	}
 }

@@ -77,11 +77,11 @@ func (d Design) policy() dcache.Policy {
 	}
 }
 
-// DataSource supplies the 64 bytes of a line for compression, as in
-// dcache: FillLine writes them into a buffer the cache owns, or
-// returns false for an unknown line. Implementations must be
+// Sizer supplies the compressed size of a line and of an even-aligned
+// pair, as in dcache; CompressedSize and PairSize size 64-byte line
+// contents the way the paper's hybrid compressor does. Sizes must be
 // deterministic per line for the lifetime of the cache.
-type DataSource = dcache.DataSource
+type Sizer = dcache.Sizer
 
 // Config configures a Cache. The zero value is not valid: Sets is
 // required.
@@ -98,9 +98,9 @@ type Config struct {
 	Threshold int
 	// CIPEntries overrides the Last-Time Table size (default 2048).
 	CIPEntries int
-	// Data resolves line contents; required for every design but Alloy.
-	// Lines whose FillLine returns false are treated as incompressible.
-	Data DataSource
+	// Sizes resolves compressed line sizes; required for every design
+	// but Alloy. An unknown line sizes as incompressible (64 bytes).
+	Sizes Sizer
 	// DRAM overrides the stacked-DRAM timing model; the default is the
 	// paper's 4-channel HBM configuration.
 	DRAM *dram.Config
@@ -131,7 +131,7 @@ func New(cfg Config) *Cache {
 		Threshold:  cfg.Threshold,
 		CIPEntries: cfg.CIPEntries,
 		Mem:        mem,
-		Data:       cfg.Data,
+		Sizes:      cfg.Sizes,
 	})
 	return &Cache{inner: inner, mem: mem}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"dice/internal/compress"
 	"dice/internal/dram"
 )
 
@@ -29,8 +30,21 @@ func (stubData) FillLine(line uint64, buf []byte) bool {
 	return true
 }
 
+func (d stubData) Size(alg compress.AlgID, line uint64) int {
+	buf := make([]byte, 64)
+	d.FillLine(line, buf)
+	return compress.SizeWith(alg, buf)
+}
+
+func (d stubData) PairSize(alg compress.AlgID, evenLine uint64) int {
+	a, b := make([]byte, 64), make([]byte, 64)
+	d.FillLine(evenLine, a)
+	d.FillLine(evenLine|1, b)
+	return compress.PairSizeWith(alg, a, b)
+}
+
 func TestFacadeMissInstallHit(t *testing.T) {
-	c := New(Config{Sets: 256, Design: DICE, Data: stubData{}})
+	c := New(Config{Sets: 256, Design: DICE, Sizes: stubData{}})
 	r := c.Read(0, 42)
 	if r.Hit {
 		t.Fatal("cold read must miss")
@@ -54,11 +68,11 @@ func TestFacadeMissInstallHit(t *testing.T) {
 
 func TestFacadeDesigns(t *testing.T) {
 	for _, d := range []Design{Alloy, CompressTSI, CompressBAI, DICE} {
-		var data DataSource
+		var data Sizer
 		if d != Alloy {
 			data = stubData{}
 		}
-		c := New(Config{Sets: 128, Design: d, Data: data})
+		c := New(Config{Sets: 128, Design: d, Sizes: data})
 		r := c.Read(0, 7)
 		if r.Hit {
 			t.Fatalf("%v: cold hit", d)
@@ -71,7 +85,7 @@ func TestFacadeDesigns(t *testing.T) {
 }
 
 func TestFacadeKNL(t *testing.T) {
-	c := New(Config{Sets: 128, Design: DICE, KNL: true, Data: stubData{}})
+	c := New(Config{Sets: 128, Design: DICE, KNL: true, Sizes: stubData{}})
 	c.Install(0, 3, false)
 	if !c.Read(1000, 3).Hit {
 		t.Fatal("KNL organization should still hit")
@@ -88,7 +102,7 @@ func TestFacadeCustomDRAM(t *testing.T) {
 }
 
 func TestFacadeEffectiveCapacity(t *testing.T) {
-	c := New(Config{Sets: 128, Design: CompressBAI, Data: stubData{}})
+	c := New(Config{Sets: 128, Design: CompressBAI, Sizes: stubData{}})
 	// Fill with even-page (compressible) buddies.
 	for line := uint64(0); line < 256; line += 2 {
 		page := (line >> 6)
@@ -131,7 +145,7 @@ func TestDesignString(t *testing.T) {
 }
 
 func TestFacadeCIPExercised(t *testing.T) {
-	c := New(Config{Sets: 1024, Design: DICE, Data: stubData{}})
+	c := New(Config{Sets: 1024, Design: DICE, Sizes: stubData{}})
 	for i := 0; i < 5000; i++ {
 		line := uint64(i*7) % 4096
 		r := c.Read(uint64(i)*50, line)

@@ -3,16 +3,20 @@ package core_test
 import (
 	"fmt"
 
+	"dice/internal/compress"
 	"dice/internal/core"
 )
 
-// zeroData serves all-zero lines, which compress to a few bytes each,
-// so DICE installs them under Bandwidth-Aware Indexing.
+// zeroData sizes every line as all zeros, which compress to a few
+// bytes each, so DICE installs them under Bandwidth-Aware Indexing.
 type zeroData struct{}
 
-func (zeroData) FillLine(_ uint64, buf []byte) bool {
-	clear(buf)
-	return true
+func (zeroData) Size(compress.AlgID, uint64) int {
+	return core.CompressedSize(make([]byte, 64))
+}
+
+func (zeroData) PairSize(compress.AlgID, uint64) int {
+	return core.PairSize(make([]byte, 64), make([]byte, 64))
 }
 
 // ExampleCache_Read mirrors the README's library snippet: a read that
@@ -22,7 +26,7 @@ func ExampleCache_Read() {
 	cache := core.New(core.Config{
 		Sets:   1 << 10,
 		Design: core.DICE,
-		Data:   zeroData{},
+		Sizes:  zeroData{},
 	})
 	var now uint64
 	for _, lineAddr := range []uint64{40, 41, 40} {

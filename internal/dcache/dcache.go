@@ -67,14 +67,19 @@ const (
 	OrgKNL
 )
 
-// DataSource supplies the 64 data bytes of a line so the cache can
-// compress on install. Data is deterministic per line in this simulator.
-// FillLine writes the line's bytes into buf (len 64) and returns true,
-// or returns false for an unknown line, which the cache treats as
-// incompressible. The cache reads through its own reused buffers and
-// holds the bytes only while it sizes them.
-type DataSource interface {
-	FillLine(line uint64, buf []byte) bool
+// Sizer supplies the compressed sizes the cache places lines by. Line
+// data is deterministic per line in this simulator, so a size must be a
+// pure function of (alg, line) for the cache's lifetime; the cache
+// memoizes each one it asks for (see sizeMemo).
+type Sizer interface {
+	// Size returns the compressed size in bytes (0..64) of line under
+	// alg, or 64 for an unknown line, which the cache treats as
+	// incompressible.
+	Size(alg compress.AlgID, line uint64) int
+	// PairSize returns the compressed size in bytes (0..128) of the
+	// even-aligned pair evenLine, evenLine|1 packed together under
+	// alg, or 128 when either line is unknown.
+	PairSize(alg compress.AlgID, evenLine uint64) int
 }
 
 // DefaultThreshold is the DICE insertion threshold (Section 5.2): lines
@@ -102,9 +107,9 @@ type Config struct {
 	CIPEntries int
 	// Mem is the stacked-DRAM device timing model behind the cache.
 	Mem *dram.Memory
-	// Data resolves line contents for compression. Required for
-	// compressed policies.
-	Data DataSource
+	// Sizes resolves compressed line sizes. Required for compressed
+	// policies.
+	Sizes Sizer
 	// Alg is the compressor that sizes lines: compress.AlgFPC or
 	// compress.AlgBDI for the compression-algorithm ablation (Section
 	// 7.1), or the zero value for the paper's hybrid FPC+BDI. See
@@ -130,8 +135,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("dcache: Sets must be positive and even, got %d", c.Sets)
 	case c.Mem == nil:
 		return fmt.Errorf("dcache: Mem is required")
-	case c.Policy != PolicyUncompressed && c.Data == nil:
-		return fmt.Errorf("dcache: compressed policy %v requires a DataSource", c.Policy)
+	case c.Policy != PolicyUncompressed && c.Sizes == nil:
+		return fmt.Errorf("dcache: compressed policy %v requires a Sizer", c.Policy)
 	case c.Threshold > MaxThreshold:
 		return fmt.Errorf("dcache: Threshold %d > %d", c.Threshold, MaxThreshold)
 	case c.Alg != compress.AlgNone && c.Alg != compress.AlgFPC && c.Alg != compress.AlgBDI:
@@ -250,14 +255,8 @@ type Cache struct {
 	// sampling costs O(1) instead of a walk over every set.
 	occupied int
 
-	// sizeCache deduplicates cfg.Alg size computations by line *content*
-	// (distinct addresses frequently carry identical bytes — every
-	// all-zero line, page-coherent kinds). Consulted only on sizeMemo
-	// misses. Borrowed by New, handed back by Release.
-	sizeCache *compress.SizeCache
-	// scratchA/B are the reused buffers cfg.Data fills.
-	scratchA [compress.LineSize]byte
-	scratchB [compress.LineSize]byte
+	// victims is the buffer install reuses for InstallResult.Victims.
+	victims []Victim
 
 	// faultCount tracks detected-uncorrectable faults per set and
 	// quarantined marks sets demoted to uncompressed single-line storage
@@ -273,9 +272,8 @@ type Cache struct {
 // geometry to call Release; on a pool miss it is allocated with no
 // entry slots, and a set carves its slots from a shared chunk on its
 // first install (carveEntries), so a run pays for the sets it installs
-// into, not for every set. A compressed policy likewise borrows its
-// content-keyed size cache from compress.AcquireSizeCache. Call Release
-// when done with the cache so the next one can reuse both.
+// into, not for every set. Call Release when done with the cache so the
+// next one can reuse it.
 func New(cfg Config) *Cache {
 	return build(cfg, acquireStorage)
 }
@@ -298,9 +296,6 @@ func build(cfg Config, storageFor func(sets int) *storage) *Cache {
 		storage:   storageFor(cfg.Sets),
 		cip:       NewCIP(cfg.CIPEntries),
 	}
-	if cfg.Policy != PolicyUncompressed {
-		c.sizeCache = compress.AcquireSizeCache(cfg.Alg)
-	}
 	if cfg.Faults != nil {
 		c.faultCount = make(map[uint64]uint8)
 		c.quarantined = make(map[uint64]bool)
@@ -308,21 +303,16 @@ func build(cfg Config, storageFor func(sets int) *storage) *Cache {
 	return c
 }
 
-// Release empties the cache's set storage and returns it, and the
-// borrowed size cache, to their pools. Contents — Fingerprint,
-// Contains, the sets themselves — must be read before Release: the
-// cache drops its references to the storage, and Read, Install and
-// Writeback panic afterwards instead of reaching the next owner's sets.
-// Statistics and OccupiedLines stay readable, except SizeCacheStats,
-// which reads zero. A second call does nothing, so one storage or size
-// cache can never reach two later owners.
+// Release empties the cache's set storage and returns it to its pool.
+// Contents — Fingerprint, Contains, the sets themselves — must be read
+// before Release: the cache drops its references to the storage, and
+// Read, Install and Writeback panic afterwards instead of reaching the
+// next owner's sets. Statistics and OccupiedLines stay readable. A
+// second call does nothing, so one storage can never reach two later
+// owners.
 func (c *Cache) Release() {
 	if s := c.detachStorage(); s != nil {
 		storagePool(len(s.sets)).Put(s)
-	}
-	if c.sizeCache != nil {
-		c.sizeCache.Release()
-		c.sizeCache = nil
 	}
 }
 
@@ -502,10 +492,7 @@ func (c *Cache) singleSize(line uint64) int {
 		return int(cell.single) - 1
 	}
 	c.stats.SizeMemoMisses++
-	sz := 64
-	if c.cfg.Data.FillLine(line, c.scratchA[:]) {
-		sz = c.sizeCache.Single(c.scratchA[:])
-	}
+	sz := c.cfg.Sizes.Size(c.cfg.Alg, line)
 	cell.single = uint8(sz) + 1
 	return sz
 }
@@ -517,26 +504,13 @@ func (c *Cache) pairSize(evenLine uint64) int {
 		return (int(cell.pair) - 1) * 2
 	}
 	c.stats.SizeMemoMisses++
-	sz := 128
-	if c.cfg.Data.FillLine(evenLine, c.scratchA[:]) && c.cfg.Data.FillLine(evenLine|1, c.scratchB[:]) {
-		sz = c.sizeCache.Pair(c.scratchA[:], c.scratchB[:])
-	}
+	sz := c.cfg.Sizes.PairSize(c.cfg.Alg, evenLine)
 	// Pair sizes span 0..128; store /2 rounded up to fit a byte. Odd
 	// sizes occur even on the default hybrid path (FPC sizes are
 	// (bits+7)/8) and round up by one byte, which only ever
 	// under-packs, never over-packs; the goldens pin this rounding.
 	cell.pair = uint8((sz+1)/2) + 1
 	return (int(cell.pair) - 1) * 2
-}
-
-// SizeCacheStats returns the content-keyed size cache's counters since
-// New acquired it (zero when the cache runs uncompressed or has been
-// released).
-func (c *Cache) SizeCacheStats() compress.SizeCacheStats {
-	if c.sizeCache == nil {
-		return compress.SizeCacheStats{}
-	}
-	return c.sizeCache.Stats()
 }
 
 // schemeFor returns the indexing scheme the policy uses for installs of a
@@ -772,6 +746,8 @@ type InstallResult struct {
 	// completed.
 	Done uint64
 	// Victims lists the lines displaced to make room, in eviction order.
+	// It is the cache's reused buffer, valid until the next Install or
+	// Writeback: copy it to keep it longer.
 	Victims []Victim
 	// UsedBAI reports the index decision for non-invariant lines.
 	UsedBAI bool
@@ -866,7 +842,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 	}
 
 	s := &c.sets[setIdx]
-	var victims []Victim
+	victims := c.victims[:0]
 
 	// Duplicate safety: an install always follows a lookup that proved
 	// absence, but a policy flip between lookup and install (sizes are
@@ -924,6 +900,7 @@ func (c *Cache) install(now uint64, line uint64, dirty bool, fromWriteback bool)
 		now = c.sccProbe(now, line)
 	}
 	done := c.access(now, setIdx, true)
+	c.victims = victims
 	return InstallResult{Done: done, Victims: victims, UsedBAI: usedBAI, Invariant: invariant}
 }
 

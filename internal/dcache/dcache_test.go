@@ -10,7 +10,8 @@ import (
 	"dice/internal/dram"
 )
 
-// testData is a DataSource with programmable per-line compressibility.
+// testData is line data with programmable per-line compressibility,
+// sized as a Sizer by the compressor.
 type testData struct {
 	// sizes maps line -> one of: "zero", "small" (~36B b4d2), "random".
 	kind map[uint64]string
@@ -51,12 +52,41 @@ func (d *testData) FillLine(line uint64, buf []byte) bool {
 	return true
 }
 
-func newCache(policy Policy, sets int, data DataSource) *Cache {
+func (d *testData) Size(alg compress.AlgID, line uint64) int {
+	return fillSize(d.FillLine, alg, line)
+}
+
+func (d *testData) PairSize(alg compress.AlgID, evenLine uint64) int {
+	return fillPairSize(d.FillLine, alg, evenLine)
+}
+
+// fillSize sizes the bytes fill writes for line under alg, as the
+// workloads' size tables do over an instance's Fill: 64 when fill
+// reports the line unknown.
+func fillSize(fill func(line uint64, buf []byte) bool, alg compress.AlgID, line uint64) int {
+	var buf [compress.LineSize]byte
+	if !fill(line, buf[:]) {
+		return compress.LineSize
+	}
+	return compress.SizeWith(alg, buf[:])
+}
+
+// fillPairSize is fillSize for the pair evenLine, evenLine|1: 128 when
+// either line is unknown.
+func fillPairSize(fill func(line uint64, buf []byte) bool, alg compress.AlgID, evenLine uint64) int {
+	var a, b [compress.LineSize]byte
+	if !fill(evenLine, a[:]) || !fill(evenLine|1, b[:]) {
+		return 2 * compress.LineSize
+	}
+	return compress.PairSizeWith(alg, a[:], b[:])
+}
+
+func newCache(policy Policy, sets int, data Sizer) *Cache {
 	return New(Config{
 		Sets:   sets,
 		Policy: policy,
 		Mem:    dram.New(dram.HBMConfig()),
-		Data:   data,
+		Sizes:  data,
 	})
 }
 
@@ -356,7 +386,7 @@ func TestKNLMissProbesBothSets(t *testing.T) {
 	data := newTestData()
 	c := New(Config{
 		Sets: 64, Policy: PolicyDICE, Org: OrgKNL,
-		Mem: dram.New(dram.HBMConfig()), Data: data,
+		Mem: dram.New(dram.HBMConfig()), Sizes: data,
 	})
 	var line uint64
 	for line = 0; Invariant(line, 64); line++ {
@@ -416,6 +446,27 @@ func TestWritebackMissInstallsDirty(t *testing.T) {
 	}
 	if c.Stats().WritebackHits != 0 {
 		t.Fatal("should have been a writeback miss")
+	}
+}
+
+// TestInstallReusesVictimBuffer checks that evicting installs allocate
+// nothing once the cache's victim buffer exists: InstallResult.Victims
+// is that buffer, valid until the next Install or Writeback.
+func TestInstallReusesVictimBuffer(t *testing.T) {
+	c := newCache(PolicyUncompressed, 64, nil)
+	line := uint64(5)
+	c.Install(0, line, true)
+	c.Install(0, line+64, true) // the first eviction grows the buffer
+	line += 64
+	allocs := testing.AllocsPerRun(100, func() {
+		line += 64 // same set: evicts the line installed last time
+		res := c.Install(0, line, true)
+		if len(res.Victims) != 1 || res.Victims[0] != (Victim{Line: line - 64, Dirty: true}) {
+			t.Fatalf("install %d: victims = %+v, want dirty line %d", line, res.Victims, line-64)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("an evicting install allocated %.1f times, want 0", allocs)
 	}
 }
 
@@ -558,7 +609,7 @@ func TestQuickInstallThenHit(t *testing.T) {
 	}
 	caches := make([]*Cache, len(policies))
 	for i, p := range policies {
-		var d DataSource
+		var d Sizer
 		if p != PolicyUncompressed {
 			d = data
 		}
@@ -660,7 +711,7 @@ func TestThresholdDegenerates(t *testing.T) {
 	}
 	// Threshold -1: never BAI.
 	alwaysTSI := New(Config{Sets: sets, Policy: PolicyDICE, Threshold: -1,
-		Mem: dram.New(dram.HBMConfig()), Data: data})
+		Mem: dram.New(dram.HBMConfig()), Sizes: data})
 	if res := alwaysTSI.Install(0, line, false); res.UsedBAI {
 		t.Fatal("threshold -1 must degenerate to TSI")
 	}
@@ -668,7 +719,7 @@ func TestThresholdDegenerates(t *testing.T) {
 	rnd := newTestData()
 	rnd.setRange(0, 1024, "random")
 	alwaysBAI := New(Config{Sets: sets, Policy: PolicyDICE, Threshold: 64,
-		Mem: dram.New(dram.HBMConfig()), Data: rnd})
+		Mem: dram.New(dram.HBMConfig()), Sizes: rnd})
 	if res := alwaysBAI.Install(0, line, false); !res.UsedBAI {
 		t.Fatal("threshold 64 must degenerate to BAI")
 	}

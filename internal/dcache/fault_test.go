@@ -19,7 +19,7 @@ func newFaultCache(t *testing.T, policy Policy, ber float64, fp fault.Policy) *C
 		Sets:   64,
 		Policy: policy,
 		Mem:    dram.New(dram.HBMConfig()),
-		Data:   newTestData(),
+		Sizes:  newTestData(),
 		Faults: m,
 	})
 }
@@ -147,7 +147,7 @@ func TestFlushSetKeepsSlots(t *testing.T) {
 		Sets:   64,
 		Policy: PolicyTSI,
 		Mem:    dram.New(dram.HBMConfig()),
-		Data:   newTestData(),
+		Sizes:  newTestData(),
 	})
 	// Zero lines 0 and 64 share TSI set 0.
 	c.Install(0, 0, false)

@@ -3,11 +3,14 @@ package dcache
 // Per-line-address compressed-size memoization. Line data is a pure
 // function of the address in this simulator, so a size computed once is
 // valid for the whole run; the memo's only job is to make the lookup as
-// cheap as possible. The previous implementation was a Go map keyed by
-// line address — a hash, a bucket probe and a write per repack touch.
-// This one is a two-level page table: simulated physical lines are
-// allocated densely from zero (first-touch page allocation), so
-// line>>lineShift indexes a small slice of 64-cell pages directly.
+// cheap as possible. It is the per-run first level: a miss asks the
+// cache's Sizer (in the simulator, the workload artifact's shared size
+// table), and its hit/miss counts are part of the run's Stats. The
+// previous implementation was a Go map keyed by line address — a hash,
+// a bucket probe and a write per repack touch. This one is a two-level
+// page table: simulated physical lines are allocated densely from zero
+// (first-touch page allocation), so line>>lineShift indexes a small
+// slice of 64-cell pages directly.
 // Arbitrary sparse addresses (direct API use in tests) fall back to an
 // overflow map of single cells.
 

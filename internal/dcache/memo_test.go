@@ -17,11 +17,11 @@ func synthLine(s *data.Synth, line uint64) []byte {
 	return buf
 }
 
-func memoTestCache(t *testing.T, src DataSource, cfg Config) *Cache {
+func memoTestCache(t *testing.T, src Sizer, cfg Config) *Cache {
 	t.Helper()
 	cfg.Sets = 1 << 8
 	cfg.Mem = dram.New(dram.HBMConfig())
-	cfg.Data = src
+	cfg.Sizes = src
 	return New(cfg)
 }
 
@@ -112,6 +112,14 @@ func (n *nilOddSource) FillLine(line uint64, buf []byte) bool {
 	return true
 }
 
+func (n *nilOddSource) Size(alg compress.AlgID, line uint64) int {
+	return fillSize(n.FillLine, alg, line)
+}
+
+func (n *nilOddSource) PairSize(alg compress.AlgID, evenLine uint64) int {
+	return fillPairSize(n.FillLine, alg, evenLine)
+}
+
 // TestPairSizeNilOddBoundary pins the end-of-set boundary behavior: a
 // pair whose odd member has no data is incompressible (128B, i.e.
 // 2*LineSize), the odd member alone sizes as an incompressible 64B
@@ -153,50 +161,21 @@ func TestPairSizeOddRoundsUp(t *testing.T) {
 	}
 }
 
-// TestSizeCacheStatsExposed checks the content-keyed cache is active on
-// every compressed policy's path, the hybrid default and an FPC-only
-// ablation alike (hits from duplicate contents across addresses).
-func TestSizeCacheStatsExposed(t *testing.T) {
-	zeros := data.Uniform(data.KindZero) // every line identical: all zero
-	for _, alg := range []compress.AlgID{compress.AlgNone, compress.AlgFPC} {
-		c := memoTestCache(t, &synthSource{s: data.NewSynth(1, zeros)}, Config{Policy: PolicyDICE, Alg: alg})
-		for line := uint64(0); line < 128; line++ {
-			if got := c.singleSize(line); got != 0 {
-				t.Fatalf("alg %v: zero line sized %d", alg, got)
-			}
-		}
-		st := c.SizeCacheStats()
-		if st.Misses != 1 || st.Hits != 127 {
-			t.Fatalf("alg %v: content cache stats = %+v, want 1 miss + 127 hits for identical lines", alg, st)
-		}
-	}
-}
-
 // TestReleaseIdempotent checks a second Cache.Release puts nothing in
-// the pools: a double put would let the next two acquirers share one
-// size cache or one set storage. Two collections first empty the pools.
+// the pool: a double put would let the next two acquirers share one
+// set storage. Two collections first empty the pool.
 func TestReleaseIdempotent(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	c := memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyDICE})
 	c.Release()
 	c.Release()
-	if c.sizeCache != nil || c.storage != nil {
-		t.Fatal("Release left the size cache or the set storage attached")
+	if c.storage != nil {
+		t.Fatal("Release left the set storage attached")
 	}
-	if st := c.SizeCacheStats(); st != (compress.SizeCacheStats{}) {
-		t.Fatalf("SizeCacheStats after Release = %+v, want zero", st)
-	}
-	a, b := compress.AcquireSizeCache(compress.AlgNone), compress.AcquireSizeCache(compress.AlgNone)
-	if a == b {
-		t.Fatal("two acquirers got the same size cache after a double Release")
-	}
-	a.Release()
-	b.Release()
 	x := memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyDICE})
 	y := memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyDICE})
 	if x.storage == y.storage {
 		t.Fatal("two caches of one geometry got the same set storage after a double Release")
 	}
-	memoTestCache(t, &synthSource{s: mixedSynth()}, Config{Policy: PolicyUncompressed}).Release() // no size cache: a no-op
 }

@@ -101,7 +101,7 @@ func newOccupancyStream(tb testing.TB, build func(Config) *Cache, policy Policy,
 		Policy: policy,
 		Org:    org,
 		Mem:    dram.New(dram.HBMConfig()),
-		Data:   data,
+		Sizes:  data,
 		Faults: fm,
 	})
 	return &occupancyStream{c: c, data: data, rng: rand.New(rand.NewPCG(streamSeed, 0x0CC))}

@@ -3,17 +3,26 @@ package dcache
 import (
 	"testing"
 
+	"dice/internal/compress"
 	"dice/internal/data"
 	"dice/internal/dram"
 )
 
-// synthSource adapts a data.Synth to the cache's DataSource, the same
+// synthSource adapts a data.Synth to the cache's Sizer, the same
 // role the simulator's machine plays.
 type synthSource struct{ s *data.Synth }
 
 func (ss *synthSource) FillLine(line uint64, buf []byte) bool {
 	ss.s.FillLine(line, buf)
 	return true
+}
+
+func (ss *synthSource) Size(alg compress.AlgID, line uint64) int {
+	return fillSize(ss.FillLine, alg, line)
+}
+
+func (ss *synthSource) PairSize(alg compress.AlgID, evenLine uint64) int {
+	return fillPairSize(ss.FillLine, alg, evenLine)
 }
 
 // mixedSynth is the mixed-compressibility synthetic corpus: every data
@@ -35,7 +44,7 @@ func newBenchCache() *Cache {
 		Sets:   1 << 13,
 		Policy: PolicyDICE,
 		Mem:    dram.New(dram.HBMConfig()),
-		Data:   &synthSource{s: mixedSynth()},
+		Sizes:  &synthSource{s: mixedSynth()},
 	})
 }
 
@@ -75,7 +84,7 @@ func BenchmarkNewRelease(b *testing.B) {
 		Sets:   1 << 14,
 		Policy: PolicyDICE,
 		Mem:    dram.New(dram.HBMConfig()),
-		Data:   &synthSource{s: mixedSynth()},
+		Sizes:  &synthSource{s: mixedSynth()},
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

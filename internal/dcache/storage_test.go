@@ -17,7 +17,7 @@ func TestNewDefersSetStorage(t *testing.T) {
 	data := newTestData()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c := New(Config{Sets: 16384, Policy: PolicyDICE, Mem: mem, Data: data})
+	c := New(Config{Sets: 16384, Policy: PolicyDICE, Mem: mem, Sizes: data})
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(c)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
@@ -103,7 +103,7 @@ func TestRecycledChunksServeAnyRun(t *testing.T) {
 	const sets, lines = 1024, 2 * entryChunkSets
 	home := newStorage(sets)
 	for run, first := range []uint64{0, sets / 2} {
-		c := newOn(Config{Sets: sets, Policy: PolicyTSI, Mem: dram.New(dram.HBMConfig()), Data: newTestData()}, home)
+		c := newOn(Config{Sets: sets, Policy: PolicyTSI, Mem: dram.New(dram.HBMConfig()), Sizes: newTestData()}, home)
 		for l := first; l < first+lines; l++ {
 			c.Install(0, l, false)
 		}

@@ -151,9 +151,9 @@ const tinyCellRefsPerCore = 400
 // BenchmarkRunTinyCell measures one sweep-cell-sized simulation (a rate
 // workload under DICE at 400 refs/core, default scale), so per-run
 // set-up cost and allocation show up per reference. It repeats one
-// cell, so from the second iteration on the borrowed size cache already
-// holds every size the cell needs: this is the best case for a warm
-// cache. BenchmarkRunTinyCellMix is the sweep-like view.
+// cell, so from the second iteration on the workload's size tables
+// already hold every size the cell needs: this is the best case for a
+// warm table. BenchmarkRunTinyCellMix is the sweep-like view.
 func BenchmarkRunTinyCell(b *testing.B) {
 	w, err := workloads.ByName("gcc")
 	if err != nil {
@@ -180,9 +180,9 @@ func BenchmarkRunTinyCell(b *testing.B) {
 // BenchmarkRunTinyCellMix cycles through a fixed list of sweep-like
 // cells: four rate workloads under base/tsi/bai/dice, refs/core spread
 // across the sweep-service 200-599 range, so consecutive runs size
-// different contents and a warm size cache helps only as much as the
-// cells share lines. Reports ns/ref over all simulated references
-// (warm-up included).
+// different lines and the size tables warm as the list repeats, the
+// way they do over a sweep. Reports ns/ref over all simulated
+// references (warm-up included).
 func BenchmarkRunTinyCellMix(b *testing.B) {
 	type cell struct {
 		w   workloads.Workload

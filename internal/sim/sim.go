@@ -324,18 +324,27 @@ func (m *machine) translate(coreIdx int, vline uint64) uint64 {
 	return (pp-1)<<6 | vline&63
 }
 
-// FillLine implements dcache.DataSource over physical lines: it writes
-// the bytes of the virtual line mapped at paLine into buf, or reports
-// false for an untranslated line, which the cache treats as
-// incompressible.
-func (m *machine) FillLine(paLine uint64, buf []byte) bool {
+// Size implements dcache.Sizer over physical lines: it sizes the
+// virtual line mapped at paLine from its instance's shared size table,
+// or reports an untranslated line incompressible.
+func (m *machine) Size(alg compress.AlgID, paLine uint64) int {
 	pp := paLine >> 6
 	if pp >= uint64(len(m.revMap)) {
-		return false
+		return compress.LineSize
 	}
 	ref := m.revMap[pp]
-	m.insts[ref.inst].Fill(ref.vpage<<6|paLine&63, buf)
-	return true
+	return m.insts[ref.inst].Size(alg, ref.vpage<<6|paLine&63)
+}
+
+// PairSize implements dcache.Sizer over physical lines. A page maps
+// whole, so the even line and its buddy belong to one virtual page.
+func (m *machine) PairSize(alg compress.AlgID, evenPA uint64) int {
+	pp := evenPA >> 6
+	if pp >= uint64(len(m.revMap)) {
+		return 2 * compress.LineSize
+	}
+	ref := m.revMap[pp]
+	return m.insts[ref.inst].PairSize(alg, ref.vpage<<6|evenPA&63)
 }
 
 // Run executes workload w under cfg and returns the measured result. It

@@ -90,7 +90,7 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 		CIPEntries: cfg.CIPEntries,
 		Alg:        alg,
 		Mem:        m.hbm,
-		Data:       m,
+		Sizes:      m,
 		Trace:      tr,
 	}
 	var fm *fault.Model

@@ -9,15 +9,18 @@ import (
 	"dice/internal/trace"
 )
 
-// Artifacts is the immutable build product of one (workload, scaleShift)
-// pair: sized graphs, recorded kernel request traces, and the synthetic
-// generator/data parameters of every core. Everything reachable from an
-// Artifacts value is read-only after construction — graph workspaces and
-// replay traces are shared by reference across any number of concurrent
-// simulations, while the stateful parts of a run (trace generator
-// positions, RNG streams) are created fresh by Instantiate. That split
-// is what lets the process-wide cache hand one build to the whole
-// experiment matrix without perturbing a single result.
+// Artifacts is the build product of one (workload, scaleShift) pair:
+// sized graphs, recorded kernel request traces, the synthetic
+// generator/data parameters of every core, and the compressed-size
+// tables of their data images (sizes.go). Everything reachable from an
+// Artifacts value but the size tables is read-only after construction —
+// graph workspaces and replay traces are shared by reference across any
+// number of concurrent simulations, while the stateful parts of a run
+// (trace generator positions, RNG streams) are created fresh by
+// Instantiate. The size tables only ever gain entries, each the value
+// the compressor gives, so a run reads the same sizes whichever runs
+// filled them. That is what lets the process-wide cache hand one build
+// to the whole experiment matrix without perturbing a single result.
 type Artifacts struct {
 	name       string
 	scaleShift uint
@@ -42,6 +45,9 @@ type coreArtifact struct {
 	synthCfg trace.SynthConfig
 	dataSeed uint64
 	profile  data.Profile
+	// sizes is the synthetic core's size table (a GAP core uses its
+	// builtGAP's instead).
+	sizes sizeTable
 }
 
 // Instantiate materializes runnable per-core instances around the shared
@@ -53,13 +59,15 @@ type coreArtifact struct {
 // built cold.
 func (a *Artifacts) Instantiate() []Instance {
 	out := make([]Instance, len(a.cores))
-	for i, c := range a.cores {
+	for i := range a.cores {
+		c := &a.cores[i]
 		if c.gap != nil {
 			out[i] = Instance{
 				Name: c.name, MPKI: c.mpki,
 				FootprintLines: c.footprintLines,
 				Gen:            trace.NewReplay(c.gap.reqs),
 				Fill:           c.gap.ws.FillLine,
+				sizes:          &c.gap.sizes,
 			}
 			continue
 		}
@@ -69,6 +77,7 @@ func (a *Artifacts) Instantiate() []Instance {
 			FootprintLines: c.footprintLines,
 			Gen:            trace.NewSynthetic(c.synthCfg),
 			Fill:           synth.FillLine,
+			sizes:          &c.sizes,
 		}
 	}
 	return out
@@ -163,14 +172,18 @@ func ResetCacheStats() {
 	cacheMisses.Store(0)
 }
 
-// DropCache discards every cached artifact and zeroes the counters, so
-// the next Build of each key is a cold build (a cache miss runs exactly
-// the construction an uncached build would). Tests and benchmarks use it
-// to measure or compare cold builds; production code never needs it
-// (artifacts are bounded by catalog size x distinct scales).
+// DropCache discards every cached artifact, size tables included, and
+// zeroes the counters (CacheStats and SizeTableStats), so the next
+// Build of each key is a cold build (a cache miss runs exactly the
+// construction an uncached build would) with empty tables. Tests and
+// benchmarks use it to measure or compare cold builds; production code
+// never needs it (artifacts are bounded by catalog size x distinct
+// scales).
 func DropCache() {
 	cache.Reset()
 	ResetCacheStats()
+	tableSized.Store(0)
+	tableBytes.Store(0)
 }
 
 // cachedArtifacts returns the shared build for (w.Name, scaleShift),

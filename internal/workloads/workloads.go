@@ -84,7 +84,9 @@ type Workload struct {
 }
 
 // Instance is a built, runnable per-core load: a request generator over a
-// private virtual line space plus the data image behind it.
+// private virtual line space plus the data image behind it, and the
+// compressed sizes of that image (Size, PairSize). One goroutine uses
+// an Instance at a time: its sizing reuses a scratch buffer.
 type Instance struct {
 	// Name is the benchmark this core runs.
 	Name string
@@ -99,6 +101,11 @@ type Instance struct {
 	Gen trace.Generator
 	// Fill writes the 64 bytes of a virtual line into buf (len 64).
 	Fill func(line uint64, buf []byte)
+
+	// sizes is the artifact's shared size table behind Size and
+	// PairSize; scratch holds the lines they fill on a table miss.
+	sizes   *sizeTable
+	scratch *[2][compress.LineSize]byte
 }
 
 // Compressibility counts the Figure 4 sample of an instance's data
@@ -143,13 +150,16 @@ func (in Instance) Compressibility(samples int) Compressibility {
 	return c
 }
 
-// builtGAP is the shared, immutable build product of one GAP (kernel,
-// input) pair: the graph workspace (its FillLine method is a pure
-// reads over the finished kernel arrays) and the recorded request trace.
+// builtGAP is the shared build product of one GAP (kernel, input)
+// pair: the graph workspace (its FillLine method is a pure read over
+// the finished kernel arrays), the recorded request trace, and the
+// size table every core reading that image shares. All but the table
+// are immutable.
 type builtGAP struct {
 	ws             *graph.Workspace
 	reqs           []trace.Request
 	footprintLines uint64
+	sizes          sizeTable
 }
 
 // buildGAP sizes a graph so the kernel's footprint matches the scaled
