@@ -24,11 +24,32 @@ build:
 vet:
 	$(GO) vet ./...
 
+# FMA_ARCHES are the GOARCHes whose compilers fuse a*b+c into one
+# multiply-add instruction, rounding once where amd64 rounds twice.
+FMA_ARCHES = arm64 ppc64le s390x riscv64
+
 # Static checks beyond vet: cmd/lintdoc (stdlib-only golint/revive
 # analogue) requires a doc comment on every exported identifier of the
-# packages listed above.
+# packages listed above. Then, so results stay bit-identical off amd64,
+# ./internal/... is cross-compiled for each of FMA_ARCHES with the
+# assembly listing on (-S), and any fused multiply-add
+# (F[N]MADD/F[N]MSUB, double or single) attributed to a repo file fails
+# the lint: round the product with an explicit float64(...) at that
+# line. Only the local toolchain is used, and the go command replays
+# the cached compiler output on later runs.
 lint: vet
 	$(GO) run ./cmd/lintdoc $(LINTDOC_PKGS)
+	@log=$$(mktemp) && trap 'rm -f "$$log"' EXIT && \
+	for a in $(FMA_ARCHES); do \
+		if ! GOARCH=$$a $(GO) build -gcflags='dice/...=-S' ./internal/... >"$$log" 2>&1; then \
+			GOARCH=$$a $(GO) build ./internal/...; \
+			echo "lint: GOARCH=$$a build failed"; exit 1; \
+		fi; \
+		if grep -E '\($(CURDIR)/[^)]*\)[[:space:]]+FN?M(ADD|SUB)[DS]?[[:space:]]' "$$log"; then \
+			echo "lint: fused multiply-add on GOARCH=$$a (listed above); round the product with float64(...)"; \
+			exit 1; \
+		fi; \
+	done
 
 test:
 	$(GO) test ./...
@@ -43,8 +64,9 @@ test-race:
 # Short fuzz pass over the validated-decompress boundary, the
 # event-vs-cycle simulation core equality oracle, the DRAM cache's
 # occupancy-counter oracle, the L3 against its tick-LRU reference, the
-# sweep-spec parser, the commit log's replay of arbitrary file bytes,
-# the daemon's job-spec decoding and its journal's replay of arbitrary
+# DRAM bus window against its reference scheduler, the sweep-spec
+# parser, the commit log's replay of arbitrary file bytes, the
+# daemon's job-spec decoding and its journal's replay of arbitrary
 # record sequences (go's fuzzer accepts one target per invocation).
 # The parser's new inputs are minimized for at most 5s each so
 # minimization cannot eat its budget.
@@ -54,6 +76,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzEventSchedule$$' -fuzztime=30s ./internal/sim
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheOccupancy$$' -fuzztime=30s ./internal/dcache
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheAgainstReference$$' -fuzztime=30s ./internal/cache
+	$(GO) test -run='^$$' -fuzz='^FuzzReserveBusAgainstReference$$' -fuzztime=30s ./internal/dram
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=5s ./internal/dse
 	$(GO) test -run='^$$' -fuzz='^FuzzReplay$$' -fuzztime=30s ./internal/commitlog
 	$(GO) test -run='^$$' -fuzz='^FuzzSubmit$$' -fuzztime=30s ./internal/serve

@@ -155,19 +155,12 @@ type span struct{ start, end uint64 }
 // channel tracks one channel's bus and queue occupancy.
 type channel struct {
 	banks []bank
-	// busy[lo:hi] holds the channel bus's most recent reservations (at
-	// most busWindow of them), sorted by start time. Transfers are
-	// scheduled into the earliest idle gap at or after their data-ready
-	// time (a data bus serves whatever is ready, not arrival order).
-	// Reservations are disjoint and durations are positive, so the
-	// windows are sorted by end time too — which is what lets
-	// reserveBus skip the already-elapsed prefix with a binary search
-	// instead of a rescan. The buffer holds two windows so the live one
-	// can slide right (an append or a suffix shift past a dropped
-	// oldest span is lo++) and is compacted to the front only when it
-	// reaches the end of the buffer.
-	busy   [2 * busWindow]span
-	lo, hi int
+	// busy[:n] holds the bus's newest reservations, sorted by start and,
+	// being disjoint with positive durations, by end too. Transfers take
+	// the earliest idle gap at or after their data-ready time (a data
+	// bus serves whatever is ready, not arrival order).
+	busy [busWindow]span
+	n    int
 	// queue holds completion times of in-flight requests, a ring used to
 	// model the finite read/write queue of Table 2. The backing arrays
 	// are padded to a power of two so every wraparound is a mask
@@ -182,100 +175,46 @@ type channel struct {
 // busWindow bounds the per-channel reservation history.
 const busWindow = 64
 
-// compact moves the live window to the front of the buffer, making
-// room to grow at its newest end.
-func (ch *channel) compact() {
-	ch.hi = copy(ch.busy[:], ch.busy[ch.lo:ch.hi])
-	ch.lo = 0
-}
-
-// busPush appends a span after every existing reservation, dropping the
-// oldest when the window is full.
-func (ch *channel) busPush(b span) {
-	if ch.hi-ch.lo == busWindow {
-		ch.lo++
-	}
-	if ch.hi == len(ch.busy) {
-		ch.compact()
-	}
-	ch.busy[ch.hi] = b
-	ch.hi++
-}
-
-// busInsert places a span before window position i (0 <= i < busyLen),
-// keeping start order. When the window is full the oldest reservation
-// is dropped — and an insert at position 0 of a full window drops the
-// new span itself, reproducing the bounded-history semantics of the
-// original slice implementation (insert, then trim to the newest
-// busWindow entries). A full window shifts whichever side of the
-// insert point is shorter: the prefix left over the dropped oldest
-// span, or the suffix right with the window start advancing past it.
-func (ch *channel) busInsert(i int, b span) {
-	n := ch.hi - ch.lo
-	if n == busWindow {
-		if i == 0 {
-			return // trimmed away immediately: oldest of 65 is the new span
-		}
-		if i-1 <= n-i {
-			w := ch.busy[ch.lo : ch.lo+i]
-			copy(w, w[1:])
-			w[i-1] = b
-			return
-		}
-		ch.lo++
-		i--
-	}
-	if ch.hi == len(ch.busy) {
-		ch.compact()
-	}
-	w := ch.busy[ch.lo+i : ch.hi+1]
-	copy(w[1:], w)
-	w[0] = b
-	ch.hi++
-}
-
 // reserveBus books the first idle window of length dur at or after
 // earliest and returns its start time.
 //
-// Two fast paths cover almost every call: a transfer that becomes ready
-// after every recorded reservation appends in O(1), and one that lands
-// amid the reserved history binary-searches the first window still
-// relevant to it (windows are sorted by end time) instead of rescanning
-// the elapsed prefix. Only the walk across still-overlapping windows,
-// bounded by busWindow, remains. It is not short: at 60000 refs/core a
-// call that does not append walks 2.7–3.3 windows on average on lbm,
-// Gems and milc (baseline) and mix1 (DICE), 8.1 on pr_twi (DICE) and
-// 10.8 on libq (baseline), and its insert lands anywhere in the
-// history — a median 6–18 spans back from the newest end, the 90th
-// percentile 27–55, and 0.4–6.7% of inserts at the oldest retained
-// span.
+// It scans back from the newest span to the first one still ending
+// after earliest (everything older has elapsed and cannot constrain
+// this transfer), walks forward to the first gap that fits, and
+// inserts there with one copy. A full window drops its oldest span by
+// shifting the prefix left over it; a span that would itself be the
+// oldest of busWindow+1 keeps its start time but is not retained —
+// the bounded history the goldens were produced with.
+//
+// The measured traffic (8.3 M reservations from the benchmark's six
+// cells at 60000 refs/core) is why one plain array and a linear scan
+// suffice: the window is full on every call after warm-up, only 24–30%
+// of calls append, and 67–75% insert a mean 12–24 spans back from the
+// newest end, so the scan back is short and neither an append fast
+// path nor a binary search pays for itself end to end.
 func (ch *channel) reserveBus(earliest, dur uint64) uint64 {
-	w := ch.busy[ch.lo:ch.hi]
-	n := len(w)
-	if n == 0 || earliest >= w[n-1].end {
-		ch.busPush(span{earliest, earliest + dur})
-		return earliest
-	}
-	// First window with end > earliest; everything before it has fully
-	// elapsed and cannot constrain this transfer.
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if w[mid].end <= earliest {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	w := ch.busy[:ch.n]
+	i := len(w)
+	for i > 0 && w[i-1].end > earliest {
+		i--
 	}
 	s := earliest
-	for i := lo; i < n; i++ {
+	for ; i < len(w); i++ {
 		if w[i].start >= s+dur {
-			ch.busInsert(i, span{s, s + dur})
-			return s
+			break
 		}
 		s = w[i].end
 	}
-	ch.busPush(span{s, s + dur})
+	b := span{s, s + dur}
+	switch {
+	case ch.n < busWindow:
+		copy(ch.busy[i+1:ch.n+1], ch.busy[i:ch.n])
+		ch.busy[i] = b
+		ch.n++
+	case i > 0:
+		copy(ch.busy[:i-1], ch.busy[1:i])
+		ch.busy[i-1] = b
+	}
 	return s
 }
 
@@ -574,10 +513,10 @@ func (m *Memory) AccessAddr(now uint64, addr uint64, write bool, burstBytes int)
 // new request on the channel can finish a burst before it.
 func (m *Memory) NextBusFree(loc Loc) uint64 {
 	ch := &m.channels[loc.Channel]
-	if ch.hi == ch.lo {
+	if ch.n == 0 {
 		return 0
 	}
-	return ch.busy[ch.hi-1].end
+	return ch.busy[ch.n-1].end
 }
 
 // NextCompletion returns the earliest completion cycle among requests

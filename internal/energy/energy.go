@@ -46,10 +46,12 @@ func DDRCoefficients() Coefficients {
 
 // DeviceEnergy computes the energy of one device over a run.
 func DeviceEnergy(c Coefficients, s dram.Stats, cycles uint64) float64 {
-	dynamic := c.ActivateEnergy*float64(s.Activates()) +
-		c.AccessEnergy*float64(s.Accesses()) +
-		c.ByteEnergy*float64(s.BytesRead+s.BytesWritten)
-	return dynamic + c.BackgroundPower*float64(cycles)
+	// Each product is rounded on its own (explicit float64) so no
+	// GOARCH fuses it into the sum as a multiply-add.
+	dynamic := float64(c.ActivateEnergy*float64(s.Activates())) +
+		float64(c.AccessEnergy*float64(s.Accesses())) +
+		float64(c.ByteEnergy*float64(s.BytesRead+s.BytesWritten))
+	return dynamic + float64(c.BackgroundPower*float64(cycles))
 }
 
 // Breakdown is a run's aggregate energy report.

@@ -176,9 +176,11 @@ func New(cfg Config) (*Model, error) {
 		m.wordBits = 64
 	}
 	n, p := float64(m.wordBits), cfg.BER
-	q := math.Pow(1-p, n)            // P(0 flips)
-	q1 := n * p * math.Pow(1-p, n-1) // P(1 flip)
-	q2 := n * (n - 1) / 2 * p * p * math.Pow(1-p, n-2)
+	q := math.Pow(1-p, n) // P(0 flips)
+	// q1 and q2 are rounded (explicit float64) so the sums below never
+	// fuse with their last product into a multiply-add on any GOARCH.
+	q1 := float64(n * p * math.Pow(1-p, n-1)) // P(1 flip)
+	q2 := float64(n * (n - 1) / 2 * p * p * math.Pow(1-p, n-2))
 	m.p0 = q
 	m.p1 = q + q1
 	m.p2 = q + q1 + q2

@@ -259,7 +259,7 @@ func tracePageRank(w *Workspace, g *CSR) {
 				aContrib.touch(int(u), false)
 				sum += contrib[u]
 			}
-			nv := base + damping*sum
+			nv := base + float64(damping*sum) // rounded: never a fused multiply-add
 			aNext.touch(v, true)
 			delta += math.Abs(nv - pr[v])
 			next[v] = nv
@@ -378,7 +378,7 @@ func traceBC(w *Workspace, g *CSR) {
 					aSigma.touch(int(v), false)
 					aDelta.touch(int(u), false)
 					aDelta.touch(int(v), true)
-					delta[v] += float64(sigma[v]) / float64(sigma[u]) * (1 + delta[u])
+					delta[v] += float64(float64(sigma[v]) / float64(sigma[u]) * (1 + delta[u])) // rounded: never fused
 				}
 			}
 			if v != uint32(s) {

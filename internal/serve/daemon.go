@@ -85,9 +85,12 @@ type Config struct {
 	// (0 = no deadline).
 	DefaultDeadline time.Duration
 	// RetainOutputs caps how many terminal jobs keep their output
-	// bytes in memory (default 256). Older outputs are evicted from
-	// the status map — the journal still holds them — so a long-lived
-	// daemon's memory stays bounded by the cap, not by its history.
+	// bytes and stream buffer in memory (default 256). Older outputs
+	// are evicted from the status map — the journal still holds them.
+	// The cap bounds only those bytes: the job table itself (d.jobs and
+	// d.order) still keeps one entry per job ever submitted, so a
+	// long-lived daemon's memory grows with its history (see the job
+	// table item in ROADMAP.md).
 	RetainOutputs int
 	// Logf, when non-nil, receives one line per lifecycle event.
 	Logf func(format string, args ...any)

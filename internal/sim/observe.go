@@ -85,7 +85,7 @@ func (et *epochTracker) record() {
 	for i, c := range et.cs {
 		dRefs := c.refsDone - et.prev.refs[i]
 		dCyc := c.clock - et.prev.clocks[i]
-		dInstr := float64(dRefs) * c.instrPerRef
+		dInstr := float64(float64(dRefs) * c.instrPerRef) // rounded: never fused into instr
 		s.CoreIPC[i] = ratio(dInstr, float64(dCyc))
 		refs += uint64(dRefs)
 		instr += dInstr

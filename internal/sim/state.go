@@ -139,7 +139,7 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 	for i := range cs {
 		in := m.insts[i%len(m.insts)]
 		instrPerRef := instrPerRefMPKI / in.MPKI
-		gap := uint64(instrPerRef / issueWidth)
+		gap := uint64(float64(instrPerRef / issueWidth)) // rounded: never fused into the conversion
 		if gap == 0 {
 			gap = 1
 		}

@@ -129,7 +129,11 @@ func (g *Synthetic) next64() uint64 {
 	return x ^ x>>31
 }
 
-func (g *Synthetic) unit() float64 { return float64(g.next64()>>11) / (1 << 53) }
+// unit draws a uniform float64 in [0, 1). The explicit float64 rounds
+// the draw so no caller's addition fuses with its scaling into a
+// multiply-add (arm64, ppc64le, s390x and riscv64 fuse; amd64 never
+// does), keeping every GOARCH bit-identical.
+func (g *Synthetic) unit() float64 { return float64(float64(g.next64()>>11) / (1 << 53)) }
 
 // skewed draws a line from a power-law distribution over the footprint:
 // P(line < x) = (x/F)^(1/k). Low line numbers are re-referenced heavily
@@ -141,7 +145,9 @@ func (g *Synthetic) skewed(k int) uint64 {
 	for i := 1; i < k; i++ {
 		v *= u
 	}
-	line := uint64(v * float64(g.cfg.FootprintLines))
+	// Rounded before the conversion, which would otherwise fuse the
+	// product with its 2^63 offset on ppc64le and riscv64.
+	line := uint64(float64(v * float64(g.cfg.FootprintLines)))
 	if line >= g.cfg.FootprintLines {
 		line = g.cfg.FootprintLines - 1
 	}

@@ -116,7 +116,7 @@ func (w Workload) buildArtifacts(scaleShift uint) *Artifacts {
 		if fp < 1024 {
 			fp = 1024
 		}
-		hot := uint64(float64(fp) * cl.pat.hotFrac)
+		hot := uint64(float64(float64(fp) * cl.pat.hotFrac)) // rounded: never fused into the conversion
 		if hot < 64 {
 			hot = 64
 		}
