@@ -3,28 +3,27 @@
 // (internal/dse): one CRC-32C framed JSON record per line, replayed
 // to the longest valid prefix with the torn tail truncated away.
 //
-// What it adds over the fsync-per-append logs it replaced is group
-// commit — the same amortization DICE applies to cache bandwidth
-// (batch small operations into one larger transfer), applied to
-// durability. Appenders do not sync the file themselves: they enqueue
-// a framed record and block on a commit ticket while a single
-// committer goroutine drains everything queued, issues ONE write and
-// ONE fsync for the whole batch, and then releases every ticket. N
-// concurrent appenders therefore pay ~1 fsync instead of N, and the
-// durability contract is unchanged: an acknowledged append has always
-// been fsynced (the ticket resolves only after the Sync covering its
-// record returns), and a failed sync fails every waiter in its batch
-// — no record is ever acknowledged off the back of a failed sync.
+// The log has one commit discipline, group commit — the same
+// amortization DICE applies to cache bandwidth (batch small operations
+// into one larger transfer), applied to durability. Appenders do not
+// sync the file themselves: they enqueue a framed record and block on
+// a commit ticket while a single committer goroutine drains everything
+// queued, issues ONE write and ONE fsync for the whole batch, and then
+// releases every ticket. N concurrent appenders therefore pay ~1 fsync
+// instead of N. An acknowledged append has always been fsynced (the
+// ticket resolves only after the Sync covering its record returns),
+// and a failed write or sync fails every waiter in its batch — no
+// record is ever acknowledged off the back of a failed sync.
 //
 // File order equals enqueue order, so callers that need record A
 // durable-before-B in the file simply enqueue A before B (the
 // enqueue itself is cheap and non-blocking; only Wait blocks).
 //
-// After a sync failure the log is broken: the kernel may have dropped
-// the unwritten pages, so the tail state on disk is unknowable and
-// every later append fails fast with the original error rather than
-// pretending durability. Replay on the next open recovers the longest
-// valid prefix, exactly as after a crash.
+// After a write or sync failure (ENOSPC, EIO) the log is broken: the
+// kernel may have dropped the unwritten pages, so the tail state on
+// disk is unknowable and every later append fails fast with the
+// original error rather than pretending durability. Replay on the next
+// open recovers the longest valid prefix, exactly as after a crash.
 package commitlog
 
 import (
@@ -111,10 +110,6 @@ func Resolved(err error) Ticket { return Ticket{err: err} }
 
 // Log is the append handle. Safe for concurrent use.
 type Log struct {
-	// noGroupCommit selects the fsync-per-append reference discipline
-	// (see OpenForTest).
-	noGroupCommit bool
-
 	mu      sync.Mutex
 	f       syncFile
 	pending []byte       // framed records awaiting the next commit
@@ -152,24 +147,20 @@ type Replay struct {
 // uncontended fsync and a batch is whatever arrived while the
 // previous sync was in flight.
 func Open(path string, apply func(payload []byte) bool) (*Log, Replay, error) {
-	return open(path, apply, false, 0)
+	return open(path, apply, 0)
 }
 
-// OpenForTest is Open for A/B measurement (the bench-smoke
-// group-commit guards), not production use. noGroupCommit selects the
-// pre-batching reference discipline: every append performs its own
-// write+fsync under a mutex, exactly the fsync-per-append behavior
-// this package replaced. A positive syncFloor pads every fsync to take
-// at least that long: where fsync is nearly free (tmpfs, a write-back
-// cache) group commit has nothing to amortize, so comparing the two
-// disciplines would measure scheduler noise instead of batching.
-func OpenForTest(path string, apply func(payload []byte) bool, noGroupCommit bool, syncFloor time.Duration) (*Log, Replay, error) {
-	return open(path, apply, noGroupCommit, syncFloor)
+// OpenForTest is Open with every fsync padded to take at least
+// syncFloor, for tests that assert batching, not production use:
+// where fsync is nearly free (tmpfs, a write-back cache) concurrent
+// appenders rarely overlap a sync in flight, so there would be
+// nothing to batch.
+func OpenForTest(path string, apply func(payload []byte) bool, syncFloor time.Duration) (*Log, Replay, error) {
+	return open(path, apply, syncFloor)
 }
 
-// open is Open and OpenForTest: noGroupCommit selects the discipline,
-// a positive syncFloor pads every fsync.
-func open(path string, apply func(payload []byte) bool, noGroupCommit bool, syncFloor time.Duration) (*Log, Replay, error) {
+// open is Open and OpenForTest: a positive syncFloor pads every fsync.
+func open(path string, apply func(payload []byte) bool, syncFloor time.Duration) (*Log, Replay, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, Replay{}, fmt.Errorf("commitlog: %w", err)
@@ -191,9 +182,9 @@ func open(path string, apply func(payload []byte) bool, noGroupCommit bool, sync
 		return nil, Replay{}, fmt.Errorf("commitlog: %w", err)
 	}
 	if syncFloor > 0 {
-		return newWithFile(fixedSyncFile{f, syncFloor}, noGroupCommit), rep, nil
+		return newWithFile(fixedSyncFile{f, syncFloor}), rep, nil
 	}
-	return newWithFile(f, noGroupCommit), rep, nil
+	return newWithFile(f), rep, nil
 }
 
 // fixedSyncFile pads every Sync of f to take at least floor.
@@ -212,17 +203,14 @@ func (f fixedSyncFile) Sync() error {
 
 // newWithFile builds a running Log over an already-positioned file;
 // the exported path in is Open, tests inject failing files here.
-func newWithFile(f syncFile, noGroupCommit bool) *Log {
+func newWithFile(f syncFile) *Log {
 	l := &Log{
-		f:             f,
-		noGroupCommit: noGroupCommit,
-		wake:          make(chan struct{}, 1),
-		quit:          make(chan struct{}),
+		f:    f,
+		wake: make(chan struct{}, 1),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	if !noGroupCommit {
-		l.done = make(chan struct{})
-		go l.commitLoop()
-	}
+	go l.commitLoop()
 	return l
 }
 
@@ -306,9 +294,8 @@ func (l *Log) Append(payload []byte) error {
 
 // Enqueue frames payload and stakes its place in file order, returning
 // a Ticket that resolves when the batch containing it has been synced.
-// Enqueue itself never blocks on I/O (OpenForTest's noGroupCommit excepted),
-// so callers may enqueue under locks that must not wait out an fsync
-// and Wait after releasing them.
+// Enqueue itself never blocks on I/O, so callers may enqueue under
+// locks that must not wait out an fsync and Wait after releasing them.
 func (l *Log) Enqueue(payload []byte) Ticket {
 	line := Frame(payload)
 	l.mu.Lock()
@@ -318,21 +305,6 @@ func (l *Log) Enqueue(payload []byte) Ticket {
 	}
 	if l.broken != nil {
 		err := l.broken
-		l.mu.Unlock()
-		return Ticket{err: err}
-	}
-	if l.noGroupCommit {
-		// Reference mode: the old discipline, one write+fsync per
-		// record under the lock.
-		var err error
-		if _, err = l.f.Write(line); err == nil {
-			err = l.f.Sync()
-		}
-		if err != nil {
-			l.broken = err
-		} else {
-			l.stats.observeBatch(1, len(line))
-		}
 		l.mu.Unlock()
 		return Ticket{err: err}
 	}
@@ -412,7 +384,9 @@ func (l *Log) Stats() Stats {
 
 // Close drains the pending batch, stops the committer, syncs, and
 // closes the file. Both the sync and the close error are reported
-// (joined) — a failed sync no longer swallows the close outcome.
+// (joined) — a failed sync no longer swallows the close outcome. A
+// log already broken by a failed write or sync is not synced again:
+// Close reports that sticky failure in place of the sync's outcome.
 // Closing twice is a no-op.
 func (l *Log) Close() error {
 	l.mu.Lock()
@@ -421,20 +395,19 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	broken := l.broken
 	l.mu.Unlock()
 
-	if l.done != nil {
-		close(l.quit)
-		<-l.done
-	}
-	var syncErr error
-	if broken == nil {
+	close(l.quit)
+	<-l.done
+	// The committer has exited, so the drain's outcome is in l.broken.
+	l.mu.Lock()
+	syncErr := l.broken
+	l.mu.Unlock()
+	if syncErr == nil {
 		// The final defensive sync; the committer already synced every
 		// acknowledged record.
-		syncErr = l.f.Sync()
-		if syncErr != nil {
-			syncErr = fmt.Errorf("commitlog: sync: %w", syncErr)
+		if err := l.f.Sync(); err != nil {
+			syncErr = fmt.Errorf("commitlog: sync: %w", err)
 		}
 	}
 	closeErr := l.f.Close()

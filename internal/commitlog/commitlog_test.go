@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -197,7 +198,7 @@ func TestGroupCommitAmortizesSyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := newWithFile(fixedSyncFile{f, 2 * time.Millisecond}, false)
+	l := newWithFile(fixedSyncFile{f, 2 * time.Millisecond})
 	const workers, per = 64, 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -287,12 +288,11 @@ func (g *gateFile) open() { g.opened.Do(func() { close(g.release) }) }
 // The exact group-commit property: k records enqueued concurrently
 // while one sync is held all land in the next batch, committed by
 // exactly one more sync, and none of them is acknowledged before that
-// sync returns. The fsync-per-append reference discipline on the same
-// fixture pays one sync per record.
+// sync returns.
 func TestGroupCommitExactBatchDuringHeldSync(t *testing.T) {
 	const k = 16
 	g := newGateFile()
-	l := newWithFile(g, false)
+	l := newWithFile(g)
 	defer func() {
 		g.open()
 		if err := l.Close(); err != nil {
@@ -335,49 +335,28 @@ func TestGroupCommitExactBatchDuringHeldSync(t *testing.T) {
 	if st.Syncs != 2 || st.MaxBatchRecords != k || st.Appends != k+1 {
 		t.Fatalf("stats = %+v, want 2 syncs, a %d-record batch and %d appends", st, k, k+1)
 	}
-
-	// The reference discipline on the same fixture: one sync per record.
-	ref := newGateFile()
-	rl := newWithFile(ref, true)
-	go func() {
-		for i := 0; i < k+1; i++ {
-			<-ref.entered
-			ref.release <- struct{}{}
-		}
-	}()
-	var rwg sync.WaitGroup
-	for i := 0; i < k+1; i++ {
-		rwg.Add(1)
-		go func(i int) {
-			defer rwg.Done()
-			if err := rl.Append(fmt.Appendf(nil, `{"i":%d}`, i)); err != nil {
-				t.Errorf("reference append %d: %v", i, err)
-			}
-		}(i)
-	}
-	rwg.Wait()
-	if st := rl.Stats(); st.Syncs != k+1 || st.MaxBatchRecords != 1 || st.Appends != k+1 {
-		t.Fatalf("reference stats = %+v, want %d syncs of one record each", st, k+1)
-	}
-	ref.open()
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
-// failFile fails Sync from the Nth call on, and optionally fails
-// Close, to exercise the no-false-acks and joined-error contracts.
+// failFile fails Sync from the Nth call on, optionally fails every
+// Write and Close, to exercise the no-false-acks and joined-error
+// contracts.
 type failFile struct {
 	mu        sync.Mutex
 	syncs     int
-	failFrom  int // 1-based sync call index that starts failing (0 = never)
+	failFrom  int   // 1-based sync call index that starts failing (0 = never)
+	writeErr  error // returned by every Write when non-nil
 	failClose bool
 }
 
 var errSyncBroken = errors.New("injected sync failure")
 var errCloseBroken = errors.New("injected close failure")
 
-func (f *failFile) Write(p []byte) (int, error) { return len(p), nil }
+func (f *failFile) Write(p []byte) (int, error) {
+	if f.writeErr != nil {
+		return 0, f.writeErr
+	}
+	return len(p), nil
+}
 func (f *failFile) Sync() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -399,7 +378,7 @@ func (f *failFile) Close() error {
 // goes sticky-broken so later appends fail fast.
 func TestSyncFailureFailsWholeBatch(t *testing.T) {
 	ff := &failFile{failFrom: 1}
-	l := newWithFile(ff, false)
+	l := newWithFile(ff)
 	const n = 16
 	// Enqueue the whole batch before any Wait: with the committer
 	// blocked behind the enqueues' wake signal, all n records land in
@@ -422,10 +401,44 @@ func TestSyncFailureFailsWholeBatch(t *testing.T) {
 	l.Close()
 }
 
+// A failed write (ENOSPC: the disk is full) fails every ticket in its
+// batch just as a failed sync does, and nothing is synced behind it:
+// the batch's bytes never reached the file, so the log goes
+// sticky-broken, later appends fail fast with the same error, and
+// Close reports the failure instead of issuing a final sync.
+func TestWriteFailureFailsWholeBatch(t *testing.T) {
+	ff := &failFile{writeErr: syscall.ENOSPC}
+	l := newWithFile(ff)
+	tickets := make([]Ticket, 16)
+	for i := range tickets {
+		tickets[i] = l.Enqueue(fmt.Appendf(nil, `{"i":%d}`, i))
+	}
+	for i, tk := range tickets {
+		if err := tk.Wait(); !errors.Is(err, syscall.ENOSPC) {
+			t.Fatalf("waiter %d: %v, want ENOSPC", i, err)
+		}
+	}
+	late := l.Enqueue([]byte(`{"late":1}`))
+	if late.ch != nil || !errors.Is(late.err, syscall.ENOSPC) {
+		t.Fatalf("enqueue after write failure: %+v, want a fail-fast ENOSPC", late)
+	}
+	if st := l.Stats(); st.Appends != 0 || st.Syncs != 0 {
+		t.Fatalf("stats after write failure: %+v, want no appends and no syncs", st)
+	}
+	if err := l.Close(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("Close() = %v, want the write failure reported", err)
+	}
+	ff.mu.Lock()
+	defer ff.mu.Unlock()
+	if ff.syncs != 0 {
+		t.Fatalf("%d syncs issued after a failed write", ff.syncs)
+	}
+}
+
 // Close must report BOTH a failed sync and a failed close, joined —
 // the close error used to be discarded.
 func TestCloseJoinsSyncAndCloseErrors(t *testing.T) {
-	l := newWithFile(&failFile{failFrom: 1, failClose: true}, false)
+	l := newWithFile(&failFile{failFrom: 1, failClose: true})
 	err := l.Close()
 	if !errors.Is(err, errSyncBroken) {
 		t.Fatalf("Close() = %v, want the sync error reported", err)
@@ -435,32 +448,6 @@ func TestCloseJoinsSyncAndCloseErrors(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("second Close() = %v, want nil no-op", err)
-	}
-}
-
-// OpenForTest's noGroupCommit is the reference discipline: one sync
-// per append.
-func TestNoGroupCommitSyncsEveryAppend(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "log")
-	l, _, err := OpenForTest(path, nil, true, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if err := l.Append(fmt.Appendf(nil, `{"i":%d}`, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := l.Stats()
-	if st.Appends != 5 || st.Syncs != 5 || st.MaxBatchRecords != 1 {
-		t.Fatalf("reference mode stats = %+v", st)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, got, rep := collect(t, path)
-	if len(got) != 5 || rep.TruncatedBytes != 0 {
-		t.Fatalf("replay = %v, %+v", got, rep)
 	}
 }
 

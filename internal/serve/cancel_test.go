@@ -27,13 +27,9 @@ func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 // Status agrees — and an unknown ID is a permanent 404, failing on the
 // first attempt with no retries.
 func TestClientCancel(t *testing.T) {
-	d, _, err := serve.New(serve.Config{QueueCap: 4, JobWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	serve.SetExecuteForTest(d, func(ctx context.Context, spec serve.JobSpec, emit func(serve.StreamEvent)) (string, error) {
+	cfg := serve.ExecuteForTest(serve.Config{QueueCap: 4, JobWorkers: 1}, func(ctx context.Context, spec serve.JobSpec, emit func(serve.StreamEvent)) (string, error) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -45,6 +41,10 @@ func TestClientCancel(t *testing.T) {
 			return "", ctx.Err()
 		}
 	})
+	d, _, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	addr, err := d.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

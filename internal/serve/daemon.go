@@ -28,6 +28,10 @@ var (
 	ErrDraining = errors.New("serve: daemon is draining")
 	// ErrNotFound is returned for an unknown job ID (404).
 	ErrNotFound = errors.New("serve: no such job")
+	// ErrJournal wraps a failed journal append of a submit record: the
+	// job was not admitted. It is a server fault (a full or failing
+	// disk), so the HTTP layer maps it to 500.
+	ErrJournal = errors.New("serve: journal append failed")
 )
 
 // abandonSlack bounds how long Shutdown waits, after cancelling
@@ -99,10 +103,13 @@ type Config struct {
 	// (tests shorten it to exercise the slowloris defense).
 	readHeaderTimeout time.Duration
 	// openLog opens the journal's commit log (nil = commitlog.Open).
-	// The group-commit A/B guards swap in the fsync-per-append
-	// reference discipline and a fixed-cost sync (tests only; see
-	// export_test.go).
+	// The daemon's group-commit test swaps in a fixed-cost sync
+	// (tests only; see export_test.go).
 	openLog func(path string, apply func(payload []byte) bool) (*commitlog.Log, commitlog.Replay, error)
+	// execute runs one job (nil = RunSpecStream at DefaultRefs). Tests
+	// set a fake executor here, so it is in place before the workers
+	// start and a replayed job never reaches the real one.
+	execute func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)
 }
 
 // Daemon is the experiment job daemon: a bounded queue feeding
@@ -112,7 +119,6 @@ type Config struct {
 type Daemon struct {
 	cfg     Config
 	journal *Journal
-	execute func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)
 
 	queue       chan *job
 	stopPick    chan struct{}
@@ -146,8 +152,8 @@ type statsCounters struct {
 // Stats is a point-in-time snapshot of the daemon's self-stats, as
 // exposed on /healthz (see METRICS.md "Daemon self-stats").
 type Stats struct {
-	// Submitted counts accepted submissions (replayed re-enqueues
-	// excluded).
+	// Submitted counts admissions whose submit record is durable
+	// (replayed re-enqueues excluded).
 	Submitted uint64 `json:"jobs_submitted"`
 	// Rejected counts ErrQueueFull backpressure rejections.
 	Rejected uint64 `json:"jobs_rejected"`
@@ -179,13 +185,6 @@ type Stats struct {
 // the job workers. The returned Replay reports what was restored; nil
 // when cfg.JournalPath is empty.
 func New(cfg Config) (*Daemon, *Replay, error) {
-	return newDaemon(cfg, nil)
-}
-
-// newDaemon is New with the job executor as a parameter; nil runs each
-// job through RunSpecStream. A test's executor is thus in place before
-// the workers start, so a replayed job never reaches the real one.
-func newDaemon(cfg Config, execute func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)) (*Daemon, *Replay, error) {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 64
 	}
@@ -203,6 +202,12 @@ func newDaemon(cfg Config, execute func(ctx context.Context, spec JobSpec, emit 
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	if cfg.execute == nil {
+		refs := cfg.DefaultRefs
+		cfg.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			return RunSpecStream(ctx, spec, refs, emit)
+		}
 	}
 
 	var (
@@ -225,12 +230,6 @@ func newDaemon(cfg Config, execute func(ctx context.Context, spec JobSpec, emit 
 		stopStreams: make(chan struct{}),
 		seq:         1,
 		start:       time.Now(),
-	}
-	d.execute = execute
-	if d.execute == nil {
-		d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
-			return RunSpecStream(ctx, spec, d.cfg.DefaultRefs, emit)
-		}
 	}
 
 	// The channel needs room for the admission bound plus whatever
@@ -294,7 +293,8 @@ func (d *Daemon) restore(rep *Replay) {
 // Submit admits one job: validate, journal, enqueue. It fails fast
 // with ErrQueueFull once QueueCap jobs are waiting (the backpressure
 // contract — memory never grows with offered load) and ErrDraining
-// once shutdown has begun.
+// once shutdown has begun. A submit record the journal cannot make
+// durable refuses the job with an error wrapping ErrJournal.
 func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
@@ -330,9 +330,9 @@ func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 
 	if err := ticket.Wait(); err != nil {
 		// Admission without a durable record would break the restart
-		// contract; undo and surface the error. The job was transiently
-		// visible to Status while the sync was in flight — harmless, it
-		// never reached a worker.
+		// contract; undo the admission and its count, and refuse the
+		// job. The job was transiently visible to Status while the sync
+		// was in flight — harmless, it never reached a worker.
 		d.mu.Lock()
 		delete(d.jobs, id)
 		for i := len(d.order) - 1; i >= 0; i-- {
@@ -342,8 +342,9 @@ func (d *Daemon) Submit(spec JobSpec) (JobStatus, error) {
 			}
 		}
 		d.depth--
+		d.stats.submitted--
 		d.mu.Unlock()
-		return JobStatus{}, err
+		return JobStatus{}, fmt.Errorf("%w: %w", ErrJournal, err)
 	}
 
 	d.queue <- jb // never blocks: depth reservation <= channel capacity
@@ -434,7 +435,7 @@ func (d *Daemon) runJob(jb *job) {
 				err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
 			}
 		}()
-		return d.execute(ctx, spec, emit)
+		return d.cfg.execute(ctx, spec, emit)
 	}()
 
 	d.mu.Lock()
@@ -845,6 +846,8 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrDraining):
 		writeErr(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, ErrJournal):
+		writeErr(w, http.StatusInternalServerError, err)
 	default:
 		writeErr(w, http.StatusBadRequest, err)
 	}

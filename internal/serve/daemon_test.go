@@ -15,7 +15,7 @@ import (
 )
 
 // Daemon unit tests. These run with a controllable fake executor
-// (package-internal access to d.execute) so queue-full, deadline,
+// (package-internal access to Config.execute) so queue-full, deadline,
 // panic, cancel, and drain timing are deterministic rather than
 // dependent on simulation wall-clock. The end-to-end paths with the
 // real executor live in soak_test.go and cmd/dicebenchd's smoke test.
@@ -90,8 +90,7 @@ func mustSubmit(t *testing.T, d *Daemon, spec JobSpec) JobStatus {
 func TestBackpressureQueueFull(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	d := testDaemon(t, Config{QueueCap: 2, JobWorkers: 1})
-	d.execute = blockingExec(started, release)
+	d := testDaemon(t, Config{QueueCap: 2, JobWorkers: 1, execute: blockingExec(started, release)})
 
 	spec := JobSpec{Experiments: []string{"fig4"}}
 	running := mustSubmit(t, d, spec)
@@ -140,8 +139,7 @@ func TestDeadlineEnforced(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = blockingExec(started, release)
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, execute: blockingExec(started, release)})
 
 	slow := mustSubmit(t, d, JobSpec{Experiments: []string{"fig4"}, DeadlineMS: 30})
 	st := waitState(t, d, slow.ID, StateFailed)
@@ -162,13 +160,15 @@ func TestDeadlineEnforced(t *testing.T) {
 // A panicking job must fail alone — stack captured in its status —
 // and the daemon keeps serving.
 func TestPanicIsolation(t *testing.T) {
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
-		if spec.Experiments[0] == "fig4" {
-			panic("synthetic job crash")
-		}
-		return "survived", nil
-	}
+	d := testDaemon(t, Config{
+		QueueCap: 4, JobWorkers: 1,
+		execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			if spec.Experiments[0] == "fig4" {
+				panic("synthetic job crash")
+			}
+			return "survived", nil
+		},
+	})
 
 	crash := mustSubmit(t, d, JobSpec{Experiments: []string{"fig4"}})
 	st := waitState(t, d, crash.ID, StateFailed)
@@ -191,8 +191,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = blockingExec(started, release)
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, execute: blockingExec(started, release)})
 
 	spec := JobSpec{Experiments: []string{"fig4"}}
 	run := mustSubmit(t, d, spec)
@@ -237,8 +236,7 @@ func TestJobWritesTwoRecords(t *testing.T) {
 	const n = 5
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = blockingExec(started, release)
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, execute: blockingExec(started, release)})
 
 	spec := JobSpec{Experiments: []string{"fig4"}}
 	held := mustSubmit(t, d, spec)
@@ -283,11 +281,10 @@ func TestShutdownDrainsAndCheckpointsQueue(t *testing.T) {
 	journal := tmpJournal(t)
 	started := make(chan string, 1)
 	release := make(chan struct{})
-	d, _, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d, _, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1, execute: blockingExec(started, release)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.execute = blockingExec(started, release)
 
 	spec := JobSpec{Experiments: []string{"fig4"}}
 	running := mustSubmit(t, d, spec)
@@ -324,8 +321,10 @@ func TestShutdownDrainsAndCheckpointsQueue(t *testing.T) {
 	}
 
 	// Restart: the queued job replays, re-enqueues, and runs.
-	d2, rep, err := newDaemon(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1},
-		func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil })
+	d2, rep, err := New(Config{
+		JournalPath: journal, QueueCap: 4, JobWorkers: 1,
+		execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,11 +361,13 @@ func TestShutdownDrainTimeoutCheckpointsInFlight(t *testing.T) {
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
-	d, _, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d, _, err := New(Config{
+		JournalPath: journal, QueueCap: 4, JobWorkers: 1,
+		execute: blockingExec(started, release), // never released: only ctx ends it
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.execute = blockingExec(started, release) // never released: only ctx ends it
 
 	st := mustSubmit(t, d, JobSpec{Experiments: []string{"fig4"}})
 	<-started
@@ -380,8 +381,10 @@ func TestShutdownDrainTimeoutCheckpointsInFlight(t *testing.T) {
 		t.Fatalf("abandoned job state = %s, want interrupted", got.State)
 	}
 
-	d2, rep, err := newDaemon(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1},
-		func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil })
+	d2, rep, err := New(Config{
+		JournalPath: journal, QueueCap: 4, JobWorkers: 1,
+		execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "rerun", nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,10 +403,12 @@ func TestShutdownDrainTimeoutCheckpointsInFlight(t *testing.T) {
 // output, list elides outputs, bad spec → 400, unknown id → 404,
 // healthz carries the self-stats, readyz flips on drain.
 func TestHTTPAPI(t *testing.T) {
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
-		return "report for " + spec.Experiments[0], nil
-	}
+	d := testDaemon(t, Config{
+		QueueCap: 4, JobWorkers: 1,
+		execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			return "report for " + spec.Experiments[0], nil
+		},
+	})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
 	defer ts.Client().CloseIdleConnections()
@@ -491,10 +496,12 @@ func TestHTTPAPI(t *testing.T) {
 // oldest terminal job loses its bytes (journal keeps them) and is
 // flagged output_dropped.
 func TestOutputRetentionBounded(t *testing.T) {
-	d := testDaemon(t, Config{QueueCap: 8, JobWorkers: 1, RetainOutputs: 2})
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
-		return "output-" + spec.Experiments[0], nil
-	}
+	d := testDaemon(t, Config{
+		QueueCap: 8, JobWorkers: 1, RetainOutputs: 2,
+		execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			return "output-" + spec.Experiments[0], nil
+		},
+	})
 	ids := []string{}
 	for _, e := range []string{"fig4", "fig10", "table4"} {
 		st := mustSubmit(t, d, JobSpec{Experiments: []string{e}})
@@ -518,11 +525,13 @@ func TestOutputRetentionBounded(t *testing.T) {
 func TestDaemonStartStopNoGoroutineLeak(t *testing.T) {
 	defer leakcheck.Check(t)()
 	for i := 0; i < 3; i++ {
-		d, _, err := New(Config{JournalPath: tmpJournal(t), QueueCap: 4, JobWorkers: 2})
+		d, _, err := New(Config{
+			JournalPath: tmpJournal(t), QueueCap: 4, JobWorkers: 2,
+			execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "ok", nil },
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) { return "ok", nil }
 		addr, err := d.Start("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)

@@ -7,24 +7,21 @@ import (
 	"dice/internal/commitlog"
 )
 
-// SetExecuteForTest swaps the daemon's job executor. Test-binary only:
-// the soak (package serve_test) wraps the real executor with a gate on
-// its prefill jobs so backpressure engages deterministically instead of
-// racing job runtime against submission rate — the simulator is now
-// fast enough that real prefill jobs can drain as quickly as the
-// journal-fsync'd submissions arrive.
-func SetExecuteForTest(d *Daemon, fn func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)) {
-	d.execute = fn
+// ExecuteForTest returns cfg with fn as the daemon's job executor, so
+// tests in package serve_test can hold or gate jobs (the cancel test's
+// busy worker, the soak's prefill) from before New starts the workers.
+func ExecuteForTest(cfg Config, fn func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error)) Config {
+	cfg.execute = fn
+	return cfg
 }
 
 // FixedSyncForTest returns cfg with every journal fsync padded to take
-// d (commitlog.OpenForTest), in the group-commit discipline or, with
-// noGroupCommit, the fsync-per-append reference one — so the
-// group-commit guard measures batching against a known sync cost
-// rather than however fast this host's fsync happens to be.
-func FixedSyncForTest(cfg Config, noGroupCommit bool, d time.Duration) Config {
+// d (commitlog.OpenForTest), so the group-commit test sees concurrent
+// submits pile up behind a sync of known cost rather than however fast
+// this host's fsync happens to be.
+func FixedSyncForTest(cfg Config, d time.Duration) Config {
 	cfg.openLog = func(path string, apply func(payload []byte) bool) (*commitlog.Log, commitlog.Replay, error) {
-		return commitlog.OpenForTest(path, apply, noGroupCommit, d)
+		return commitlog.OpenForTest(path, apply, d)
 	}
 	return cfg
 }

@@ -142,13 +142,15 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 		mu  sync.Mutex
 		ran []int
 	)
-	d, _, err := newDaemon(Config{JournalPath: parent, JobWorkers: 1},
-		func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+	d, _, err := New(Config{
+		JournalPath: parent, JobWorkers: 1,
+		execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
 			mu.Lock()
 			defer mu.Unlock()
 			ran = append(ran, spec.Refs)
 			return fmt.Sprintf("rerun-%d", spec.Refs), nil
-		})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

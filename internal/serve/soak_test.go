@@ -66,15 +66,6 @@ func TestSoakConcurrentSubmissions(t *testing.T) {
 	}
 	const queueCap = 32
 
-	d, _, err := serve.New(serve.Config{
-		JournalPath: filepath.Join(t.TempDir(), "soak.journal"),
-		QueueCap:    queueCap,
-		JobWorkers:  4,
-		Logf:        func(string, ...any) {},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Gate the prefill jobs (recognized by their distinctive ref
 	// budget) inside the executor: they hold their worker until the
 	// flood below has provably met a full queue. Without the gate the
@@ -83,7 +74,12 @@ func TestSoakConcurrentSubmissions(t *testing.T) {
 	// as the journal-fsync'd submissions arrive, and the queue never
 	// fills on a loaded machine.
 	gate := make(chan struct{})
-	serve.SetExecuteForTest(d, func(ctx context.Context, spec serve.JobSpec, emit func(serve.StreamEvent)) (string, error) {
+	cfg := serve.ExecuteForTest(serve.Config{
+		JournalPath: filepath.Join(t.TempDir(), "soak.journal"),
+		QueueCap:    queueCap,
+		JobWorkers:  4,
+		Logf:        func(string, ...any) {},
+	}, func(ctx context.Context, spec serve.JobSpec, emit func(serve.StreamEvent)) (string, error) {
 		if spec.Refs >= 3_000 {
 			select {
 			case <-gate:
@@ -93,6 +89,10 @@ func TestSoakConcurrentSubmissions(t *testing.T) {
 		}
 		return serve.RunSpecStream(ctx, spec, 0, emit)
 	})
+	d, _, err := serve.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	addr, err := d.Start("127.0.0.1:0")
 	if err != nil {

@@ -286,8 +286,7 @@ func fakeStreamExec(first, rest []string, started chan<- struct{}, release <-cha
 func TestStreamReconnectReplaysFromStart(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
-	d.execute = fakeStreamExec([]string{"c0", "c1", "c2"}, []string{"c3", "c4"}, started, release)
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1, execute: fakeStreamExec([]string{"c0", "c1", "c2"}, []string{"c3", "c4"}, started, release)})
 	addr, err := d.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -338,12 +337,14 @@ func TestStreamSynthesizedAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	d1, _, err := New(Config{JournalPath: journal, QueueCap: 4, JobWorkers: 1})
+	d1, _, err := New(Config{
+		JournalPath: journal, QueueCap: 4, JobWorkers: 1,
+		execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			return enc.String(), nil
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	d1.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
-		return enc.String(), nil
 	}
 	st, err := d1.Submit(JobSpec{Cells: cells, Workers: 1})
 	if err != nil {
@@ -461,11 +462,10 @@ func TestStreamDroppedConnNoLeak(t *testing.T) {
 	verify := leakcheck.Check(t)
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	d, _, err := New(Config{JournalPath: tmpJournal(t), QueueCap: 4, JobWorkers: 1})
+	d, _, err := New(Config{JournalPath: tmpJournal(t), QueueCap: 4, JobWorkers: 1, execute: fakeStreamExec([]string{"c0"}, []string{"c1"}, started, release)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.execute = fakeStreamExec([]string{"c0"}, []string{"c1"}, started, release)
 	addr, err := d.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

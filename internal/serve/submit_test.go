@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"dice/internal/commitlog"
 	"dice/internal/experiments"
 )
 
@@ -19,10 +21,12 @@ import (
 // unknown field, an oversized body and a CIP table past the simulator's
 // bound are refused with 400 before any job exists.
 func TestSubmitBodies(t *testing.T) {
-	d := testDaemon(t, Config{QueueCap: 16, JobWorkers: 1})
-	d.execute = func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
-		return "", nil
-	}
+	d := testDaemon(t, Config{
+		QueueCap: 16, JobWorkers: 1,
+		execute: func(ctx context.Context, spec JobSpec, emit func(StreamEvent)) (string, error) {
+			return "", nil
+		},
+	})
 	ts := httptest.NewServer(d.Handler())
 	defer ts.Close()
 	defer ts.Client().CloseIdleConnections()
@@ -60,6 +64,41 @@ func TestSubmitBodies(t *testing.T) {
 	}
 	if n := len(d.Statuses()); n != accepted {
 		t.Fatalf("daemon holds %d jobs, want the %d accepted", n, accepted)
+	}
+}
+
+// A submit whose journal record cannot be made durable is refused and
+// leaves no trace: no listed job, no queue slot, and no count in
+// jobs_submitted, which counts only admissions whose submit record is
+// durable. The error wraps ErrJournal and the commit log's own.
+func TestJournalFailureRefusesAdmission(t *testing.T) {
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
+	if err := d.journal.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := d.Submit(JobSpec{Experiments: []string{"fig4"}})
+	if !errors.Is(err, ErrJournal) || !errors.Is(err, commitlog.ErrClosed) {
+		t.Fatalf("Submit on a closed journal: %v, want ErrJournal wrapping commitlog.ErrClosed", err)
+	}
+	if jobs := d.Statuses(); len(jobs) != 0 {
+		t.Fatalf("refused job is listed: %+v", jobs)
+	}
+	if st := d.Stats(); st.QueueDepth != 0 || st.Submitted != 0 {
+		t.Fatalf("stats after a refused admission: %+v, want depth 0 and nothing submitted", st)
+	}
+}
+
+// POST /jobs answers a failed journal append with 500, a server fault
+// the retrying client retries, not the 400 it gives a spec it rejects.
+func TestJournalFailureAnswers500(t *testing.T) {
+	d := testDaemon(t, Config{QueueCap: 4, JobWorkers: 1})
+	if err := d.journal.log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	d.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(`{"experiments":["fig4"]}`)))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %s", rec.Code, rec.Body)
 	}
 }
 
