@@ -62,7 +62,8 @@ test-race:
 	$(GO) test -race -timeout 90m ./...
 
 # Short fuzz pass over the validated-decompress boundary, the
-# event-vs-cycle simulation core equality oracle, the DRAM cache's
+# event-vs-cycle simulation core equality oracle (Results, cache
+# fingerprints, fault-stream positions and both DRAM devices), the DRAM cache's
 # occupancy-counter oracle, the L3 against its tick-LRU reference, the
 # DRAM bus window against its reference scheduler, the sweep-spec
 # parser, the commit log's replay of arbitrary file bytes, the

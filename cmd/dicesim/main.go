@@ -351,6 +351,11 @@ func printResult(r sim.Result) {
 		r.DDR.QueueStallCycles)
 	fmt.Printf("energy: total=%.3g power=%.3g EDP=%.3g\n",
 		r.Energy.Total(), r.Energy.Power(), r.Energy.EDP())
+	if r.Config.Prefetch != sim.PrefetchNone {
+		p := r.Prefetches
+		fmt.Printf("prefetches: triggered=%d issued=%d dropped past-footprint=%d l3-resident=%d throttled=%d\n",
+			p.Triggered, p.Issued, p.PastFootprint, p.L3Resident, p.Throttled)
+	}
 	if r.Config.FaultBER > 0 {
 		f := r.Fault
 		fmt.Printf("faults injected: frames=%d flipped-bits=%d corrected=%d detected=%d silent=%d\n",

@@ -337,8 +337,8 @@ func TestDICEMissSingleProbeOnAlloy(t *testing.T) {
 // TestFirstProbeLocMatchesRead: FirstProbeLoc names the channel the
 // next Read's first probe occupies, under every policy and either CIP
 // prediction, and asking it changes neither statistics nor predictor.
-// Cold misses on Alloy probe one set only, so the one channel whose
-// bus-free time moves is the first probe's.
+// Cold misses on Alloy probe one set only, so the one channel that
+// gains an in-flight request is the first probe's.
 func TestFirstProbeLocMatchesRead(t *testing.T) {
 	const sets = 4096
 	rng := rand.New(rand.NewPCG(5, 9))
@@ -360,16 +360,16 @@ func TestFirstProbeLocMatchesRead(t *testing.T) {
 			if loc.Channel != mem.Decode(line<<6).Channel {
 				differ++
 			}
-			var free [4]uint64
-			for ch := range free {
-				free[ch] = mem.NextBusFree(dram.Loc{Channel: ch})
-			}
 			now += 10_000
+			var queued [4]int
+			for ch := range queued {
+				queued[ch] = mem.InFlight(now, dram.Loc{Channel: ch})
+			}
 			if r := c.Read(now, line); r.Hit {
 				t.Fatalf("%v: cold read of %#x hit", policy, line)
 			}
-			for ch := range free {
-				moved := mem.NextBusFree(dram.Loc{Channel: ch}) != free[ch]
+			for ch := range queued {
+				moved := mem.InFlight(now, dram.Loc{Channel: ch}) != queued[ch]
 				if moved != (ch == loc.Channel) {
 					t.Fatalf("%v: line %#x read moved channel %d, FirstProbeLoc says channel %d",
 						policy, line, ch, loc.Channel)

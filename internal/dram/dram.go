@@ -504,43 +504,6 @@ func (m *Memory) AccessAddr(now uint64, addr uint64, write bool, burstBytes int)
 	return m.Access(now, m.Decode(addr), write, burstBytes)
 }
 
-// NextBusFree returns the cycle by which every current bus reservation
-// on loc's channel has drained — the channel's next bus-free epoch,
-// equal to the largest completion cycle Access has returned for the
-// channel (0 before any access). The bus window is kept sorted by both
-// start and end, so this is the last span's end, O(1). Event
-// schedulers use it (with NextCompletion) as a channel ready-time: no
-// new request on the channel can finish a burst before it.
-func (m *Memory) NextBusFree(loc Loc) uint64 {
-	ch := &m.channels[loc.Channel]
-	if ch.n == 0 {
-		return 0
-	}
-	return ch.busy[ch.n-1].end
-}
-
-// NextCompletion returns the earliest completion cycle among requests
-// currently queued on loc's channel — the channel's next in-flight-
-// completion epoch, found by a scan of the queue (completions are not
-// FIFO-ordered: the bus fills gaps, so a later request can finish
-// first). ok is false when the queue is empty (no epoch pending). Event
-// schedulers use it as the wakeup time at which queue-full stalls can
-// unblock.
-func (m *Memory) NextCompletion(loc Loc) (done uint64, ok bool) {
-	a, b := m.channels[loc.Channel].queued()
-	if len(a) == 0 {
-		return 0, false
-	}
-	done = a[0]
-	for _, t := range a {
-		done = min(done, t)
-	}
-	for _, t := range b {
-		done = min(done, t)
-	}
-	return done, true
-}
-
 // PeakBandwidth returns the aggregate peak bus bandwidth in bytes per CPU
 // cycle, used for reporting and sanity checks.
 func (m *Memory) PeakBandwidth() float64 {

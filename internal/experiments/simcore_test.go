@@ -63,7 +63,7 @@ func TestEventCoreMatchesReference(t *testing.T) {
 
 					var evSnaps, refSnaps []obs.Snapshot
 					evOb := &obs.Observer{Rec: obs.NewRecorder(20_000, func(s obs.Snapshot) { evSnaps = append(evSnaps, s) })}
-					evRes, _, err := sim.RunEventObserved(cfg, w, evOb)
+					evRes, err := sim.RunObserved(cfg, w, evOb)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -14,10 +14,7 @@
 // any experiment-pool worker count.
 package fault
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Policy selects the protection and degradation scheme.
 type Policy uint8
@@ -176,15 +173,32 @@ func New(cfg Config) (*Model, error) {
 		m.wordBits = 64
 	}
 	n, p := float64(m.wordBits), cfg.BER
-	q := math.Pow(1-p, n) // P(0 flips)
+	q := powN(1-p, m.wordBits) // P(0 flips)
 	// q1 and q2 are rounded (explicit float64) so the sums below never
 	// fuse with their last product into a multiply-add on any GOARCH.
-	q1 := float64(n * p * math.Pow(1-p, n-1)) // P(1 flip)
-	q2 := float64(n * (n - 1) / 2 * p * p * math.Pow(1-p, n-2))
+	q1 := float64(n * p * powN(1-p, m.wordBits-1)) // P(1 flip)
+	q2 := float64(n * (n - 1) / 2 * p * p * powN(1-p, m.wordBits-2))
 	m.p0 = q
 	m.p1 = q + q1
 	m.p2 = q + q1 + q2
 	return m, nil
+}
+
+// powN returns x**n by LSB-first square-and-multiply: the loop that
+// math.Pow's portable Go runs for an integer exponent. That loop also
+// rescales by exact powers of two, which changes no bit while every
+// intermediate stays a normal float, as it does for x = 1-BER ≥ 0.9
+// and n ≤ 72, so powN equals it there. Unlike math.Pow, which is
+// assembly on s390x, powN is the same code on every GOARCH.
+func powN(x float64, n int) float64 {
+	r := 1.0
+	for ; n > 0; n >>= 1 {
+		if n&1 == 1 {
+			r *= x
+		}
+		x *= x
+	}
+	return r
 }
 
 // Policy returns the protection scheme.

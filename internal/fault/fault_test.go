@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -231,6 +233,29 @@ func TestTickCountsDraws(t *testing.T) {
 	for i := 0; i < 1_000; i++ {
 		if a, b := m.ReadFrame(80), other.ReadFrame(80); a != b {
 			t.Fatalf("frame %d: aligned ticks diverged (%v vs %v)", i, a, b)
+		}
+	}
+}
+
+// TestPowNMatchesPow pins powN to math.Pow's portable Go, bit for bit,
+// at the flip-probability exponents New uses (72-bit SECDED words, 64
+// unprotected bits, and each less one and two) over the BERs the
+// catalog runs and a log sweep of the valid range. On s390x math.Pow is
+// assembly, which is the reason powN exists, so there is nothing to
+// pin it to.
+func TestPowNMatchesPow(t *testing.T) {
+	if runtime.GOARCH == "s390x" {
+		t.Skip("math.Pow is assembly on s390x")
+	}
+	bers := []float64{3e-4, 3e-3, MaxBER}
+	for ber := 1e-12; ber < MaxBER; ber *= 1.01 {
+		bers = append(bers, ber)
+	}
+	for _, ber := range bers {
+		for _, n := range []int{62, 63, 64, 70, 71, 72} {
+			if got, want := powN(1-ber, n), math.Pow(1-ber, float64(n)); got != want {
+				t.Fatalf("powN(1-%g, %d) = %v, math.Pow = %v", ber, n, got, want)
+			}
 		}
 	}
 }

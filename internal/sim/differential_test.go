@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dice/internal/dcache"
-	"dice/internal/dram"
 	"dice/internal/obs"
 	"dice/internal/workloads"
 )
@@ -15,16 +14,17 @@ import (
 // core and the cycle-stepped reference and require the two machines to
 // be indistinguishable afterwards — not just equal Results, but equal
 // cache contents (dcache.Fingerprint), aligned fault-draw streams
-// (fault.Model.Tick), matching DRAM channel ready-times
-// (dram.NextBusFree/NextCompletion on both devices), and byte-identical
-// epoch exports.
+// (fault.Model.Tick), deeply equal DRAM devices (bus windows, queue
+// rings, banks and stats), and byte-identical epoch exports.
 
 // diffRun is one config run on both cores: the finished states, their
-// results, the event core's stats, and each core's epoch series.
+// results, the event core's stats, the reference's idle-cycle count,
+// and each core's epoch series.
 type diffRun struct {
 	ev, ref           *runState
 	evRes, refRes     Result
 	es                EventStats
+	refIdle           uint64
 	evSnaps, refSnaps []obs.Snapshot
 }
 
@@ -48,7 +48,7 @@ func runDiff(t *testing.T, cfg Config, w workloads.Workload, epoch uint64) *diff
 	if d.ref, err = prepare(cfg, w, refOb); err != nil {
 		t.Fatal(err)
 	}
-	runReference(d.ref)
+	d.refIdle = runReference(d.ref)
 	d.refRes = d.ref.result()
 	return d
 }
@@ -68,26 +68,13 @@ func checkMachinesEqual(t *testing.T, ev, ref *runState) {
 			t.Errorf("fault draw streams diverged: tick %d vs %d", et2, rt)
 		}
 	}
-	for _, pair := range []struct {
-		name   string
-		em, rm *dram.Memory
-	}{
-		{"hbm", ev.m.hbm, ref.m.hbm},
-		{"ddr", ev.m.ddr, ref.m.ddr},
-	} {
-		chans := pair.em.Config().Channels
-		for c := 0; c < chans; c++ {
-			loc := dram.Loc{Channel: c}
-			if a, b := pair.em.NextBusFree(loc), pair.rm.NextBusFree(loc); a != b {
-				t.Errorf("%s ch%d NextBusFree diverged: %d vs %d", pair.name, c, a, b)
-			}
-			an, aok := pair.em.NextCompletion(loc)
-			bn, bok := pair.rm.NextCompletion(loc)
-			if aok != bok || an != bn {
-				t.Errorf("%s ch%d NextCompletion diverged: (%d,%v) vs (%d,%v)",
-					pair.name, c, an, aok, bn, bok)
-			}
-		}
+	// Both DRAM devices: every channel's bus window, queue ring and
+	// banks, and the device statistics.
+	if !reflect.DeepEqual(ev.m.hbm, ref.m.hbm) {
+		t.Error("stacked-DRAM device state diverged")
+	}
+	if !reflect.DeepEqual(ev.m.ddr, ref.m.ddr) {
+		t.Error("main-memory device state diverged")
 	}
 }
 
@@ -149,8 +136,9 @@ func TestEventCoreMatchesReferenceInternals(t *testing.T) {
 			if es.CoreEvents != wantCore {
 				t.Errorf("CoreEvents = %d, want %d", es.CoreEvents, wantCore)
 			}
-			if want := uint64(len(d.evSnaps)); es.EpochEvents != want {
-				t.Errorf("EpochEvents = %d, want %d (snapshots recorded)", es.EpochEvents, want)
+			if es.CyclesSkipped != d.refIdle {
+				t.Errorf("CyclesSkipped = %d, want %d (cycles in which the reference stepped no core)",
+					es.CyclesSkipped, d.refIdle)
 			}
 			if es.CyclesSkipped == 0 {
 				t.Error("CyclesSkipped = 0: the event core never skipped an idle cycle")
@@ -189,8 +177,8 @@ func TestWarmResetEpochAlignment(t *testing.T) {
 		}
 	}
 	// Boundaries must be the exact multiples of the epoch length: the
-	// event core schedules them as events rather than polling, and must
-	// not drift.
+	// event core skips the cycles between references, and recording must
+	// not drift with it.
 	for i, s := range evSnaps {
 		if want := uint64(i+1) * 5_000; s.EndCycle != want {
 			t.Fatalf("epoch %d ends at cycle %d, want %d", i, s.EndCycle, want)

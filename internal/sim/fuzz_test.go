@@ -55,7 +55,8 @@ func fuzzConfig(knobs uint32, refs16 uint16, faultSel uint64) Config {
 // config knobs and short reference streams: for any reachable
 // configuration, the discrete-event core and the cycle-stepped
 // reference must produce deeply equal Results and leave
-// indistinguishable machines (cache fingerprint, fault-stream tick).
+// indistinguishable machines (checkMachinesEqual: cache fingerprint,
+// fault-stream tick, and deeply equal DRAM devices).
 // The event core is meant to run on recycled L4 set storage, dirtied by
 // a second fuzz-derived configuration of the same geometry run to
 // completion and released first, and the reference core on fresh
@@ -116,12 +117,6 @@ func FuzzEventSchedule(f *testing.F) {
 		if !reflect.DeepEqual(evRes, refRes) {
 			t.Fatalf("cores diverged under cfg %+v:\nevent: %+v\nref:   %+v", cfg, evRes, refRes)
 		}
-		if ef, rf := evSt.m.l4.Fingerprint(), refSt.m.l4.Fingerprint(); ef != rf {
-			t.Fatalf("cache fingerprints diverged under cfg %+v: %#x vs %#x", cfg, ef, rf)
-		}
-		if evSt.fm != nil && evSt.fm.Tick() != refSt.fm.Tick() {
-			t.Fatalf("fault streams diverged under cfg %+v: tick %d vs %d",
-				cfg, evSt.fm.Tick(), refSt.fm.Tick())
-		}
+		checkMachinesEqual(t, evSt, refSt)
 	})
 }

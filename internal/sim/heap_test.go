@@ -6,41 +6,27 @@ import (
 )
 
 // TestEventHeapOrdering checks the hand-rolled heap pops events in
-// (when, kind, core-index) order — the strict total order the event
-// core's determinism rests on — across random push/pop interleavings
-// mixing core and epoch events.
+// (when, core-index) order — the strict total order the event core's
+// determinism rests on — across random push/pop interleavings.
 func TestEventHeapOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(16)
 		var h eventHeap
 		for i := 0; i < n; i++ {
-			ev := schedEvent{when: uint64(rng.Intn(8))}
-			if rng.Intn(4) == 0 {
-				ev.kind = evEpoch
-			} else {
-				ev.kind = evCore
-				ev.c = &core{idx: i}
-			}
-			h = append(h, ev)
-		}
-		// Heapify by re-pushing (append above built an arbitrary slice).
-		raw := append(eventHeap(nil), h...)
-		h = h[:0]
-		for _, ev := range raw {
-			h.push(ev)
+			h.push(schedEvent{when: uint64(rng.Intn(8)), c: &core{idx: i}})
 		}
 		var prev *schedEvent
 		for len(h) > 0 {
 			ev := h.pop()
 			if prev != nil && ev.before(*prev) {
 				t.Fatalf("trial %d: popped (%d,%d) after (%d,%d)",
-					trial, ev.when, ev.kind, prev.when, prev.kind)
+					trial, ev.when, ev.c.idx, prev.when, prev.c.idx)
 			}
 			p := ev
 			prev = &p
 			// Re-push with a later time half the time, like the scheduler.
-			if ev.kind == evCore && rng.Intn(2) == 0 && len(h) < n {
+			if rng.Intn(2) == 0 && len(h) < n {
 				ev.when += uint64(1 + rng.Intn(4))
 				h.push(ev)
 				prev = nil
@@ -49,39 +35,24 @@ func TestEventHeapOrdering(t *testing.T) {
 	}
 }
 
-// TestEventHeapSameCycleOrder pins the same-cycle tie-breaks the
-// determinism argument depends on: epoch events precede core events at
-// an equal cycle, and same-cycle core events dispatch in core-index
-// order.
+// TestEventHeapSameCycleOrder pins the same-cycle tie-break the
+// determinism argument depends on: same-cycle core events dispatch in
+// core-index order.
 func TestEventHeapSameCycleOrder(t *testing.T) {
 	var h eventHeap
 	for _, idx := range []int{5, 2, 7, 0, 3} {
-		h.push(schedEvent{when: 10, kind: evCore, c: &core{idx: idx}})
+		h.push(schedEvent{when: 10, c: &core{idx: idx}})
 	}
-	h.push(schedEvent{when: 10, kind: evEpoch})
-	h.push(schedEvent{when: 9, kind: evCore, c: &core{idx: 6}})
+	h.push(schedEvent{when: 9, c: &core{idx: 6}})
 
 	want := []struct {
 		when uint64
-		kind eventKind
 		idx  int
-	}{
-		{9, evCore, 6},
-		{10, evEpoch, -1},
-		{10, evCore, 0},
-		{10, evCore, 2},
-		{10, evCore, 3},
-		{10, evCore, 5},
-		{10, evCore, 7},
-	}
+	}{{9, 6}, {10, 0}, {10, 2}, {10, 3}, {10, 5}, {10, 7}}
 	for i, w := range want {
-		ev := h.pop()
-		if ev.when != w.when || ev.kind != w.kind {
-			t.Fatalf("pop %d: got (when=%d, kind=%d), want (when=%d, kind=%d)",
-				i, ev.when, ev.kind, w.when, w.kind)
-		}
-		if w.kind == evCore && ev.c.idx != w.idx {
-			t.Fatalf("pop %d: got core %d, want core %d", i, ev.c.idx, w.idx)
+		if ev := h.pop(); ev.when != w.when || ev.c.idx != w.idx {
+			t.Fatalf("pop %d: got (when=%d, core %d), want (when=%d, core %d)",
+				i, ev.when, ev.c.idx, w.when, w.idx)
 		}
 	}
 	if len(h) != 0 {
@@ -89,15 +60,14 @@ func TestEventHeapSameCycleOrder(t *testing.T) {
 	}
 }
 
-// TestEventHeapPopClearsSlot is the regression test for the heap-slot
-// leak carried over from the retired coreHeap: pop must nil the vacated
-// slot's core pointer so the last-popped *core doesn't stay reachable
-// (pinning the core and everything it references) for as long as the
-// slice's backing array lives.
+// TestEventHeapPopClearsSlot is the regression test for a heap-slot
+// leak: pop must nil the vacated slot's core pointer so the last-popped
+// *core doesn't stay reachable (pinning the core and everything it
+// references) for as long as the slice's backing array lives.
 func TestEventHeapPopClearsSlot(t *testing.T) {
 	h := make(eventHeap, 0, 8)
 	for i := 0; i < 8; i++ {
-		h.push(schedEvent{when: uint64(100 - i), kind: evCore, c: &core{idx: i}})
+		h.push(schedEvent{when: uint64(100 - i), c: &core{idx: i}})
 	}
 	for len(h) > 0 {
 		h.pop()

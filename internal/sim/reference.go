@@ -2,8 +2,10 @@
 // discipline the event core is differentially tested against. The
 // global clock advances one virtual cycle at a time; every cycle, each
 // core is polled in index order and stepped if its clock has arrived.
-// No clock-skipping, no event heap — just the textbook loop. It stays
-// in the tree build-tag-free as the differential-testing oracle.
+// No clock-skipping, no event heap — just the textbook loop; epoch
+// boundaries are recorded inside processRef, as under the event core.
+// It stays in the tree build-tag-free as the differential-testing
+// oracle.
 package sim
 
 import (
@@ -12,30 +14,30 @@ import (
 )
 
 // runReference drives the prepared state to completion one cycle at a
-// time. Cores are visited in (clock, index) order by construction —
-// the per-cycle index scan — which is exactly the event heap's dispatch
-// order, so both cores produce byte-identical results.
-func runReference(st *runState) {
+// time and returns how many cycles stepped no core. Cores are visited
+// in (clock, index) order by construction — the per-cycle index scan —
+// which is exactly the event heap's dispatch order, so both cores
+// produce byte-identical results.
+func runReference(st *runState) (idle uint64) {
 	remaining := len(st.cs)
 	done := make([]bool, len(st.cs))
 	for now := uint64(0); remaining > 0; now++ {
+		stepped := false
 		for _, c := range st.cs {
 			if done[c.idx] || c.clock != now {
 				continue
 			}
-			// Record any due epoch boundaries before stepping, exactly as
-			// the pre-event-core loop did at each heap pop.
-			if st.et != nil {
-				for st.et.rec.Due(c.clock) {
-					st.et.record()
-				}
-			}
+			stepped = true
 			if !st.processRef(c) {
 				done[c.idx] = true
 				remaining--
 			}
 		}
+		if !stepped {
+			idle++
+		}
 	}
+	return idle
 }
 
 // RunReference executes workload w under cfg on the cycle-stepped
@@ -52,7 +54,5 @@ func RunReferenceObserved(cfg Config, w workloads.Workload, ob *obs.Observer) (R
 		return Result{}, err
 	}
 	runReference(st)
-	res := st.result()
-	st.m.l4.Release()
-	return res, nil
+	return st.finish(), nil
 }

@@ -10,7 +10,7 @@ import (
 // Quick-checks for the scheduler primitives, pinned against a naive
 // sorted-slice reference scheduler (the same pattern as the dram
 // reserveBus quick-checks): every dispatch order the heap produces must
-// match a stable sort under the (when, kind, core-index) total order.
+// match a stable sort under the (when, core-index) total order.
 
 // naiveSched is the executable specification: a plain slice re-sorted
 // before every pop with a stable comparator over the same total order
@@ -28,9 +28,9 @@ func (n *naiveSched) pop() schedEvent {
 	return e
 }
 
-// sameEvent compares dispatch identity (when, kind, core).
+// sameEvent compares dispatch identity (when, core).
 func sameEvent(a, b schedEvent) bool {
-	return a.when == b.when && a.kind == b.kind && a.c == b.c
+	return a.when == b.when && a.c == b.c
 }
 
 // TestQuickSchedulerMatchesNaive drives random event streams — pushes
@@ -43,14 +43,8 @@ func TestQuickSchedulerMatchesNaive(t *testing.T) {
 		coresPool[i] = &core{idx: i}
 	}
 	event := func(v uint16) schedEvent {
-		ev := schedEvent{when: uint64(v % 7)} // tiny range: force ties
-		if v%5 == 0 {
-			ev.kind = evEpoch
-		} else {
-			ev.kind = evCore
-			ev.c = coresPool[int(v)%len(coresPool)]
-		}
-		return ev
+		// Tiny range: force ties.
+		return schedEvent{when: uint64(v % 7), c: coresPool[int(v)%len(coresPool)]}
 	}
 	f := func(ops []uint16) bool {
 		var h eventHeap
@@ -100,7 +94,7 @@ func TestQuickWakeupCoalescing(t *testing.T) {
 		var h eventHeap
 		for i := range cs {
 			cs[i] = &core{idx: i}
-			h.push(schedEvent{when: 0, kind: evCore, c: cs[i]})
+			h.push(schedEvent{when: 0, c: cs[i]})
 		}
 		lastPer := map[*core]uint64{}
 		first := map[*core]bool{cs[0]: true, cs[1]: true, cs[2]: true, cs[3]: true}
@@ -143,23 +137,21 @@ func TestQuickWakeupCoalescing(t *testing.T) {
 func TestEmptyQueueIdleSkip(t *testing.T) {
 	var h eventHeap
 	c := &core{idx: 0}
-	h.push(schedEvent{when: 0, kind: evCore, c: c})
+	h.push(schedEvent{when: 0, c: c})
 
 	wakeups := []uint64{1_000, 1_000_000, 1_000_001, 5_000_000}
-	now := uint64(0)
+	next := uint64(0) // runEvent's accounting
 	var skipped, dispatched uint64
 	i := 0
 	for len(h) > 0 {
 		ev := h.pop()
-		if ev.when > now+1 {
-			skipped += ev.when - now - 1
-		}
-		if ev.when > now {
-			now = ev.when
+		if ev.when >= next {
+			skipped += ev.when - next
+			next = ev.when + 1
 		}
 		dispatched++
 		if i < len(wakeups) {
-			h.push(schedEvent{when: wakeups[i], kind: evCore, c: c})
+			h.push(schedEvent{when: wakeups[i], c: c})
 			i++
 		}
 	}
@@ -191,13 +183,7 @@ func TestSchedulerRandomSoak(t *testing.T) {
 			}
 			continue
 		}
-		ev := schedEvent{when: uint64(rng.Intn(1 << 20))}
-		if rng.Intn(8) == 0 {
-			ev.kind = evEpoch
-		} else {
-			ev.kind = evCore
-			ev.c = coresPool[rng.Intn(len(coresPool))]
-		}
+		ev := schedEvent{when: uint64(rng.Intn(1 << 20)), c: coresPool[rng.Intn(len(coresPool))]}
 		h.push(ev)
 		n.push(ev)
 	}

@@ -243,6 +243,29 @@ type Result struct {
 	// EffCapacity is the average L4 effective-capacity multiplier sampled
 	// over the measured window (Table 5).
 	EffCapacity float64
+	// Prefetches counts the L3 prefetches of Table 7 over the measured
+	// window (all zero under PrefetchNone).
+	Prefetches PrefetchStats
+}
+
+// PrefetchStats counts L3 prefetch candidates by outcome. Each
+// candidate ends in exactly one outcome, so Triggered equals
+// PastFootprint + L3Resident + Throttled + Issued.
+type PrefetchStats struct {
+	// Triggered counts candidates: one per demand L3 miss under a
+	// prefetch mode.
+	Triggered uint64
+	// PastFootprint counts candidates dropped because the line lies
+	// past the core's workload footprint.
+	PastFootprint uint64
+	// L3Resident counts candidates dropped because the line is already
+	// in the L3.
+	L3Resident uint64
+	// Throttled counts candidates dropped because more than
+	// QueueDepth/8 requests were in flight on the target HBM channel.
+	Throttled uint64
+	// Issued counts prefetches sent to the memory system.
+	Issued uint64
 }
 
 // Speedup returns the weighted speedup of test over base: the mean of
@@ -285,6 +308,7 @@ type machine struct {
 	ddr   *dram.Memory
 	mapi  *dcache.MAPI
 	insts []workloads.Instance
+	pf    PrefetchStats
 
 	// First-touch page translation. Each core's table maps its virtual
 	// page number directly to physical page + 1 (0 = unallocated) — a
@@ -365,8 +389,12 @@ func Run(cfg Config, w workloads.Workload) (Result, error) {
 // reference (RunReferenceObserved) produces byte-identical Results and
 // epoch exports for every (cfg, w) — the differential tests enforce it.
 func RunObserved(cfg Config, w workloads.Workload, ob *obs.Observer) (Result, error) {
-	res, _, err := RunEventObserved(cfg, w, ob)
-	return res, err
+	st, err := prepare(cfg, w, ob)
+	if err != nil {
+		return Result{}, err
+	}
+	runEvent(st)
+	return st.finish(), nil
 }
 
 // step processes one reference of core c, advancing its clock.
@@ -414,16 +442,21 @@ func (m *machine) step(c *core) {
 // prefetch's read would probe first (sets are 72-byte frames, so it is
 // not the channel of the line's own address).
 func (m *machine) prefetch(now uint64, c *core, vline uint64) {
+	m.pf.Triggered++
 	if vline >= c.inst.FootprintLines {
+		m.pf.PastFootprint++
 		return
 	}
 	pa := m.translate(c.idx, vline)
 	if m.l3.Contains(pa) {
+		m.pf.L3Resident++
 		return
 	}
 	if m.hbm.InFlight(now, m.l4.FirstProbeLoc(pa)) > m.hbm.Config().QueueDepth/8 {
+		m.pf.Throttled++
 		return
 	}
+	m.pf.Issued++
 	m.accessMemSystem(now, pa, false, false)
 }
 

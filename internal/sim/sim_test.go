@@ -268,6 +268,25 @@ func TestPrefetchModesRun(t *testing.T) {
 	}
 }
 
+// TestPrefetchCountersSum checks every prefetch candidate is counted
+// in exactly one outcome: the three drops plus the issued prefetches
+// equal the triggers, on a next-line and a 128B cell; with prefetching
+// off every counter stays zero.
+func TestPrefetchCountersSum(t *testing.T) {
+	for _, mode := range []PrefetchMode{PrefetchNextLine, PrefetchWide128} {
+		p := run(t, "libq", Config{Policy: dcache.PolicyDICE, Prefetch: mode, RefsPerCore: 5_000}).Prefetches
+		if p.Triggered == 0 || p.Issued == 0 {
+			t.Fatalf("mode %d: no prefetch triggered or issued: %+v", mode, p)
+		}
+		if sum := p.PastFootprint + p.L3Resident + p.Throttled + p.Issued; sum != p.Triggered {
+			t.Fatalf("mode %d: drops plus issued = %d, triggered = %d (%+v)", mode, sum, p.Triggered, p)
+		}
+	}
+	if p := run(t, "libq", Config{Policy: dcache.PolicyDICE, RefsPerCore: 5_000}).Prefetches; p != (PrefetchStats{}) {
+		t.Fatalf("prefetching off counted %+v", p)
+	}
+}
+
 func TestMixWorkloadRuns(t *testing.T) {
 	w := workloads.Mixes()[0]
 	r, err := Run(Config{Policy: dcache.PolicyDICE, RefsPerCore: quickRefs}, w)

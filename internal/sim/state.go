@@ -1,12 +1,13 @@
 // Shared run state: everything a simulation core needs that is not the
 // scheduling discipline itself. prepare assembles the machine, cores
-// and phase bookkeeping; processRef advances one core by one reference
-// (warmup accounting included); result folds the finished state into a
-// Result. Both the event core (event.go) and the cycle-stepped
-// reference core (reference.go) drive exactly these three hooks, which
-// is the structural half of the byte-identical-results guarantee — the
-// other half is that both cores process references in the same
-// (clock, core-index) order.
+// and phase bookkeeping; processRef records the epoch boundaries due at
+// a core's clock and advances the core by one reference (warmup
+// accounting included); result folds the finished state into a Result.
+// Both the event core (event.go) and the cycle-stepped reference core
+// (reference.go) drive exactly these hooks, which is the structural
+// half of the byte-identical-results guarantee — the other half is
+// that both cores process references in the same (clock, core-index)
+// order.
 package sim
 
 import (
@@ -156,9 +157,7 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 		warmClock: make([]uint64, cores),
 	}
 
-	// Epoch sampling rides the cores' virtual clocks: references are
-	// processed in nondecreasing clock order, so boundaries are crossed
-	// in order under either scheduling discipline.
+	// Epoch sampling rides the cores' virtual clocks (see processRef).
 	if rec := ob.Recorder(); rec != nil {
 		st.et = newEpochTracker(rec, m, fm, cs)
 	}
@@ -171,13 +170,19 @@ func prepare(cfg Config, w workloads.Workload, ob *obs.Observer) (*runState, err
 }
 
 // processRef executes one reference on core c — the loop body shared by
-// both simulation cores: step the machine, account warmup (resetting
-// shared-structure stats once every core is warm), and sample effective
-// capacity. It reports whether c still has references to run. Epoch
-// recording is NOT done here: each core decides when boundaries are due
-// (that is precisely the scheduling discipline), but both must call
-// st.et.record() at the same points in the reference order.
+// both simulation cores: record every epoch boundary due at c's clock,
+// step the machine, account warmup (resetting shared-structure stats
+// once every core is warm), and sample effective capacity. It reports
+// whether c still has references to run. References run in
+// nondecreasing clock order, so boundaries are recorded in order, each
+// with the machine state as of the last reference before it, and none
+// past the final reference's clock.
 func (st *runState) processRef(c *core) bool {
+	if st.et != nil {
+		for st.et.rec.Due(c.clock) {
+			st.et.record()
+		}
+	}
 	m := st.m
 	m.step(c)
 	c.refsDone++
@@ -192,6 +197,7 @@ func (st *runState) processRef(c *core) bool {
 			m.l4.ResetStats()
 			m.hbm.ResetStats()
 			m.ddr.ResetStats()
+			m.pf = PrefetchStats{}
 			if st.fm != nil {
 				// Counters restart with the measured window; the fault
 				// stream itself keeps advancing (no tick rewind).
@@ -259,5 +265,14 @@ func (st *runState) result() Result {
 		res.Fault = st.fm.Stats()
 	}
 	res.QuarantinedSets = m.l4.QuarantineCount()
+	res.Prefetches = m.pf
+	return res
+}
+
+// finish returns the run's Result and releases the L4 set storage for
+// reuse; the state must not be read afterwards.
+func (st *runState) finish() Result {
+	res := st.result()
+	st.m.l4.Release()
 	return res
 }
