@@ -61,9 +61,12 @@ test:
 test-race:
 	$(GO) test -race -timeout 90m ./...
 
-# Short fuzz pass over the validated-decompress boundary, the
-# event-vs-cycle simulation core equality oracle (Results, cache
-# fingerprints, fault-stream positions and both DRAM devices), the DRAM cache's
+# Short fuzz pass over the validated-decompress boundary (every
+# accepted encoding matches its checksum), the compress round trip
+# under the hybrid, FPC-only and BDI-only compressors (lines and pairs
+# decode at exactly their reported sizes), the event-vs-cycle
+# simulation core equality oracle (Results, cache fingerprints,
+# fault-stream positions and both DRAM devices), the DRAM cache's
 # occupancy-counter oracle, the L3 against its tick-LRU reference, the
 # DRAM bus window against its reference scheduler, the sweep-spec
 # parser, the commit log's replay of arbitrary file bytes, the

@@ -245,7 +245,7 @@ func BenchmarkCompressFPC(b *testing.B) {
 	lines := benchLines()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compress.FPC{}.Compress(lines[i%len(lines)])
+		compress.Compress(compress.AlgFPC, lines[i%len(lines)])
 	}
 }
 
@@ -254,7 +254,7 @@ func BenchmarkCompressBDI(b *testing.B) {
 	lines := benchLines()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compress.BDI{}.Compress(lines[i%len(lines)])
+		compress.Compress(compress.AlgBDI, lines[i%len(lines)])
 	}
 }
 
@@ -263,7 +263,7 @@ func BenchmarkCompressHybrid(b *testing.B) {
 	lines := benchLines()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		compress.CompressBest(lines[i%len(lines)])
+		compress.Compress(compress.AlgNone, lines[i%len(lines)])
 	}
 }
 

@@ -116,4 +116,7 @@ func main() {
 	fmt.Printf("  single <= 32B: %5.1f%%\n", 100*float64(c.Le32)/float64(c.Lines))
 	fmt.Printf("  single <= 36B: %5.1f%%\n", 100*float64(c.Le36)/float64(c.Lines))
 	fmt.Printf("  double <= 68B: %5.1f%%\n", 100*float64(c.Pair68)/float64(c.Pairs))
+	fmt.Printf("where FPC matters (hybrid vs BDI alone):\n")
+	fmt.Printf("  FPC smaller:  %5.1f%%\n", 100*float64(c.FPCSmaller)/float64(c.Lines))
+	fmt.Printf("  <= 36B by FPC:%5.1f%%\n", 100*float64(c.FPCCrosses36)/float64(c.Lines))
 }

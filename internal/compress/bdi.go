@@ -1,12 +1,10 @@
 package compress
 
-import "encoding/binary"
-
-// BDI implements Base-Delta compression in the style of Base-Delta-
-// Immediate (Pekhimenko et al., PACT 2012). A line is viewed as an array
-// of k-byte values; if every value is within a small signed delta of the
-// line's base (its first value), the line is stored as the base plus
-// narrow per-value deltas:
+// Base-Delta compression in the style of Base-Delta-Immediate
+// (Pekhimenko et al., PACT 2012). A line is viewed as an array of k-byte
+// values; if every value is within a small signed delta of the line's
+// base (its first value), the line is stored as the base plus narrow
+// per-value deltas:
 //
 //	[base: k bytes][deltas: n*d bytes]   n = 64/k values
 //
@@ -15,7 +13,6 @@ import "encoding/binary"
 // rep=8 bytes. (The "immediate" zero-base of full B∆I needs a per-value
 // base-select bitmap; we omit it so that on-disk sizes match the
 // published ones — mixed pointer/zero lines fall back to FPC or raw.)
-type BDI struct{}
 
 // BDI sub-modes (stored in Encoding.Mode).
 const (
@@ -59,48 +56,17 @@ func bdiEncodedSize(mode uint8) int {
 	return k + (LineSize/k)*d
 }
 
-// Compress encodes a 64-byte line, or reports ok false when no mode
-// fits. Modes are ordered by encoded size, so the first success is the
-// smallest encoding.
-func (BDI) Compress(line []byte) (Encoding, bool) {
-	mustLine(line)
-	if payload, ok := bdiTryRep(line); ok {
-		return Encoding{Alg: AlgBDI, Mode: BDIRep, Payload: payload}, true
+// bdiEncode writes line's BDI payload in mode: the repeated value for
+// BDIRep, else the line's first value as the base followed by every
+// value's delta. It checks nothing; bdiSizeOnly has already found that
+// mode is the first one whose deltas fit.
+func bdiEncode(line []byte, mode uint8) []byte {
+	if mode == BDIRep {
+		return cloneBytes(line[:8])
 	}
-	for mode := BDIB8D1; mode < bdiModeCount; mode++ {
-		if payload, ok := bdiTryMode(line, mode); ok {
-			return Encoding{Alg: AlgBDI, Mode: mode, Payload: payload}, true
-		}
-	}
-	return Encoding{}, false
-}
-
-// bdiTryRep checks for a line consisting of one repeated 8-byte value.
-func bdiTryRep(line []byte) ([]byte, bool) {
-	first := binary.LittleEndian.Uint64(line[:8])
-	for i := 8; i < LineSize; i += 8 {
-		if binary.LittleEndian.Uint64(line[i:i+8]) != first {
-			return nil, false
-		}
-	}
-	payload := make([]byte, 8)
-	binary.LittleEndian.PutUint64(payload, first)
-	return payload, true
-}
-
-// bdiTryMode attempts one base+delta geometry with the line's first value
-// as the base.
-func bdiTryMode(line []byte, mode uint8) ([]byte, bool) {
 	k, _ := bdiGeometry(mode)
 	base := int64(readUint(line[:k], k))
-	rest, ok := bdiTryModeWithBase(line, mode, base)
-	if !ok {
-		return nil, false
-	}
-	payload := make([]byte, bdiEncodedSize(mode))
-	writeUint(payload[:k], uint64(base), k)
-	copy(payload[k:], rest)
-	return payload, true
+	return append(cloneBytes(line[:k]), bdiDeltas(line, mode, base)...)
 }
 
 // readUint reads a little-endian unsigned integer of size k from b. The

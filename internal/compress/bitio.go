@@ -26,9 +26,6 @@ func (w *bitWriter) WriteBits(v uint64, n uint) {
 // Bytes returns the packed bytes written so far.
 func (w *bitWriter) Bytes() []byte { return w.buf }
 
-// Bits returns the number of bits written.
-func (w *bitWriter) Bits() uint { return w.nbit }
-
 // bitReader unpacks values MSB-first from a byte slice.
 type bitReader struct {
 	buf  []byte

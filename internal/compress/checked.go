@@ -14,23 +14,17 @@ import (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// LineSum is the per-line checksum carried by checked encodings: CRC-32C
-// over the original 64 bytes, with zero remapped so that Sum == 0 always
-// means "no checksum present". (The remap costs one alias in 2^32 —
-// negligible next to the SECDED escape rate it backstops.)
+// LineSum is the per-line checksum every encoding carries: CRC-32C over
+// the original 64 bytes.
 func LineSum(line []byte) uint32 {
-	s := crc32.Checksum(line, crcTable)
-	if s == 0 {
-		s = 1
-	}
-	return s
+	return crc32.Checksum(line, crcTable)
 }
 
 // DecompressChecked decodes any single-line encoding produced by
-// CompressBest, validating structure before touching the payload and
-// verifying the line checksum (when present) after decoding. It
-// returns an error instead of panicking, so corrupted cache frames are
-// detected rather than crashing the simulator.
+// Compress, validating structure before touching the payload and
+// verifying the line checksum after decoding. It returns an error
+// instead of panicking, so corrupted cache frames are detected rather
+// than crashing the simulator.
 func DecompressChecked(enc Encoding) ([]byte, error) {
 	var out []byte
 	switch enc.Alg {
@@ -61,7 +55,7 @@ func DecompressChecked(enc Encoding) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("compress: unknown algorithm %v", enc.Alg)
 	}
-	if enc.Sum != 0 && LineSum(out) != enc.Sum {
+	if LineSum(out) != enc.Sum {
 		return nil, fmt.Errorf("compress: %v payload fails line checksum", enc.Alg)
 	}
 	return out, nil

@@ -36,38 +36,32 @@ func splitmixByte(i int) uint64 {
 	return x * 0x94D049BB133111EB >> 56
 }
 
-func TestLineSumNeverZero(t *testing.T) {
-	for _, line := range sampleLines() {
-		if LineSum(line) == 0 {
-			t.Fatal("LineSum returned the no-checksum sentinel")
-		}
-	}
-}
-
 func TestDecompressCheckedRoundTrip(t *testing.T) {
-	for i, line := range sampleLines() {
-		enc := CompressBest(line)
-		if enc.Sum == 0 {
-			t.Fatalf("line %d: CompressBest left no checksum", i)
-		}
-		got, err := DecompressChecked(enc)
-		if err != nil {
-			t.Fatalf("line %d (%v): %v", i, enc.Alg, err)
-		}
-		if !bytes.Equal(got, line) {
-			t.Fatalf("line %d (%v): round trip mismatch", i, enc.Alg)
+	for _, alg := range compressors {
+		for i, line := range sampleLines() {
+			enc := Compress(alg, line)
+			if enc.Sum != LineSum(line) {
+				t.Fatalf("%v line %d: Sum %#x, want LineSum %#x", alg, i, enc.Sum, LineSum(line))
+			}
+			got, err := DecompressChecked(enc)
+			if err != nil {
+				t.Fatalf("%v line %d (%v): %v", alg, i, enc.Alg, err)
+			}
+			if !bytes.Equal(got, line) {
+				t.Fatalf("%v line %d (%v): round trip mismatch", alg, i, enc.Alg)
+			}
 		}
 	}
 }
 
 func TestDecompressCheckedRejectsCorruption(t *testing.T) {
 	bdiLine := sampleLines()[2]
-	bdiEnc := CompressBest(bdiLine)
+	bdiEnc := Compress(AlgNone, bdiLine)
 	if bdiEnc.Alg != AlgBDI {
 		t.Fatalf("setup: expected a BDI line, got %v", bdiEnc.Alg)
 	}
 	fpcLine := sampleLines()[3]
-	fpcEnc := CompressBest(fpcLine)
+	fpcEnc := Compress(AlgNone, fpcLine)
 	if fpcEnc.Alg != AlgFPC {
 		t.Fatalf("setup: expected an FPC line, got %v", fpcEnc.Alg)
 	}
@@ -113,23 +107,31 @@ func TestDecompressCheckedRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestDecompressCheckedSkipsAbsentChecksum(t *testing.T) {
-	// Per-algorithm Compress leaves Sum zero; checked decode must still
-	// validate structure and succeed.
-	line := sampleLines()[2]
-	enc, ok := (BDI{}).Compress(line)
-	if !ok {
-		t.Fatal("setup: BDI failed")
+// TestZeroedSumDoesNotDisableChecking: a zero Sum is a checksum like any
+// other, not a switch that turns verification off, so a corrupted delta
+// whose stored sum was zeroed too is still rejected, alone or as a
+// shared-base pair member.
+func TestZeroedSumDoesNotDisableChecking(t *testing.T) {
+	enc := Compress(AlgNone, sampleLines()[2])
+	if enc.Alg != AlgBDI {
+		t.Fatalf("setup: expected a BDI line, got %v", enc.Alg)
 	}
-	if enc.Sum != 0 {
-		t.Fatal("setup: raw Compress set a checksum")
+	enc.Payload = cloneBytes(enc.Payload)
+	enc.Payload[len(enc.Payload)-1] ^= 0x01
+	enc.Sum = 0
+	if _, err := DecompressChecked(enc); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("corrupt BDI delta with zeroed sum: err %v, want checksum failure", err)
 	}
-	got, err := DecompressChecked(enc)
-	if err != nil {
-		t.Fatal(err)
+
+	p := CompressPair(AlgNone, lineFromQwords(1<<50, 1<<50+4, 1<<50+9), lineFromQwords(1<<50+100, 1<<50+104, 1<<50+90))
+	if !p.SharedBase {
+		t.Fatal("setup: expected a shared-base pair")
 	}
-	if !bytes.Equal(got, line) {
-		t.Fatal("round trip mismatch")
+	p.B.Payload = cloneBytes(p.B.Payload)
+	p.B.Payload[0] ^= 0x01
+	p.B.Sum = 0
+	if _, _, err := DecompressPair(p); err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("corrupt pair member with zeroed sum: err %v, want checksum failure", err)
 	}
 }
 
@@ -138,7 +140,7 @@ func TestDecompressCheckedSkipsAbsentChecksum(t *testing.T) {
 func TestDecompressPairRejectsCorruption(t *testing.T) {
 	a := lineFromQwords(1<<50, 1<<50+4, 1<<50+9)
 	b := lineFromQwords(1<<50+100, 1<<50+104, 1<<50+90)
-	good := CompressPair(a, b)
+	good := CompressPair(AlgNone, a, b)
 	if !good.SharedBase {
 		t.Fatal("setup: expected a shared-base pair")
 	}
@@ -149,7 +151,7 @@ func TestDecompressPairRejectsCorruption(t *testing.T) {
 		},
 		"member truncated": func(p *PairEncoding) { p.B.Payload = p.B.Payload[:1] },
 		"member mode":      func(p *PairEncoding) { p.B.Mode = BDIB8D4 },
-		"buddy not bdi":    func(p *PairEncoding) { p.A = CompressBest(make([]byte, LineSize)) },
+		"buddy not bdi":    func(p *PairEncoding) { p.A = Compress(AlgNone, make([]byte, LineSize)) },
 	}
 	for name, damage := range cases {
 		t.Run(name, func(t *testing.T) {

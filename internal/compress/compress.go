@@ -1,10 +1,13 @@
 // Package compress implements the low-latency cache-line compression
 // algorithms DICE builds on: Frequent Pattern Compression (FPC),
 // Base-Delta-Immediate (BDI), zero-content (ZCA), and the hybrid FPC+BDI
-// selector the paper evaluates with. All algorithms are real round-trip
-// codecs operating on 64-byte lines, with DecompressChecked the one
-// decoder; compressed sizes are what the DRAM cache's flexible TAD
-// format stores and what the DICE insertion threshold tests against.
+// selector the paper evaluates with. Each compressor makes one decision
+// per line, in sizeChoice: SizeWith and PairSizeWith report it without
+// allocating, and Compress and CompressPair write the encoding it chose.
+// DecompressChecked and DecompressPair are the one decoder, the
+// independent judge that every encoding round-trips at the size the
+// sizers report. Compressed sizes are what the DRAM cache's flexible
+// TAD format stores and what the DICE insertion threshold tests against.
 package compress
 
 import "fmt"
@@ -54,40 +57,40 @@ type Encoding struct {
 	Mode uint8
 	// Payload is the encoded line; its length is the line's stored size.
 	Payload []byte
-	// Sum is a checksum of the original 64-byte line (see LineSum), set
-	// by CompressBest/CompressPair. DecompressChecked verifies it, so
-	// payload corruption is detected instead of silently decoded. Zero
-	// means "no checksum" (encodings built directly by the per-algorithm
-	// Compress methods); LineSum never returns zero.
+	// Sum is the checksum of the original 64-byte line (LineSum), set
+	// on every encoding Compress and CompressPair build. The decoders
+	// always verify it, so payload corruption is detected instead of
+	// silently decoded.
 	Sum uint32
 }
 
 // Size returns the number of payload bytes the encoding occupies in a set.
 func (e Encoding) Size() int { return len(e.Payload) }
 
-// CompressBest encodes line with the hybrid FPC+BDI policy used by DICE:
-// try ZCA, FPC and BDI, keep whichever yields the smallest payload, and
-// fall back to an uncompressed encoding when nothing beats 64 bytes.
-func CompressBest(line []byte) Encoding {
-	mustLine(line)
-	if isZero(line) {
-		return Encoding{Alg: AlgZCA, Sum: LineSum(line)}
+// Compress encodes line under one compressor: AlgFPC (FPC and zero
+// lines), AlgBDI (BDI and zero lines), or any other alg for the hybrid
+// FPC+BDI selector DICE uses. The algorithm and BDI mode are
+// sizeChoice's, so the payload is always SizeWith(alg, line) bytes:
+// ZCA for an all-zero line, the raw line when nothing beats 64 bytes.
+func Compress(alg AlgID, line []byte) Encoding {
+	_, chosen, mode := sizeChoice(alg, line)
+	enc := Encoding{Alg: chosen, Sum: LineSum(line)}
+	switch chosen {
+	case AlgNone:
+		enc.Payload = cloneBytes(line)
+	case AlgFPC:
+		enc.Payload = fpcEncode(line)
+	case AlgBDI:
+		// Only a BDI win sets Mode: sizeChoice keeps BDI's mode even
+		// when FPC then beat it.
+		enc.Mode, enc.Payload = mode, bdiEncode(line, mode)
 	}
-	best := Encoding{Alg: AlgNone, Payload: cloneBytes(line)}
-	if enc, ok := (BDI{}).Compress(line); ok && enc.Size() < best.Size() {
-		best = enc
-	}
-	if enc, ok := (FPC{}).Compress(line); ok && enc.Size() < best.Size() {
-		best = enc
-	}
-	best.Sum = LineSum(line)
-	return best
+	return enc
 }
 
 // CompressedSize returns the hybrid compressed size of a line in bytes
-// (0 for an all-zero line, 64 for incompressible). It takes the
-// allocation-free size-only path — always equal to
-// CompressBest(line).Size(), which the equivalence tests enforce.
+// (0 for an all-zero line, 64 for incompressible), without allocating:
+// Compress(AlgNone, line) writes a payload of exactly this size.
 func CompressedSize(line []byte) int {
 	return SizeWith(AlgNone, line)
 }

@@ -40,6 +40,9 @@ func randomLine(rng *rand.Rand) []byte {
 	return line
 }
 
+// compressors are the three compressors Compress and the sizers accept.
+var compressors = []AlgID{AlgNone, AlgFPC, AlgBDI}
+
 // decoded is DecompressChecked's line, or nil when it rejects enc.
 func decoded(enc Encoding) []byte {
 	out, err := DecompressChecked(enc)
@@ -49,47 +52,62 @@ func decoded(enc Encoding) []byte {
 	return out
 }
 
-// TestZCACompressesOnlyZeroLines: the hybrid encodes an all-zero line as
-// a payload-free ZCA encoding that round-trips, and no other line as ZCA.
+// TestZCACompressesOnlyZeroLines: every compressor encodes an all-zero
+// line as a payload-free ZCA encoding that round-trips, and no other
+// line as ZCA.
 func TestZCACompressesOnlyZeroLines(t *testing.T) {
-	enc := CompressBest(make([]byte, LineSize))
-	if enc.Alg != AlgZCA || enc.Size() != 0 {
-		t.Fatalf("zero line: alg %v, payload size %d; want zca, 0", enc.Alg, enc.Size())
-	}
-	if got := decoded(enc); !bytes.Equal(got, make([]byte, LineSize)) {
-		t.Fatal("ZCA round trip failed")
-	}
-	if enc := CompressBest(lineOf(1)); enc.Alg == AlgZCA {
-		t.Fatal("a non-zero line was encoded as ZCA")
+	for _, alg := range compressors {
+		enc := Compress(alg, make([]byte, LineSize))
+		if enc.Alg != AlgZCA || enc.Size() != 0 {
+			t.Fatalf("%v zero line: alg %v, payload size %d; want zca, 0", alg, enc.Alg, enc.Size())
+		}
+		if got := decoded(enc); !bytes.Equal(got, make([]byte, LineSize)) {
+			t.Fatalf("%v: ZCA round trip failed", alg)
+		}
+		if enc := Compress(alg, lineOf(1)); enc.Alg == AlgZCA {
+			t.Fatalf("%v: a non-zero line was encoded as ZCA", alg)
+		}
 	}
 }
 
+// checkConforms requires line to size to exactly size under alg through
+// both SizeWith and Compress, to encode with alg itself in mode, and to
+// round-trip.
+func checkConforms(t *testing.T, alg AlgID, line []byte, mode uint8, size int) {
+	t.Helper()
+	if got := SizeWith(alg, line); got != size {
+		t.Fatalf("SizeWith = %d, want %d", got, size)
+	}
+	enc := Compress(alg, line)
+	if enc.Alg != alg || enc.Mode != mode || enc.Size() != size {
+		t.Fatalf("Compress = %v mode %d, %dB; want %v mode %d, %dB", enc.Alg, enc.Mode, enc.Size(), alg, mode, size)
+	}
+	if got := decoded(enc); !bytes.Equal(got, line) {
+		t.Fatalf("round trip failed: got %x want %x", got, line)
+	}
+}
+
+// TestFPCKnownPatterns is FPC's conformance table: one row per word
+// pattern, each at its exact published size, 16 words x (3-bit prefix +
+// payload) rounded up to bytes.
 func TestFPCKnownPatterns(t *testing.T) {
 	tests := []struct {
-		name    string
-		line    []byte
-		maxSize int
+		name string
+		line []byte
+		size int
 	}{
-		// 16 words x (3-bit prefix + payload) rounded up to bytes.
-		{"all zero words", lineFromWords(0), 6},                   // 16*3 bits = 6B
+		{"zero words", lineFromWords(0, 0, 0, 1), 8},              // 12*3 + 4*7 bits (not all zero: that is ZCA)
 		{"small 4-bit ints", lineFromWords(3, 7, 0xFFFFFFFF), 14}, // 16*7 bits
 		{"8-bit ints", lineFromWords(100, 0xFFFFFF85), 22},        // 16*11 bits
 		{"16-bit ints", lineFromWords(30000, 0xFFFF8000), 38},     // 16*19 bits
-		{"repeated bytes", lineFromWords(0xABABABAB), 22},         // 16*11 bits
+		{"half zero", lineFromWords(0x12340000, 0xFFFF0000), 38},  // 16*19 bits
 		{"halfwords", lineFromWords(0x00050003), 38},              // 16*19 bits
+		{"repeated bytes", lineFromWords(0xABABABAB), 22},         // 16*11 bits
+		{"raw words", lineFromWords(0x12345678, 0), 38},           // 8*35 + 8*3 bits
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			enc, ok := (FPC{}).Compress(tc.line)
-			if !ok {
-				t.Fatal("expected compressible")
-			}
-			if enc.Size() > tc.maxSize {
-				t.Fatalf("size = %d, want <= %d", enc.Size(), tc.maxSize)
-			}
-			if got := decoded(enc); !bytes.Equal(got, tc.line) {
-				t.Fatalf("round trip failed: got %x want %x", got, tc.line)
-			}
+			checkConforms(t, AlgFPC, tc.line, 0, tc.size)
 		})
 	}
 }
@@ -99,15 +117,14 @@ func TestFPCRejectsRandomLine(t *testing.T) {
 	rejected := 0
 	for i := 0; i < 100; i++ {
 		line := randomLine(rng)
-		if enc, ok := (FPC{}).Compress(line); ok {
-			// If it claims success it must still round-trip and be smaller.
-			if enc.Size() >= LineSize {
-				t.Fatal("accepted encoding not smaller than line")
-			}
-			if got := decoded(enc); !bytes.Equal(got, line) {
-				t.Fatal("round trip failed")
-			}
-		} else {
+		enc := Compress(AlgFPC, line)
+		if enc.Alg == AlgFPC && enc.Size() >= LineSize {
+			t.Fatal("FPC encoding not smaller than line")
+		}
+		if got := decoded(enc); !bytes.Equal(got, line) {
+			t.Fatal("round trip failed")
+		}
+		if enc.Alg == AlgNone {
 			rejected++
 		}
 	}
@@ -116,6 +133,8 @@ func TestFPCRejectsRandomLine(t *testing.T) {
 	}
 }
 
+// TestBDIModesAndSizes is BDI's conformance table: one row per mode at
+// its published size.
 func TestBDIModesAndSizes(t *testing.T) {
 	tests := []struct {
 		name string
@@ -125,26 +144,15 @@ func TestBDIModesAndSizes(t *testing.T) {
 	}{
 		{"repeated qword", lineFromQwords(0xDEADBEEFCAFEBABE), BDIRep, 8},
 		{"b8d1", lineFromQwords(1<<40, 1<<40+100, 1<<40+7), BDIB8D1, 16},
-		{"b8d2", lineFromQwords(1<<40, 1<<40+1000, 1<<40+30000), BDIB8D2, 24},
-		{"b8d4", lineFromQwords(1<<40, 1<<40+1<<30, 1<<40+12345678), BDIB8D4, 40},
 		{"b4d1 pointers", lineFromWords(0x10000000, 0x10000004, 0x10000010), BDIB4D1, 20},
+		{"b8d2", lineFromQwords(1<<40, 1<<40+1000, 1<<40+30000), BDIB8D2, 24},
+		{"b2d1", lineFromWords(0x10201000, 0x10401030, 0x10101050), BDIB2D1, 34},
 		{"b4d2", lineFromWords(0x10000000, 0x10004000, 0x10007FFF), BDIB4D2, 36},
+		{"b8d4", lineFromQwords(1<<40, 1<<40+1<<30, 1<<40+12345678), BDIB8D4, 40},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			enc, ok := (BDI{}).Compress(tc.line)
-			if !ok {
-				t.Fatal("expected compressible")
-			}
-			if enc.Mode != tc.mode {
-				t.Fatalf("mode = %d, want %d", enc.Mode, tc.mode)
-			}
-			if enc.Size() != tc.size {
-				t.Fatalf("size = %d, want %d", enc.Size(), tc.size)
-			}
-			if got := decoded(enc); !bytes.Equal(got, tc.line) {
-				t.Fatalf("round trip failed")
-			}
+			checkConforms(t, AlgBDI, tc.line, tc.mode, tc.size)
 		})
 	}
 }
@@ -155,10 +163,10 @@ func TestBDIMixedZeroPointerLineRejected(t *testing.T) {
 	// variant (canonical sizes) deliberately rejects it, and the hybrid
 	// must still round-trip the line via the raw fallback.
 	line := lineFromQwords(0xDEADBEEF12345678, 3, 0xDEADBEEF87654321, 7)
-	if _, ok := (BDI{}).Compress(line); ok {
-		t.Fatal("single-base BDI should reject mixed zero/pointer line")
+	if enc := Compress(AlgBDI, line); enc.Alg != AlgNone {
+		t.Fatalf("single-base BDI should reject mixed zero/pointer line, got %v", enc.Alg)
 	}
-	enc := CompressBest(line)
+	enc := Compress(AlgNone, line)
 	if got := decoded(enc); !bytes.Equal(got, line) {
 		t.Fatal("hybrid round trip failed")
 	}
@@ -168,7 +176,7 @@ func TestBDIRejectsRandomLine(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	rejected := 0
 	for i := 0; i < 100; i++ {
-		if _, ok := (BDI{}).Compress(randomLine(rng)); !ok {
+		if Compress(AlgBDI, randomLine(rng)).Alg == AlgNone {
 			rejected++
 		}
 	}
@@ -177,20 +185,22 @@ func TestBDIRejectsRandomLine(t *testing.T) {
 	}
 }
 
+// TestCompressBestPicksSmallest: the hybrid, Compress(AlgNone, ...),
+// keeps whichever of ZCA, FPC, BDI and raw is smallest.
 func TestCompressBestPicksSmallest(t *testing.T) {
 	// A zero line must be ZCA with size 0.
-	if enc := CompressBest(make([]byte, LineSize)); enc.Alg != AlgZCA || enc.Size() != 0 {
+	if enc := Compress(AlgNone, make([]byte, LineSize)); enc.Alg != AlgZCA || enc.Size() != 0 {
 		t.Fatalf("zero line: got %v size %d", enc.Alg, enc.Size())
 	}
 	// Small 4-bit integers: FPC (14B) beats BDI b4d1 (22B) and b2d1.
 	line := lineFromWords(1, 2, 3)
-	enc := CompressBest(line)
+	enc := Compress(AlgNone, line)
 	if enc.Alg != AlgFPC {
 		t.Fatalf("small ints: alg = %v, want fpc", enc.Alg)
 	}
 	// Large-base pointers: BDI wins, FPC cannot compress them.
 	ptr := lineFromQwords(0x7FFE00112200, 0x7FFE00112208, 0x7FFE00112240)
-	enc = CompressBest(ptr)
+	enc = Compress(AlgNone, ptr)
 	if enc.Alg != AlgBDI {
 		t.Fatalf("pointers: alg = %v, want bdi", enc.Alg)
 	}
@@ -198,7 +208,7 @@ func TestCompressBestPicksSmallest(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	var sawNone bool
 	for i := 0; i < 20; i++ {
-		if CompressBest(randomLine(rng)).Alg == AlgNone {
+		if Compress(AlgNone, randomLine(rng)).Alg == AlgNone {
 			sawNone = true
 		}
 	}
@@ -218,16 +228,25 @@ func TestDecompressAllAlgs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		lines = append(lines, randomLine(rng))
 	}
-	for _, line := range lines {
-		enc := CompressBest(line)
-		if got := decoded(enc); !bytes.Equal(got, line) {
-			t.Fatalf("round trip failed for alg %v", enc.Alg)
+	for _, alg := range compressors {
+		for _, line := range lines {
+			enc := Compress(alg, line)
+			if got := decoded(enc); !bytes.Equal(got, line) {
+				t.Fatalf("%v: round trip failed for alg %v", alg, enc.Alg)
+			}
 		}
 	}
 }
 
-// Property: hybrid compression round-trips arbitrary lines, and the
-// compressed size never exceeds the line size.
+// roundTrips reports whether Compress(alg, line) decodes back to line at
+// exactly SizeWith(alg, line) payload bytes.
+func roundTrips(alg AlgID, line []byte) bool {
+	enc := Compress(alg, line)
+	return enc.Size() == SizeWith(alg, line) && bytes.Equal(decoded(enc), line)
+}
+
+// Property: hybrid compression round-trips arbitrary lines at exactly
+// the size the sizer reports, never above the line size.
 func TestQuickHybridRoundTrip(t *testing.T) {
 	f := func(seed uint64, structured bool) bool {
 		rng := rand.New(rand.NewPCG(seed, seed^0x9E3779B9))
@@ -244,36 +263,28 @@ func TestQuickHybridRoundTrip(t *testing.T) {
 		} else {
 			line = randomLine(rng)
 		}
-		enc := CompressBest(line)
-		if enc.Size() > LineSize {
-			return false
-		}
-		return bytes.Equal(decoded(enc), line)
+		return SizeWith(AlgNone, line) <= LineSize && roundTrips(AlgNone, line)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: FPC round-trips any line it accepts.
+// Property: FPC-only compression round-trips any line at its size.
 func TestQuickFPCRoundTrip(t *testing.T) {
 	f := func(words [16]uint32) bool {
 		line := make([]byte, LineSize)
 		for i, w := range words {
 			binary.LittleEndian.PutUint32(line[i*4:], w)
 		}
-		enc, ok := (FPC{}).Compress(line)
-		if !ok {
-			return true
-		}
-		return bytes.Equal(decoded(enc), line)
+		return roundTrips(AlgFPC, line)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: BDI round-trips any line it accepts.
+// Property: BDI-only compression round-trips any line at its size.
 func TestQuickBDIRoundTrip(t *testing.T) {
 	f := func(qs [8]uint64, narrow uint8) bool {
 		line := make([]byte, LineSize)
@@ -281,11 +292,7 @@ func TestQuickBDIRoundTrip(t *testing.T) {
 		for i, q := range qs {
 			binary.LittleEndian.PutUint64(line[i*8:], q&mask|qs[0]&^mask)
 		}
-		enc, ok := (BDI{}).Compress(line)
-		if !ok {
-			return true
-		}
-		return bytes.Equal(decoded(enc), line)
+		return roundTrips(AlgBDI, line)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -297,12 +304,11 @@ func TestPairSharedBaseSavesBaseBytes(t *testing.T) {
 	// should save the base bytes of the second line.
 	a := lineFromQwords(1<<50, 1<<50+4, 1<<50+9)
 	b := lineFromQwords(1<<50+100, 1<<50+104, 1<<50+90)
-	p := CompressPair(a, b)
+	p := CompressPair(AlgNone, a, b)
 	if !p.SharedBase {
 		t.Fatal("expected shared-base pair")
 	}
-	encA, _ := (BDI{}).Compress(a)
-	encB, _ := (BDI{}).Compress(b)
+	encA, encB := Compress(AlgBDI, a), Compress(AlgBDI, b)
 	if p.Size() >= encA.Size()+encB.Size() {
 		t.Fatalf("pair size %d not smaller than separate %d",
 			p.Size(), encA.Size()+encB.Size())
@@ -317,7 +323,7 @@ func TestPairFallsBackToSeparate(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
 	a := randomLine(rng)
 	b := lineFromWords(1, 2)
-	p := CompressPair(a, b)
+	p := CompressPair(AlgNone, a, b)
 	if p.SharedBase {
 		t.Fatal("random + fpc lines should not share a base")
 	}
@@ -327,9 +333,10 @@ func TestPairFallsBackToSeparate(t *testing.T) {
 	}
 }
 
-// Property: pairs always round-trip and never exceed 128 bytes.
+// Property: pairs round-trip under every compressor at exactly their
+// pair size, never above 128 bytes.
 func TestQuickPairRoundTrip(t *testing.T) {
-	f := func(seed uint64, kind uint8) bool {
+	f := func(seed uint64, kind, alg uint8) bool {
 		rng := rand.New(rand.NewPCG(seed, 77))
 		mk := func() []byte {
 			switch kind % 3 {
@@ -343,12 +350,11 @@ func TestQuickPairRoundTrip(t *testing.T) {
 			}
 		}
 		a, b := mk(), mk()
-		p := CompressPair(a, b)
-		if p.Size() > 2*LineSize {
-			return false
-		}
+		id := compressors[alg%3]
+		p := CompressPair(id, a, b)
 		gotA, gotB, err := DecompressPair(p)
-		return err == nil && bytes.Equal(gotA, a) && bytes.Equal(gotB, b)
+		return err == nil && p.Size() == PairSizeWith(id, a, b) && p.Size() <= 2*LineSize &&
+			bytes.Equal(gotA, a) && bytes.Equal(gotB, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -359,9 +365,8 @@ func TestPaperThresholds(t *testing.T) {
 	// The paper's DICE threshold story: BDI b4d2 compresses a single line
 	// to 36B, and with shared tag+base two such lines fit in 68B.
 	line := lineFromWords(0x10000000, 0x10004000, 0x10002345)
-	enc, ok := (BDI{}).Compress(line)
-	if !ok || enc.Size() != 36 {
-		t.Fatalf("b4d2 line size = %d (ok=%v), want 36", enc.Size(), ok)
+	if enc := Compress(AlgBDI, line); enc.Alg != AlgBDI || enc.Size() != 36 {
+		t.Fatalf("b4d2 line: %v, %dB; want bdi, 36B", enc.Alg, enc.Size())
 	}
 	next := lineFromWords(0x10001000, 0x10005000, 0x10003345)
 	if ps := PairSize(line, next); ps > 68 {

@@ -2,13 +2,12 @@ package compress
 
 import "encoding/binary"
 
-// FPC implements Frequent Pattern Compression (Alameldeen & Wood, 2004).
-// The line is treated as sixteen 32-bit words; each word is encoded as a
-// 3-bit pattern prefix followed by a variable-width payload. The patterns
+// Frequent Pattern Compression (Alameldeen & Wood, 2004). The line is
+// treated as sixteen 32-bit words; each word is encoded as a 3-bit
+// pattern prefix followed by a variable-width payload. The patterns
 // capture the frequent cases of small integers, zero words, half-word
-// values and repeated bytes. Compressed size is rounded up to whole bytes,
-// matching how the DRAM-cache set format allocates space.
-type FPC struct{}
+// values and repeated bytes. Compressed size is rounded up to whole
+// bytes, matching how the DRAM-cache set format allocates space.
 
 // FPC word patterns (3-bit prefixes).
 const (
@@ -25,10 +24,10 @@ const (
 // fpcPayloadBits gives the payload width for each pattern.
 var fpcPayloadBits = [8]uint{0, 4, 8, 16, 16, 16, 8, 32}
 
-// Compress encodes a 64-byte line. ok is false when the encoded size
-// would be >= the raw line size, in which case the line is stored raw.
-func (FPC) Compress(line []byte) (Encoding, bool) {
-	mustLine(line)
+// fpcEncode writes line's FPC payload: each word's 3-bit pattern prefix
+// and that pattern's payload bits. It checks nothing; fpcSizeOnly has
+// already found the payload shorter than the raw line.
+func fpcEncode(line []byte) []byte {
 	var w bitWriter
 	for i := 0; i < LineSize; i += 4 {
 		word := binary.LittleEndian.Uint32(line[i : i+4])
@@ -36,11 +35,7 @@ func (FPC) Compress(line []byte) (Encoding, bool) {
 		w.WriteBits(uint64(pat), 3)
 		w.WriteBits(uint64(payload), fpcPayloadBits[pat])
 	}
-	size := int((w.Bits() + 7) / 8)
-	if size >= LineSize {
-		return Encoding{}, false
-	}
-	return Encoding{Alg: AlgFPC, Payload: w.Bytes()}, true
+	return w.Bytes()
 }
 
 // fpcClassify picks the cheapest pattern that represents word exactly.

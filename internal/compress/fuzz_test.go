@@ -10,7 +10,7 @@ import (
 // an error — never panic, never over-read.
 func FuzzDecompressChecked(f *testing.F) {
 	for _, line := range sampleLines() {
-		enc := CompressBest(line)
+		enc := Compress(AlgNone, line)
 		f.Add(uint8(enc.Alg), enc.Mode, enc.Sum, enc.Payload)
 	}
 	f.Add(uint8(AlgBDI), uint8(42), uint32(0), []byte{1, 2, 3})
@@ -25,49 +25,50 @@ func FuzzDecompressChecked(f *testing.F) {
 		if len(out) != LineSize {
 			t.Fatalf("accepted encoding decoded to %d bytes", len(out))
 		}
-		if sum != 0 && LineSum(out) != sum {
+		if LineSum(out) != sum {
 			t.Fatal("accepted encoding violates its own checksum")
 		}
 	})
 }
 
-// FuzzCompressRoundtrip: any 64-byte line must survive CompressBest ->
-// DecompressChecked bit-exactly, and any adjacent pair CompressPair ->
-// DecompressPair, with sizes within physical bounds.
+// FuzzCompressRoundtrip: under every compressor, any 64-byte line must
+// survive Compress -> DecompressChecked bit-exactly at exactly
+// SizeWith's size, and any adjacent pair CompressPair -> DecompressPair
+// at exactly PairSizeWith's, with sizes within physical bounds.
 func FuzzCompressRoundtrip(f *testing.F) {
 	for _, line := range sampleLines() {
 		f.Add(line, line)
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		for _, raw := range [][]byte{a, b} {
-			line := make([]byte, LineSize)
-			copy(line, raw)
-			enc := CompressBest(line)
-			if enc.Size() > LineSize {
-				t.Fatalf("compressed size %d exceeds line size", enc.Size())
-			}
-			got, err := DecompressChecked(enc)
-			if err != nil {
-				t.Fatalf("own encoding rejected: %v", err)
-			}
-			if !bytes.Equal(got, line) {
-				t.Fatal("round trip mismatch")
-			}
-		}
-
 		la, lb := make([]byte, LineSize), make([]byte, LineSize)
 		copy(la, a)
 		copy(lb, b)
-		p := CompressPair(la, lb)
-		if p.Size() > 2*LineSize {
-			t.Fatalf("pair size %d exceeds two lines", p.Size())
-		}
-		da, db, err := DecompressPair(p)
-		if err != nil {
-			t.Fatalf("own pair encoding rejected: %v", err)
-		}
-		if !bytes.Equal(da, la) || !bytes.Equal(db, lb) {
-			t.Fatal("pair round trip mismatch")
+		for _, alg := range compressors {
+			for _, line := range [][]byte{la, lb} {
+				enc := Compress(alg, line)
+				if enc.Size() > LineSize || enc.Size() != SizeWith(alg, line) {
+					t.Fatalf("%v: payload %dB, SizeWith %dB", alg, enc.Size(), SizeWith(alg, line))
+				}
+				got, err := DecompressChecked(enc)
+				if err != nil {
+					t.Fatalf("%v: own encoding rejected: %v", alg, err)
+				}
+				if !bytes.Equal(got, line) {
+					t.Fatalf("%v: round trip mismatch", alg)
+				}
+			}
+
+			p := CompressPair(alg, la, lb)
+			if p.Size() > 2*LineSize || p.Size() != PairSizeWith(alg, la, lb) {
+				t.Fatalf("%v: pair payload %dB, PairSizeWith %dB", alg, p.Size(), PairSizeWith(alg, la, lb))
+			}
+			da, db, err := DecompressPair(p)
+			if err != nil {
+				t.Fatalf("%v: own pair encoding rejected: %v", alg, err)
+			}
+			if !bytes.Equal(da, la) || !bytes.Equal(db, lb) {
+				t.Fatalf("%v: pair round trip mismatch", alg)
+			}
 		}
 	})
 }

@@ -24,32 +24,21 @@ type PairEncoding struct {
 // Size returns the total data bytes the pair occupies in a set.
 func (p PairEncoding) Size() int { return p.A.Size() + p.B.Size() }
 
-// CompressPair encodes two adjacent 64-byte lines, preferring a shared-base
-// BDI encoding when it is smaller than compressing each line independently.
-func CompressPair(a, b []byte) PairEncoding {
-	mustLine(a)
-	mustLine(b)
-	encA := CompressBest(a)
-	encB := CompressBest(b)
-	best := PairEncoding{A: encA, B: encB}
-
-	// Shared base applies when A is a base+delta BDI encoding; re-encode B
-	// against A's base with the same geometry and drop B's base bytes.
-	if encA.Alg == AlgBDI && encA.Mode != BDIRep {
-		k, _ := bdiGeometry(encA.Mode)
-		base := int64(readUint(encA.Payload[:k], k))
-		if payload, ok := bdiTryModeWithBase(b, encA.Mode, base); ok {
-			shared := PairEncoding{
-				A:          encA,
-				B:          Encoding{Alg: AlgBDIPair, Mode: encA.Mode, Payload: payload, Sum: LineSum(b)},
-				SharedBase: true,
-			}
-			if shared.Size() < best.Size() {
-				best = shared
-			}
-		}
+// CompressPair encodes two adjacent 64-byte lines under one
+// compressor (as Compress does). When pairSharedSize finds b riding on
+// a's BDI base smaller than the two lines apart, b keeps only its
+// deltas against that base; the pair is then PairSizeWith(alg, a, b)
+// bytes either way.
+func CompressPair(alg AlgID, a, b []byte) PairEncoding {
+	encA, encB := Compress(alg, a), Compress(alg, b)
+	shared, ok := pairSharedSize(a, b, encA.Size(), encA.Alg, encA.Mode)
+	if !ok || shared >= encA.Size()+encB.Size() {
+		return PairEncoding{A: encA, B: encB}
 	}
-	return best
+	k, _ := bdiGeometry(encA.Mode)
+	base := int64(readUint(a[:k], k))
+	encB = Encoding{Alg: AlgBDIPair, Mode: encA.Mode, Payload: bdiDeltas(b, encA.Mode, base), Sum: encB.Sum}
+	return PairEncoding{A: encA, B: encB, SharedBase: true}
 }
 
 // DecompressPair reverses CompressPair, returning the two original
@@ -76,45 +65,34 @@ func DecompressPair(p PairEncoding) (a, b []byte, err error) {
 	}
 	base := int64(readUint(p.A.Payload[:k], k))
 	b = bdiDecodeWithBase(p.B.Payload, p.B.Mode, base)
-	if p.B.Sum != 0 && LineSum(b) != p.B.Sum {
+	if LineSum(b) != p.B.Sum {
 		return nil, nil, fmt.Errorf("compress: shared-base payload fails line checksum")
 	}
 	return a, b, nil
 }
 
-// PairSize returns just the combined compressed size of two adjacent lines
-// under the pairing policy. The DRAM cache uses this to decide whether a
-// BAI pair fits a set. It takes the allocation-free size-only path —
-// always equal to CompressPair(a, b).Size(), which the equivalence
-// tests enforce.
+// PairSize returns just the combined hybrid compressed size of two
+// adjacent lines under the pairing policy, without allocating. The DRAM
+// cache uses this to decide whether a BAI pair fits a set;
+// CompressPair(AlgNone, a, b) writes a pair of exactly this size.
 func PairSize(a, b []byte) int { return PairSizeWith(AlgNone, a, b) }
 
-// bdiTryModeWithBase encodes line's deltas against a caller-supplied base
-// (base bytes omitted from the payload). Used both by single-line BDI
-// (with the line's own base) and for pair base sharing.
-func bdiTryModeWithBase(line []byte, mode uint8, base int64) ([]byte, bool) {
+// bdiDeltas writes every k-byte value of line as its d-byte delta from
+// base (base bytes omitted). It checks nothing: bdiFitsWithBase has
+// already found every delta within d bytes, modulo the base width, so
+// the delta's low d bytes are the whole of it.
+func bdiDeltas(line []byte, mode uint8, base int64) []byte {
 	k, d := bdiGeometry(mode)
 	n := LineSize / k
-	deltaBits := uint(d * 8)
-
-	payload := make([]byte, n*d)
+	out := make([]byte, n*d)
 	for i := 0; i < n; i++ {
 		v := int64(readUint(line[i*k:(i+1)*k], k))
-		delta := v - base
-		// Wrap deltas modulo the base width so that e.g. 2-byte values
-		// 0xFFFF and 0x0001 are one apart, matching hardware arithmetic.
-		if k < 8 {
-			delta = signExtend(uint64(delta), uint(k*8))
-		}
-		if !fitsSigned(delta, deltaBits) {
-			return nil, false
-		}
-		writeUint(payload[i*d:(i+1)*d], uint64(delta), d)
+		writeUint(out[i*d:(i+1)*d], uint64(v-base), d)
 	}
-	return payload, true
+	return out
 }
 
-// bdiDecodeWithBase decodes a delta payload produced by bdiTryModeWithBase.
+// bdiDecodeWithBase decodes a delta payload produced by bdiDeltas.
 func bdiDecodeWithBase(payload []byte, mode uint8, base int64) []byte {
 	k, d := bdiGeometry(mode)
 	n := LineSize / k

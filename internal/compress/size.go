@@ -5,8 +5,8 @@ import "fmt"
 // Single-algorithm sizing, used by the compression-algorithm ablation:
 // DICE is orthogonal to the compression scheme (Section 7.1), and these
 // helpers let the cache run with FPC alone or BDI alone instead of the
-// hybrid selector. Both take the allocation-free size-only paths; the
-// equivalence tests pin them to the codec-produced sizes.
+// hybrid selector. Both take the allocation-free size-only paths, and
+// Compress and CompressPair encode exactly what they size.
 
 // ParseAlg maps a compressor name to the algorithm SizeWith and
 // PairSizeWith size with: "fpc" is AlgFPC, "bdi" is

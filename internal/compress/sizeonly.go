@@ -4,17 +4,16 @@ import "encoding/binary"
 
 // Size-only compression: the DRAM cache consults compressed sizes on
 // every install, repack and index decision, but it only needs the
-// *size* — the payload bytes are simulator-internal and discarded
-// immediately. These paths compute the exact sizes
-// the codecs would produce without materializing any payload, which
-// removes all allocation from the cache's sizing hot path. Equivalence
-// with the codec paths is enforced by TestSizeOnlyMatchesCodec over
-// the full data-kind corpus plus random lines, and end-to-end by the
-// byte-identical experiment goldens.
+// *size*. These paths make each compressor's one decision — which
+// algorithm and BDI mode, at what size — without materializing any
+// payload, which removes all allocation from the cache's sizing hot
+// path. Compress and CompressPair write what they decide, and the
+// decoders judge it: TestSizeIsSmallestLosslessEncoding checks every
+// size is the smallest encoding DecompressChecked turns back into the
+// line.
 
 // fpcSizeOnly returns FPC's encoded size in bytes without building the
-// payload; ok is false when FPC cannot beat the raw line (mirrors
-// FPC.Compress).
+// payload; ok is false when FPC cannot beat the raw line.
 func fpcSizeOnly(line []byte) (int, bool) {
 	bits := uint(0)
 	for i := 0; i < LineSize; i += 4 {
@@ -29,8 +28,7 @@ func fpcSizeOnly(line []byte) (int, bool) {
 	return size, true
 }
 
-// bdiIsRep reports whether the line is one repeated 8-byte value
-// (mirrors bdiTryRep without building the payload).
+// bdiIsRep reports whether the line is one repeated 8-byte value.
 func bdiIsRep(line []byte) bool {
 	first := binary.LittleEndian.Uint64(line[:8])
 	for i := 8; i < LineSize; i += 8 {
@@ -42,8 +40,9 @@ func bdiIsRep(line []byte) bool {
 }
 
 // bdiFitsWithBase reports whether every k-byte value of line is within
-// mode's delta width of base — bdiTryModeWithBase's fit check without
-// the payload write.
+// mode's delta width of base, wrapping modulo the base width so that
+// e.g. 2-byte values 0xFFFF and 0x0001 are one apart, as hardware
+// arithmetic has it.
 func bdiFitsWithBase(line []byte, mode uint8, base int64) bool {
 	k, d := bdiGeometry(mode)
 	n := LineSize / k
@@ -62,8 +61,8 @@ func bdiFitsWithBase(line []byte, mode uint8, base int64) bool {
 }
 
 // bdiSizeOnly returns BDI's encoded size and chosen mode without
-// building the payload. The mode order mirrors BDI.Compress exactly,
-// so the chosen mode (which pair base-sharing depends on) is identical.
+// building the payload. Modes are tried in order of encoded size, so
+// the first that fits is the smallest.
 func bdiSizeOnly(line []byte) (size int, mode uint8, ok bool) {
 	if bdiIsRep(line) {
 		return 8, BDIRep, true
@@ -78,14 +77,14 @@ func bdiSizeOnly(line []byte) (size int, mode uint8, ok bool) {
 	return 0, 0, false
 }
 
-// sizeChoice returns one compressor's outcome for a line without
-// allocating: the compressed size, the algorithm its encoder would
-// pick, and the BDI mode (meaningful only when chosen is AlgBDI). AlgBDI
+// sizeChoice is each compressor's one decision for a line, made without
+// allocating: the compressed size, the algorithm Compress encodes with,
+// and the BDI mode (meaningful only when chosen is AlgBDI). AlgBDI
 // tries only BDI and AlgFPC only FPC; any other alg is the hybrid
-// selector, which tries both with CompressBest's tie-breaking: BDI
-// replaces the raw encoding when smaller, FPC replaces the current
-// best only when strictly smaller, so BDI wins size ties. Every
-// compressor sizes a zero line as AlgZCA, 0 bytes.
+// selector, which tries both: BDI replaces the raw encoding when
+// smaller, FPC replaces the current best only when strictly smaller,
+// so BDI wins size ties. Every compressor sizes a zero line as AlgZCA,
+// 0 bytes.
 func sizeChoice(alg AlgID, line []byte) (size int, chosen AlgID, bdiMode uint8) {
 	mustLine(line)
 	if isZero(line) {
@@ -107,8 +106,8 @@ func sizeChoice(alg AlgID, line []byte) (size int, chosen AlgID, bdiMode uint8) 
 
 // pairSharedSize returns the shared-base pair size for b riding on a's
 // BDI encoding (alg/mode/size from sizeChoice of a), or ok=false when
-// base sharing does not apply — the size-only mirror of CompressPair's
-// sharing attempt.
+// base sharing does not apply. PairSizeWith and CompressPair both take
+// its verdict.
 func pairSharedSize(a, b []byte, sizeA int, algA AlgID, modeA uint8) (int, bool) {
 	if algA != AlgBDI || modeA == BDIRep {
 		return 0, false

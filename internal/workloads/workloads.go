@@ -111,11 +111,16 @@ type Instance struct {
 // Compressibility counts the Figure 4 sample of an instance's data
 // image under FPC+BDI: how many sampled lines compress to at most 32 or
 // 36 bytes alone, and how many even-aligned adjacent pairs to at most
-// 68 bytes together.
+// 68 bytes together. It also counts where FPC matters to the hybrid.
 type Compressibility struct {
 	// Lines is how many lines were sampled; Le32 and Le36 count those
 	// compressing to at most 32 and 36 bytes.
 	Lines, Le32, Le36 int
+	// FPCSmaller counts sampled lines FPC alone compresses strictly
+	// smaller than BDI alone; FPCCrosses36 counts those the hybrid fits
+	// in 36 bytes while BDI alone needs more, so only FPC puts them
+	// under DICE's insertion threshold.
+	FPCSmaller, FPCCrosses36 int
 	// Pairs is how many even-aligned pairs were sampled; Pair68 counts
 	// those compressing to at most 68 bytes together.
 	Pairs, Pair68 int
@@ -138,6 +143,13 @@ func (in Instance) Compressibility(samples int) Compressibility {
 		}
 		if sz <= 36 {
 			c.Le36++
+		}
+		bdi := compress.SizeWith(compress.AlgBDI, a[:])
+		if compress.SizeWith(compress.AlgFPC, a[:]) < bdi {
+			c.FPCSmaller++
+		}
+		if sz <= 36 && bdi > 36 {
+			c.FPCCrosses36++
 		}
 		if line%2 == 0 && line+1 < span {
 			c.Pairs++

@@ -172,6 +172,26 @@ func TestCompressibilityOrdering(t *testing.T) {
 	}
 }
 
+// TestCompressibilityCountsWhereFPCMatters: FPC puts a line under the
+// 36B threshold only where it beats BDI, which the GAP graph data does
+// and the SPEC value synthesizer does not.
+func TestCompressibilityCountsWhereFPCMatters(t *testing.T) {
+	for name, fpcMatters := range map[string]bool{"gcc": false, "bc_web": true} {
+		w, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := w.Build(10)[0].Compressibility(4000)
+		if c.FPCCrosses36 > c.FPCSmaller || c.FPCSmaller > c.Lines {
+			t.Fatalf("%s: %d lines, %d FPC-smaller, %d crossing 36B: crossings must be FPC-smaller lines",
+				name, c.Lines, c.FPCSmaller, c.FPCCrosses36)
+		}
+		if (c.FPCCrosses36 > 0) != fpcMatters {
+			t.Fatalf("%s: %d of %d lines under 36B only by FPC, want some: %v", name, c.FPCCrosses36, c.Lines, fpcMatters)
+		}
+	}
+}
+
 func TestByNameErrors(t *testing.T) {
 	if _, err := ByName("nosuch"); err == nil {
 		t.Fatal("unknown workload accepted")
